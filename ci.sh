@@ -22,6 +22,28 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
+echo "== guard: one atomic-write site, and the platform's non-test size =="
+# Every durable file goes through dfm_cache::blob::write_atomic. A
+# second tmp+rename writer anywhere else is the duplication PR 12
+# removed; fail before it can grow its own corruption paths. "Non-test"
+# is everything before a file's first `#[cfg(test)]`, outside tests/
+# and benches/.
+non_test='FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t'
+stray=$(find crates src -name '*.rs' ! -path '*/tests/*' ! -path '*/benches/*' \
+        ! -path crates/cache/src/blob.rs -print0 |
+    xargs -0 awk "$non_test"' && /fs::rename|with_extension\("tmp"\)/{print FILENAME":"FNR": "$0}')
+renames=$(awk "$non_test"' && /fs::rename\(/' crates/cache/src/blob.rs | wc -l)
+if [[ -n "$stray" || "$renames" -ne 1 ]]; then
+    echo "error: atomic writes belong in crates/cache/src/blob.rs (exactly one fs::rename):" >&2
+    echo "$stray" >&2
+    echo "fs::rename call sites in blob.rs: $renames" >&2
+    exit 1
+fi
+# The figure ISSUE 12's "less code" criterion is measured by (7 836
+# before the sealed-blob/resolve_tile collapse).
+find crates/signoff/src crates/cache/src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"'{n++} END{print "signoff+cache non-test lines: " n}'
+
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -447,6 +469,9 @@ echo "== crash-simulation matrix (offline, deterministic) =="
 # byte-identity to the crash-free golden run. The transcript must be
 # byte-identical across worker counts — determinism under crashes is
 # the same contract as determinism under threads.
+# dfm-sim is no dependency of the root package, so the release build
+# above does not produce its binary.
+cargo build --release --offline -p dfm-sim
 SIM=target/release/dfm-sim
 DFM_THREADS=1 "$SIM" --seed 7 --root "$WORK/sim-t1" >"$WORK/sim-1.txt"
 DFM_THREADS=4 "$SIM" --seed 7 --root "$WORK/sim-t4" >"$WORK/sim-4.txt"

@@ -48,13 +48,17 @@ fn run_job(service: &SignoffService, spec: &JobSpec, gds_bytes: &[u8]) -> usize 
     text.len()
 }
 
+fn service(workers: usize) -> SignoffService {
+    SignoffService::with_config(ServiceConfig::builder().threads(workers).build())
+}
+
 /// End-to-end job latency at 1, 2, and 4 workers, on a persistent
 /// service (the pool is reused across jobs, as in the server).
 fn bench_signoff_job_e2e(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = job_spec();
     for workers in [1usize, 2, 4] {
-        let service = SignoffService::new(workers, None);
+        let service = service(workers);
         b.bench(&format!("signoff_job_e2e_w{workers}"), || {
             black_box(run_job(&service, &spec, &gds_bytes))
         });
@@ -71,7 +75,7 @@ fn bench_signoff_saturation(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = job_spec();
     let workers = 4usize;
-    let service = SignoffService::new(workers, None);
+    let service = service(workers);
     let ids: Vec<u64> = (0..3)
         .map(|_| service.submit(spec.clone(), gds_bytes.clone()).expect("submit"))
         .collect();
@@ -97,10 +101,9 @@ fn bench_signoff_warm_cache(b: &mut Bencher) {
     let root = std::env::temp_dir().join(format!("dfm-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
-    let service = SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..ServiceConfig::new(4)
-    });
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).cache(Arc::clone(&cache)).build(),
+    );
     run_job(&service, &spec, &gds_bytes); // prime
     b.bench("signoff_job_warm_cache_w4", || {
         black_box(run_job(&service, &spec, &gds_bytes))
@@ -128,7 +131,7 @@ fn bench_signoff_warm_cache(b: &mut Bencher) {
 fn bench_signoff_score_fix(b: &mut Bencher) {
     let gds_bytes = job_gds();
     let spec = JobSpec { score: Some("default".to_string()), ..job_spec() };
-    let service = SignoffService::new(4, None);
+    let service = service(4);
     b.bench("signoff_job_scored_w4", || {
         black_box(run_job(&service, &spec, &gds_bytes))
     });
@@ -136,10 +139,9 @@ fn bench_signoff_score_fix(b: &mut Bencher) {
     let root = std::env::temp_dir().join(format!("dfm-bench-score-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
-    let service = SignoffService::with_config(ServiceConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..ServiceConfig::new(4)
-    });
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).cache(Arc::clone(&cache)).build(),
+    );
     run_job(&service, &spec, &gds_bytes); // prime
     let outcome = dfm_signoff::auto_fix(&spec, &gds_bytes).expect("fix");
     let id = service.submit(spec.clone(), outcome.gds.clone()).expect("submit");

@@ -22,18 +22,18 @@
 //! ## On-disk format
 //!
 //! One file per entry, named from the key
-//! (`e-<spec>-<deck>-<tile>.bin`), written with the same atomic
-//! tmp+rename idiom as the checkpoint store and sealed with a trailing
-//! FNV-1a 64 checksum over everything before it:
+//! (`e-<spec>-<deck>-<tile>.bin`). An entry is a [`blob`] — the
+//! sealed, atomically replaced file primitive this crate also lends to
+//! the signoff checkpoint store — whose body is:
 //!
 //! ```text
 //! magic "DFMC" | version u32 | spec u64 | deck u64 | tile u64
-//! | seq u64 | payload len u64 | payload bytes | checksum u64
+//! | seq u64 | payload len u64 | payload bytes
 //! ```
 //!
-//! A reader validates the checksum, magic, version, key echo, and
-//! exact length; any mismatch is a silent miss and the bad file is
-//! removed.
+//! followed by the seal: [`fnv1a_64`] of the body. A reader validates
+//! the seal, magic, version, key echo, and exact length; any mismatch
+//! is a silent miss and the bad file is removed.
 //!
 //! ## Deterministic eviction
 //!
@@ -47,9 +47,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blob;
+
+use blob::Stage;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -111,16 +114,6 @@ pub struct CacheStats {
     pub tmp_swept: u64,
 }
 
-/// The staged durable transitions of one atomic store, as seen by the
-/// crash probe of [`TileCache::store_staged`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreStage {
-    /// Tmp file written and synced; rename not yet done.
-    Tmp,
-    /// Entry renamed into place; success not yet reported.
-    Rename,
-}
-
 /// Result of a full-store [`TileCache::verify`] sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyReport {
@@ -141,12 +134,9 @@ struct Index {
     by_seq: BTreeMap<u64, CacheKey>,
     total_bytes: u64,
     next_seq: u64,
-    hits: u64,
-    misses: u64,
-    stores: u64,
-    evictions: u64,
-    corrupt_dropped: u64,
-    tmp_swept: u64,
+    /// The per-process counters of [`CacheStats`]; its `entries` and
+    /// `bytes` are filled in from the maps above when read.
+    counters: CacheStats,
 }
 
 impl Index {
@@ -190,20 +180,15 @@ impl TileCache {
     pub fn open(root: impl Into<PathBuf>, max_bytes: Option<u64>) -> io::Result<TileCache> {
         let root = root.into();
         fs::create_dir_all(&root)?;
+        // Crash debris first: a store that died between tmp-write and
+        // rename never created its entry; only the orphan remains.
         let mut index = Index::default();
+        index.counters.tmp_swept = blob::sweep_tmp(&root) as u64;
         let mut max_seq = 0u64;
         for dirent in fs::read_dir(&root)? {
             let dirent = dirent?;
             let name = dirent.file_name();
             let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // Crash debris: a store died between tmp-write and
-                // rename. The entry never existed; sweep the orphan.
-                if fs::remove_file(dirent.path()).is_ok() {
-                    index.tmp_swept += 1;
-                }
-                continue;
-            }
             if !name.starts_with("e-") || !name.ends_with(".bin") {
                 continue;
             }
@@ -215,7 +200,7 @@ impl TileCache {
                 }
                 None => {
                     let _ = fs::remove_file(&path);
-                    index.corrupt_dropped += 1;
+                    index.counters.corrupt_dropped += 1;
                 }
             }
         }
@@ -234,20 +219,28 @@ impl TileCache {
     pub fn lookup(&self, key: CacheKey) -> Option<Vec<u8>> {
         let mut index = self.index.lock().expect("cache lock");
         if !index.entries.contains_key(&key) {
-            index.misses += 1;
+            index.counters.misses += 1;
             return None;
         }
+        let payload = self.read_or_drop(&mut index, key);
+        match payload {
+            Some(_) => index.counters.hits += 1,
+            None => index.counters.misses += 1,
+        }
+        payload
+    }
+
+    /// Reads and validates the indexed entry for `key`. A file that
+    /// fails validation (or echoes a different key) is removed from
+    /// disk and index and counted in `corrupt_dropped`.
+    fn read_or_drop(&self, index: &mut Index, key: CacheKey) -> Option<Vec<u8>> {
         let path = self.root.join(key.file_name());
         match fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes)) {
-            Some((k, _, payload, _)) if k == key => {
-                index.hits += 1;
-                Some(payload)
-            }
+            Some((k, _, payload, _)) if k == key => Some(payload),
             _ => {
                 index.remove(&key);
                 let _ = fs::remove_file(&path);
-                index.misses += 1;
-                index.corrupt_dropped += 1;
+                index.counters.corrupt_dropped += 1;
                 None
             }
         }
@@ -258,58 +251,38 @@ impl TileCache {
     /// entry landed on disk; `false` when the write failed (treated
     /// like eviction: the result is simply recomputed next time).
     pub fn store(&self, key: CacheKey, payload: &[u8]) -> bool {
-        self.store_staged(key, payload, None)
+        self.store_staged(key, payload, &|_| Ok(()))
     }
 
-    /// [`TileCache::store`] with a crash probe at the two staged
-    /// transitions of the atomic write. When `crash` returns `true`
-    /// for a [`StoreStage`], the store behaves as if the process died
-    /// there: at [`StoreStage::Tmp`] the orphan tmp file stays and no
-    /// entry exists; at [`StoreStage::Rename`] the entry is durable on
-    /// disk but never acknowledged (this process's index ignores it —
-    /// a reopened cache finds it by content address). Either way the
-    /// call reports `false`.
+    /// [`TileCache::store`] with a crash probe at the two stages of
+    /// the atomic write ([`blob::write_atomic`]). When `probe` fails a
+    /// [`Stage`], the store behaves as if the process died there: at
+    /// [`Stage::Tmp`] the orphan tmp file stays and no entry exists;
+    /// at [`Stage::Rename`] the entry is durable on disk but never
+    /// acknowledged (this process's index ignores it — a reopened
+    /// cache finds it by content address). Either way the call reports
+    /// `false`.
     pub fn store_staged(
         &self,
         key: CacheKey,
         payload: &[u8],
-        crash: Option<&dyn Fn(StoreStage) -> bool>,
+        probe: &dyn Fn(Stage) -> io::Result<()>,
     ) -> bool {
         let mut index = self.index.lock().expect("cache lock");
         let seq = index.next_seq;
         index.next_seq += 1;
         let bytes = encode_entry(key, seq, payload);
-        let len = bytes.len() as u64;
-        let path = self.root.join(key.file_name());
-        let tmp = path.with_extension("tmp");
-        let staged = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            Ok(())
-        })();
-        if staged.is_err() {
+        if blob::write_atomic(&self.root.join(key.file_name()), &bytes, probe).is_err() {
             return false;
         }
-        if crash.is_some_and(|c| c(StoreStage::Tmp)) {
-            return false;
-        }
-        if fs::rename(&tmp, &path).is_err() {
-            return false;
-        }
-        if crash.is_some_and(|c| c(StoreStage::Rename)) {
-            return false;
-        }
-        index.insert(key, seq, len);
-        index.stores += 1;
+        index.insert(key, seq, bytes.len() as u64);
+        index.counters.stores += 1;
         if let Some(max) = self.max_bytes {
             while index.total_bytes > max && index.entries.len() > 1 {
-                let (&oldest_seq, &oldest_key) =
-                    index.by_seq.iter().next().expect("non-empty by_seq");
-                let _ = oldest_seq;
-                index.remove(&oldest_key);
-                let _ = fs::remove_file(self.root.join(oldest_key.file_name()));
-                index.evictions += 1;
+                let oldest = *index.by_seq.values().next().expect("non-empty by_seq");
+                index.remove(&oldest);
+                let _ = fs::remove_file(self.root.join(oldest.file_name()));
+                index.counters.evictions += 1;
             }
         }
         true
@@ -318,16 +291,7 @@ impl TileCache {
     /// Current counters and sizes.
     pub fn stats(&self) -> CacheStats {
         let index = self.index.lock().expect("cache lock");
-        CacheStats {
-            entries: index.entries.len(),
-            bytes: index.total_bytes,
-            hits: index.hits,
-            misses: index.misses,
-            stores: index.stores,
-            evictions: index.evictions,
-            corrupt_dropped: index.corrupt_dropped,
-            tmp_swept: index.tmp_swept,
-        }
+        CacheStats { entries: index.entries.len(), bytes: index.total_bytes, ..index.counters }
     }
 
     /// Live entry count.
@@ -353,18 +317,9 @@ impl TileCache {
         let keys: Vec<CacheKey> = index.entries.keys().copied().collect();
         let mut report = VerifyReport::default();
         for key in keys {
-            let path = self.root.join(key.file_name());
-            let good = matches!(
-                fs::read(&path).ok().and_then(|bytes| decode_entry(&bytes)),
-                Some((k, _, _, _)) if k == key
-            );
-            if good {
-                report.ok += 1;
-            } else {
-                index.remove(&key);
-                let _ = fs::remove_file(&path);
-                index.corrupt_dropped += 1;
-                report.removed += 1;
+            match self.read_or_drop(&mut index, key) {
+                Some(_) => report.ok += 1,
+                None => report.removed += 1,
             }
         }
         report
@@ -392,7 +347,7 @@ impl TileCache {
     }
 }
 
-/// Serialises one entry (header + payload + trailing checksum).
+/// Serialises one entry (header + payload, sealed).
 fn encode_entry(key: CacheKey, seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(OVERHEAD + payload.len());
     out.extend_from_slice(MAGIC);
@@ -403,23 +358,14 @@ fn encode_entry(key: CacheKey, seq: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let checksum = fnv1a_64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    blob::seal(out, fnv1a_64)
 }
 
 /// Validates and splits one entry file. `None` on *any* defect —
-/// truncation, bad checksum, bad magic/version, trailing garbage.
+/// truncation, broken seal, bad magic/version, trailing garbage.
 fn decode_entry(bytes: &[u8]) -> Option<(CacheKey, u64, Vec<u8>, u64)> {
-    if bytes.len() < OVERHEAD {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a_64(body) != checksum {
-        return None;
-    }
-    if &body[..4] != MAGIC {
+    let body = blob::unseal(bytes, fnv1a_64)?;
+    if body.get(..4)? != MAGIC {
         return None;
     }
     let u32_at = |at: usize| -> Option<u32> { Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?)) };
@@ -575,13 +521,16 @@ mod tests {
         {
             let cache = TileCache::open(&root, None).expect("open");
             // Crash after the tmp write: no entry, an orphan tmp file.
-            assert!(!cache.store_staged(key(1), b"one", Some(&|s| s == StoreStage::Tmp)));
+            let die_at = |at: Stage| {
+                move |s: Stage| if s == at { Err(io::Error::other("died")) } else { Ok(()) }
+            };
+            assert!(!cache.store_staged(key(1), b"one", &die_at(Stage::Tmp)));
             assert!(cache.lookup(key(1)).is_none());
             let tmp = root.join(key(1).file_name()).with_extension("tmp");
             assert!(tmp.exists(), "orphan tmp is the documented debris");
             // Crash after the rename: durable but unacknowledged — this
             // process keeps treating it as absent.
-            assert!(!cache.store_staged(key(2), b"two", Some(&|s| s == StoreStage::Rename)));
+            assert!(!cache.store_staged(key(2), b"two", &die_at(Stage::Rename)));
             assert!(cache.lookup(key(2)).is_none(), "index died with the process");
             assert_eq!(cache.stats().stores, 0);
         }

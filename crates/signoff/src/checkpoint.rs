@@ -10,23 +10,26 @@
 //!   tile-<i>.bin  — one TilePartial (see below)
 //! ```
 //!
-//! Tile files are fixed-width little-endian: a `DFMS` magic + format
-//! version header, the tile index, the encoded partial, and a trailing
-//! FNV-1a 64 checksum over everything before it. Writes go through a
-//! temp file + rename so a crash mid-write leaves either the old state
-//! or nothing; readers treat any malformed or checksum-failing file as
-//! absent (the tile is simply recomputed). That makes kill -9 at any
-//! instant safe: the resumed job loads the surviving tile set and
-//! recomputes exactly the rest.
+//! Every file is written through [`dfm_cache::blob::write_atomic`]
+//! (tmp + sync + rename), so a crash mid-write leaves either the old
+//! state or nothing. Tile files are additionally **sealed**
+//! ([`dfm_cache::blob::seal`] with this crate's [`fnv1a_64`]): a
+//! `DFMS` magic + format version header, the tile index, and the
+//! fixed-width little-endian partial, followed by the checksum of all
+//! of it. Readers treat any malformed or unsealable file as absent
+//! (the tile is simply recomputed). That makes kill -9 at any instant
+//! safe: the resumed job loads the surviving tile set and recomputes
+//! exactly the rest.
 
 use crate::codec::fnv1a_64;
 use crate::job::TilePartial;
+use dfm_cache::blob::{self, Stage};
 use dfm_drc::{AreaPiece, PairFragment, RulePartial, Violation};
 use dfm_fault::FaultPlane;
 use dfm_geom::Rect;
 use dfm_yield::critical_area::CaTilePartial;
 use std::fs;
-use std::io::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DFMS";
@@ -40,6 +43,31 @@ pub const SITE_SUBMIT_GDS: &str = "signoff.ckpt.submit.gds";
 pub const SITE_TILE_TMP: &str = "signoff.ckpt.tile.tmp";
 /// Crash site: tile file renamed into place, success never reported.
 pub const SITE_TILE_RENAME: &str = "signoff.ckpt.tile.rename";
+
+/// A [`blob::write_atomic`] probe that dies where `plane` has a crash
+/// rule: `tmp_site` is consulted at [`Stage::Tmp`] (`None` for writes
+/// with no registered site there), `rename_site` at [`Stage::Rename`],
+/// both under `(key, attempt)`. With no plane every stage passes.
+pub(crate) fn crash_probe<'a>(
+    plane: Option<&'a FaultPlane>,
+    tmp_site: Option<&'a str>,
+    rename_site: &'a str,
+    key: u64,
+    attempt: u64,
+) -> impl Fn(Stage) -> io::Result<()> + 'a {
+    move |stage| {
+        let site = match stage {
+            Stage::Tmp => tmp_site,
+            Stage::Rename => Some(rename_site),
+        };
+        match (plane, site) {
+            (Some(plane), Some(site)) if plane.crash_point(site, key, attempt) => {
+                Err(io::Error::other(format!("injected crash at {site} (key {key})")))
+            }
+            _ => Ok(()),
+        }
+    }
+}
 
 /// Paths of one job's checkpoint directory.
 #[derive(Clone, Debug)]
@@ -85,15 +113,19 @@ impl JobDir {
         key: u64,
     ) -> Result<(), String> {
         fs::create_dir_all(&self.root).map_err(|e| format!("create {:?}: {e}", self.root))?;
-        write_atomic(&self.root.join("spec.json"), spec_json.as_bytes())?;
-        if plane.is_some_and(|p| p.crash_point(SITE_SUBMIT_SPEC, key, 0)) {
-            return Err(format!("injected crash at {SITE_SUBMIT_SPEC} (job {key})"));
-        }
-        write_atomic(&self.root.join("layout.gds"), gds)?;
-        if plane.is_some_and(|p| p.crash_point(SITE_SUBMIT_GDS, key, 0)) {
-            return Err(format!("injected crash at {SITE_SUBMIT_GDS} (job {key})"));
-        }
-        Ok(())
+        let spec_probe = crash_probe(plane, None, SITE_SUBMIT_SPEC, key, 0);
+        self.write("spec.json", spec_json.as_bytes(), &spec_probe)?;
+        self.write("layout.gds", gds, &crash_probe(plane, None, SITE_SUBMIT_GDS, key, 0))
+    }
+
+    fn write(
+        &self,
+        name: &str,
+        bytes: &[u8],
+        probe: &dyn Fn(Stage) -> io::Result<()>,
+    ) -> Result<(), String> {
+        let path = self.root.join(name);
+        blob::write_atomic(&path, bytes, probe).map_err(|e| format!("write {path:?}: {e}"))
     }
 
     /// Loads the persisted submission, if this directory holds one.
@@ -119,12 +151,12 @@ impl JobDir {
         self.write_tile_probed(partial, None, 0)
     }
 
-    /// [`JobDir::write_tile`] with crash probes at the two staged
-    /// transitions of the atomic write: after the tmp file is durable
-    /// but before the rename ([`SITE_TILE_TMP`], leaving an orphan
-    /// tmp) and after the rename but before success is reported
-    /// ([`SITE_TILE_RENAME`], leaving a durable-but-unacknowledged
-    /// tile). `attempt` is the caller's write-retry counter.
+    /// [`JobDir::write_tile`] with crash probes at the two stages of
+    /// the atomic write: after the tmp file is durable but before the
+    /// rename ([`SITE_TILE_TMP`], leaving an orphan tmp) and after the
+    /// rename but before success is reported ([`SITE_TILE_RENAME`],
+    /// leaving a durable-but-unacknowledged tile). `attempt` is the
+    /// caller's write-retry counter.
     ///
     /// # Errors
     ///
@@ -135,29 +167,16 @@ impl JobDir {
         plane: Option<&FaultPlane>,
         attempt: u64,
     ) -> Result<(), String> {
-        let path = self.root.join(format!("tile-{}.bin", partial.tile));
-        let bytes = encode_tile_partial(partial);
-        let tile = partial.tile as u64;
-        let tmp = path.with_extension("tmp");
-        let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
-        f.write_all(&bytes).map_err(|e| format!("write {tmp:?}: {e}"))?;
-        f.sync_all().map_err(|e| format!("sync {tmp:?}: {e}"))?;
-        drop(f);
-        if plane.is_some_and(|p| p.crash_point(SITE_TILE_TMP, tile, attempt)) {
-            return Err(format!("injected crash at {SITE_TILE_TMP} (tile {tile})"));
-        }
-        fs::rename(&tmp, &path).map_err(|e| format!("rename {tmp:?}: {e}"))?;
-        if plane.is_some_and(|p| p.crash_point(SITE_TILE_RENAME, tile, attempt)) {
-            return Err(format!("injected crash at {SITE_TILE_RENAME} (tile {tile})"));
-        }
-        Ok(())
+        let probe =
+            crash_probe(plane, Some(SITE_TILE_TMP), SITE_TILE_RENAME, partial.tile as u64, attempt);
+        self.write(&format!("tile-{}.bin", partial.tile), &encode_tile_partial(partial), &probe)
     }
 
     /// Removes orphaned `*.tmp` files a crash between tmp-write and
     /// rename may have left behind. Returns how many were swept. Call
     /// on open/resume, never while tile writers are active.
     pub fn sweep_tmp(&self) -> usize {
-        sweep_tmp_files(&self.root)
+        blob::sweep_tmp(&self.root)
     }
 
     /// Loads every tile partial that survives validation, sorted by
@@ -168,7 +187,7 @@ impl JobDir {
         for tile in 0..tile_count {
             let path = self.root.join(format!("tile-{tile}.bin"));
             let Ok(bytes) = fs::read(&path) else { continue };
-            if let Some(p) = decode_tile_file(&bytes, tile) {
+            if let Some(p) = decode_tile_partial(&bytes, tile) {
                 out.push(p);
             }
         }
@@ -181,27 +200,35 @@ impl JobDir {
     }
 }
 
-/// Serialises a [`TilePartial`] to the same framed bytes a checkpoint
-/// tile file holds (magic, version, tile index, body, trailing
-/// checksum) — the payload the tile-result cache stores. Decode with
-/// [`decode_tile_partial`].
+/// Serialises a [`TilePartial`] to the sealed bytes a checkpoint tile
+/// file holds (magic, version, tile index, body, trailing checksum) —
+/// also the payload the tile-result cache stores and the shard outcome
+/// log ships. Decode with [`decode_tile_partial`].
 pub fn encode_tile_partial(partial: &TilePartial) -> Vec<u8> {
     let mut enc = Enc::default();
     enc.bytes_raw(MAGIC);
     enc.u32(VERSION);
     enc.u64(partial.tile as u64);
     encode_partial(&mut enc, partial);
-    let checksum = fnv1a_64(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
+    blob::seal(enc.buf, fnv1a_64)
 }
 
 /// Validates and decodes bytes produced by [`encode_tile_partial`].
-/// `None` on any defect — truncation, bad checksum, version or tile
+/// `None` on any defect — truncation, broken seal, version or tile
 /// mismatch, trailing garbage — never an error or a panic: the caller
-/// treats it as a cache miss and recomputes.
+/// treats it as absent and recomputes.
 pub fn decode_tile_partial(bytes: &[u8], expect_tile: usize) -> Option<TilePartial> {
-    decode_tile_file(bytes, expect_tile)
+    let body = blob::unseal(bytes, fnv1a_64)?;
+    let mut dec = Dec { buf: body, pos: 0 };
+    if dec.bytes_raw(4)? != MAGIC || dec.u32()? != VERSION {
+        return None;
+    }
+    let tile = dec.u64()? as usize;
+    if tile != expect_tile {
+        return None;
+    }
+    let partial = decode_partial(&mut dec, tile)?;
+    (dec.pos == body.len()).then_some(partial) // else: trailing garbage
 }
 
 /// Lists job ids that have a checkpoint directory under `root`.
@@ -218,55 +245,6 @@ pub fn list_job_dirs(root: &Path) -> Vec<u64> {
     }
     ids.sort_unstable();
     ids
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
-    f.write_all(bytes).map_err(|e| format!("write {tmp:?}: {e}"))?;
-    f.sync_all().map_err(|e| format!("sync {tmp:?}: {e}"))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| format!("rename {tmp:?}: {e}"))
-}
-
-/// Removes every `*.tmp` file directly under `dir`; returns the count.
-pub(crate) fn sweep_tmp_files(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else { return 0 };
-    let mut swept = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") && fs::remove_file(&path).is_ok() {
-            swept += 1;
-        }
-    }
-    swept
-}
-
-fn decode_tile_file(bytes: &[u8], expect_tile: usize) -> Option<TilePartial> {
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a_64(body) != stored {
-        return None;
-    }
-    let mut dec = Dec { buf: body, pos: 0 };
-    if dec.bytes_raw(4)? != MAGIC {
-        return None;
-    }
-    if dec.u32()? != VERSION {
-        return None;
-    }
-    let tile = dec.u64()? as usize;
-    if tile != expect_tile {
-        return None;
-    }
-    let partial = decode_partial(&mut dec, tile)?;
-    if dec.pos != body.len() {
-        return None; // trailing garbage
-    }
-    Some(partial)
 }
 
 // ---------------------------------------------------------------------------
@@ -627,6 +605,56 @@ mod tests {
         assert_eq!(loaded, partials);
         job.remove();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn on_disk_bytes_of_both_stores_are_pinned() {
+        // One hand-built partial through both stores; the digests were
+        // taken before the stores moved onto the shared blob primitive,
+        // so any drift in either format (field order, widths, seal,
+        // header, file name) fails here.
+        let frag =
+            PairFragment { vertical: true, gap_lo: -5, gap_hi: 40, span_lo: 100, span_hi: 260 };
+        let r = Rect { x0: -10, y0: 0, x1: 90, y1: 45 };
+        let partial = TilePartial {
+            tile: 3,
+            drc: vec![
+                RulePartial::Fragments { frags: vec![frag], rects: 7 },
+                RulePartial::Certified {
+                    violations: vec![Violation {
+                        rule: "M1.W.1".to_string(),
+                        location: r,
+                        actual: 45,
+                        limit: 60,
+                    }],
+                    rects: 2,
+                    refused: Some(1),
+                },
+            ],
+            ca: Some(CaTilePartial { short: vec![frag], open: vec![], rects: 9 }),
+            litho: Some(vec![r]),
+            rects_peak: 17,
+        };
+        let root = std::env::temp_dir().join(format!("dfms-ckpt-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+
+        let job = JobDir::new(&root.join("ckpt"), 1);
+        job.persist_submission("{}", b"gds").expect("submission");
+        job.write_tile(&partial).expect("write tile");
+        let tile = std::fs::read(job.path().join("tile-3.bin")).expect("tile-3.bin");
+        assert_eq!(tile, encode_tile_partial(&partial));
+        assert_eq!((tile.len(), dfm_cache::fnv1a_64(&tile)), (277, 0x99ae_e81f_125c_2cb1));
+
+        let cache = dfm_cache::TileCache::open(root.join("cache"), None).expect("cache");
+        let key = dfm_cache::CacheKey { spec: 0x51, deck: 0xDE, tile: 0x7 };
+        assert!(cache.store(key, &tile));
+        let entry = std::fs::read(
+            root.join("cache/e-0000000000000051-00000000000000de-0000000000000007.bin"),
+        )
+        .expect("cache entry");
+        assert_eq!((entry.len(), dfm_cache::fnv1a_64(&entry)), (333, 0xdc0e_534c_4b2f_c7a0));
+
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -314,9 +314,12 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// FNV-1a 64-bit digest — checkpoint checksums and report digests.
-/// (Same algorithm as the test harness's golden digests, restated here
-/// so the runtime crate has no dev-only dependency.)
+/// The signoff digest — checkpoint seals, cache-key spec/deck digests,
+/// coordinator ids, and the digests printed in report text. FNV-1a 64
+/// in shape, but **not** [`dfm_cache::fnv1a_64`]: the multiplier has
+/// one more zero than the FNV prime, and its output is baked into every
+/// `DFMS` file and the report bytes the golden digests pin, so the two
+/// cannot merge without a format change (a unit test pins both).
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -419,5 +422,9 @@ mod tests {
         // FNV-1a 64 of empty input is the offset basis.
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a_64(b"a"), fnv1a_64(b"b"));
+        // Load-bearing: report text and DFMS seals embed this value, so
+        // it must not drift to the standard-prime digest the cache uses.
+        assert_eq!(fnv1a_64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(dfm_cache::fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

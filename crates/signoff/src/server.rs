@@ -4,7 +4,7 @@
 //! per connection, which is plenty for a signoff queue's fan-in).
 
 use crate::codec::{read_frame, MAX_LINE_BYTES};
-use crate::proto::{ErrorObj, Request, Response, PROTO_VERSION};
+use crate::proto::{ErrorObj, Request, Response};
 use crate::service::{SignoffService, SubmitError};
 use dfm_fault::FaultPlane;
 use std::io::{BufReader, Write};
@@ -84,17 +84,12 @@ fn handle_connection(
     let plane = service.fault_plane().cloned();
     let mut writer = stream.try_clone()?;
     let mut frame: u64 = 0;
-    let mut write = |writer: &mut TcpStream, response: &Response, version: u64| {
+    let mut write = |writer: &mut TcpStream, response: &Response| {
         let this_frame = frame;
         frame += 1;
-        write_response(writer, plane.as_ref(), conn_id, this_frame, response, version)
+        write_response(writer, plane.as_ref(), conn_id, this_frame, response)
     };
     let mut reader = BufReader::new(stream);
-    // Each response is framed in the dialect of the request it answers
-    // (v1 peers hear v1 shapes). Until a request parses, fall back to
-    // the last version spoken on this connection -- v1 at first, since
-    // its error shape is the one both generations can read.
-    let mut version = 1;
     loop {
         let line = match read_frame(&mut reader, MAX_LINE_BYTES) {
             Ok(Some(line)) => line,
@@ -102,19 +97,17 @@ fn handle_connection(
             Err(e) => {
                 // Framing violation (oversized line, torn frame,
                 // bad UTF-8): answer once, then drop the connection.
-                let error = ErrorObj { code: "bad_request".to_string(), message: e, retry_after_vms: None };
-                write(&mut writer, &Response::Error { error }, version)?;
+                let error = ErrorObj::coded("bad_request", e);
+                write(&mut writer, &Response::Error { error })?;
                 return Ok(());
             }
         };
-        let request = match Request::parse_versioned(&line) {
-            Ok((r, v)) => {
-                version = v;
-                r
-            }
-            Err(e) => {
-                let error = ErrorObj { code: "bad_request".to_string(), message: e, retry_after_vms: None };
-                write(&mut writer, &Response::Error { error }, version)?;
+        let request = match Request::parse(&line) {
+            Ok(request) => request,
+            Err(error) => {
+                // Malformed or wrong-version frame: refuse it and keep
+                // serving the connection.
+                write(&mut writer, &Response::Error { error })?;
                 continue;
             }
         };
@@ -127,7 +120,7 @@ fn handle_connection(
             // waited the pool idle before we get here.
             shutdown.store(true, Ordering::SeqCst);
         }
-        let wrote = write(&mut writer, &response, version);
+        let wrote = write(&mut writer, &response);
         if stop {
             // Unblock the accept loop so serve() can return.
             let _ = TcpStream::connect(addr);
@@ -147,11 +140,7 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
                 // A spec/GDS diagnostic is the client's fault; an
                 // admission refusal carries its typed code and, for
                 // backpressure, the deterministic retry hint.
-                SubmitError::Invalid(message) => ErrorObj {
-                    code: "bad_request".to_string(),
-                    message,
-                    retry_after_vms: None,
-                },
+                SubmitError::Invalid(message) => ErrorObj::coded("bad_request", message),
                 SubmitError::Rejected(r) => ErrorObj::from(r),
             }),
         Request::Status { job } => service.status(job).map(Response::Status).map_err(classify),
@@ -212,7 +201,7 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
 /// other diagnostics keep the catch-all code.
 fn classify(message: String) -> ErrorObj {
     let code = if message.starts_with("no such job") { "not_found" } else { "error" };
-    ErrorObj { code: code.to_string(), message, retry_after_vms: None }
+    ErrorObj::coded(code, message)
 }
 
 fn write_response(
@@ -221,10 +210,8 @@ fn write_response(
     conn: u64,
     frame: u64,
     response: &Response,
-    version: u64,
 ) -> std::io::Result<()> {
-    debug_assert!((1..=PROTO_VERSION).contains(&version));
-    let mut line = response.to_json_for(version).render();
+    let mut line = response.to_json().render();
     line.push('\n');
     if let Some(plane) = plane {
         if plane.should_drop(SITE_SERVER_WRITE, conn, frame) {

@@ -38,255 +38,44 @@
 //! never cached, and cache reads/writes are fault-injectable
 //! ([`SITE_CACHE_READ`]/[`SITE_CACHE_WRITE`]); every cache failure mode
 //! degrades to a recompute, never to wrong bytes.
+//!
+//! ## Module map
+//!
+//! This module is the **lifecycle** (config, public API, admission,
+//! drain, persisted-job load); `attempt` carries one tile from grant
+//! to verdict; `commit` owns the per-job state and `resolve_tile`, the
+//! single entry to the tile-ordered commit queue and the final merge.
 
-use crate::checkpoint::{decode_tile_partial, encode_tile_partial, list_job_dirs, JobDir};
-use crate::job::{JobContext, TilePartial};
-use crate::report::{QuarantinedTile, SignoffReport};
-use crate::sched::{Grant, GrantOut, RejectCode, Rejection, SchedConfig, Scheduler};
-use crate::shard::{
-    self, ShardGrant, ShardSet, ShardStats, TileCacheMark, TileOutcome, TileOutcomeKind,
+mod attempt;
+mod commit;
+
+pub use attempt::{
+    SITE_CACHE_READ, SITE_CACHE_STORE_RENAME, SITE_CACHE_STORE_TMP, SITE_CACHE_WRITE,
+    SITE_CKPT_READ, SITE_CKPT_WRITE, SITE_TILE_COMPUTE, SITE_TILE_DELAY, TILE_DELAY_ENV,
 };
+pub(crate) use attempt::RunShared;
+pub use commit::{JobEvent, JobEventKind, JobState, JobStatus};
+pub(crate) use commit::{
+    ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live, Job,
+};
+
+use crate::checkpoint::{list_job_dirs, JobDir};
+use crate::job::{JobContext, TilePartial};
+use crate::report::SignoffReport;
+use crate::sched::{Grant, RejectCode, Rejection, SchedConfig, Scheduler};
+use crate::shard::{self, ShardGrant, ShardSet, ShardStats, TileOutcome};
 use crate::spec::JobSpec;
-use dfm_cache::{StoreStage, TileCache};
+use attempt::{cache_serve, dispatch_grants, sched_remove_job, TileHandle};
+use commit::{status_of, try_finalize, JobMut};
+use dfm_cache::TileCache;
 use dfm_fault::FaultPlane;
-use dfm_par::{CancelToken, PoolStats, TaskOutcome, WorkerPool};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dfm_par::{CancelToken, PoolStats, WorkerPool};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Environment variable (milliseconds) that slows every tile task
-/// down. A test/CI hook: it widens the window in which a kill or
-/// cancel lands mid-job, without touching any result bytes.
-pub const TILE_DELAY_ENV: &str = "DFM_SIGNOFF_TILE_DELAY_MS";
-
-/// Fault site: panic inside a tile attempt's containment boundary.
-/// Keyed by tile index; `attempt` is the attempt number.
-pub const SITE_TILE_COMPUTE: &str = "signoff.tile.compute";
-
-/// Fault site: virtual delay of a tile attempt. Keyed by tile index.
-/// A delay at or past [`SupervisionPolicy::watchdog_vms`] fails the
-/// attempt as a watchdog timeout (cancel + requeue).
-pub const SITE_TILE_DELAY: &str = "signoff.tile.delay";
-
-/// Fault site: checkpoint tile write, keyed by tile index; `attempt`
-/// is the write-retry number.
-pub const SITE_CKPT_WRITE: &str = "signoff.ckpt.write";
-
-/// Fault site: checkpoint tile read at load time, keyed by tile index.
-/// An injected error skips the tile, which is then recomputed.
-pub const SITE_CKPT_READ: &str = "signoff.ckpt.read";
-
-/// Fault site: result-cache lookup at dispatch, keyed by tile index.
-/// An injected error turns the probe into a miss — the tile is
-/// recomputed, bytes unchanged.
-pub const SITE_CACHE_READ: &str = "signoff.cache.read";
-
-/// Fault site: result-cache store after a clean first attempt, keyed
-/// by tile index. An injected error skips the store silently (the next
-/// identical submission recomputes the tile). An `err_nospace` rule
-/// here models a full disk: the store is refused without retry and the
-/// job continues unharmed.
-pub const SITE_CACHE_WRITE: &str = "signoff.cache.write";
-
-/// Crash site: cache-store tmp file durable, rename not yet done.
-/// Keyed by tile index.
-pub const SITE_CACHE_STORE_TMP: &str = "signoff.cache.store.tmp";
-
-/// Crash site: cache entry renamed into place, store never
-/// acknowledged. Keyed by tile index.
-pub const SITE_CACHE_STORE_RENAME: &str = "signoff.cache.store.rename";
-
-/// Lifecycle of a job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobState {
-    /// Accepted, tasks not yet dispatched.
-    Queued,
-    /// Tile tasks are dispatched to the pool.
-    Running,
-    /// Holds a subset of tiles and is not running: loaded from a
-    /// checkpoint after a restart (awaiting `resume`), or **settled**
-    /// with quarantined tiles excluded — in the settled case the
-    /// report (with its quarantine manifest) is available, and the job
-    /// can still be resumed to retry the quarantined tiles.
-    Partial,
-    /// All tiles merged; final report available.
-    Done,
-    /// The merge itself failed; diagnostic recorded. Tile failures
-    /// never produce this state — they retry and then quarantine.
-    Failed,
-    /// Cancelled by request; completed tiles are kept for `resume`.
-    Cancelled,
-}
-
-impl JobState {
-    /// True for states no event can follow (except via `resume`).
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Done | JobState::Failed | JobState::Cancelled)
-    }
-
-    /// True once the job has stopped making progress on its own —
-    /// every state except `Queued`/`Running`. This is what `wait`
-    /// blocks on: a `Partial`-settled job (quarantined tiles) is a
-    /// finished job with a report, not one worth waiting longer for.
-    pub fn is_settled(self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
-    }
-
-    /// Stable lower-case name used on the wire.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Partial => "partial",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses [`JobState::name`] back.
-    pub fn from_name(s: &str) -> Option<JobState> {
-        Some(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "partial" => JobState::Partial,
-            "done" => JobState::Done,
-            "failed" => JobState::Failed,
-            "cancelled" => JobState::Cancelled,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for JobState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// What an event records.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobEventKind {
-    /// The job entered a new state.
-    State(JobState),
-    /// A tile completed.
-    TileDone {
-        /// The completed tile's index.
-        tile: usize,
-        /// Tiles completed so far (including this one).
-        completed: usize,
-        /// Total tiles in the job.
-        total: usize,
-    },
-    /// A tile attempt failed and will be retried.
-    TileRetry {
-        /// The tile being retried.
-        tile: usize,
-        /// The failed attempt (0-based).
-        attempt: u64,
-        /// Deterministic virtual-clock backoff before the next
-        /// attempt, virtual milliseconds.
-        backoff_vms: u64,
-        /// The failure's diagnostic.
-        reason: String,
-    },
-    /// A tile exhausted its attempt budget and was quarantined; its
-    /// results are excluded from the job's report.
-    TileQuarantined {
-        /// The quarantined tile.
-        tile: usize,
-        /// Failed attempts consumed.
-        attempts: u64,
-        /// The last failure's diagnostic.
-        reason: String,
-    },
-    /// Every checkpoint-write attempt for this tile failed; the result
-    /// is kept in memory (the job continues degraded — a restart would
-    /// recompute this tile).
-    CkptDegraded {
-        /// The tile whose checkpoint write failed.
-        tile: usize,
-    },
-    /// The tile's result was served from the content-addressed cache —
-    /// it was never submitted to the pool. Always immediately followed
-    /// by the tile's `TileDone`.
-    TileCacheHit {
-        /// The tile served from cache.
-        tile: usize,
-    },
-    /// The tile's freshly computed result was stored into the cache
-    /// (clean first attempt only). Always immediately followed by the
-    /// tile's `TileDone`.
-    TileCacheStore {
-        /// The tile whose result was stored.
-        tile: usize,
-    },
-    /// The job's manufacturability score was computed (emitted between
-    /// the last tile commit and the final state event, only for jobs
-    /// whose spec enables scoring).
-    Score {
-        /// IEEE-754 bit pattern of the aggregate score (bits, so the
-        /// event stream stays `Eq`-comparable and byte-exact).
-        bits: u64,
-        /// The pass verdict (threshold and floors).
-        pass: bool,
-    },
-}
-
-/// One entry in a job's event log. Sequence numbers are per-job,
-/// start at 0, and increase by exactly 1 per event, so a client
-/// polling `events(since)` can prove it has seen everything.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobEvent {
-    /// Monotonic per-job sequence number.
-    pub seq: u64,
-    /// What happened.
-    pub kind: JobEventKind,
-}
-
-/// A point-in-time summary of a job.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobStatus {
-    /// Job id (service-wide, monotonically assigned).
-    pub id: u64,
-    /// The spec's client-chosen name.
-    pub name: String,
-    /// Current lifecycle state.
-    pub state: JobState,
-    /// Total tiles (0 until the layout is parsed).
-    pub tiles_total: usize,
-    /// Completed tiles.
-    pub tiles_done: usize,
-    /// Quarantined tiles (excluded from the report).
-    pub tiles_quarantined: usize,
-    /// Tiles served from the result cache (subset of `tiles_done`).
-    pub tiles_cached: usize,
-    /// Next event sequence number (== number of events so far).
-    pub next_seq: u64,
-    /// Tenant the job is billed to (from the spec; `"default"` when
-    /// the client named none).
-    pub tenant: String,
-    /// Scheduling priority (0 = lowest).
-    pub priority: u8,
-    /// IEEE-754 bits of the manufacturability score, once computed
-    /// (`None` until the job settles, or when scoring is off).
-    pub score_bits: Option<u64>,
-    /// The score's pass verdict, with the same lifetime as
-    /// `score_bits`.
-    pub score_pass: Option<bool>,
-    /// Failure diagnostic, when `state == Failed`.
-    pub error: Option<String>,
-}
-
-impl JobStatus {
-    /// The manufacturability score as an `f64`, when computed.
-    pub fn score(&self) -> Option<f64> {
-        self.score_bits.map(f64::from_bits)
-    }
-}
 
 /// Retry/quarantine/watchdog knobs of the supervisor.
 #[derive(Clone, Copy, Debug)]
@@ -369,34 +158,28 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A default config with `threads` workers: no checkpointing, no
-    /// delay, no faults, default policy, open scheduler.
-    pub fn new(threads: usize) -> ServiceConfig {
-        ServiceConfig {
-            threads,
-            ckpt_root: None,
-            tile_delay: Duration::ZERO,
-            fault_plane: None,
-            policy: SupervisionPolicy::default(),
-            cache: None,
-            sched: None,
-            shard_of: None,
-            shards: Vec::new(),
-        }
-    }
-
-    /// Fluent construction — the front door for anything beyond
-    /// `ServiceConfig::new(threads)` field updates.
+    /// Fluent construction, starting from the defaults: one worker, no
+    /// checkpointing, no delay, no faults, default policy, no cache,
+    /// open scheduler, no shard role.
     pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder { cfg: ServiceConfig::new(1) }
+        ServiceConfigBuilder {
+            cfg: ServiceConfig {
+                threads: 1,
+                ckpt_root: None,
+                tile_delay: Duration::ZERO,
+                fault_plane: None,
+                policy: SupervisionPolicy::default(),
+                cache: None,
+                sched: None,
+                shard_of: None,
+                shards: Vec::new(),
+            },
+        }
     }
 }
 
-/// Builder for [`ServiceConfig`] (see [`ServiceConfig::builder`]).
-///
-/// Replaces positional/struct-literal construction at call sites that
-/// set more than a field or two; every knob defaults to
-/// `ServiceConfig::new(1)`.
+/// Builder for [`ServiceConfig`] — the only way to construct one (see
+/// [`ServiceConfig::builder`] for the defaults).
 pub struct ServiceConfigBuilder {
     cfg: ServiceConfig,
 }
@@ -472,216 +255,6 @@ impl ServiceConfigBuilder {
     }
 }
 
-/// One recorded (not yet committed) retry of a tile.
-#[derive(Clone, Debug)]
-struct RetryRecord {
-    attempt: u64,
-    backoff_vms: u64,
-    reason: String,
-}
-
-/// How a tile's result interacted with the cache (recorded so the
-/// commit path can emit the matching event in order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CacheOutcome {
-    /// Served from the cache, never computed.
-    Hit,
-    /// Computed and stored back into the cache.
-    Stored,
-    /// Computed; not cached (cache off, store faulted, or retried).
-    None,
-}
-
-/// A tile's final outcome, buffered until its commit-order turn.
-enum TileResolution {
-    Done { partial: TilePartial, ckpt_degraded: bool, cache: CacheOutcome },
-    Quarantined { attempts: u64, reason: String },
-}
-
-struct JobMut {
-    spec: JobSpec,
-    gds: Vec<u8>,
-    ctx: Option<Arc<JobContext>>,
-    state: JobState,
-    cancel: CancelToken,
-    partials: BTreeMap<usize, TilePartial>,
-    events: Vec<JobEvent>,
-    error: Option<String>,
-    report: Option<SignoffReport>,
-    score: Option<dfm_score::ScoreReport>,
-    /// Attempt currently in flight per dispatched tile.
-    attempts: BTreeMap<usize, u64>,
-    /// Failed attempts awaiting commit, per tile, in attempt order.
-    retry_log: BTreeMap<usize, Vec<RetryRecord>>,
-    /// Resolved tiles whose events have not been committed yet.
-    pending_commit: BTreeMap<usize, TileResolution>,
-    /// Dispatched tiles in commit (ascending index) order; the head
-    /// commits as soon as it resolves.
-    commit_queue: VecDeque<usize>,
-    /// Quarantined tiles: tile → (attempts, last reason).
-    quarantined: BTreeMap<usize, (u64, String)>,
-    /// Tiles whose committed result came from the cache.
-    cached: BTreeSet<usize>,
-    /// Monotonic per-tile outcome log, recorded only for
-    /// shard-dispatched jobs (`Some` from `shard_dispatch` on): the
-    /// stream a coordinator pulls to replay this job's commits.
-    outcomes: Option<Vec<TileOutcome>>,
-    /// The current shard-dispatch epoch on a coordinating service;
-    /// replaced wholesale by each dispatch, so stale pullers detect
-    /// supersession by pointer identity.
-    shard_run: Option<Arc<crate::shard::ShardRun>>,
-}
-
-impl JobMut {
-    fn fresh(spec: JobSpec, gds: Vec<u8>, ctx: Option<Arc<JobContext>>, state: JobState) -> JobMut {
-        JobMut {
-            spec,
-            gds,
-            ctx,
-            state,
-            cancel: CancelToken::new(),
-            partials: BTreeMap::new(),
-            events: Vec::new(),
-            error: None,
-            report: None,
-            score: None,
-            attempts: BTreeMap::new(),
-            retry_log: BTreeMap::new(),
-            pending_commit: BTreeMap::new(),
-            commit_queue: VecDeque::new(),
-            quarantined: BTreeMap::new(),
-            cached: BTreeSet::new(),
-            outcomes: None,
-            shard_run: None,
-        }
-    }
-
-    fn emit(&mut self, kind: JobEventKind) {
-        let seq = self.events.len() as u64;
-        self.events.push(JobEvent { seq, kind });
-    }
-
-    fn set_state(&mut self, state: JobState) {
-        self.state = state;
-        self.emit(JobEventKind::State(state));
-    }
-
-    fn tiles_total(&self) -> usize {
-        self.ctx.as_ref().map_or(0, |c| c.tile_count())
-    }
-}
-
-/// Commits resolved tiles strictly along the commit queue: the head
-/// tile's buffered retries, then its terminal event. Every event a
-/// fixed fault plan produces is therefore emitted in tile order — the
-/// same order at any worker count.
-fn advance_commits(m: &mut JobMut, total: usize) {
-    while let Some(&tile) = m.commit_queue.front() {
-        let Some(res) = m.pending_commit.remove(&tile) else { break };
-        m.commit_queue.pop_front();
-        let retries = m.retry_log.remove(&tile).unwrap_or_default();
-        for r in &retries {
-            m.emit(JobEventKind::TileRetry {
-                tile,
-                attempt: r.attempt,
-                backoff_vms: r.backoff_vms,
-                reason: r.reason.clone(),
-            });
-        }
-        // Shard-dispatched jobs append every commit — retries and all —
-        // to the outcome log a coordinator replays byte-identically.
-        let outcome_retries: Vec<crate::shard::TileRetry> = retries
-            .into_iter()
-            .map(|r| crate::shard::TileRetry {
-                attempt: r.attempt,
-                backoff_vms: r.backoff_vms,
-                reason: r.reason,
-            })
-            .collect();
-        match res {
-            TileResolution::Done { partial, ckpt_degraded, cache } => {
-                if ckpt_degraded {
-                    m.emit(JobEventKind::CkptDegraded { tile });
-                }
-                match cache {
-                    CacheOutcome::Hit => {
-                        m.cached.insert(tile);
-                        m.emit(JobEventKind::TileCacheHit { tile });
-                    }
-                    CacheOutcome::Stored => m.emit(JobEventKind::TileCacheStore { tile }),
-                    CacheOutcome::None => {}
-                }
-                if let Some(outcomes) = &mut m.outcomes {
-                    outcomes.push(TileOutcome {
-                        tile,
-                        retries: outcome_retries,
-                        kind: TileOutcomeKind::Done {
-                            data: encode_tile_partial(&partial),
-                            ckpt_degraded,
-                            cache: match cache {
-                                CacheOutcome::Hit => TileCacheMark::Hit,
-                                CacheOutcome::Stored => TileCacheMark::Stored,
-                                CacheOutcome::None => TileCacheMark::None,
-                            },
-                        },
-                    });
-                }
-                m.partials.insert(tile, partial);
-                let completed = m.partials.len();
-                m.emit(JobEventKind::TileDone { tile, completed, total });
-            }
-            TileResolution::Quarantined { attempts, reason } => {
-                if let Some(outcomes) = &mut m.outcomes {
-                    outcomes.push(TileOutcome {
-                        tile,
-                        retries: outcome_retries,
-                        kind: TileOutcomeKind::Quarantined { attempts, reason: reason.clone() },
-                    });
-                }
-                m.quarantined.insert(tile, (attempts, reason.clone()));
-                m.emit(JobEventKind::TileQuarantined { tile, attempts, reason });
-            }
-        }
-    }
-}
-
-pub(crate) struct Job {
-    pub(crate) id: u64,
-    dir: Option<JobDir>,
-    m: Mutex<JobMut>,
-    cv: Condvar,
-}
-
-impl Job {
-    fn status(&self) -> JobStatus {
-        let m = self.m.lock().expect("job lock");
-        status_of(self, &m)
-    }
-}
-
-/// Everything a grant needs to become a pool task: cloned into the
-/// scheduler per job at enqueue time.
-#[derive(Clone)]
-struct TileHandle {
-    job: Arc<Job>,
-    ctx: Arc<JobContext>,
-    token: CancelToken,
-}
-
-/// The state tile tasks share: a weak pool handle for resubmission
-/// (weak, so queued retry closures never keep the pool — and thus
-/// themselves — alive), the fault plane, the policy, and the
-/// fair-share scheduler (its lock is always taken *after* any job
-/// lock is released, never while one is held).
-pub(crate) struct RunShared {
-    pool: Weak<WorkerPool>,
-    pub(crate) plane: Option<Arc<FaultPlane>>,
-    pub(crate) policy: SupervisionPolicy,
-    tile_delay: Duration,
-    cache: Option<Arc<TileCache>>,
-    sched: Mutex<Scheduler<TileHandle>>,
-}
-
 /// Why [`SignoffService::submit_job`] refused a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
@@ -733,22 +306,11 @@ pub struct SignoffService {
 }
 
 impl SignoffService {
-    /// Creates a service with `threads` pool workers and an optional
-    /// checkpoint root. When the root already holds job directories
-    /// from an earlier process, they are loaded back in state
-    /// [`JobState::Partial`] with their surviving tile set, ready for
-    /// [`SignoffService::resume`].
-    pub fn new(threads: usize, ckpt_root: Option<PathBuf>) -> SignoffService {
-        let tile_delay = std::env::var(TILE_DELAY_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map_or(Duration::ZERO, Duration::from_millis);
-        SignoffService::with_config(ServiceConfig { ckpt_root, tile_delay, ..ServiceConfig::new(threads) })
-    }
-
-    /// Creates a service from a full [`ServiceConfig`] — the only
-    /// constructor that can arm a fault plane, a tenant plan, or a
-    /// non-default policy. Build one with [`ServiceConfig::builder`].
+    /// Creates a service from a [`ServiceConfig`] (build one with
+    /// [`ServiceConfig::builder`]). When the checkpoint root already
+    /// holds job directories from an earlier process, they are loaded
+    /// back in state [`JobState::Partial`] with their surviving tile
+    /// set, ready for [`SignoffService::resume`].
     pub fn with_config(cfg: ServiceConfig) -> SignoffService {
         let pool = Arc::new(WorkerPool::with_fault_plane(cfg.threads, cfg.fault_plane.clone()));
         let sched_cfg = cfg.sched.unwrap_or_else(SchedConfig::open);
@@ -822,9 +384,8 @@ impl SignoffService {
             // The tile set is loaded lazily at resume/results time
             // (it needs the context for the tile count); record the
             // job as Partial so it is visible and resumable.
-            let mut m = JobMut::fresh(spec, gds, None, JobState::Partial);
-            m.emit(JobEventKind::State(JobState::Partial));
-            jobs.insert(id, Arc::new(Job { id, dir: Some(dir), m: Mutex::new(m), cv: Condvar::new() }));
+            let m = JobMut::fresh(spec, gds, None, JobState::Partial);
+            jobs.insert(id, Job::new(id, Some(dir), m));
         }
     }
 
@@ -866,41 +427,46 @@ impl SignoffService {
         if self.draining() {
             return Err(SubmitError::Rejected(drain_rejection()));
         }
-        let ctx =
-            Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
+        let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
+        let job = self.mint_job(spec, gds, &ctx, ctx.tile_count(), false)?;
+        self.dispatch(&job, &ctx, (0..ctx.tile_count()).collect());
+        Ok(job.id)
+    }
+
+    /// Mints a job id, admits `tiles` tiles of it against the tenant
+    /// plan, persists the submission when checkpointing is on, and
+    /// registers the job as `Queued` (a `shard_job` with an outcome
+    /// log) — the caller dispatches. A failed persist releases the
+    /// admission reservation: the job never existed for quota purposes.
+    fn mint_job(
+        &self,
+        spec: JobSpec,
+        gds: Vec<u8>,
+        ctx: &Arc<JobContext>,
+        tiles: usize,
+        shard_job: bool,
+    ) -> Result<Arc<Job>, SubmitError> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.shared
-            .sched
-            .lock()
-            .expect("sched lock")
-            .admit(id, &spec.tenant, spec.priority, ctx.tile_count() as u64)
+            .sched()
+            .admit(id, &spec.tenant, spec.priority, tiles as u64)
             .map_err(SubmitError::Rejected)?;
-        let dir = match &self.ckpt_root {
-            None => None,
-            Some(root) => {
-                let dir = JobDir::new(root, id);
-                if let Err(e) = dir.persist_submission_probed(
-                    &spec.to_json().render(),
-                    &gds,
-                    self.shared.plane.as_deref(),
-                    id,
-                ) {
-                    // Release the admission reservation: the job never
-                    // existed as far as quotas are concerned.
-                    let grants =
-                        self.shared.sched.lock().expect("sched lock").remove_job(id);
-                    dispatch_grants(&self.shared, grants);
-                    return Err(SubmitError::Invalid(e));
-                }
-                Some(dir)
+        let dir = self.ckpt_root.as_ref().map(|root| JobDir::new(root, id));
+        if let Some(dir) = &dir {
+            let plane = self.shared.plane.as_deref();
+            if let Err(e) = dir.persist_submission_probed(&spec.to_json().render(), &gds, plane, id)
+            {
+                sched_remove_job(&self.shared, id);
+                return Err(SubmitError::Invalid(e));
             }
-        };
-        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Queued);
-        m.emit(JobEventKind::State(JobState::Queued));
-        let job = Arc::new(Job { id, dir, m: Mutex::new(m), cv: Condvar::new() });
+        }
+        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(ctx)), JobState::Queued);
+        if shard_job {
+            m.outcomes = Some(Vec::new());
+        }
+        let job = Job::new(id, dir, m);
         self.jobs.lock().expect("jobs lock").insert(id, Arc::clone(&job));
-        self.dispatch(&job, &ctx, (0..ctx.tile_count()).collect());
-        Ok(id)
+        Ok(job)
     }
 
     /// Like [`SignoffService::submit_job`], with an optional client
@@ -995,6 +561,10 @@ impl SignoffService {
             job.cv.notify_all();
             m.cancel.clone()
         };
+        if tiles.is_empty() {
+            try_finalize(&self.shared, job, ctx); // nothing missing: merge now
+            return;
+        }
         // A coordinating service never computes locally: the tiles fan
         // out across the shard roster, and puller threads feed the same
         // commit machinery shard outcomes instead of pool results. The
@@ -1002,28 +572,20 @@ impl SignoffService {
         // from the shards' outcome marks, so cold/warm event streams
         // match a single process at the shards' cache temperature.
         if let Some(set) = &self.shards {
-            if tiles.is_empty() {
-                try_finalize(&self.shared, job, ctx);
-                return;
-            }
             shard::dispatch_to_shards(&self.shared, set, job, ctx, &tiles);
             return;
         }
         // Consult the result cache before the pool sees anything: a hit
         // commits straight from the store (in ascending order, so the
         // commit queue drains as we go) and only the misses reach the
-        // scheduler. A fully warm job computes zero tiles and leaves no
-        // trace in the grant log.
+        // scheduler. A fully warm job computes zero tiles, leaves no
+        // trace in the grant log, and was finalized by its last hit.
         let misses: Vec<usize> = tiles
             .iter()
             .copied()
             .filter(|&tile| !cache_serve(&self.shared, job, ctx, tile))
             .collect();
         if misses.is_empty() {
-            // Nothing dispatched (all hits already finalized via their
-            // commits, or `tiles` was empty) — run the merge directly;
-            // try_finalize is a no-op when a hit already settled it.
-            try_finalize(&self.shared, job, ctx);
             return;
         }
         // Queue the misses under the job's fair-share lanes. Whatever
@@ -1034,12 +596,7 @@ impl SignoffService {
             ctx: Arc::clone(ctx),
             token,
         };
-        let grants = self
-            .shared
-            .sched
-            .lock()
-            .expect("sched lock")
-            .enqueue(job.id, handle, misses);
+        let grants = self.shared.sched().enqueue(job.id, handle, misses);
         dispatch_grants(&self.shared, grants);
     }
 
@@ -1067,7 +624,7 @@ impl SignoffService {
     /// across worker counts — the observable artifact of the
     /// determinism guarantee. Cache hits never appear here.
     pub fn grant_log(&self) -> Vec<Grant> {
-        self.shared.sched.lock().expect("sched lock").grant_log().to_vec()
+        self.shared.sched().grant_log().to_vec()
     }
 
     /// Statuses of every job, by id.
@@ -1231,9 +788,7 @@ impl SignoffService {
         // cancel) released its reservations, so it competes for quota
         // again — with only the missing tiles counted against it.
         self.shared
-            .sched
-            .lock()
-            .expect("sched lock")
+            .sched()
             .admit(id, &tenant, priority, missing.len() as u64)
             .map_err(|e| e.to_string())?;
         self.dispatch(&job, &ctx, missing);
@@ -1272,12 +827,9 @@ impl SignoffService {
             // one.
             dir.sweep_tmp();
             for p in dir.load_tiles(ctx.tile_count()) {
-                if let Some(plane) = &self.shared.plane {
-                    if plane.maybe_error(SITE_CKPT_READ, p.tile as u64, 0).is_err() {
-                        continue;
-                    }
+                if !self.shared.io_fault(SITE_CKPT_READ, p.tile as u64, 0) {
+                    m.partials.insert(p.tile, p);
                 }
-                m.partials.insert(p.tile, p);
             }
         }
         m.ctx = Some(ctx);
@@ -1336,41 +888,12 @@ impl SignoffService {
         // job.
         let mut map = self.origin_map.lock().expect("origin map lock");
         if let Some(grant) = map.get(&(coord, origin, gen)) {
-            let mut g = grant.clone();
-            g.attached = true;
-            return Ok(g);
+            return Ok(ShardGrant { attached: true, ..grant.clone() });
         }
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .sched
-            .lock()
-            .expect("sched lock")
-            .admit(id, &spec.tenant, spec.priority, tiles.len() as u64)
+        let job = self
+            .mint_job(spec, gds, &ctx, tiles.len(), true)
             .map_err(|e| e.to_string())?;
-        let dir = match &self.ckpt_root {
-            None => None,
-            Some(root) => {
-                let dir = JobDir::new(root, id);
-                if let Err(e) = dir.persist_submission_probed(
-                    &spec.to_json().render(),
-                    &gds,
-                    self.shared.plane.as_deref(),
-                    id,
-                ) {
-                    let grants =
-                        self.shared.sched.lock().expect("sched lock").remove_job(id);
-                    dispatch_grants(&self.shared, grants);
-                    return Err(e);
-                }
-                Some(dir)
-            }
-        };
-        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Queued);
-        m.outcomes = Some(Vec::new());
-        m.emit(JobEventKind::State(JobState::Queued));
-        let job = Arc::new(Job { id, dir, m: Mutex::new(m), cv: Condvar::new() });
-        self.jobs.lock().expect("jobs lock").insert(id, Arc::clone(&job));
-        let grant = ShardGrant { job: id, total, ranges, attached: false };
+        let grant = ShardGrant { job: job.id, total, ranges, attached: false };
         map.insert((coord, origin, gen), grant.clone());
         drop(map);
         self.dispatch(&job, &ctx, tiles);
@@ -1390,11 +913,7 @@ impl SignoffService {
     pub fn shard_attach(&self, coord: u64, origin: u64, gen: u64) -> Result<ShardGrant, String> {
         let map = self.origin_map.lock().expect("origin map lock");
         match map.get(&(coord, origin, gen)) {
-            Some(grant) => {
-                let mut g = grant.clone();
-                g.attached = true;
-                Ok(g)
-            }
+            Some(grant) => Ok(ShardGrant { attached: true, ..grant.clone() }),
             None => Err(format!(
                 "no such job: coordinator {coord:#x} origin {origin} gen {gen} is not dispatched here"
             )),
@@ -1490,560 +1009,6 @@ fn drain_rejection() -> Rejection {
     }
 }
 
-fn status_of(job: &Job, m: &JobMut) -> JobStatus {
-    JobStatus {
-        id: job.id,
-        name: m.spec.name.clone(),
-        tenant: m.spec.tenant.clone(),
-        priority: m.spec.priority,
-        state: m.state,
-        tiles_total: m.tiles_total(),
-        tiles_done: m.partials.len(),
-        tiles_quarantined: m.quarantined.len(),
-        tiles_cached: m.cached.len(),
-        next_seq: m.events.len() as u64,
-        score_bits: m.score.as_ref().map(|s| s.score.to_bits()),
-        score_pass: m.score.as_ref().map(|s| s.pass),
-        error: m.error.clone(),
-    }
-}
-
-/// Hands a batch of scheduler grants to the pool, in grant order.
-///
-/// Each grant carries a sequence number; `submit_sequenced` uses it to
-/// reorder racing callers so tasks enter the pool queue in exactly the
-/// order the grant log records — the property the cross-thread-count
-/// determinism guarantee rests on.
-fn dispatch_grants(shared: &Arc<RunShared>, grants: Vec<GrantOut<TileHandle>>) {
-    for g in grants {
-        let h = g.handle;
-        submit_tile(shared, &h.job, &h.ctx, &h.token, g.tile, 0, Some(g.seq));
-    }
-}
-
-/// Reports one tile as resolved to the scheduler (releasing its
-/// in-flight slot or queued reservation) and dispatches whatever the
-/// freed window now grants. Must be called with no job lock held.
-fn sched_resolved(shared: &Arc<RunShared>, job_id: u64, tile: usize) {
-    let grants = shared.sched.lock().expect("sched lock").resolved(job_id, tile);
-    dispatch_grants(shared, grants);
-}
-
-/// Drops every scheduler reservation a job still holds (on settle,
-/// cancel, or failed persist) and dispatches the grants the freed
-/// capacity allows. Must be called with no job lock held.
-fn sched_remove_job(shared: &Arc<RunShared>, job_id: u64) {
-    let grants = shared.sched.lock().expect("sched lock").remove_job(job_id);
-    dispatch_grants(shared, grants);
-}
-
-/// Enqueues one attempt of one tile. The pool-level supervision hook
-/// is the safety net: a panic that escapes the attempt body's own
-/// containment (e.g. injected at the pool site) still reaches
-/// [`attempt_failed`].
-///
-/// `seq` is `Some` for the first attempt of a scheduler-granted tile —
-/// the grant sequence number, which pins the pool-queue entry order.
-/// Retries pass `None`: their slot is already held, and they must not
-/// wait behind grants that have not been issued yet.
-fn submit_tile(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    token: &CancelToken,
-    tile: usize,
-    attempt: u64,
-    seq: Option<u64>,
-) {
-    let Some(pool) = shared.pool.upgrade() else { return };
-    let task = {
-        let (shared, job, ctx) = (Arc::clone(shared), Arc::clone(job), Arc::clone(ctx));
-        move || run_tile_attempt(&shared, &job, &ctx, tile, attempt)
-    };
-    let hook = {
-        let (shared, job, ctx) = (Arc::clone(shared), Arc::clone(job), Arc::clone(ctx));
-        move |outcome: TaskOutcome| {
-            if let TaskOutcome::Panicked(msg) = outcome {
-                attempt_failed(&shared, &job, &ctx, tile, attempt, format!("tile {tile} task panicked: {msg}"));
-            }
-        }
-    };
-    match seq {
-        Some(seq) => pool.submit_sequenced(seq, token, task, hook),
-        None => pool.submit_supervised(token, task, hook),
-    }
-}
-
-/// The body of one tile attempt: guard, (virtual) delay/watchdog,
-/// compute inside containment, checkpoint with retry, hand the outcome
-/// to the supervisor.
-fn run_tile_attempt(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    tile: usize,
-    attempt: u64,
-) {
-    {
-        let m = job.m.lock().expect("job lock");
-        if m.cancel.is_cancelled() || m.state != JobState::Running {
-            return;
-        }
-        if m.partials.contains_key(&tile) || m.pending_commit.contains_key(&tile) {
-            return; // already resolved (e.g. overlapping resume)
-        }
-        if m.attempts.get(&tile).copied() != Some(attempt) {
-            return; // stale attempt; a newer one owns this tile
-        }
-    }
-    if !shared.tile_delay.is_zero() {
-        std::thread::sleep(shared.tile_delay);
-    }
-    if let Some(plane) = &shared.plane {
-        if let Some(vms) = plane.delay_vms(SITE_TILE_DELAY, tile as u64, attempt) {
-            shared.policy.real_sleep(vms);
-            if let Some(budget) = shared.policy.watchdog_vms {
-                if vms >= budget {
-                    let reason =
-                        format!("watchdog: tile {tile} stuck {vms} vms (budget {budget} vms)");
-                    attempt_failed(shared, job, ctx, tile, attempt, reason);
-                    return;
-                }
-            }
-        }
-    }
-    let plane = shared.plane.clone();
-    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plane) = &plane {
-            plane.maybe_panic(SITE_TILE_COMPUTE, tile as u64, attempt);
-        }
-        ctx.compute_tile(tile)
-    }));
-    let partial = match computed {
-        Ok(p) => p,
-        Err(panic) => {
-            let msg = panic_message(panic.as_ref());
-            attempt_failed(shared, job, ctx, tile, attempt, format!("tile {tile} panicked: {msg}"));
-            return;
-        }
-    };
-    // Checkpoint BEFORE recording completion: a crash after the write
-    // re-loads the tile; a crash before it recomputes it. Either way
-    // the partial's value is identical (purity), so resume converges.
-    // A write that fails every retry degrades to in-memory-only — the
-    // computed result is NEVER discarded over a checkpoint error.
-    let ckpt_degraded = match &job.dir {
-        None => false,
-        Some(dir) => !write_checkpoint_with_retry(shared, dir, &partial, tile),
-    };
-    let cache = cache_store(shared, ctx, tile, attempt, &partial);
-    attempt_succeeded(shared, job, ctx, tile, partial, ckpt_degraded, cache);
-}
-
-/// Probes the result cache for one freshly dispatched tile. On a valid
-/// hit the partial is checkpointed (when persistence is on) and
-/// committed exactly like a computed result; returns `true` and the
-/// tile never reaches the pool. Anything else — cache off, injected
-/// read fault, missing entry, or an entry that fails to decode — is a
-/// miss: returns `false` and the caller submits the tile normally.
-fn cache_serve(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    tile: usize,
-) -> bool {
-    let Some(cache) = &shared.cache else { return false };
-    if let Some(plane) = &shared.plane {
-        if plane.maybe_error(SITE_CACHE_READ, tile as u64, 0).is_err() {
-            return false;
-        }
-    }
-    let Some(bytes) = cache.lookup(ctx.cache_key(tile)) else { return false };
-    let Some(partial) = decode_tile_partial(&bytes, tile) else { return false };
-    let ckpt_degraded = match &job.dir {
-        None => false,
-        Some(dir) => !write_checkpoint_with_retry(shared, dir, &partial, tile),
-    };
-    attempt_succeeded(shared, job, ctx, tile, partial, ckpt_degraded, CacheOutcome::Hit);
-    true
-}
-
-/// Stores a freshly computed partial into the result cache. Only a
-/// clean **first** attempt qualifies — a result that needed retries is
-/// never cached, so a faulting or quarantine-bound plan can never
-/// poison the store. A store that fails (injected fault or I/O) is
-/// silently skipped: the next identical submission just recomputes.
-fn cache_store(
-    shared: &Arc<RunShared>,
-    ctx: &Arc<JobContext>,
-    tile: usize,
-    attempt: u64,
-    partial: &TilePartial,
-) -> CacheOutcome {
-    let Some(cache) = &shared.cache else { return CacheOutcome::None };
-    if attempt != 0 {
-        return CacheOutcome::None;
-    }
-    if let Some(plane) = &shared.plane {
-        if plane.maybe_error(SITE_CACHE_WRITE, tile as u64, 0).is_err() {
-            return CacheOutcome::None;
-        }
-        // ENOSPC degradation: a full disk refuses the store outright —
-        // no retries, no partial entry, job unharmed.
-        if plane.maybe_nospace(SITE_CACHE_WRITE, tile as u64, 0) {
-            return CacheOutcome::None;
-        }
-    }
-    let crash = shared.plane.as_ref().map(|plane| {
-        let plane = Arc::clone(plane);
-        move |stage: StoreStage| match stage {
-            StoreStage::Tmp => plane.crash_point(SITE_CACHE_STORE_TMP, tile as u64, 0),
-            StoreStage::Rename => {
-                plane.crash_point(SITE_CACHE_STORE_RENAME, tile as u64, 0)
-            }
-        }
-    });
-    let stored = cache.store_staged(
-        ctx.cache_key(tile),
-        &encode_tile_partial(partial),
-        crash.as_ref().map(|c| c as &dyn Fn(StoreStage) -> bool),
-    );
-    if stored {
-        CacheOutcome::Stored
-    } else {
-        CacheOutcome::None
-    }
-}
-
-/// Writes one tile checkpoint with bounded retries (each attempt is
-/// already atomic: tmp + rename). Returns false when every attempt
-/// failed.
-fn write_checkpoint_with_retry(
-    shared: &RunShared,
-    dir: &JobDir,
-    partial: &TilePartial,
-    tile: usize,
-) -> bool {
-    if let Some(plane) = &shared.plane {
-        // ENOSPC degradation: a full disk fails every retry the same
-        // way, so degrade immediately (`CkptDegraded`) instead of
-        // burning the write budget.
-        if plane.maybe_nospace(SITE_CKPT_WRITE, tile as u64, 0) {
-            return false;
-        }
-    }
-    for write_attempt in 0..shared.policy.ckpt_write_attempts.max(1) {
-        let injected = match &shared.plane {
-            Some(plane) => plane.maybe_error(SITE_CKPT_WRITE, tile as u64, write_attempt),
-            None => Ok(()),
-        };
-        if injected.is_ok()
-            && dir
-                .write_tile_probed(partial, shared.plane.as_deref(), write_attempt)
-                .is_ok()
-        {
-            return true;
-        }
-    }
-    false
-}
-
-/// Supervisor path for a failed attempt: retry with deterministic
-/// virtual-clock backoff while budget remains, else quarantine the
-/// tile and let the job settle without it.
-fn attempt_failed(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    tile: usize,
-    attempt: u64,
-    reason: String,
-) {
-    let retry = {
-        let mut m = job.m.lock().expect("job lock");
-        if m.cancel.is_cancelled() || m.state != JobState::Running {
-            return;
-        }
-        if m.partials.contains_key(&tile) || m.pending_commit.contains_key(&tile) {
-            return;
-        }
-        if m.attempts.get(&tile).copied() != Some(attempt) {
-            return; // stale: this attempt was already adjudicated
-        }
-        let failed = attempt + 1;
-        m.attempts.insert(tile, failed);
-        if failed >= shared.policy.max_attempts.max(1) {
-            m.pending_commit.insert(tile, TileResolution::Quarantined { attempts: failed, reason });
-            advance_commits(&mut m, ctx.tile_count());
-            job.cv.notify_all();
-            None
-        } else {
-            let backoff_vms = shared.policy.backoff_base_vms << attempt;
-            m.retry_log
-                .entry(tile)
-                .or_default()
-                .push(RetryRecord { attempt, backoff_vms, reason });
-            Some((m.cancel.clone(), backoff_vms))
-        }
-    };
-    match retry {
-        Some((token, backoff_vms)) => {
-            // The scheduler slot stays held across retries: the tile is
-            // still occupying real capacity, and a retry must never
-            // queue behind grants that were issued after it.
-            shared.policy.real_sleep(backoff_vms);
-            submit_tile(shared, job, ctx, &token, tile, attempt + 1, None);
-        }
-        None => {
-            sched_resolved(shared, job.id, tile);
-            try_finalize(shared, job, ctx);
-        }
-    }
-}
-
-/// Supervisor path for a successful attempt: buffer the result for
-/// commit-ordered emission, release the tile's scheduler capacity,
-/// then finalize if it was the last one.
-fn attempt_succeeded(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    tile: usize,
-    partial: TilePartial,
-    ckpt_degraded: bool,
-    cache: CacheOutcome,
-) {
-    {
-        let mut m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running {
-            // Cancelled (or failed) while we computed: keep the
-            // checkpoint on disk but do not mutate a settled job. The
-            // scheduler reservation was (or will be) torn down by the
-            // remove_job on that settle path, not here.
-            return;
-        }
-        if m.partials.contains_key(&tile) || m.pending_commit.contains_key(&tile) {
-            return;
-        }
-        m.pending_commit.insert(tile, TileResolution::Done { partial, ckpt_degraded, cache });
-        advance_commits(&mut m, ctx.tile_count());
-        job.cv.notify_all();
-    }
-    // The guards above make this the tile's single resolution, so the
-    // scheduler release runs exactly once per tile. For a cache hit the
-    // tile never entered a lane; `resolved` then credits the job's
-    // unassigned admission budget instead of an in-flight slot.
-    sched_resolved(shared, job.id, tile);
-    try_finalize(shared, job, ctx);
-}
-
-/// Runs the ordered merge once every dispatched tile has committed.
-/// Clean run → Done; quarantined tiles → settled Partial with the
-/// manifest in the report; only a merge error produces Failed. On any
-/// settle the job's scheduler reservations are released.
-fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<JobContext>) {
-    let surviving: Vec<TilePartial> = {
-        let m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running || !m.commit_queue.is_empty() {
-            return;
-        }
-        m.partials.values().cloned().collect()
-    };
-    let merged = ctx.merge(&surviving);
-    let mut m = job.m.lock().expect("job lock");
-    if m.state != JobState::Running || !m.commit_queue.is_empty() {
-        return;
-    }
-    match merged {
-        Ok(mut report) => {
-            report.quarantined = m
-                .quarantined
-                .iter()
-                .map(|(&tile, (attempts, reason))| QuarantinedTile {
-                    tile,
-                    attempts: *attempts,
-                    reason: reason.clone(),
-                })
-                .collect();
-            let clean = report.quarantined.is_empty();
-            // Score before the final state event: a client that saw
-            // `State(Done)` can rely on the score being present.
-            if let Some(score) = ctx.score(&report) {
-                m.emit(JobEventKind::Score {
-                    bits: score.score.to_bits(),
-                    pass: score.pass,
-                });
-                m.score = Some(score);
-            }
-            m.report = Some(report);
-            m.set_state(if clean { JobState::Done } else { JobState::Partial });
-        }
-        Err(e) => {
-            m.error = Some(format!("merge failed: {e}"));
-            m.set_state(JobState::Failed);
-        }
-    }
-    drop(m);
-    // The job settled on this call (the re-check above means exactly
-    // one caller gets here): stop counting it against its tenant's
-    // max_jobs and release any stragglers (lock order: job then sched).
-    // Waiters are woken only AFTER the release, so a `wait()` that
-    // observes the settled state can immediately resubmit against the
-    // freed quota. (Late checkers see the state under the lock anyway,
-    // so notifying outside it cannot lose a wakeup.)
-    sched_remove_job(shared, job.id);
-    job.cv.notify_all();
-}
-
-/// The spec + GDS bytes a puller re-dispatches to a shard.
-pub(crate) fn shard_payload(job: &Arc<Job>) -> (JobSpec, Vec<u8>) {
-    let m = job.m.lock().expect("job lock");
-    (m.spec.clone(), m.gds.clone())
-}
-
-/// Installs the current shard-dispatch epoch on a coordinated job.
-pub(crate) fn set_shard_run(job: &Arc<Job>, run: Arc<shard::ShardRun>) {
-    job.m.lock().expect("job lock").shard_run = Some(run);
-}
-
-/// True while `run` is still the job's current epoch and the job is
-/// still running — the staleness guard puller threads re-check every
-/// cycle, so a cancel or resume retires them within one poll.
-pub(crate) fn shard_run_live(job: &Arc<Job>, run: &Arc<shard::ShardRun>) -> bool {
-    let m = job.m.lock().expect("job lock");
-    m.state == JobState::Running && m.shard_run.as_ref().is_some_and(|r| Arc::ptr_eq(r, run))
-}
-
-/// Feeds one shard-reported tile outcome into the coordinator job's
-/// commit machinery — the exact path local attempts use, so event
-/// order, report bytes, and digests cannot tell the difference.
-pub(crate) fn ingest_shard_outcome(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    outcome: &TileOutcome,
-) {
-    let tile = outcome.tile;
-    // Decode and (best-effort) persist outside the job lock. The
-    // `signoff.ckpt.write` error site does NOT fire here: the shard
-    // already ran the tile's checkpoint faults (replayed via
-    // `ckpt_degraded`), and a shared plan probed again at the
-    // coordinator would fire twice and skew the bytes. The staged
-    // crash sites inside `write_tile_probed` are coordinator-side
-    // durable transitions, though — a crash there loses only this
-    // best-effort persist, which resume recomputes.
-    let resolution = match &outcome.kind {
-        TileOutcomeKind::Done { data, ckpt_degraded, cache } => {
-            match decode_tile_partial(data, tile) {
-                Some(partial) => {
-                    if let Some(dir) = &job.dir {
-                        let _ = dir.write_tile_probed(&partial, shared.plane.as_deref(), 0);
-                    }
-                    TileResolution::Done {
-                        partial,
-                        ckpt_degraded: *ckpt_degraded,
-                        cache: match cache {
-                            TileCacheMark::Hit => CacheOutcome::Hit,
-                            TileCacheMark::Stored => CacheOutcome::Stored,
-                            TileCacheMark::None => CacheOutcome::None,
-                        },
-                    }
-                }
-                None => TileResolution::Quarantined {
-                    attempts: 0,
-                    reason: format!("tile {tile}: undecodable shard result"),
-                },
-            }
-        }
-        TileOutcomeKind::Quarantined { attempts, reason } => {
-            TileResolution::Quarantined { attempts: *attempts, reason: reason.clone() }
-        }
-    };
-    {
-        let mut m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running {
-            return;
-        }
-        if m.partials.contains_key(&tile)
-            || m.pending_commit.contains_key(&tile)
-            || m.quarantined.contains_key(&tile)
-        {
-            return; // already adjudicated (duplicate pull or overlap)
-        }
-        if !outcome.retries.is_empty() {
-            m.retry_log.insert(
-                tile,
-                outcome
-                    .retries
-                    .iter()
-                    .map(|r| RetryRecord {
-                        attempt: r.attempt,
-                        backoff_vms: r.backoff_vms,
-                        reason: r.reason.clone(),
-                    })
-                    .collect(),
-            );
-        }
-        m.pending_commit.insert(tile, resolution);
-        advance_commits(&mut m, ctx.tile_count());
-        job.cv.notify_all();
-    }
-    // A shard tile never entered a local lane; `resolved` credits the
-    // job's unassigned admission budget, like the cache-hit path.
-    sched_resolved(shared, job.id, tile);
-    try_finalize(shared, job, ctx);
-}
-
-/// Quarantines a lost shard's unrecoverable tiles (`shard {k} lost:
-/// …`) so the coordinated job settles as a deterministic `Partial`
-/// with a per-shard manifest instead of hanging.
-pub(crate) fn quarantine_lost_tiles(
-    shared: &Arc<RunShared>,
-    job: &Arc<Job>,
-    ctx: &Arc<JobContext>,
-    shard_idx: usize,
-    err: &str,
-    lost: &BTreeSet<usize>,
-) {
-    {
-        let mut m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running {
-            return;
-        }
-        for &tile in lost {
-            if m.partials.contains_key(&tile)
-                || m.pending_commit.contains_key(&tile)
-                || m.quarantined.contains_key(&tile)
-            {
-                continue;
-            }
-            m.pending_commit.insert(
-                tile,
-                TileResolution::Quarantined {
-                    attempts: 0,
-                    reason: format!("shard {shard_idx} lost: {err}"),
-                },
-            );
-        }
-        advance_commits(&mut m, ctx.tile_count());
-        job.cv.notify_all();
-    }
-    for &tile in lost {
-        sched_resolved(shared, job.id, tile);
-    }
-    try_finalize(shared, job, ctx);
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2070,11 +1035,17 @@ mod tests {
         }
     }
 
+    fn service(threads: usize) -> SignoffService {
+        SignoffService::with_config(ServiceConfig::builder().threads(threads).build())
+    }
+
     fn faulty_service(threads: usize, plan: FaultPlan) -> SignoffService {
-        SignoffService::with_config(ServiceConfig {
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(threads)
-        })
+        SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(threads)
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        )
     }
 
     #[test]
@@ -2084,7 +1055,7 @@ mod tests {
         let flat =
             flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
         for threads in [1usize, 2, 8] {
-            let service = SignoffService::new(threads, None);
+            let service = service(threads);
             let id = service.submit(spec.clone(), gds.clone()).expect("submit");
             let status = service.wait(id).expect("wait");
             assert_eq!(status.state, JobState::Done, "threads={threads}: {:?}", status.error);
@@ -2096,7 +1067,7 @@ mod tests {
 
     #[test]
     fn events_are_gapless_and_monotonic() {
-        let service = SignoffService::new(4, None);
+        let service = service(4);
         let id = service.submit(spec(), small_gds(32)).expect("submit");
         service.wait(id).expect("wait");
         let events = service.events(id, 0).expect("events");
@@ -2113,7 +1084,7 @@ mod tests {
 
     #[test]
     fn bad_submissions_are_rejected_with_diagnostics() {
-        let service = SignoffService::new(1, None);
+        let service = service(1);
         let err = service.submit(spec(), b"garbage".to_vec()).expect_err("bad gds");
         assert!(err.contains("layout rejected"), "{err}");
         let err = service
@@ -2147,7 +1118,7 @@ mod tests {
 
     #[test]
     fn partial_results_cover_the_completed_prefix() {
-        let service = SignoffService::new(2, None);
+        let service = service(2);
         let id = service.submit(spec(), small_gds(35)).expect("submit");
         service.wait(id).expect("wait");
         // Done job: partial=true must agree with the final report.
@@ -2225,6 +1196,46 @@ mod tests {
     }
 
     #[test]
+    fn verdicts_for_an_already_quarantined_tile_are_ignored() {
+        use crate::shard::{TileCacheMark, TileOutcomeKind, TileRetry};
+        use commit::{resolve_tile, TileResolution};
+        // `resolve_tile` is the only way in, so its guard is the only
+        // guard: once tile 0 is quarantined, a late local success and a
+        // duplicate shard outcome for it are both dropped.
+        let (gds, spec) = (small_gds(44), spec());
+        let service = service(1);
+        let ctx = Arc::new(JobContext::build(&spec, &gds).expect("ctx"));
+        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Running);
+        m.commit_queue = (0..ctx.tile_count()).collect();
+        let job = Job::new(77, None, m);
+        let verdict = TileResolution::Quarantined { attempts: 3, reason: "boom".to_string() };
+        resolve_tile(&service.shared, &job, &ctx, 0, Vec::new(), verdict);
+        let snapshot = || {
+            let m = job.m.lock().expect("job lock");
+            (m.events.clone(), m.partials.len(), m.pending_commit.len(), m.retry_log.len())
+        };
+        let quarantined = snapshot();
+        assert!(matches!(
+            quarantined.0.last().map(|e| &e.kind),
+            Some(JobEventKind::TileQuarantined { tile: 0, attempts: 3, .. })
+        ));
+
+        let partial = ctx.compute_tile(0);
+        let data = crate::checkpoint::encode_tile_partial(&partial);
+        let late =
+            TileResolution::Done { partial, ckpt_degraded: false, cache: TileCacheMark::None };
+        resolve_tile(&service.shared, &job, &ctx, 0, Vec::new(), late);
+        let duplicate = TileOutcome {
+            tile: 0,
+            retries: vec![TileRetry { attempt: 0, backoff_vms: 8, reason: "r".to_string() }],
+            kind: TileOutcomeKind::Done { data, ckpt_degraded: false, cache: TileCacheMark::Hit },
+        };
+        ingest_shard_outcome(&service.shared, &job, &ctx, &duplicate);
+        assert_eq!(snapshot(), quarantined, "a quarantined tile takes no further verdict");
+        assert_eq!(job.status().tiles_quarantined, 1);
+    }
+
+    #[test]
     fn ckpt_write_faults_degrade_without_discarding_results() {
         let gds = small_gds(38);
         let spec = spec();
@@ -2236,11 +1247,13 @@ mod tests {
         // tile must still complete from memory and the job finish Done.
         let plan = FaultPlan::seeded(3)
             .with_rule(FaultRule::new(SITE_CKPT_WRITE, FaultAction::Error).key(2));
-        let service = SignoffService::with_config(ServiceConfig {
-            ckpt_root: Some(root.clone()),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .ckpt_root(root.clone())
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2270,10 +1283,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         let with_cache = |threads| {
-            SignoffService::with_config(ServiceConfig {
-                cache: Some(Arc::clone(&cache)),
-                ..ServiceConfig::new(threads)
-            })
+            SignoffService::with_config(
+                ServiceConfig::builder().threads(threads).cache(Arc::clone(&cache)).build(),
+            )
         };
         // Cold: every tile computes and stores; nothing hits.
         let cold = with_cache(2);
@@ -2325,10 +1337,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         // Prime the cache cleanly.
-        let cold = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            ..ServiceConfig::new(2)
-        });
+        let cold = SignoffService::with_config(
+            ServiceConfig::builder().threads(2).cache(Arc::clone(&cache)).build(),
+        );
         let id = cold.submit(spec.clone(), gds.clone()).expect("submit");
         cold.wait(id).expect("wait");
         drop(cold);
@@ -2336,11 +1347,13 @@ mod tests {
         // re-stores), everything else hits, bytes unchanged.
         let plan = FaultPlan::seeded(6)
             .with_rule(FaultRule::new(SITE_CACHE_READ, FaultAction::Error).key(1));
-        let warm = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let warm = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = warm.submit(spec.clone(), gds).expect("submit");
         let status = warm.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2373,11 +1386,13 @@ mod tests {
         let plan = FaultPlan::seeded(7).with_rule(
             FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic).key(2).first_attempts(1),
         );
-        let service = SignoffService::with_config(ServiceConfig {
-            cache: Some(Arc::clone(&cache)),
-            fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-            ..ServiceConfig::new(2)
-        });
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .fault_plane(Arc::new(FaultPlane::new(plan)))
+                .build(),
+        );
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2398,7 +1413,7 @@ mod tests {
         let spec = JobSpec { score: Some("default".to_string()), ..spec() };
         let (_, flat) =
             crate::scoring::flat_score(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat");
-        let service = SignoffService::new(2, None);
+        let service = service(2);
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2428,7 +1443,7 @@ mod tests {
 
     #[test]
     fn unscored_job_has_no_score() {
-        let service = SignoffService::new(2, None);
+        let service = service(2);
         let id = service.submit(spec(), small_gds(35)).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -2469,3 +1484,4 @@ mod tests {
         assert_eq!(report.render_text(&spec), flat);
     }
 }
+

@@ -46,7 +46,9 @@ fn crash_littered_directory_resumes_byte_identically() {
     // First life: run the job to completion so every tile checkpoint
     // exists on disk.
     let job = {
-        let service = SignoffService::new(4, Some(root.clone()));
+        let service = SignoffService::with_config(
+            ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+        );
         let job = service.submit(spec.clone(), gds_bytes).expect("submit");
         let status = service.wait(job).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -62,7 +64,9 @@ fn crash_littered_directory_resumes_byte_identically() {
 
     // Second life: the littered directory loads, the sweep removes the
     // debris, and resume settles to the byte-identical report.
-    let service = SignoffService::new(4, Some(root.clone()));
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+    );
     let status = service.status(job).expect("persisted job is visible");
     assert_eq!(status.state, JobState::Partial);
     service.resume(job).expect("resume");

@@ -49,62 +49,44 @@ fn with_retry<T>(addr: SocketAddr, mut f: impl FnMut(&mut Client) -> Result<T, S
     }
 }
 
-/// One connection speaking both generations at once: every response
-/// must come back in the dialect of the request it answers — v1
-/// requests get bare frames with string errors, v2 requests get
-/// `"v":2` frames with structured [`ErrorObj`]s, and a line that
-/// parses as neither is answered in the last dialect spoken.
+/// A connection whose *first* frame fails — wrong version, torn at
+/// EOF, or not UTF-8 — is answered in the one v2 shape (`"v":2`, a
+/// structured `ErrorObj`), never a bare string: there is no earlier
+/// frame to borrow a dialect from, and no other dialect to borrow.
 #[test]
-fn mixed_dialect_connection_answers_each_request_in_kind() {
-    let service = Arc::new(SignoffService::with_config(ServiceConfig::new(1)));
+fn a_failing_first_frame_is_answered_in_v2_shape() {
+    let service =
+        Arc::new(SignoffService::with_config(ServiceConfig::builder().threads(1).build()));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
     std::thread::spawn(move || {
         let _ = server.serve();
     });
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut ask = |line: &str| -> String {
-        let mut writer = &stream;
-        writer.write_all(line.as_bytes()).expect("write");
-        writer.write_all(b"\n").expect("write");
+    let first_reply = |bytes: &[u8]| -> String {
+        let stream = TcpStream::connect(addr).expect("connect");
+        (&stream).write_all(bytes).expect("write");
+        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
         let mut reply = String::new();
-        reader.read_line(&mut reply).expect("read");
+        BufReader::new(stream).read_line(&mut reply).expect("read");
         reply.trim_end().to_string()
     };
 
-    // v1 ping: bare frame, no version field.
-    assert_eq!(ask(r#"{"cmd":"ping"}"#), r#"{"ok":true,"pong":true}"#);
-
-    // v2 ping on the same connection: the frame leads with "v":2.
-    assert_eq!(ask(r#"{"v":2,"cmd":"ping"}"#), r#"{"v":2,"ok":true,"pong":true}"#);
-
-    // v1 error shape: a bare message string, no code object.
-    let reply = ask(r#"{"cmd":"status","job":999}"#);
-    assert!(!reply.contains("\"v\""), "v1 error must not carry a version field: {reply}");
-    assert!(reply.contains(r#""ok":false"#), "{reply}");
-    assert!(reply.contains(r#""error":"no such job"#), "v1 errors are strings: {reply}");
-    assert!(!reply.contains(r#""code""#), "v1 errors carry no code: {reply}");
-
-    // The same failing request as v2: a structured ErrorObj with its
-    // typed code.
-    let reply = ask(r#"{"v":2,"cmd":"status","job":999}"#);
-    assert!(reply.starts_with(r#"{"v":2,"#), "{reply}");
-    assert!(reply.contains(r#""error":{"#), "v2 errors are objects: {reply}");
-    assert!(reply.contains(r#""code":"not_found""#), "{reply}");
-
-    // A shard frame without "v" parses as *neither* dialect; the
-    // refusal rides the last dialect spoken (v2, from the line above).
-    let reply = ask(r#"{"cmd":"shard.attach","coord":9,"origin":1,"gen":0}"#);
-    assert!(reply.starts_with(r#"{"v":2,"#), "{reply}");
-    assert!(reply.contains(r#""code":"bad_request""#), "{reply}");
-
-    // And the connection drops straight back to v1 on the next v1
-    // request — the dialect is per-request, not sticky-per-connection.
-    assert_eq!(ask(r#"{"cmd":"ping"}"#), r#"{"ok":true,"pong":true}"#);
+    let reply = first_reply(b"{\"v\":3,\"cmd\":\"ping\"}\n");
+    assert!(
+        reply.starts_with(r#"{"v":2,"ok":false,"error":{"code":"unsupported_version","#),
+        "{reply}"
+    );
+    // Framing violations close the connection after the one answer.
+    for torn in [&b"{\"v\":2,\"cmd\":\"stat"[..], &[0xff, 0xfe, b'\n'][..]] {
+        let reply = first_reply(torn);
+        assert!(
+            reply.starts_with(r#"{"v":2,"ok":false,"error":{"code":"bad_request","#),
+            "{torn:?} got {reply}"
+        );
+    }
 
     let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.ping().expect("server unharmed");
     let _ = client.shutdown();
 }
 
@@ -123,10 +105,9 @@ fn server_survives_injected_drops_and_vanishing_clients() {
     // frames alike.
     let plan = FaultPlan::seeded(17)
         .with_rule(FaultRule::new(SITE_SERVER_WRITE, FaultAction::Drop).prob(0.4));
-    let service = Arc::new(SignoffService::with_config(ServiceConfig {
-        fault_plane: Some(Arc::new(FaultPlane::new(plan))),
-        ..ServiceConfig::new(2)
-    }));
+    let service = Arc::new(SignoffService::with_config(
+        ServiceConfig::builder().threads(2).fault_plane(Arc::new(FaultPlane::new(plan))).build(),
+    ));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.serve().expect("serve"));

@@ -33,6 +33,10 @@ fn flat_text(spec: &JobSpec, gds_bytes: &[u8]) -> String {
     flat_report(spec, &lib).expect("flat").render_text(spec)
 }
 
+fn service(threads: usize) -> SignoffService {
+    SignoffService::with_config(ServiceConfig::builder().threads(threads).build())
+}
+
 fn start_server(service: SignoffService) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind(Arc::new(service), 0).expect("bind");
     let addr = server.local_addr();
@@ -46,7 +50,7 @@ fn wire_round_trip_matches_the_flat_report() {
     let spec = spec();
     let flat = flat_text(&spec, &gds_bytes);
 
-    let (addr, handle) = start_server(SignoffService::new(4, None));
+    let (addr, handle) = start_server(service(4));
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     client.ping().expect("ping");
 
@@ -146,7 +150,9 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
 
     // Second life: a fresh process loads the job from disk as Partial
     // and resume() recomputes exactly the missing tiles.
-    let service = SignoffService::new(4, Some(root.clone()));
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+    );
     let status = service.status(job).expect("persisted job is visible");
     assert_eq!(status.state, JobState::Partial);
     service.resume(job).expect("resume");
@@ -159,7 +165,7 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
 }
 
 #[test]
-fn v1_clients_still_work_and_v2_rejections_are_structured() {
+fn foreign_versions_are_refused_in_v2_shape_and_rejections_are_structured() {
     use dfm_signoff::{RequestError, SchedConfig};
     use std::io::{BufRead, BufReader, Write};
 
@@ -175,24 +181,34 @@ fn v1_clients_still_work_and_v2_rejections_are_structured() {
     );
     let (addr, handle) = start_server(service);
 
-    // A v1 peer: hand-rolled unversioned frames on a raw socket. The
-    // submit must succeed and every answer must be v1-shaped (no "v").
-    let stream = std::net::TcpStream::connect(addr).expect("connect v1");
+    // A peer on a raw socket whose *first* frames are bare (the retired
+    // v1 dialect) and "v":3: each is refused with `unsupported_version`
+    // in v2 shape, and the connection stays usable — the next v2 frame
+    // on the same socket succeeds.
+    let stream = std::net::TcpStream::connect(addr).expect("connect raw");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
-    let spec_v1 = JobSpec { tenant: "acme".to_string(), ..spec() };
-    let mut line =
-        dfm_signoff::proto::Request::Submit { spec: spec_v1, gds: gds_bytes.clone(), idem: None }
-        .body_json()
-        .render();
-    assert!(!line.contains("\"v\""), "body_json is the v1 frame shape");
-    line.push('\n');
-    writer.write_all(line.as_bytes()).expect("send");
-    writer.flush().expect("flush");
-    let mut reply = String::new();
-    reader.read_line(&mut reply).expect("read");
-    assert!(reply.contains("\"ok\":true"), "v1 submit accepted: {reply:?}");
-    assert!(!reply.contains("\"v\""), "v1 peers get v1-shaped answers: {reply:?}");
+    let mut ask = |frame: &str| {
+        writer.write_all(frame.as_bytes()).expect("send");
+        writer.write_all(b"\n").expect("send");
+        writer.flush().expect("flush");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply.trim_end().to_string()
+    };
+    for frame in [r#"{"cmd":"ping"}"#, r#"{"v":3,"cmd":"ping"}"#] {
+        let reply = ask(frame);
+        assert!(
+            reply.starts_with(r#"{"v":2,"ok":false,"error":{"code":"unsupported_version","#),
+            "{frame} got {reply}"
+        );
+    }
+    assert_eq!(ask(r#"{"v":2,"cmd":"ping"}"#), r#"{"v":2,"ok":true,"pong":true}"#);
+    let spec_acme = JobSpec { tenant: "acme".to_string(), ..spec() };
+    let submit =
+        dfm_signoff::proto::Request::Submit { spec: spec_acme, gds: gds_bytes.clone(), idem: None };
+    let reply = ask(&submit.to_json().render());
+    assert!(reply.starts_with(r#"{"v":2,"ok":true,"job":"#), "submit accepted: {reply}");
 
     // While acme's job is active, a second acme submission over a v2
     // client is refused with the typed code and a retry hint…
@@ -200,7 +216,7 @@ fn v1_clients_still_work_and_v2_rejections_are_structured() {
         .timeout(Duration::from_secs(30))
         .tenant("acme")
         .connect(&addr.to_string())
-        .expect("connect v2");
+        .expect("connect");
     let first = client.list().expect("list")[0].id;
     match client.try_submit(spec(), gds_bytes.clone()) {
         Err(RequestError::Server(err)) => {
@@ -233,7 +249,7 @@ fn v1_clients_still_work_and_v2_rejections_are_structured() {
 #[test]
 fn hostile_bytes_on_the_socket_never_kill_the_server() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, handle) = start_server(SignoffService::new(1, None));
+    let (addr, handle) = start_server(service(1));
 
     // A parade of malformed frames on one connection: every one must
     // come back as an {"ok":false,...} error, never a hangup.
@@ -245,10 +261,11 @@ fn hostile_bytes_on_the_socket_never_kill_the_server() {
         "{\n",
         "nonsense\n",
         "[1,2,3]\n",
-        "{\"cmd\":\"warp\"}\n",
-        "{\"cmd\":\"submit\",\"spec\":{\"tile\":-4},\"gds_hex\":\"00\"}\n",
-        "{\"cmd\":\"submit\",\"spec\":{},\"gds_hex\":\"0g\"}\n",
         "{\"cmd\":\"results\",\"job\":999}\n",
+        "{\"v\":2,\"cmd\":\"warp\"}\n",
+        "{\"v\":2,\"cmd\":\"submit\",\"spec\":{\"tile\":-4},\"gds_hex\":\"00\"}\n",
+        "{\"v\":2,\"cmd\":\"submit\",\"spec\":{},\"gds_hex\":\"0g\"}\n",
+        "{\"v\":2,\"cmd\":\"results\",\"job\":999}\n",
     ] {
         writer.write_all(frame.as_bytes()).expect("send");
         writer.flush().expect("flush");

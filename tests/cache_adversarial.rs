@@ -60,7 +60,7 @@ fn run_once(
     let service = SignoffService::with_config(ServiceConfig {
         cache: Some(Arc::clone(cache)),
         fault_plane: plan.map(|p| Arc::new(FaultPlane::new(p.clone()))),
-        ..ServiceConfig::new(threads)
+        ..ServiceConfig::builder().threads(threads).build()
     });
     let id = service.submit(spec.clone(), gds_bytes.to_vec()).expect("submit");
     let status = service.wait(id).expect("wait");

@@ -88,7 +88,7 @@ fn service_with(
     SignoffService::with_config(ServiceConfig {
         cache: Some(Arc::clone(cache)),
         fault_plane: plan.map(|p| Arc::new(FaultPlane::new(p.clone()))),
-        ..ServiceConfig::new(threads)
+        ..ServiceConfig::builder().threads(threads).build()
     })
 }
 

@@ -46,7 +46,7 @@ fn flat_text() -> String {
 fn faulty_service(threads: usize, plan: &FaultPlan) -> SignoffService {
     SignoffService::with_config(ServiceConfig {
         fault_plane: Some(Arc::new(FaultPlane::new(plan.clone()))),
-        ..ServiceConfig::new(threads)
+        ..ServiceConfig::builder().threads(threads).build()
     })
 }
 

@@ -41,7 +41,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn service(threads: usize, cache: Option<Arc<TileCache>>) -> SignoffService {
-    SignoffService::with_config(ServiceConfig { cache, ..ServiceConfig::new(threads) })
+    SignoffService::with_config(ServiceConfig { cache, ..ServiceConfig::builder().threads(threads).build() })
 }
 
 /// Runs one scored job to settlement and returns the score JSON line

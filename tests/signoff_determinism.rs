@@ -44,13 +44,18 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dfms-det-{tag}-{}-{n}", std::process::id()))
 }
 
+/// A 4-worker service checkpointing under (and reloading from) `root`.
+fn service_over(root: &std::path::Path) -> SignoffService {
+    SignoffService::with_config(ServiceConfig::builder().threads(4).ckpt_root(root).build())
+}
+
 #[test]
 fn service_report_is_bit_identical_to_flat_at_worker_counts_1_2_8() {
     let gds_bytes = block_gds();
     let spec = spec();
     let flat = flat_text();
     for threads in [1usize, 2, 8] {
-        let service = SignoffService::new(threads, None);
+        let service = SignoffService::with_config(ServiceConfig::builder().threads(threads).build());
         let id = service.submit(spec.clone(), gds_bytes.clone()).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "threads={threads}: {:?}", status.error);
@@ -126,7 +131,7 @@ fn resume_from_any_checkpoint_subset_is_byte_identical() {
         |keep_mask| {
             let root = fresh_dir("subset");
             let id = {
-                let service = SignoffService::new(4, Some(root.clone()));
+                let service = service_over(&root);
                 let id = service.submit(spec.clone(), gds_bytes.clone()).map_err(|e| e.to_string())?;
                 let status = service.wait(id).map_err(|e| e.to_string())?;
                 prop_assert_eq!(status.state, JobState::Done);
@@ -149,7 +154,7 @@ fn resume_from_any_checkpoint_subset_is_byte_identical() {
             prop_assert!(tile > 1, "fixture must be multi-tile");
             // Second life: the surviving subset is loaded, the rest is
             // recomputed.
-            let service = SignoffService::new(4, Some(root.clone()));
+            let service = service_over(&root);
             let status = service.status(id).map_err(|e| e.to_string())?;
             prop_assert_eq!(status.state, JobState::Partial);
             service.resume(id).map_err(|e| e.to_string())?;
