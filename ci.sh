@@ -43,12 +43,30 @@ fi
 # before the sealed-blob/resolve_tile collapse).
 find crates/signoff/src crates/cache/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"'{n++} END{print "signoff+cache non-test lines: " n}'
+# ISSUE 13's figure: 824 before nested regions went inline and the
+# streaming/ordered reducers and unsupervised submits were deleted.
+awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' crates/par/src/lib.rs
 
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== build (release, offline) =="
 cargo build --release --offline
+
+echo "== benchmark package builds against the workspace API (offline, locked) =="
+# `benchmark/` is its own workspace with a pinned lockfile and path
+# deps on crates/*: pruning a pub item it links against, or adding a
+# dependency edge, must fail here rather than in the benchmark
+# pipeline. One short workload run proves it still computes the right
+# bytes, and nothing it does may dirty the pinned files.
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload shard_2x1 --seed 11 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+if [[ -n "$(git status --porcelain benchmark/ BENCHMARK.json)" ]]; then
+    echo "error: benchmark/ or BENCHMARK.json changed:" >&2
+    git status --porcelain benchmark/ BENCHMARK.json >&2
+    exit 1
+fi
 
 echo "== test (offline, DFM_THREADS=1) =="
 DFM_THREADS=1 cargo test -q --workspace --offline

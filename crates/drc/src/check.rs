@@ -950,6 +950,21 @@ mod tests {
         let eight = dfm_par::with_threads(8, run);
         assert_eq!(seq, two);
         assert_eq!(seq, eight);
+
+        // Under the per-rule region above the edge sweeps run inline,
+        // so exercise them where they are the outermost region: called
+        // directly, on an input that splits into several EDGE_CHUNKs.
+        let metal = flat.region(layers::METAL1);
+        let edges = metal.boundary_edges();
+        assert!(edges.vertical.len() > EDGE_CHUNK && edges.horizontal.len() > EDGE_CHUNK);
+        let rules = tech.rules(layers::METAL1);
+        let (width, space) = (rules.min_width * 2, rules.min_space * 2);
+        let sweeps = || (interior_facing_pairs(&metal, width), spacing_violations(&metal, space));
+        let seq = dfm_par::with_threads(1, sweeps);
+        assert!(seq.0.len() > EDGE_CHUNK, "width sweep must have hits to compare");
+        assert!(!corner_gap_pairs(&metal, space).is_empty(), "corner sweep must have hits");
+        assert_eq!(seq, dfm_par::with_threads(2, sweeps));
+        assert_eq!(seq, dfm_par::with_threads(8, sweeps));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Tile-streaming DRC execution: bit-identical to the flat engine.
 //!
 //! [`TiledDrcEngine`] runs a [`RuleDeck`] over a [`TiledLayout`],
-//! materialising one tile window at a time (streamed through
-//! `dfm_par::par_reduce_streaming`, folded in tile order) and merging
+//! materialising one tile window per task (`dfm_par::par_map_range`
+//! over tile indices, partials returned in tile order) and merging
 //! per-tile partial results into exactly the report the flat
 //! [`crate::DrcEngine`] produces — same violations, same order, same
 //! bits, at any thread count and tile size.
@@ -382,12 +382,13 @@ pub fn merge_rule_partials(
 /// Streams one rule over the tiles; returns its canonical-order
 /// violations and the tile statistics of the pass. Equivalent to
 /// computing every [`rule_tile_partial`] and merging — which is
-/// literally what it does, through the ordered streaming reduction.
+/// literally what it does, tiles being the parallel unit.
 pub fn check_rule_tiled(
     rule: &Rule,
     layout: &TiledLayout,
 ) -> Result<(Vec<Violation>, TileStats), TiledDrcError> {
-    let partials = stream_tiles(layout.tile_count(), |i| rule_tile_partial(rule, layout, i));
+    let partials =
+        dfm_par::par_map_range(layout.tile_count(), |i| rule_tile_partial(rule, layout, i));
     merge_rule_partials(rule, layout, partials)
 }
 
@@ -434,20 +435,10 @@ pub fn tiled_facing_pairs(
     max: i64,
     interior_between: bool,
 ) -> Vec<FacingPair> {
-    let fold = stream_tiles(layout.tile_count(), |i| {
+    let partials = dfm_par::par_map_range(layout.tile_count(), |i| {
         facing_pair_partial(layout, layer, max, interior_between, i).0
     });
-    merge_facing_pair_partials(fold)
-}
-
-/// Streams `per_tile` over `n` tile indices, returning the outputs in
-/// tile order (bounded reorder window, any thread count).
-fn stream_tiles<T: Send>(n: usize, per_tile: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let window = (dfm_par::thread_count() * 2).max(1);
-    dfm_par::par_reduce_streaming(n, window, per_tile, Vec::with_capacity(n), |mut acc, t| {
-        acc.push(t);
-        acc
-    })
+    merge_facing_pair_partials(partials)
 }
 
 /// Collects a certified-rule fold: the first refusing tile (in tile

@@ -180,18 +180,9 @@ impl LithoSimulator {
         if layout.bbox().is_empty() {
             return Region::new();
         }
-        let n = layout.tile_count();
-        let stream_window = (dfm_par::thread_count() * 2).max(1);
-        let pieces: Vec<Vec<Rect>> = dfm_par::par_reduce_streaming(
-            n,
-            stream_window,
-            |i| self.printed_tile_piece(layout, layer, cond, i),
-            Vec::with_capacity(n),
-            |mut acc, rects| {
-                acc.push(rects);
-                acc
-            },
-        );
+        let pieces = dfm_par::par_map_range(layout.tile_count(), |i| {
+            self.printed_tile_piece(layout, layer, cond, i)
+        });
         merge_printed_pieces(pieces)
     }
 

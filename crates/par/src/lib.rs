@@ -27,11 +27,21 @@
 //! ## Thread count
 //!
 //! [`thread_count`] resolves, in order: a scoped [`with_threads`]
-//! override (propagated into worker threads so nested parallel regions
-//! follow the same setting), the `DFM_THREADS` environment variable,
-//! then [`std::thread::available_parallelism`]. A resolved count of 1
-//! takes a zero-overhead sequential path — no threads are spawned and
-//! no result buffers are reordered.
+//! override, the `DFM_THREADS` environment variable, then
+//! [`std::thread::available_parallelism`]. A resolved count of 1 takes
+//! a zero-overhead sequential path — no threads are spawned and no
+//! result buffers are reordered.
+//!
+//! ## One level of parallelism
+//!
+//! Only the outermost parallel region fans out. Every thread this crate
+//! creates — fork-join workers and [`WorkerPool`] workers alike — runs
+//! under `with_threads(1, ..)`, so a region entered on a worker takes
+//! the sequential path on that worker: a pool of `T` workers is exactly
+//! `T` compute threads, whatever the tasks call. Because every region
+//! yields the same bytes at any thread count, running a nested one
+//! inline cannot change output. An explicit `with_threads(k, ..)` inside
+//! a worker still wins for its scope.
 //!
 //! ```
 //! let doubled = dfm_par::par_map(&[1, 2, 3, 4], |_, &x| x * 2);
@@ -66,24 +76,29 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// The number of worker threads parallel primitives will use right now:
-/// a [`with_threads`] override if one is active on this thread, else
-/// `DFM_THREADS`, else the machine's available parallelism.
+/// The machine's available parallelism, queried once per process (the
+/// std call re-reads the affinity mask and cgroup quota every time).
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The number of worker threads a parallel region entered on this
+/// thread will use: a [`with_threads`] override if one is active (always
+/// the case on a `dfm-par` worker, which runs under an override of 1),
+/// else `DFM_THREADS`, else the machine's available parallelism. Both
+/// process-wide sources are read once.
 pub fn thread_count() -> usize {
     let o = OVERRIDE.with(|c| c.get());
     if o > 0 {
         return o;
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    env_threads().unwrap_or_else(host_threads)
 }
 
 /// Runs `f` with the thread count pinned to `n` (for tests, benches and
-/// the determinism suite). The override is scoped to this call and is
-/// inherited by worker threads spawned inside it, so nested parallel
-/// regions follow the same setting.
+/// the determinism suite). The override is scoped to this call and this
+/// thread; workers spawned by a region inside it run at 1.
 ///
 /// # Panics
 ///
@@ -110,6 +125,27 @@ impl Drop for RestoreOverride {
     }
 }
 
+/// Joins every worker before reacting to any panic, then rethrows the
+/// first panicking worker's payload on the calling thread — a single
+/// clean unwind carrying the original message, instead of the scope's
+/// generic "a scoped thread panicked".
+fn join_all<R>(handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Vec<R> {
+    let mut results = Vec::with_capacity(handles.len());
+    let mut first_panic = None;
+    for h in handles {
+        match h.join() {
+            Ok(r) => results.push(r),
+            Err(payload) => {
+                first_panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+    results
+}
+
 /// Fork-join over chunk indices `0..n_chunks`: `work(chunk)` runs on
 /// some worker, results come back ordered by chunk index. The shared
 /// cursor hands out chunks dynamically (load balance) but the output
@@ -128,9 +164,9 @@ fn fork_join_indexed<R: Send>(
             .map(|_| {
                 let cursor = &cursor;
                 scope.spawn(move || {
-                    // Workers inherit the effective count so nested
-                    // parallel regions follow the caller's setting.
-                    with_threads(threads, || {
+                    // One level of parallelism: a region entered on
+                    // this worker runs inline.
+                    with_threads(1, || {
                         let mut mine = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -143,23 +179,7 @@ fn fork_join_indexed<R: Send>(
                 })
             })
             .collect();
-        // Join every worker before reacting to any panic, then rethrow
-        // the first worker's payload on the calling thread — a single
-        // clean unwind instead of a panic-while-panicking teardown.
-        let mut results = Vec::with_capacity(workers);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok(r) => results.push(r),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        results
+        join_all(handles)
     });
     // Ordered reduction: place every result at its input index.
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n_chunks);
@@ -180,11 +200,7 @@ pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<R> {
-    let threads = thread_count();
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    fork_join_indexed(items.len(), threads, &|i| f(i, &items[i]))
+    par_map_range(items.len(), |i| f(i, &items[i]))
 }
 
 /// Maps `f(i)` over `0..n`, returning results in index order.
@@ -253,177 +269,22 @@ pub fn par_chunks_mut<T: Send>(
     let per_worker = n_chunks.div_ceil(workers);
     std::thread::scope(|scope| {
         let f = &f;
+        let mut handles = Vec::with_capacity(workers);
         let mut rest = chunks;
         while !rest.is_empty() {
             let take = per_worker.min(rest.len());
             let tail = rest.split_off(take);
             let mine = std::mem::replace(&mut rest, tail);
-            scope.spawn(move || {
-                with_threads(threads, || {
+            handles.push(scope.spawn(move || {
+                with_threads(1, || {
                     for (i, chunk) in mine {
                         f(i, i * chunk_len, chunk);
                     }
                 });
-            });
+            }));
         }
+        join_all(handles);
     });
-}
-
-/// Streaming ordered reduction over a lazily produced sequence.
-///
-/// `produce(i)` builds item `i` (for `i` in `0..n`) on some worker;
-/// `fold` consumes the items **strictly in index order** on the calling
-/// thread. At most `window` produced-but-unconsumed items exist at any
-/// moment, so a pipeline over `n` expensive items (layout tiles, raster
-/// bands) holds O(`window`) of them in memory instead of O(`n`) — this
-/// is the primitive the tiled engines stream tiles through.
-///
-/// Determinism: the fold order is the index order regardless of worker
-/// completion order, so the result is bit-identical at any thread
-/// count; `produce` must be a pure function of its index.
-///
-/// # Panics
-///
-/// Panics if `window == 0` or a worker panics.
-pub fn par_reduce_streaming<T: Send, A>(
-    n: usize,
-    window: usize,
-    produce: impl Fn(usize) -> T + Sync,
-    init: A,
-    mut fold: impl FnMut(A, T) -> A,
-) -> A {
-    assert!(window > 0, "window must be positive");
-    let threads = thread_count();
-    if threads <= 1 || n <= 1 {
-        let mut acc = init;
-        for i in 0..n {
-            acc = fold(acc, produce(i));
-        }
-        return acc;
-    }
-
-    use std::collections::BTreeMap;
-    use std::sync::{Condvar, Mutex};
-
-    /// Shared pipeline state: the next index to claim, the next index
-    /// the consumer will fold, the finished-but-unfolded items, and the
-    /// poison latch a panicking producer leaves behind (so the consumer
-    /// rethrows instead of waiting forever for an item that will never
-    /// arrive).
-    struct State<T> {
-        next_claim: usize,
-        base: usize,
-        done: BTreeMap<usize, T>,
-        poisoned: bool,
-        poison: Option<Box<dyn std::any::Any + Send>>,
-    }
-
-    let state = Mutex::new(State {
-        next_claim: 0,
-        base: 0,
-        done: BTreeMap::new(),
-        poisoned: false,
-        poison: None,
-    });
-    // `item`: signalled when the item the consumer waits for arrives.
-    // `space`: signalled when `base` advances and claims may resume.
-    let item = Condvar::new();
-    let space = Condvar::new();
-
-    std::thread::scope(|scope| {
-        let workers = threads.min(n);
-        for _ in 0..workers {
-            let (state, item, space) = (&state, &item, &space);
-            let produce = &produce;
-            scope.spawn(move || {
-                with_threads(threads, || loop {
-                    let i = {
-                        let mut s = state.lock().expect("dfm-par streaming lock");
-                        while !s.poisoned && s.next_claim < n && s.next_claim - s.base >= window {
-                            s = space.wait(s).expect("dfm-par streaming wait");
-                        }
-                        if s.poisoned || s.next_claim >= n {
-                            return;
-                        }
-                        s.next_claim += 1;
-                        s.next_claim - 1
-                    };
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| produce(i))) {
-                        Ok(t) => {
-                            let mut s = state.lock().expect("dfm-par streaming lock");
-                            s.done.insert(i, t);
-                            if i == s.base {
-                                item.notify_all();
-                            }
-                        }
-                        Err(payload) => {
-                            let mut s = state.lock().expect("dfm-par streaming lock");
-                            if !s.poisoned {
-                                s.poisoned = true;
-                                s.poison = Some(payload);
-                            }
-                            item.notify_all();
-                            space.notify_all();
-                            return;
-                        }
-                    }
-                })
-            });
-        }
-
-        let mut acc = init;
-        for i in 0..n {
-            let t = {
-                let mut s = state.lock().expect("dfm-par streaming lock");
-                loop {
-                    if s.poisoned {
-                        // `poisoned` stays latched so remaining workers
-                        // drain; rethrow the producer's panic here.
-                        let payload = s.poison.take();
-                        space.notify_all();
-                        drop(s);
-                        match payload {
-                            Some(p) => std::panic::resume_unwind(p),
-                            None => panic!("dfm-par streaming producer panicked"),
-                        }
-                    }
-                    if let Some(t) = s.done.remove(&i) {
-                        s.base = i + 1;
-                        space.notify_all();
-                        break t;
-                    }
-                    s = item.wait(s).expect("dfm-par streaming wait");
-                }
-            };
-            acc = fold(acc, t);
-        }
-        acc
-    })
-}
-
-/// Maps `map(chunk_index, chunk)` over `chunk_len`-sized chunks of
-/// `items`, then folds the per-chunk accumulators **in chunk order**
-/// with `fold`. Returns `None` for empty input. Because the fold order
-/// is the input order, non-associative-in-practice reductions (f64
-/// sums) are bit-identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`.
-pub fn par_reduce_ordered<T: Sync, A: Send>(
-    items: &[T],
-    chunk_len: usize,
-    map: impl Fn(usize, &[T]) -> A + Sync,
-    mut fold: impl FnMut(A, A) -> A,
-) -> Option<A> {
-    let mut acc: Option<A> = None;
-    for a in par_chunks(items, chunk_len, map) {
-        acc = Some(match acc {
-            None => a,
-            Some(prev) => fold(prev, a),
-        });
-    }
-    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -508,9 +369,9 @@ type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 type ExitHook = Box<dyn FnOnce(TaskOutcome) + Send + 'static>;
 
 struct QueuedTask {
-    token: Option<CancelToken>,
+    token: CancelToken,
     task: PoolTask,
-    on_exit: Option<ExitHook>,
+    on_exit: ExitHook,
     /// Monotonic submission index — the fault-plane key for the
     /// pool-level injection sites.
     submit_idx: u64,
@@ -527,7 +388,7 @@ struct PoolQueue {
 /// order, whatever thread hands them over.
 struct SequencedIntake {
     next_seq: u64,
-    held: std::collections::BTreeMap<u64, (Option<CancelToken>, PoolTask, Option<ExitHook>)>,
+    held: std::collections::BTreeMap<u64, (CancelToken, PoolTask, ExitHook)>,
 }
 
 struct PoolShared {
@@ -557,12 +418,14 @@ struct PoolShared {
 /// on the consumer side. The pool itself makes no ordering promise
 /// beyond FIFO dispatch; determinism is the caller's ordered merge.
 ///
-/// Tasks submitted with [`submit_cancellable`](WorkerPool::submit_cancellable)
-/// are skipped (never run) if their [`CancelToken`] is already
-/// cancelled when a worker dequeues them — the pool-level half of
-/// cancelling at a work-unit boundary. A task that panics is contained
+/// Every task is supervised: it carries a [`CancelToken`] and an exit
+/// hook. A task whose token is already cancelled when a worker dequeues
+/// it is skipped (never run) — the pool-level half of cancelling at a
+/// work-unit boundary. A task that panics is contained
 /// ([`std::panic::catch_unwind`]); the worker thread survives and the
-/// panic is counted in [`PoolStats::panicked`].
+/// panic is counted in [`PoolStats::panicked`]. Workers run at a
+/// thread count of 1 (see the crate docs): the pool's `threads` are all
+/// the compute threads its tasks get.
 ///
 /// Dropping the pool shuts it down: queued tasks still drain, then the
 /// workers exit and are joined.
@@ -607,7 +470,9 @@ impl WorkerPool {
         let workers = (0..threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                // One level of parallelism: a region entered by a task
+                // (or its exit hook) runs inline on this worker.
+                std::thread::spawn(move || with_threads(1, || worker_loop(&shared)))
             })
             .collect();
         WorkerPool { shared, workers }
@@ -623,17 +488,6 @@ impl WorkerPool {
         self.shared.plane.as_ref()
     }
 
-    /// Enqueues a task.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        self.push(None, Box::new(task), None);
-    }
-
-    /// Enqueues a task that is silently skipped if `token` is already
-    /// cancelled when a worker dequeues it.
-    pub fn submit_cancellable(&self, token: &CancelToken, task: impl FnOnce() + Send + 'static) {
-        self.push(Some(token.clone()), Box::new(task), None);
-    }
-
     /// Enqueues a task under supervision: `on_exit` is called exactly
     /// once with how the task ended — [`TaskOutcome::Completed`],
     /// [`TaskOutcome::Panicked`] (with the rendered payload), or
@@ -647,7 +501,7 @@ impl WorkerPool {
         task: impl FnOnce() + Send + 'static,
         on_exit: impl FnOnce(TaskOutcome) + Send + 'static,
     ) {
-        self.push(Some(token.clone()), Box::new(task), Some(Box::new(on_exit)));
+        self.push(token.clone(), Box::new(task), Box::new(on_exit));
     }
 
     /// Enqueues a supervised task under **grant-ordered intake**: the
@@ -679,12 +533,10 @@ impl WorkerPool {
                 seq > intake.next_seq,
                 "sequenced submit {seq} replays an already-admitted sequence number"
             );
-            intake
-                .held
-                .insert(seq, (Some(token.clone()), Box::new(task), Some(Box::new(on_exit))));
+            intake.held.insert(seq, (token.clone(), Box::new(task), Box::new(on_exit)));
             return;
         }
-        self.push(Some(token.clone()), Box::new(task), Some(Box::new(on_exit)));
+        self.push(token.clone(), Box::new(task), Box::new(on_exit));
         intake.next_seq += 1;
         loop {
             let next = intake.next_seq;
@@ -702,7 +554,7 @@ impl WorkerPool {
         self.shared.intake.lock().expect("dfm-par intake lock").held.len()
     }
 
-    fn push(&self, token: Option<CancelToken>, task: PoolTask, on_exit: Option<ExitHook>) {
+    fn push(&self, token: CancelToken, task: PoolTask, on_exit: ExitHook) {
         let submit_idx = self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let depth = {
             let mut q = self.shared.queue.lock().expect("dfm-par pool lock");
@@ -771,7 +623,7 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         let QueuedTask { token, task, on_exit, submit_idx } = item;
-        let outcome = if token.is_some_and(|t| t.is_cancelled()) {
+        let outcome = if token.is_cancelled() {
             shared.skipped.fetch_add(1, Ordering::Relaxed);
             TaskOutcome::Skipped
         } else {
@@ -797,11 +649,9 @@ fn worker_loop(shared: &PoolShared) {
                 }
             }
         };
-        if let Some(hook) = on_exit {
-            // The hook runs outside the task's containment: a panicking
-            // supervisor is a bug we want loud, not a task failure.
-            hook(outcome);
-        }
+        // The hook runs outside the task's containment: a panicking
+        // supervisor is a bug we want loud, not a task failure.
+        on_exit(outcome);
         let mut q = shared.queue.lock().expect("dfm-par pool lock");
         q.in_flight -= 1;
         if q.tasks.is_empty() && q.in_flight == 0 {
@@ -827,6 +677,11 @@ mod tests {
     use super::*;
     use dfm_rand::{Rng, Seed};
 
+    /// Enqueues a task nobody cancels or watches.
+    fn spawn(pool: &WorkerPool, task: impl FnOnce() + Send + 'static) {
+        pool.submit_supervised(&CancelToken::new(), task, |_| ());
+    }
+
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..1000).collect();
@@ -835,6 +690,26 @@ mod tests {
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i * 1000 + i);
         }
+        // Index order at any worker count, including more workers than
+        // items.
+        let seq: Vec<f64> = (0..37).map(|i| i as f64 / 3.0).collect();
+        for t in [1, 2, 3, 8, 64] {
+            let out = with_threads(t, || par_map_range(37, |i| i as f64 / 3.0));
+            assert_eq!(out, seq, "t={t}");
+        }
+    }
+
+    #[test]
+    fn sequential_path_stays_on_the_calling_thread() {
+        // `threads <= 1` or `len <= 1` must not spawn: every item runs
+        // on the caller, for par_map and par_map_range alike (one path).
+        let me = std::thread::current().id();
+        let here = |_: usize| std::thread::current().id();
+        let items = [0u8; 10];
+        let at_one = with_threads(1, || (par_map(&items, |i, _| here(i)), par_map_range(10, here)));
+        assert!(at_one.0.iter().chain(&at_one.1).all(|&id| id == me));
+        let single = with_threads(8, || (par_map(&items[..1], |i, _| here(i)), par_map_range(1, here)));
+        assert_eq!((single.0, single.1), (vec![me], vec![me]));
     }
 
     #[test]
@@ -873,85 +748,13 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_ordered_is_input_order() {
-        // Float folding order matters; assert it is the chunk order by
-        // using a non-commutative fold.
-        let items: Vec<f64> = (1..=50).map(|i| i as f64).collect();
-        let seq = items
-            .chunks(7)
-            .map(|c| c.iter().sum::<f64>())
-            .fold(None::<f64>, |acc, a| Some(acc.map_or(a, |p| p / 2.0 + a)))
-            .unwrap();
-        let par = with_threads(6, || {
-            par_reduce_ordered(&items, 7, |_, c| c.iter().sum::<f64>(), |p, a| p / 2.0 + a)
-        })
-        .unwrap();
-        assert_eq!(seq.to_bits(), par.to_bits());
-    }
-
-    #[test]
     fn empty_inputs() {
         let none: Vec<u8> = Vec::new();
         assert!(par_map(&none, |_, &x| x).is_empty());
         assert!(par_map_range(0, |i| i).is_empty());
         assert!(par_chunks(&none, 4, |_, c| c.len()).is_empty());
-        assert_eq!(par_reduce_ordered(&none, 4, |_, c| c.len(), |a, b| a + b), None);
         let mut empty: Vec<u8> = Vec::new();
         par_chunks_mut(&mut empty, 4, |_, _, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    fn streaming_folds_in_index_order() {
-        // Non-commutative fold pins the order; identical across thread
-        // counts and window sizes.
-        let run = |t: usize, w: usize| {
-            with_threads(t, || {
-                par_reduce_streaming(37, w, |i| (i as f64) + 1.0, 0.0f64, |a, x| a / 2.0 + x)
-            })
-        };
-        let seq = run(1, 1);
-        for (t, w) in [(2, 1), (4, 3), (8, 16), (3, 64)] {
-            assert_eq!(seq.to_bits(), run(t, w).to_bits(), "t={t} w={w}");
-        }
-    }
-
-    #[test]
-    fn streaming_bounds_outstanding_items() {
-        use std::sync::atomic::{AtomicIsize, Ordering};
-        let live = AtomicIsize::new(0);
-        let peak = AtomicIsize::new(0);
-        let window = 3;
-        let total: usize = with_threads(6, || {
-            par_reduce_streaming(
-                200,
-                window,
-                |i| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    i
-                },
-                0usize,
-                |a, x| {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    a + x
-                },
-            )
-        });
-        assert_eq!(total, 199 * 200 / 2);
-        // In-flight items are bounded by the window plus one per worker
-        // that has claimed-but-not-yet-queued an item.
-        assert!(
-            peak.load(Ordering::SeqCst) <= (window + 6) as isize,
-            "peak {} exceeds window bound",
-            peak.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn streaming_empty_and_sequential() {
-        assert_eq!(par_reduce_streaming(0, 4, |i| i, 7usize, |a, x| a + x), 7);
-        let s = with_threads(1, || par_reduce_streaming(5, 2, |i| i, 0usize, |a, x| a * 10 + x));
-        assert_eq!(s, 1234); // 0,1,2,3,4 folded in order
     }
 
     #[test]
@@ -965,10 +768,48 @@ mod tests {
         assert_eq!(nested, 2);
     }
 
+    /// What a parallel region sees when entered on the current thread:
+    /// the effective count, whether a nested region stayed on this
+    /// thread, and whether an explicit inner override still fans out.
+    fn probe_nested_region() -> (usize, bool, usize, bool) {
+        let me = std::thread::current().id();
+        let here = |_: usize| std::thread::current().id();
+        let inline = par_map_range(8, here).iter().all(|&id| id == me);
+        let (inner_count, inner_forked) = with_threads(3, || {
+            (thread_count(), par_map_range(8, here).iter().all(|&id| id != me))
+        });
+        (thread_count(), inline, inner_count, inner_forked)
+    }
+
     #[test]
-    fn workers_inherit_override() {
-        let counts = with_threads(4, || par_map_range(8, |_| thread_count()));
-        assert!(counts.iter().all(|&c| c == 4), "{counts:?}");
+    fn nested_regions_run_inline_on_the_worker() {
+        let want = (1, true, 3, true);
+        // Fork-join workers (dynamic cursor and static bands).
+        let probes = with_threads(4, || par_map_range(8, |_| probe_nested_region()));
+        assert!(probes.iter().all(|&p| p == want), "{probes:?}");
+        let mut bands = vec![(0, false, 0, false); 8];
+        with_threads(4, || {
+            par_chunks_mut(&mut bands, 1, |_, _, band| band[0] = probe_nested_region());
+        });
+        assert!(bands.iter().all(|&p| p == want), "{bands:?}");
+        // Pool workers: task and exit hook alike, whatever the
+        // submitting thread's override says.
+        let pool = WorkerPool::new(2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        with_threads(4, || {
+            for _ in 0..4 {
+                let (in_task, in_hook) = (Arc::clone(&seen), Arc::clone(&seen));
+                pool.submit_supervised(
+                    &CancelToken::new(),
+                    move || in_task.lock().unwrap().push(probe_nested_region()),
+                    move |_| in_hook.lock().unwrap().push(probe_nested_region()),
+                );
+            }
+        });
+        pool.wait_idle();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 8);
+        assert!(seen.iter().all(|&p| p == want), "{seen:?}");
     }
 
     #[test]
@@ -983,7 +824,7 @@ mod tests {
         let sum = Arc::new(AtomicUsize::new(0));
         for i in 0..100 {
             let sum = Arc::clone(&sum);
-            pool.submit(move || {
+            spawn(&pool, move || {
                 sum.fetch_add(i, Ordering::SeqCst);
             });
         }
@@ -1007,7 +848,7 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         {
             let gate = Arc::clone(&gate);
-            pool.submit(move || {
+            spawn(&pool, move || {
                 let (lock, cv) = &*gate;
                 let mut open = lock.lock().unwrap();
                 while !*open {
@@ -1017,9 +858,10 @@ mod tests {
         }
         for _ in 0..5 {
             let ran = Arc::clone(&ran);
-            pool.submit_cancellable(&token, move || {
+            let task = move || {
                 ran.fetch_add(1, Ordering::SeqCst);
-            });
+            };
+            pool.submit_supervised(&token, task, |o| assert_eq!(o, TaskOutcome::Skipped));
         }
         token.cancel();
         {
@@ -1037,11 +879,11 @@ mod tests {
     #[test]
     fn pool_survives_panicking_task() {
         let pool = WorkerPool::new(1);
-        pool.submit(|| panic!("task boom"));
+        spawn(&pool, || panic!("task boom"));
         let ok = Arc::new(AtomicUsize::new(0));
         {
             let ok = Arc::clone(&ok);
-            pool.submit(move || {
+            spawn(&pool, move || {
                 ok.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -1059,7 +901,7 @@ mod tests {
             let pool = WorkerPool::new(2);
             for _ in 0..20 {
                 let done = Arc::clone(&done);
-                pool.submit(move || {
+                spawn(&pool, move || {
                     done.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -1093,115 +935,62 @@ mod tests {
     }
 
     #[test]
-    fn streaming_producer_panic_does_not_deadlock() {
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                par_reduce_streaming(
-                    100,
-                    3,
-                    |i| {
-                        if i == 5 {
-                            panic!("producer 5 exploded");
-                        }
-                        i
-                    },
-                    0usize,
-                    |a, x| a + x,
-                )
-            })
-        });
-        let payload = caught.expect_err("must propagate the producer panic");
-        assert_eq!(panic_payload_message(payload.as_ref()), "producer 5 exploded");
-    }
-
-    #[test]
-    fn fork_join_propagates_panic_in_the_last_chunk() {
+    fn fork_join_propagates_panic_in_the_first_and_last_chunk() {
         // The final chunk is the regression-prone case: when it
         // panics, every other worker has already drained the cursor
         // and exited cleanly, so the join loop sees exactly one Err —
         // which must still unwind with the original payload instead of
         // being lost among the drained results. Includes n == threads
-        // (one chunk per worker) and n < threads (idle workers).
+        // (one chunk per worker) and n < threads (idle workers). The
+        // first chunk is the mirror case: the other workers are still
+        // busy and must all be joined before the single unwind.
         for (n, t) in [(64usize, 4usize), (4, 4), (2, 8)] {
-            let caught = std::panic::catch_unwind(|| {
-                with_threads(t, || {
-                    par_map_range(n, |i| {
-                        if i == n - 1 {
-                            panic!("last chunk exploded");
-                        }
-                        i
-                    })
-                })
-            });
-            let payload = caught.expect_err("must propagate the last chunk's panic");
-            assert_eq!(
-                panic_payload_message(payload.as_ref()),
-                "last chunk exploded",
-                "n={n} t={t}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_panic_in_the_last_item_does_not_deadlock() {
-        // When index n-1 panics, every earlier item has been produced
-        // and may already be folded, so no further `done` insert will
-        // ever signal `item`: the poison latch alone must wake the
-        // consumer blocked on the last item AND any worker parked on
-        // the window, or the scope join hangs forever. Window 1 is the
-        // tightest case (the panicking claim waits for the fold of
-        // n-2); a window past n means no worker ever parks.
-        for (t, w) in [(2usize, 1usize), (4, 3), (4, 64), (8, 2)] {
-            let n = 37;
-            let caught = std::panic::catch_unwind(|| {
-                with_threads(t, || {
-                    par_reduce_streaming(
-                        n,
-                        w,
-                        |i| {
-                            if i == n - 1 {
-                                panic!("last producer exploded");
+            for bad in [0, n - 1] {
+                let caught = std::panic::catch_unwind(|| {
+                    with_threads(t, || {
+                        par_map_range(n, |i| {
+                            if i == bad {
+                                panic!("chunk exploded");
                             }
                             i
-                        },
-                        0usize,
-                        |a, x| a + x,
-                    )
-                })
-            });
-            let payload = caught.expect_err("must propagate the last producer's panic");
-            assert_eq!(
-                panic_payload_message(payload.as_ref()),
-                "last producer exploded",
-                "t={t} w={w}"
-            );
+                        })
+                    })
+                });
+                let payload = caught.expect_err("must propagate the chunk's panic");
+                assert_eq!(
+                    panic_payload_message(payload.as_ref()),
+                    "chunk exploded",
+                    "n={n} t={t} bad={bad}"
+                );
+            }
         }
     }
 
     #[test]
-    fn streaming_panic_with_more_workers_than_items() {
-        // n=2 with a 4-thread pool spawns min(4, 2) workers; index 1 —
-        // the last item — panics after index 0 was folded (window 1
-        // forces that ordering). The consumer is already waiting on
-        // item 1 when the poison lands.
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                par_reduce_streaming(
-                    2,
-                    1,
-                    |i| {
-                        if i == 1 {
-                            panic!("tail boom");
-                        }
-                        i
-                    },
-                    0usize,
-                    |a, x| a + x,
-                )
-            })
-        });
-        let payload = caught.expect_err("must propagate the tail panic");
-        assert_eq!(panic_payload_message(payload.as_ref()), "tail boom");
+    fn par_chunks_mut_propagates_the_band_panic_at_any_thread_count() {
+        // The tile supervisor renders this payload into retry events,
+        // so the text must not depend on the thread count: the worker's
+        // own message, never the scope's "a scoped thread panicked".
+        for t in [1usize, 4] {
+            for bad in [0usize, 3, 9] {
+                let mut data = vec![0u8; 100];
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    with_threads(t, || {
+                        par_chunks_mut(&mut data, 10, |ci, _, _| {
+                            if ci == bad {
+                                panic!("band exploded");
+                            }
+                        })
+                    })
+                }));
+                let payload = caught.expect_err("must propagate the band's panic");
+                assert_eq!(
+                    panic_payload_message(payload.as_ref()),
+                    "band exploded",
+                    "t={t} bad={bad}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1304,11 +1093,12 @@ mod tests {
         pool.wait_idle();
         assert_eq!(*hooks.lock().unwrap(), 3);
         assert_eq!(pool.sequenced_held(), 0);
-        // Plain submissions bypass the reorder buffer entirely (the
-        // path retries take: they must not wait behind future grants).
+        // Unsequenced submissions bypass the reorder buffer entirely
+        // (the path retries take: they must not wait behind future
+        // grants).
         let ran = Arc::new(Mutex::new(false));
         let ran2 = Arc::clone(&ran);
-        pool.submit(move || *ran2.lock().unwrap() = true);
+        spawn(&pool, move || *ran2.lock().unwrap() = true);
         pool.wait_idle();
         assert!(*ran.lock().unwrap());
     }

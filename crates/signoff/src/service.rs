@@ -127,7 +127,9 @@ impl SupervisionPolicy {
 
 /// Full construction-time configuration of a [`SignoffService`].
 pub struct ServiceConfig {
-    /// Worker-pool threads.
+    /// Worker-pool threads — all of the service's compute threads: tiles
+    /// are the parallel unit, and an engine region a tile task enters
+    /// runs inline on its worker (`dfm-par`'s one-level policy).
     pub threads: usize,
     /// Checkpoint root (None disables persistence).
     pub ckpt_root: Option<PathBuf>,
@@ -185,7 +187,7 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// Worker-pool threads.
+    /// Worker-pool threads (all of the service's compute threads).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
