@@ -1,11 +1,21 @@
 //! Wire plumbing: a JSON parser over [`dfm_bench::json::JsonValue`],
-//! bounded line framing, hex payload transport, and the FNV-1a digest
-//! the checkpoint files and report digests share.
+//! the field reader every protocol and spec decoder goes through
+//! (`Fields`, with its `Field` types and the enum ↔ wire-name table
+//! helpers), bounded line framing, hex payload transport, and the
+//! FNV-1a digest the checkpoint files and report digests share.
 //!
 //! The parser is the read half of the workspace's hand-rolled JSON
 //! story (the write half lives in [`dfm_bench::json`]). It is total:
 //! any byte soup returns `Err`, never a panic — fuzzed in the wire
 //! protocol tests.
+//!
+//! The field reader holds the wire layer's one rule: a *required*
+//! field that is absent, `null` or mistyped is an error naming the
+//! context, type and key; an *optional* field that is absent or `null`
+//! takes its default and is an error when present but mistyped;
+//! integers are exactly integral, at most 2⁵³ in magnitude (every
+//! integer an f64 carries exactly) and range-checked into the target
+//! type; keys no decoder asks for are ignored.
 
 use dfm_bench::json::JsonValue;
 use std::io::BufRead;
@@ -233,6 +243,160 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// Largest integer magnitude a wire number may carry: 2⁵³, up to which
+/// an f64 holds every integer exactly.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// The wire layer's one field reader: a borrowed view of one JSON
+/// object plus the context name its diagnostics carry. Every protocol
+/// and spec field is decoded through [`Fields::req`], [`Fields::opt`]
+/// or [`Fields::nullable`], so what an absent, `null`, mistyped or
+/// too-large field means is decided here and nowhere else. Keys the
+/// decoder never asks for are ignored.
+pub(crate) struct Fields<'a> {
+    ctx: &'a str,
+    obj: &'a JsonValue,
+}
+
+impl<'a> Fields<'a> {
+    /// Views `v`, which must be an object, as the fields of `ctx`.
+    pub(crate) fn of(v: &'a JsonValue, ctx: &'a str) -> Result<Fields<'a>, String> {
+        match v {
+            JsonValue::Obj(_) => Ok(Fields { ctx, obj: v }),
+            _ => Err(format!("{ctx} must be a JSON object")),
+        }
+    }
+
+    /// An optional field: absent or `null` is `None`; anything that is
+    /// not a well-formed `T` is an error, never a silent default.
+    pub(crate) fn opt<T: Field<'a>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.obj.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => T::read(v).map(Some).ok_or_else(|| self.needs::<T>(key)),
+        }
+    }
+
+    /// A required field: absent, `null` or mistyped is an error.
+    pub(crate) fn req<T: Field<'a>>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| self.needs::<T>(key))
+    }
+
+    /// An optional field whose `null` is a value of its own (the
+    /// spec's layers, where `null` says "no layer" and absent says
+    /// "the default layer"): absent is `None`, `null` is `Some(None)`.
+    pub(crate) fn nullable<T: Field<'a>>(&self, key: &str) -> Result<Option<Option<T>>, String> {
+        match self.obj.get(key) {
+            Some(JsonValue::Null) => Ok(Some(None)),
+            _ => Ok(self.opt(key)?.map(Some)),
+        }
+    }
+
+    fn needs<T: Field<'a>>(&self, key: &str) -> String {
+        format!("{} needs {} \"{key}\"", self.ctx, T::TYPE)
+    }
+}
+
+/// A type [`Fields`] can read out of one JSON value.
+pub(crate) trait Field<'a>: Sized {
+    /// How diagnostics name the type, article included.
+    const TYPE: &'static str;
+    /// `None` when `v` is not a well-formed `Self`.
+    fn read(v: &'a JsonValue) -> Option<Self>;
+}
+
+impl<'a> Field<'a> for bool {
+    const TYPE: &'static str = "a boolean";
+    fn read(v: &'a JsonValue) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl<'a> Field<'a> for &'a str {
+    const TYPE: &'static str = "a string";
+    fn read(v: &'a JsonValue) -> Option<&'a str> {
+        v.as_str()
+    }
+}
+
+impl<'a> Field<'a> for String {
+    const TYPE: &'static str = "a string";
+    fn read(v: &'a JsonValue) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// Integers: exactly integral, at most 2⁵³ in magnitude, and in the
+/// target type's range — the wire layer's only integer check.
+macro_rules! int_field {
+    ($($t:ty => $name:literal),*) => {$(
+        impl<'a> Field<'a> for $t {
+            const TYPE: &'static str = $name;
+            fn read(v: &'a JsonValue) -> Option<$t> {
+                let n = v.as_f64()?;
+                if n.fract() != 0.0 || n.abs() > MAX_EXACT_INT {
+                    return None;
+                }
+                <$t>::try_from(n as i64).ok()
+            }
+        }
+    )*};
+}
+int_field!(
+    i64 => "an integer",
+    u64 => "a non-negative integer",
+    usize => "a non-negative integer",
+    u8 => "an integer in 0..=255"
+);
+
+/// An exact u64 shipped as a decimal string ([`JsonValue::u64_str`]):
+/// score bits exceed the integers a JSON number carries exactly.
+pub(crate) struct U64Str(pub(crate) u64);
+
+impl<'a> Field<'a> for U64Str {
+    const TYPE: &'static str = "a u64 decimal string";
+    fn read(v: &'a JsonValue) -> Option<U64Str> {
+        v.as_str()?.parse().ok().map(U64Str)
+    }
+}
+
+/// A nested object, handed on to that object's own decoder.
+impl<'a> Field<'a> for &'a JsonValue {
+    const TYPE: &'static str = "an object";
+    fn read(v: &'a JsonValue) -> Option<&'a JsonValue> {
+        matches!(v, JsonValue::Obj(_)).then_some(v)
+    }
+}
+
+/// An array whose every element is a well-formed `T`.
+impl<'a, T: Field<'a>> Field<'a> for Vec<T> {
+    const TYPE: &'static str = "an array";
+    fn read(v: &'a JsonValue) -> Option<Vec<T>> {
+        v.as_arr()?.iter().map(T::read).collect()
+    }
+}
+
+/// A half-open `[lo, hi]` tile range.
+impl<'a> Field<'a> for (usize, usize) {
+    const TYPE: &'static str = "a [lo, hi] pair";
+    fn read(v: &'a JsonValue) -> Option<(usize, usize)> {
+        match v.as_arr()? {
+            [lo, hi] => usize::read(lo).zip(usize::read(hi)),
+            _ => None,
+        }
+    }
+}
+
+/// The wire name of `v` in an enum ↔ name table; [`by_name`] reads the
+/// same table the other way, so each name is written once.
+pub(crate) fn name_of<T: PartialEq>(table: &[(T, &'static str)], v: &T) -> &'static str {
+    table.iter().find(|(t, _)| t == v).expect("every variant is in its wire-name table").1
+}
+
+/// The variant a wire name stands for in an enum ↔ name table.
+pub(crate) fn by_name<T: Copy>(table: &[(T, &'static str)], name: &str) -> Option<T> {
+    table.iter().find(|(_, n)| *n == name).map(|(t, _)| *t)
 }
 
 /// Reads one `\n`-terminated frame, rejecting lines longer than

@@ -17,14 +17,24 @@
 //! kind.
 //!
 //! Both directions are implemented symmetrically (`to_json` and
-//! `parse`) so the test suite can round-trip every frame kind.
+//! `parse`) so the test suite can round-trip every frame kind. Every
+//! field is decoded through the one reader in [`crate::codec`], which
+//! owns the rule for absent, `null`, mistyped and too-large values.
 
-use crate::codec::{from_hex, parse_json, to_hex};
+use crate::codec::{by_name, from_hex, name_of, parse_json, to_hex, Field, Fields, U64Str};
 use crate::sched::Rejection;
 use crate::service::{JobEvent, JobEventKind, JobState, JobStatus};
 use crate::shard::{ShardGrant, TileCacheMark, TileOutcome, TileOutcomeKind, TileRetry};
-use crate::spec::{json_i64, JobSpec};
+use crate::spec::{JobSpec, DEFAULT_TENANT};
 use dfm_bench::json::JsonValue;
+
+/// An integer on the render side (every wire integer is at most 2⁵³,
+/// so the f64 carries it exactly).
+macro_rules! num {
+    ($n:expr) => {
+        JsonValue::Num($n as f64)
+    };
+}
 
 /// The protocol version this build speaks natively.
 pub const PROTO_VERSION: u64 = 2;
@@ -56,14 +66,12 @@ impl ErrorObj {
     /// Renders the `error` payload (`retry_after_vms` is omitted when
     /// absent).
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("code".to_string(), JsonValue::str(&self.code)),
-            ("message".to_string(), JsonValue::str(&self.message)),
+        let head = [
+            ("code", JsonValue::str(&self.code)),
+            ("message", JsonValue::str(&self.message)),
         ];
-        if let Some(vms) = self.retry_after_vms {
-            fields.push(("retry_after_vms".to_string(), JsonValue::Num(vms as f64)));
-        }
-        JsonValue::Obj(fields)
+        let hint = self.retry_after_vms.map(|vms| ("retry_after_vms", num!(vms)));
+        JsonValue::obj(head.into_iter().chain(hint))
     }
 
     /// Parses an `error` payload field-by-field.
@@ -72,21 +80,12 @@ impl ErrorObj {
     ///
     /// A diagnostic when the value is not a well-formed error object.
     pub fn from_json(v: &JsonValue) -> Result<ErrorObj, String> {
-        let code = v
-            .get("code")
-            .and_then(JsonValue::as_str)
-            .ok_or("error object needs a string \"code\"")?
-            .to_string();
-        let message = v
-            .get("message")
-            .and_then(JsonValue::as_str)
-            .ok_or("error object needs a string \"message\"")?
-            .to_string();
-        let retry_after_vms = match v.get("retry_after_vms") {
-            None | Some(JsonValue::Null) => None,
-            Some(n) => Some(field_u64(n, "retry_after_vms")?),
-        };
-        Ok(ErrorObj { code, message, retry_after_vms })
+        let f = Fields::of(v, "error object")?;
+        Ok(ErrorObj {
+            code: f.req("code")?,
+            message: f.req("message")?,
+            retry_after_vms: f.opt("retry_after_vms")?,
+        })
     }
 }
 
@@ -214,89 +213,54 @@ pub enum Request {
 }
 
 impl Request {
-    /// Renders the request frame: a leading `"v"` field, then the
-    /// body.
+    /// Renders the request frame: `"v"`, `"cmd"`, then the body.
     pub fn to_json(&self) -> JsonValue {
-        let body = match self {
-            Request::Ping => JsonValue::obj([("cmd", JsonValue::str("ping"))]),
+        let job_only = |cmd, job: &u64| (cmd, vec![("job", num!(*job))]);
+        let (cmd, body) = match self {
+            Request::Ping => ("ping", vec![]),
             Request::Submit { spec, gds, idem } => {
-                let mut fields = vec![
-                    ("cmd".to_string(), JsonValue::str("submit")),
-                    ("spec".to_string(), spec.to_json()),
-                    ("gds_hex".to_string(), JsonValue::str(to_hex(gds))),
-                ];
-                if let Some(key) = idem {
-                    fields.push(("idem".to_string(), JsonValue::str(key)));
-                }
-                JsonValue::Obj(fields)
+                let mut body =
+                    vec![("spec", spec.to_json()), ("gds_hex", JsonValue::str(to_hex(gds)))];
+                body.extend(idem.iter().map(|key| ("idem", JsonValue::str(key))));
+                ("submit", body)
             }
-            Request::Status { job } => JsonValue::obj([
-                ("cmd", JsonValue::str("status")),
-                ("job", JsonValue::Num(*job as f64)),
-            ]),
-            Request::Events { job, since } => JsonValue::obj([
-                ("cmd", JsonValue::str("events")),
-                ("job", JsonValue::Num(*job as f64)),
-                ("since", JsonValue::Num(*since as f64)),
-            ]),
-            Request::Results { job, partial } => JsonValue::obj([
-                ("cmd", JsonValue::str("results")),
-                ("job", JsonValue::Num(*job as f64)),
-                ("partial", JsonValue::Bool(*partial)),
-            ]),
-            Request::Score { job } => JsonValue::obj([
-                ("cmd", JsonValue::str("score")),
-                ("job", JsonValue::Num(*job as f64)),
-            ]),
-            Request::Cancel { job } => JsonValue::obj([
-                ("cmd", JsonValue::str("cancel")),
-                ("job", JsonValue::Num(*job as f64)),
-            ]),
-            Request::Resume { job } => JsonValue::obj([
-                ("cmd", JsonValue::str("resume")),
-                ("job", JsonValue::Num(*job as f64)),
-            ]),
-            Request::List => JsonValue::obj([("cmd", JsonValue::str("list"))]),
-            Request::Shutdown { drain } => {
-                let mut fields = vec![("cmd".to_string(), JsonValue::str("shutdown"))];
-                if *drain {
-                    fields.push(("drain".to_string(), JsonValue::Bool(true)));
-                }
-                JsonValue::Obj(fields)
+            Request::Status { job } => job_only("status", job),
+            Request::Events { job, since } => {
+                ("events", vec![("job", num!(*job)), ("since", num!(*since))])
+            }
+            Request::Results { job, partial } => {
+                ("results", vec![("job", num!(*job)), ("partial", JsonValue::Bool(*partial))])
+            }
+            Request::Score { job } => job_only("score", job),
+            Request::Cancel { job } => job_only("cancel", job),
+            Request::Resume { job } => job_only("resume", job),
+            Request::List => ("list", vec![]),
+            Request::Shutdown { drain: false } => ("shutdown", vec![]),
+            Request::Shutdown { drain: true } => {
+                ("shutdown", vec![("drain", JsonValue::Bool(true))])
             }
             Request::ShardDispatch { coord, origin, gen, spec, gds, ranges } => {
-                let mut fields = vec![
-                    ("cmd".to_string(), JsonValue::str("shard.dispatch")),
-                    ("coord".to_string(), JsonValue::Num(*coord as f64)),
-                    ("origin".to_string(), JsonValue::Num(*origin as f64)),
-                    ("gen".to_string(), JsonValue::Num(*gen as f64)),
-                    ("spec".to_string(), spec.to_json()),
-                    ("gds_hex".to_string(), JsonValue::str(to_hex(gds))),
+                let mut body = vec![
+                    ("coord", num!(*coord)),
+                    ("origin", num!(*origin)),
+                    ("gen", num!(*gen)),
+                    ("spec", spec.to_json()),
+                    ("gds_hex", JsonValue::str(to_hex(gds))),
                 ];
-                if let Some(ranges) = ranges {
-                    fields.push(("ranges".to_string(), ranges_to_json(ranges)));
-                }
-                JsonValue::Obj(fields)
+                body.extend(ranges.iter().map(|r| ("ranges", ranges_to_json(r))));
+                ("shard.dispatch", body)
             }
-            Request::ShardAttach { coord, origin, gen } => JsonValue::obj([
-                ("cmd", JsonValue::str("shard.attach")),
-                ("coord", JsonValue::Num(*coord as f64)),
-                ("origin", JsonValue::Num(*origin as f64)),
-                ("gen", JsonValue::Num(*gen as f64)),
-            ]),
-            Request::ShardPull { job, since } => JsonValue::obj([
-                ("cmd", JsonValue::str("shard.pull")),
-                ("job", JsonValue::Num(*job as f64)),
-                ("since", JsonValue::Num(*since as f64)),
-            ]),
-            Request::ShardHeartbeat { job } => JsonValue::obj([
-                ("cmd", JsonValue::str("shard.heartbeat")),
-                ("job", JsonValue::Num(*job as f64)),
-            ]),
+            Request::ShardAttach { coord, origin, gen } => (
+                "shard.attach",
+                vec![("coord", num!(*coord)), ("origin", num!(*origin)), ("gen", num!(*gen))],
+            ),
+            Request::ShardPull { job, since } => {
+                ("shard.pull", vec![("job", num!(*job)), ("since", num!(*since))])
+            }
+            Request::ShardHeartbeat { job } => job_only("shard.heartbeat", job),
         };
-        let JsonValue::Obj(mut fields) = body else { return body };
-        fields.insert(0, ("v".to_string(), JsonValue::Num(PROTO_VERSION as f64)));
-        JsonValue::Obj(fields)
+        let head = [("v", num!(PROTO_VERSION)), ("cmd", JsonValue::str(cmd))];
+        JsonValue::obj(head.into_iter().chain(body))
     }
 
     /// Parses one request line.
@@ -304,110 +268,66 @@ impl Request {
     /// # Errors
     ///
     /// The [`ErrorObj`] to answer with: code `"unsupported_version"`
-    /// for well-formed JSON whose `"v"` is absent or not
-    /// [`PROTO_VERSION`], `"bad_request"` for malformed JSON, an
-    /// unknown `cmd`, or a missing or mistyped field. Never panics,
-    /// whatever the bytes.
+    /// for a JSON object whose `"v"` is absent or not
+    /// [`PROTO_VERSION`], `"bad_request"` for malformed JSON, a frame
+    /// that is not an object, an unknown `cmd`, or a missing or
+    /// mistyped field. Never panics, whatever the bytes.
     pub fn parse(line: &str) -> Result<Request, ErrorObj> {
-        let v = parse_json(line).map_err(|e| ErrorObj::coded("bad_request", e))?;
-        if v.get("v").and_then(|n| field_u64(n, "v").ok()) != Some(PROTO_VERSION) {
-            let got = v.get("v").map_or("none".to_string(), JsonValue::render);
-            let message = format!(
-                "unsupported protocol version {got}: send \"v\":{PROTO_VERSION} on every frame"
-            );
-            return Err(ErrorObj::coded("unsupported_version", message));
-        }
-        Request::from_json(&v).map_err(|e| ErrorObj::coded("bad_request", e))
+        let bad = |e| ErrorObj::coded("bad_request", e);
+        let v = parse_json(line).map_err(bad)?;
+        let f = Fields::of(&v, "request").map_err(bad)?;
+        let got = match f.opt::<u64>("v") {
+            Ok(Some(PROTO_VERSION)) => return Request::from_fields(&f).map_err(bad),
+            Ok(Some(other)) => other.to_string(),
+            Ok(None) => "none".to_string(),
+            Err(mistyped) => format!("({mistyped})"),
+        };
+        let message = format!(
+            "unsupported protocol version {got}: send \"v\":{PROTO_VERSION} on every frame"
+        );
+        Err(ErrorObj::coded("unsupported_version", message))
     }
 
-    fn from_json(v: &JsonValue) -> Result<Request, String> {
-        let cmd = v
-            .get("cmd")
-            .and_then(JsonValue::as_str)
-            .ok_or("request needs a string \"cmd\" field")?;
-        match cmd {
-            "ping" => Ok(Request::Ping),
-            "submit" => {
-                let spec =
-                    JobSpec::from_json(v.get("spec").ok_or("submit needs a \"spec\" object")?)?;
-                let hex = v
-                    .get("gds_hex")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("submit needs a \"gds_hex\" string")?;
-                let idem = match v.get("idem") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(k) => Some(
-                        k.as_str()
-                            .ok_or("submit \"idem\" must be a string")?
-                            .to_string(),
-                    ),
-                };
-                Ok(Request::Submit { spec, gds: from_hex(hex)?, idem })
+    fn from_fields(f: &Fields) -> Result<Request, String> {
+        Ok(match f.req("cmd")? {
+            "ping" => Request::Ping,
+            "submit" => Request::Submit {
+                spec: JobSpec::from_json(f.req("spec")?)?,
+                gds: from_hex(f.req("gds_hex")?)?,
+                idem: f.opt("idem")?,
+            },
+            "status" => Request::Status { job: f.req("job")? },
+            "events" => {
+                Request::Events { job: f.req("job")?, since: f.opt("since")?.unwrap_or(0) }
             }
-            "status" => Ok(Request::Status { job: job_id(v)? }),
-            "events" => Ok(Request::Events {
-                job: job_id(v)?,
-                since: v.get("since").map_or(Ok(0), |s| field_u64(s, "since"))?,
-            }),
-            "results" => Ok(Request::Results {
-                job: job_id(v)?,
-                partial: v.get("partial").and_then(JsonValue::as_bool).unwrap_or(false),
-            }),
-            "score" => Ok(Request::Score { job: job_id(v)? }),
-            "cancel" => Ok(Request::Cancel { job: job_id(v)? }),
-            "resume" => Ok(Request::Resume { job: job_id(v)? }),
-            "list" => Ok(Request::List),
-            "shutdown" => Ok(Request::Shutdown {
-                drain: match v.get("drain") {
-                    None | Some(JsonValue::Null) => false,
-                    Some(d) => d.as_bool().ok_or("shutdown \"drain\" must be a boolean")?,
-                },
-            }),
-            "shard.dispatch" => {
-                let spec = JobSpec::from_json(
-                    v.get("spec").ok_or("shard.dispatch needs a \"spec\" object")?,
-                )?;
-                let hex = v
-                    .get("gds_hex")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("shard.dispatch needs a \"gds_hex\" string")?;
-                let ranges = match v.get("ranges") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(r) => Some(ranges_from_json(r)?),
-                };
-                Ok(Request::ShardDispatch {
-                    coord: field_u64(
-                        v.get("coord").ok_or("shard.dispatch needs a \"coord\"")?,
-                        "coord",
-                    )?,
-                    origin: field_u64(
-                        v.get("origin").ok_or("shard.dispatch needs an \"origin\"")?,
-                        "origin",
-                    )?,
-                    gen: field_u64(v.get("gen").ok_or("shard.dispatch needs a \"gen\"")?, "gen")?,
-                    spec,
-                    gds: from_hex(hex)?,
-                    ranges,
-                })
+            "results" => Request::Results {
+                job: f.req("job")?,
+                partial: f.opt("partial")?.unwrap_or(false),
+            },
+            "score" => Request::Score { job: f.req("job")? },
+            "cancel" => Request::Cancel { job: f.req("job")? },
+            "resume" => Request::Resume { job: f.req("job")? },
+            "list" => Request::List,
+            "shutdown" => Request::Shutdown { drain: f.opt("drain")?.unwrap_or(false) },
+            "shard.dispatch" => Request::ShardDispatch {
+                coord: f.req("coord")?,
+                origin: f.req("origin")?,
+                gen: f.req("gen")?,
+                spec: JobSpec::from_json(f.req("spec")?)?,
+                gds: from_hex(f.req("gds_hex")?)?,
+                ranges: f.opt("ranges")?,
+            },
+            "shard.attach" => Request::ShardAttach {
+                coord: f.req("coord")?,
+                origin: f.req("origin")?,
+                gen: f.req("gen")?,
+            },
+            "shard.pull" => {
+                Request::ShardPull { job: f.req("job")?, since: f.opt("since")?.unwrap_or(0) }
             }
-            "shard.attach" => Ok(Request::ShardAttach {
-                coord: field_u64(
-                    v.get("coord").ok_or("shard.attach needs a \"coord\"")?,
-                    "coord",
-                )?,
-                origin: field_u64(
-                    v.get("origin").ok_or("shard.attach needs an \"origin\"")?,
-                    "origin",
-                )?,
-                gen: field_u64(v.get("gen").ok_or("shard.attach needs a \"gen\"")?, "gen")?,
-            }),
-            "shard.pull" => Ok(Request::ShardPull {
-                job: job_id(v)?,
-                since: v.get("since").map_or(Ok(0), |s| field_u64(s, "since"))?,
-            }),
-            "shard.heartbeat" => Ok(Request::ShardHeartbeat { job: job_id(v)? }),
-            other => Err(format!("unknown cmd '{other}'")),
-        }
+            "shard.heartbeat" => Request::ShardHeartbeat { job: f.req("job")? },
+            other => return Err(format!("unknown cmd '{other}'")),
+        })
     }
 }
 
@@ -490,65 +410,48 @@ impl Response {
     /// Renders the response frame: `"v"`, `"ok"`, then the payload (or
     /// the [`ErrorObj`]).
     pub fn to_json(&self) -> JsonValue {
-        let frame = |ok: bool, fields: Vec<(String, JsonValue)>| {
-            let mut all = vec![
-                ("v".to_string(), JsonValue::Num(PROTO_VERSION as f64)),
-                ("ok".to_string(), JsonValue::Bool(ok)),
-            ];
-            all.extend(fields);
-            JsonValue::Obj(all)
+        let body = match self {
+            Response::Pong => vec![("pong", JsonValue::Bool(true))],
+            Response::Submitted { job } => vec![("job", num!(*job))],
+            Response::Status(status) => vec![("status", status_to_json(status))],
+            Response::Events { events, next_seq } => vec![
+                ("events", JsonValue::Arr(events.iter().map(event_to_json).collect())),
+                ("next_seq", num!(*next_seq)),
+            ],
+            Response::Results { status, report_text } => vec![
+                ("status", status_to_json(status)),
+                ("report_text", JsonValue::str(report_text)),
+            ],
+            Response::Score { status, score_json } => vec![
+                ("status", status_to_json(status)),
+                ("score_json", JsonValue::str(score_json)),
+            ],
+            Response::List { jobs } => {
+                vec![("jobs", JsonValue::Arr(jobs.iter().map(status_to_json).collect()))]
+            }
+            Response::ShuttingDown => vec![("shutting_down", JsonValue::Bool(true))],
+            Response::ShardDispatched { grant } => vec![
+                ("job", num!(grant.job)),
+                ("total", num!(grant.total)),
+                ("ranges", ranges_to_json(&grant.ranges)),
+                ("attached", JsonValue::Bool(grant.attached)),
+            ],
+            Response::ShardOutcomes { outcomes, next, settled, draining } => vec![
+                ("outcomes", JsonValue::Arr(outcomes.iter().map(outcome_to_json).collect())),
+                ("next", num!(*next)),
+                ("settled", JsonValue::Bool(*settled)),
+                ("draining", JsonValue::Bool(*draining)),
+            ],
+            Response::ShardAlive { settled, draining } => vec![
+                ("alive", JsonValue::Bool(true)),
+                ("settled", JsonValue::Bool(*settled)),
+                ("draining", JsonValue::Bool(*draining)),
+            ],
+            Response::Error { error } => vec![("error", error.to_json())],
         };
-        let ok = |fields| frame(true, fields);
-        match self {
-            Response::Pong => ok(vec![("pong".to_string(), JsonValue::Bool(true))]),
-            Response::Submitted { job } => {
-                ok(vec![("job".to_string(), JsonValue::Num(*job as f64))])
-            }
-            Response::Status(status) => ok(vec![("status".to_string(), status_to_json(status))]),
-            Response::Events { events, next_seq } => ok(vec![
-                (
-                    "events".to_string(),
-                    JsonValue::Arr(events.iter().map(event_to_json).collect()),
-                ),
-                ("next_seq".to_string(), JsonValue::Num(*next_seq as f64)),
-            ]),
-            Response::Results { status, report_text } => ok(vec![
-                ("status".to_string(), status_to_json(status)),
-                ("report_text".to_string(), JsonValue::str(report_text)),
-            ]),
-            Response::Score { status, score_json } => ok(vec![
-                ("status".to_string(), status_to_json(status)),
-                ("score_json".to_string(), JsonValue::str(score_json)),
-            ]),
-            Response::List { jobs } => ok(vec![(
-                "jobs".to_string(),
-                JsonValue::Arr(jobs.iter().map(status_to_json).collect()),
-            )]),
-            Response::ShuttingDown => {
-                ok(vec![("shutting_down".to_string(), JsonValue::Bool(true))])
-            }
-            Response::ShardDispatched { grant } => ok(vec![
-                ("job".to_string(), JsonValue::Num(grant.job as f64)),
-                ("total".to_string(), JsonValue::Num(grant.total as f64)),
-                ("ranges".to_string(), ranges_to_json(&grant.ranges)),
-                ("attached".to_string(), JsonValue::Bool(grant.attached)),
-            ]),
-            Response::ShardOutcomes { outcomes, next, settled, draining } => ok(vec![
-                (
-                    "outcomes".to_string(),
-                    JsonValue::Arr(outcomes.iter().map(outcome_to_json).collect()),
-                ),
-                ("next".to_string(), JsonValue::Num(*next as f64)),
-                ("settled".to_string(), JsonValue::Bool(*settled)),
-                ("draining".to_string(), JsonValue::Bool(*draining)),
-            ]),
-            Response::ShardAlive { settled, draining } => ok(vec![
-                ("alive".to_string(), JsonValue::Bool(true)),
-                ("settled".to_string(), JsonValue::Bool(*settled)),
-                ("draining".to_string(), JsonValue::Bool(*draining)),
-            ]),
-            Response::Error { error } => frame(false, vec![("error".to_string(), error.to_json())]),
-        }
+        let ok = !matches!(self, Response::Error { .. });
+        let head = [("v", num!(PROTO_VERSION)), ("ok", JsonValue::Bool(ok))];
+        JsonValue::obj(head.into_iter().chain(body))
     }
 
     /// Parses one response line.
@@ -559,479 +462,270 @@ impl Response {
     /// Never panics, whatever the bytes.
     pub fn parse(line: &str) -> Result<Response, String> {
         let v = parse_json(line)?;
-        let ok = v
-            .get("ok")
-            .and_then(JsonValue::as_bool)
-            .ok_or("response needs a boolean \"ok\" field")?;
-        if !ok {
-            let error = v.get("error").ok_or("error response needs an \"error\" field")?;
-            return Ok(Response::Error { error: ErrorObj::from_json(error)? });
+        let f = Fields::of(&v, "response")?;
+        if !f.req::<bool>("ok")? {
+            return Ok(Response::Error { error: ErrorObj::from_json(f.req("error")?)? });
         }
-        if v.get("pong").is_some() {
-            return Ok(Response::Pong);
-        }
-        if v.get("shutting_down").is_some() {
-            return Ok(Response::ShuttingDown);
-        }
-        // Shard frames are keyed on fields no legacy frame carries —
-        // checked before "events"/"job", which they would also match.
-        if v.get("alive").is_some() {
-            return Ok(Response::ShardAlive {
-                settled: v
-                    .get("settled")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("heartbeat ack needs a boolean \"settled\"")?,
-                draining: v
-                    .get("draining")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("heartbeat ack needs a boolean \"draining\"")?,
-            });
-        }
-        if v.get("attached").is_some() {
-            let ranges =
-                ranges_from_json(v.get("ranges").ok_or("shard grant needs \"ranges\"")?)?;
-            return Ok(Response::ShardDispatched {
+        // A success frame is recognised by the first payload key it
+        // carries. Shard frames are keyed on fields no other frame has
+        // and go before "events"/"job", which they would also match.
+        Ok(if f.opt::<bool>("pong")?.is_some() {
+            Response::Pong
+        } else if f.opt::<bool>("shutting_down")?.is_some() {
+            Response::ShuttingDown
+        } else if f.opt::<bool>("alive")?.is_some() {
+            Response::ShardAlive { settled: f.req("settled")?, draining: f.req("draining")? }
+        } else if let Some(attached) = f.opt("attached")? {
+            Response::ShardDispatched {
                 grant: ShardGrant {
-                    job: field_u64(v.get("job").ok_or("shard grant needs \"job\"")?, "job")?,
-                    total: field_u64(v.get("total").ok_or("shard grant needs \"total\"")?, "total")?
-                        as usize,
-                    ranges,
-                    attached: v
-                        .get("attached")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or("\"attached\" must be a boolean")?,
+                    job: f.req("job")?,
+                    total: f.req("total")?,
+                    ranges: f.req("ranges")?,
+                    attached,
                 },
-            });
-        }
-        if let Some(outcomes) = v.get("outcomes") {
-            let arr = outcomes.as_arr().ok_or("\"outcomes\" must be an array")?;
-            let outcomes = arr.iter().map(outcome_from_json).collect::<Result<_, _>>()?;
-            return Ok(Response::ShardOutcomes {
-                outcomes,
-                next: v.get("next").map_or(Ok(0), |n| field_u64(n, "next"))?,
-                settled: v
-                    .get("settled")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("shard outcomes need a boolean \"settled\"")?,
+            }
+        } else if let Some(outcomes) = f.opt("outcomes")? {
+            Response::ShardOutcomes {
+                outcomes: each(outcomes, outcome_from_json)?,
+                next: f.opt("next")?.unwrap_or(0),
+                settled: f.req("settled")?,
                 // Absent means false: a pre-drain server never drains.
-                draining: match v.get("draining") {
-                    None | Some(JsonValue::Null) => false,
-                    Some(d) => d
-                        .as_bool()
-                        .ok_or("shard outcomes \"draining\" must be a boolean")?,
-                },
-            });
-        }
-        if let Some(events) = v.get("events") {
-            let arr = events.as_arr().ok_or("\"events\" must be an array")?;
-            let events = arr.iter().map(event_from_json).collect::<Result<_, _>>()?;
-            let next_seq = v
-                .get("next_seq")
-                .map_or(Ok(0), |s| field_u64(s, "next_seq"))?;
-            return Ok(Response::Events { events, next_seq });
-        }
-        if let Some(report_text) = v.get("report_text") {
-            let report_text =
-                report_text.as_str().ok_or("\"report_text\" must be a string")?.to_string();
-            let status =
-                status_from_json(v.get("status").ok_or("results response needs \"status\"")?)?;
-            return Ok(Response::Results { status, report_text });
-        }
-        if let Some(score_json) = v.get("score_json") {
-            let score_json =
-                score_json.as_str().ok_or("\"score_json\" must be a string")?.to_string();
-            let status =
-                status_from_json(v.get("status").ok_or("score response needs \"status\"")?)?;
-            return Ok(Response::Score { status, score_json });
-        }
-        if let Some(status) = v.get("status") {
-            return Ok(Response::Status(status_from_json(status)?));
-        }
-        if let Some(jobs) = v.get("jobs") {
-            let arr = jobs.as_arr().ok_or("\"jobs\" must be an array")?;
-            let jobs = arr.iter().map(status_from_json).collect::<Result<_, _>>()?;
-            return Ok(Response::List { jobs });
-        }
-        if let Some(job) = v.get("job") {
-            return Ok(Response::Submitted { job: field_u64(job, "job")? });
-        }
-        Err("unrecognised response frame".to_string())
+                draining: f.opt("draining")?.unwrap_or(false),
+            }
+        } else if let Some(events) = f.opt("events")? {
+            Response::Events {
+                events: each(events, event_from_json)?,
+                next_seq: f.opt("next_seq")?.unwrap_or(0),
+            }
+        } else if let Some(report_text) = f.opt("report_text")? {
+            Response::Results { status: status_from_json(f.req("status")?)?, report_text }
+        } else if let Some(score_json) = f.opt("score_json")? {
+            Response::Score { status: status_from_json(f.req("status")?)?, score_json }
+        } else if let Some(status) = f.opt("status")? {
+            Response::Status(status_from_json(status)?)
+        } else if let Some(jobs) = f.opt("jobs")? {
+            Response::List { jobs: each(jobs, status_from_json)? }
+        } else if let Some(job) = f.opt("job")? {
+            Response::Submitted { job }
+        } else {
+            return Err("unrecognised response frame".to_string());
+        })
     }
 }
 
-fn job_id(v: &JsonValue) -> Result<u64, String> {
-    field_u64(v.get("job").ok_or("request needs a \"job\" id")?, "job")
+/// Decodes an array of objects element by element.
+fn each<T>(
+    items: Vec<&JsonValue>,
+    decode: fn(&JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    items.into_iter().map(decode).collect()
 }
 
 fn ranges_to_json(ranges: &[(usize, usize)]) -> JsonValue {
-    JsonValue::Arr(
-        ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                JsonValue::Arr(vec![JsonValue::Num(lo as f64), JsonValue::Num(hi as f64)])
-            })
-            .collect(),
-    )
+    let pair = |&(lo, hi): &(usize, usize)| JsonValue::Arr(vec![num!(lo), num!(hi)]);
+    JsonValue::Arr(ranges.iter().map(pair).collect())
 }
 
-fn ranges_from_json(v: &JsonValue) -> Result<Vec<(usize, usize)>, String> {
-    let arr = v.as_arr().ok_or("\"ranges\" must be an array")?;
-    arr.iter()
-        .map(|r| {
-            let pair = r.as_arr().ok_or("each range must be a [lo, hi] pair")?;
-            if pair.len() != 2 {
-                return Err("each range must be a [lo, hi] pair".to_string());
-            }
-            Ok((
-                field_u64(&pair[0], "range lo")? as usize,
-                field_u64(&pair[1], "range hi")? as usize,
-            ))
-        })
-        .collect()
+/// [`TileCacheMark`] and its wire name, read in both directions.
+const CACHE_MARKS: [(TileCacheMark, &str); 3] = [
+    (TileCacheMark::Hit, "hit"),
+    (TileCacheMark::Stored, "store"),
+    (TileCacheMark::None, "none"),
+];
+
+impl<'a> Field<'a> for TileCacheMark {
+    const TYPE: &'static str = "a cache mark (hit|store|none)";
+    fn read(v: &'a JsonValue) -> Option<TileCacheMark> {
+        by_name(&CACHE_MARKS, v.as_str()?)
+    }
+}
+
+impl<'a> Field<'a> for JobState {
+    const TYPE: &'static str = "a job state";
+    fn read(v: &'a JsonValue) -> Option<JobState> {
+        JobState::from_name(v.as_str()?)
+    }
+}
+
+fn retry_to_json(r: &TileRetry) -> JsonValue {
+    JsonValue::obj([
+        ("attempt", num!(r.attempt)),
+        ("backoff_vms", num!(r.backoff_vms)),
+        ("reason", JsonValue::str(&r.reason)),
+    ])
+}
+
+fn retry_from_json(v: &JsonValue) -> Result<TileRetry, String> {
+    let f = Fields::of(v, "retry")?;
+    Ok(TileRetry {
+        attempt: f.req("attempt")?,
+        backoff_vms: f.req("backoff_vms")?,
+        reason: f.req("reason")?,
+    })
 }
 
 fn outcome_to_json(o: &TileOutcome) -> JsonValue {
-    let retries = JsonValue::Arr(
-        o.retries
-            .iter()
-            .map(|r| {
-                JsonValue::obj([
-                    ("attempt", JsonValue::Num(r.attempt as f64)),
-                    ("backoff_vms", JsonValue::Num(r.backoff_vms as f64)),
-                    ("reason", JsonValue::str(&r.reason)),
-                ])
-            })
-            .collect(),
-    );
-    let mut fields = vec![
-        ("tile".to_string(), JsonValue::Num(o.tile as f64)),
-        ("retries".to_string(), retries),
-    ];
-    match &o.kind {
-        TileOutcomeKind::Done { data, ckpt_degraded, cache } => fields.push((
-            "done".to_string(),
+    let verdict = match &o.kind {
+        TileOutcomeKind::Done { data, ckpt_degraded, cache } => (
+            "done",
             JsonValue::obj([
                 ("data", JsonValue::str(to_hex(data))),
                 ("ckpt_degraded", JsonValue::Bool(*ckpt_degraded)),
-                (
-                    "cache",
-                    JsonValue::str(match cache {
-                        TileCacheMark::Hit => "hit",
-                        TileCacheMark::Stored => "store",
-                        TileCacheMark::None => "none",
-                    }),
-                ),
+                ("cache", JsonValue::str(name_of(&CACHE_MARKS, cache))),
             ]),
-        )),
-        TileOutcomeKind::Quarantined { attempts, reason } => fields.push((
-            "quarantined".to_string(),
-            JsonValue::obj([
-                ("attempts", JsonValue::Num(*attempts as f64)),
-                ("reason", JsonValue::str(reason)),
-            ]),
-        )),
-    }
-    JsonValue::Obj(fields)
+        ),
+        TileOutcomeKind::Quarantined { attempts, reason } => (
+            "quarantined",
+            JsonValue::obj([("attempts", num!(*attempts)), ("reason", JsonValue::str(reason))]),
+        ),
+    };
+    let retries = JsonValue::Arr(o.retries.iter().map(retry_to_json).collect());
+    JsonValue::obj([("tile", num!(o.tile)), ("retries", retries), verdict])
 }
 
 fn outcome_from_json(v: &JsonValue) -> Result<TileOutcome, String> {
-    let tile = field_u64(v.get("tile").ok_or("outcome needs a \"tile\"")?, "tile")? as usize;
-    let retries = match v.get("retries") {
-        None => Vec::new(),
-        Some(r) => r
-            .as_arr()
-            .ok_or("outcome \"retries\" must be an array")?
-            .iter()
-            .map(|r| {
-                Ok(TileRetry {
-                    attempt: field_u64(
-                        r.get("attempt").ok_or("retry needs an \"attempt\"")?,
-                        "attempt",
-                    )?,
-                    backoff_vms: field_u64(
-                        r.get("backoff_vms").ok_or("retry needs \"backoff_vms\"")?,
-                        "backoff_vms",
-                    )?,
-                    reason: r
-                        .get("reason")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("retry needs a \"reason\" string")?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<_, String>>()?,
-    };
-    let kind = if let Some(done) = v.get("done") {
-        let hex = done
-            .get("data")
-            .and_then(JsonValue::as_str)
-            .ok_or("done outcome needs a \"data\" hex string")?;
+    let f = Fields::of(v, "outcome")?;
+    let kind = if let Some(done) = f.opt("done")? {
+        let done = Fields::of(done, "done outcome")?;
         TileOutcomeKind::Done {
-            data: from_hex(hex)?,
-            ckpt_degraded: done
-                .get("ckpt_degraded")
-                .and_then(JsonValue::as_bool)
-                .ok_or("done outcome needs a boolean \"ckpt_degraded\"")?,
-            cache: match done
-                .get("cache")
-                .and_then(JsonValue::as_str)
-                .ok_or("done outcome needs a \"cache\" mark")?
-            {
-                "hit" => TileCacheMark::Hit,
-                "store" => TileCacheMark::Stored,
-                "none" => TileCacheMark::None,
-                other => return Err(format!("unknown cache mark '{other}'")),
-            },
+            data: from_hex(done.req("data")?)?,
+            ckpt_degraded: done.req("ckpt_degraded")?,
+            cache: done.req("cache")?,
         }
-    } else if let Some(q) = v.get("quarantined") {
-        TileOutcomeKind::Quarantined {
-            attempts: field_u64(
-                q.get("attempts").ok_or("quarantined outcome needs \"attempts\"")?,
-                "attempts",
-            )?,
-            reason: q
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .ok_or("quarantined outcome needs a \"reason\" string")?
-                .to_string(),
-        }
+    } else if let Some(q) = f.opt("quarantined")? {
+        let q = Fields::of(q, "quarantined outcome")?;
+        TileOutcomeKind::Quarantined { attempts: q.req("attempts")?, reason: q.req("reason")? }
     } else {
         return Err("outcome needs a \"done\" or \"quarantined\" verdict".to_string());
     };
-    Ok(TileOutcome { tile, retries, kind })
-}
-
-fn field_u64(v: &JsonValue, what: &str) -> Result<u64, String> {
-    let n = json_i64(v, what)?;
-    u64::try_from(n).map_err(|_| format!("{what} must be non-negative"))
+    Ok(TileOutcome {
+        tile: f.req("tile")?,
+        retries: each(f.opt("retries")?.unwrap_or_default(), retry_from_json)?,
+        kind,
+    })
 }
 
 fn status_to_json(s: &JobStatus) -> JsonValue {
     JsonValue::obj([
-        ("id", JsonValue::Num(s.id as f64)),
+        ("id", num!(s.id)),
         ("name", JsonValue::str(&s.name)),
         // Always present on the wire (our parser defaults them when
         // absent, so frames from pre-tenant servers still parse).
         ("tenant", JsonValue::str(&s.tenant)),
-        ("priority", JsonValue::Num(s.priority as f64)),
+        ("priority", num!(s.priority)),
         ("state", JsonValue::str(s.state.name())),
-        ("tiles_total", JsonValue::Num(s.tiles_total as f64)),
-        ("tiles_done", JsonValue::Num(s.tiles_done as f64)),
-        ("tiles_quarantined", JsonValue::Num(s.tiles_quarantined as f64)),
-        ("tiles_cached", JsonValue::Num(s.tiles_cached as f64)),
-        ("next_seq", JsonValue::Num(s.next_seq as f64)),
-        (
-            // The score travels as its IEEE-754 bit pattern in a
-            // string: a JSON Num would round-trip through f64 text
-            // formatting, and byte-exactness is the whole point.
-            "score_bits",
-            match s.score_bits {
-                Some(bits) => JsonValue::u64_str(bits),
-                None => JsonValue::Null,
-            },
-        ),
-        (
-            "score_pass",
-            match s.score_pass {
-                Some(p) => JsonValue::Bool(p),
-                None => JsonValue::Null,
-            },
-        ),
-        (
-            "error",
-            match &s.error {
-                Some(e) => JsonValue::str(e),
-                None => JsonValue::Null,
-            },
-        ),
+        ("tiles_total", num!(s.tiles_total)),
+        ("tiles_done", num!(s.tiles_done)),
+        ("tiles_quarantined", num!(s.tiles_quarantined)),
+        ("tiles_cached", num!(s.tiles_cached)),
+        ("next_seq", num!(s.next_seq)),
+        // The score travels as its IEEE-754 bit pattern in a string: a
+        // JSON Num would round-trip through f64 text formatting, and
+        // byte-exactness is the whole point.
+        ("score_bits", s.score_bits.map_or(JsonValue::Null, JsonValue::u64_str)),
+        ("score_pass", s.score_pass.map_or(JsonValue::Null, JsonValue::Bool)),
+        ("error", s.error.as_ref().map_or(JsonValue::Null, JsonValue::str)),
     ])
 }
 
 fn status_from_json(v: &JsonValue) -> Result<JobStatus, String> {
-    let state_name = v
-        .get("state")
-        .and_then(JsonValue::as_str)
-        .ok_or("status needs a \"state\" string")?;
-    let state =
-        JobState::from_name(state_name).ok_or_else(|| format!("unknown state '{state_name}'"))?;
-    let error = match v.get("error") {
-        None | Some(JsonValue::Null) => None,
-        Some(e) => Some(e.as_str().ok_or("status \"error\" must be a string")?.to_string()),
-    };
+    let f = Fields::of(v, "status")?;
     Ok(JobStatus {
-        id: field_u64(v.get("id").ok_or("status needs an \"id\"")?, "id")?,
-        name: v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("status needs a \"name\" string")?
-            .to_string(),
-        tenant: match v.get("tenant") {
-            None => crate::spec::DEFAULT_TENANT.to_string(),
-            Some(t) => t.as_str().ok_or("status \"tenant\" must be a string")?.to_string(),
-        },
-        priority: match v.get("priority") {
-            None => 0,
-            Some(p) => u8::try_from(field_u64(p, "priority")?)
-                .map_err(|_| "status \"priority\" out of range".to_string())?,
-        },
-        state,
-        tiles_total: field_u64(v.get("tiles_total").ok_or("status needs \"tiles_total\"")?, "tiles_total")?
-            as usize,
-        tiles_done: field_u64(v.get("tiles_done").ok_or("status needs \"tiles_done\"")?, "tiles_done")?
-            as usize,
-        tiles_quarantined: v
-            .get("tiles_quarantined")
-            .map_or(Ok(0), |s| field_u64(s, "tiles_quarantined"))? as usize,
-        tiles_cached: v
-            .get("tiles_cached")
-            .map_or(Ok(0), |s| field_u64(s, "tiles_cached"))? as usize,
-        next_seq: v.get("next_seq").map_or(Ok(0), |s| field_u64(s, "next_seq"))?,
-        score_bits: match v.get("score_bits") {
-            None | Some(JsonValue::Null) => None,
-            Some(b) => Some(u64_from_str(b, "score_bits")?),
-        },
-        score_pass: match v.get("score_pass") {
-            None | Some(JsonValue::Null) => None,
-            Some(p) => Some(p.as_bool().ok_or("status \"score_pass\" must be a boolean")?),
-        },
-        error,
+        id: f.req("id")?,
+        name: f.req("name")?,
+        tenant: f.opt("tenant")?.unwrap_or_else(|| DEFAULT_TENANT.to_string()),
+        priority: f.opt("priority")?.unwrap_or(0),
+        state: f.req("state")?,
+        tiles_total: f.req("tiles_total")?,
+        tiles_done: f.req("tiles_done")?,
+        tiles_quarantined: f.opt("tiles_quarantined")?.unwrap_or(0),
+        tiles_cached: f.opt("tiles_cached")?.unwrap_or(0),
+        next_seq: f.opt("next_seq")?.unwrap_or(0),
+        score_bits: f.opt("score_bits")?.map(|U64Str(bits)| bits),
+        score_pass: f.opt("score_pass")?,
+        error: f.opt("error")?,
     })
 }
 
-/// Parses an exact u64 shipped as a decimal string
-/// ([`JsonValue::u64_str`] — score bits exceed f64's exact-integer
-/// range).
-fn u64_from_str(v: &JsonValue, what: &str) -> Result<u64, String> {
-    v.as_str()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| format!("{what} must be a u64 decimal string"))
+/// Event `kind` wire names, each written once for both directions.
+mod kind {
+    pub(super) const STATE: &str = "state";
+    pub(super) const TILE: &str = "tile";
+    pub(super) const RETRY: &str = "retry";
+    pub(super) const QUARANTINE: &str = "quarantine";
+    pub(super) const CKPT: &str = "ckpt";
+    pub(super) const CACHE_HIT: &str = "cache_hit";
+    pub(super) const CACHE_STORE: &str = "cache_store";
+    pub(super) const SCORE: &str = "score";
 }
 
 fn event_to_json(e: &JobEvent) -> JsonValue {
-    match &e.kind {
-        JobEventKind::State(state) => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("state")),
-            ("state", JsonValue::str(state.name())),
-        ]),
-        JobEventKind::TileDone { tile, completed, total } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("tile")),
-            ("tile", JsonValue::Num(*tile as f64)),
-            ("completed", JsonValue::Num(*completed as f64)),
-            ("total", JsonValue::Num(*total as f64)),
-        ]),
-        JobEventKind::TileRetry { tile, attempt, backoff_vms, reason } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("retry")),
-            ("tile", JsonValue::Num(*tile as f64)),
-            ("attempt", JsonValue::Num(*attempt as f64)),
-            ("backoff_vms", JsonValue::Num(*backoff_vms as f64)),
-            ("reason", JsonValue::str(reason)),
-        ]),
-        JobEventKind::TileQuarantined { tile, attempts, reason } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("quarantine")),
-            ("tile", JsonValue::Num(*tile as f64)),
-            ("attempts", JsonValue::Num(*attempts as f64)),
-            ("reason", JsonValue::str(reason)),
-        ]),
-        JobEventKind::CkptDegraded { tile } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("ckpt")),
-            ("tile", JsonValue::Num(*tile as f64)),
-        ]),
-        JobEventKind::TileCacheHit { tile } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("cache_hit")),
-            ("tile", JsonValue::Num(*tile as f64)),
-        ]),
-        JobEventKind::TileCacheStore { tile } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("cache_store")),
-            ("tile", JsonValue::Num(*tile as f64)),
-        ]),
-        JobEventKind::Score { bits, pass } => JsonValue::obj([
-            ("seq", JsonValue::Num(e.seq as f64)),
-            ("kind", JsonValue::str("score")),
-            ("bits", JsonValue::u64_str(*bits)),
-            ("pass", JsonValue::Bool(*pass)),
-        ]),
-    }
+    let tile_only = |kind, tile: &usize| (kind, vec![("tile", num!(*tile))]);
+    let (kind, body) = match &e.kind {
+        JobEventKind::State(state) => (kind::STATE, vec![("state", JsonValue::str(state.name()))]),
+        JobEventKind::TileDone { tile, completed, total } => (
+            kind::TILE,
+            vec![("tile", num!(*tile)), ("completed", num!(*completed)), ("total", num!(*total))],
+        ),
+        JobEventKind::TileRetry { tile, attempt, backoff_vms, reason } => (
+            kind::RETRY,
+            vec![
+                ("tile", num!(*tile)),
+                ("attempt", num!(*attempt)),
+                ("backoff_vms", num!(*backoff_vms)),
+                ("reason", JsonValue::str(reason)),
+            ],
+        ),
+        JobEventKind::TileQuarantined { tile, attempts, reason } => (
+            kind::QUARANTINE,
+            vec![
+                ("tile", num!(*tile)),
+                ("attempts", num!(*attempts)),
+                ("reason", JsonValue::str(reason)),
+            ],
+        ),
+        JobEventKind::CkptDegraded { tile } => tile_only(kind::CKPT, tile),
+        JobEventKind::TileCacheHit { tile } => tile_only(kind::CACHE_HIT, tile),
+        JobEventKind::TileCacheStore { tile } => tile_only(kind::CACHE_STORE, tile),
+        JobEventKind::Score { bits, pass } => (
+            kind::SCORE,
+            vec![("bits", JsonValue::u64_str(*bits)), ("pass", JsonValue::Bool(*pass))],
+        ),
+    };
+    let head = [("seq", num!(e.seq)), ("kind", JsonValue::str(kind))];
+    JsonValue::obj(head.into_iter().chain(body))
 }
 
 fn event_from_json(v: &JsonValue) -> Result<JobEvent, String> {
-    let seq = field_u64(v.get("seq").ok_or("event needs a \"seq\"")?, "seq")?;
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("event needs a \"kind\" string")?;
-    let kind = match kind {
-        "state" => {
-            let name = v
-                .get("state")
-                .and_then(JsonValue::as_str)
-                .ok_or("state event needs a \"state\"")?;
-            JobEventKind::State(
-                JobState::from_name(name).ok_or_else(|| format!("unknown state '{name}'"))?,
-            )
+    let f = Fields::of(v, "event")?;
+    let kind = match f.req("kind")? {
+        kind::STATE => JobEventKind::State(f.req("state")?),
+        kind::TILE => JobEventKind::TileDone {
+            tile: f.req("tile")?,
+            completed: f.req("completed")?,
+            total: f.req("total")?,
+        },
+        kind::RETRY => JobEventKind::TileRetry {
+            tile: f.req("tile")?,
+            attempt: f.req("attempt")?,
+            backoff_vms: f.req("backoff_vms")?,
+            reason: f.req("reason")?,
+        },
+        kind::QUARANTINE => JobEventKind::TileQuarantined {
+            tile: f.req("tile")?,
+            attempts: f.req("attempts")?,
+            reason: f.req("reason")?,
+        },
+        kind::CKPT => JobEventKind::CkptDegraded { tile: f.req("tile")? },
+        kind::CACHE_HIT => JobEventKind::TileCacheHit { tile: f.req("tile")? },
+        kind::CACHE_STORE => JobEventKind::TileCacheStore { tile: f.req("tile")? },
+        kind::SCORE => {
+            let U64Str(bits) = f.req("bits")?;
+            JobEventKind::Score { bits, pass: f.req("pass")? }
         }
-        "tile" => JobEventKind::TileDone {
-            tile: field_u64(v.get("tile").ok_or("tile event needs \"tile\"")?, "tile")? as usize,
-            completed: field_u64(
-                v.get("completed").ok_or("tile event needs \"completed\"")?,
-                "completed",
-            )? as usize,
-            total: field_u64(v.get("total").ok_or("tile event needs \"total\"")?, "total")?
-                as usize,
-        },
-        "retry" => JobEventKind::TileRetry {
-            tile: field_u64(v.get("tile").ok_or("retry event needs \"tile\"")?, "tile")? as usize,
-            attempt: field_u64(v.get("attempt").ok_or("retry event needs \"attempt\"")?, "attempt")?,
-            backoff_vms: field_u64(
-                v.get("backoff_vms").ok_or("retry event needs \"backoff_vms\"")?,
-                "backoff_vms",
-            )?,
-            reason: v
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .ok_or("retry event needs a \"reason\" string")?
-                .to_string(),
-        },
-        "quarantine" => JobEventKind::TileQuarantined {
-            tile: field_u64(v.get("tile").ok_or("quarantine event needs \"tile\"")?, "tile")?
-                as usize,
-            attempts: field_u64(
-                v.get("attempts").ok_or("quarantine event needs \"attempts\"")?,
-                "attempts",
-            )?,
-            reason: v
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .ok_or("quarantine event needs a \"reason\" string")?
-                .to_string(),
-        },
-        "ckpt" => JobEventKind::CkptDegraded {
-            tile: field_u64(v.get("tile").ok_or("ckpt event needs \"tile\"")?, "tile")? as usize,
-        },
-        "cache_hit" => JobEventKind::TileCacheHit {
-            tile: field_u64(v.get("tile").ok_or("cache_hit event needs \"tile\"")?, "tile")?
-                as usize,
-        },
-        "cache_store" => JobEventKind::TileCacheStore {
-            tile: field_u64(v.get("tile").ok_or("cache_store event needs \"tile\"")?, "tile")?
-                as usize,
-        },
-        "score" => JobEventKind::Score {
-            bits: u64_from_str(v.get("bits").ok_or("score event needs \"bits\"")?, "bits")?,
-            pass: v
-                .get("pass")
-                .and_then(JsonValue::as_bool)
-                .ok_or("score event needs a boolean \"pass\"")?,
-        },
         other => return Err(format!("unknown event kind '{other}'")),
     };
-    Ok(JobEvent { seq, kind })
+    Ok(JobEvent { seq: f.req("seq")?, kind })
 }
 
 #[cfg(test)]
@@ -1056,9 +750,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_request_round_trips() {
-        let requests = vec![
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::Submit { spec: JobSpec::default(), gds: vec![0, 1, 254, 255], idem: None },
             Request::Submit {
@@ -1094,8 +787,12 @@ mod tests {
             Request::ShardAttach { coord: 17, origin: 5, gen: 2 },
             Request::ShardPull { job: 11, since: 4 },
             Request::ShardHeartbeat { job: 11 },
-        ];
-        for req in requests {
+        ]
+    }
+
+    #[test]
+    fn every_request_round_trips() {
+        for req in sample_requests() {
             let line = req.to_json().render();
             assert!(!line.contains('\n'), "frames are single lines: {line}");
             let back = Request::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -1103,9 +800,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_response_round_trips() {
-        let responses = vec![
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Pong,
             Response::Submitted { job: 12 },
             Response::Status(sample_status()),
@@ -1224,14 +920,156 @@ mod tests {
                     retry_after_vms: Some(96),
                 },
             },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn every_response_round_trips() {
+        for resp in sample_responses() {
             let line = resp.to_json().render();
             assert!(!line.contains('\n'), "frames are single lines: {line}");
             assert!(line.contains("\"v\":2"), "v2 frames carry the version: {line}");
             let back = Response::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, resp, "{line}");
         }
+    }
+
+    fn sample_lines() -> Vec<String> {
+        let requests = sample_requests().into_iter().map(|r| r.to_json().render());
+        requests.chain(sample_responses().into_iter().map(|r| r.to_json().render())).collect()
+    }
+
+    #[test]
+    fn sample_frames_render_the_pinned_bytes() {
+        // Taken at the commit before the one-reader refactor: an
+        // encode-side edit that moves a byte of any frame kind fails
+        // here, without waiting for the golden report digests.
+        let text = sample_lines().join("\n");
+        assert_eq!(crate::codec::fnv1a_64(text.as_bytes()), 0xe84b_7701_6de9_85ac, "{text}");
+    }
+
+    /// Keys (by path, `[]` for an array step) whose removal, `null`, or
+    /// a value of the wrong type must fail the frame. Keys that pick
+    /// the frame kind (`attached`, `report_text`, …), optional keys and
+    /// keys whose requiredness depends on the frame are left out.
+    const REQUIRED: &[&str] = &[
+        "cmd", "job", "spec", "gds_hex", "coord", "origin", "gen",
+        "ok", "error", "error.code", "error.message", "total", "settled",
+        "status", "status.id", "status.name", "status.state", "status.tiles_total",
+        "status.tiles_done", "jobs[].id", "jobs[].state",
+        "events[].seq", "events[].kind", "events[].tile", "events[].state",
+        "events[].completed", "events[].total", "events[].attempt", "events[].attempts",
+        "events[].backoff_vms", "events[].reason", "events[].bits", "events[].pass",
+        "outcomes[].tile", "outcomes[].done.data", "outcomes[].done.ckpt_degraded",
+        "outcomes[].done.cache", "outcomes[].quarantined.attempts",
+        "outcomes[].quarantined.reason", "outcomes[].retries[].attempt",
+        "outcomes[].retries[].backoff_vms", "outcomes[].retries[].reason",
+    ];
+
+    /// Every single-key mutation of the object `v` and of the objects
+    /// nested in it: `(key path, must fail if required, mutated root)`.
+    fn mutants(
+        v: &JsonValue,
+        path: &str,
+        root: &dyn Fn(JsonValue) -> JsonValue,
+        out: &mut Vec<(String, bool, JsonValue)>,
+    ) {
+        let JsonValue::Obj(pairs) = v else { return };
+        for (i, (key, child)) in pairs.iter().enumerate() {
+            let path = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+            let with = |new: JsonValue| {
+                let mut pairs = pairs.clone();
+                pairs[i].1 = new;
+                root(JsonValue::Obj(pairs))
+            };
+            let mut removed = pairs.clone();
+            removed.remove(i);
+            out.push((path.clone(), true, root(JsonValue::Obj(removed))));
+            out.push((path.clone(), true, with(JsonValue::Null)));
+            for wrong in [
+                JsonValue::Bool(true),
+                JsonValue::Num(7.0),
+                JsonValue::Num(-1.0),
+                JsonValue::Num(1.5),
+                JsonValue::str("x"),
+                JsonValue::Arr(vec![]),
+                JsonValue::Obj(vec![]),
+            ] {
+                // Every required number is unsigned, so -1 and 1.5 are
+                // of the wrong type for it; 7 and "x" may be valid.
+                let mistyped = std::mem::discriminant(&wrong) != std::mem::discriminant(child)
+                    || matches!(wrong, JsonValue::Num(n) if n < 0.0 || n.fract() != 0.0);
+                out.push((path.clone(), mistyped, with(wrong)));
+            }
+            match child {
+                JsonValue::Obj(_) => mutants(child, &path, &with, out),
+                JsonValue::Arr(items) => {
+                    for (j, item) in items.iter().enumerate() {
+                        let at = |new: JsonValue| {
+                            let mut items = items.clone();
+                            items[j] = new;
+                            with(JsonValue::Arr(items))
+                        };
+                        mutants(item, &format!("{path}[]"), &at, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn single_key_mutations_never_panic_and_required_keys_are_required() {
+        let mut seen = std::collections::BTreeSet::new();
+        for line in sample_lines() {
+            let frame = parse_json(&line).expect("sample frames are JSON");
+            let mut all = Vec::new();
+            mutants(&frame, "", &|root| root, &mut all);
+            for (path, must_fail, mutant) in all {
+                let text = mutant.render();
+                let reparsed = if line.contains("\"cmd\"") {
+                    Request::parse(&text).map(|r| r.to_json()).map_err(|e| e.to_string())
+                } else {
+                    Response::parse(&text).map(|r| r.to_json())
+                };
+                match reparsed {
+                    Ok(back) => {
+                        assert!(parse_json(&back.render()).is_ok(), "{text}");
+                        let required = must_fail && REQUIRED.contains(&path.as_str());
+                        assert!(!required, "{path} is required, yet this parsed: {text}");
+                    }
+                    Err(diagnostic) => assert!(!diagnostic.is_empty(), "{text}"),
+                }
+                seen.insert(path);
+            }
+        }
+        for path in REQUIRED {
+            assert!(seen.contains(*path), "no sample frame carries {path}");
+        }
+    }
+
+    #[test]
+    fn coordinator_ids_up_to_2_pow_53_round_trip() {
+        // The service masks coordinator ids to 53 bits, so every value
+        // up to 2^53 - 1 must survive the wire; the bound is the
+        // integers an f64 carries exactly, not a rounder number below it.
+        let coord = (1u64 << 53) - 1;
+        for req in [
+            Request::ShardAttach { coord, origin: 5, gen: 2 },
+            Request::ShardDispatch {
+                coord,
+                origin: 5,
+                gen: 0,
+                spec: JobSpec::default(),
+                gds: vec![],
+                ranges: None,
+            },
+        ] {
+            let line = req.to_json().render();
+            assert_eq!(Request::parse(&line), Ok(req), "{line}");
+        }
+        let beyond = format!(r#"{{"v":2,"cmd":"shard.attach","coord":{},"origin":5,"gen":2}}"#, 1u64 << 54);
+        assert_eq!(Request::parse(&beyond).expect_err(&beyond).code, "bad_request");
     }
 
     #[test]
@@ -1274,6 +1112,15 @@ mod tests {
             }
             other => panic!("unexpected frame: {other:?}"),
         }
+        // `null` reads as absent for every optional field, not only
+        // for the ones that render as `null`.
+        let nulls = r#"{"ok":true,"status":{"id":1,"name":"x","tenant":null,"priority":null,"state":"done","tiles_total":1,"tiles_done":1,"error":null}}"#;
+        assert_eq!(Response::parse(nulls), Response::parse(line));
+        let spec = r#"{"v":2,"cmd":"submit","spec":{"name":null,"score":null},"gds_hex":""}"#;
+        assert_eq!(
+            Request::parse(spec),
+            Ok(Request::Submit { spec: JobSpec::default(), gds: vec![], idem: None })
+        );
     }
 
     #[test]
@@ -1368,6 +1215,14 @@ mod tests {
             // Malformed idempotency keys.
             r#"{"v":2,"cmd":"submit","spec":{},"gds_hex":"","idem":7}"#,
             r#"{"v":2,"cmd":"submit","spec":{},"gds_hex":"","idem":["k"]}"#,
+            // Mistyped optional fields are refused, never defaulted.
+            r#"{"v":2,"cmd":"results","job":1,"partial":"yes"}"#,
+            r#"{"v":2,"cmd":"results","job":1,"partial":1}"#,
+            r#"{"v":2,"cmd":"submit","spec":{"drc":"no"},"gds_hex":""}"#,
+            r#"{"v":2,"ok":true,"pong":"yes"}"#,
+            r#"{"v":2,"ok":true,"events":[],"next_seq":"soon"}"#,
+            // Integers beyond 2^53 are not exact on the wire.
+            r#"{"v":2,"cmd":"status","job":18014398509481984}"#,
             // Truncated / mistyped drain frames.
             r#"{"v":2,"cmd":"shutdown","drain":"yes"}"#,
             r#"{"v":2,"cmd":"shutdown","drain":1}"#,

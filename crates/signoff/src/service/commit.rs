@@ -7,6 +7,7 @@
 
 use super::attempt::{sched_remove_job, sched_resolved, RunShared};
 use crate::checkpoint::{decode_tile_partial, encode_tile_partial, JobDir};
+use crate::codec::{by_name, name_of};
 use crate::job::{JobContext, TilePartial};
 use crate::report::{QuarantinedTile, SignoffReport};
 use crate::shard::{ShardRun, TileCacheMark, TileOutcome, TileOutcomeKind, TileRetry};
@@ -52,29 +53,24 @@ impl JobState {
         !matches!(self, JobState::Queued | JobState::Running)
     }
 
+    /// Each state and its wire name, read in both directions.
+    const NAMES: [(JobState, &'static str); 6] = [
+        (JobState::Queued, "queued"),
+        (JobState::Running, "running"),
+        (JobState::Partial, "partial"),
+        (JobState::Done, "done"),
+        (JobState::Failed, "failed"),
+        (JobState::Cancelled, "cancelled"),
+    ];
+
     /// Stable lower-case name used on the wire.
     pub fn name(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Partial => "partial",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
+        name_of(&JobState::NAMES, &self)
     }
 
     /// Parses [`JobState::name`] back.
     pub fn from_name(s: &str) -> Option<JobState> {
-        Some(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "partial" => JobState::Partial,
-            "done" => JobState::Done,
-            "failed" => JobState::Failed,
-            "cancelled" => JobState::Cancelled,
-            _ => return None,
-        })
+        by_name(&JobState::NAMES, s)
     }
 }
 

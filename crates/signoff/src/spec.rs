@@ -1,7 +1,7 @@
 //! Job specifications: what a signoff job analyses and how it is
 //! sharded. A spec plus the GDS bytes fully determines the report.
 
-use crate::codec::parse_json;
+use crate::codec::{parse_json, Field, Fields};
 use dfm_bench::json::JsonValue;
 use dfm_layout::{layers, Layer, Technology};
 
@@ -189,65 +189,37 @@ impl JobSpec {
         JsonValue::obj(fields)
     }
 
-    /// Parses a spec from a JSON object node. Missing fields take the
-    /// [`Default`] values, so clients may send sparse specs.
+    /// Parses a spec from a JSON object node. Missing (or `null`)
+    /// fields take the [`Default`] values, so clients may send sparse
+    /// specs; a `null` layer means "no layer".
     ///
     /// # Errors
     ///
     /// On a non-object node or a malformed field.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec, String> {
-        if !matches!(v, JsonValue::Obj(_)) {
-            return Err("spec must be a JSON object".to_string());
+        let f = Fields::of(v, "spec")?;
+        let d = JobSpec::default();
+        let priority = f.opt("priority")?.unwrap_or(d.priority);
+        if priority > JobSpec::MAX_PRIORITY {
+            return Err(format!(
+                "spec.priority must be 0..={}, got {priority}",
+                JobSpec::MAX_PRIORITY
+            ));
         }
-        let mut spec = JobSpec::default();
-        if let Some(n) = v.get("name") {
-            spec.name = n.as_str().ok_or("spec.name must be a string")?.to_string();
-        }
-        if let Some(t) = v.get("tech") {
-            spec.tech = t.as_str().ok_or("spec.tech must be a string")?.to_string();
-        }
-        if let Some(t) = v.get("tile") {
-            spec.tile = json_i64(t, "spec.tile")?;
-        }
-        if let Some(h) = v.get("halo") {
-            spec.halo = json_i64(h, "spec.halo")?;
-        }
-        if let Some(d) = v.get("drc") {
-            spec.drc = d.as_bool().ok_or("spec.drc must be a boolean")?;
-        }
-        if let Some(l) = v.get("ca_layer") {
-            spec.ca_layer = parse_layer(l, "spec.ca_layer")?;
-        }
-        if let Some(x) = v.get("ca_x0") {
-            spec.ca_x0 = json_i64(x, "spec.ca_x0")?;
-        }
-        if let Some(l) = v.get("litho_layer") {
-            spec.litho_layer = parse_layer(l, "spec.litho_layer")?;
-        }
-        if let Some(f) = v.get("litho_feature") {
-            spec.litho_feature = json_i64(f, "spec.litho_feature")?;
-        }
-        if let Some(s) = v.get("score") {
-            spec.score = match s {
-                JsonValue::Null => None,
-                JsonValue::Str(text) => Some(text.clone()),
-                _ => return Err("spec.score must be a string or null".to_string()),
-            };
-        }
-        if let Some(t) = v.get("tenant") {
-            spec.tenant = t.as_str().ok_or("spec.tenant must be a string")?.to_string();
-        }
-        if let Some(p) = v.get("priority") {
-            let p = json_i64(p, "spec.priority")?;
-            if !(0..=JobSpec::MAX_PRIORITY as i64).contains(&p) {
-                return Err(format!(
-                    "spec.priority must be 0..={}, got {p}",
-                    JobSpec::MAX_PRIORITY
-                ));
-            }
-            spec.priority = p as u8;
-        }
-        Ok(spec)
+        Ok(JobSpec {
+            name: f.opt("name")?.unwrap_or(d.name),
+            tech: f.opt("tech")?.unwrap_or(d.tech),
+            tile: f.opt("tile")?.unwrap_or(d.tile),
+            halo: f.opt("halo")?.unwrap_or(d.halo),
+            drc: f.opt("drc")?.unwrap_or(d.drc),
+            ca_layer: f.nullable("ca_layer")?.unwrap_or(d.ca_layer),
+            ca_x0: f.opt("ca_x0")?.unwrap_or(d.ca_x0),
+            litho_layer: f.nullable("litho_layer")?.unwrap_or(d.litho_layer),
+            litho_feature: f.opt("litho_feature")?.unwrap_or(d.litho_feature),
+            score: f.opt("score")?.or(d.score),
+            tenant: f.opt("tenant")?.unwrap_or(d.tenant),
+            priority,
+        })
     }
 
     /// Parses a spec from JSON text.
@@ -260,28 +232,12 @@ impl JobSpec {
     }
 }
 
-/// Reads an exactly-integral JSON number.
-pub(crate) fn json_i64(v: &JsonValue, what: &str) -> Result<i64, String> {
-    let n = v.as_f64().ok_or_else(|| format!("{what} must be a number"))?;
-    if n.fract() != 0.0 || n.abs() > 9e15 {
-        return Err(format!("{what} must be an integer, got {n}"));
-    }
-    Ok(n as i64)
-}
-
-/// Parses `"layer/datatype"` (or null → None).
-fn parse_layer(v: &JsonValue, what: &str) -> Result<Option<Layer>, String> {
-    match v {
-        JsonValue::Null => Ok(None),
-        JsonValue::Str(s) => {
-            let (l, d) = s
-                .split_once('/')
-                .ok_or_else(|| format!("{what} must look like \"4/0\""))?;
-            let l: u16 = l.parse().map_err(|_| format!("{what}: bad layer number"))?;
-            let d: u16 = d.parse().map_err(|_| format!("{what}: bad datatype"))?;
-            Ok(Some(Layer::new(l, d)))
-        }
-        _ => Err(format!("{what} must be a \"layer/datatype\" string or null")),
+/// A layer travels as a `"layer/datatype"` string.
+impl<'a> Field<'a> for Layer {
+    const TYPE: &'static str = "a \"layer/datatype\" string like \"4/0\"";
+    fn read(v: &'a JsonValue) -> Option<Layer> {
+        let (l, d) = v.as_str()?.split_once('/')?;
+        Some(Layer::new(l.parse().ok()?, d.parse().ok()?))
     }
 }
 
