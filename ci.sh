@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, and the platform's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -54,6 +54,22 @@ raw_get=$(awk "$non_test"' && /\.get\("/{print FILENAME":"FNR": "$0}' \
 if [[ -n "$raw_get" ]]; then
     echo "error: wire fields are read through codec::Fields (req/opt/nullable), not .get(\"…\"):" >&2
     echo "$raw_get" >&2
+    exit 1
+fi
+# ISSUE 16's figure (1 909 before the seven per-tile collections of
+# `JobMut` became one slot map inside `Run`), and its rule: a job
+# remembers each tile in exactly one place, so neither struct may
+# declare a second collection keyed by tile index.
+awk "$non_test"'{n++} END{print "service.rs + service/{commit,attempt}.rs non-test lines: " n}' \
+    crates/signoff/src/service.rs crates/signoff/src/service/commit.rs \
+    crates/signoff/src/service/attempt.rs
+per_tile=$(awk "$non_test"' && /^(pub(\([a-z]+\))? )?struct (JobMut|Run) /{s=$0; n=0}
+    s && /(BTreeMap<usize,|BTreeSet<usize>|VecDeque<usize>)/{n++}
+    s && /^}/{if (n > 1) print s " declares " n " per-tile collections"; s=""}' \
+    crates/signoff/src/service/commit.rs)
+if [[ -n "$per_tile" ]]; then
+    echo "error: per-tile state lives in the one slot map of service/commit.rs:" >&2
+    echo "$per_tile" >&2
     exit 1
 fi
 # ISSUE 13's figure: 824 before nested regions went inline and the

@@ -523,10 +523,12 @@ impl Client {
     /// the shard's grant. `ranges = None` asks the shard to run its own
     /// `--shard-of` partition.
     ///
+    /// Typed errors so the coordinator can tell a draining shard (code
+    /// `draining`: a planned handoff) from any other refusal.
+    ///
     /// # Errors
     ///
-    /// Transport/protocol diagnostics and shard-side refusals,
-    /// flattened to their message.
+    /// As [`Client::request_typed`].
     pub fn shard_dispatch(
         &mut self,
         coord: u64,
@@ -535,10 +537,13 @@ impl Client {
         spec: JobSpec,
         gds: Vec<u8>,
         ranges: Option<Vec<(usize, usize)>>,
-    ) -> Result<ShardGrant, String> {
-        match self.request(&Request::ShardDispatch { coord, origin, gen, spec, gds, ranges })? {
+    ) -> Result<ShardGrant, RequestError> {
+        let request = Request::ShardDispatch { coord, origin, gen, spec, gds, ranges };
+        match self.request_typed(&request)? {
             Response::ShardDispatched { grant } => Ok(grant),
-            other => Err(format!("unexpected reply to shard.dispatch: {other:?}")),
+            other => Err(RequestError::Transport(format!(
+                "unexpected reply to shard.dispatch: {other:?}"
+            ))),
         }
     }
 

@@ -42,9 +42,9 @@ pub const PROTO_VERSION: u64 = 2;
 /// A machine-readable failure: the shape of the `error` field.
 ///
 /// `code` is a stable, snake_case discriminator clients can switch on
-/// (`"unknown_tenant"`, `"quota_exceeded"`, `"busy"`, `"not_found"`,
-/// `"bad_request"`, `"unsupported_version"`, or the catch-all
-/// `"error"`); `message` is the human diagnostic. Backpressure
+/// (`"unknown_tenant"`, `"quota_exceeded"`, `"busy"`, `"draining"`,
+/// `"not_found"`, `"bad_request"`, `"unsupported_version"`, or the
+/// catch-all `"error"`); `message` is the human diagnostic. Backpressure
 /// rejections also carry `retry_after_vms`, a deterministic
 /// virtual-milliseconds hint for when to retry the submission.
 #[derive(Clone, Debug, PartialEq, Eq)]

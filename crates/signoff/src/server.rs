@@ -136,13 +136,8 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
         Request::Submit { spec, gds, idem } => service
             .submit_job_idem(spec, gds, idem.as_deref())
             .map(|job| Response::Submitted { job })
-            .map_err(|e| match e {
-                // A spec/GDS diagnostic is the client's fault; an
-                // admission refusal carries its typed code and, for
-                // backpressure, the deterministic retry hint.
-                SubmitError::Invalid(message) => ErrorObj::coded("bad_request", message),
-                SubmitError::Rejected(r) => ErrorObj::from(r),
-            }),
+            // A spec/GDS diagnostic is the client's fault.
+            .map_err(|e| refusal(e, |message| ErrorObj::coded("bad_request", message))),
         Request::Status { job } => service.status(job).map(Response::Status).map_err(classify),
         Request::Events { job, since } => service
             .events(job, since)
@@ -160,7 +155,10 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
             .map(|(status, score_json)| Response::Score { status, score_json })
             .map_err(classify),
         Request::Cancel { job } => service.cancel(job).map(Response::Status).map_err(classify),
-        Request::Resume { job } => service.resume(job).map(Response::Status).map_err(classify),
+        Request::Resume { job } => service
+            .resume_job(job)
+            .map(Response::Status)
+            .map_err(|e| refusal(e, classify)),
         Request::List => Ok(Response::List { jobs: service.list() }),
         Request::Shutdown { drain } => {
             if drain {
@@ -174,7 +172,7 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
         Request::ShardDispatch { coord, origin, gen, spec, gds, ranges } => service
             .shard_dispatch(coord, origin, gen, spec, gds, ranges)
             .map(|grant| Response::ShardDispatched { grant })
-            .map_err(classify),
+            .map_err(|e| refusal(e, classify)),
         Request::ShardAttach { coord, origin, gen } => service
             .shard_attach(coord, origin, gen)
             .map(|grant| Response::ShardDispatched { grant })
@@ -194,6 +192,17 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
             .map_err(classify),
     };
     result.unwrap_or_else(|error| Response::Error { error })
+}
+
+/// Answers a refused request for new work (`submit`, `resume`,
+/// `shard.dispatch`): a drain or admission refusal carries its typed
+/// code and, for backpressure, the deterministic retry hint; a
+/// diagnostic gets the code `invalid` gives it.
+fn refusal(e: SubmitError, invalid: impl FnOnce(String) -> ErrorObj) -> ErrorObj {
+    match e {
+        SubmitError::Invalid(message) => invalid(message),
+        SubmitError::Rejected(r) => ErrorObj::from(r),
+    }
 }
 
 /// Wraps a service diagnostic in the error code it implies. The only

@@ -43,8 +43,10 @@
 //!
 //! This module is the **lifecycle** (config, public API, admission,
 //! drain, persisted-job load); `attempt` carries one tile from grant
-//! to verdict; `commit` owns the per-job state and `resolve_tile`, the
-//! single entry to the tile-ordered commit queue and the final merge.
+//! to verdict; `commit` owns what a job remembers — its answer and,
+//! while it can still run, the one `Run` with a slot per tile — and
+//! `resolve_tile`, the single entry to the tile-ordered commit and the
+//! final merge.
 
 mod attempt;
 mod commit;
@@ -53,14 +55,14 @@ pub use attempt::{
     SITE_CACHE_READ, SITE_CACHE_STORE_RENAME, SITE_CACHE_STORE_TMP, SITE_CACHE_WRITE,
     SITE_CKPT_READ, SITE_CKPT_WRITE, SITE_TILE_COMPUTE, SITE_TILE_DELAY, TILE_DELAY_ENV,
 };
-pub(crate) use attempt::RunShared;
+pub(crate) use attempt::{RunShared, WATCHDOG_VMS};
 pub use commit::{JobEvent, JobEventKind, JobState, JobStatus};
 pub(crate) use commit::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live, Job,
 };
 
 use crate::checkpoint::{list_job_dirs, JobDir};
-use crate::job::{JobContext, TilePartial};
+use crate::job::JobContext;
 use crate::report::SignoffReport;
 use crate::sched::{Grant, RejectCode, Rejection, SchedConfig, Scheduler};
 use crate::shard::{self, ShardGrant, ShardSet, ShardStats, TileOutcome};
@@ -69,7 +71,7 @@ use attempt::{cache_serve, dispatch_grants, sched_remove_job, TileHandle};
 use commit::{status_of, try_finalize, JobMut};
 use dfm_cache::TileCache;
 use dfm_fault::FaultPlane;
-use dfm_par::{CancelToken, PoolStats, WorkerPool};
+use dfm_par::{PoolStats, WorkerPool};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -77,51 +79,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Retry/quarantine/watchdog knobs of the supervisor.
+/// The supervisor's one knob. Backoff, the checkpoint-write budget and
+/// the watchdog budget are constants next to their use (`attempt`):
+/// all are virtual-clock bookkeeping, never wall time, so fault runs
+/// are fast and exactly reproducible.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisionPolicy {
     /// Per-tile attempt budget; a tile failing this many times is
     /// quarantined (clamped to at least 1).
     pub max_attempts: u64,
-    /// Backoff before retrying attempt `k` is `backoff_base_vms << k`
-    /// virtual milliseconds (bookkeeping recorded in the retry event,
-    /// not wall time — see `real_ms_per_vms`).
-    pub backoff_base_vms: u64,
-    /// Write attempts per tile checkpoint before degrading to
-    /// in-memory-only (clamped to at least 1).
-    pub ckpt_write_attempts: u64,
-    /// Virtual watchdog budget: an injected tile delay of at least
-    /// this many virtual milliseconds fails the attempt as a timeout
-    /// (the stuck attempt is abandoned and the tile requeued). `None`
-    /// disables the watchdog.
-    pub watchdog_vms: Option<u64>,
-    /// Real milliseconds actually slept per virtual millisecond of
-    /// backoff/delay (capped at 1 s per sleep). 0 — the default —
-    /// keeps the virtual clock purely bookkeeping, so fault runs are
-    /// fast and exactly reproducible.
-    pub real_ms_per_vms: u64,
 }
 
 impl Default for SupervisionPolicy {
     fn default() -> SupervisionPolicy {
-        SupervisionPolicy {
-            max_attempts: 3,
-            backoff_base_vms: 8,
-            ckpt_write_attempts: 3,
-            watchdog_vms: Some(10_000),
-            real_ms_per_vms: 0,
-        }
-    }
-}
-
-impl SupervisionPolicy {
-    /// Sleeps the real-time equivalent of `vms` virtual milliseconds
-    /// (no-op at the default scale of 0).
-    fn real_sleep(&self, vms: u64) {
-        if self.real_ms_per_vms > 0 {
-            let ms = vms.saturating_mul(self.real_ms_per_vms).min(1000);
-            std::thread::sleep(Duration::from_millis(ms));
-        }
+        SupervisionPolicy { max_attempts: 3 }
     }
 }
 
@@ -138,7 +109,7 @@ pub struct ServiceConfig {
     /// Fault-injection plane; `None` (the default) makes every fault
     /// probe a no-op.
     pub fault_plane: Option<Arc<FaultPlane>>,
-    /// Retry/quarantine/watchdog policy.
+    /// Retry/quarantine policy.
     pub policy: SupervisionPolicy,
     /// Content-addressed per-tile result cache; `None` (the default)
     /// disables caching entirely.
@@ -215,7 +186,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Retry/quarantine/watchdog policy.
+    /// Retry/quarantine policy.
     #[must_use]
     pub fn policy(mut self, policy: SupervisionPolicy) -> Self {
         self.cfg.policy = policy;
@@ -262,8 +233,9 @@ impl ServiceConfigBuilder {
 pub enum SubmitError {
     /// The spec or GDS bytes failed validation.
     Invalid(String),
-    /// Admission control refused the job (quota, backpressure, or
-    /// unknown tenant); nothing was enqueued. Retry after the hint.
+    /// Admission control refused the job (quota, backpressure,
+    /// unknown tenant, or a draining service); nothing was enqueued.
+    /// Retry after the hint, when there is one.
     Rejected(Rejection),
 }
 
@@ -426,9 +398,6 @@ impl SignoffService {
     /// [`SubmitError::Rejected`] from admission control. Nothing is
     /// enqueued on error.
     pub fn submit_job(&self, spec: JobSpec, gds: Vec<u8>) -> Result<u64, SubmitError> {
-        if self.draining() {
-            return Err(SubmitError::Rejected(drain_rejection()));
-        }
         let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
         let job = self.mint_job(spec, gds, &ctx, ctx.tile_count(), false)?;
         self.dispatch(&job, &ctx, (0..ctx.tile_count()).collect());
@@ -449,10 +418,7 @@ impl SignoffService {
         shard_job: bool,
     ) -> Result<Arc<Job>, SubmitError> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .sched()
-            .admit(id, &spec.tenant, spec.priority, tiles as u64)
-            .map_err(SubmitError::Rejected)?;
+        self.admit(id, &spec.tenant, spec.priority, tiles)?;
         let dir = self.ckpt_root.as_ref().map(|root| JobDir::new(root, id));
         if let Some(dir) = &dir {
             let plane = self.shared.plane.as_deref();
@@ -469,6 +435,21 @@ impl SignoffService {
         let job = Job::new(id, dir, m);
         self.jobs.lock().expect("jobs lock").insert(id, Arc::clone(&job));
         Ok(job)
+    }
+
+    /// Admission of new work — `submit`, `resume` and `shard.dispatch`
+    /// alike. A draining service refuses all of it with the one
+    /// structured refusal (code `draining`); otherwise the tenant plan
+    /// decides.
+    fn admit(&self, id: u64, tenant: &str, priority: u8, tiles: usize) -> Result<(), SubmitError> {
+        if self.draining() {
+            return Err(SubmitError::Rejected(Rejection {
+                code: RejectCode::Draining,
+                message: "service is draining; no new work is admitted".to_string(),
+                retry_after_vms: None,
+            }));
+        }
+        self.shared.sched().admit(id, tenant, priority, tiles as u64).map_err(SubmitError::Rejected)
     }
 
     /// Like [`SignoffService::submit_job`], with an optional client
@@ -525,7 +506,7 @@ impl SignoffService {
                 if m.state.is_settled() {
                     continue;
                 }
-                m.cancel.cancel();
+                m.cancel_queued();
                 m.set_state(JobState::Cancelled);
             }
             sched_remove_job(&self.shared, job.id);
@@ -540,29 +521,15 @@ impl SignoffService {
     }
 
     /// Dispatches the given tiles, moving the job to Running (or
-    /// straight to the merge when nothing is missing). Dispatched
-    /// tiles get a fresh attempt budget; any quarantine verdict on
-    /// them is cleared.
+    /// straight to the merge when nothing is missing) — see
+    /// [`JobMut::begin`] for what a dispatch resets.
     fn dispatch(&self, job: &Arc<Job>, ctx: &Arc<JobContext>, mut tiles: Vec<usize>) {
         tiles.sort_unstable();
-        let token = {
-            let mut m = job.m.lock().expect("job lock");
-            m.report = None;
-            m.score = None;
-            m.error = None;
-            m.attempts.clear();
-            m.retry_log.clear();
-            m.pending_commit.clear();
-            for &t in &tiles {
-                m.attempts.insert(t, 0);
-            }
-            m.quarantined.retain(|t, _| tiles.binary_search(t).is_err());
-            m.cached.retain(|t| tiles.binary_search(t).is_err());
-            m.commit_queue = tiles.iter().copied().collect();
-            m.set_state(JobState::Running);
-            job.cv.notify_all();
-            m.cancel.clone()
+        let Some(token) = job.m.lock().expect("job lock").begin(&tiles) else {
+            sched_remove_job(&self.shared, job.id); // nothing to run: release the admission
+            return;
         };
+        job.cv.notify_all();
         if tiles.is_empty() {
             try_finalize(&self.shared, job, ctx); // nothing missing: merge now
             return;
@@ -676,15 +643,7 @@ impl SignoffService {
         if !partial {
             return Err(format!("job {id} is {}; pass partial=true for a prefix merge", m.state));
         }
-        let ctx = m.ctx.clone().ok_or("job context missing")?;
-        let prefix: Vec<TilePartial> = m
-            .partials
-            .values()
-            .enumerate()
-            .take_while(|(i, p)| p.tile == *i)
-            .map(|(_, p)| p.clone())
-            .collect();
-        let report = ctx.merge(&prefix)?;
+        let report = m.ctx()?.merge(&m.prefix())?;
         let status = status_of(&job, &m);
         drop(m);
         Ok((status, report))
@@ -743,7 +702,7 @@ impl SignoffService {
                 }
                 JobState::Cancelled => {}
                 _ => {
-                    m.cancel.cancel();
+                    m.cancel_queued();
                     m.set_state(JobState::Cancelled);
                 }
             }
@@ -769,30 +728,32 @@ impl SignoffService {
     /// Unknown id, a job in a non-resumable state, or context-rebuild
     /// diagnostics.
     pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
-        if self.draining() {
-            return Err(drain_rejection().to_string());
-        }
-        let job = self.job(id)?;
-        self.ensure_loaded(&job)?;
+        self.resume_job(id).map_err(|e| e.to_string())
+    }
+
+    /// [`SignoffService::resume`] with the refusal kept structured, as
+    /// the server answers it: drain and admission refusals are
+    /// [`SubmitError::Rejected`], every other diagnostic `Invalid`.
+    pub(crate) fn resume_job(&self, id: u64) -> Result<JobStatus, SubmitError> {
+        let job = self.job(id).map_err(SubmitError::Invalid)?;
+        self.ensure_loaded(&job).map_err(SubmitError::Invalid)?;
         let (ctx, missing, tenant, priority) = {
             let mut m = job.m.lock().expect("job lock");
             match m.state {
                 JobState::Partial | JobState::Cancelled => {}
-                s => return Err(format!("job {id} is {s}; only partial/cancelled jobs resume")),
+                s => {
+                    let msg = format!("job {id} is {s}; only partial/cancelled jobs resume");
+                    return Err(SubmitError::Invalid(msg));
+                }
             }
-            m.cancel = CancelToken::new();
-            let ctx = m.ctx.clone().ok_or("job context missing")?;
-            let missing: Vec<usize> =
-                (0..ctx.tile_count()).filter(|t| !m.partials.contains_key(t)).collect();
+            let ctx = m.ctx().map_err(SubmitError::Invalid)?;
+            let missing = m.rearm(ctx.tile_count());
             (ctx, missing, m.spec.tenant.clone(), m.spec.priority)
         };
         // A resumed job re-enters admission control: the settle (or
         // cancel) released its reservations, so it competes for quota
         // again — with only the missing tiles counted against it.
-        self.shared
-            .sched()
-            .admit(id, &tenant, priority, missing.len() as u64)
-            .map_err(|e| e.to_string())?;
+        self.admit(id, &tenant, priority, missing.len())?;
         self.dispatch(&job, &ctx, missing);
         Ok(job.status())
     }
@@ -818,23 +779,21 @@ impl SignoffService {
     /// recomputed on resume.
     fn ensure_loaded(&self, job: &Arc<Job>) -> Result<(), String> {
         let mut m = job.m.lock().expect("job lock");
-        if m.ctx.is_some() {
-            return Ok(());
-        }
-        let ctx = Arc::new(JobContext::build(&m.spec, &m.gds)?);
+        // A finished job answers from its report; one already loaded
+        // has nothing to rebuild.
+        let Some(run) = m.run.as_ref().filter(|run| run.ctx.is_none()) else { return Ok(()) };
+        let ctx = Arc::new(JobContext::build(&m.spec, &run.gds)?);
+        let mut tiles = Vec::new();
         if let Some(dir) = &job.dir {
             // A crash between tmp-write and rename leaves orphaned
             // `*.tmp` files; sweep them before reading so a
             // crash-littered directory resumes identically to a clean
             // one.
             dir.sweep_tmp();
-            for p in dir.load_tiles(ctx.tile_count()) {
-                if !self.shared.io_fault(SITE_CKPT_READ, p.tile as u64, 0) {
-                    m.partials.insert(p.tile, p);
-                }
-            }
+            tiles = dir.load_tiles(ctx.tile_count());
+            tiles.retain(|p| !self.shared.io_fault(SITE_CKPT_READ, p.tile as u64, 0));
         }
-        m.ctx = Some(ctx);
+        m.load(ctx, tiles);
         Ok(())
     }
 
@@ -859,8 +818,10 @@ impl SignoffService {
     ///
     /// # Errors
     ///
-    /// Spec/GDS diagnostics, malformed ranges, a missing `shard_of`
-    /// assignment when `ranges` is `None`, or local admission refusal.
+    /// [`SubmitError::Invalid`] for spec/GDS diagnostics, malformed
+    /// ranges and a missing `shard_of` assignment when `ranges` is
+    /// `None`; [`SubmitError::Rejected`] when this service is draining
+    /// or its admission control refuses.
     pub fn shard_dispatch(
         &self,
         coord: u64,
@@ -869,22 +830,20 @@ impl SignoffService {
         spec: JobSpec,
         gds: Vec<u8>,
         ranges: Option<Vec<(usize, usize)>>,
-    ) -> Result<ShardGrant, String> {
-        if self.draining() {
-            return Err(drain_rejection().to_string());
-        }
-        let ctx = Arc::new(JobContext::build(&spec, &gds)?);
+    ) -> Result<ShardGrant, SubmitError> {
+        let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
         let total = ctx.tile_count();
         let ranges = match ranges {
             Some(r) => r,
             None => {
-                let (k, n) = self.shard_of.ok_or(
-                    "shard.dispatch without ranges requires a server started with --shard-of K/N",
-                )?;
+                let (k, n) = self.shard_of.ok_or_else(|| {
+                    let need = "shard.dispatch without ranges requires a server started with --shard-of K/N";
+                    SubmitError::Invalid(need.to_string())
+                })?;
                 vec![shard::partition_range(total, n, k)]
             }
         };
-        let tiles = shard::expand_ranges(&ranges, total)?;
+        let tiles = shard::expand_ranges(&ranges, total).map_err(SubmitError::Invalid)?;
         // The idempotency map stays locked across job creation so two
         // racing dispatches of the same (coord, origin, gen) mint one
         // job.
@@ -892,9 +851,7 @@ impl SignoffService {
         if let Some(grant) = map.get(&(coord, origin, gen)) {
             return Ok(ShardGrant { attached: true, ..grant.clone() });
         }
-        let job = self
-            .mint_job(spec, gds, &ctx, tiles.len(), true)
-            .map_err(|e| e.to_string())?;
+        let job = self.mint_job(spec, gds, &ctx, tiles.len(), true)?;
         let grant = ShardGrant { job: job.id, total, ranges, attached: false };
         map.insert((coord, origin, gen), grant.clone());
         drop(map);
@@ -995,25 +952,16 @@ impl Drop for SignoffService {
         let jobs: Vec<Arc<Job>> =
             self.jobs.lock().expect("jobs lock").values().cloned().collect();
         for job in jobs {
-            let m = job.m.lock().expect("job lock");
-            m.cancel.cancel();
+            job.m.lock().expect("job lock").cancel_queued();
         }
         self.pool.wait_idle();
-    }
-}
-
-/// The structured refusal a draining service answers submissions with.
-fn drain_rejection() -> Rejection {
-    Rejection {
-        code: RejectCode::Draining,
-        message: "service is draining; no new work is admitted".to_string(),
-        retry_after_vms: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::TilePartial;
     use crate::report::flat_report;
     use dfm_fault::{FaultAction, FaultPlan, FaultPlane, FaultRule};
     use dfm_layout::{gds, generate, layers, Technology};
@@ -1204,17 +1152,18 @@ mod tests {
         // `resolve_tile` is the only way in, so its guard is the only
         // guard: once tile 0 is quarantined, a late local success and a
         // duplicate shard outcome for it are both dropped.
-        let (gds, spec) = (small_gds(44), spec());
+        let (gds, spec) = (small_gds(37), spec());
         let service = service(1);
         let ctx = Arc::new(JobContext::build(&spec, &gds).expect("ctx"));
-        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Running);
-        m.commit_queue = (0..ctx.tile_count()).collect();
+        let tiles: Vec<usize> = (0..ctx.tile_count()).collect();
+        let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Queued);
+        m.begin(&tiles).expect("run");
         let job = Job::new(77, None, m);
         let verdict = TileResolution::Quarantined { attempts: 3, reason: "boom".to_string() };
         resolve_tile(&service.shared, &job, &ctx, 0, Vec::new(), verdict);
         let snapshot = || {
-            let m = job.m.lock().expect("job lock");
-            (m.events.clone(), m.partials.len(), m.pending_commit.len(), m.retry_log.len())
+            let events = job.m.lock().expect("job lock").events.clone();
+            (events, job.status())
         };
         let quarantined = snapshot();
         assert!(matches!(
@@ -1234,7 +1183,86 @@ mod tests {
         };
         ingest_shard_outcome(&service.shared, &job, &ctx, &duplicate);
         assert_eq!(snapshot(), quarantined, "a quarantined tile takes no further verdict");
-        assert_eq!(job.status().tiles_quarantined, 1);
+        // Nor was either verdict parked behind the manifest entry: with
+        // every other tile in, the job settles without tile 0.
+        for &tile in &tiles[1..] {
+            let partial = ctx.compute_tile(tile);
+            let done =
+                TileResolution::Done { partial, ckpt_degraded: false, cache: TileCacheMark::None };
+            resolve_tile(&service.shared, &job, &ctx, tile, Vec::new(), done);
+        }
+        let status = job.status();
+        assert_eq!(status.state, JobState::Partial, "{:?}", status.error);
+        assert_eq!((status.tiles_done, status.tiles_quarantined), (tiles.len() - 1, 1));
+        let m = job.m.lock().expect("job lock");
+        let manifest = &m.report.as_ref().expect("settled partial has a report").quarantined;
+        assert_eq!(manifest.len(), 1);
+        assert_eq!((manifest[0].tile, manifest[0].attempts, manifest[0].reason.as_str()), (0, 3, "boom"));
+    }
+
+    #[test]
+    fn a_job_keeps_its_run_exactly_while_it_can_still_run() {
+        let gds = small_gds(45);
+        let spec = JobSpec { score: Some("default".to_string()), ..spec() };
+        let lib = gds::from_bytes(&gds).expect("lib");
+        let flat = flat_report(&spec, &lib).expect("flat").render_text(&spec);
+        let (_, flat_score) = crate::scoring::flat_score(&spec, &lib).expect("flat score");
+        let holds_run = |service: &SignoffService, id| {
+            service.job(id).expect("job").m.lock().expect("job lock").run.is_some()
+        };
+
+        // Done: the run is gone, and every question about the job is
+        // answered from what is left, as it always was.
+        let service = service(2);
+        let id = service.submit(spec.clone(), gds.clone()).expect("submit");
+        let status = service.wait(id).expect("wait");
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        assert!(!holds_run(&service, id), "a Done job holds no GDS, context or partials");
+        assert_eq!(service.status(id).expect("status"), status);
+        assert_eq!((status.tiles_done, status.tiles_quarantined), (status.tiles_total, 0));
+        let events = service.events(id, 0).expect("events");
+        assert_eq!(events.len() as u64, status.next_seq);
+        assert_eq!(events.len(), status.tiles_total + 4, "queued, running, tiles, score, done");
+        assert_eq!(service.report_text(id, false).expect("report").1, flat);
+        let (final_status, report) = service.results(id, false).expect("results");
+        assert_eq!(service.results(id, true).expect("partial results"), (final_status, report));
+        assert_eq!(service.score_json(id).expect("score").1, flat_score.render());
+        assert!(service.resume(id).is_err(), "Done is a state resume refuses");
+
+        // Cancelled: the run — committed tiles included — is held, and
+        // resume finishes on it to the flat bytes.
+        let slow = SignoffService::with_config(
+            ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(30)).build(),
+        );
+        let id = slow.submit(spec.clone(), gds.clone()).expect("submit");
+        assert_eq!(slow.cancel(id).expect("cancel").state, JobState::Cancelled);
+        assert!(holds_run(&slow, id));
+        slow.resume(id).expect("resume");
+        assert_eq!(slow.wait(id).expect("wait").state, JobState::Done);
+        assert!(!holds_run(&slow, id));
+        assert_eq!(slow.report_text(id, false).expect("report").1, flat);
+
+        // Quarantine-Partial: settled with a report, yet still holding
+        // its run — resume redoes only the quarantined tile (the pure
+        // fault plan fails it again) on the partials it kept.
+        let plan = FaultPlan::seeded(9)
+            .with_rule(FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic).key(0));
+        let faulty = faulty_service(2, plan);
+        let id = faulty.submit(spec.clone(), gds).expect("submit");
+        let status = faulty.wait(id).expect("wait");
+        assert_eq!(status.state, JobState::Partial);
+        assert!(holds_run(&faulty, id));
+        let (_, first) = faulty.report_text(id, false).expect("partial report");
+        faulty.resume(id).expect("resume");
+        let again = faulty.wait(id).expect("wait again");
+        assert_eq!((again.state, again.tiles_done), (JobState::Partial, status.tiles_done));
+        assert!(holds_run(&faulty, id));
+        assert_eq!(faulty.report_text(id, false).expect("partial report").1, first);
+        let redone = faulty.events(id, status.next_seq).expect("events");
+        assert!(
+            redone.iter().all(|e| !matches!(e.kind, JobEventKind::TileDone { .. })),
+            "kept partials are not recomputed: {redone:?}"
+        );
     }
 
     #[test]
@@ -1395,15 +1423,11 @@ mod tests {
                 .fault_plane(Arc::new(FaultPlane::new(plan)))
                 .build(),
         );
-        let id = service.submit(spec.clone(), gds).expect("submit");
+        let id = service.submit(spec.clone(), gds.clone()).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
         assert_eq!(cache.len(), status.tiles_total - 1, "the retried tile is absent");
-        let ctx = {
-            let m = JobContext::build(&spec, &service.job(id).expect("job").m.lock().expect("lock").gds)
-                .expect("ctx");
-            m
-        };
+        let ctx = JobContext::build(&spec, &gds).expect("ctx");
         assert!(!cache.contains(ctx.cache_key(2)), "retried tile never cached");
         drop(service);
         let _ = std::fs::remove_dir_all(&root);

@@ -25,8 +25,8 @@ pub const TILE_DELAY_ENV: &str = "DFM_SIGNOFF_TILE_DELAY_MS";
 pub const SITE_TILE_COMPUTE: &str = "signoff.tile.compute";
 
 /// Fault site: virtual delay of a tile attempt. Keyed by tile index.
-/// A delay at or past [`SupervisionPolicy::watchdog_vms`] fails the
-/// attempt as a watchdog timeout (cancel + requeue).
+/// A delay at or past the watchdog budget (10 000 virtual ms) fails
+/// the attempt as a watchdog timeout (cancel + requeue).
 pub const SITE_TILE_DELAY: &str = "signoff.tile.delay";
 
 /// Fault site: checkpoint tile write, keyed by tile index; `attempt`
@@ -57,6 +57,20 @@ pub const SITE_CACHE_STORE_TMP: &str = "signoff.cache.store.tmp";
 /// acknowledged. Keyed by tile index.
 pub const SITE_CACHE_STORE_RENAME: &str = "signoff.cache.store.rename";
 
+/// Virtual watchdog budget: an injected tile delay of at least this
+/// many virtual milliseconds fails the attempt as a timeout (the stuck
+/// attempt is abandoned and the tile requeued), and a shard whose lease
+/// goes unrenewed this long is declared lost (`shard.rs`).
+pub(crate) const WATCHDOG_VMS: u64 = 10_000;
+
+/// Backoff recorded before retrying attempt `k` is this `<< k` virtual
+/// milliseconds — bookkeeping in the retry event, never slept.
+const BACKOFF_BASE_VMS: u64 = 8;
+
+/// Write attempts per tile checkpoint before degrading to
+/// in-memory-only.
+const CKPT_WRITE_ATTEMPTS: u64 = 3;
+
 /// Everything a grant needs to become a pool task: cloned into the
 /// scheduler per job at enqueue time.
 #[derive(Clone)]
@@ -74,7 +88,7 @@ pub(super) struct TileHandle {
 pub(crate) struct RunShared {
     pub(super) pool: Weak<WorkerPool>,
     pub(crate) plane: Option<Arc<FaultPlane>>,
-    pub(crate) policy: SupervisionPolicy,
+    pub(super) policy: SupervisionPolicy,
     pub(super) tile_delay: Duration,
     pub(super) cache: Option<Arc<TileCache>>,
     pub(super) sched: Mutex<Scheduler<TileHandle>>,
@@ -180,16 +194,12 @@ fn run_tile_attempt(
         std::thread::sleep(shared.tile_delay);
     }
     if let Some(plane) = &shared.plane {
-        if let Some(vms) = plane.delay_vms(SITE_TILE_DELAY, tile as u64, attempt) {
-            shared.policy.real_sleep(vms);
-            if let Some(budget) = shared.policy.watchdog_vms {
-                if vms >= budget {
-                    let reason =
-                        format!("watchdog: tile {tile} stuck {vms} vms (budget {budget} vms)");
-                    attempt_failed(shared, job, ctx, tile, attempt, reason);
-                    return;
-                }
-            }
+        let stuck = plane.delay_vms(SITE_TILE_DELAY, tile as u64, attempt);
+        if let Some(vms) = stuck.filter(|&vms| vms >= WATCHDOG_VMS) {
+            let reason =
+                format!("watchdog: tile {tile} stuck {vms} vms (budget {WATCHDOG_VMS} vms)");
+            attempt_failed(shared, job, ctx, tile, attempt, reason);
+            return;
         }
     }
     let plane = shared.plane.clone();
@@ -291,7 +301,7 @@ fn checkpoint_with_retry(shared: &RunShared, job: &Job, partial: &TilePartial) -
     if shared.nospace(SITE_CKPT_WRITE, tile) {
         return false;
     }
-    (0..shared.policy.ckpt_write_attempts.max(1)).any(|write_attempt| {
+    (0..CKPT_WRITE_ATTEMPTS).any(|write_attempt| {
         !shared.io_fault(SITE_CKPT_WRITE, tile, write_attempt)
             && dir.write_tile_probed(partial, shared.plane.as_deref(), write_attempt).is_ok()
     })
@@ -309,31 +319,22 @@ fn attempt_failed(
     reason: String,
 ) {
     let failed = attempt + 1;
-    let retry = {
-        let mut m = job.m.lock().expect("job lock");
-        if !m.attempt_is_live(tile, attempt) {
-            return; // settled, resolved, or already adjudicated
-        }
-        m.attempts.insert(tile, failed);
-        if failed >= shared.policy.max_attempts.max(1) {
-            Err(reason)
-        } else {
-            let backoff_vms = shared.policy.backoff_base_vms << attempt;
-            m.retry_log.entry(tile).or_default().push(TileRetry { attempt, backoff_vms, reason });
-            Ok((m.cancel.clone(), backoff_vms))
-        }
+    let exhausted = failed >= shared.policy.max_attempts.max(1);
+    let retry = (!exhausted).then(|| TileRetry {
+        attempt,
+        backoff_vms: BACKOFF_BASE_VMS << attempt,
+        reason: reason.clone(),
+    });
+    let Some(token) = job.m.lock().expect("job lock").record_retry(tile, attempt, retry) else {
+        return; // settled, resolved, or already adjudicated
     };
-    match retry {
-        Ok((token, backoff_vms)) => {
-            // The scheduler slot stays held across retries: the tile is
-            // still occupying real capacity, and a retry must never
-            // queue behind grants that were issued after it.
-            shared.policy.real_sleep(backoff_vms);
-            submit_tile(shared, job, ctx, &token, tile, failed, None);
-        }
-        Err(reason) => {
-            let verdict = TileResolution::Quarantined { attempts: failed, reason };
-            resolve_tile(shared, job, ctx, tile, Vec::new(), verdict);
-        }
+    if exhausted {
+        let verdict = TileResolution::Quarantined { attempts: failed, reason };
+        resolve_tile(shared, job, ctx, tile, Vec::new(), verdict);
+    } else {
+        // The scheduler slot stays held across retries: the tile is
+        // still occupying real capacity, and a retry must never queue
+        // behind grants that were issued after it.
+        submit_tile(shared, job, ctx, &token, tile, failed, None);
     }
 }

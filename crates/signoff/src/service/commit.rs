@@ -1,9 +1,13 @@
 //! Commit state: what a job remembers, and the **one** way a tile
-//! result enters it. Local attempts, cache hits, quarantine verdicts
-//! and shard outcomes all arrive through [`resolve_tile`];
-//! [`advance_commits`] drains them strictly along the ascending
-//! `commit_queue`, so the event stream is the same at any worker or
-//! shard count; [`try_finalize`] merges once the queue is empty.
+//! result enters it. A job is its answer — spec, state, events, report,
+//! score, error, tile counters — plus, only while it can still run, one
+//! [`Run`]: context, GDS bytes, cancel token and a slot per tile. Local
+//! attempts, cache hits, quarantine verdicts and shard outcomes all
+//! arrive through [`resolve_tile`]; a resolved tile waits in its slot
+//! until every lower dispatched tile has committed, so the event stream
+//! is the same at any worker or shard count; [`try_finalize`] merges
+//! once no dispatched tile is left. DESIGN.md "What a job remembers"
+//! has the slot states and who may move a tile between them.
 
 use super::attempt::{sched_remove_job, sched_resolved, RunShared};
 use crate::checkpoint::{decode_tile_partial, encode_tile_partial, JobDir};
@@ -13,7 +17,7 @@ use crate::report::{QuarantinedTile, SignoffReport};
 use crate::shard::{ShardRun, TileCacheMark, TileOutcome, TileOutcomeKind, TileRetry};
 use crate::spec::JobSpec;
 use dfm_par::CancelToken;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -201,92 +205,185 @@ impl JobStatus {
     }
 }
 
-/// A tile's final outcome, buffered until its commit-order turn.
+/// A tile's final outcome, handed to [`resolve_tile`].
 pub(super) enum TileResolution {
     Done { partial: TilePartial, ckpt_degraded: bool, cache: TileCacheMark },
     Quarantined { attempts: u64, reason: String },
 }
 
-pub(super) struct JobMut {
-    pub(super) spec: JobSpec,
+/// Where one tile stands. No other module names a variant, so the
+/// commit order, the stale-attempt guard and "a verdict for an
+/// already-resolved tile is ignored" are properties of this enum.
+enum Slot {
+    /// Dispatched by the current run and unresolved: `attempt` is the
+    /// one the job is waiting on, `retries` the failures before it.
+    Dispatched { attempt: u64, retries: Vec<TileRetry> },
+    /// Resolved; its events wait for every lower dispatched tile.
+    Resolved { retries: Vec<TileRetry>, resolution: TileResolution },
+    /// Committed with its partial (`cached`: served from the cache).
+    Done { partial: TilePartial, cached: bool },
+    /// Committed as excluded, as the report's manifest lists it.
+    Quarantined(QuarantinedTile),
+}
+
+/// Everything a job needs to run and nothing its answer needs: held
+/// from submission (or checkpoint load) until the job enters a state
+/// `resume` refuses, then dropped whole.
+#[derive(Default)]
+pub(super) struct Run {
     pub(super) gds: Vec<u8>,
+    /// `None` only on a job loaded from a checkpoint directory that
+    /// nothing has asked about yet ([`JobMut::load`] fills it).
     pub(super) ctx: Option<Arc<JobContext>>,
-    pub(super) state: JobState,
-    pub(super) cancel: CancelToken,
-    pub(super) partials: BTreeMap<usize, TilePartial>,
-    pub(super) events: Vec<JobEvent>,
-    pub(super) error: Option<String>,
-    pub(super) report: Option<SignoffReport>,
-    pub(super) score: Option<dfm_score::ScoreReport>,
-    /// Attempt currently in flight per dispatched tile.
-    pub(super) attempts: BTreeMap<usize, u64>,
-    /// Failed attempts awaiting commit, per tile, in attempt order.
-    pub(super) retry_log: BTreeMap<usize, Vec<TileRetry>>,
-    /// Resolved tiles whose events have not been committed yet.
-    pub(super) pending_commit: BTreeMap<usize, TileResolution>,
-    /// Dispatched tiles in commit (ascending index) order; the head
-    /// commits as soon as it resolves.
-    pub(super) commit_queue: VecDeque<usize>,
-    /// Quarantined tiles, as the report's manifest lists them.
-    pub(super) quarantined: BTreeMap<usize, QuarantinedTile>,
-    /// Tiles whose committed result came from the cache.
-    pub(super) cached: BTreeSet<usize>,
-    /// Monotonic per-tile outcome log, recorded only for
-    /// shard-dispatched jobs (`Some` from `shard_dispatch` on): the
-    /// stream a coordinator pulls to replay this job's commits.
-    pub(super) outcomes: Option<Vec<TileOutcome>>,
+    cancel: CancelToken,
+    slots: BTreeMap<usize, Slot>,
+    /// The lowest dispatched tile not yet committed — the next to
+    /// commit; `None` once nothing is left.
+    head: Option<usize>,
     /// The current shard-dispatch epoch on a coordinating service;
     /// replaced wholesale by each dispatch, so stale pullers detect
     /// supersession by pointer identity.
     shard_run: Option<Arc<ShardRun>>,
 }
 
+impl Run {
+    /// The committed partials, in tile order — what the merge folds.
+    fn partials(&self) -> impl Iterator<Item = &TilePartial> {
+        self.slots.values().filter_map(|slot| match slot {
+            Slot::Done { partial, .. } => Some(partial),
+            _ => None,
+        })
+    }
+
+}
+
+/// The tile counters `status` reports: part of the answer, so they
+/// outlive the [`Run`] whose slots they count.
+#[derive(Default)]
+struct TileCounts {
+    total: usize,
+    done: usize,
+    quarantined: usize,
+    cached: usize,
+}
+
+/// A job: its answer, plus — only while it can still run — one [`Run`].
+pub(super) struct JobMut {
+    pub(super) spec: JobSpec,
+    pub(super) state: JobState,
+    pub(super) events: Vec<JobEvent>,
+    pub(super) error: Option<String>,
+    pub(super) report: Option<SignoffReport>,
+    pub(super) score: Option<dfm_score::ScoreReport>,
+    tiles: TileCounts,
+    /// Monotonic per-tile outcome log, recorded only for
+    /// shard-dispatched jobs (`Some` from `shard_dispatch` on): the
+    /// stream a coordinator pulls to replay this job's commits.
+    pub(super) outcomes: Option<Vec<TileOutcome>>,
+    /// `Some` in every state but `Done` and `Failed`.
+    pub(super) run: Option<Run>,
+}
+
 impl JobMut {
-    /// A job in `state`, its event log opened by that state's event.
+    /// A job in `state`, its event log opened by that state's event,
+    /// holding a fresh run over `gds` (`ctx`: `None` when loaded from
+    /// a checkpoint directory — [`JobMut::load`] builds it on demand).
     pub(super) fn fresh(
         spec: JobSpec,
         gds: Vec<u8>,
         ctx: Option<Arc<JobContext>>,
         state: JobState,
     ) -> JobMut {
+        let total = ctx.as_ref().map_or(0, |c| c.tile_count());
         JobMut {
             spec,
-            gds,
-            ctx,
             state,
-            cancel: CancelToken::new(),
-            partials: BTreeMap::new(),
             events: vec![JobEvent { seq: 0, kind: JobEventKind::State(state) }],
             error: None,
             report: None,
             score: None,
-            attempts: BTreeMap::new(),
-            retry_log: BTreeMap::new(),
-            pending_commit: BTreeMap::new(),
-            commit_queue: VecDeque::new(),
-            quarantined: BTreeMap::new(),
-            cached: BTreeSet::new(),
+            tiles: TileCounts { total, ..TileCounts::default() },
             outcomes: None,
-            shard_run: None,
+            run: Some(Run { gds, ctx, ..Run::default() }),
         }
     }
 
     pub(super) fn emit(&mut self, kind: JobEventKind) {
-        let seq = self.events.len() as u64;
-        self.events.push(JobEvent { seq, kind });
+        self.events.push(JobEvent { seq: self.events.len() as u64, kind });
     }
 
+    /// Enters `state`. `Done` and `Failed` are the states `resume`
+    /// refuses, so nothing can ask for the working set again: it goes.
     pub(super) fn set_state(&mut self, state: JobState) {
         self.state = state;
+        if matches!(state, JobState::Done | JobState::Failed) {
+            self.run = None;
+        }
         self.emit(JobEventKind::State(state));
     }
 
-    /// True once `tile` has a verdict in this dispatch: committed,
-    /// buffered for commit, or quarantined.
-    fn is_resolved(&self, tile: usize) -> bool {
-        self.partials.contains_key(&tile)
-            || self.pending_commit.contains_key(&tile)
-            || self.quarantined.contains_key(&tile)
+    /// The job's context, once built.
+    pub(super) fn ctx(&self) -> Result<Arc<JobContext>, String> {
+        let ctx = self.run.as_ref().and_then(|run| run.ctx.clone());
+        ctx.ok_or_else(|| "job context missing".to_string())
+    }
+
+    /// The partials of the contiguous committed prefix `[0..k)`.
+    pub(super) fn prefix(&self) -> Vec<TilePartial> {
+        let done = self.run.iter().flat_map(Run::partials);
+        done.enumerate().take_while(|(i, p)| p.tile == *i).map(|(_, p)| p.clone()).collect()
+    }
+
+    /// The checkpoint loader's entry: the rebuilt context and surviving
+    /// checkpointed partials of a job constructed from disk.
+    pub(super) fn load(&mut self, ctx: Arc<JobContext>, partials: Vec<TilePartial>) {
+        let Some(run) = &mut self.run else { return };
+        self.tiles.total = ctx.tile_count();
+        self.tiles.done += partials.len();
+        run.ctx = Some(ctx);
+        let done = partials.into_iter().map(|p| (p.tile, Slot::Done { partial: p, cached: false }));
+        run.slots.extend(done);
+    }
+
+    /// Readies a parked job for `resume`: a fresh cancel token (the old
+    /// one may be cancelled) and the tiles of `0..total` without a
+    /// committed partial — quarantined ones included.
+    pub(super) fn rearm(&mut self, total: usize) -> Vec<usize> {
+        let Some(run) = &mut self.run else { return Vec::new() };
+        run.cancel = CancelToken::new();
+        (0..total).filter(|t| !matches!(run.slots.get(t), Some(Slot::Done { .. }))).collect()
+    }
+
+    /// Cancels the run's token: tiles still queued are skipped at
+    /// dequeue, tiles in flight finish and checkpoint.
+    pub(super) fn cancel_queued(&self) {
+        self.run.iter().for_each(|run| run.cancel.cancel());
+    }
+
+    /// Begins a run over `tiles` (ascending) and moves the job to
+    /// `Running`: the previous answer is withdrawn, what an earlier run
+    /// left uncommitted is forgotten, and each dispatched tile starts a
+    /// fresh attempt budget, its quarantine verdict or cache mark
+    /// cleared. Returns the run's cancel token — `None` when a racing
+    /// resume already finished the job and dropped the run.
+    pub(super) fn begin(&mut self, tiles: &[usize]) -> Option<CancelToken> {
+        let run = self.run.as_mut()?;
+        (self.report, self.score, self.error) = (None, None, None);
+        run.slots.retain(|_, slot| matches!(slot, Slot::Done { .. } | Slot::Quarantined(_)));
+        for &tile in tiles {
+            match run.slots.insert(tile, Slot::Dispatched { attempt: 0, retries: Vec::new() }) {
+                Some(Slot::Done { cached, .. }) => {
+                    self.tiles.done -= 1;
+                    self.tiles.cached -= usize::from(cached);
+                }
+                Some(Slot::Quarantined(_)) => self.tiles.quarantined -= 1,
+                _ => {}
+            }
+        }
+        run.head = tiles.first().copied();
+        let token = run.cancel.clone();
+        self.set_state(JobState::Running);
+        Some(token)
     }
 
     /// True while attempt number `attempt` of `tile` is the one the
@@ -294,64 +391,103 @@ impl JobMut {
     /// tile is unresolved (e.g. no overlapping resume got there
     /// first), and no newer attempt has taken the tile over.
     pub(super) fn attempt_is_live(&self, tile: usize, attempt: u64) -> bool {
-        !self.cancel.is_cancelled()
-            && self.state == JobState::Running
-            && !self.is_resolved(tile)
-            && self.attempts.get(&tile) == Some(&attempt)
+        let Some(run) = self.run.as_ref().filter(|_| self.state == JobState::Running) else {
+            return false;
+        };
+        !run.cancel.is_cancelled()
+            && matches!(run.slots.get(&tile), Some(Slot::Dispatched { attempt: a, .. }) if *a == attempt)
     }
-}
 
-/// Commits resolved tiles strictly along the commit queue: the head
-/// tile's buffered retries, then its terminal event. Every event a
-/// fixed fault plan produces is therefore emitted in tile order — the
-/// same order at any worker count.
-fn advance_commits(m: &mut JobMut, total: usize) {
-    while let Some(&tile) = m.commit_queue.front() {
-        let Some(res) = m.pending_commit.remove(&tile) else { break };
-        m.commit_queue.pop_front();
-        let retries = m.retry_log.remove(&tile).unwrap_or_default();
-        for r in &retries {
-            m.emit(JobEventKind::TileRetry {
-                tile,
-                attempt: r.attempt,
-                backoff_vms: r.backoff_vms,
-                reason: r.reason.clone(),
-            });
+    /// Books the failure of live attempt `attempt` of `tile`: the tile
+    /// moves on to its next attempt, and `retry` — when the budget
+    /// grants one — is logged for commit ahead of the tile's verdict.
+    /// Returns the token to resubmit under; `None` for a stale attempt
+    /// (settled, resolved, or already adjudicated).
+    pub(super) fn record_retry(
+        &mut self,
+        tile: usize,
+        attempt: u64,
+        retry: Option<TileRetry>,
+    ) -> Option<CancelToken> {
+        let live = self.attempt_is_live(tile, attempt);
+        let run = self.run.as_mut().filter(|_| live)?;
+        if let Some(Slot::Dispatched { attempt, retries }) = run.slots.get_mut(&tile) {
+            *attempt += 1;
+            retries.extend(retry);
         }
-        // Shard-dispatched jobs append every commit — retries and all —
-        // to the outcome log a coordinator replays byte-identically.
-        match res {
-            TileResolution::Done { partial, ckpt_degraded, cache } => {
-                if ckpt_degraded {
-                    m.emit(JobEventKind::CkptDegraded { tile });
-                }
-                match cache {
-                    TileCacheMark::Hit => {
-                        m.cached.insert(tile);
-                        m.emit(JobEventKind::TileCacheHit { tile });
+        Some(run.cancel.clone())
+    }
+
+    /// Takes `resolution` as the verdict of a dispatched, unresolved
+    /// tile of a running job — with the `retries` reported alongside
+    /// it, else the locally recorded ones — and commits whatever now
+    /// heads the commit order. `false`, and no change, when the job is
+    /// not running or the tile is not waiting for a verdict: never
+    /// dispatched, already resolved, already committed.
+    fn resolve(&mut self, tile: usize, retries: Vec<TileRetry>, resolution: TileResolution) -> bool {
+        let JobMut { state: JobState::Running, run: Some(run), events, outcomes, tiles, .. } = self
+        else {
+            return false;
+        };
+        let Some(Slot::Dispatched { retries: logged, .. }) = run.slots.get_mut(&tile) else {
+            return false;
+        };
+        let retries = if retries.is_empty() { std::mem::take(logged) } else { retries };
+        run.slots.insert(tile, Slot::Resolved { retries, resolution });
+        // Commit strictly in ascending tile order — the head tile's
+        // retries, then its terminal event — so every event a fixed
+        // fault plan produces lands in the same order at any worker
+        // count. Shard-dispatched jobs append every commit, retries and
+        // all, to the outcome log a coordinator replays byte-identically.
+        let mut emit = |kind| events.push(JobEvent { seq: events.len() as u64, kind });
+        while let Some(tile) = run.head {
+            if !matches!(run.slots.get(&tile), Some(Slot::Resolved { .. })) {
+                break; // the head is still computing; everything above it waits
+            }
+            let Some(Slot::Resolved { retries, resolution }) = run.slots.remove(&tile) else {
+                unreachable!("matched above")
+            };
+            for r in &retries {
+                let (attempt, backoff_vms, reason) = (r.attempt, r.backoff_vms, r.reason.clone());
+                emit(JobEventKind::TileRetry { tile, attempt, backoff_vms, reason });
+            }
+            let committed = match resolution {
+                TileResolution::Done { partial, ckpt_degraded, cache } => {
+                    if ckpt_degraded {
+                        emit(JobEventKind::CkptDegraded { tile });
                     }
-                    TileCacheMark::Stored => m.emit(JobEventKind::TileCacheStore { tile }),
-                    TileCacheMark::None => {}
+                    match cache {
+                        TileCacheMark::Hit => emit(JobEventKind::TileCacheHit { tile }),
+                        TileCacheMark::Stored => emit(JobEventKind::TileCacheStore { tile }),
+                        TileCacheMark::None => {}
+                    }
+                    if let Some(outcomes) = outcomes {
+                        let data = encode_tile_partial(&partial);
+                        let kind = TileOutcomeKind::Done { data, ckpt_degraded, cache };
+                        outcomes.push(TileOutcome { tile, retries, kind });
+                    }
+                    let cached = cache == TileCacheMark::Hit;
+                    tiles.done += 1;
+                    tiles.cached += usize::from(cached);
+                    emit(JobEventKind::TileDone { tile, completed: tiles.done, total: tiles.total });
+                    Slot::Done { partial, cached }
                 }
-                if let Some(outcomes) = &mut m.outcomes {
-                    let data = encode_tile_partial(&partial);
-                    let kind = TileOutcomeKind::Done { data, ckpt_degraded, cache };
-                    outcomes.push(TileOutcome { tile, retries, kind });
+                TileResolution::Quarantined { attempts, reason } => {
+                    if let Some(outcomes) = outcomes {
+                        let kind = TileOutcomeKind::Quarantined { attempts, reason: reason.clone() };
+                        outcomes.push(TileOutcome { tile, retries, kind });
+                    }
+                    tiles.quarantined += 1;
+                    let entry = QuarantinedTile { tile, attempts, reason: reason.clone() };
+                    emit(JobEventKind::TileQuarantined { tile, attempts, reason });
+                    Slot::Quarantined(entry)
                 }
-                m.partials.insert(tile, partial);
-                let completed = m.partials.len();
-                m.emit(JobEventKind::TileDone { tile, completed, total });
-            }
-            TileResolution::Quarantined { attempts, reason } => {
-                if let Some(outcomes) = &mut m.outcomes {
-                    let kind = TileOutcomeKind::Quarantined { attempts, reason: reason.clone() };
-                    outcomes.push(TileOutcome { tile, retries, kind });
-                }
-                let entry = QuarantinedTile { tile, attempts, reason: reason.clone() };
-                m.quarantined.insert(tile, entry);
-                m.emit(JobEventKind::TileQuarantined { tile, attempts, reason });
-            }
+            };
+            run.slots.insert(tile, committed);
+            let pending = |slot: &Slot| matches!(slot, Slot::Dispatched { .. } | Slot::Resolved { .. });
+            run.head = run.slots.range(tile + 1..).find(|(_, s)| pending(s)).map(|(&t, _)| t);
         }
+        true
     }
 }
 
@@ -380,10 +516,10 @@ pub(super) fn status_of(job: &Job, m: &JobMut) -> JobStatus {
         tenant: m.spec.tenant.clone(),
         priority: m.spec.priority,
         state: m.state,
-        tiles_total: m.ctx.as_ref().map_or(0, |c| c.tile_count()),
-        tiles_done: m.partials.len(),
-        tiles_quarantined: m.quarantined.len(),
-        tiles_cached: m.cached.len(),
+        tiles_total: m.tiles.total,
+        tiles_done: m.tiles.done,
+        tiles_quarantined: m.tiles.quarantined,
+        tiles_cached: m.tiles.cached,
         next_seq: m.events.len() as u64,
         score_bits: m.score.as_ref().map(|s| s.score.to_bits()),
         score_pass: m.score.as_ref().map(|s| s.pass),
@@ -396,21 +532,25 @@ pub(super) fn status_of(job: &Job, m: &JobMut) -> JobStatus {
 /// manifest in the report; only a merge error produces Failed. On any
 /// settle the job's scheduler reservations are released.
 pub(super) fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<JobContext>) {
-    let surviving: Vec<TilePartial> = {
-        let m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running || !m.commit_queue.is_empty() {
-            return;
-        }
-        m.partials.values().cloned().collect()
+    // The run of a running job whose every dispatched tile has committed.
+    fn drained(m: &JobMut) -> Option<&Run> {
+        m.run.as_ref().filter(|run| m.state == JobState::Running && run.head.is_none())
+    }
+    let surviving: Vec<TilePartial> = match drained(&job.m.lock().expect("job lock")) {
+        Some(run) => run.partials().cloned().collect(),
+        None => return,
     };
     let merged = ctx.merge(&surviving);
     let mut m = job.m.lock().expect("job lock");
-    if m.state != JobState::Running || !m.commit_queue.is_empty() {
-        return;
-    }
+    let Some(run) = drained(&m) else { return };
+    let manifest = run.slots.values().filter_map(|slot| match slot {
+        Slot::Quarantined(q) => Some(q.clone()),
+        _ => None,
+    });
+    let quarantined: Vec<QuarantinedTile> = manifest.collect();
     match merged {
         Ok(mut report) => {
-            report.quarantined = m.quarantined.values().cloned().collect();
+            report.quarantined = quarantined;
             let clean = report.quarantined.is_empty();
             // Score before the final state event: a client that saw
             // `State(Done)` can rely on the score being present.
@@ -441,15 +581,18 @@ pub(super) fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<Jo
     job.cv.notify_all();
 }
 
-/// The spec + GDS bytes a puller re-dispatches to a shard.
-pub(crate) fn shard_payload(job: &Arc<Job>) -> (JobSpec, Vec<u8>) {
+/// The spec + GDS bytes a puller re-dispatches to a shard; `None` once
+/// the job has finished and let them go.
+pub(crate) fn shard_payload(job: &Arc<Job>) -> Option<(JobSpec, Vec<u8>)> {
     let m = job.m.lock().expect("job lock");
-    (m.spec.clone(), m.gds.clone())
+    m.run.as_ref().map(|run| (m.spec.clone(), run.gds.clone()))
 }
 
 /// Installs the current shard-dispatch epoch on a coordinated job.
-pub(crate) fn set_shard_run(job: &Arc<Job>, run: Arc<ShardRun>) {
-    job.m.lock().expect("job lock").shard_run = Some(run);
+pub(crate) fn set_shard_run(job: &Arc<Job>, epoch: Arc<ShardRun>) {
+    if let Some(run) = &mut job.m.lock().expect("job lock").run {
+        run.shard_run = Some(epoch);
+    }
 }
 
 /// True while `run` is still the job's current epoch and the job is
@@ -457,7 +600,8 @@ pub(crate) fn set_shard_run(job: &Arc<Job>, run: Arc<ShardRun>) {
 /// cycle, so a cancel or resume retires them within one poll.
 pub(crate) fn shard_run_live(job: &Arc<Job>, run: &Arc<ShardRun>) -> bool {
     let m = job.m.lock().expect("job lock");
-    m.state == JobState::Running && m.shard_run.as_ref().is_some_and(|r| Arc::ptr_eq(r, run))
+    let epoch = m.run.as_ref().and_then(|r| r.shard_run.as_ref());
+    m.state == JobState::Running && epoch.is_some_and(|r| Arc::ptr_eq(r, run))
 }
 
 /// Feeds one shard-reported tile outcome into the coordinator job —
@@ -518,9 +662,9 @@ pub(crate) fn quarantine_lost_tiles(
     }
 }
 
-/// The one way a tile result enters a job. Buffers `resolution` (and
+/// The one way a tile result enters a job. Parks `resolution` (and
 /// any `retries` reported with it — locally recorded ones already sit
-/// in the retry log) for commit-ordered emission, releases the tile's
+/// in the tile's slot) for commit-ordered emission, releases the tile's
 /// scheduler capacity, and finalizes the job if this was its last tile.
 ///
 /// Ignored when the job is no longer running — a result landing after
@@ -536,22 +680,207 @@ pub(super) fn resolve_tile(
     retries: Vec<TileRetry>,
     resolution: TileResolution,
 ) {
-    {
-        let mut m = job.m.lock().expect("job lock");
-        if m.state != JobState::Running || m.is_resolved(tile) {
-            return;
-        }
-        if !retries.is_empty() {
-            m.retry_log.insert(tile, retries);
-        }
-        m.pending_commit.insert(tile, resolution);
-        advance_commits(&mut m, ctx.tile_count());
-        job.cv.notify_all();
+    if !job.m.lock().expect("job lock").resolve(tile, retries, resolution) {
+        return;
     }
+    job.cv.notify_all();
     // The guard above makes this the tile's single resolution, so the
     // scheduler release runs exactly once per tile. A tile that never
     // entered a lane (cache hit, shard outcome) credits the job's
     // unassigned admission budget instead of an in-flight slot.
     sched_resolved(shared, job.id, tile);
     try_finalize(shared, job, ctx);
+}
+
+#[cfg(test)]
+mod tests {
+    //! The slot map alone: a job with no context, GDS, service or pool
+    //! behind it, driven through the methods every caller uses.
+    use super::*;
+
+    fn partial(tile: usize) -> TilePartial {
+        TilePartial { tile, drc: Vec::new(), ca: None, litho: None, rects_peak: 0 }
+    }
+
+    fn done(tile: usize, cache: TileCacheMark) -> TileResolution {
+        TileResolution::Done { partial: partial(tile), ckpt_degraded: false, cache }
+    }
+
+    fn boom() -> TileResolution {
+        TileResolution::Quarantined { attempts: 3, reason: "boom".to_string() }
+    }
+
+    fn retry(attempt: u64) -> TileRetry {
+        TileRetry { attempt, backoff_vms: 8 << attempt, reason: format!("r{attempt}") }
+    }
+
+    fn running(tiles: &[usize]) -> JobMut {
+        let mut m = JobMut::fresh(JobSpec::default(), Vec::new(), None, JobState::Queued);
+        m.begin(tiles).expect("a fresh job holds its run");
+        m
+    }
+
+    /// The tile events so far, one word each.
+    fn committed(m: &JobMut) -> Vec<String> {
+        let word = |e: &JobEvent| match &e.kind {
+            JobEventKind::TileRetry { tile, attempt, .. } => Some(format!("retry {tile}/{attempt}")),
+            JobEventKind::TileDone { tile, completed, .. } => Some(format!("done {tile} #{completed}")),
+            JobEventKind::TileQuarantined { tile, .. } => Some(format!("quarantined {tile}")),
+            JobEventKind::TileCacheHit { tile } => Some(format!("hit {tile}")),
+            _ => None,
+        };
+        m.events.iter().filter_map(word).collect()
+    }
+
+    fn counts(m: &JobMut) -> (usize, usize, usize) {
+        (m.tiles.done, m.tiles.quarantined, m.tiles.cached)
+    }
+
+    fn tiles_of<'a>(partials: impl IntoIterator<Item = &'a TilePartial>) -> Vec<usize> {
+        partials.into_iter().map(|p| p.tile).collect()
+    }
+
+    fn manifest(run: &Run) -> Vec<usize> {
+        let quarantined = run.slots.iter().filter(|(_, slot)| matches!(slot, Slot::Quarantined(_)));
+        quarantined.map(|(&tile, _)| tile).collect()
+    }
+
+    #[test]
+    fn resolutions_in_any_order_commit_ascending_with_retries_first() {
+        let expect =
+            ["done 0 #1", "retry 1/0", "retry 1/1", "done 1 #2", "retry 2/0", "quarantined 2", "done 3 #3"];
+        let mut orders = vec![vec![]];
+        for _ in 0..4 {
+            orders = orders
+                .into_iter()
+                .flat_map(|o: Vec<usize>| {
+                    (0..4).filter(|t| !o.contains(t)).map(|t| [o.clone(), vec![t]].concat()).collect::<Vec<_>>()
+                })
+                .collect();
+        }
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let mut m = running(&[0, 1, 2, 3]);
+            // Tile 2 fails once locally; tile 1's retries arrive with
+            // its verdict, as a shard reports them.
+            assert!(m.record_retry(2, 0, Some(retry(0))).is_some());
+            for &tile in &order {
+                let (reported, verdict) = match tile {
+                    1 => (vec![retry(0), retry(1)], done(1, TileCacheMark::None)),
+                    2 => (Vec::new(), boom()),
+                    t => (Vec::new(), done(t, TileCacheMark::None)),
+                };
+                assert!(m.resolve(tile, reported, verdict), "{order:?}: tile {tile}");
+                let so_far = committed(&m);
+                assert_eq!(so_far[..], expect[..so_far.len()], "{order:?}: a prefix, in order");
+                let prefix = m.prefix();
+                assert!(tiles_of(&prefix).into_iter().eq(0..prefix.len()), "{order:?}");
+            }
+            assert_eq!(committed(&m), expect, "{order:?}");
+            let run = m.run.as_ref().expect("run");
+            assert_eq!(run.head, None, "{order:?}: nothing left to commit");
+            assert_eq!(tiles_of(&m.prefix()), [0, 1], "the prefix stops at the quarantined tile");
+            assert_eq!(tiles_of(run.partials()), [0, 1, 3]);
+            assert_eq!(manifest(run), [2]);
+            assert_eq!(counts(&m), (3, 1, 0));
+        }
+    }
+
+    #[test]
+    fn stale_attempts_duplicate_verdicts_and_verdicts_after_quarantine_are_no_ops() {
+        let mut m = running(&[0, 1, 2]);
+        assert!(m.record_retry(1, 0, Some(retry(0))).is_some());
+        assert!(m.attempt_is_live(1, 1) && !m.attempt_is_live(1, 0), "attempt 1 took tile 1 over");
+        assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::None)));
+        assert!(m.resolve(1, Vec::new(), boom()));
+        let settled = (committed(&m), counts(&m));
+        assert_eq!(settled.0, ["done 0 #1", "retry 1/0", "quarantined 1"]);
+
+        // The stale attempt 0 of tile 1 reporting in again, either way.
+        assert!(m.record_retry(1, 0, Some(retry(0))).is_none());
+        assert!(m.record_retry(1, 0, None).is_none());
+        // A duplicate verdict for the committed tile 0.
+        assert!(!m.resolve(0, vec![retry(0)], done(0, TileCacheMark::Hit)));
+        // Attempt 1 of tile 1 finishing (or failing) after the quarantine.
+        assert!(!m.attempt_is_live(1, 1));
+        assert!(!m.resolve(1, Vec::new(), done(1, TileCacheMark::None)));
+        assert!(m.record_retry(1, 1, Some(retry(1))).is_none());
+        // A tile this run never dispatched.
+        assert!(!m.resolve(7, Vec::new(), done(7, TileCacheMark::None)));
+        assert_eq!((committed(&m), counts(&m)), settled);
+        assert_eq!(m.run.as_ref().expect("run").head, Some(2), "tile 2 is still the one awaited");
+
+        // A verdict parked behind the head is taken once, too.
+        let mut m = running(&[0, 1]);
+        assert!(m.resolve(1, Vec::new(), done(1, TileCacheMark::None)));
+        assert!(!m.resolve(1, Vec::new(), boom()));
+        assert!(!m.attempt_is_live(1, 0));
+        // And a job that stopped running takes nothing.
+        m.cancel_queued();
+        assert!(!m.attempt_is_live(0, 0), "cancelled token");
+        m.set_state(JobState::Cancelled);
+        assert!(!m.resolve(0, Vec::new(), done(0, TileCacheMark::None)));
+        assert!(m.record_retry(0, 0, Some(retry(0))).is_none());
+        assert_eq!(committed(&m), Vec::<String>::new());
+    }
+
+    #[test]
+    fn begin_over_a_subset_resets_exactly_those_tiles() {
+        let mut m = running(&[0, 1, 2, 3]);
+        assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::Hit)));
+        assert!(m.resolve(1, Vec::new(), boom()));
+        assert!(m.resolve(2, Vec::new(), done(2, TileCacheMark::Hit)));
+        assert!(m.resolve(3, Vec::new(), done(3, TileCacheMark::Stored)));
+        assert_eq!(counts(&m), (3, 1, 2));
+        m.set_state(JobState::Partial);
+        assert_eq!(m.rearm(4), [1], "a resume redoes what has no partial");
+
+        // Re-dispatching the quarantined tile 1 and the cached tile 2
+        // clears their marks (and tile 2's partial); 0 and 3 keep theirs.
+        m.begin(&[1, 2]).expect("run");
+        assert_eq!(counts(&m), (2, 0, 1));
+        let run = m.run.as_ref().expect("run");
+        assert_eq!(tiles_of(run.partials()), [0, 3]);
+        assert!(manifest(run).is_empty());
+        assert_eq!(run.head, Some(1));
+        assert!(m.attempt_is_live(1, 0) && m.attempt_is_live(2, 0), "fresh attempt budgets");
+        assert!(!m.attempt_is_live(0, 0) && !m.attempt_is_live(3, 0));
+        let before = committed(&m).len();
+        assert!(m.resolve(2, Vec::new(), done(2, TileCacheMark::None)));
+        assert!(m.resolve(1, Vec::new(), done(1, TileCacheMark::None)));
+        assert_eq!(committed(&m)[before..], ["done 1 #3", "done 2 #4"]);
+        assert_eq!(counts(&m), (4, 0, 1));
+
+        // What a cancelled run left uncommitted — a verdict parked
+        // behind a tile still computing — is forgotten by the next run.
+        let mut m = running(&[0, 1, 2]);
+        assert!(m.record_retry(0, 0, Some(retry(0))).is_some());
+        assert!(m.resolve(2, Vec::new(), done(2, TileCacheMark::None)));
+        m.set_state(JobState::Cancelled);
+        assert_eq!(m.rearm(3), [0, 1, 2]);
+        m.begin(&[0, 1, 2]).expect("run");
+        assert!(m.attempt_is_live(0, 0) && m.attempt_is_live(2, 0));
+        assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::None)));
+        assert!(m.resolve(1, Vec::new(), done(1, TileCacheMark::None)));
+        assert_eq!(committed(&m), ["done 0 #1", "done 1 #2"], "no old retry, no old verdict");
+        assert_eq!(m.run.as_ref().expect("run").head, Some(2));
+    }
+
+    #[test]
+    fn done_and_failed_drop_the_run_and_keep_the_answer() {
+        for gone in [JobState::Done, JobState::Failed] {
+            let mut m = running(&[0]);
+            assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::Hit)));
+            m.set_state(gone);
+            assert!(m.run.is_none() && m.ctx().is_err());
+            assert_eq!(counts(&m), (1, 0, 1), "the counters are part of the answer");
+            assert_eq!(committed(&m), ["hit 0", "done 0 #1"]);
+            assert!(m.begin(&[0]).is_none() && m.rearm(1).is_empty());
+        }
+        for kept in [JobState::Partial, JobState::Cancelled] {
+            let mut m = running(&[0]);
+            m.set_state(kept);
+            assert!(m.run.is_some());
+        }
+    }
 }

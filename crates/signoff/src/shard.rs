@@ -19,10 +19,10 @@
 //! committed tile, a [`TileOutcome`]: the retries that preceded the
 //! commit, then either the encoded partial (with its checkpoint/cache
 //! marks) or the quarantine verdict. The coordinator ingests outcomes
-//! into the same `pending_commit`/`commit_queue` structures local
-//! attempts feed, so events still commit in ascending tile order and
-//! the report merge folds the identical partial set — which tiles ran
-//! where is unobservable in the bytes.
+//! into the same per-tile slots local attempts feed
+//! (`service::commit`), so events still commit in ascending tile order
+//! and the report merge folds the identical partial set — which tiles
+//! ran where is unobservable in the bytes.
 //!
 //! # Failure matrix
 //!
@@ -63,11 +63,13 @@
 //! the churn a real loss causes (watchdog expiry, quarantine
 //! adjudication) is skipped entirely.
 
-use crate::client::Client;
+use crate::client::{Client, RequestError};
 use crate::job::JobContext;
+use crate::proto::ErrorObj;
+use crate::sched::RejectCode;
 use crate::service::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live,
-    Job, RunShared,
+    Job, RunShared, WATCHDOG_VMS,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,10 +100,10 @@ pub const SITE_SHARD_HEARTBEAT: &str = "shard.heartbeat";
 /// un-ingested outcome is never lost.
 pub const SITE_COORD_INGEST: &str = "coord.ingest";
 
-/// Virtual milliseconds charged against
-/// [`crate::SupervisionPolicy::watchdog_vms`] per pull that returns no
-/// new outcome; a shard that stays silent past the budget is declared
-/// dead by the virtual-clock watchdog.
+/// Virtual milliseconds charged against the watchdog budget (10 000
+/// virtual ms, shared with stuck tile attempts) per pull that returns
+/// no new outcome; a shard that stays silent past the budget is
+/// declared dead by the virtual-clock watchdog.
 pub const PULL_POLL_VMS: u64 = 8;
 
 /// Real milliseconds between outcome pulls.
@@ -414,17 +416,23 @@ fn puller_loop(
     let grant = match client.shard_attach(coord, origin, gen) {
         Ok(grant) => grant,
         Err(_) => {
-            let (spec, gds) = shard_payload(job);
+            // A finished job has let its GDS go: this puller is stale.
+            let Some((spec, gds)) = shard_payload(job) else { return Ok(()) };
             let ranges = compress_ranges(mine.iter().copied());
-            client
-                .shard_dispatch(coord, origin, gen, spec, gds, Some(ranges))
-                .map_err(|e| {
-                    if e.contains("draining") {
+            // A drain is the shard's typed refusal code, never a word
+            // in its diagnostic (a tenant may well be named `draining`).
+            // The manifest carries the bare message, as it always has.
+            client.shard_dispatch(coord, origin, gen, spec, gds, Some(ranges)).map_err(|e| {
+                match e {
+                    RequestError::Server(e) if e.code == RejectCode::Draining.name() => {
                         PullerEnd::Drained
-                    } else {
+                    }
+                    RequestError::Server(ErrorObj { message: e, .. })
+                    | RequestError::Transport(e) => {
                         PullerEnd::Loss(format!("dispatch to shard {shard}: {e}"))
                     }
-                })?
+                }
+            })?
         }
     };
     if grant.total != ctx.tile_count() {
@@ -524,12 +532,10 @@ fn puller_loop(
             } else {
                 idle_vms += PULL_POLL_VMS + late_vms;
             }
-            if let Some(budget) = shared.policy.watchdog_vms {
-                if idle_vms >= budget {
-                    return Err(PullerEnd::Loss(format!(
-                        "lease expired: shard {shard} unrenewed for {idle_vms} vms (budget {budget} vms)"
-                    )));
-                }
+            if idle_vms >= WATCHDOG_VMS {
+                return Err(PullerEnd::Loss(format!(
+                    "lease expired: shard {shard} unrenewed for {idle_vms} vms (budget {WATCHDOG_VMS} vms)"
+                )));
             }
         }
         std::thread::sleep(Duration::from_millis(PULL_SLEEP_MS));

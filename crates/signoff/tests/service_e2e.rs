@@ -287,3 +287,34 @@ fn hostile_bytes_on_the_socket_never_kill_the_server() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
+
+#[test]
+fn every_drain_refusal_answers_code_draining() {
+    use dfm_signoff::proto::Request;
+    use dfm_signoff::RequestError;
+
+    let gds_bytes = small_gds(41);
+    let (addr, handle) = start_server(service(1));
+    // Connected before the drain: the listener stops accepting, the
+    // connection stays served.
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let job = client.submit(spec(), gds_bytes.clone()).expect("submit");
+    client.cancel(job).expect("cancel");
+    Client::connect(&addr.to_string()).expect("connect").shutdown_mode(true).expect("drain");
+    handle.join().expect("server thread");
+
+    let refusals = [
+        client.try_submit(spec(), gds_bytes.clone()).map(|_| ()),
+        client.request_typed(&Request::Resume { job }).map(|_| ()),
+        client.shard_dispatch(7, 1, 0, spec(), gds_bytes, Some(vec![(0, 1)])).map(|_| ()),
+    ];
+    for refusal in refusals {
+        match refusal {
+            Err(RequestError::Server(err)) => {
+                assert_eq!(err.code, "draining", "{err:?}");
+                assert_eq!(err.message, "service is draining; no new work is admitted");
+            }
+            other => panic!("expected a draining refusal, got {other:?}"),
+        }
+    }
+}

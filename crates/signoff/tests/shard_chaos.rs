@@ -10,7 +10,8 @@ use dfm_fault::{FaultAction, FaultPlan, FaultPlane, FaultRule};
 use dfm_layout::{gds, generate, layers, Technology};
 use dfm_signoff::service::{JobEvent, JobEventKind, JobState};
 use dfm_signoff::{
-    flat_report, Client, JobSpec, Server, ServiceConfig, SignoffService, SITE_SHARD_DISPATCH,
+    flat_report, Client, JobSpec, SchedConfig, Server, ServiceConfig, SignoffService,
+    SITE_SHARD_DISPATCH,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -278,4 +279,45 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
     );
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&shard_dir);
+}
+
+/// A drain is the refusal *code* `draining`, never a word in the
+/// diagnostic: shards whose tenant plan refuses a tenant literally
+/// named `draining` (`unknown_tenant: tenant 'draining' is not in the
+/// tenant plan`) are lost shards — re-dispatched, then quarantined with
+/// a loss manifest — not planned handoffs.
+#[test]
+fn a_refusal_that_mentions_draining_is_a_loss_not_a_drain() {
+    let closed_shard = |k| {
+        let cfg = ServiceConfig::builder().threads(1).shard_of(k, 2).sched(SchedConfig::default());
+        let server = Server::bind(Arc::new(SignoffService::with_config(cfg.build())), 0)
+            .expect("bind shard");
+        let addr = server.local_addr().to_string();
+        std::thread::spawn(move || {
+            let _ = server.serve();
+        });
+        addr
+    };
+    let addrs: Vec<String> = (0..2).map(closed_shard).collect();
+    let coord = coordinator(&addrs, None);
+    let spec = JobSpec { tenant: "draining".to_string(), ..spec() };
+    let id = coord.submit(spec, block_gds()).expect("the coordinator's open plan admits it");
+    let status = coord.wait(id).expect("wait");
+    let events = coord.events(id, 0).expect("events");
+    let stats = coord.shard_stats().expect("shard stats");
+    shutdown_all(&addrs);
+
+    assert_eq!(status.state, JobState::Partial);
+    assert_eq!(status.tiles_quarantined, status.tiles_total);
+    assert_eq!(stats.tiles_drained, 0, "nothing was draining");
+    assert!(stats.tiles_redispatched > 0, "the first refusal is a loss: its range moves on");
+    for e in &events {
+        if let JobEventKind::TileQuarantined { reason, .. } = &e.kind {
+            assert!(
+                reason.contains("lost: dispatch to shard")
+                    && reason.ends_with("tenant 'draining' is not in the tenant plan"),
+                "the manifest carries the shard's diagnostic, not a drain: {reason}"
+            );
+        }
+    }
 }
