@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, and the platform's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -70,6 +70,22 @@ per_tile=$(awk "$non_test"' && /^(pub(\([a-z]+\))? )?struct (JobMut|Run) /{s=$0;
 if [[ -n "$per_tile" ]]; then
     echo "error: per-tile state lives in the one slot map of service/commit.rs:" >&2
     echo "$per_tile" >&2
+    exit 1
+fi
+# ISSUE 18's figure (2 501 before `Rejection`, `SubmitError`,
+# `classify` and the untyped client entry points were folded into
+# `ErrorObj { code: ErrorCode, .. }`), and its rule: a failure gets its
+# code where it happens, as an enum variant, and nothing downstream
+# decides one from text — no message-prefix match, no comparison of a
+# code with a string literal, no `ErrorObj` built from a `&str` code.
+awk "$non_test"'{n++} END{print "client.rs + server.rs + service.rs + sched.rs non-test lines: " n}' \
+    crates/signoff/src/client.rs crates/signoff/src/server.rs \
+    crates/signoff/src/service.rs crates/signoff/src/sched.rs
+code_from_text=$(find crates/signoff/src src/bin -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /starts_with\("no such|\.code\.as_str\(\)|\.code *[=!]= *"|" *[=!]= *[a-z_.]*\.code\>|ErrorObj::coded\( *"|\<code: *"/{print FILENAME":"FNR": "$0}')
+if [[ -n "$code_from_text" ]]; then
+    echo "error: an error code is an ErrorCode variant chosen where the failure happens, never read off text:" >&2
+    echo "$code_from_text" >&2
     exit 1
 fi
 # ISSUE 13's figure: 824 before nested regions went inline and the

@@ -47,8 +47,8 @@ pub const EXIT_PARTIAL: u8 = 2;
 /// Process exit code: operational error (bad arguments, I/O, protocol).
 pub const EXIT_ERROR: u8 = 3;
 /// Process exit code: the service refused the submission at admission
-/// (tenant quota, global backpressure, or unknown tenant) — retry
-/// later; nothing was enqueued.
+/// (tenant quota, global backpressure, unknown tenant, or a draining
+/// server) — retry later or elsewhere; nothing was enqueued.
 pub const EXIT_REJECTED: u8 = 4;
 
 /// Maps a verdict onto the CLI exit-code contract. `partial` dominates:

@@ -21,7 +21,7 @@ use crate::codec::{read_frame, MAX_LINE_BYTES};
 use crate::proto::{ErrorObj, Request, Response};
 use crate::service::{JobEvent, JobStatus};
 use crate::shard::{ShardGrant, TileOutcome};
-use crate::spec::{JobSpec, DEFAULT_TENANT};
+use crate::spec::JobSpec;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -44,24 +44,16 @@ fn real_sleep(vms: u64) {
     std::thread::sleep(Duration::from_millis(vms.min(100)));
 }
 
-/// Configures and connects a [`Client`]: socket timeouts plus the
-/// default tenant/priority stamped onto submitted specs that did not
-/// set their own.
+/// Configures and connects a [`Client`]: the socket timeout.
 ///
 /// ```no_run
 /// # use dfm_signoff::Client;
 /// # use std::time::Duration;
-/// let client = Client::builder()
-///     .timeout(Duration::from_secs(30))
-///     .tenant("acme")
-///     .priority(2)
-///     .connect("127.0.0.1:4517");
+/// let client = Client::builder().timeout(Duration::from_secs(30)).connect("127.0.0.1:4517");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClientBuilder {
     timeout: Option<Duration>,
-    tenant: Option<String>,
-    priority: Option<u8>,
 }
 
 impl ClientBuilder {
@@ -73,22 +65,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Default tenant for submissions whose spec left `tenant` at
-    /// [`DEFAULT_TENANT`]. A spec that names its own tenant wins.
-    #[must_use]
-    pub fn tenant(mut self, tenant: impl Into<String>) -> ClientBuilder {
-        self.tenant = Some(tenant.into());
-        self
-    }
-
-    /// Default priority for submissions whose spec left `priority`
-    /// at 0. A spec with its own non-zero priority wins.
-    #[must_use]
-    pub fn priority(mut self, priority: u8) -> ClientBuilder {
-        self.priority = Some(priority);
-        self
-    }
-
     /// Connects to `addr` (e.g. `127.0.0.1:4517`).
     ///
     /// # Errors
@@ -96,14 +72,7 @@ impl ClientBuilder {
     /// Socket diagnostics.
     pub fn connect(self, addr: &str) -> Result<Client, String> {
         let conn = Conn::open(addr, self.timeout)?;
-        Ok(Client {
-            addr: addr.to_string(),
-            timeout: self.timeout,
-            conn: Some(conn),
-            tenant: self.tenant,
-            priority: self.priority,
-            reconnects: 0,
-        })
+        Ok(Client { addr: addr.to_string(), timeout: self.timeout, conn: Some(conn), reconnects: 0 })
     }
 }
 
@@ -118,11 +87,13 @@ pub enum RequestError {
     Server(ErrorObj),
 }
 
-impl std::fmt::Display for RequestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RequestError::Transport(msg) => write!(f, "{msg}"),
-            RequestError::Server(err) => write!(f, "{err}"),
+/// The flattening every `Result<_, String>` method of [`Client`] gets
+/// through `?`: the transport diagnostic, or the server's message.
+impl From<RequestError> for String {
+    fn from(e: RequestError) -> String {
+        match e {
+            RequestError::Transport(message) => message,
+            RequestError::Server(error) => error.into(),
         }
     }
 }
@@ -170,8 +141,6 @@ pub struct Client {
     addr: String,
     timeout: Option<Duration>,
     conn: Option<Conn>,
-    tenant: Option<String>,
-    priority: Option<u8>,
     reconnects: u64,
 }
 
@@ -196,9 +165,8 @@ fn retryable(request: &Request) -> bool {
 }
 
 impl Client {
-    /// Connects to `addr` (e.g. `127.0.0.1:4517`) with no timeout and
-    /// no submission defaults — shorthand for
-    /// `Client::builder().connect(addr)`.
+    /// Connects to `addr` (e.g. `127.0.0.1:4517`) with no timeout —
+    /// shorthand for `Client::builder().connect(addr)`.
     ///
     /// # Errors
     ///
@@ -218,20 +186,6 @@ impl Client {
         self.reconnects
     }
 
-    /// Sends one request and reads its response.
-    ///
-    /// # Errors
-    ///
-    /// Socket, framing, and protocol diagnostics; a server-side
-    /// [`Response::Error`] is surfaced as its message. Use
-    /// [`Client::request_typed`] to keep the structured error.
-    pub fn request(&mut self, request: &Request) -> Result<Response, String> {
-        self.request_typed(request).map_err(|e| match e {
-            RequestError::Transport(msg) => msg,
-            RequestError::Server(err) => err.message,
-        })
-    }
-
     /// Sends one request and reads its response, keeping server-side
     /// failures machine-readable. Retryable requests (see the module
     /// docs) transparently reconnect and resend on transport failure,
@@ -244,7 +198,7 @@ impl Client {
     /// diagnostics (after the reconnect budget, for retryable
     /// requests), [`RequestError::Server`] for a [`Response::Error`]
     /// answer — server refusals are never retried here.
-    pub fn request_typed(&mut self, request: &Request) -> Result<Response, RequestError> {
+    pub fn request(&mut self, request: &Request) -> Result<Response, RequestError> {
         let budget = if retryable(request) { RECONNECT_ATTEMPTS } else { 0 };
         let mut attempt = 0;
         loop {
@@ -277,22 +231,6 @@ impl Client {
         }
     }
 
-    /// Stamps the builder's default tenant/priority onto a spec that
-    /// left them at their defaults.
-    fn apply_defaults(&self, mut spec: JobSpec) -> JobSpec {
-        if spec.tenant == DEFAULT_TENANT {
-            if let Some(tenant) = &self.tenant {
-                spec.tenant.clone_from(tenant);
-            }
-        }
-        if spec.priority == 0 {
-            if let Some(priority) = self.priority {
-                spec.priority = priority;
-            }
-        }
-        spec
-    }
-
     /// Liveness probe.
     ///
     /// # Errors
@@ -309,61 +247,31 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport/protocol diagnostics and submission rejections,
-    /// flattened to their message. Use [`Client::try_submit`] when the
-    /// rejection code / retry hint matters (e.g. to back off).
+    /// [`Client::submit_idem`]'s, flattened to the message.
     pub fn submit(&mut self, spec: JobSpec, gds: Vec<u8>) -> Result<u64, String> {
-        self.try_submit(spec, gds).map_err(|e| match e {
-            RequestError::Transport(msg) => msg,
-            RequestError::Server(err) => err.message,
-        })
+        Ok(self.submit_idem(spec, gds, None)?)
     }
 
-    /// Submits a job under a client idempotency key: a resubmission of
-    /// the same key (e.g. after an ambiguous connection drop) answers
-    /// with the job id the key first minted instead of double-running.
-    /// With a key the request is also transport-retryable, so the
-    /// client resends it through reconnects on its own.
+    /// Submits a job, optionally under a client idempotency key: a
+    /// resubmission of the same key (e.g. after an ambiguous connection
+    /// drop) answers with the job id the key first minted instead of
+    /// double-running. With a key the request is also
+    /// transport-retryable, so the client resends it through reconnects
+    /// on its own.
     ///
     /// # Errors
     ///
-    /// As [`Client::submit`].
+    /// As [`Client::request`]: a refusal keeps its structured
+    /// [`ErrorObj`] (code + optional `retry_after_vms`), so the caller
+    /// can tell an admission refusal from a bad request and back off.
     pub fn submit_idem(
         &mut self,
         spec: JobSpec,
         gds: Vec<u8>,
         idem: Option<&str>,
-    ) -> Result<u64, String> {
-        self.try_submit_idem(spec, gds, idem).map_err(|e| match e {
-            RequestError::Transport(msg) => msg,
-            RequestError::Server(err) => err.message,
-        })
-    }
-
-    /// Submits a job, returning its id — admission refusals keep their
-    /// structured [`ErrorObj`] (code + optional `retry_after_vms`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request_typed`].
-    pub fn try_submit(&mut self, spec: JobSpec, gds: Vec<u8>) -> Result<u64, RequestError> {
-        self.try_submit_idem(spec, gds, None)
-    }
-
-    /// [`Client::try_submit`] with an optional idempotency key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request_typed`].
-    pub fn try_submit_idem(
-        &mut self,
-        spec: JobSpec,
-        gds: Vec<u8>,
-        idem: Option<&str>,
     ) -> Result<u64, RequestError> {
-        let spec = self.apply_defaults(spec);
         let idem = idem.map(str::to_string);
-        match self.request_typed(&Request::Submit { spec, gds, idem })? {
+        match self.request(&Request::Submit { spec, gds, idem })? {
             Response::Submitted { job } => Ok(job),
             other => Err(RequestError::Transport(format!("unexpected reply to submit: {other:?}"))),
         }
@@ -388,7 +296,7 @@ impl Client {
     ) -> Result<u64, RequestError> {
         let mut attempt = 0;
         loop {
-            match self.try_submit_idem(spec.clone(), gds.clone(), idem) {
+            match self.submit_idem(spec.clone(), gds.clone(), idem) {
                 Ok(job) => return Ok(job),
                 Err(e @ RequestError::Transport(_)) => return Err(e),
                 Err(RequestError::Server(err)) => {
@@ -523,12 +431,13 @@ impl Client {
     /// the shard's grant. `ranges = None` asks the shard to run its own
     /// `--shard-of` partition.
     ///
-    /// Typed errors so the coordinator can tell a draining shard (code
-    /// `draining`: a planned handoff) from any other refusal.
+    /// Typed errors so the coordinator can tell a draining shard
+    /// ([`crate::proto::ErrorCode::Draining`]: a planned handoff) from
+    /// any other refusal.
     ///
     /// # Errors
     ///
-    /// As [`Client::request_typed`].
+    /// As [`Client::request`].
     pub fn shard_dispatch(
         &mut self,
         coord: u64,
@@ -539,7 +448,7 @@ impl Client {
         ranges: Option<Vec<(usize, usize)>>,
     ) -> Result<ShardGrant, RequestError> {
         let request = Request::ShardDispatch { coord, origin, gen, spec, gds, ranges };
-        match self.request_typed(&request)? {
+        match self.request(&request)? {
             Response::ShardDispatched { grant } => Ok(grant),
             other => Err(RequestError::Transport(format!(
                 "unexpected reply to shard.dispatch: {other:?}"
@@ -554,14 +463,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As [`Client::request_typed`].
+    /// As [`Client::request`].
     pub fn shard_attach(
         &mut self,
         coord: u64,
         origin: u64,
         gen: u64,
     ) -> Result<ShardGrant, RequestError> {
-        match self.request_typed(&Request::ShardAttach { coord, origin, gen })? {
+        match self.request(&Request::ShardAttach { coord, origin, gen })? {
             Response::ShardDispatched { grant } => Ok(grant),
             other => Err(RequestError::Transport(format!(
                 "unexpected reply to shard.attach: {other:?}"
@@ -613,7 +522,7 @@ impl Client {
     /// Transport/protocol diagnostics and unknown ids.
     pub fn wait(&mut self, job: u64) -> Result<JobStatus, String> {
         loop {
-            match self.request_typed(&Request::Status { job }) {
+            match self.request(&Request::Status { job }) {
                 Ok(Response::Status(status)) => {
                     if status.state.is_settled() {
                         return Ok(status);
@@ -621,11 +530,10 @@ impl Client {
                     real_sleep(WAIT_POLL_VMS);
                 }
                 Ok(other) => return Err(format!("unexpected reply to status: {other:?}")),
-                Err(RequestError::Server(err)) => match err.retry_after_vms {
-                    Some(vms) => real_sleep(vms),
-                    None => return Err(err.message),
-                },
-                Err(RequestError::Transport(msg)) => return Err(msg),
+                Err(RequestError::Server(ErrorObj { retry_after_vms: Some(vms), .. })) => {
+                    real_sleep(vms);
+                }
+                Err(e) => return Err(e.into()),
             }
         }
     }

@@ -77,12 +77,12 @@ pub use client::{Client, ClientBuilder, RequestError};
 pub use scoring::flat_score;
 pub use job::{JobContext, TilePartial, CACHE_KEY_VERSION};
 pub use report::{flat_report, CaSummary, LithoSummary, QuarantinedTile, SignoffReport};
-pub use sched::{Grant, RejectCode, Rejection, SchedConfig, TenantPolicy};
-pub use proto::{ErrorObj, PROTO_VERSION};
+pub use sched::{Grant, SchedConfig, TenantPolicy};
+pub use proto::{ErrorCode, ErrorObj, PROTO_VERSION};
 pub use server::Server;
 pub use service::{
     JobEvent, JobEventKind, JobState, JobStatus, ServiceConfig, ServiceConfigBuilder,
-    SignoffService, SubmitError, SupervisionPolicy,
+    SignoffService,
 };
 pub use shard::{
     ShardGrant, ShardStats, TileCacheMark, TileOutcome, TileOutcomeKind, TileRetry,

@@ -12,9 +12,9 @@
 //! Every frame carries `"v":2` and failures travel as a
 //! machine-readable [`ErrorObj`] (`{code, message, retry_after_vms?}`).
 //! There is one dialect: a request with no `"v"`, or any other
-//! version, is refused with code `"unsupported_version"` — in the same
-//! v2 shape, on a connection that stays usable — never answered in
-//! kind.
+//! version, is refused with [`ErrorCode::UnsupportedVersion`] — in the
+//! same v2 shape, on a connection that stays usable — never answered
+//! in kind.
 //!
 //! Both directions are implemented symmetrically (`to_json` and
 //! `parse`) so the test suite can round-trip every frame kind. Every
@@ -22,7 +22,6 @@
 //! owns the rule for absent, `null`, mistyped and too-large values.
 
 use crate::codec::{by_name, from_hex, name_of, parse_json, to_hex, Field, Fields, U64Str};
-use crate::sched::Rejection;
 use crate::service::{JobEvent, JobEventKind, JobState, JobStatus};
 use crate::shard::{ShardGrant, TileCacheMark, TileOutcome, TileOutcomeKind, TileRetry};
 use crate::spec::{JobSpec, DEFAULT_TENANT};
@@ -39,18 +38,88 @@ macro_rules! num {
 /// The protocol version this build speaks natively.
 pub const PROTO_VERSION: u64 = 2;
 
-/// A machine-readable failure: the shape of the `error` field.
+/// What a failure *is*: the closed vocabulary of the `error.code`
+/// field. A failure gets its code where it happens — admission, the
+/// job lookup, the frame parser — and carries it unchanged to the
+/// reply, the client and the CLI's exit code; nothing downstream
+/// re-derives it from the message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ErrorCode {
+    /// The tenant has no policy line and the plan has no wildcard.
+    UnknownTenant,
+    /// A per-tenant `max_jobs` / `max_tiles` quota would be exceeded.
+    QuotaExceeded,
+    /// The global `max_pending_tiles` ceiling would be exceeded.
+    Busy,
+    /// The service is draining (`shutdown --drain`) and admits no new
+    /// work; retry against a fresh instance.
+    Draining,
+    /// No job (or shard dispatch key) with that id.
+    NotFound,
+    /// The frame, spec or GDS bytes are the client's mistake.
+    BadRequest,
+    /// The frame's `"v"` is absent or not [`PROTO_VERSION`].
+    UnsupportedVersion,
+    /// Every other failure.
+    Error,
+}
+
+impl ErrorCode {
+    /// Each code and its wire name, read in both directions.
+    const NAMES: [(ErrorCode, &'static str); 8] = [
+        (ErrorCode::UnknownTenant, "unknown_tenant"),
+        (ErrorCode::QuotaExceeded, "quota_exceeded"),
+        (ErrorCode::Busy, "busy"),
+        (ErrorCode::Draining, "draining"),
+        (ErrorCode::NotFound, "not_found"),
+        (ErrorCode::BadRequest, "bad_request"),
+        (ErrorCode::UnsupportedVersion, "unsupported_version"),
+        (ErrorCode::Error, "error"),
+    ];
+
+    /// Stable snake_case name used on the wire.
+    pub fn name(self) -> &'static str {
+        name_of(&ErrorCode::NAMES, &self)
+    }
+
+    /// Reads [`ErrorCode::name`] back. A name this build does not know
+    /// (a newer server's) is the catch-all [`ErrorCode::Error`]: the
+    /// message still says what happened, and no caller acts on a code
+    /// it cannot name.
+    pub fn from_name(name: &str) -> ErrorCode {
+        by_name(&ErrorCode::NAMES, name).unwrap_or(ErrorCode::Error)
+    }
+
+    /// Whether this refusal came from admission — the four codes
+    /// `SignoffService`'s admission guard produces — so nothing was
+    /// enqueued and resubmitting (after the hint, or elsewhere) is the
+    /// remedy.
+    pub fn is_admission_refusal(self) -> bool {
+        use ErrorCode::{Busy, Draining, QuotaExceeded, UnknownTenant};
+        matches!(self, UnknownTenant | QuotaExceeded | Busy | Draining)
+    }
+}
+
+impl<'a> Field<'a> for ErrorCode {
+    const TYPE: &'static str = "an error code";
+    fn read(v: &'a JsonValue) -> Option<ErrorCode> {
+        v.as_str().map(ErrorCode::from_name)
+    }
+}
+
+/// A machine-readable failure: the shape of the `error` field, and the
+/// one structured error of this crate — what the scheduler refuses
+/// with, what every [`crate::SignoffService`] call the server makes
+/// returns, what a client gets back.
 ///
-/// `code` is a stable, snake_case discriminator clients can switch on
-/// (`"unknown_tenant"`, `"quota_exceeded"`, `"busy"`, `"draining"`,
-/// `"not_found"`, `"bad_request"`, `"unsupported_version"`, or the
-/// catch-all `"error"`); `message` is the human diagnostic. Backpressure
-/// rejections also carry `retry_after_vms`, a deterministic
-/// virtual-milliseconds hint for when to retry the submission.
+/// `code` is the discriminator callers switch on (see [`ErrorCode`]);
+/// `message` is the human diagnostic. Backpressure refusals also carry
+/// `retry_after_vms`, a deterministic virtual-milliseconds hint for
+/// when to retry the submission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ErrorObj {
-    /// Stable machine-readable discriminator (snake_case).
-    pub code: String,
+    /// What the failure is.
+    pub code: ErrorCode,
     /// Human-readable diagnostic.
     pub message: String,
     /// Retry hint in virtual milliseconds, on backpressure rejections.
@@ -59,15 +128,15 @@ pub struct ErrorObj {
 
 impl ErrorObj {
     /// An error with the given code and no retry hint.
-    pub(crate) fn coded(code: &str, message: impl Into<String>) -> ErrorObj {
-        ErrorObj { code: code.to_string(), message: message.into(), retry_after_vms: None }
+    pub(crate) fn coded(code: ErrorCode, message: impl Into<String>) -> ErrorObj {
+        ErrorObj { code, message: message.into(), retry_after_vms: None }
     }
 
     /// Renders the `error` payload (`retry_after_vms` is omitted when
     /// absent).
     pub fn to_json(&self) -> JsonValue {
         let head = [
-            ("code", JsonValue::str(&self.code)),
+            ("code", JsonValue::str(self.code.name())),
             ("message", JsonValue::str(&self.message)),
         ];
         let hint = self.retry_after_vms.map(|vms| ("retry_after_vms", num!(vms)));
@@ -89,19 +158,25 @@ impl ErrorObj {
     }
 }
 
-impl From<Rejection> for ErrorObj {
-    fn from(r: Rejection) -> ErrorObj {
-        ErrorObj {
-            code: r.code.name().to_string(),
-            message: r.message,
-            retry_after_vms: r.retry_after_vms,
-        }
+/// A diagnostic nobody classified is the catch-all code, so `?` lifts
+/// a plain `String` failure into the structured one.
+impl From<String> for ErrorObj {
+    fn from(message: String) -> ErrorObj {
+        ErrorObj::coded(ErrorCode::Error, message)
+    }
+}
+
+/// The flattening every `Result<_, String>` caller gets: the message,
+/// no code prefix.
+impl From<ErrorObj> for String {
+    fn from(e: ErrorObj) -> String {
+        e.message
     }
 }
 
 impl std::fmt::Display for ErrorObj {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.code, self.message)?;
+        write!(f, "{}: {}", self.code.name(), self.message)?;
         if let Some(vms) = self.retry_after_vms {
             write!(f, " (retry after {vms} vms)")?;
         }
@@ -267,13 +342,13 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// The [`ErrorObj`] to answer with: code `"unsupported_version"`
+    /// The [`ErrorObj`] to answer with: [`ErrorCode::UnsupportedVersion`]
     /// for a JSON object whose `"v"` is absent or not
-    /// [`PROTO_VERSION`], `"bad_request"` for malformed JSON, a frame
-    /// that is not an object, an unknown `cmd`, or a missing or
-    /// mistyped field. Never panics, whatever the bytes.
+    /// [`PROTO_VERSION`], [`ErrorCode::BadRequest`] for malformed JSON,
+    /// a frame that is not an object, an unknown `cmd`, or a missing
+    /// or mistyped field. Never panics, whatever the bytes.
     pub fn parse(line: &str) -> Result<Request, ErrorObj> {
-        let bad = |e| ErrorObj::coded("bad_request", e);
+        let bad = |e| ErrorObj::coded(ErrorCode::BadRequest, e);
         let v = parse_json(line).map_err(bad)?;
         let f = Fields::of(&v, "request").map_err(bad)?;
         let got = match f.opt::<u64>("v") {
@@ -285,7 +360,7 @@ impl Request {
         let message = format!(
             "unsupported protocol version {got}: send \"v\":{PROTO_VERSION} on every frame"
         );
-        Err(ErrorObj::coded("unsupported_version", message))
+        Err(ErrorObj::coded(ErrorCode::UnsupportedVersion, message))
     }
 
     fn from_fields(f: &Fields) -> Result<Request, String> {
@@ -912,10 +987,10 @@ mod tests {
             },
             Response::ShardAlive { settled: false, draining: false },
             Response::ShardAlive { settled: true, draining: true },
-            Response::Error { error: ErrorObj::coded("not_found", "no such job: 4") },
+            Response::Error { error: ErrorObj::coded(ErrorCode::NotFound, "no such job: 4") },
             Response::Error {
                 error: ErrorObj {
-                    code: "quota_exceeded".to_string(),
+                    code: ErrorCode::QuotaExceeded,
                     message: "tenant 'acme' is at max_jobs=2".to_string(),
                     retry_after_vms: Some(96),
                 },
@@ -1069,7 +1144,7 @@ mod tests {
             assert_eq!(Request::parse(&line), Ok(req), "{line}");
         }
         let beyond = format!(r#"{{"v":2,"cmd":"shard.attach","coord":{},"origin":5,"gen":2}}"#, 1u64 << 54);
-        assert_eq!(Request::parse(&beyond).expect_err(&beyond).code, "bad_request");
+        assert_eq!(Request::parse(&beyond).expect_err(&beyond).code, ErrorCode::BadRequest);
     }
 
     #[test]
@@ -1085,7 +1160,7 @@ mod tests {
             r#"{"cmd":"shard.attach","coord":9,"origin":1,"gen":0}"#,
         ] {
             let err = Request::parse(line).expect_err(line);
-            assert_eq!(err.code, "unsupported_version", "{line}: {err}");
+            assert_eq!(err.code, ErrorCode::UnsupportedVersion, "{line}: {err}");
             assert_eq!(err.retry_after_vms, None);
         }
         let err = Request::parse(r#"{"v":3,"cmd":"ping"}"#).expect_err("v3");
@@ -1094,7 +1169,7 @@ mod tests {
         // frame with a bad body is the client's fault instead.
         assert_eq!(Request::parse(r#"{"v":2,"cmd":"ping"}"#), Ok(Request::Ping));
         for line in ["{", r#"{"v":2,"cmd":"warp"}"#, r#"{"v":2,"cmd":"status"}"#] {
-            assert_eq!(Request::parse(line).expect_err(line).code, "bad_request", "{line}");
+            assert_eq!(Request::parse(line).expect_err(line).code, ErrorCode::BadRequest, "{line}");
         }
         // The refusal itself is an ordinary v2 error frame.
         let frame = Response::Error { error: err.clone() }.to_json().render();
@@ -1126,7 +1201,7 @@ mod tests {
     #[test]
     fn error_objects_round_trip_and_render_hints() {
         let e = ErrorObj {
-            code: "quota_exceeded".to_string(),
+            code: ErrorCode::QuotaExceeded,
             message: "tenant 'acme' is at max_tiles=64".to_string(),
             retry_after_vms: Some(512),
         };
@@ -1135,12 +1210,46 @@ mod tests {
             e.to_string(),
             "quota_exceeded: tenant 'acme' is at max_tiles=64 (retry after 512 vms)"
         );
-        let plain = ErrorObj::coded("error", "boom");
+        let plain = ErrorObj::coded(ErrorCode::Error, "boom");
         assert_eq!(ErrorObj::from_json(&plain.to_json()), Ok(plain.clone()));
         assert_eq!(plain.to_string(), "error: boom");
         // Mistyped objects are diagnostics, not panics.
         assert!(ErrorObj::from_json(&parse_json(r#"{"code":7}"#).unwrap()).is_err());
         assert!(ErrorObj::from_json(&parse_json(r#"{"code":"x"}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn every_error_code_keeps_its_pinned_name_and_an_unknown_name_reads_as_error() {
+        // Exhaustive on purpose: a new variant does not compile until
+        // its wire name is pinned here.
+        let pinned = |code| match code {
+            ErrorCode::UnknownTenant => "unknown_tenant",
+            ErrorCode::QuotaExceeded => "quota_exceeded",
+            ErrorCode::Busy => "busy",
+            ErrorCode::Draining => "draining",
+            ErrorCode::NotFound => "not_found",
+            ErrorCode::BadRequest => "bad_request",
+            ErrorCode::UnsupportedVersion => "unsupported_version",
+            ErrorCode::Error => "error",
+        };
+        for (code, name) in ErrorCode::NAMES {
+            assert_eq!(name, pinned(code));
+            assert_eq!(code.name(), name);
+            assert_eq!(ErrorCode::from_name(name), code);
+            let error = ErrorObj::coded(code, "m");
+            let frame = Response::Error { error: error.clone() }.to_json().render();
+            assert!(frame.contains(&format!(r#""code":"{name}","#)), "{frame}");
+            assert_eq!(Response::parse(&frame), Ok(Response::Error { error }));
+        }
+        // A code minted by a newer server: the frame still parses, the
+        // message and hint survive, and the code is the catch-all.
+        let newer = r#"{"v":2,"ok":false,"error":{"code":"rate_limited","message":"slow down","retry_after_vms":40}}"#;
+        let error = ErrorObj {
+            code: ErrorCode::Error,
+            message: "slow down".to_string(),
+            retry_after_vms: Some(40),
+        };
+        assert_eq!(Response::parse(newer), Ok(Response::Error { error }));
     }
 
     #[test]
@@ -1238,7 +1347,7 @@ mod tests {
             // the field check under test; everything else must fail as
             // a response (and, having no "cmd", as a request too).
             if line.contains("\"cmd\"") {
-                assert_eq!(Request::parse(line).expect_err(line).code, "bad_request", "{line}");
+                assert_eq!(Request::parse(line).expect_err(line).code, ErrorCode::BadRequest, "{line}");
             } else {
                 assert!(Request::parse(line).is_err() && Response::parse(line).is_err(), "{line}");
             }

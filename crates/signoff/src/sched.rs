@@ -41,15 +41,15 @@
 //! global max_inflight 8 max_pending_tiles 10000
 //! ```
 //!
-//! A submission is rejected with a structured [`Rejection`] — code,
+//! A submission is rejected with a structured [`ErrorObj`] — code,
 //! message, deterministic retry-after hint in virtual milliseconds —
 //! when the tenant is unknown (no wildcard policy), a per-tenant
 //! `max_jobs`/`max_tiles` quota would be exceeded, or the global
 //! pending-tile ceiling is hit (`busy`). Nothing about an admitted job
 //! is recorded on the rejection path.
 
+use crate::proto::{ErrorCode, ErrorObj};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// Deterministic retry-after hint: virtual milliseconds charged per
 /// tile still queued ahead of the rejected submission.
@@ -231,51 +231,6 @@ fn is_tenant_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.'
 }
 
-/// Why admission refused a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectCode {
-    /// Tenant has no policy line and the plan has no wildcard.
-    UnknownTenant,
-    /// A per-tenant `max_jobs` / `max_tiles` quota would be exceeded.
-    QuotaExceeded,
-    /// The global `max_pending_tiles` ceiling would be exceeded.
-    Busy,
-    /// The service is draining (`shutdown --drain`) and admits no new
-    /// work; retry against a fresh instance.
-    Draining,
-}
-
-impl RejectCode {
-    /// Stable wire name (`unknown_tenant` / `quota_exceeded` / `busy` /
-    /// `draining`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectCode::UnknownTenant => "unknown_tenant",
-            RejectCode::QuotaExceeded => "quota_exceeded",
-            RejectCode::Busy => "busy",
-            RejectCode::Draining => "draining",
-        }
-    }
-}
-
-/// Structured admission refusal: machine-readable code, human text,
-/// and a deterministic retry-after hint in virtual milliseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rejection {
-    /// Machine-readable reason.
-    pub code: RejectCode,
-    /// Human-readable detail.
-    pub message: String,
-    /// Deterministic backoff hint in virtual milliseconds.
-    pub retry_after_vms: Option<u64>,
-}
-
-impl fmt::Display for Rejection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.code.name(), self.message)
-    }
-}
-
 /// One entry of the grant log: the `seq`-th pool grant overall.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
@@ -431,20 +386,19 @@ impl<H: Clone> Scheduler<H> {
         tenant: &str,
         priority: u8,
         tiles: u64,
-    ) -> Result<(), Rejection> {
+    ) -> Result<(), ErrorObj> {
         if self.jobs.contains_key(&job) {
-            return Err(Rejection {
-                code: RejectCode::Busy,
+            return Err(ErrorObj {
+                code: ErrorCode::Busy,
                 message: format!("job {job} is already scheduled"),
                 retry_after_vms: Some(RETRY_HINT_VMS_PER_TILE),
             });
         }
         let policy = match self.tenants.get(tenant) {
             Some(state) => state.policy.clone(),
-            None => self.cfg.policy_for(tenant).ok_or_else(|| Rejection {
-                code: RejectCode::UnknownTenant,
-                message: format!("tenant '{tenant}' is not in the tenant plan"),
-                retry_after_vms: None,
+            None => self.cfg.policy_for(tenant).ok_or_else(|| {
+                let message = format!("tenant '{tenant}' is not in the tenant plan");
+                ErrorObj::coded(ErrorCode::UnknownTenant, message)
             })?,
         };
         let (active_jobs, queued) = self
@@ -454,8 +408,8 @@ impl<H: Clone> Scheduler<H> {
             .unwrap_or((0, 0));
         if let Some(cap) = policy.max_jobs {
             if active_jobs >= cap {
-                return Err(Rejection {
-                    code: RejectCode::QuotaExceeded,
+                return Err(ErrorObj {
+                    code: ErrorCode::QuotaExceeded,
                     message: format!("tenant '{tenant}' has {active_jobs} active jobs (max_jobs {cap})"),
                     retry_after_vms: Some(retry_hint(queued + self.inflight)),
                 });
@@ -463,8 +417,8 @@ impl<H: Clone> Scheduler<H> {
         }
         if let Some(cap) = policy.max_tiles {
             if queued + tiles > cap {
-                return Err(Rejection {
-                    code: RejectCode::QuotaExceeded,
+                return Err(ErrorObj {
+                    code: ErrorCode::QuotaExceeded,
                     message: format!(
                         "tenant '{tenant}' has {queued} queued tiles; {tiles} more would exceed max_tiles {cap}"
                     ),
@@ -474,8 +428,8 @@ impl<H: Clone> Scheduler<H> {
         }
         if let Some(cap) = self.cfg.max_pending_tiles {
             if self.pending_total + tiles > cap {
-                return Err(Rejection {
-                    code: RejectCode::Busy,
+                return Err(ErrorObj {
+                    code: ErrorCode::Busy,
                     message: format!(
                         "{} tiles already pending; {tiles} more would exceed max_pending_tiles {cap}",
                         self.pending_total
@@ -721,7 +675,7 @@ mod tests {
     fn unknown_tenant_rejected_without_wildcard() {
         let mut s = sched("tenant a weight 1\n");
         let r = s.admit(1, "ghost", 0, 4).unwrap_err();
-        assert_eq!(r.code, RejectCode::UnknownTenant);
+        assert_eq!(r.code, ErrorCode::UnknownTenant);
         assert_eq!(r.retry_after_vms, None);
         s.admit(2, "a", 0, 4).unwrap();
         let mut open = sched("tenant a weight 1\ntenant * weight 1\n");
@@ -733,7 +687,7 @@ mod tests {
         let mut s = sched("tenant a weight 1 max_jobs 1 max_tiles 10\n");
         s.admit(1, "a", 0, 6).unwrap();
         let r = s.admit(2, "a", 0, 1).unwrap_err();
-        assert_eq!(r.code, RejectCode::QuotaExceeded);
+        assert_eq!(r.code, ErrorCode::QuotaExceeded);
         assert!(r.retry_after_vms.unwrap() >= RETRY_HINT_VMS_PER_TILE);
         s.remove_job(1);
         s.admit(2, "a", 0, 6).unwrap();
@@ -741,7 +695,7 @@ mod tests {
         let mut s = sched("tenant a weight 1 max_tiles 10\n");
         s.admit(1, "a", 0, 6).unwrap();
         let r = s.admit(2, "a", 0, 6).unwrap_err();
-        assert_eq!(r.code, RejectCode::QuotaExceeded);
+        assert_eq!(r.code, ErrorCode::QuotaExceeded);
         s.admit(2, "a", 0, 4).unwrap();
     }
 
@@ -750,7 +704,7 @@ mod tests {
         let mut s = sched("tenant * weight 1\nglobal max_pending_tiles 8\n");
         s.admit(1, "a", 0, 5).unwrap();
         let r = s.admit(2, "b", 0, 5).unwrap_err();
-        assert_eq!(r.code, RejectCode::Busy);
+        assert_eq!(r.code, ErrorCode::Busy);
         assert_eq!(r.retry_after_vms, Some(5 * RETRY_HINT_VMS_PER_TILE));
         // Granting tiles frees pending budget (they move to inflight).
         let g = s.enqueue(1, "h1", 0..5);
@@ -840,7 +794,7 @@ mod tests {
         assert!(s.grant_log().is_empty());
         // Quota is free again even though the job is still active.
         let r = s.admit(2, "a", 0, 5).unwrap_err();
-        assert_eq!(r.code, RejectCode::QuotaExceeded);
+        assert_eq!(r.code, ErrorCode::QuotaExceeded);
         s.admit(2, "a", 0, 4).unwrap();
     }
 

@@ -4,8 +4,8 @@
 //! per connection, which is plenty for a signoff queue's fan-in).
 
 use crate::codec::{read_frame, MAX_LINE_BYTES};
-use crate::proto::{ErrorObj, Request, Response};
-use crate::service::{SignoffService, SubmitError};
+use crate::proto::{ErrorCode, ErrorObj, Request, Response};
+use crate::service::SignoffService;
 use dfm_fault::FaultPlane;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -97,7 +97,7 @@ fn handle_connection(
             Err(e) => {
                 // Framing violation (oversized line, torn frame,
                 // bad UTF-8): answer once, then drop the connection.
-                let error = ErrorObj::coded("bad_request", e);
+                let error = ErrorObj::coded(ErrorCode::BadRequest, e);
                 write(&mut writer, &Response::Error { error })?;
                 return Ok(());
             }
@@ -130,35 +130,27 @@ fn handle_connection(
     }
 }
 
+/// One service call per command. Every failure arrives carrying the
+/// code it was given where it happened; this function only frames it.
 fn handle_request(service: &SignoffService, request: Request) -> Response {
     let result = match request {
         Request::Ping => Ok(Response::Pong),
-        Request::Submit { spec, gds, idem } => service
-            .submit_job_idem(spec, gds, idem.as_deref())
-            .map(|job| Response::Submitted { job })
-            // A spec/GDS diagnostic is the client's fault.
-            .map_err(|e| refusal(e, |message| ErrorObj::coded("bad_request", message))),
-        Request::Status { job } => service.status(job).map(Response::Status).map_err(classify),
-        Request::Events { job, since } => service
-            .events(job, since)
-            .map(|events| {
-                let next_seq = events.last().map_or(since, |e| e.seq + 1);
-                Response::Events { events, next_seq }
-            })
-            .map_err(classify),
+        Request::Submit { spec, gds, idem } => {
+            service.submit_job(spec, gds, idem.as_deref()).map(|job| Response::Submitted { job })
+        }
+        Request::Status { job } => service.status(job).map(Response::Status),
+        Request::Events { job, since } => service.events(job, since).map(|events| {
+            let next_seq = events.last().map_or(since, |e| e.seq + 1);
+            Response::Events { events, next_seq }
+        }),
         Request::Results { job, partial } => service
-            .report_text(job, partial)
-            .map(|(status, report_text)| Response::Results { status, report_text })
-            .map_err(classify),
+            .results_text(job, partial)
+            .map(|(status, report_text)| Response::Results { status, report_text }),
         Request::Score { job } => service
             .score_json(job)
-            .map(|(status, score_json)| Response::Score { status, score_json })
-            .map_err(classify),
-        Request::Cancel { job } => service.cancel(job).map(Response::Status).map_err(classify),
-        Request::Resume { job } => service
-            .resume_job(job)
-            .map(Response::Status)
-            .map_err(|e| refusal(e, classify)),
+            .map(|(status, score_json)| Response::Score { status, score_json }),
+        Request::Cancel { job } => service.cancel(job).map(Response::Status),
+        Request::Resume { job } => service.resume(job).map(Response::Status),
         Request::List => Ok(Response::List { jobs: service.list() }),
         Request::Shutdown { drain } => {
             if drain {
@@ -171,46 +163,23 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
         }
         Request::ShardDispatch { coord, origin, gen, spec, gds, ranges } => service
             .shard_dispatch(coord, origin, gen, spec, gds, ranges)
-            .map(|grant| Response::ShardDispatched { grant })
-            .map_err(|e| refusal(e, classify)),
+            .map(|grant| Response::ShardDispatched { grant }),
         Request::ShardAttach { coord, origin, gen } => service
             .shard_attach(coord, origin, gen)
-            .map(|grant| Response::ShardDispatched { grant })
-            .map_err(classify),
-        Request::ShardPull { job, since } => service
-            .shard_outcomes(job, since)
-            .map(|(outcomes, next, settled, draining)| Response::ShardOutcomes {
+            .map(|grant| Response::ShardDispatched { grant }),
+        Request::ShardPull { job, since } => service.shard_outcomes(job, since).map(
+            |(outcomes, next, settled, draining)| Response::ShardOutcomes {
                 outcomes,
                 next,
                 settled,
                 draining,
-            })
-            .map_err(classify),
+            },
+        ),
         Request::ShardHeartbeat { job } => service
             .shard_heartbeat(job)
-            .map(|(settled, draining)| Response::ShardAlive { settled, draining })
-            .map_err(classify),
+            .map(|(settled, draining)| Response::ShardAlive { settled, draining }),
     };
     result.unwrap_or_else(|error| Response::Error { error })
-}
-
-/// Answers a refused request for new work (`submit`, `resume`,
-/// `shard.dispatch`): a drain or admission refusal carries its typed
-/// code and, for backpressure, the deterministic retry hint; a
-/// diagnostic gets the code `invalid` gives it.
-fn refusal(e: SubmitError, invalid: impl FnOnce(String) -> ErrorObj) -> ErrorObj {
-    match e {
-        SubmitError::Invalid(message) => invalid(message),
-        SubmitError::Rejected(r) => ErrorObj::from(r),
-    }
-}
-
-/// Wraps a service diagnostic in the error code it implies. The only
-/// string shape the service guarantees is the unknown-id prefix; all
-/// other diagnostics keep the catch-all code.
-fn classify(message: String) -> ErrorObj {
-    let code = if message.starts_with("no such job") { "not_found" } else { "error" };
-    ErrorObj::coded(code, message)
 }
 
 fn write_response(

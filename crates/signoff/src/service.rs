@@ -7,7 +7,7 @@
 //! each attempt computes its [`TilePartial`] (pure), checkpoints it
 //! (when a checkpoint root is configured), and hands the outcome to
 //! the supervisor. A failed attempt (panic, injected fault, virtual
-//! watchdog timeout) is retried up to [`SupervisionPolicy::max_attempts`]
+//! watchdog timeout) is retried up to [`ServiceConfig::max_attempts`]
 //! times with deterministic virtual-clock backoff; a tile that
 //! exhausts its budget is **quarantined** and the job still settles —
 //! as [`JobState::Partial`] with an explicit quarantined-tile manifest
@@ -64,7 +64,8 @@ pub(crate) use commit::{
 use crate::checkpoint::{list_job_dirs, JobDir};
 use crate::job::JobContext;
 use crate::report::SignoffReport;
-use crate::sched::{Grant, RejectCode, Rejection, SchedConfig, Scheduler};
+use crate::proto::{ErrorCode, ErrorObj};
+use crate::sched::{Grant, SchedConfig, Scheduler};
 use crate::shard::{self, ShardGrant, ShardSet, ShardStats, TileOutcome};
 use crate::spec::JobSpec;
 use attempt::{cache_serve, dispatch_grants, sched_remove_job, TileHandle};
@@ -73,28 +74,10 @@ use dfm_cache::TileCache;
 use dfm_fault::FaultPlane;
 use dfm_par::{PoolStats, WorkerPool};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The supervisor's one knob. Backoff, the checkpoint-write budget and
-/// the watchdog budget are constants next to their use (`attempt`):
-/// all are virtual-clock bookkeeping, never wall time, so fault runs
-/// are fast and exactly reproducible.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisionPolicy {
-    /// Per-tile attempt budget; a tile failing this many times is
-    /// quarantined (clamped to at least 1).
-    pub max_attempts: u64,
-}
-
-impl Default for SupervisionPolicy {
-    fn default() -> SupervisionPolicy {
-        SupervisionPolicy { max_attempts: 3 }
-    }
-}
 
 /// Full construction-time configuration of a [`SignoffService`].
 pub struct ServiceConfig {
@@ -109,8 +92,12 @@ pub struct ServiceConfig {
     /// Fault-injection plane; `None` (the default) makes every fault
     /// probe a no-op.
     pub fault_plane: Option<Arc<FaultPlane>>,
-    /// Retry/quarantine policy.
-    pub policy: SupervisionPolicy,
+    /// Per-tile attempt budget: a tile failing this many times is
+    /// quarantined (default 3; read clamped to at least 1). Backoff,
+    /// the checkpoint-write budget and the watchdog budget are
+    /// constants next to their use (`attempt`) — all virtual-clock
+    /// bookkeeping, never wall time.
+    pub max_attempts: u64,
     /// Content-addressed per-tile result cache; `None` (the default)
     /// disables caching entirely.
     pub cache: Option<Arc<TileCache>>,
@@ -132,7 +119,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Fluent construction, starting from the defaults: one worker, no
-    /// checkpointing, no delay, no faults, default policy, no cache,
+    /// checkpointing, no delay, no faults, three attempts a tile, no cache,
     /// open scheduler, no shard role.
     pub fn builder() -> ServiceConfigBuilder {
         ServiceConfigBuilder {
@@ -141,7 +128,7 @@ impl ServiceConfig {
                 ckpt_root: None,
                 tile_delay: Duration::ZERO,
                 fault_plane: None,
-                policy: SupervisionPolicy::default(),
+                max_attempts: 3,
                 cache: None,
                 sched: None,
                 shard_of: None,
@@ -186,10 +173,10 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Retry/quarantine policy.
+    /// Per-tile attempt budget before quarantine.
     #[must_use]
-    pub fn policy(mut self, policy: SupervisionPolicy) -> Self {
-        self.cfg.policy = policy;
+    pub fn max_attempts(mut self, max_attempts: u64) -> Self {
+        self.cfg.max_attempts = max_attempts;
         self
     }
 
@@ -225,26 +212,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn build(self) -> ServiceConfig {
         self.cfg
-    }
-}
-
-/// Why [`SignoffService::submit_job`] refused a submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The spec or GDS bytes failed validation.
-    Invalid(String),
-    /// Admission control refused the job (quota, backpressure,
-    /// unknown tenant, or a draining service); nothing was enqueued.
-    /// Retry after the hint, when there is one.
-    Rejected(Rejection),
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Invalid(msg) => write!(f, "{msg}"),
-            SubmitError::Rejected(r) => write!(f, "{r}"),
-        }
     }
 }
 
@@ -311,7 +278,7 @@ impl SignoffService {
         let shared = Arc::new(RunShared {
             pool: Arc::downgrade(&pool),
             plane: cfg.fault_plane,
-            policy: cfg.policy,
+            max_attempts: cfg.max_attempts,
             tile_delay: cfg.tile_delay,
             cache: cfg.cache,
             sched: Mutex::new(Scheduler::new(sched_cfg)),
@@ -374,15 +341,14 @@ impl SignoffService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError`] rendered to its message — use
-    /// [`SignoffService::submit_job`] when the structured rejection
-    /// (code + retry-after hint) matters. Nothing is enqueued on error.
+    /// [`SignoffService::submit_job`]'s refusal, flattened to its
+    /// message. Nothing is enqueued on error.
     pub fn submit(&self, spec: JobSpec, gds: Vec<u8>) -> Result<u64, String> {
-        self.submit_job(spec, gds).map_err(|e| e.to_string())
+        Ok(self.submit_job(spec, gds, None)?)
     }
 
-    /// Like [`SignoffService::submit`], but admission-control refusals
-    /// come back as a structured [`Rejection`] instead of a string.
+    /// [`SignoffService::submit`] with the refusal kept structured, and
+    /// an optional client idempotency key.
     ///
     /// The job is admitted against the tenant plan **before** anything
     /// is persisted or enqueued: the tenant must be known (or covered
@@ -392,15 +358,38 @@ impl SignoffService {
     /// tiles then flow through the fair-share grant loop rather than
     /// straight into the pool.
     ///
+    /// The first submission under an `idem` key mints a job and records
+    /// the mapping; every later submission under the same key answers
+    /// with the recorded id without touching admission control — the
+    /// dedupe a client needs after an ambiguous connection drop ("did
+    /// my submit land?"). The map is held locked across the submit so
+    /// two racing resubmissions of the same key mint exactly one job. A
+    /// submission that fails is not recorded; the key stays free for
+    /// the retry.
+    ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] for spec/GDS diagnostics,
-    /// [`SubmitError::Rejected`] from admission control. Nothing is
-    /// enqueued on error.
-    pub fn submit_job(&self, spec: JobSpec, gds: Vec<u8>) -> Result<u64, SubmitError> {
-        let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
+    /// [`ErrorCode::BadRequest`] for spec/GDS diagnostics (and a
+    /// submission that cannot be persisted), or an admission refusal
+    /// ([`ErrorCode::is_admission_refusal`]) with its retry hint.
+    /// Nothing is enqueued on error.
+    pub fn submit_job(
+        &self,
+        spec: JobSpec,
+        gds: Vec<u8>,
+        idem: Option<&str>,
+    ) -> Result<u64, ErrorObj> {
+        let mut idem = idem.map(|key| (key, self.idem_map.lock().expect("idem lock")));
+        if let Some(&id) = idem.as_ref().and_then(|(key, map)| map.get(*key)) {
+            return Ok(id);
+        }
+        let bad_request = |e| ErrorObj::coded(ErrorCode::BadRequest, e);
+        let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(bad_request)?);
         let job = self.mint_job(spec, gds, &ctx, ctx.tile_count(), false)?;
         self.dispatch(&job, &ctx, (0..ctx.tile_count()).collect());
+        if let Some((key, map)) = &mut idem {
+            map.insert(key.to_string(), job.id);
+        }
         Ok(job.id)
     }
 
@@ -409,6 +398,9 @@ impl SignoffService {
     /// registers the job as `Queued` (a `shard_job` with an outcome
     /// log) — the caller dispatches. A failed persist releases the
     /// admission reservation: the job never existed for quota purposes.
+    /// It is answered with the code the caller gives its other
+    /// diagnostics: `bad_request` to `submit`, `error` to
+    /// `shard.dispatch`.
     fn mint_job(
         &self,
         spec: JobSpec,
@@ -416,7 +408,7 @@ impl SignoffService {
         ctx: &Arc<JobContext>,
         tiles: usize,
         shard_job: bool,
-    ) -> Result<Arc<Job>, SubmitError> {
+    ) -> Result<Arc<Job>, ErrorObj> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.admit(id, &spec.tenant, spec.priority, tiles)?;
         let dir = self.ckpt_root.as_ref().map(|root| JobDir::new(root, id));
@@ -425,7 +417,8 @@ impl SignoffService {
             if let Err(e) = dir.persist_submission_probed(&spec.to_json().render(), &gds, plane, id)
             {
                 sched_remove_job(&self.shared, id);
-                return Err(SubmitError::Invalid(e));
+                let code = if shard_job { ErrorCode::Error } else { ErrorCode::BadRequest };
+                return Err(ErrorObj::coded(code, e));
             }
         }
         let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(ctx)), JobState::Queued);
@@ -438,47 +431,15 @@ impl SignoffService {
     }
 
     /// Admission of new work — `submit`, `resume` and `shard.dispatch`
-    /// alike. A draining service refuses all of it with the one
-    /// structured refusal (code `draining`); otherwise the tenant plan
-    /// decides.
-    fn admit(&self, id: u64, tenant: &str, priority: u8, tiles: usize) -> Result<(), SubmitError> {
+    /// alike, and the only source of the four admission codes. A
+    /// draining service refuses all of it with [`ErrorCode::Draining`];
+    /// otherwise the tenant plan decides.
+    fn admit(&self, id: u64, tenant: &str, priority: u8, tiles: usize) -> Result<(), ErrorObj> {
         if self.draining() {
-            return Err(SubmitError::Rejected(Rejection {
-                code: RejectCode::Draining,
-                message: "service is draining; no new work is admitted".to_string(),
-                retry_after_vms: None,
-            }));
+            let message = "service is draining; no new work is admitted";
+            return Err(ErrorObj::coded(ErrorCode::Draining, message));
         }
-        self.shared.sched().admit(id, tenant, priority, tiles as u64).map_err(SubmitError::Rejected)
-    }
-
-    /// Like [`SignoffService::submit_job`], with an optional client
-    /// idempotency key. The first submission under a key mints a job
-    /// and records the mapping; every later submission under the same
-    /// key answers with the recorded id without touching admission
-    /// control — the dedupe a client needs after an ambiguous
-    /// connection drop ("did my submit land?"). The map is held locked
-    /// across the underlying submit so two racing resubmissions of the
-    /// same key mint exactly one job. A submission that fails is not
-    /// recorded; the key stays free for the retry.
-    ///
-    /// # Errors
-    ///
-    /// As [`SignoffService::submit_job`].
-    pub fn submit_job_idem(
-        &self,
-        spec: JobSpec,
-        gds: Vec<u8>,
-        idem: Option<&str>,
-    ) -> Result<u64, SubmitError> {
-        let Some(key) = idem else { return self.submit_job(spec, gds) };
-        let mut map = self.idem_map.lock().expect("idem lock");
-        if let Some(&id) = map.get(key) {
-            return Ok(id);
-        }
-        let id = self.submit_job(spec, gds)?;
-        map.insert(key.to_string(), id);
-        Ok(id)
+        self.shared.sched().admit(id, tenant, priority, tiles as u64)
     }
 
     /// Whether [`SignoffService::begin_drain`] has run.
@@ -569,21 +530,20 @@ impl SignoffService {
         dispatch_grants(&self.shared, grants);
     }
 
-    fn job(&self, id: u64) -> Result<Arc<Job>, String> {
-        self.jobs
-            .lock()
-            .expect("jobs lock")
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| format!("no such job: {id}"))
+    /// The one lookup every id-taking call goes through, and so the
+    /// one place an unknown id becomes [`ErrorCode::NotFound`].
+    fn job(&self, id: u64) -> Result<Arc<Job>, ErrorObj> {
+        let job = self.jobs.lock().expect("jobs lock").get(&id).cloned();
+        job.ok_or_else(|| ErrorObj::coded(ErrorCode::NotFound, format!("no such job: {id}")))
     }
 
     /// A job's current status.
     ///
     /// # Errors
     ///
-    /// Unknown job id.
-    pub fn status(&self, id: u64) -> Result<JobStatus, String> {
+    /// Unknown job id ([`ErrorCode::NotFound`], as for every call
+    /// below that takes one).
+    pub fn status(&self, id: u64) -> Result<JobStatus, ErrorObj> {
         Ok(self.job(id)?.status())
     }
 
@@ -609,7 +569,7 @@ impl SignoffService {
     /// # Errors
     ///
     /// Unknown job id.
-    pub fn events(&self, id: u64, since: u64) -> Result<Vec<JobEvent>, String> {
+    pub fn events(&self, id: u64, since: u64) -> Result<Vec<JobEvent>, ErrorObj> {
         let job = self.job(id)?;
         let m = job.m.lock().expect("job lock");
         let start = (since as usize).min(m.events.len());
@@ -629,7 +589,7 @@ impl SignoffService {
     ///
     /// Unknown id, failed job, or (without `partial`) a job that has
     /// not finished.
-    pub fn results(&self, id: u64, partial: bool) -> Result<(JobStatus, SignoffReport), String> {
+    pub fn results(&self, id: u64, partial: bool) -> Result<(JobStatus, SignoffReport), ErrorObj> {
         let job = self.job(id)?;
         self.ensure_loaded(&job)?;
         let m = job.m.lock().expect("job lock");
@@ -638,10 +598,11 @@ impl SignoffService {
             return Ok((status, report.clone()));
         }
         if let Some(err) = &m.error {
-            return Err(format!("job {id} failed: {err}"));
+            return Err(format!("job {id} failed: {err}").into());
         }
         if !partial {
-            return Err(format!("job {id} is {}; pass partial=true for a prefix merge", m.state));
+            let state = m.state;
+            return Err(format!("job {id} is {state}; pass partial=true for a prefix merge").into());
         }
         let report = m.ctx()?.merge(&m.prefix())?;
         let status = status_of(&job, &m);
@@ -656,11 +617,20 @@ impl SignoffService {
     /// # Errors
     ///
     /// Same as [`SignoffService::results`].
-    pub fn report_text(&self, id: u64, partial: bool) -> Result<(JobStatus, String), String> {
+    pub fn results_text(&self, id: u64, partial: bool) -> Result<(JobStatus, String), ErrorObj> {
         let (status, report) = self.results(id, partial)?;
         let job = self.job(id)?;
         let spec = job.m.lock().expect("job lock").spec.clone();
         Ok((status, report.render_text(&spec)))
+    }
+
+    /// [`SignoffService::results_text`], flattened to the message.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SignoffService::results`].
+    pub fn report_text(&self, id: u64, partial: bool) -> Result<(JobStatus, String), String> {
+        Ok(self.results_text(id, partial)?)
     }
 
     /// The job's manufacturability score as its deterministic JSON
@@ -671,19 +641,20 @@ impl SignoffService {
     ///
     /// Unknown id, a job that has not settled with a report yet, or a
     /// job whose spec does not enable scoring.
-    pub fn score_json(&self, id: u64) -> Result<(JobStatus, String), String> {
+    pub fn score_json(&self, id: u64) -> Result<(JobStatus, String), ErrorObj> {
         let job = self.job(id)?;
         let m = job.m.lock().expect("job lock");
         if let Some(score) = &m.score {
             return Ok((status_of(&job, &m), score.render()));
         }
-        if let Some(err) = &m.error {
-            return Err(format!("job {id} failed: {err}"));
-        }
-        if m.report.is_some() || m.state.is_terminal() {
-            return Err(format!("job {id} was submitted without scoring (no `score` in spec)"));
-        }
-        Err(format!("job {id} is {}; the score is computed when the job settles", m.state))
+        let why = if let Some(err) = &m.error {
+            format!("job {id} failed: {err}")
+        } else if m.report.is_some() || m.state.is_terminal() {
+            format!("job {id} was submitted without scoring (no `score` in spec)")
+        } else {
+            format!("job {id} is {}; the score is computed when the job settles", m.state)
+        };
+        Err(why.into())
     }
 
     /// Cancels a running/queued job. Completed tiles are kept (and
@@ -692,13 +663,13 @@ impl SignoffService {
     /// # Errors
     ///
     /// Unknown id or a Done/Failed job.
-    pub fn cancel(&self, id: u64) -> Result<JobStatus, String> {
+    pub fn cancel(&self, id: u64) -> Result<JobStatus, ErrorObj> {
         let job = self.job(id)?;
         {
             let mut m = job.m.lock().expect("job lock");
             match m.state {
                 JobState::Done | JobState::Failed => {
-                    return Err(format!("job {id} is already {}", m.state))
+                    return Err(format!("job {id} is already {}", m.state).into())
                 }
                 JobState::Cancelled => {}
                 _ => {
@@ -725,28 +696,22 @@ impl SignoffService {
     ///
     /// # Errors
     ///
-    /// Unknown id, a job in a non-resumable state, or context-rebuild
-    /// diagnostics.
-    pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
-        self.resume_job(id).map_err(|e| e.to_string())
-    }
-
-    /// [`SignoffService::resume`] with the refusal kept structured, as
-    /// the server answers it: drain and admission refusals are
-    /// [`SubmitError::Rejected`], every other diagnostic `Invalid`.
-    pub(crate) fn resume_job(&self, id: u64) -> Result<JobStatus, SubmitError> {
-        let job = self.job(id).map_err(SubmitError::Invalid)?;
-        self.ensure_loaded(&job).map_err(SubmitError::Invalid)?;
+    /// Unknown id, a job in a non-resumable state, context-rebuild
+    /// diagnostics, or an admission refusal — a resumed job re-enters
+    /// admission control like a new one.
+    pub fn resume(&self, id: u64) -> Result<JobStatus, ErrorObj> {
+        let job = self.job(id)?;
+        self.ensure_loaded(&job)?;
         let (ctx, missing, tenant, priority) = {
             let mut m = job.m.lock().expect("job lock");
             match m.state {
                 JobState::Partial | JobState::Cancelled => {}
                 s => {
                     let msg = format!("job {id} is {s}; only partial/cancelled jobs resume");
-                    return Err(SubmitError::Invalid(msg));
+                    return Err(msg.into());
                 }
             }
-            let ctx = m.ctx().map_err(SubmitError::Invalid)?;
+            let ctx = m.ctx()?;
             let missing = m.rearm(ctx.tile_count());
             (ctx, missing, m.spec.tenant.clone(), m.spec.priority)
         };
@@ -818,10 +783,10 @@ impl SignoffService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] for spec/GDS diagnostics, malformed
-    /// ranges and a missing `shard_of` assignment when `ranges` is
-    /// `None`; [`SubmitError::Rejected`] when this service is draining
-    /// or its admission control refuses.
+    /// [`ErrorCode::Error`] for spec/GDS diagnostics, malformed ranges
+    /// and a missing `shard_of` assignment when `ranges` is `None`; an
+    /// admission refusal when this service is draining or its
+    /// admission control refuses.
     pub fn shard_dispatch(
         &self,
         coord: u64,
@@ -830,20 +795,20 @@ impl SignoffService {
         spec: JobSpec,
         gds: Vec<u8>,
         ranges: Option<Vec<(usize, usize)>>,
-    ) -> Result<ShardGrant, SubmitError> {
-        let ctx = Arc::new(JobContext::build(&spec, &gds).map_err(SubmitError::Invalid)?);
+    ) -> Result<ShardGrant, ErrorObj> {
+        let ctx = Arc::new(JobContext::build(&spec, &gds)?);
         let total = ctx.tile_count();
         let ranges = match ranges {
             Some(r) => r,
             None => {
                 let (k, n) = self.shard_of.ok_or_else(|| {
-                    let need = "shard.dispatch without ranges requires a server started with --shard-of K/N";
-                    SubmitError::Invalid(need.to_string())
+                    "shard.dispatch without ranges requires a server started with --shard-of K/N"
+                        .to_string()
                 })?;
                 vec![shard::partition_range(total, n, k)]
             }
         };
-        let tiles = shard::expand_ranges(&ranges, total).map_err(SubmitError::Invalid)?;
+        let tiles = shard::expand_ranges(&ranges, total)?;
         // The idempotency map stays locked across job creation so two
         // racing dispatches of the same (coord, origin, gen) mint one
         // job.
@@ -867,14 +832,15 @@ impl SignoffService {
     ///
     /// # Errors
     ///
-    /// An unknown `(coord, origin, gen)` (mapped to `not_found` on the
-    /// wire).
-    pub fn shard_attach(&self, coord: u64, origin: u64, gen: u64) -> Result<ShardGrant, String> {
+    /// An unknown `(coord, origin, gen)` ([`ErrorCode::NotFound`]: the
+    /// caller falls back to a full dispatch).
+    pub fn shard_attach(&self, coord: u64, origin: u64, gen: u64) -> Result<ShardGrant, ErrorObj> {
         let map = self.origin_map.lock().expect("origin map lock");
         match map.get(&(coord, origin, gen)) {
             Some(grant) => Ok(ShardGrant { attached: true, ..grant.clone() }),
-            None => Err(format!(
-                "no such job: coordinator {coord:#x} origin {origin} gen {gen} is not dispatched here"
+            None => Err(ErrorObj::coded(
+                ErrorCode::NotFound,
+                format!("no such job: coordinator {coord:#x} origin {origin} gen {gen} is not dispatched here"),
             )),
         }
     }
@@ -895,11 +861,11 @@ impl SignoffService {
         &self,
         id: u64,
         since: u64,
-    ) -> Result<(Vec<TileOutcome>, u64, bool, bool), String> {
+    ) -> Result<(Vec<TileOutcome>, u64, bool, bool), ErrorObj> {
         let job = self.job(id)?;
         let m = job.m.lock().expect("job lock");
         let Some(outcomes) = &m.outcomes else {
-            return Err(format!("job {id} is not a shard-dispatched job"));
+            return Err(format!("job {id} is not a shard-dispatched job").into());
         };
         let start = (since as usize).min(outcomes.len());
         Ok((
@@ -921,11 +887,11 @@ impl SignoffService {
     ///
     /// Unknown id, or a job that was not dispatched via
     /// [`SignoffService::shard_dispatch`].
-    pub fn shard_heartbeat(&self, id: u64) -> Result<(bool, bool), String> {
+    pub fn shard_heartbeat(&self, id: u64) -> Result<(bool, bool), ErrorObj> {
         let job = self.job(id)?;
         let m = job.m.lock().expect("job lock");
         if m.outcomes.is_none() {
-            return Err(format!("job {id} is not a shard-dispatched job"));
+            return Err(format!("job {id} is not a shard-dispatched job").into());
         }
         Ok((m.state.is_settled(), self.draining()))
     }
@@ -1127,7 +1093,7 @@ mod tests {
         let (_, report) = service.results(id, false).expect("settled partial has results");
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].tile, 0);
-        assert_eq!(report.quarantined[0].attempts, SupervisionPolicy::default().max_attempts);
+        assert_eq!(report.quarantined[0].attempts, ServiceConfig::builder().build().max_attempts);
         // The report equals the offline merge of the surviving tiles.
         let ctx = JobContext::build(&spec, &gds).expect("ctx");
         let surviving: Vec<TilePartial> =
@@ -1475,7 +1441,7 @@ mod tests {
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
         assert_eq!(status.score_bits, None);
         let err = service.score_json(id).expect_err("no score");
-        assert!(err.contains("without scoring"), "{err}");
+        assert!(err.message.contains("without scoring"), "{err}");
         let events = service.events(id, 0).expect("events");
         assert!(
             events.iter().all(|e| !matches!(e.kind, JobEventKind::Score { .. })),

@@ -4,7 +4,6 @@
 //! [`resolve_tile`]).
 
 use super::commit::{resolve_tile, Job, TileResolution};
-use super::SupervisionPolicy;
 use crate::checkpoint::{crash_probe, decode_tile_partial, encode_tile_partial};
 use crate::job::{JobContext, TilePartial};
 use crate::sched::{GrantOut, Scheduler};
@@ -82,13 +81,13 @@ pub(super) struct TileHandle {
 
 /// The state tile tasks share: a weak pool handle for resubmission
 /// (weak, so queued retry closures never keep the pool — and thus
-/// themselves — alive), the fault plane, the policy, and the
+/// themselves — alive), the fault plane, the attempt budget, and the
 /// fair-share scheduler (its lock is always taken *after* any job
 /// lock is released, never while one is held).
 pub(crate) struct RunShared {
     pub(super) pool: Weak<WorkerPool>,
     pub(crate) plane: Option<Arc<FaultPlane>>,
-    pub(super) policy: SupervisionPolicy,
+    pub(super) max_attempts: u64,
     pub(super) tile_delay: Duration,
     pub(super) cache: Option<Arc<TileCache>>,
     pub(super) sched: Mutex<Scheduler<TileHandle>>,
@@ -319,7 +318,7 @@ fn attempt_failed(
     reason: String,
 ) {
     let failed = attempt + 1;
-    let exhausted = failed >= shared.policy.max_attempts.max(1);
+    let exhausted = failed >= shared.max_attempts.max(1);
     let retry = (!exhausted).then(|| TileRetry {
         attempt,
         backoff_vms: BACKOFF_BASE_VMS << attempt,

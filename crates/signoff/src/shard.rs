@@ -65,8 +65,7 @@
 
 use crate::client::{Client, RequestError};
 use crate::job::JobContext;
-use crate::proto::ErrorObj;
-use crate::sched::RejectCode;
+use crate::proto::{ErrorCode, ErrorObj};
 use crate::service::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live,
     Job, RunShared, WATCHDOG_VMS,
@@ -424,13 +423,10 @@ fn puller_loop(
             // The manifest carries the bare message, as it always has.
             client.shard_dispatch(coord, origin, gen, spec, gds, Some(ranges)).map_err(|e| {
                 match e {
-                    RequestError::Server(e) if e.code == RejectCode::Draining.name() => {
+                    RequestError::Server(ErrorObj { code: ErrorCode::Draining, .. }) => {
                         PullerEnd::Drained
                     }
-                    RequestError::Server(ErrorObj { message: e, .. })
-                    | RequestError::Transport(e) => {
-                        PullerEnd::Loss(format!("dispatch to shard {shard}: {e}"))
-                    }
+                    e => PullerEnd::Loss(format!("dispatch to shard {shard}: {}", String::from(e))),
                 }
             })?
         }

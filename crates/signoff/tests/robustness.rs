@@ -8,7 +8,7 @@ use dfm_cache::TileCache;
 use dfm_layout::{gds, generate, layers, Technology};
 use dfm_signoff::service::JobState;
 use dfm_signoff::{
-    flat_report, Client, JobSpec, RequestError, SchedConfig, Server, ServiceConfig,
+    flat_report, Client, ErrorCode, JobSpec, RequestError, SchedConfig, Server, ServiceConfig,
     SignoffService,
 };
 use std::sync::Arc;
@@ -124,9 +124,9 @@ fn rejected_submission_is_admitted_on_hinted_resubmit() {
 
     // A bare resubmit while the slot is held is a structured refusal
     // carrying the retry hint…
-    match client.try_submit(spec(), gds_bytes.clone()) {
+    match client.submit_idem(spec(), gds_bytes.clone(), None) {
         Err(RequestError::Server(err)) => {
-            assert_eq!(err.code, "busy");
+            assert_eq!(err.code, ErrorCode::Busy);
             assert!(err.retry_after_vms.is_some(), "backpressure carries a hint: {err:?}");
         }
         other => panic!("expected busy rejection, got {other:?}"),

@@ -90,6 +90,112 @@ fn a_failing_first_frame_is_answered_in_v2_shape() {
     let _ = client.shutdown();
 }
 
+/// Every failure code a live server can answer, asserted on the raw
+/// reply line — code *and* message bytes — so the vocabulary is pinned
+/// where a script reads it, whatever types carry it inside the server.
+#[test]
+fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
+    use dfm_signoff::proto::Request;
+    use dfm_signoff::SchedConfig;
+
+    let gds_bytes = small_gds(41);
+    // One slow 16-tile job holds tenant acme's only job slot and most
+    // of the 20-tile pending ceiling, so each admission code has a
+    // submission that earns it.
+    let sched = SchedConfig::parse(
+        "tenant acme weight 1 max_jobs 1\ntenant wide weight 1\n\
+         global max_inflight 1 max_pending_tiles 20\n",
+    )
+    .expect("plan");
+    let service = SignoffService::with_config(
+        ServiceConfig::builder()
+            .threads(1)
+            .sched(sched)
+            .tile_delay(Duration::from_millis(50))
+            .build(),
+    );
+    let server = Server::bind(Arc::new(service), 0).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut ask = |frame: String| -> String {
+        (&stream).write_all(format!("{frame}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply.trim_end().to_string()
+    };
+    // An error frame up to the end of its message: a hint-less one
+    // closes right there, a backpressure one goes on to
+    // `retry_after_vms` (a timing-dependent count of queued tiles).
+    let refused = |code: &str, message: &str| {
+        format!(r#"{{"v":2,"ok":false,"error":{{"code":"{code}","message":"{message}"#)
+    };
+    let (end, hint) = (r#""}}"#, r#"","retry_after_vms":"#);
+    let submit = |tenant: &str, gds: &[u8]| {
+        let spec = JobSpec { tenant: tenant.to_string(), ..spec() };
+        Request::Submit { spec, gds: gds.to_vec(), idem: None }.to_json().render()
+    };
+
+    // not_found: every id-taking command on an id nobody minted.
+    for cmd in
+        ["status", "events", "results", "score", "cancel", "resume", "shard.pull", "shard.heartbeat"]
+    {
+        let reply = ask(format!(r#"{{"v":2,"cmd":"{cmd}","job":999}}"#));
+        assert_eq!(reply, refused("not_found", "no such job: 999") + end, "{cmd}");
+    }
+    let reply = ask(r#"{"v":2,"cmd":"shard.attach","coord":7,"origin":1,"gen":0}"#.to_string());
+    let unknown_key = "no such job: coordinator 0x7 origin 1 gen 0 is not dispatched here";
+    assert_eq!(reply, refused("not_found", unknown_key) + end);
+
+    // The same unreadable GDS is the client's fault on `submit` and a
+    // plain failure on `shard.dispatch`.
+    let garbage = b"garbage".to_vec();
+    let layout_rejected = "layout rejected: malformed GDSII at byte 0: bad record length 26465";
+    assert_eq!(ask(submit("acme", &garbage)), refused("bad_request", layout_rejected) + end);
+    let dispatch = Request::ShardDispatch {
+        coord: 7,
+        origin: 1,
+        gen: 0,
+        spec: spec(),
+        gds: garbage,
+        ranges: Some(vec![(0, 1)]),
+    };
+    assert_eq!(ask(dispatch.to_json().render()), refused("error", layout_rejected) + end);
+
+    // The admission codes, while job 1 holds the quota — `busy` first,
+    // while most of its tiles are still pending (how many is timing).
+    assert_eq!(ask(submit("acme", &gds_bytes)), r#"{"v":2,"ok":true,"job":1}"#);
+    let reply = ask(submit("wide", &gds_bytes));
+    let (busy, ceiling) = reply.split_once(" tiles already pending; ").expect(&reply);
+    let pending = busy.strip_prefix(&refused("busy", "")).expect(&reply);
+    assert!(pending.parse::<u64>().is_ok(), "{reply}");
+    let over = format!("16 more would exceed max_pending_tiles 20{hint}");
+    assert!(ceiling.starts_with(&over), "{reply}");
+    let reply = ask(submit("ghost", &gds_bytes));
+    assert_eq!(reply, refused("unknown_tenant", "tenant 'ghost' is not in the tenant plan") + end);
+    let reply = ask(submit("acme", &gds_bytes));
+    let at_quota = refused("quota_exceeded", "tenant 'acme' has 1 active jobs (max_jobs 1)");
+    assert!(reply.starts_with(&(at_quota + hint)), "{reply}");
+
+    // error: a command the job's state refuses.
+    let running = "job 1 is running; pass partial=true for a prefix merge";
+    let reply = ask(r#"{"v":2,"cmd":"results","job":1}"#.to_string());
+    assert_eq!(reply, refused("error", running) + end);
+
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    assert_eq!(client.wait(1).expect("wait").state, JobState::Done);
+    let reply = ask(r#"{"v":2,"cmd":"cancel","job":1}"#.to_string());
+    assert_eq!(reply, refused("error", "job 1 is already done") + end);
+
+    // draining: the listener is gone, this connection is still served.
+    client.shutdown_mode(true).expect("drain");
+    handle.join().expect("server thread");
+    let draining = "service is draining; no new work is admitted";
+    assert_eq!(ask(submit("acme", &gds_bytes)), refused("draining", draining) + end);
+}
+
 #[test]
 fn server_survives_injected_drops_and_vanishing_clients() {
     let gds_bytes = small_gds(41);

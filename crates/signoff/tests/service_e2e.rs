@@ -166,7 +166,7 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
 
 #[test]
 fn foreign_versions_are_refused_in_v2_shape_and_rejections_are_structured() {
-    use dfm_signoff::{RequestError, SchedConfig};
+    use dfm_signoff::{ErrorCode, RequestError, SchedConfig};
     use std::io::{BufRead, BufReader, Write};
 
     let gds_bytes = small_gds(41);
@@ -214,27 +214,27 @@ fn foreign_versions_are_refused_in_v2_shape_and_rejections_are_structured() {
     // client is refused with the typed code and a retry hint…
     let mut client = Client::builder()
         .timeout(Duration::from_secs(30))
-        .tenant("acme")
         .connect(&addr.to_string())
         .expect("connect");
     let first = client.list().expect("list")[0].id;
-    match client.try_submit(spec(), gds_bytes.clone()) {
+    let acme = JobSpec { tenant: "acme".to_string(), ..spec() };
+    match client.submit_idem(acme, gds_bytes.clone(), None) {
         Err(RequestError::Server(err)) => {
-            assert_eq!(err.code, "quota_exceeded");
+            assert_eq!(err.code, ErrorCode::QuotaExceeded);
             assert!(err.retry_after_vms.is_some(), "backpressure carries a hint: {err:?}");
         }
         other => panic!("expected structured rejection, got {other:?}"),
     }
     // …and an unknown tenant gets its own code (no retry hint helps).
     let ghost = JobSpec { tenant: "ghost".to_string(), ..spec() };
-    match client.try_submit(ghost, gds_bytes.clone()) {
-        Err(RequestError::Server(err)) => assert_eq!(err.code, "unknown_tenant"),
+    match client.submit_idem(ghost, gds_bytes.clone(), None) {
+        Err(RequestError::Server(err)) => assert_eq!(err.code, ErrorCode::UnknownTenant),
         other => panic!("expected unknown_tenant, got {other:?}"),
     }
-    // beta is under no quota; the builder's default tenant applies.
-    let mut beta = Client::builder().tenant("beta").connect(&addr.to_string()).expect("beta");
-    let beta_job = beta.submit(spec(), gds_bytes).expect("beta submit");
-    let status = beta.wait(beta_job).expect("wait beta");
+    // beta is under no quota.
+    let beta = JobSpec { tenant: "beta".to_string(), ..spec() };
+    let beta_job = client.submit(beta, gds_bytes).expect("beta submit");
+    let status = client.wait(beta_job).expect("wait beta");
     assert_eq!(status.tenant, "beta", "tenant travels the wire");
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
 
@@ -291,7 +291,7 @@ fn hostile_bytes_on_the_socket_never_kill_the_server() {
 #[test]
 fn every_drain_refusal_answers_code_draining() {
     use dfm_signoff::proto::Request;
-    use dfm_signoff::RequestError;
+    use dfm_signoff::{ErrorCode, RequestError};
 
     let gds_bytes = small_gds(41);
     let (addr, handle) = start_server(service(1));
@@ -304,17 +304,33 @@ fn every_drain_refusal_answers_code_draining() {
     handle.join().expect("server thread");
 
     let refusals = [
-        client.try_submit(spec(), gds_bytes.clone()).map(|_| ()),
-        client.request_typed(&Request::Resume { job }).map(|_| ()),
+        client.submit_idem(spec(), gds_bytes.clone(), None).map(|_| ()),
+        client.request(&Request::Resume { job }).map(|_| ()),
         client.shard_dispatch(7, 1, 0, spec(), gds_bytes, Some(vec![(0, 1)])).map(|_| ()),
     ];
     for refusal in refusals {
         match refusal {
             Err(RequestError::Server(err)) => {
-                assert_eq!(err.code, "draining", "{err:?}");
+                assert_eq!(err.code, ErrorCode::Draining, "{err:?}");
                 assert_eq!(err.message, "service is draining; no new work is admitted");
+                // What `dfm-signoff submit` exits 4 on: nothing was
+                // enqueued, resubmit elsewhere.
+                assert!(err.code.is_admission_refusal());
             }
             other => panic!("expected a draining refusal, got {other:?}"),
+        }
+    }
+    // A refusal that is not admission's leaves the exit code at 3.
+    for (request, code) in [
+        (Request::Status { job: 999 }, ErrorCode::NotFound),
+        (Request::Submit { spec: spec(), gds: b"garbage".to_vec(), idem: None }, ErrorCode::BadRequest),
+    ] {
+        match client.request(&request) {
+            Err(RequestError::Server(err)) => {
+                assert_eq!(err.code, code, "{err:?}");
+                assert!(!err.code.is_admission_refusal());
+            }
+            other => panic!("expected {code:?}, got {other:?}"),
         }
     }
 }

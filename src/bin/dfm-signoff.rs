@@ -32,10 +32,12 @@
 //! `Partial` (quarantined tiles; any score covers only the surviving
 //! tiles), `3` — operational error (bad arguments, I/O, protocol,
 //! failed jobs), `4` — the server refused the submission at admission
-//! (unknown tenant, tenant quota, or global backpressure; nothing was
-//! enqueued). A rejected `submit` prints the structured v2 error
-//! object (`{code, message, retry_after_vms?}`) on stdout so scripts
-//! can parse the code and the deterministic retry-after hint.
+//! (code `unknown_tenant`, `quota_exceeded`, `busy` or `draining`:
+//! unknown tenant, tenant quota, global backpressure, or a server that
+//! is shutting down; nothing was enqueued). A rejected `submit` prints
+//! the structured v2 error object (`{code, message,
+//! retry_after_vms?}`) on stdout so scripts can parse the code and the
+//! deterministic retry-after hint.
 //!
 //! ## Multi-tenant serving
 //!
@@ -113,7 +115,7 @@ use dfm_practice::score::{exit_code, EXIT_ERROR, EXIT_PASS, EXIT_REJECTED};
 use dfm_practice::signoff::service::{JobEventKind, JobState, JobStatus, TILE_DELAY_ENV};
 use dfm_practice::signoff::{
     auto_fix, flat_report, flat_score, Client, FixOutcome, JobSpec, RequestError, SchedConfig,
-    Server, ServiceConfig, SignoffService, SupervisionPolicy,
+    Server, ServiceConfig, SignoffService,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -184,7 +186,7 @@ spec flags: --name S --tech n65|n45|n28 --tile NM --halo NM --no-drc
             --ca-layer L/D|none --ca-x0 NM --litho-layer L/D|none --litho-feature NM
             --score FILE|default|none
 exit codes: 0 pass, 1 score below threshold, 2 partial (quarantined), 3 error,
-            4 submission rejected at admission (tenant/quota/backpressure)";
+            4 submission rejected at admission (tenant/quota/backpressure/draining)";
 
 /// Minimal `--flag value` / `--flag` scanner.
 struct Flags<'a> {
@@ -398,10 +400,6 @@ fn serve_with(
             Some(Arc::new(FaultPlane::new(FaultPlan::parse(&text)?)))
         }
     };
-    let mut policy = SupervisionPolicy::default();
-    if let Some(n) = max_attempts {
-        policy.max_attempts = n.max(1);
-    }
     let tile_delay = std::env::var(TILE_DELAY_ENV)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -413,7 +411,10 @@ fn serve_with(
                 .map_err(|e| format!("open cache {}: {e}", dir.display()))?,
         )),
     };
-    let mut cfg = ServiceConfig::builder().threads(threads).tile_delay(tile_delay).policy(policy);
+    let mut cfg = ServiceConfig::builder().threads(threads).tile_delay(tile_delay);
+    if let Some(n) = max_attempts {
+        cfg = cfg.max_attempts(n);
+    }
     if let Some((k, n)) = shard_of {
         cfg = cfg.shard_of(k, n);
     }
@@ -482,21 +483,19 @@ fn submit(args: &[String]) -> Result<u8, String> {
     let attempt = if let Some(tries) = retry {
         client.submit_until_admitted(spec, bytes, idem.as_deref(), tries)
     } else {
-        client.try_submit_idem(spec, bytes, idem.as_deref())
+        client.submit_idem(spec, bytes, idem.as_deref())
     };
     let job = match attempt {
         Ok(job) => job,
         // An admission refusal is its own exit code (4) and prints the
         // machine-readable v2 error object on stdout, so callers can
         // parse the code and the deterministic retry-after hint.
-        Err(RequestError::Server(err))
-            if matches!(err.code.as_str(), "unknown_tenant" | "quota_exceeded" | "busy") =>
-        {
+        Err(RequestError::Server(err)) if err.code.is_admission_refusal() => {
             println!("{}", err.to_json().render());
             eprintln!("dfm-signoff: submission rejected: {err}");
             return Ok(EXIT_REJECTED);
         }
-        Err(e) => return Err(e.to_string()),
+        Err(e) => return Err(e.into()),
     };
     println!("{job}");
     if !wait {
@@ -770,7 +769,7 @@ fn run_scored_job(
     if let Some(err) = &status.error {
         return Err(format!("job {job} failed: {err}"));
     }
-    service.score_json(job)
+    Ok(service.score_json(job)?)
 }
 
 fn score_cmd(args: &[String]) -> Result<u8, String> {

@@ -10,9 +10,7 @@ use dfm_practice::fault::{FaultAction, FaultPlan, FaultPlane, FaultRule};
 use dfm_practice::signoff::service::{
     JobEvent, JobEventKind, JobState, SITE_TILE_COMPUTE, SITE_TILE_DELAY,
 };
-use dfm_practice::signoff::{
-    flat_report, JobSpec, ServiceConfig, SignoffService, SupervisionPolicy,
-};
+use dfm_practice::signoff::{flat_report, JobSpec, ServiceConfig, SignoffService};
 use std::sync::Arc;
 
 use dfm_practice::layout::{gds, generate, layers, Technology};
@@ -181,7 +179,7 @@ fn above_threshold_faults_settle_partial_with_an_exact_manifest() {
     let q_tiles: Vec<usize> = report.quarantined.iter().map(|q| q.tile).collect();
     assert_eq!(q_tiles, vec![0, 3]);
     for q in &report.quarantined {
-        assert_eq!(q.attempts, SupervisionPolicy::default().max_attempts);
+        assert_eq!(q.attempts, ServiceConfig::builder().build().max_attempts);
         assert!(q.reason.contains("injected panic"), "{}", q.reason);
     }
     let ctx = JobContext::build(&spec, &gds_bytes).expect("ctx");

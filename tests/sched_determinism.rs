@@ -13,7 +13,7 @@ use dfm_practice::layout::{gds, generate, layers, Technology};
 use dfm_practice::signoff::sched::render_grant_log;
 use dfm_practice::signoff::service::{JobState, SITE_TILE_COMPUTE};
 use dfm_practice::signoff::{
-    JobSpec, SchedConfig, ServiceConfig, ServiceConfigBuilder, SignoffService, SubmitError,
+    ErrorCode, JobSpec, SchedConfig, ServiceConfig, ServiceConfigBuilder, SignoffService,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,26 +202,17 @@ fn admission_control_rejects_and_recovers() {
     );
     let gds_bytes = block_gds();
     // Unknown tenant: no wildcard policy, so 'ghost' is refused.
-    let err = service.submit_job(spec_for("ghost", 0), gds_bytes.clone()).unwrap_err();
-    match err {
-        SubmitError::Rejected(r) => assert_eq!(r.code.name(), "unknown_tenant"),
-        other => panic!("expected rejection, got {other}"),
-    }
+    let err = service.submit_job(spec_for("ghost", 0), gds_bytes.clone(), None).unwrap_err();
+    assert_eq!(err.code, ErrorCode::UnknownTenant, "{err}");
     // Tenant a may hold one active job; the second is quota-bounced
     // with a deterministic retry hint.
     let first = service.submit(spec_for("a", 0), gds_bytes.clone()).expect("first");
-    match service.submit_job(spec_for("a", 0), gds_bytes.clone()).unwrap_err() {
-        SubmitError::Rejected(r) => {
-            assert_eq!(r.code.name(), "quota_exceeded");
-            assert!(r.retry_after_vms.is_some(), "quota rejections carry a retry hint");
-        }
-        other => panic!("expected rejection, got {other}"),
-    }
+    let err = service.submit_job(spec_for("a", 0), gds_bytes.clone(), None).unwrap_err();
+    assert_eq!(err.code, ErrorCode::QuotaExceeded, "{err}");
+    assert!(err.retry_after_vms.is_some(), "quota rejections carry a retry hint");
     // Tenant b's 16-tile job exceeds its 8-tile queue quota outright.
-    match service.submit_job(spec_for("b", 0), gds_bytes.clone()).unwrap_err() {
-        SubmitError::Rejected(r) => assert_eq!(r.code.name(), "quota_exceeded"),
-        other => panic!("expected rejection, got {other}"),
-    }
+    let err = service.submit_job(spec_for("b", 0), gds_bytes.clone(), None).unwrap_err();
+    assert_eq!(err.code, ErrorCode::QuotaExceeded, "{err}");
     // Once the active job settles, its reservations are released and
     // tenant a is admitted again.
     assert_eq!(service.wait(first).expect("wait").state, JobState::Done);
