@@ -107,6 +107,15 @@ echo "== benchmark package builds against the workspace API (offline, locked) ==
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload shard_2x1 --seed 11 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+# `wire_warm` is the one workload that is all wire (proto, codec,
+# server, client), so a traced second of it also proves the JSON reader
+# and writer round-trip real frames. Its two codec figures are echoed
+# as a record only: one traced run is too noisy to gate on.
+wire=$(cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload wire_warm --seed 11 --seconds 1 --trace 1 | tail -n 1)
+grep -q '"correct":true' <<<"$wire"
+grep -o '"\(proto.submit_decode_ms\|codec.parse_json_mb_per_s\)":{[^}]*}' <<<"$wire" |
+    sed 's/^/wire_warm (record, not gated): /' || true
 if [[ -n "$(git status --porcelain benchmark/ BENCHMARK.json)" ]]; then
     echo "error: benchmark/ or BENCHMARK.json changed:" >&2
     git status --porcelain benchmark/ BENCHMARK.json >&2

@@ -7,7 +7,13 @@
 //! The parser is the read half of the workspace's hand-rolled JSON
 //! story (the write half lives in [`dfm_bench::json`]). It is total:
 //! any byte soup returns `Err`, never a panic — fuzzed in the wire
-//! protocol tests.
+//! protocol tests. It reads RFC 8259 JSON and nothing looser (numbers
+//! follow the grammar exactly, a `\u` escape is exactly four hex
+//! digits), and it is one pass, linear in the frame: a string is copied
+//! one unescaped run at a time, so a frame that is 99 % one hex string
+//! costs about a `memcpy` of it. Together with [`MAX_LINE_BYTES`] that
+//! bounds what one frame can cost a connection thread in time as well
+//! as in memory.
 //!
 //! The field reader holds the wire layer's one rule: a *required*
 //! field that is absent, `null` or mistyped is an error naming the
@@ -36,7 +42,7 @@ const MAX_DEPTH: usize = 64;
 /// input.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src: s, bytes, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -47,6 +53,7 @@ pub fn parse_json(s: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -62,9 +69,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+        if self.eat(b) {
             Ok(())
         } else {
             Err(format!("expected '{}' at offset {}", b as char, self.pos))
@@ -98,20 +111,38 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes one or more ASCII digits; `start` names the number in
+    /// the diagnostic.
+    fn digits(&mut self, start: usize) -> Result<(), String> {
+        let n = self.bytes[self.pos..].iter().take_while(|b| b.is_ascii_digit()).count();
+        if n == 0 {
+            return Err(format!("bad number at offset {start}"));
+        }
+        self.pos += n;
+        Ok(())
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` and nothing
+    /// looser: a leading zero ends the integer part, so `01` leaves a
+    /// trailing `1` for the caller to refuse.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            self.digits(start)?;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        if self.eat(b'.') {
+            self.digits(start)?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("non-utf8 number at offset {start}"))?;
-        let n: f64 = text
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            self.digits(start)?;
+        }
+        let n: f64 = self.src[start..self.pos]
             .parse()
-            .map_err(|_| format!("bad number '{text}' at offset {start}"))?;
+            .map_err(|_| format!("bad number at offset {start}"))?;
         if n.is_finite() {
             Ok(JsonValue::Num(n))
         } else {
@@ -120,11 +151,19 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // One unescaped run up to the next quote, backslash or raw
+            // control byte. Every such byte is ASCII, so the run ends on
+            // a char boundary of `src` and is copied whole.
+            let start = self.pos;
+            let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            self.pos = run.map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(format!("unterminated string from offset {open}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -149,49 +188,44 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar (input is &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("non-utf8 string at offset {}", self.pos))?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at offset {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("raw control character at offset {}", self.pos)),
             }
         }
     }
 
     fn unicode_escape(&mut self) -> Result<char, String> {
-        // self.pos is at the 'u'.
-        let hex_at = |p: &Parser<'a>, at: usize| -> Result<u32, String> {
-            let h = p
-                .bytes
-                .get(at..at + 4)
-                .and_then(|b| std::str::from_utf8(b).ok())
-                .ok_or_else(|| format!("truncated \\u escape at offset {}", at))?;
-            u32::from_str_radix(h, 16).map_err(|_| format!("bad \\u escape at offset {at}"))
-        };
-        let u1 = hex_at(self, self.pos + 1)?;
+        // self.pos is at the 'u'; diagnostics name the backslash.
+        let esc = self.pos - 1;
+        let u1 = self.hex4(self.pos + 1)?;
         self.pos += 5;
         if (0xd800..0xdc00).contains(&u1) {
             // High surrogate: require a following \uXXXX low surrogate.
             if self.bytes.get(self.pos) == Some(&b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u')
             {
-                let u2 = hex_at(self, self.pos + 2)?;
+                let u2 = self.hex4(self.pos + 2)?;
                 if (0xdc00..0xe000).contains(&u2) {
                     self.pos += 6;
                     let cp = 0x10000 + ((u1 - 0xd800) << 10) + (u2 - 0xdc00);
-                    return char::from_u32(cp).ok_or_else(|| "bad surrogate pair".to_string());
+                    return char::from_u32(cp)
+                        .ok_or_else(|| format!("bad surrogate pair at offset {esc}"));
                 }
             }
-            return Err("lone high surrogate".to_string());
+            return Err(format!("lone high surrogate at offset {esc}"));
         }
-        char::from_u32(u1).ok_or_else(|| "bad \\u codepoint".to_string())
+        char::from_u32(u1).ok_or_else(|| format!("bad \\u codepoint at offset {esc}"))
+    }
+
+    /// Exactly four hex digits at `at` (no sign, no fewer).
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| format!("truncated \\u escape at offset {at}"))?;
+        digits.iter().try_fold(0u32, |acc, &c| {
+            nibble(c)
+                .map(|n| (acc << 4) | u32::from(n))
+                .ok_or_else(|| format!("bad \\u escape at offset {at}"))
+        })
     }
 
     fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
@@ -445,12 +479,23 @@ pub fn read_frame(reader: &mut impl BufRead, max_bytes: usize) -> Result<Option<
 
 /// Hex-encodes binary payloads (GDS uploads) for the JSON transport.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
+}
+
+/// The value of one hex digit, either case.
+fn nibble(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        b'A'..=b'F' => Some(c - b'A' + 10),
+        _ => None,
+    }
 }
 
 /// Decodes [`to_hex`] output.
@@ -463,14 +508,7 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !bytes.len().is_multiple_of(2) {
         return Err("hex payload has odd length".to_string());
     }
-    let nib = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(format!("bad hex digit 0x{c:02x}")),
-        }
-    };
+    let nib = |c: u8| nibble(c).ok_or_else(|| format!("bad hex digit 0x{c:02x}"));
     let mut out = Vec::with_capacity(bytes.len() / 2);
     for pair in bytes.chunks_exact(2) {
         out.push((nib(pair[0])? << 4) | nib(pair[1])?);
@@ -520,8 +558,35 @@ mod tests {
         for bad in [
             "", "{", "}", "[1,", "{\"a\"", "{\"a\":}", "tru", "nul", "1e999", "\"\\q\"",
             "\"unterminated", "{\"a\":1}x", "\"\\ud800\"", "01e", "--3",
+            // A \u escape is exactly four hex digits: no sign, no fewer.
+            "\"\\u+041\"", "\"\\u-041\"", "\"\\u004\"", "\"\\u00\"", "\"\\ud800\\u+c00\"",
+            // Surrogates that do not pair up.
+            "\"\\ud800\\u0041\"", "\"\\ud800x\"", "\"\\udc00\"",
+            // Numbers outside -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+            "01", "-01", "00.5", "1.", "-.5", "1.e3", ".5", "+1", "-", "1e", "1e+", "0x10",
+            "[01]", "{\"a\":-01}", "1.5.2", "1e3e3",
+            // Raw control bytes inside a string.
+            "\"a\nb\"", "\"\u{1}\"", "\"\u{1f}\"",
         ] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should fail");
+            let e = parse_json(bad).expect_err(bad);
+            assert!(e.contains("offset "), "{bad:?}: diagnostic {e:?} has no offset");
+        }
+        for (bad, diagnostic) in [
+            ("[\"abc", "unterminated string from offset 1"),
+            ("[\"\\ud800\"]", "lone high surrogate at offset 2"),
+            ("\"ab\\udc00\"", "bad \\u codepoint at offset 3"),
+            ("\"ab\\u+041\"", "bad \\u escape at offset 5"),
+            ("\"abc\u{1}\"", "raw control character at offset 4"),
+            ("[1,-01]", "expected ',' or ']' at offset 5"),
+        ] {
+            assert_eq!(parse_json(bad), Err(diagnostic.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_in_the_rfc_8259_grammar_parse_exactly() {
+        for ok in ["0", "-0", "7", "10", "-12", "0.5", "-0.125", "1e3", "1E+3", "2.5e-3", "0e0"] {
+            assert_eq!(parse_json(ok), Ok(JsonValue::Num(ok.parse().unwrap())), "{ok:?}");
         }
     }
 
@@ -537,6 +602,59 @@ mod tests {
             parse_json("\"\\u0041\\u00e9\\ud83d\\ude00\"").unwrap(),
             JsonValue::str("Aé😀")
         );
+    }
+
+    /// The char-at-a-time escaper the run-copying writer replaced, kept
+    /// as the reference its bytes are compared against.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Every escape class, raw control bytes, DEL, and 1- to 4-byte
+    /// UTF-8 scalars (including the largest of each width).
+    const PALETTE: &[&str] = &[
+        "\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{0}", "\u{1f}", "\u{7f}", " ",
+        "a", "é", "\u{7ff}", "€", "\u{ffff}", "😀", "\u{10ffff}",
+    ];
+
+    #[test]
+    fn strings_round_trip_byte_equal_to_the_reference_and_every_prefix_errs() {
+        use dfm_bench::json::escape;
+        use dfm_check::{check, prop_assert, prop_assert_eq, vec, Config};
+        // Short pieces of palette atoms, plus one run of 0..3 KiB of a
+        // single atom spliced in at a generated position.
+        let gen = (
+            vec((0..PALETTE.len(), 1usize..4), 0..24),
+            0..PALETTE.len(),
+            0usize..3072,
+            0usize..24,
+        );
+        check("codec_string_round_trip", &Config::with_cases(64), &gen, |(pieces, atom, run, at)| {
+            let mut parts: Vec<String> = pieces.iter().map(|&(p, n)| PALETTE[p].repeat(n)).collect();
+            let long = PALETTE[*atom];
+            parts.insert((*at).min(parts.len()), long.repeat(run.div_ceil(long.len())));
+            let s = parts.concat();
+            let text = escape(&s);
+            prop_assert_eq!(text, reference_escape(&s));
+            prop_assert_eq!(parse_json(&text), Ok(JsonValue::Str(s.clone())));
+            for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                prop_assert!(parse_json(&text[..cut]).is_err(), "prefix of {cut} bytes parsed");
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -1357,16 +1357,34 @@ mod tests {
     #[test]
     fn a_duplicated_idem_key_in_one_frame_is_just_json() {
         // Duplicate idempotency keys are a service-level dedupe, but a
-        // duplicate key in one frame is just JSON: last value wins in
-        // the parser, and an unknown key shape is an error above.
+        // duplicate key in one frame is just JSON: the parser keeps
+        // every pair in order and `JsonValue::get` reads the first.
         let dup = r#"{"v":2,"cmd":"submit","spec":{},"gds_hex":"","idem":"a","idem":"b"}"#;
         match Request::parse(dup) {
-            Ok(Request::Submit { idem, .. }) => {
-                assert!(idem.is_some(), "a duplicated key still yields a key")
-            }
-            Ok(other) => panic!("unexpected frame: {other:?}"),
-            Err(_) => {} // a parser that refuses duplicates is also fine
+            Ok(Request::Submit { idem, .. }) => assert_eq!(idem.as_deref(), Some("a")),
+            other => panic!("unexpected parse: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_submit_carrying_4_mib_of_hex_parses_in_linear_time() {
+        // A size fence on the reader: linear in the frame, this takes a
+        // fraction of a second even in a debug build. The reader that
+        // re-validated the rest of the input at every character took
+        // minutes here (about 150 ms for a 100 KB frame, quadratic), so
+        // this is not meant to be run against that code.
+        let gds = vec![0xa5u8; 2 << 20];
+        let line = Request::Submit { spec: JobSpec::default(), gds: gds.clone(), idem: None }
+            .to_json()
+            .render();
+        assert!(line.len() > 4 << 20);
+        let t = std::time::Instant::now();
+        match Request::parse(&line) {
+            // Not assert_eq!: a mismatch would print megabytes of bytes.
+            Ok(Request::Submit { gds: back, .. }) => assert!(back == gds),
+            other => panic!("unexpected parse: {:?}", other.err()),
+        }
+        assert!(t.elapsed().as_secs() < 30, "4 MiB frame took {:?}", t.elapsed());
     }
 
     #[test]
