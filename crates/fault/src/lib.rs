@@ -607,12 +607,6 @@ pub mod crash {
             durable: "coordinator died between pulling an outcome and committing it",
             invariant: "outcome dropped, commit prefix unharmed; redispatch recomputes; bytes identical",
         },
-        CrashSite {
-            site: "shard.heartbeat",
-            action: "drop",
-            durable: "shard state durable; heartbeats stop renewing the lease",
-            invariant: "virtual-clock lease expiry declares loss; survivor takeover; bytes identical",
-        },
     ];
 
     /// Looks a site up by key.

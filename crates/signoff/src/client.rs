@@ -157,8 +157,7 @@ fn retryable(request: &Request) -> bool {
         | Request::List
         | Request::ShardDispatch { .. }
         | Request::ShardAttach { .. }
-        | Request::ShardPull { .. }
-        | Request::ShardHeartbeat { .. } => true,
+        | Request::ShardPull { .. } => true,
         Request::Submit { idem, .. } => idem.is_some(),
         Request::Cancel { .. } | Request::Resume { .. } | Request::Shutdown { .. } => false,
     }
@@ -495,19 +494,6 @@ impl Client {
                 Ok((outcomes, next, settled, draining))
             }
             other => Err(format!("unexpected reply to shard.pull: {other:?}")),
-        }
-    }
-
-    /// Sends one lease-renewing heartbeat for a shard job: whether it
-    /// has settled and whether the shard's service is draining.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol diagnostics and unknown ids.
-    pub fn shard_heartbeat(&mut self, job: u64) -> Result<(bool, bool), String> {
-        match self.request(&Request::ShardHeartbeat { job })? {
-            Response::ShardAlive { settled, draining } => Ok((settled, draining)),
-            other => Err(format!("unexpected reply to shard.heartbeat: {other:?}")),
         }
     }
 

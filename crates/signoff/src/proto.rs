@@ -279,12 +279,6 @@ pub enum Request {
         /// First outcome-log index wanted.
         since: u64,
     },
-    /// Coordinator→shard: lease-renewing liveness probe for a shard
-    /// job.
-    ShardHeartbeat {
-        /// The shard-local job id from the grant.
-        job: u64,
-    },
 }
 
 impl Request {
@@ -332,7 +326,6 @@ impl Request {
             Request::ShardPull { job, since } => {
                 ("shard.pull", vec![("job", num!(*job)), ("since", num!(*since))])
             }
-            Request::ShardHeartbeat { job } => job_only("shard.heartbeat", job),
         };
         let head = [("v", num!(PROTO_VERSION)), ("cmd", JsonValue::str(cmd))];
         JsonValue::obj(head.into_iter().chain(body))
@@ -400,7 +393,6 @@ impl Request {
             "shard.pull" => {
                 Request::ShardPull { job: f.req("job")?, since: f.opt("since")?.unwrap_or(0) }
             }
-            "shard.heartbeat" => Request::ShardHeartbeat { job: f.req("job")? },
             other => return Err(format!("unknown cmd '{other}'")),
         })
     }
@@ -467,13 +459,6 @@ pub enum Response {
         /// wire means `false` (pre-drain servers).
         draining: bool,
     },
-    /// A shard answers a heartbeat: the lease is renewed.
-    ShardAlive {
-        /// True once the shard job has settled.
-        settled: bool,
-        /// True when the shard's service is draining.
-        draining: bool,
-    },
     /// The request failed.
     Error {
         /// The structured diagnostic.
@@ -517,11 +502,6 @@ impl Response {
                 ("settled", JsonValue::Bool(*settled)),
                 ("draining", JsonValue::Bool(*draining)),
             ],
-            Response::ShardAlive { settled, draining } => vec![
-                ("alive", JsonValue::Bool(true)),
-                ("settled", JsonValue::Bool(*settled)),
-                ("draining", JsonValue::Bool(*draining)),
-            ],
             Response::Error { error } => vec![("error", error.to_json())],
         };
         let ok = !matches!(self, Response::Error { .. });
@@ -548,8 +528,6 @@ impl Response {
             Response::Pong
         } else if f.opt::<bool>("shutting_down")?.is_some() {
             Response::ShuttingDown
-        } else if f.opt::<bool>("alive")?.is_some() {
-            Response::ShardAlive { settled: f.req("settled")?, draining: f.req("draining")? }
         } else if let Some(attached) = f.opt("attached")? {
             Response::ShardDispatched {
                 grant: ShardGrant {
@@ -861,7 +839,6 @@ mod tests {
             },
             Request::ShardAttach { coord: 17, origin: 5, gen: 2 },
             Request::ShardPull { job: 11, since: 4 },
-            Request::ShardHeartbeat { job: 11 },
         ]
     }
 
@@ -985,8 +962,6 @@ mod tests {
                 settled: true,
                 draining: true,
             },
-            Response::ShardAlive { settled: false, draining: false },
-            Response::ShardAlive { settled: true, draining: true },
             Response::Error { error: ErrorObj::coded(ErrorCode::NotFound, "no such job: 4") },
             Response::Error {
                 error: ErrorObj {
@@ -1016,11 +991,13 @@ mod tests {
 
     #[test]
     fn sample_frames_render_the_pinned_bytes() {
-        // Taken at the commit before the one-reader refactor: an
-        // encode-side edit that moves a byte of any frame kind fails
-        // here, without waiting for the golden report digests.
+        // Taken at the commit before the one-reader refactor, then
+        // moved once, by deleting the retired heartbeat frames' three
+        // sample rows and nothing else: an encode-side edit that moves a
+        // byte of any frame kind fails here, without waiting for the
+        // golden report digests.
         let text = sample_lines().join("\n");
-        assert_eq!(crate::codec::fnv1a_64(text.as_bytes()), 0xe84b_7701_6de9_85ac, "{text}");
+        assert_eq!(crate::codec::fnv1a_64(text.as_bytes()), 0x729e_3d57_30d4_261f, "{text}");
     }
 
     /// Keys (by path, `[]` for an array step) whose removal, `null`, or

@@ -175,9 +175,6 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
                 draining,
             },
         ),
-        Request::ShardHeartbeat { job } => service
-            .shard_heartbeat(job)
-            .map(|(settled, draining)| Response::ShardAlive { settled, draining }),
     };
     result.unwrap_or_else(|error| Response::Error { error })
 }

@@ -55,7 +55,7 @@ pub use attempt::{
     SITE_CACHE_READ, SITE_CACHE_STORE_RENAME, SITE_CACHE_STORE_TMP, SITE_CACHE_WRITE,
     SITE_CKPT_READ, SITE_CKPT_WRITE, SITE_TILE_COMPUTE, SITE_TILE_DELAY, TILE_DELAY_ENV,
 };
-pub(crate) use attempt::{RunShared, WATCHDOG_VMS};
+pub(crate) use attempt::RunShared;
 pub use commit::{JobEvent, JobEventKind, JobState, JobStatus};
 pub(crate) use commit::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live, Job,
@@ -874,26 +874,6 @@ impl SignoffService {
             m.state.is_settled(),
             self.draining(),
         ))
-    }
-
-    /// Shard-side entry point for `shard.heartbeat`: a cheap liveness
-    /// probe the coordinator sends on idle polls. Answers whether the
-    /// shard job has settled and whether this service is draining —
-    /// and, by answering at all, renews the coordinator's lease on
-    /// this shard (a heartbeat ack resets the idle clock that would
-    /// otherwise expire the shard).
-    ///
-    /// # Errors
-    ///
-    /// Unknown id, or a job that was not dispatched via
-    /// [`SignoffService::shard_dispatch`].
-    pub fn shard_heartbeat(&self, id: u64) -> Result<(bool, bool), ErrorObj> {
-        let job = self.job(id)?;
-        let m = job.m.lock().expect("job lock");
-        if m.outcomes.is_none() {
-            return Err(format!("job {id} is not a shard-dispatched job").into());
-        }
-        Ok((m.state.is_settled(), self.draining()))
     }
 
     /// Coordinator counters (`None` on a non-coordinating service):

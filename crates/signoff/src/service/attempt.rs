@@ -58,9 +58,8 @@ pub const SITE_CACHE_STORE_RENAME: &str = "signoff.cache.store.rename";
 
 /// Virtual watchdog budget: an injected tile delay of at least this
 /// many virtual milliseconds fails the attempt as a timeout (the stuck
-/// attempt is abandoned and the tile requeued), and a shard whose lease
-/// goes unrenewed this long is declared lost (`shard.rs`).
-pub(crate) const WATCHDOG_VMS: u64 = 10_000;
+/// attempt is abandoned and the tile requeued).
+const WATCHDOG_VMS: u64 = 10_000;
 
 /// Backoff recorded before retrying attempt `k` is this `<< k` virtual
 /// milliseconds — bookkeeping in the retry event, never slept.

@@ -27,29 +27,24 @@
 //! # Failure matrix
 //!
 //! Coordinator↔shard sockets are first-class fault sites
-//! ([`SITE_SHARD_DISPATCH`], [`SITE_SHARD_PULL`],
-//! [`SITE_SHARD_HEARTBEAT`], [`SITE_COORD_INGEST`]). Any puller
-//! failure (injected or real — connect refusal, torn frame, settled
-//! shard with unreported tiles, or lease expiry) declares that shard
-//! dead: its outstanding tiles re-dispatch to the lowest-indexed
-//! surviving shard under a bumped generation (recovering through the
-//! tile cache where warm), and when no shard survives the lost tiles
-//! quarantine with a per-shard `shard {k} lost: …` manifest and the
-//! job settles `Partial`. A killed coordinator resumes from its
-//! checkpoint root: pullers re-attach to the shards' retained
-//! `(origin, gen)` jobs and replay outcome logs from the last merged
-//! prefix.
+//! ([`SITE_SHARD_DISPATCH`], [`SITE_SHARD_PULL`], [`SITE_COORD_INGEST`]).
+//! Any puller failure (injected or real — connect refusal, torn frame,
+//! or settled shard with unreported tiles) declares that shard dead:
+//! its outstanding tiles re-dispatch to the lowest-indexed surviving
+//! shard under a bumped generation (recovering through the tile cache
+//! where warm), and when no shard survives the lost tiles quarantine
+//! with a per-shard `shard {k} lost: …` manifest and the job settles
+//! `Partial`. A killed coordinator resumes from its checkpoint root:
+//! pullers re-attach to the shards' retained `(origin, gen)` jobs and
+//! replay outcome logs from the last merged prefix.
 //!
-//! # Lease liveness
+//! # Liveness
 //!
-//! Each empty pull is followed by a `shard.heartbeat` probe. An
-//! on-time ack renews the shard's lease (resets the idle clock), so an
-//! idle-but-alive shard can never be expired by pull timeouts alone; a
-//! dropped heartbeat (injected at [`SITE_SHARD_HEARTBEAT`]) leaves the
-//! idle clock accruing [`PULL_POLL_VMS`] per poll toward the
-//! virtual-clock watchdog budget, a late heartbeat (delay rule)
-//! additionally charges its delay, and a heartbeat transport failure
-//! is an immediate loss.
+//! A shard is alive while it answers its pulls. A pull that fails — a
+//! transport error once the client's reconnect budget is spent (each
+//! exchange bounded by the 10 s socket timeout) or an injected
+//! [`SITE_SHARD_PULL`] drop — is a loss, as is a shard that settles
+//! with tiles unreported. An idle shard answers with no outcomes.
 //!
 //! # Planned drain handoff
 //!
@@ -60,7 +55,7 @@
 //! [`ShardStats::tiles_drained`] (never `tiles_redispatched`), no loss
 //! manifest, no loss adjudication. The generation still bumps — the
 //! survivor needs a fresh `(coord, origin, gen)` idempotency key — but
-//! the churn a real loss causes (watchdog expiry, quarantine
+//! the churn a real loss causes (loss diagnostics, quarantine
 //! adjudication) is skipped entirely.
 
 use crate::client::{Client, RequestError};
@@ -68,7 +63,7 @@ use crate::job::JobContext;
 use crate::proto::{ErrorCode, ErrorObj};
 use crate::service::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live,
-    Job, RunShared, WATCHDOG_VMS,
+    Job, RunShared,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,25 +80,12 @@ pub const SITE_SHARD_DISPATCH: &str = "coord.dispatch";
 /// the shard is declared dead and its outstanding range re-dispatched.
 pub const SITE_SHARD_PULL: &str = "coord.pull";
 
-/// Fault site: one coordinator⇄shard heartbeat. Keyed by shard index;
-/// `attempt` is the heartbeat counter on that `(shard, generation)`.
-/// A `Drop` rule loses the heartbeat (no lease renewal), a `Delay`
-/// rule makes the ack late (its virtual delay charges the idle clock),
-/// and a transport error is an immediate shard loss.
-pub const SITE_SHARD_HEARTBEAT: &str = "shard.heartbeat";
-
 /// Crash site: the coordinator dies after pulling a shard outcome but
 /// before ingesting it into the merge prefix. Keyed by shard index;
 /// `attempt` is the per-puller ingest counter. Recovery replays the
 /// shard's retained outcome log from the last merged prefix, so the
 /// un-ingested outcome is never lost.
 pub const SITE_COORD_INGEST: &str = "coord.ingest";
-
-/// Virtual milliseconds charged against the watchdog budget (10 000
-/// virtual ms, shared with stuck tile attempts) per pull that returns
-/// no new outcome; a shard that stays silent past the budget is
-/// declared dead by the virtual-clock watchdog.
-pub const PULL_POLL_VMS: u64 = 8;
 
 /// Real milliseconds between outcome pulls.
 const PULL_SLEEP_MS: u64 = 5;
@@ -366,8 +348,8 @@ fn spawn_puller(
 
 /// Why a puller gave up on its shard.
 enum PullerEnd {
-    /// The shard is dead (transport failure, injected fault, settled
-    /// with unreported tiles, or lease expiry) — adjudicate a loss.
+    /// The shard is dead (a failed or unanswered pull, an injected
+    /// fault, or settled with unreported tiles) — adjudicate a loss.
     Loss(String),
     /// The shard's service is draining — a planned handoff, not a
     /// failure.
@@ -440,9 +422,7 @@ fn puller_loop(
     }
     let mut since = 0;
     let mut pulls = 0;
-    let mut heartbeats = 0;
     let mut ingested = 0;
-    let mut idle_vms = 0;
     loop {
         if !shard_run_live(job, run) {
             return Ok(()); // superseded by cancel/resume/takeover
@@ -459,7 +439,6 @@ fn puller_loop(
             .shard_pull(grant.job, since)
             .map_err(|e| PullerEnd::Loss(format!("pull from shard {shard}: {e}")))?;
         since = next;
-        let mut progressed = false;
         for outcome in &outcomes {
             if !mine.remove(&outcome.tile) {
                 continue; // another generation's tile, or a duplicate
@@ -478,7 +457,6 @@ fn puller_loop(
             ingested += 1;
             ingest_shard_outcome(shared, job, ctx, outcome);
             run.finish_tile(shard, outcome.tile);
-            progressed = true;
         }
         if mine.is_empty() {
             return Ok(());
@@ -494,45 +472,6 @@ fn puller_loop(
                 "shard {shard} settled with {} tiles unreported",
                 mine.len()
             )));
-        }
-        if progressed {
-            idle_vms = 0;
-        } else {
-            // Idle poll: probe liveness with a heartbeat. An on-time
-            // ack renews the lease (idle clock resets); a dropped
-            // heartbeat leaves the clock accruing toward the watchdog
-            // budget; a late one additionally charges its delay; a
-            // transport failure is an immediate loss.
-            let hb = heartbeats;
-            heartbeats += 1;
-            let dropped = shared
-                .plane
-                .as_ref()
-                .is_some_and(|p| p.should_drop(SITE_SHARD_HEARTBEAT, shard as u64, hb));
-            let mut late_vms = 0;
-            let mut renewed = false;
-            if !dropped {
-                if let Some(plane) = &shared.plane {
-                    if let Some(vms) = plane.delay_vms(SITE_SHARD_HEARTBEAT, shard as u64, hb)
-                    {
-                        late_vms = vms;
-                    }
-                }
-                client.shard_heartbeat(grant.job).map_err(|e| {
-                    PullerEnd::Loss(format!("heartbeat to shard {shard}: {e}"))
-                })?;
-                renewed = true;
-            }
-            if renewed && late_vms == 0 {
-                idle_vms = 0;
-            } else {
-                idle_vms += PULL_POLL_VMS + late_vms;
-            }
-            if idle_vms >= WATCHDOG_VMS {
-                return Err(PullerEnd::Loss(format!(
-                    "lease expired: shard {shard} unrenewed for {idle_vms} vms (budget {WATCHDOG_VMS} vms)"
-                )));
-            }
         }
         std::thread::sleep(Duration::from_millis(PULL_SLEEP_MS));
     }

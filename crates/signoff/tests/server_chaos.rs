@@ -139,12 +139,17 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     };
 
     // not_found: every id-taking command on an id nobody minted.
-    for cmd in
-        ["status", "events", "results", "score", "cancel", "resume", "shard.pull", "shard.heartbeat"]
-    {
+    for cmd in ["status", "events", "results", "score", "cancel", "resume", "shard.pull"] {
         let reply = ask(format!(r#"{{"v":2,"cmd":"{cmd}","job":999}}"#));
         assert_eq!(reply, refused("not_found", "no such job: 999") + end, "{cmd}");
     }
+    // A retired command is an unknown one: refused as the client's
+    // fault, and the connection goes on serving the next ask.
+    let reply = ask(r#"{"v":2,"cmd":"shard.heartbeat","job":999}"#.to_string());
+    assert_eq!(
+        reply,
+        r#"{"v":2,"ok":false,"error":{"code":"bad_request","message":"unknown cmd 'shard.heartbeat'"}}"#
+    );
     let reply = ask(r#"{"v":2,"cmd":"shard.attach","coord":7,"origin":1,"gen":0}"#.to_string());
     let unknown_key = "no such job: coordinator 0x7 origin 1 gen 0 is not dispatched here";
     assert_eq!(reply, refused("not_found", unknown_key) + end);

@@ -385,7 +385,6 @@ fn scenario_for(
         "coord.dispatch" => (Coord, Some(0), Settles, Resume),
         "coord.pull" => (Coord, Some(0), Settles, Resume),
         "coord.ingest" => (Coord, Some(0), Settles, Resume),
-        "shard.heartbeat" => (Coord, Some(0), Settles, Resume),
         other => return Err(format!("no sim scenario for registered crash site {other}")),
     })
 }
