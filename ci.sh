@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, and the platform's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -105,6 +105,23 @@ second_clock=$(find crates/signoff/src crates/fault/src -name '*.rs' -print0 |
 if [[ -n "$second_clock" ]]; then
     echo "error: a shard is alive while it answers its pulls; no heartbeat, no lease clock:" >&2
     echo "$second_clock" >&2
+    exit 1
+fi
+# One way to wait: a job's condvar answers `wait` and the `events` and
+# `shard.pull` long polls, so the platform sleeps in exactly two places
+# — a tile's `tile_delay` (service/attempt.rs) and the client's
+# `real_sleep`, called only for reconnect backoff and admission
+# `retry_after_vms` hints. Every `…sleep(` call counts, `real_sleep(`
+# too: four sites (tile_delay, real_sleep's body, its two callers). No
+# poll loop may sleep between requests again.
+sleeps=$(find crates/signoff/src crates/sim/src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /sleep\(/ && !/fn [_[:alnum:]]*sleep\(/{print FILENAME":"FNR": "$0}')
+echo "non-test sleep call sites in crates/signoff/src + crates/sim/src: $(grep -c . <<<"$sleeps")"
+stray_sleeps=$(grep -v -e '^crates/signoff/src/service/attempt\.rs:' \
+    -e '^crates/signoff/src/client\.rs:' <<<"$sleeps" || true)
+if [[ -n "$stray_sleeps" || $(grep -c . <<<"$sleeps") -ne 4 ]]; then
+    echo "error: wait on the job's condvar (events / shard.pull long-poll), do not sleep:" >&2
+    echo "$sleeps" >&2
     exit 1
 fi
 
@@ -461,12 +478,9 @@ COORD=$!
 for _ in $(seq 100); do [[ -s "$PC" ]] && break; sleep 0.05; done
 PORT=$(cat "$PC")
 JOB=$("$BIN" submit --addr "127.0.0.1:$PORT" --gds "$WORK/block.gds" "${SPEC_FLAGS[@]}")
-# Wait until merging is underway but far from done, then kill shard 0.
-for _ in $(seq 100); do
-    N=$("$BIN" events --addr "127.0.0.1:$PORT" --job "$JOB" | wc -l)
-    [[ "$N" -ge 2 ]] && break
-    sleep 0.05
-done
+# Once the job is running (event 1, answered by the server as soon as
+# it exists), kill shard 0 while it still owes its whole slowed range.
+"$BIN" events --addr "127.0.0.1:$PORT" --job "$JOB" --since 1 >/dev/null
 kill -9 "$SHARD_A"
 wait "$SHARD_A" 2>/dev/null || true; SHARD_A=""
 "$BIN" results --addr "127.0.0.1:$PORT" --job "$JOB" --wait >"$WORK/shard-kill.txt"

@@ -19,7 +19,7 @@
 
 use crate::codec::{read_frame, MAX_LINE_BYTES};
 use crate::proto::{ErrorObj, Request, Response};
-use crate::service::{JobEvent, JobStatus};
+use crate::service::{JobEvent, JobEventKind, JobStatus};
 use crate::shard::{ShardGrant, TileOutcome};
 use crate::spec::JobSpec;
 use std::io::{BufReader, Write};
@@ -33,10 +33,6 @@ const RECONNECT_ATTEMPTS: u64 = 3;
 /// Deterministic virtual-clock backoff base before reconnect `n`:
 /// `RECONNECT_BACKOFF_VMS << n` virtual milliseconds.
 const RECONNECT_BACKOFF_VMS: u64 = 8;
-
-/// Fixed wait-poll cadence in virtual milliseconds, used when the
-/// server gave no `retry_after_vms` hint.
-const WAIT_POLL_VMS: u64 = 20;
 
 /// Sleeps the real-time equivalent of `vms` virtual milliseconds
 /// (1 ms per vms, capped so injected hints cannot stall a test).
@@ -321,10 +317,11 @@ impl Client {
         }
     }
 
-    /// Fetches the event delta from `since` on, plus the next poll
-    /// cursor. The cursor only advances on a successfully parsed
-    /// response, so polling through reconnects yields a gapless,
-    /// duplicate-free stream.
+    /// Fetches the event delta from `since` on, plus the next cursor;
+    /// at the head of an unsettled job the server holds the answer
+    /// until the next event or the settle (at most one second). The
+    /// cursor only advances on a successfully parsed response, so
+    /// following the stream through reconnects is gapless.
     ///
     /// # Errors
     ///
@@ -477,9 +474,10 @@ impl Client {
         }
     }
 
-    /// Polls a shard job's outcome log from `since` on: the entries,
+    /// Pulls a shard job's outcome log from `since` on: the entries,
     /// the next cursor, whether the shard job has settled, and whether
-    /// the shard's service is draining.
+    /// the shard's service is draining; waits at the head like
+    /// [`Client::events`].
     ///
     /// # Errors
     ///
@@ -497,30 +495,23 @@ impl Client {
         }
     }
 
-    /// Polls `status` until the job settles (Done, Partial-settled,
-    /// Failed, or Cancelled). A server refusal that carries a
-    /// deterministic `retry_after_vms` hint is honoured — the poll
-    /// sleeps exactly the hinted backoff instead of the fixed cadence;
-    /// a hint-less refusal is final.
+    /// Waits until the job settles (Done, Partial-settled, Failed, or
+    /// Cancelled): `status`, then the held `events` stream from its
+    /// `next_seq`, and `status` again once a settled `State` arrives.
     ///
     /// # Errors
     ///
     /// Transport/protocol diagnostics and unknown ids.
     pub fn wait(&mut self, job: u64) -> Result<JobStatus, String> {
-        loop {
-            match self.request(&Request::Status { job }) {
-                Ok(Response::Status(status)) => {
-                    if status.state.is_settled() {
-                        return Ok(status);
-                    }
-                    real_sleep(WAIT_POLL_VMS);
-                }
-                Ok(other) => return Err(format!("unexpected reply to status: {other:?}")),
-                Err(RequestError::Server(ErrorObj { retry_after_vms: Some(vms), .. })) => {
-                    real_sleep(vms);
-                }
-                Err(e) => return Err(e.into()),
+        let mut status = self.status(job)?;
+        let mut cursor = status.next_seq;
+        while !status.state.is_settled() {
+            let (delta, next) = self.events(job, cursor)?;
+            cursor = next;
+            if delta.iter().any(|e| matches!(e.kind, JobEventKind::State(s) if s.is_settled())) {
+                status = self.status(job)?;
             }
         }
+        Ok(status)
     }
 }

@@ -205,7 +205,8 @@ pub enum Request {
         /// Job id.
         job: u64,
     },
-    /// Fetch a job's events from a sequence number on.
+    /// Fetch a job's events from a sequence number on; at the head of
+    /// an unsettled job the reply waits for the next one (≤ 1 s).
     Events {
         /// Job id.
         job: u64,
@@ -271,8 +272,8 @@ pub enum Request {
         /// The coordinator's dispatch generation.
         gen: u64,
     },
-    /// Coordinator→shard: poll a shard job's outcome log from a
-    /// cursor on.
+    /// Coordinator→shard: pull a shard job's outcome log from a cursor
+    /// on; at the head the reply waits for the next outcome (≤ 1 s).
     ShardPull {
         /// The shard-local job id from the grant.
         job: u64,

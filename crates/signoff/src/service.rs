@@ -76,8 +76,18 @@ use dfm_par::{PoolStats, WorkerPool};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The long poll of `events` and `shard.pull`: the job's lock once
+/// `at_head` stops holding, the job settles (a drain settles every job),
+/// or one second passes — well inside a coordinator's 10 s socket
+/// timeout, so an idle shard's empty answer still proves it alive.
+fn long_poll(job: &Job, at_head: impl Fn(&JobMut) -> bool) -> MutexGuard<'_, JobMut> {
+    let m = job.m.lock().expect("job lock");
+    let still = |m: &mut JobMut| !m.state.is_settled() && at_head(m);
+    job.cv.wait_timeout_while(m, Duration::from_millis(1000), still).expect("job wait").0
+}
 
 /// Full construction-time configuration of a [`SignoffService`].
 pub struct ServiceConfig {
@@ -563,15 +573,16 @@ impl SignoffService {
         jobs.iter().map(|j| j.status()).collect()
     }
 
-    /// The job's events with `seq >= since` — the incremental
-    /// delta-stream a client polls.
+    /// The job's events with `seq >= since` — the delta-stream a client
+    /// follows. At the head of an unsettled job it waits for the next
+    /// event, the settle, or a one-second deadline (then it is empty).
     ///
     /// # Errors
     ///
     /// Unknown job id.
     pub fn events(&self, id: u64, since: u64) -> Result<Vec<JobEvent>, ErrorObj> {
         let job = self.job(id)?;
-        let m = job.m.lock().expect("job lock");
+        let m = long_poll(&job, |m| m.events.len() as u64 <= since);
         let start = (since as usize).min(m.events.len());
         Ok(m.events[start..].to_vec())
     }
@@ -731,10 +742,8 @@ impl SignoffService {
     /// Unknown job id.
     pub fn wait(&self, id: u64) -> Result<JobStatus, String> {
         let job = self.job(id)?;
-        let mut m = job.m.lock().expect("job lock");
-        while !m.state.is_settled() {
-            m = job.cv.wait(m).expect("job wait");
-        }
+        let m = job.m.lock().expect("job lock");
+        let m = job.cv.wait_while(m, |m| !m.state.is_settled()).expect("job wait");
         Ok(status_of(&job, &m))
     }
 
@@ -847,11 +856,12 @@ impl SignoffService {
 
     /// The monotonic outcome log of a shard job from entry `since` on,
     /// with the next cursor, whether the job has settled, and whether
-    /// this service is draining — the stream a coordinator polls
-    /// (`shard.pull`). A settled shard job with no further outcomes is
-    /// the puller's signal that nothing more will ever arrive; a raised
-    /// drain flag tells the coordinator the settle was a planned
-    /// handoff, not a failure.
+    /// this service is draining — the stream a coordinator pulls
+    /// (`shard.pull`), waiting at the head like [`SignoffService::events`].
+    /// A settled shard job with no further outcomes is the puller's
+    /// signal that nothing more will ever arrive; a raised drain flag
+    /// tells the coordinator the settle was a planned handoff, not a
+    /// failure.
     ///
     /// # Errors
     ///
@@ -863,7 +873,7 @@ impl SignoffService {
         since: u64,
     ) -> Result<(Vec<TileOutcome>, u64, bool, bool), ErrorObj> {
         let job = self.job(id)?;
-        let m = job.m.lock().expect("job lock");
+        let m = long_poll(&job, |m| m.outcomes.as_ref().is_some_and(|o| o.len() as u64 <= since));
         let Some(outcomes) = &m.outcomes else {
             return Err(format!("job {id} is not a shard-dispatched job").into());
         };

@@ -597,7 +597,7 @@ pub(crate) fn set_shard_run(job: &Arc<Job>, epoch: Arc<ShardRun>) {
 
 /// True while `run` is still the job's current epoch and the job is
 /// still running — the staleness guard puller threads re-check every
-/// cycle, so a cancel or resume retires them within one poll.
+/// cycle, so a cancel or resume retires them within one pull.
 pub(crate) fn shard_run_live(job: &Arc<Job>, run: &Arc<ShardRun>) -> bool {
     let m = job.m.lock().expect("job lock");
     let epoch = m.run.as_ref().and_then(|r| r.shard_run.as_ref());

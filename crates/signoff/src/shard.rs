@@ -44,7 +44,8 @@
 //! transport error once the client's reconnect budget is spent (each
 //! exchange bounded by the 10 s socket timeout) or an injected
 //! [`SITE_SHARD_PULL`] drop — is a loss, as is a shard that settles
-//! with tiles unreported. An idle shard answers with no outcomes.
+//! with tiles unreported. A pull waits at the head for the next outcome
+//! or the settle; an idle shard answers with none after one second.
 //!
 //! # Planned drain handoff
 //!
@@ -86,9 +87,6 @@ pub const SITE_SHARD_PULL: &str = "coord.pull";
 /// shard's retained outcome log from the last merged prefix, so the
 /// un-ingested outcome is never lost.
 pub const SITE_COORD_INGEST: &str = "coord.ingest";
-
-/// Real milliseconds between outcome pulls.
-const PULL_SLEEP_MS: u64 = 5;
 
 /// The half-open tile range `[k*total/n, (k+1)*total/n)` shard `k` of
 /// `n` owns — contiguous, disjoint, covering `[0, total)`, and with
@@ -424,9 +422,6 @@ fn puller_loop(
     let mut pulls = 0;
     let mut ingested = 0;
     loop {
-        if !shard_run_live(job, run) {
-            return Ok(()); // superseded by cancel/resume/takeover
-        }
         if let Some(plane) = &shared.plane {
             if plane.should_drop(SITE_SHARD_PULL, shard as u64, pulls) {
                 return Err(PullerEnd::Loss(format!(
@@ -438,6 +433,9 @@ fn puller_loop(
         let (outcomes, next, settled, draining) = client
             .shard_pull(grant.job, since)
             .map_err(|e| PullerEnd::Loss(format!("pull from shard {shard}: {e}")))?;
+        if !shard_run_live(job, run) {
+            return Ok(()); // a cancel/resume superseded us while the pull waited
+        }
         since = next;
         for outcome in &outcomes {
             if !mine.remove(&outcome.tile) {
@@ -473,7 +471,6 @@ fn puller_loop(
                 mine.len()
             )));
         }
-        std::thread::sleep(Duration::from_millis(PULL_SLEEP_MS));
     }
 }
 

@@ -334,3 +334,63 @@ fn every_drain_refusal_answers_code_draining() {
         }
     }
 }
+
+/// `events` and `shard.pull` long-poll: at the head of a running job
+/// the server answers with the next entry (or the settle), never with
+/// an empty delta; at the head of a settled job it answers empty at
+/// once, well under the one-second deadline.
+#[test]
+fn events_and_shard_pull_at_the_head_answer_with_the_next_entry() {
+    use std::time::Instant;
+
+    let gds_bytes = small_gds(43);
+    let service = SignoffService::with_config(
+        ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(30)).build(),
+    );
+    let (addr, handle) = start_server(service);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let at_once = Duration::from_millis(900);
+
+    let job = client.submit(spec(), gds_bytes.clone()).expect("submit");
+    let mut heads = 0;
+    let status = loop {
+        let status = client.status(job).expect("status");
+        if status.state.is_settled() {
+            break status;
+        }
+        let (events, next) = client.events(job, status.next_seq).expect("events");
+        assert!(!events.is_empty(), "events at the head of a running job answered []");
+        assert_eq!(events[0].seq, status.next_seq);
+        assert_eq!(next, events.last().expect("non-empty").seq + 1);
+        heads += 1;
+    };
+    assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+    assert!(heads > 0, "the job was never seen running");
+    let start = Instant::now();
+    let (events, next) = client.events(job, status.next_seq).expect("events");
+    assert!(events.is_empty() && next == status.next_seq, "{events:?}");
+    assert!(start.elapsed() < at_once, "a settled head answers at once");
+
+    let total = status.tiles_total;
+    let grant = client
+        .shard_dispatch(7, 1, 0, spec(), gds_bytes, Some(vec![(0, total)]))
+        .expect("shard dispatch");
+    let mut since = 0;
+    let mut pulled = 0;
+    loop {
+        let (outcomes, next, settled, _) = client.shard_pull(grant.job, since).expect("pull");
+        assert!(settled || !outcomes.is_empty(), "a pull at the head of a running job answered []");
+        pulled += outcomes.len();
+        since = next;
+        if settled && pulled == total {
+            break;
+        }
+    }
+    let start = Instant::now();
+    let (outcomes, next, settled, _) = client.shard_pull(grant.job, since).expect("pull");
+    assert!(outcomes.is_empty() && next == since && settled);
+    assert!(start.elapsed() < at_once, "a settled head answers at once");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}

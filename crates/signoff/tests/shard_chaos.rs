@@ -48,18 +48,22 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dfms-chaos-{tag}-{}-{n}", std::process::id()))
 }
 
-fn spawn_shard(k: u64, n: u64, cache: Option<Arc<TileCache>>) -> String {
-    let mut cfg = ServiceConfig::builder().threads(2).shard_of(k, n);
-    if let Some(cache) = cache {
-        cfg = cfg.cache(cache);
-    }
-    let service = Arc::new(SignoffService::with_config(cfg.build()));
-    let server = Server::bind(service, 0).expect("bind shard");
+/// Serves a shard service on an ephemeral loopback port.
+fn serve(cfg: ServiceConfig) -> String {
+    let server = Server::bind(Arc::new(SignoffService::with_config(cfg)), 0).expect("bind shard");
     let addr = server.local_addr().to_string();
     std::thread::spawn(move || {
         let _ = server.serve();
     });
     addr
+}
+
+fn spawn_shard(k: u64, n: u64, cache: Option<Arc<TileCache>>) -> String {
+    let mut cfg = ServiceConfig::builder().threads(2).shard_of(k, n);
+    if let Some(cache) = cache {
+        cfg = cfg.cache(cache);
+    }
+    serve(cfg.build())
 }
 
 fn shutdown_all(addrs: &[String]) {
@@ -290,13 +294,7 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
 fn a_refusal_that_mentions_draining_is_a_loss_not_a_drain() {
     let closed_shard = |k| {
         let cfg = ServiceConfig::builder().threads(1).shard_of(k, 2).sched(SchedConfig::default());
-        let server = Server::bind(Arc::new(SignoffService::with_config(cfg.build())), 0)
-            .expect("bind shard");
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || {
-            let _ = server.serve();
-        });
-        addr
+        serve(cfg.build())
     };
     let addrs: Vec<String> = (0..2).map(closed_shard).collect();
     let coord = coordinator(&addrs, None);
@@ -320,4 +318,46 @@ fn a_refusal_that_mentions_draining_is_a_loss_not_a_drain() {
             );
         }
     }
+}
+
+/// Cancel a coordinated job while its pullers wait inside `shard.pull`
+/// (the shards are slowed, so no outcome exists yet), then resume it at
+/// once: the stale pullers' answers arrive while the resumed epoch
+/// runs. The job still settles `Done` with the flat bytes and exactly
+/// the events of a single-process cancel/resume.
+#[test]
+fn coordinated_cancel_then_resume_matches_a_single_process_one() {
+    use std::time::Duration;
+
+    let delay = Duration::from_millis(200);
+    let cancel_resume = |service: &SignoffService, running: &dyn Fn() -> bool| {
+        let id = service.submit(spec(), block_gds()).expect("submit");
+        while !running() {}
+        assert_eq!(service.cancel(id).expect("cancel").state, JobState::Cancelled);
+        service.resume(id).expect("resume");
+        let status = service.wait(id).expect("wait");
+        let (_, text) = service.report_text(id, false).expect("report");
+        (status.state, service.events(id, 0).expect("events"), text)
+    };
+    let single = SignoffService::with_config(
+        ServiceConfig::builder().threads(2).tile_delay(delay).build(),
+    );
+    let (state, base_events, base_text) = cancel_resume(&single, &|| true);
+    assert_eq!(state, JobState::Done);
+
+    let slow_shard =
+        |k| serve(ServiceConfig::builder().threads(2).shard_of(k, 2).tile_delay(delay).build());
+    let addrs: Vec<String> = (0..2).map(slow_shard).collect();
+    let coord = coordinator(&addrs, None);
+    // Both shards hold their job: the pullers are past dispatch.
+    let dispatched = || {
+        addrs.iter().all(|a| !Client::connect(a).expect("connect").list().expect("list").is_empty())
+    };
+    let (state, events, text) = cancel_resume(&coord, &dispatched);
+    shutdown_all(&addrs);
+
+    assert_eq!(state, JobState::Done, "the resumed epoch must finish the job");
+    assert_eq!(text, flat_text(), "stale pullers changed the report bytes");
+    assert_eq!(text, base_text);
+    assert_eq!(events, base_events, "stale pullers changed the event stream");
 }

@@ -292,12 +292,13 @@ impl Stack {
         hits(&self.coord_plane) || hits(&self.shard_plane)
     }
 
-    /// Kills the stack: shard servers shut down, coordinator dropped.
-    /// Durable state stays on disk.
+    /// Kills the stack: shards drain (the ack means no tile of an
+    /// abandoned range still writes into the next life's directories),
+    /// coordinator dropped. Durable state stays on disk.
     fn stop(self) {
         for addr in &self.shard_addrs {
             if let Ok(mut client) = Client::connect(addr) {
-                let _ = client.shutdown();
+                let _ = client.shutdown_mode(true);
             }
         }
     }
@@ -508,7 +509,7 @@ pub fn run_crash_matrix(cfg: &SimConfig, baseline_text: &str) -> Result<Vec<Site
 
 /// Client reconnect with gapless event resume: a server whose fault
 /// plane tears every connection's fourth response frame mid-line. The
-/// client polls the event stream through the tears; it must reconnect
+/// client follows the event stream through the tears; it must reconnect
 /// transparently and deliver a gapless, duplicate-free stream
 /// identical to the crash-free baseline's.
 ///
@@ -540,7 +541,6 @@ pub fn run_reconnect(cfg: &SimConfig, base: &QuickBaseline) -> Result<ExtraResul
         if client.status(id)?.state.is_settled() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(5));
     }
     let (delta, _) = client.events(id, cursor)?;
     events.extend(delta);
@@ -626,8 +626,8 @@ pub fn run_drain(cfg: &SimConfig, base: &QuickBaseline) -> Result<ExtraResult, S
     });
     let mut client = Client::connect(&addr)?;
     let id = client.submit(quick_spec(), quick_gds())?;
-    // Let some — but not all — tiles finish before draining.
-    std::thread::sleep(Duration::from_millis(60));
+    // Drain once the first TileDone (event 2, after Queued and Running) exists.
+    client.events(id, 2)?;
     client.shutdown_mode(true)?;
     // The ack means the drain completed: in-flight tiles finished and
     // checkpointed, the pool is idle. New work must now be refused.

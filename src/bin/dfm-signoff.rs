@@ -12,6 +12,7 @@
 //!                     [--tenant T] [--priority P] [spec flags]
 //! dfm-signoff status  --addr HOST:PORT --job ID [--tenant T] [--priority P]
 //! dfm-signoff events  --addr HOST:PORT --job ID [--since SEQ]
+//!                     (at the head of a running job: waits for the next event, ≤ 1 s)
 //! dfm-signoff results --addr HOST:PORT --job ID [--partial] [--wait] [--tenant T] [--priority P]
 //! dfm-signoff score   --addr HOST:PORT --job ID
 //! dfm-signoff score   --gds FILE [--cache DIR] [--threads N] [spec flags]
@@ -172,6 +173,7 @@ const USAGE: &str = "usage:
                       [--tenant T] [--priority P] [spec flags]
   dfm-signoff status  --addr HOST:PORT --job ID [--tenant T] [--priority P]
   dfm-signoff events  --addr HOST:PORT --job ID [--since SEQ]
+                      (at the head of a running job: waits for the next event, ≤ 1 s)
   dfm-signoff results --addr HOST:PORT --job ID [--partial] [--wait] [--tenant T] [--priority P]
   dfm-signoff score   --addr HOST:PORT --job ID
   dfm-signoff score   --gds FILE [--cache DIR] [--threads N] [spec flags]
