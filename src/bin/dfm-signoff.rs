@@ -1,29 +1,10 @@
 //! `dfm-signoff` — the command-line front-end of the signoff job
 //! service.
 //!
-//! ```text
-//! dfm-signoff serve   [--threads N] [--port P] [--ckpt DIR] [--port-file FILE]
-//!                     [--fault-plan FILE] [--max-attempts N]
-//!                     [--cache DIR] [--cache-max-bytes N] [--tenants FILE]
-//!                     [--shard-of K/N]
-//! dfm-signoff coordinate --shards HOST:PORT[,HOST:PORT...] [serve flags]
-//! dfm-signoff gen     --out FILE [--width NM] [--height NM] [--seed S]
-//! dfm-signoff submit  --addr HOST:PORT --gds FILE [--idem KEY] [--retry N]
-//!                     [--tenant T] [--priority P] [spec flags]
-//! dfm-signoff status  --addr HOST:PORT --job ID [--tenant T] [--priority P]
-//! dfm-signoff events  --addr HOST:PORT --job ID [--since SEQ]
-//!                     (at the head of a running job: waits for the next event, ≤ 1 s)
-//! dfm-signoff results --addr HOST:PORT --job ID [--partial] [--wait] [--tenant T] [--priority P]
-//! dfm-signoff score   --addr HOST:PORT --job ID
-//! dfm-signoff score   --gds FILE [--cache DIR] [--threads N] [spec flags]
-//! dfm-signoff fix     --gds FILE [--out FILE] [--cache DIR] [--threads N] [spec flags]
-//! dfm-signoff cancel  --addr HOST:PORT --job ID
-//! dfm-signoff resume  --addr HOST:PORT --job ID
-//! dfm-signoff list    --addr HOST:PORT
-//! dfm-signoff shutdown --addr HOST:PORT [--drain]
-//! dfm-signoff flat-report --gds FILE [spec flags]
-//! dfm-signoff cache   stats|verify|clear --dir DIR
-//! ```
+//! `dfm-signoff --help` prints the usage of every subcommand (the
+//! `USAGE` text below is its one copy). `serve` and `coordinate` print
+//! `listening on ADDR` as their first stdout line, which is how a
+//! script learns the port `--port 0` picked.
 //!
 //! ## Exit codes
 //!
@@ -31,9 +12,11 @@
 //! commands: the score passed), `1` — the score is below its pass
 //! threshold (or a metric under its floor), `2` — the job settled
 //! `Partial` (quarantined tiles; any score covers only the surviving
-//! tiles), `3` — operational error (bad arguments, I/O, protocol,
-//! failed jobs), `4` — the server refused the submission at admission
-//! (code `unknown_tenant`, `quota_exceeded`, `busy` or `draining`:
+//! tiles), `3` — operational error (bad arguments, I/O, protocol, a
+//! failed job, or a job that settled `Cancelled` — by `cancel` or by
+//! `shutdown --drain` — under `submit --wait`, `results` or `score`),
+//! `4` — the server refused the submission at admission (code
+//! `unknown_tenant`, `quota_exceeded`, `busy` or `draining`:
 //! unknown tenant, tenant quota, global backpressure, or a server that
 //! is shutting down; nothing was enqueued). A rejected `submit` prints
 //! the structured v2 error object (`{code, message,
@@ -102,7 +85,7 @@
 //!
 //! `flat-report` runs the same job single-shot with no tiling and no
 //! service; its output is byte-identical to `results` for the same
-//! spec and GDS — that equality is checked in CI.
+//! spec and GDS — `tests/cli_contract.rs` checks that equality.
 //!
 //! `--fault-plan FILE` arms the deterministic fault-injection plane
 //! from a `dfm-fault` plan file (see that crate's text format); it is
@@ -163,7 +146,7 @@ fn run(args: &[String]) -> Result<u8, String> {
 }
 
 const USAGE: &str = "usage:
-  dfm-signoff serve   [--threads N] [--port P] [--ckpt DIR] [--port-file FILE]
+  dfm-signoff serve   [--threads N] [--port P] [--ckpt DIR]
                       [--fault-plan FILE] [--max-attempts N]
                       [--cache DIR] [--cache-max-bytes N] [--tenants FILE]
                       [--shard-of K/N]
@@ -187,7 +170,8 @@ const USAGE: &str = "usage:
 spec flags: --name S --tech n65|n45|n28 --tile NM --halo NM --no-drc
             --ca-layer L/D|none --ca-x0 NM --litho-layer L/D|none --litho-feature NM
             --score FILE|default|none
-exit codes: 0 pass, 1 score below threshold, 2 partial (quarantined), 3 error,
+exit codes: 0 pass, 1 score below threshold, 2 partial (quarantined),
+            3 error (failed or cancelled job included),
             4 submission rejected at admission (tenant/quota/backpressure/draining)";
 
 /// Minimal `--flag value` / `--flag` scanner.
@@ -384,7 +368,6 @@ fn serve_with(
     let threads = flags.parsed("--threads")?.unwrap_or(4);
     let port: u16 = flags.parsed("--port")?.unwrap_or(0);
     let ckpt = flags.value("--ckpt")?.map(std::path::PathBuf::from);
-    let port_file = flags.value("--port-file")?.map(str::to_string);
     let fault_plan = flags.value("--fault-plan")?.map(str::to_string);
     let max_attempts: Option<u64> = flags.parsed("--max-attempts")?;
     let cache_dir = flags.value("--cache")?.map(std::path::PathBuf::from);
@@ -438,12 +421,7 @@ fn serve_with(
     }
     let service = Arc::new(SignoffService::with_config(cfg.build()));
     let server = Server::bind(service, port)?;
-    let addr = server.local_addr();
-    if let Some(path) = port_file {
-        std::fs::write(&path, format!("{}\n", addr.port()))
-            .map_err(|e| format!("write {path}: {e}"))?;
-    }
-    println!("listening on {addr}");
+    println!("listening on {}", server.local_addr());
     server.serve().map(|()| EXIT_PASS)
 }
 
@@ -735,10 +713,15 @@ fn flat(args: &[String]) -> Result<u8, String> {
     Ok(score.exit_code(false))
 }
 
-/// The exit code for a settled, non-failed job status: `Partial`
+/// The exit code for a settled, non-failed job status: `Cancelled` is
+/// an operational error (3, with a stderr line), then `Partial`
 /// dominates, then a failing score, then pass. Unscored jobs read as
 /// passing (code 0 / 2 on quarantine).
 fn status_exit_code(status: &JobStatus) -> u8 {
+    if status.state == JobState::Cancelled {
+        eprintln!("dfm-signoff: job {} was cancelled", status.id);
+        return EXIT_ERROR;
+    }
     exit_code(status.score_pass.unwrap_or(true), status.state == JobState::Partial)
 }
 

@@ -57,6 +57,19 @@ fn run_scored(
     svc.score_json(job).expect("score")
 }
 
+/// The pool's completed-task count once it is idle. A task is counted
+/// just after the commit that may settle its job, so a count read right
+/// after `wait` can miss the job's last task.
+fn completed_when_idle(svc: &SignoffService) -> u64 {
+    loop {
+        let stats = svc.pool_stats();
+        if stats.in_flight == 0 && stats.queue_depth == 0 {
+            return stats.completed;
+        }
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn score_json_is_byte_identical_across_worker_counts_and_warmth() {
     let bytes = block_gds(41);
@@ -121,14 +134,14 @@ fn no_op_auto_fix_recomputes_zero_tiles() {
     let svc = service(4, Some(cache));
     let (first, _) = run_scored(&svc, &spec, &bytes);
     assert_eq!(first.tiles_cached, 0);
-    let computed_after_first = svc.pool_stats().completed;
+    let computed_after_first = completed_when_idle(&svc);
 
     // Resubmitting the fix outcome hits the cache on every tile: zero
     // pool tasks run.
     let (second, second_json) = run_scored(&svc, &spec, &outcome.gds);
     assert_eq!(second.tiles_cached, second.tiles_total);
     assert_eq!(
-        svc.pool_stats().completed,
+        completed_when_idle(&svc),
         computed_after_first,
         "a no-op fix resubmission must not recompute any tile"
     );
