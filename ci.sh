@@ -5,9 +5,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== guard: workspace dependencies are path-only =="
-# `cargo tree` prints path packages as `name vX.Y.Z (/abs/path)`; a line
-# without that suffix is a registry/git dependency. One that cannot
-# resolve offline makes `cargo tree` itself fail, which fails the guard.
+# `cargo tree` prints registry packages as `name vX.Y.Z` with no source
+# suffix, path packages as `name vX.Y.Z (/abs/path)`. Any dependency
+# line lacking a local-path suffix means someone reintroduced a
+# registry/git dependency — fail loudly before the build masks it with
+# a cached copy.
+# A dependency that cannot resolve offline (i.e. a registry dep with no
+# cached copy) makes `cargo tree` itself fail, which must also fail the
+# guard — so check its exit status before filtering.
 tree=$(cargo tree --workspace --edges normal,build,dev --prefix none --offline)
 non_path=$(printf '%s\n' "$tree" | sort -u | grep -v '^\s*$' | grep -v ' (/' || true)
 if [[ -n "$non_path" ]]; then
@@ -18,9 +23,11 @@ fi
 echo "ok"
 
 echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, and the platform's non-test size =="
-# Every durable file goes through dfm_cache::blob::write_atomic; a second
-# tmp+rename writer is a duplicate store with its own corruption paths.
-# "Non-test": before a file's first `#[cfg(test)]`, outside tests/, benches/.
+# Every durable file goes through dfm_cache::blob::write_atomic. A
+# second tmp+rename writer anywhere else is the duplication PR 12
+# removed; fail before it can grow its own corruption paths. "Non-test"
+# is everything before a file's first `#[cfg(test)]`, outside tests/
+# and benches/.
 non_test='FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t'
 stray=$(find crates src -name '*.rs' ! -path '*/tests/*' ! -path '*/benches/*' \
         ! -path crates/cache/src/blob.rs -print0 |
@@ -32,12 +39,14 @@ if [[ -n "$stray" || "$renames" -ne 1 ]]; then
     echo "fs::rename call sites in blob.rs: $renames" >&2
     exit 1
 fi
-# The platform's size (7 836 before the sealed-blob/resolve_tile collapse).
+# The figure ISSUE 12's "less code" criterion is measured by (7 836
+# before the sealed-blob/resolve_tile collapse).
 find crates/signoff/src crates/cache/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"'{n++} END{print "signoff+cache non-test lines: " n}'
-# proto.rs's size (1 036 before the one-reader rewrite), and its rule:
-# every protocol and spec field is decoded by codec::Fields, never by a
-# raw `.get("` chain with its own idea of absent, null and mistyped.
+# ISSUE 15's figure (1 036 before the one-reader rewrite), and its
+# rule: every protocol and spec field is decoded by codec::Fields, so a
+# raw `.get("` chain in either decoder is a second field reader with its
+# own idea of what absent, null and mistyped mean.
 awk "$non_test"'{n++} END{print "crates/signoff/src/proto.rs non-test lines: " n}' \
     crates/signoff/src/proto.rs
 raw_get=$(awk "$non_test"' && /\.get\("/{print FILENAME":"FNR": "$0}' \
@@ -47,9 +56,10 @@ if [[ -n "$raw_get" ]]; then
     echo "$raw_get" >&2
     exit 1
 fi
-# The service's size (1 909 before `JobMut`'s seven per-tile collections
-# became one slot map in `Run`), and its rule: neither struct declares a
-# second collection keyed by tile index.
+# ISSUE 16's figure (1 909 before the seven per-tile collections of
+# `JobMut` became one slot map inside `Run`), and its rule: a job
+# remembers each tile in exactly one place, so neither struct may
+# declare a second collection keyed by tile index.
 awk "$non_test"'{n++} END{print "service.rs + service/{commit,attempt}.rs non-test lines: " n}' \
     crates/signoff/src/service.rs crates/signoff/src/service/commit.rs \
     crates/signoff/src/service/attempt.rs
@@ -62,10 +72,12 @@ if [[ -n "$per_tile" ]]; then
     echo "$per_tile" >&2
     exit 1
 fi
-# The wire path's size (2 501 before the error types were folded into
+# ISSUE 18's figure (2 501 before `Rejection`, `SubmitError`,
+# `classify` and the untyped client entry points were folded into
 # `ErrorObj { code: ErrorCode, .. }`), and its rule: a failure gets its
-# code where it happens, as an enum variant — no message-prefix match,
-# no code compared with a string literal, no `ErrorObj` from a `&str`.
+# code where it happens, as an enum variant, and nothing downstream
+# decides one from text — no message-prefix match, no comparison of a
+# code with a string literal, no `ErrorObj` built from a `&str` code.
 awk "$non_test"'{n++} END{print "client.rs + server.rs + service.rs + sched.rs non-test lines: " n}' \
     crates/signoff/src/client.rs crates/signoff/src/server.rs \
     crates/signoff/src/service.rs crates/signoff/src/sched.rs
@@ -76,11 +88,14 @@ if [[ -n "$code_from_text" ]]; then
     echo "$code_from_text" >&2
     exit 1
 fi
-# The pool's size: 824 before nested regions went inline.
+# ISSUE 13's figure: 824 before nested regions went inline and the
+# streaming/ordered reducers and unsupervised submits were deleted.
 awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' crates/par/src/lib.rs
-# The shard puller's figure (610 before the heartbeat and lease clock
-# went), and its rule: an answered `shard.pull` is the only liveness
-# signal; no heartbeat, and the watchdog budget is tile attempts' alone.
+# The shard puller's figure (610 before the heartbeat frame and the
+# lease clock were deleted), and its rule: an answered `shard.pull` is
+# the only liveness signal, so no non-test line of the platform or the
+# fault registry names a heartbeat, and the virtual watchdog budget
+# belongs to tile attempts alone.
 awk "$non_test"'{n++} END{print "crates/signoff/src/shard.rs non-test lines: " n}' \
     crates/signoff/src/shard.rs
 second_clock=$(find crates/signoff/src crates/fault/src -name '*.rs' -print0 |
@@ -92,10 +107,13 @@ if [[ -n "$second_clock" ]]; then
     echo "$second_clock" >&2
     exit 1
 fi
-# One way to wait: a job's condvar answers `wait`, `events` and
-# `shard.pull`, so the platform sleeps only in `tile_delay` and the
-# client's `real_sleep` (reconnect backoff, admission hints). Every
-# `…sleep(` call counts: four sites (tile_delay, real_sleep, its callers).
+# One way to wait: a job's condvar answers `wait` and the `events` and
+# `shard.pull` long polls, so the platform sleeps in exactly two places
+# — a tile's `tile_delay` (service/attempt.rs) and the client's
+# `real_sleep`, called only for reconnect backoff and admission
+# `retry_after_vms` hints. Every `…sleep(` call counts, `real_sleep(`
+# too: four sites (tile_delay, real_sleep's body, its two callers). No
+# poll loop may sleep between requests again.
 sleeps=$(find crates/signoff/src crates/sim/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"' && /sleep\(/ && !/fn [_[:alnum:]]*sleep\(/{print FILENAME":"FNR": "$0}')
 echo "non-test sleep call sites in crates/signoff/src + crates/sim/src: $(grep -c . <<<"$sleeps")"
@@ -106,18 +124,20 @@ if [[ -n "$stray_sleeps" || $(grep -c . <<<"$sleeps") -ne 4 ]]; then
     echo "$sleeps" >&2
     exit 1
 fi
-# One test harness: the CLI contract is tests/cli_contract.rs, which
-# waits on blocking `events` calls; neither it nor this script sleeps,
-# and nothing here runs in the background (no loopback smokes in bash).
+
+# One test harness: the CLI contract is tests/cli_contract.rs, which waits
+# on blocking `events` calls. Read as code (comments, quoted strings
+# dropped), ci.sh has no `sleep` word and no `&` but `&&` and redirections,
+# so no background server or poll loop can come back into bash.
 test_sleeps=$(grep -c 'sleep(' tests/cli_contract.rs || true)
-ci_sleeps=$(grep -cE '\<sleep[[:space:]]+[0-9]' ci.sh || true)
-ci_spawns=$(grep -cE '(^|[^&])&[[:space:]]*$' ci.sh || true)
+code=$(sed -E -e '/^[[:space:]]*#/d' -e "s/'[^']*'|\"[^\"]*\"//g" -e 's/[[:space:]]#.*//' ci.sh)
+ci_sleeps=$(grep -c '\<sleep\>' <<<"$code" || true)
+ci_spawns=$(sed -e 's/&&//g' -e 's/[<>|]&//g' -e 's/&>//g' <<<"$code" | grep -c '&' || true)
 echo "sleep( calls in tests/cli_contract.rs: $test_sleeps; sleeps / background spawns in ci.sh: $ci_sleeps / $ci_spawns"
 if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -125,14 +145,18 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo "== benchmark package builds against the workspace API (offline, locked) =="
-# `benchmark/` is its own workspace with a pinned lockfile and path deps
-# on crates/*: a pruned pub item or a new dependency edge fails here. A
-# short run proves it computes the right bytes without dirtying its pins.
+# `benchmark/` is its own workspace with a pinned lockfile and path
+# deps on crates/*: pruning a pub item it links against, or adding a
+# dependency edge, must fail here rather than in the benchmark
+# pipeline. One short workload run proves it still computes the right
+# bytes, and nothing it does may dirty the pinned files.
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload shard_2x1 --seed 11 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
-# `wire_warm` is all wire, so a traced second of it round-trips real
-# frames; its two codec figures are echoed, too noisy to gate on.
+# `wire_warm` is the one workload that is all wire (proto, codec,
+# server, client), so a traced second of it also proves the JSON reader
+# and writer round-trip real frames. Its two codec figures are echoed
+# as a record only: one traced run is too noisy to gate on.
 wire=$(cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload wire_warm --seed 11 --seconds 1 --trace 1 | tail -n 1)
 grep -q '"correct":true' <<<"$wire"
@@ -156,21 +180,28 @@ echo "== benches compile (offline) =="
 cargo bench --no-run --offline
 
 echo "== tiled signoff bench + gauges (offline) =="
-# The tiled DRC bench's JSON report must carry the per-tile working-set
-# gauges behind "never materialises a full layer". Bench binaries run in
-# the package dir, so the report path is absolute.
+# Pins the tiled full-deck DRC bench in the JSON report, including the
+# peak-per-tile working-set gauges that back the "never materialises a
+# full layer" claim. The tiled-vs-flat equivalence suites themselves
+# run above, under both thread counts, each at two tile sizes.
+# Bench binaries run with the package dir as cwd, so pass an absolute
+# report path.
 DFM_BENCH_JSON="$PWD/target/tiled-bench.json" \
     cargo bench -p dfm-bench --bench engines --offline -- tiled_drc
 grep -q '"gauges"' target/tiled-bench.json
 
 echo "== crash-simulation matrix (offline, deterministic) =="
-# dfm-sim kills and restarts the whole stack at every registered crash
-# site and asserts byte-identity to the crash-free run; its transcript is
-# the same at any worker count. The root release build does not make it.
-cargo build --release --offline -p dfm-sim
-SIM=target/release/dfm-sim
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
+# The dfm-sim harness kills-and-restarts the whole stack at every
+# registered crash site and re-runs its robustness scenarios, asserting
+# byte-identity to the crash-free golden run. The transcript must be
+# byte-identical across worker counts — determinism under crashes is
+# the same contract as determinism under threads.
+# dfm-sim is no dependency of the root package, so the release build
+# above does not produce its binary.
+cargo build --release --offline -p dfm-sim
+SIM=target/release/dfm-sim
 DFM_THREADS=1 "$SIM" --seed 7 --root "$WORK/sim-t1" >"$WORK/sim-1.txt"
 DFM_THREADS=4 "$SIM" --seed 7 --root "$WORK/sim-t4" >"$WORK/sim-4.txt"
 diff "$WORK/sim-1.txt" "$WORK/sim-4.txt"

@@ -1,7 +1,7 @@
 //! The `dfm-signoff` command line's contract, checked against real
 //! child processes of the built binary: exit codes 0–4, the
 //! admission-refusal JSON, the status line, `cache stats|verify`, the
-//! `fix` verdict, the serving flags, and two real `kill -9`s. Every
+//! `fix` verdict, the serving flags, and three real `kill -9`s. Every
 //! other property of the platform is pinned in-process; DESIGN.md
 //! ("Where the loopback smokes went") names the test for each. Nothing
 //! here sleeps: a server's address is read off its `listening on ADDR`
@@ -257,12 +257,33 @@ fn tenant_refusals_print_the_error_object_and_exit_4() {
 }
 
 #[test]
-fn coordinated_shards_survive_a_kill_9_of_one_shard() {
+fn coordinated_shards_survive_a_kill_9_of_the_coordinator_and_of_one_shard() {
     let w = Work::new("shards");
+    let ckpt = w.path("ckpt");
     let a = serve(&["--shard-of", "0/2"], &[SLOW]);
     let b = serve(&["--shard-of", "1/2"], &[SLOW]);
     let shards = format!("{},{}", a.addr, b.addr);
-    let coord = Proc::server(&["coordinate", "--shards", &shards, "--threads", "2"], &[]);
+    let args = ["coordinate", "--shards", &shards, "--threads", "2", "--ckpt", &ckpt];
+    let coord = || Proc::server(&args, &[]);
+    // kill -9 the coordinator once a tile is merged, while both shards
+    // still compute: the next one reattaches to their jobs and replays.
+    let first = coord();
+    let job = w.submit(0, &first.addr, &[]);
+    await_event(&first.addr, &job, " done (");
+    drop(first);
+    for shard in [&a, &b] {
+        // A fresh shard numbers its first job 1.
+        let status = on_job(0, "status", &shard.addr, "1", &[]);
+        assert!(status.contains(": running "), "{status}");
+    }
+    let coord = coord();
+    on_job(0, "resume", &coord.addr, &job, &[]);
+    assert_eq!(on_job(0, "results", &coord.addr, &job, &["--wait"]), w.flat);
+    // Reattached: neither shard holds a second job.
+    for shard in [&a, &b] {
+        on_job(3, "status", &shard.addr, "2", &[]);
+    }
+
     let job = w.submit(0, &coord.addr, &[]);
     // Event 1 exists once the job runs; shard 0 still owes its slowed range.
     on_job(0, "events", &coord.addr, &job, &["--since", "1"]);

@@ -11,6 +11,7 @@ use dfm_practice::signoff::{
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn block_gds(seed: u64) -> Vec<u8> {
     let tech = Technology::n65();
@@ -59,13 +60,16 @@ fn run_scored(
 
 /// The pool's completed-task count once it is idle. A task is counted
 /// just after the commit that may settle its job, so a count read right
-/// after `wait` can miss the job's last task.
+/// after `wait` can miss the job's last task. A pool still busy 10 s
+/// after its job settled fails the test rather than hanging it.
 fn completed_when_idle(svc: &SignoffService) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = svc.pool_stats();
         if stats.in_flight == 0 && stats.queue_depth == 0 {
             return stats.completed;
         }
+        assert!(Instant::now() < deadline, "pool never went idle: {stats:?}");
         std::thread::yield_now();
     }
 }
