@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Hermetic CI: the workspace must build, test, and bench-compile with no
-# network and no registry. Run from the repo root.
+# Hermetic CI: the workspace must build and test with no network and no
+# registry. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,11 +26,9 @@ echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot 
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
-# is everything before a file's first `#[cfg(test)]`, outside tests/
-# and benches/.
+# is everything before a file's first `#[cfg(test)]`, outside tests/.
 non_test='FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t'
-stray=$(find crates src -name '*.rs' ! -path '*/tests/*' ! -path '*/benches/*' \
-        ! -path crates/cache/src/blob.rs -print0 |
+stray=$(find crates src -name '*.rs' ! -path '*/tests/*' ! -path crates/cache/src/blob.rs -print0 |
     xargs -0 awk "$non_test"' && /fs::rename|with_extension\("tmp"\)/{print FILENAME":"FNR": "$0}')
 renames=$(awk "$non_test"' && /fs::rename\(/' crates/cache/src/blob.rs | wc -l)
 if [[ -n "$stray" || "$renames" -ne 1 ]]; then
@@ -113,10 +111,11 @@ fi
 # `real_sleep`, called only for reconnect backoff and admission
 # `retry_after_vms` hints. Every `…sleep(` call counts, `real_sleep(`
 # too: four sites (tile_delay, real_sleep's body, its two callers). No
-# poll loop may sleep between requests again.
-sleeps=$(find crates/signoff/src crates/sim/src -name '*.rs' -print0 |
+# poll loop may sleep between requests again, and neither the pool nor
+# the fault registry sleeps: an injected delay is virtual time.
+sleeps=$(find crates/signoff/src crates/sim/src crates/par/src crates/fault/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"' && /sleep\(/ && !/fn [_[:alnum:]]*sleep\(/{print FILENAME":"FNR": "$0}')
-echo "non-test sleep call sites in crates/signoff/src + crates/sim/src: $(grep -c . <<<"$sleeps")"
+echo "non-test sleep call sites in crates/{signoff,sim,par,fault}/src: $(grep -c . <<<"$sleeps")"
 stray_sleeps=$(grep -v -e '^crates/signoff/src/service/attempt\.rs:' \
     -e '^crates/signoff/src/client\.rs:' <<<"$sleeps" || true)
 if [[ -n "$stray_sleeps" || $(grep -c . <<<"$sleeps") -ne 4 ]]; then
@@ -175,20 +174,6 @@ echo "== test (offline, DFM_THREADS=4) =="
 # Same suite under a parallel pool: the determinism contract says the
 # results — including every golden digest — must not change.
 DFM_THREADS=4 cargo test -q --workspace --offline
-
-echo "== benches compile (offline) =="
-cargo bench --no-run --offline
-
-echo "== tiled signoff bench + gauges (offline) =="
-# Pins the tiled full-deck DRC bench in the JSON report, including the
-# peak-per-tile working-set gauges that back the "never materialises a
-# full layer" claim. The tiled-vs-flat equivalence suites themselves
-# run above, under both thread counts, each at two tile sizes.
-# Bench binaries run with the package dir as cwd, so pass an absolute
-# report path.
-DFM_BENCH_JSON="$PWD/target/tiled-bench.json" \
-    cargo bench -p dfm-bench --bench engines --offline -- tiled_drc
-grep -q '"gauges"' target/tiled-bench.json
 
 echo "== crash-simulation matrix (offline, deterministic) =="
 WORK=$(mktemp -d)

@@ -1,10 +1,9 @@
 //! A hand-rolled JSON writer — the workspace's one JSON emitter.
 //!
 //! Registry-free by design (no serde): [`JsonValue`] is a tiny
-//! document tree with a deterministic renderer. The microbench report
-//! ([`crate::microbench::Bencher::to_json`]) and the `dfm-signoff`
-//! wire protocol both render through it, so every JSON byte the
-//! workspace emits comes from this module.
+//! document tree with a deterministic renderer. The `dfm-signoff`
+//! wire protocol and the `benchmark/` results both render through it,
+//! so every JSON byte the workspace emits comes from this module.
 //!
 //! Numbers render through [`fmt_f64`]: integers without a fraction
 //! (`3`, not `3.0`), everything else via Rust's shortest-round-trip

@@ -2,9 +2,8 @@
 //!
 //! One function per experiment (E1–E12 in `DESIGN.md`); each returns the
 //! table/figure text it regenerates. The `experiments` binary prints
-//! them; the integration tests assert their headline shapes; the
-//! [`microbench`]-based benches (`benches/engines.rs`) time the
-//! underlying engines with no external harness.
+//! them; the integration tests assert their headline shapes. Timing
+//! lives in the `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +15,6 @@ pub mod e_timing;
 pub mod e_verdict;
 pub mod e_yield;
 pub mod json;
-pub mod microbench;
 pub mod table;
 
 /// The type of one experiment generator.

@@ -54,7 +54,7 @@ pub use check::{
 pub use rule::{ParseDeckError, Rule, RuleDeck};
 pub use tiled::{
     check_rule_tiled, facing_pair_partial, merge_facing_pair_partials, merge_rule_partials,
-    rule_tile_halo, rule_tile_partial, tiled_facing_pairs, AreaPiece, RulePartial, TileStats, TiledDrcEngine,
-    TiledDrcError, TiledDrcRun,
+    rule_tile_halo, rule_tile_partial, tiled_facing_pairs, AreaPiece, RulePartial, TiledDrcEngine,
+    TiledDrcError,
 };
 pub use violation::{DrcReport, Violation};

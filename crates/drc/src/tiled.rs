@@ -32,8 +32,8 @@
 //!   once, after the merge, exactly as in the flat path.
 //!
 //! The "tiled path never materialises a full-layer region" claim is
-//! observable: [`TileStats::peak_tile_rects`] records the largest
-//! per-tile rect count seen, and the benches publish it.
+//! observable: [`RulePartial::rect_count`] is each tile view's rect
+//! count, which the signoff job folds into `TilePartial::rects_peak`.
 
 use crate::check::{
     coalesce_fragments, corner_gap_pairs, density_ppm, density_windows, enclosure_margin,
@@ -44,24 +44,6 @@ use dfm_geom::{Point, Rect, Region};
 use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Memory-proxy statistics of a tiled run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TileStats {
-    /// Number of tiles in the grid.
-    pub tiles: usize,
-    /// Largest canonical rect count of any materialised tile view —
-    /// the peak working-set proxy (the flat path would hold whole
-    /// layers instead).
-    pub peak_tile_rects: usize,
-}
-
-impl TileStats {
-    fn absorb(&mut self, other: TileStats) {
-        self.tiles = self.tiles.max(other.tiles);
-        self.peak_tile_rects = self.peak_tile_rects.max(other.peak_tile_rects);
-    }
-}
 
 /// A tiled run that could not be certified bit-identical to flat.
 ///
@@ -92,15 +74,6 @@ impl fmt::Display for TiledDrcError {
 
 impl std::error::Error for TiledDrcError {}
 
-/// Result of a certified tiled run.
-#[derive(Clone, Debug)]
-pub struct TiledDrcRun {
-    /// The merged report — bit-identical to the flat engine's.
-    pub report: DrcReport,
-    /// Peak working-set statistics.
-    pub stats: TileStats,
-}
-
 /// Runs a [`RuleDeck`] against a [`TiledLayout`], tile by tile.
 #[derive(Clone, Copy, Debug)]
 pub struct TiledDrcEngine<'a> {
@@ -114,21 +87,18 @@ impl<'a> TiledDrcEngine<'a> {
     }
 
     /// Runs every rule, streaming tiles, merging per-rule results in
-    /// deck order.
+    /// deck order, into a report bit-identical to the flat engine's.
     ///
     /// # Errors
     ///
     /// [`TiledDrcError`] when a rule cannot be certified bit-identical
     /// at this tile/halo configuration.
-    pub fn run(&self, layout: &TiledLayout) -> Result<TiledDrcRun, TiledDrcError> {
+    pub fn run(&self, layout: &TiledLayout) -> Result<DrcReport, TiledDrcError> {
         let mut report = DrcReport::new();
-        let mut stats = TileStats { tiles: layout.tile_count(), peak_tile_rects: 0 };
         for rule in self.deck.rules() {
-            let (violations, rule_stats) = check_rule_tiled(rule, layout)?;
-            stats.absorb(rule_stats);
-            report.extend(violations);
+            report.extend(check_rule_tiled(rule, layout)?);
         }
-        Ok(TiledDrcRun { report, stats })
+        Ok(report)
     }
 }
 
@@ -193,7 +163,8 @@ pub enum RulePartial {
 
 impl RulePartial {
     /// Canonical rect count of the tile view the partial came from —
-    /// the per-tile working-set proxy folded into [`TileStats`].
+    /// the per-tile working-set proxy (the flat path would hold whole
+    /// layers instead).
     pub fn rect_count(&self) -> usize {
         match self {
             RulePartial::Fragments { rects, .. }
@@ -266,8 +237,8 @@ pub fn rule_tile_partial(rule: &Rule, layout: &TiledLayout, tile: usize) -> Rule
 }
 
 /// Merges one rule's per-tile partials (given **in tile order**, one
-/// per tile) into the rule's canonical-order violations and the pass's
-/// tile statistics — exactly what [`check_rule_tiled`] returns.
+/// per tile) into the rule's canonical-order violations — exactly what
+/// [`check_rule_tiled`] returns.
 ///
 /// # Errors
 ///
@@ -278,7 +249,7 @@ pub fn merge_rule_partials(
     rule: &Rule,
     layout: &TiledLayout,
     partials: Vec<RulePartial>,
-) -> Result<(Vec<Violation>, TileStats), TiledDrcError> {
+) -> Result<Vec<Violation>, TiledDrcError> {
     let id = rule.id();
     let make = |location: Rect, actual: i64, limit: i64| Violation {
         rule: id.clone(),
@@ -286,10 +257,6 @@ pub fn merge_rule_partials(
         actual,
         limit,
     };
-    let mut stats = TileStats::default();
-    for p in &partials {
-        stats.peak_tile_rects = stats.peak_tile_rects.max(p.rect_count());
-    }
     let mismatch = |tile: usize| TiledDrcError {
         rule: id.clone(),
         tile,
@@ -375,18 +342,17 @@ pub fn merge_rule_partials(
         })?,
     };
     sort_violations(&mut out);
-    stats.tiles = layout.tile_count();
-    Ok((out, stats))
+    Ok(out)
 }
 
 /// Streams one rule over the tiles; returns its canonical-order
-/// violations and the tile statistics of the pass. Equivalent to
+/// violations. Equivalent to
 /// computing every [`rule_tile_partial`] and merging — which is
 /// literally what it does, tiles being the parallel unit.
 pub fn check_rule_tiled(
     rule: &Rule,
     layout: &TiledLayout,
-) -> Result<(Vec<Violation>, TileStats), TiledDrcError> {
+) -> Result<Vec<Violation>, TiledDrcError> {
     let partials =
         dfm_par::par_map_range(layout.tile_count(), |i| rule_tile_partial(rule, layout, i));
     merge_rule_partials(rule, layout, partials)
@@ -847,15 +813,10 @@ mod tests {
             let tiled =
                 TiledLayout::from_flat(flat.clone(), tiling(tile, tech.via_enclosure * 2 + 6));
             for threads in [1usize, 2, 8] {
-                let run = dfm_par::with_threads(threads, || {
+                let report = dfm_par::with_threads(threads, || {
                     TiledDrcEngine::new(&deck).run(&tiled).expect("certified")
                 });
-                assert_eq!(
-                    run.report, reference,
-                    "tile {tile} threads {threads} diverged from flat"
-                );
-                assert_eq!(run.stats.tiles, tiled.tile_count());
-                assert!(run.stats.peak_tile_rects > 0);
+                assert_eq!(report, reference, "tile {tile} threads {threads} diverged from flat");
             }
         }
     }
@@ -875,7 +836,7 @@ mod tests {
         let tiled = TiledLayout::from_flat(flat.clone(), tiling(100, 8));
         let rule = Rule::MinArea { layer: layers::METAL1, value: 1000 };
         let reference = crate::check::check_rule(&rule, &flat);
-        let (tiled_v, _) = check_rule_tiled(&rule, &tiled).expect("exact");
+        let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
         assert_eq!(tiled_v, reference);
         // The plus (area 144) and the dot (area 16) both violate.
         assert_eq!(reference.len(), 2);
@@ -901,7 +862,7 @@ mod tests {
         let extent = dfm_layout::LayoutView::bbox(&flat);
         let side = ((extent.x1 - extent.x0) / 4).max(1) + 13;
         let tiled = TiledLayout::from_flat(flat, tiling(side, 4));
-        let (tiled_v, _) = check_rule_tiled(&rule, &tiled).expect("exact");
+        let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
         assert_eq!(tiled_v, reference);
     }
 
@@ -915,7 +876,7 @@ mod tests {
         assert!(!reference.is_empty());
         for tile in [110, 73] {
             let tiled = TiledLayout::from_flat(flat.clone(), tiling(tile, 48));
-            let (tiled_v, _) = check_rule_tiled(&rule, &tiled).expect("exact");
+            let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
             assert_eq!(tiled_v, reference, "tile {tile}");
         }
     }

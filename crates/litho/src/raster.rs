@@ -205,8 +205,8 @@ impl Raster {
     /// Reference implementation: direct (non-separable) 2-D Gaussian
     /// convolution. Mathematically identical to
     /// [`gaussian_blur`](Raster::gaussian_blur) but O(k²) per pixel
-    /// instead of O(k); kept for the separability ablation bench and as
-    /// an oracle in tests.
+    /// instead of O(k); kept as the oracle the separable form is
+    /// tested against.
     pub fn gaussian_blur_full2d(&mut self, sigma_nm: f64) {
         if sigma_nm <= 0.0 {
             return;

@@ -300,11 +300,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// index (see [`WorkerPool::with_fault_plane`]).
 pub const SITE_TASK_PANIC: &str = "par.task.panic";
 
-/// Fault-injection site: delay before a pool task runs, keyed by
-/// submission index. The injected virtual milliseconds are slept as
-/// real milliseconds, capped at one second.
-pub const SITE_TASK_DELAY: &str = "par.task.delay";
-
 /// A cooperative cancellation flag shared between a task's submitter and
 /// its executors. Cloning shares the flag. Cancellation is a latch: once
 /// set it never resets — resumable computations mint a fresh token per
@@ -440,11 +435,10 @@ impl WorkerPool {
         WorkerPool::with_fault_plane(threads, None)
     }
 
-    /// Spawns a pool whose workers consult a fault-injection plane:
-    /// [`SITE_TASK_DELAY`] before a task runs (slept as real
-    /// milliseconds, capped at 1 s) and [`SITE_TASK_PANIC`] inside the
-    /// task's containment boundary, both keyed by the task's submission
-    /// index. `None` is exactly [`WorkerPool::new`].
+    /// Spawns a pool whose workers consult a fault-injection plane at
+    /// [`SITE_TASK_PANIC`], inside the task's containment boundary and
+    /// keyed by the task's submission index. `None` is exactly
+    /// [`WorkerPool::new`].
     pub fn with_fault_plane(threads: usize, plane: Option<Arc<FaultPlane>>) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
@@ -627,11 +621,6 @@ fn worker_loop(shared: &PoolShared) {
             shared.skipped.fetch_add(1, Ordering::Relaxed);
             TaskOutcome::Skipped
         } else {
-            if let Some(plane) = &shared.plane {
-                if let Some(vms) = plane.delay_vms(SITE_TASK_DELAY, submit_idx, 0) {
-                    std::thread::sleep(std::time::Duration::from_millis(vms.min(1000)));
-                }
-            }
             let plane = shared.plane.as_deref();
             let run = move || {
                 if let Some(plane) = plane {

@@ -253,7 +253,7 @@ impl JobContext {
                         })
                     })
                     .collect::<Result<_, String>>()?;
-                let (violations, _) = merge_rule_partials(rule, &self.layout, per_rule)
+                let violations = merge_rule_partials(rule, &self.layout, per_rule)
                     .map_err(|e| e.to_string())?;
                 drc.extend(violations);
             }
@@ -290,7 +290,8 @@ impl JobContext {
 mod tests {
     use super::*;
     use crate::report::flat_report;
-    use dfm_layout::{gds, generate};
+    use dfm_drc::Rule;
+    use dfm_layout::{gds, generate, Layer};
 
     fn small_gds() -> Vec<u8> {
         let tech = Technology::n65();
@@ -316,18 +317,38 @@ mod tests {
         let gds = small_gds();
         let spec = spec();
         let ctx = JobContext::build(&spec, &gds).expect("context");
-        assert!(ctx.tile_count() > 1, "want a multi-tile job");
+        assert!(ctx.tile_count() >= 9, "want a 3x3 grid or finer");
         // Compute in reverse order to prove order independence.
         let mut partials: Vec<TilePartial> =
             (0..ctx.tile_count()).rev().map(|i| ctx.compute_tile(i)).collect();
         partials.sort_by_key(|p| p.tile);
         let merged = ctx.merge(&partials).expect("merge");
-        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("parse")).expect("flat");
+        let lib = gds::from_bytes(&gds).expect("parse");
+        let flat = flat_report(&spec, &lib).expect("flat");
         assert_eq!(
             merged.render_text(&spec),
             flat.render_text(&spec),
             "tiled merge must be bit-identical to the flat run"
         );
+        // The tiled path never materialises a full layer: every tile's
+        // working set stays below the densest layer the job reads.
+        let mut read: Vec<Layer> = spec.ca_layer.into_iter().chain(spec.litho_layer).collect();
+        for rule in ctx.deck.rules() {
+            read.extend(match *rule {
+                Rule::MinWidth { layer, .. }
+                | Rule::MinSpace { layer, .. }
+                | Rule::MinArea { layer, .. }
+                | Rule::WideSpace { layer, .. }
+                | Rule::Density { layer, .. } => vec![layer],
+                Rule::MinSpaceTo { from, to, .. } => vec![from, to],
+                Rule::Enclosure { inner, outer, .. } => vec![inner, outer],
+            });
+        }
+        let layout = lib.flatten_top().expect("flatten");
+        let densest = read.iter().map(|&l| layout.region(l).rect_count()).max().expect("layers");
+        for p in &partials {
+            assert!(p.rects_peak < densest, "tile {}: {} rects of {densest}", p.tile, p.rects_peak);
+        }
     }
 
     #[test]

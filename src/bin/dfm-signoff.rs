@@ -131,16 +131,13 @@ fn run(args: &[String]) -> Result<u8, String> {
         "results" => results(rest),
         "score" => score_cmd(rest),
         "fix" => fix(rest),
-        "cancel" => with_job(rest, |client, job| client.cancel(job).map(print_status)),
-        "resume" => with_job(rest, |client, job| client.resume(job).map(print_status)),
+        "cancel" => with_job(rest, |client, job| client.cancel(job).and_then(print_status)),
+        "resume" => with_job(rest, |client, job| client.resume(job).and_then(print_status)),
         "list" => list(rest),
         "shutdown" => shutdown(rest),
         "flat-report" => flat(rest),
         "cache" => cache_cmd(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(EXIT_PASS)
-        }
+        "--help" | "-h" | "help" => emit(&format!("{USAGE}\n")).map(|()| EXIT_PASS),
         other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     }
 }
@@ -290,26 +287,22 @@ fn job_id(flags: &mut Flags<'_>) -> Result<u64, String> {
     flags.parsed("--job")?.ok_or_else(|| "--job ID is required".to_string())
 }
 
-/// Writes lines to stdout, treating a broken pipe (e.g. `| head`) as
-/// a normal early exit instead of a panic.
-fn emit_lines(lines: &[String]) -> Result<(), String> {
+/// The binary's one stdout writer. A reader that has gone away (e.g.
+/// `| head`) is a normal early exit, not a panic: the text is dropped
+/// and the command keeps its own exit code.
+fn emit(text: &str) -> Result<(), String> {
     use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in lines {
-        match writeln!(out, "{line}") {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-            Err(e) => return Err(format!("stdout: {e}")),
-        }
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-fn print_status(s: dfm_practice::signoff::service::JobStatus) {
+fn print_status(s: dfm_practice::signoff::service::JobStatus) -> Result<(), String> {
     let err = s.error.as_deref().unwrap_or("-");
-    println!(
-        "job {} '{}' tenant {} prio {}: {} tiles {}/{} quarantined {} cached {} next_seq {} error {}",
+    emit(&format!(
+        "job {} '{}' tenant {} prio {}: {} tiles {}/{} quarantined {} cached {} next_seq {} error {}\n",
         s.id,
         s.name,
         s.tenant,
@@ -321,7 +314,7 @@ fn print_status(s: dfm_practice::signoff::service::JobStatus) {
         s.tiles_cached,
         s.next_seq,
         err
-    );
+    ))
 }
 
 fn serve(args: &[String]) -> Result<u8, String> {
@@ -421,7 +414,7 @@ fn serve_with(
     }
     let service = Arc::new(SignoffService::with_config(cfg.build()));
     let server = Server::bind(service, port)?;
-    println!("listening on {}", server.local_addr());
+    emit(&format!("listening on {}\n", server.local_addr()))?;
     server.serve().map(|()| EXIT_PASS)
 }
 
@@ -436,8 +429,7 @@ fn gen(args: &[String]) -> Result<u8, String> {
     let params = generate::RoutedBlockParams { width, height, ..Default::default() };
     let lib = generate::routed_block(&tech, params, seed);
     gds::write_file(&lib, &out).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(EXIT_PASS)
+    emit(&format!("wrote {out}\n")).map(|()| EXIT_PASS)
 }
 
 fn submit(args: &[String]) -> Result<u8, String> {
@@ -471,13 +463,13 @@ fn submit(args: &[String]) -> Result<u8, String> {
         // machine-readable v2 error object on stdout, so callers can
         // parse the code and the deterministic retry-after hint.
         Err(RequestError::Server(err)) if err.code.is_admission_refusal() => {
-            println!("{}", err.to_json().render());
+            emit(&format!("{}\n", err.to_json().render()))?;
             eprintln!("dfm-signoff: submission rejected: {err}");
             return Ok(EXIT_REJECTED);
         }
         Err(e) => return Err(e.into()),
     };
-    println!("{job}");
+    emit(&format!("{job}\n"))?;
     if !wait {
         return Ok(EXIT_PASS);
     }
@@ -485,7 +477,7 @@ fn submit(args: &[String]) -> Result<u8, String> {
     if let Some(err) = &status.error {
         return Err(format!("job {job} failed: {err}"));
     }
-    print_status(status.clone());
+    print_status(status.clone())?;
     Ok(status_exit_code(&status))
 }
 
@@ -497,8 +489,7 @@ fn status(args: &[String]) -> Result<u8, String> {
     flags.finish()?;
     let status = client.status(job)?;
     check_owner(&status, &owner)?;
-    print_status(status);
-    Ok(EXIT_PASS)
+    print_status(status).map(|()| EXIT_PASS)
 }
 
 /// The `--tenant` / `--priority` ownership assertions shared by
@@ -579,7 +570,7 @@ fn events(args: &[String]) -> Result<u8, String> {
         });
     }
     lines.push(format!("next_seq {next}"));
-    emit_lines(&lines).map(|()| EXIT_PASS)
+    emit(&(lines.join("\n") + "\n")).map(|()| EXIT_PASS)
 }
 
 fn results(args: &[String]) -> Result<u8, String> {
@@ -598,7 +589,7 @@ fn results(args: &[String]) -> Result<u8, String> {
     }
     let (status, report_text) = client.results(job, partial)?;
     check_owner(&status, &owner)?;
-    print!("{report_text}");
+    emit(&report_text)?;
     Ok(status_exit_code(&status))
 }
 
@@ -642,7 +633,7 @@ fn list(args: &[String]) -> Result<u8, String> {
             cells.join("  ").trim_end().to_string()
         })
         .collect();
-    emit_lines(&lines).map(|()| EXIT_PASS)
+    emit(&(lines.join("\n") + "\n")).map(|()| EXIT_PASS)
 }
 
 fn shutdown(args: &[String]) -> Result<u8, String> {
@@ -665,10 +656,10 @@ fn cache_cmd(args: &[String]) -> Result<u8, String> {
     match action.as_str() {
         "stats" => {
             let s = cache.stats();
-            println!(
-                "entries {} bytes {} corrupt_dropped {}",
+            emit(&format!(
+                "entries {} bytes {} corrupt_dropped {}\n",
                 s.entries, s.bytes, s.corrupt_dropped
-            );
+            ))?;
         }
         "verify" => {
             let r = cache.verify();
@@ -677,7 +668,7 @@ fn cache_cmd(args: &[String]) -> Result<u8, String> {
             // a fresh process must still report the corruption it
             // repaired.
             let removed = cache.stats().corrupt_dropped;
-            println!("ok {} removed {removed}", r.ok);
+            emit(&format!("ok {} removed {removed}\n", r.ok))?;
             // Corruption that had to be quarantined is an operational
             // error even though the cache is healthy again: CI must see
             // a non-zero exit so silent bit-rot cannot pass a pipeline.
@@ -687,7 +678,7 @@ fn cache_cmd(args: &[String]) -> Result<u8, String> {
         }
         "clear" => {
             let removed = cache.clear().map_err(|e| format!("clear cache {dir}: {e}"))?;
-            println!("cleared {removed}");
+            emit(&format!("cleared {removed}\n"))?;
         }
         other => {
             return Err(format!("unknown cache action '{other}' (stats|verify|clear)\n{USAGE}"))
@@ -704,12 +695,10 @@ fn flat(args: &[String]) -> Result<u8, String> {
     let lib = gds::read_file(&gds_path).map_err(|e| format!("read {gds_path}: {e}"))?;
     if spec.score.is_none() {
         let report = flat_report(&spec, &lib)?;
-        print!("{}", report.render_text(&spec));
-        return Ok(EXIT_PASS);
+        return emit(&report.render_text(&spec)).map(|()| EXIT_PASS);
     }
     let (report, score) = flat_score(&spec, &lib)?;
-    print!("{}", report.render_text(&spec));
-    println!("{}", score.render());
+    emit(&format!("{}{}\n", report.render_text(&spec), score.render()))?;
     Ok(score.exit_code(false))
 }
 
@@ -766,7 +755,7 @@ fn score_cmd(args: &[String]) -> Result<u8, String> {
         let job = job_id(&mut flags)?;
         flags.finish()?;
         let (status, score_json) = client.score(job)?;
-        println!("{score_json}");
+        emit(&format!("{score_json}\n"))?;
         return Ok(status_exit_code(&status));
     };
     // Local form: run the job through an in-process service.
@@ -780,7 +769,7 @@ fn score_cmd(args: &[String]) -> Result<u8, String> {
     let bytes = std::fs::read(&gds_path).map_err(|e| format!("read {gds_path}: {e}"))?;
     let service = local_service(threads, cache_dir.as_deref())?;
     let (status, score_json) = run_scored_job(&service, &spec, bytes)?;
-    println!("{score_json}");
+    emit(&format!("{score_json}\n"))?;
     Ok(status_exit_code(&status))
 }
 
@@ -809,7 +798,7 @@ fn fix(args: &[String]) -> Result<u8, String> {
     if let Some(path) = &out_path {
         std::fs::write(path, &outcome.gds).map_err(|e| format!("write {path}: {e}"))?;
     }
-    println!("{}", fix_report_json(&outcome, &before_status, &after_status).render());
+    emit(&format!("{}\n", fix_report_json(&outcome, &before_status, &after_status).render()))?;
     Ok(status_exit_code(&after_status))
 }
 

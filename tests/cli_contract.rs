@@ -217,6 +217,15 @@ fn score_and_fix_exit_by_the_contract_and_fix_writes_its_verdict() {
     std::fs::write(&strict, "pass 1.0\nmetric via.redundancy weight 1 scorer identity\n").unwrap();
     score(&w.gds, &["--score", &strict], 1);
     expect(3, &["score", "--gds", &w.path("missing.gds")]);
+    // A stdout reader that has gone away is an early exit, not a panic.
+    for args in [[&["flat-report", "--gds", &w.gds][..], &SPEC].concat(), vec!["--help"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(BIN).args(&args).stdout(writer).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}\nstderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}\nstderr: {stderr}");
+    }
 
     let fixed = w.path("fixed.gds");
     let fix = [&["fix", "--gds", &w.gds][..], &SPEC, &["--cache", &cache, "--out", &fixed]];
