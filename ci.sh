@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, eight engine fork regions, and the platform's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -89,6 +89,23 @@ fi
 # ISSUE 13's figure: 824 before nested regions went inline and the
 # streaming/ordered reducers and unsupervised submits were deleted.
 awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' crates/par/src/lib.rs
+# Tiles are the parallel unit: the service's WorkerPool runs them, and
+# a region entered on a pool worker runs inline. Inside the engines a
+# `dfm_par::par_*` fork region is kept only where a flat top-level
+# caller measured a gain on 2 cores (EXPERIMENTS.md, fork-region
+# table): the per-rule DRC map, three raster bands, the anchor scan,
+# post-litho extraction and two Monte-Carlo seed fan-outs. A new one
+# arrives with its measurement and a new pin; a `use dfm_par` import
+# counts as one more site, so the count cannot be dodged.
+forks=$(find crates/drc/src crates/litho/src crates/yieldsim/src crates/pattern/src \
+    crates/timing/src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /dfm_par::par_|use dfm_par/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
+echo "dfm_par::par_ fork regions in crates/{drc,litho,yieldsim,pattern,timing}/src: $(grep -c . <<<"$forks")"
+if [[ $(grep -c . <<<"$forks") -ne 8 ]]; then
+    echo "error: an engine fork region must pay on 2 cores; measure it and re-pin (8):" >&2
+    echo "$forks" >&2
+    exit 1
+fi
 # The shard puller's figure (610 before the heartbeat frame and the
 # lease clock were deleted), and its rule: an answered `shard.pull` is
 # the only liveness signal, so no non-test line of the platform or the

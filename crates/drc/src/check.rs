@@ -51,12 +51,6 @@ pub(crate) fn sort_violations(v: &mut [Violation]) {
     });
 }
 
-/// Edges per work chunk in the parallel sweeps. Chunk boundaries depend
-/// only on this constant, never on the thread count, and per-chunk
-/// outputs are concatenated in chunk order — the sweep output is the
-/// sequential output at any `DFM_THREADS`.
-const EDGE_CHUNK: usize = 256;
-
 /// Checks a single rule against a layout view.
 ///
 /// The returned violations are in canonical (location-sorted) order.
@@ -304,11 +298,8 @@ fn edge_pair_violations(region: &Region, value: i64, interior_between: bool) -> 
 ///
 /// Unlike a single midpoint probe, run detection is decidable from any
 /// window that contains the gap box plus one unit of margin — the
-/// property the tiled path relies on. Both directional sweeps run
-/// chunk-parallel: the edge list is split into fixed [`EDGE_CHUNK`]
-/// pieces, each chunk probes shared [`GridIndex`]es through its own
-/// [`dfm_geom::Searcher`], and per-chunk hits are concatenated in chunk
-/// order.
+/// property the tiled path relies on. Each directional sweep probes
+/// its [`GridIndex`]es through one [`dfm_geom::Searcher`] apiece.
 pub(crate) fn raw_pair_fragments(
     region: &Region,
     value: i64,
@@ -401,41 +392,36 @@ pub(crate) fn raw_pair_fragments(
         for (i, e) in edges.vertical.iter().enumerate() {
             index.insert(Rect { x0: e.x, y0: e.y0, x1: e.x, y1: e.y1 }, i);
         }
-        let chunks = dfm_par::par_chunks(&edges.vertical, EDGE_CHUNK, |_, chunk| {
-            let mut searcher = index.searcher();
-            let mut rsearch = rect_index.searcher();
-            let mut hits = Vec::new();
-            for a in chunk {
-                // Left edge of the pair: interior to the right for width,
-                // interior to the left (exterior to the right) for spacing.
-                if a.interior_right != interior_between {
-                    continue;
-                }
-                let window = Rect { x0: a.x + 1, y0: a.y0, x1: a.x + value - 1, y1: a.y1 };
-                if window.x0 > window.x1 {
-                    continue;
-                }
-                for &&bi in searcher.query(window).iter() {
-                    let b = edges.vertical[bi];
-                    if b.interior_right == a.interior_right {
-                        continue;
-                    }
-                    if b.x <= a.x || b.x - a.x >= value {
-                        continue;
-                    }
-                    let ylo = a.y0.max(b.y0);
-                    let yhi = a.y1.min(b.y1);
-                    if ylo >= yhi {
-                        continue;
-                    }
-                    let midx = a.x + (b.x - a.x) / 2;
-                    let covered = covered_runs(&mut rsearch, true, midx, ylo, yhi);
-                    emit(&mut hits, &covered, true, a.x, b.x, ylo, yhi);
-                }
+        let mut searcher = index.searcher();
+        let mut rsearch = rect_index.searcher();
+        for a in &edges.vertical {
+            // Left edge of the pair: interior to the right for width,
+            // interior to the left (exterior to the right) for spacing.
+            if a.interior_right != interior_between {
+                continue;
             }
-            hits
-        });
-        out.extend(chunks.into_iter().flatten());
+            let window = Rect { x0: a.x + 1, y0: a.y0, x1: a.x + value - 1, y1: a.y1 };
+            if window.x0 > window.x1 {
+                continue;
+            }
+            for &&bi in searcher.query(window).iter() {
+                let b = edges.vertical[bi];
+                if b.interior_right == a.interior_right {
+                    continue;
+                }
+                if b.x <= a.x || b.x - a.x >= value {
+                    continue;
+                }
+                let ylo = a.y0.max(b.y0);
+                let yhi = a.y1.min(b.y1);
+                if ylo >= yhi {
+                    continue;
+                }
+                let midx = a.x + (b.x - a.x) / 2;
+                let covered = covered_runs(&mut rsearch, true, midx, ylo, yhi);
+                emit(&mut out, &covered, true, a.x, b.x, ylo, yhi);
+            }
+        }
     }
 
     // Horizontal edge pairs (gap along y).
@@ -444,39 +430,34 @@ pub(crate) fn raw_pair_fragments(
         for (i, e) in edges.horizontal.iter().enumerate() {
             index.insert(Rect { x0: e.x0, y0: e.y, x1: e.x1, y1: e.y }, i);
         }
-        let chunks = dfm_par::par_chunks(&edges.horizontal, EDGE_CHUNK, |_, chunk| {
-            let mut searcher = index.searcher();
-            let mut rsearch = rect_index.searcher();
-            let mut hits = Vec::new();
-            for a in chunk {
-                if a.interior_up != interior_between {
-                    continue;
-                }
-                let window = Rect { x0: a.x0, y0: a.y + 1, x1: a.x1, y1: a.y + value - 1 };
-                if window.y0 > window.y1 {
-                    continue;
-                }
-                for &&bi in searcher.query(window).iter() {
-                    let b = edges.horizontal[bi];
-                    if b.interior_up == a.interior_up {
-                        continue;
-                    }
-                    if b.y <= a.y || b.y - a.y >= value {
-                        continue;
-                    }
-                    let xlo = a.x0.max(b.x0);
-                    let xhi = a.x1.min(b.x1);
-                    if xlo >= xhi {
-                        continue;
-                    }
-                    let midy = a.y + (b.y - a.y) / 2;
-                    let covered = covered_runs(&mut rsearch, false, midy, xlo, xhi);
-                    emit(&mut hits, &covered, false, a.y, b.y, xlo, xhi);
-                }
+        let mut searcher = index.searcher();
+        let mut rsearch = rect_index.searcher();
+        for a in &edges.horizontal {
+            if a.interior_up != interior_between {
+                continue;
             }
-            hits
-        });
-        out.extend(chunks.into_iter().flatten());
+            let window = Rect { x0: a.x0, y0: a.y + 1, x1: a.x1, y1: a.y + value - 1 };
+            if window.y0 > window.y1 {
+                continue;
+            }
+            for &&bi in searcher.query(window).iter() {
+                let b = edges.horizontal[bi];
+                if b.interior_up == a.interior_up {
+                    continue;
+                }
+                if b.y <= a.y || b.y - a.y >= value {
+                    continue;
+                }
+                let xlo = a.x0.max(b.x0);
+                let xhi = a.x1.min(b.x1);
+                if xlo >= xhi {
+                    continue;
+                }
+                let midy = a.y + (b.y - a.y) / 2;
+                let covered = covered_runs(&mut rsearch, false, midy, xlo, xhi);
+                emit(&mut out, &covered, false, a.y, b.y, xlo, xhi);
+            }
+        }
     }
     out
 }
@@ -532,61 +513,57 @@ pub(crate) fn corner_gap_pairs(region: &Region, value: i64) -> Vec<(Rect, i64)> 
         index.insert(Rect { x0: p.x, y0: p.y, x1: p.x, y1: p.y }, i);
     }
     let v2 = value as i128 * value as i128;
-    let chunks = dfm_par::par_chunks(&corners, EDGE_CHUNK, |ci, chunk| {
-        let mut searcher = index.searcher();
-        let mut rsearch = rect_index.searcher();
-        let mut hits = Vec::new();
-        for (k, p) in chunk.iter().enumerate() {
-            let i = ci * EDGE_CHUNK + k;
-            let (p_ne, p_nw, p_sw, p_se) = (
-                covered(&mut rsearch, p.x, p.y),
-                covered(&mut rsearch, p.x - 1, p.y),
-                covered(&mut rsearch, p.x - 1, p.y - 1),
-                covered(&mut rsearch, p.x, p.y - 1),
-            );
-            if !is_corner(p_ne, p_nw, p_sw, p_se) {
+    let mut searcher = index.searcher();
+    let mut rsearch = rect_index.searcher();
+    let mut hits = Vec::new();
+    for (i, p) in corners.iter().enumerate() {
+        let (p_ne, p_nw, p_sw, p_se) = (
+            covered(&mut rsearch, p.x, p.y),
+            covered(&mut rsearch, p.x - 1, p.y),
+            covered(&mut rsearch, p.x - 1, p.y - 1),
+            covered(&mut rsearch, p.x, p.y - 1),
+        );
+        if !is_corner(p_ne, p_nw, p_sw, p_se) {
+            continue;
+        }
+        for &&j in searcher.query(Rect::new(p.x, p.y, p.x, p.y).expanded(value)).iter() {
+            if j <= i {
                 continue;
             }
-            for &&j in searcher.query(Rect::new(p.x, p.y, p.x, p.y).expanded(value)).iter() {
-                if j <= i {
-                    continue;
+            let q = corners[j];
+            let (dx, dy) = (q.x - p.x, q.y - p.y);
+            if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
+                continue;
+            }
+            let d2 = dx as i128 * dx as i128 + dy as i128 * dy as i128;
+            if d2 >= v2 {
+                continue;
+            }
+            let (q_ne, q_nw, q_sw, q_se) = (
+                covered(&mut rsearch, q.x, q.y),
+                covered(&mut rsearch, q.x - 1, q.y),
+                covered(&mut rsearch, q.x - 1, q.y - 1),
+                covered(&mut rsearch, q.x, q.y - 1),
+            );
+            if !is_corner(q_ne, q_nw, q_sw, q_se) {
+                continue;
+            }
+            let dist = (d2 as f64).sqrt().floor() as i64;
+            if dy > 0 {
+                // q is up-right of p: p must open to the NE, q to
+                // the SW, with material behind each corner.
+                if p_sw && !p_ne && q_ne && !q_sw {
+                    hits.push((Rect::new(p.x, p.y, q.x, q.y), dist));
                 }
-                let q = corners[j];
-                let (dx, dy) = (q.x - p.x, q.y - p.y);
-                if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
-                    continue;
-                }
-                let d2 = dx as i128 * dx as i128 + dy as i128 * dy as i128;
-                if d2 >= v2 {
-                    continue;
-                }
-                let (q_ne, q_nw, q_sw, q_se) = (
-                    covered(&mut rsearch, q.x, q.y),
-                    covered(&mut rsearch, q.x - 1, q.y),
-                    covered(&mut rsearch, q.x - 1, q.y - 1),
-                    covered(&mut rsearch, q.x, q.y - 1),
-                );
-                if !is_corner(q_ne, q_nw, q_sw, q_se) {
-                    continue;
-                }
-                let dist = (d2 as f64).sqrt().floor() as i64;
-                if dy > 0 {
-                    // q is up-right of p: p must open to the NE, q to
-                    // the SW, with material behind each corner.
-                    if p_sw && !p_ne && q_ne && !q_sw {
-                        hits.push((Rect::new(p.x, p.y, q.x, q.y), dist));
-                    }
-                } else {
-                    // q is down-right of p: p opens SE, q opens NW.
-                    if p_nw && !p_se && q_se && !q_nw {
-                        hits.push((Rect::new(p.x, q.y, q.x, p.y), dist));
-                    }
+            } else {
+                // q is down-right of p: p opens SE, q opens NW.
+                if p_nw && !p_se && q_se && !q_nw {
+                    hits.push((Rect::new(p.x, q.y, q.x, p.y), dist));
                 }
             }
         }
-        hits
-    });
-    chunks.into_iter().flatten().collect()
+    }
+    hits
 }
 
 
@@ -950,21 +927,6 @@ mod tests {
         let eight = dfm_par::with_threads(8, run);
         assert_eq!(seq, two);
         assert_eq!(seq, eight);
-
-        // Under the per-rule region above the edge sweeps run inline,
-        // so exercise them where they are the outermost region: called
-        // directly, on an input that splits into several EDGE_CHUNKs.
-        let metal = flat.region(layers::METAL1);
-        let edges = metal.boundary_edges();
-        assert!(edges.vertical.len() > EDGE_CHUNK && edges.horizontal.len() > EDGE_CHUNK);
-        let rules = tech.rules(layers::METAL1);
-        let (width, space) = (rules.min_width * 2, rules.min_space * 2);
-        let sweeps = || (interior_facing_pairs(&metal, width), spacing_violations(&metal, space));
-        let seq = dfm_par::with_threads(1, sweeps);
-        assert!(seq.0.len() > EDGE_CHUNK, "width sweep must have hits to compare");
-        assert!(!corner_gap_pairs(&metal, space).is_empty(), "corner sweep must have hits");
-        assert_eq!(seq, dfm_par::with_threads(2, sweeps));
-        assert_eq!(seq, dfm_par::with_threads(8, sweeps));
     }
 
     #[test]

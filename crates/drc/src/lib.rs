@@ -11,6 +11,9 @@
 //!   the tiny deck DSL ([`RuleDeck::parse`]),
 //! * [`DrcEngine`] — runs a deck against a [`FlatLayout`](dfm_layout::FlatLayout)
 //!   producing a [`DrcReport`] of located [`Violation`]s,
+//! * [`tiled`] — the per-tile half of every rule ([`rule_tile_partial`])
+//!   and its in-order merge ([`merge_rule_partials`]), bit-identical to
+//!   the flat engine; the signoff service runs the tiles,
 //! * [`recommended`] — *recommended* (soft) rules with compliance scoring,
 //!   the substrate for experiment E10 (do recommended rules correlate
 //!   with yield?).
@@ -53,8 +56,7 @@ pub use check::{
 };
 pub use rule::{ParseDeckError, Rule, RuleDeck};
 pub use tiled::{
-    check_rule_tiled, facing_pair_partial, merge_facing_pair_partials, merge_rule_partials,
-    rule_tile_halo, rule_tile_partial, tiled_facing_pairs, AreaPiece, RulePartial, TiledDrcEngine,
-    TiledDrcError,
+    facing_pair_partial, merge_facing_pair_partials, merge_rule_partials, rule_tile_halo,
+    rule_tile_partial, AreaPiece, RulePartial, TiledDrcError,
 };
 pub use violation::{DrcReport, Violation};

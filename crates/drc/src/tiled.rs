@@ -1,11 +1,15 @@
-//! Tile-streaming DRC execution: bit-identical to the flat engine.
+//! Tile-streaming DRC: per-tile halves bit-identical to the flat engine.
 //!
-//! [`TiledDrcEngine`] runs a [`RuleDeck`] over a [`TiledLayout`],
-//! materialising one tile window per task (`dfm_par::par_map_range`
-//! over tile indices, partials returned in tile order) and merging
-//! per-tile partial results into exactly the report the flat
+//! [`rule_tile_partial`] checks one rule on one tile of a
+//! [`TiledLayout`], materialising only that tile's window; it is a pure
+//! function of its arguments, so a job scheduler runs it as an
+//! independent task (the signoff service's worker pool is the one
+//! thing that runs tiles). [`merge_rule_partials`] folds the partials,
+//! given in tile order, into exactly the violations the flat
 //! [`crate::DrcEngine`] produces — same violations, same order, same
-//! bits, at any thread count and tile size.
+//! bits, at any tile size. [`facing_pair_partial`] and
+//! [`merge_facing_pair_partials`] are the same pair for the facing-pair
+//! lists critical area reads.
 //!
 //! # Seam dedup: the ownership rule
 //!
@@ -39,7 +43,7 @@ use crate::check::{
     coalesce_fragments, corner_gap_pairs, density_ppm, density_windows, enclosure_margin,
     min_separation, raw_pair_fragments, sort_violations, PairFragment,
 };
-use crate::{DrcReport, FacingPair, Rule, RuleDeck, Violation};
+use crate::{FacingPair, Rule, Violation};
 use dfm_geom::{Point, Rect, Region};
 use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
 use std::collections::BTreeMap;
@@ -73,34 +77,6 @@ impl fmt::Display for TiledDrcError {
 }
 
 impl std::error::Error for TiledDrcError {}
-
-/// Runs a [`RuleDeck`] against a [`TiledLayout`], tile by tile.
-#[derive(Clone, Copy, Debug)]
-pub struct TiledDrcEngine<'a> {
-    deck: &'a RuleDeck,
-}
-
-impl<'a> TiledDrcEngine<'a> {
-    /// Creates an engine for a deck.
-    pub fn new(deck: &'a RuleDeck) -> Self {
-        TiledDrcEngine { deck }
-    }
-
-    /// Runs every rule, streaming tiles, merging per-rule results in
-    /// deck order, into a report bit-identical to the flat engine's.
-    ///
-    /// # Errors
-    ///
-    /// [`TiledDrcError`] when a rule cannot be certified bit-identical
-    /// at this tile/halo configuration.
-    pub fn run(&self, layout: &TiledLayout) -> Result<DrcReport, TiledDrcError> {
-        let mut report = DrcReport::new();
-        for rule in self.deck.rules() {
-            report.extend(check_rule_tiled(rule, layout)?);
-        }
-        Ok(report)
-    }
-}
 
 /// The mergeable per-tile partial result of one rule on one tile — a
 /// pure function of `(rule, layout, tile index)` computed by
@@ -238,7 +214,7 @@ pub fn rule_tile_partial(rule: &Rule, layout: &TiledLayout, tile: usize) -> Rule
 
 /// Merges one rule's per-tile partials (given **in tile order**, one
 /// per tile) into the rule's canonical-order violations — exactly what
-/// [`check_rule_tiled`] returns.
+/// [`crate::check_rule`] returns on the flat layout.
 ///
 /// # Errors
 ///
@@ -345,24 +321,13 @@ pub fn merge_rule_partials(
     Ok(out)
 }
 
-/// Streams one rule over the tiles; returns its canonical-order
-/// violations. Equivalent to
-/// computing every [`rule_tile_partial`] and merging — which is
-/// literally what it does, tiles being the parallel unit.
-pub fn check_rule_tiled(
-    rule: &Rule,
-    layout: &TiledLayout,
-) -> Result<Vec<Violation>, TiledDrcError> {
-    let partials =
-        dfm_par::par_map_range(layout.tile_count(), |i| rule_tile_partial(rule, layout, i));
-    merge_rule_partials(rule, layout, partials)
-}
-
 /// One tile's owned fragment strips for a facing-pair sweep of `layer`
-/// at interaction range `max` — the per-tile half of
-/// [`tiled_facing_pairs`], exposed so a job scheduler can compute it
-/// as an independent task. Returns the strips and the tile's canonical
-/// rect count.
+/// at interaction range `max`, computed as an independent task.
+/// Returns the strips and the tile's canonical rect count. Merging
+/// every tile's strips with [`merge_facing_pair_partials`] gives the
+/// exact pair list [`crate::interior_facing_pairs`] /
+/// [`crate::exterior_facing_pairs`] produce on the flat region, without
+/// ever materialising it.
 pub fn facing_pair_partial(
     layout: &TiledLayout,
     layer: Layer,
@@ -377,7 +342,7 @@ pub fn facing_pair_partial(
 }
 
 /// Merges per-tile fragment strips (in tile order) into the exact flat
-/// facing-pair list — the merge half of [`tiled_facing_pairs`].
+/// facing-pair list — the merge half of [`facing_pair_partial`].
 pub fn merge_facing_pair_partials(
     partials: impl IntoIterator<Item = Vec<PairFragment>>,
 ) -> Vec<FacingPair> {
@@ -389,22 +354,6 @@ pub fn merge_facing_pair_partials(
         .into_iter()
         .map(PairFragment::to_pair)
         .collect()
-}
-
-/// Facing pairs of one layer computed tile-by-tile — the exact pair
-/// list [`crate::interior_facing_pairs`] / [`crate::exterior_facing_pairs`]
-/// produce on the flat region, without ever materialising it. This is
-/// the input the tiled critical-area path in `dfm-yield` consumes.
-pub fn tiled_facing_pairs(
-    layout: &TiledLayout,
-    layer: Layer,
-    max: i64,
-    interior_between: bool,
-) -> Vec<FacingPair> {
-    let partials = dfm_par::par_map_range(layout.tile_count(), |i| {
-        facing_pair_partial(layout, layer, max, interior_between, i).0
-    });
-    merge_facing_pair_partials(partials)
 }
 
 /// Collects a certified-rule fold: the first refusing tile (in tile
@@ -778,7 +727,7 @@ fn wide_space_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DrcEngine;
+    use crate::{DrcEngine, DrcReport, RuleDeck};
     use dfm_layout::{layers, Cell, FlatLayout, Library, Technology, TilingConfig};
 
     fn flat_with(layer: Layer, rects: &[Rect]) -> FlatLayout {
@@ -793,6 +742,14 @@ mod tests {
 
     fn tiling(side: i64, halo: i64) -> TilingConfig {
         TilingConfig::builder().tile(side).halo(halo).build().expect("config")
+    }
+
+    /// One rule over every tile in a plain loop: the per-tile half, then
+    /// the merge, as the signoff service runs them.
+    fn check_tiles(rule: &Rule, layout: &TiledLayout) -> Result<Vec<Violation>, TiledDrcError> {
+        let partials =
+            (0..layout.tile_count()).map(|i| rule_tile_partial(rule, layout, i)).collect();
+        merge_rule_partials(rule, layout, partials)
     }
 
     #[test]
@@ -812,12 +769,11 @@ mod tests {
         for tile in [side, side * 2 / 3 + 7] {
             let tiled =
                 TiledLayout::from_flat(flat.clone(), tiling(tile, tech.via_enclosure * 2 + 6));
-            for threads in [1usize, 2, 8] {
-                let report = dfm_par::with_threads(threads, || {
-                    TiledDrcEngine::new(&deck).run(&tiled).expect("certified")
-                });
-                assert_eq!(report, reference, "tile {tile} threads {threads} diverged from flat");
+            let mut report = DrcReport::new();
+            for rule in deck.rules() {
+                report.extend(check_tiles(rule, &tiled).expect("certified"));
             }
+            assert_eq!(report, reference, "tile {tile} diverged from flat");
         }
     }
 
@@ -836,7 +792,7 @@ mod tests {
         let tiled = TiledLayout::from_flat(flat.clone(), tiling(100, 8));
         let rule = Rule::MinArea { layer: layers::METAL1, value: 1000 };
         let reference = crate::check::check_rule(&rule, &flat);
-        let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
+        let tiled_v = check_tiles(&rule, &tiled).expect("exact");
         assert_eq!(tiled_v, reference);
         // The plus (area 144) and the dot (area 16) both violate.
         assert_eq!(reference.len(), 2);
@@ -862,7 +818,7 @@ mod tests {
         let extent = dfm_layout::LayoutView::bbox(&flat);
         let side = ((extent.x1 - extent.x0) / 4).max(1) + 13;
         let tiled = TiledLayout::from_flat(flat, tiling(side, 4));
-        let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
+        let tiled_v = check_tiles(&rule, &tiled).expect("exact");
         assert_eq!(tiled_v, reference);
     }
 
@@ -876,7 +832,7 @@ mod tests {
         assert!(!reference.is_empty());
         for tile in [110, 73] {
             let tiled = TiledLayout::from_flat(flat.clone(), tiling(tile, 48));
-            let tiled_v = check_rule_tiled(&rule, &tiled).expect("exact");
+            let tiled_v = check_tiles(&rule, &tiled).expect("exact");
             assert_eq!(tiled_v, reference, "tile {tile}");
         }
     }
@@ -896,14 +852,14 @@ mod tests {
         };
         let tiled = TiledLayout::from_flat(flat, tiling(100, 8));
         let rule = Rule::Enclosure { inner: layers::VIA1, outer: layers::METAL1, value: 10 };
-        let err = check_rule_tiled(&rule, &tiled).expect_err("must refuse");
+        let err = check_tiles(&rule, &tiled).expect_err("must refuse");
         assert_eq!(err.rule, rule.id());
         let shown = err.to_string();
         assert!(shown.contains("cannot certify"), "{shown}");
     }
 
     #[test]
-    fn tiled_facing_pairs_match_flat() {
+    fn facing_pair_partials_merge_to_flat() {
         let tech = Technology::n65();
         let lib = dfm_layout::generate::routed_block(
             &tech,
@@ -918,7 +874,12 @@ mod tests {
         let extent = dfm_layout::LayoutView::bbox(&flat);
         let side = ((extent.x1 - extent.x0) / 3).max(1) + 11;
         let tiled = TiledLayout::from_flat(flat, tiling(side, max + 2));
-        assert_eq!(tiled_facing_pairs(&tiled, layers::METAL2, max, true), flat_int);
-        assert_eq!(tiled_facing_pairs(&tiled, layers::METAL2, max, false), flat_ext);
+        let by_tile = |interior| {
+            merge_facing_pair_partials((0..tiled.tile_count()).map(|i| {
+                facing_pair_partial(&tiled, layers::METAL2, max, interior, i).0
+            }))
+        };
+        assert_eq!(by_tile(true), flat_int);
+        assert_eq!(by_tile(false), flat_ext);
     }
 }

@@ -1,14 +1,18 @@
-//! Property tests: the tiled DRC engine is bit-identical to the flat
-//! engine on random layouts, at random tile sizes (divisor and
-//! non-divisor alike), random halos, and any thread count — plus the
-//! pinned seam regressions the tiling design calls out.
+//! Property tests: the per-tile DRC halves the signoff service runs
+//! (`rule_tile_partial` with `merge_rule_partials`, and
+//! `facing_pair_partial` with `merge_facing_pair_partials`), here in a
+//! plain loop over tiles, are bit-identical to the flat engine on
+//! random layouts, at random tile sizes (divisor and non-divisor
+//! alike) and random halos — plus the pinned seam regressions the
+//! tiling design calls out.
 
 use dfm_check::{check, prop_assert_eq, Config};
 use dfm_drc::{
-    check_rule_tiled, tiled_facing_pairs, DrcEngine, Rule, RuleDeck, TiledDrcEngine,
+    facing_pair_partial, merge_facing_pair_partials, merge_rule_partials, rule_tile_partial,
+    DrcEngine, DrcReport, FacingPair, Rule, RuleDeck, TiledDrcError, Violation,
 };
 use dfm_geom::{Rect, Region};
-use dfm_layout::{layers, FlatLayout, TiledLayout, TilingConfig};
+use dfm_layout::{layers, FlatLayout, Layer, TiledLayout, TilingConfig};
 
 fn cfg() -> Config {
     Config::with_cases(48)
@@ -36,6 +40,42 @@ fn shard(flat: &FlatLayout, tile: i64, halo: i64) -> TiledLayout {
         .build()
         .expect("valid tiling");
     TiledLayout::from_flat(flat.clone(), cfg)
+}
+
+/// One rule over every tile, partials computed in `order`, merged in
+/// tile order.
+fn check_tiles_in(
+    rule: &Rule,
+    layout: &TiledLayout,
+    order: impl Iterator<Item = usize>,
+) -> Result<Vec<Violation>, TiledDrcError> {
+    let mut partials: Vec<_> = order.map(|i| (i, rule_tile_partial(rule, layout, i))).collect();
+    partials.sort_by_key(|(i, _)| *i);
+    merge_rule_partials(rule, layout, partials.into_iter().map(|(_, p)| p).collect())
+}
+
+fn check_tiles(rule: &Rule, layout: &TiledLayout) -> Result<Vec<Violation>, TiledDrcError> {
+    check_tiles_in(rule, layout, 0..layout.tile_count())
+}
+
+/// Every rule of `deck` tile by tile, merged in deck order.
+fn deck_by_tile(deck: &RuleDeck, layout: &TiledLayout) -> Result<DrcReport, TiledDrcError> {
+    let mut report = DrcReport::new();
+    for rule in deck.rules() {
+        report.extend(check_tiles(rule, layout)?);
+    }
+    Ok(report)
+}
+
+fn facing_pairs_by_tile(
+    layout: &TiledLayout,
+    layer: Layer,
+    max: i64,
+    interior: bool,
+) -> Vec<FacingPair> {
+    merge_facing_pair_partials(
+        (0..layout.tile_count()).map(|i| facing_pair_partial(layout, layer, max, interior, i).0),
+    )
 }
 
 /// Full deck of every decomposable rule kind over random soups: the
@@ -68,9 +108,8 @@ fn tiled_report_matches_flat_on_random_soups() {
             let reference = DrcEngine::new(&deck).run(&flat);
             for t in [tile, tile + 13] {
                 let tiled = shard(&flat, t, halo);
-                let report = TiledDrcEngine::new(&deck)
-                    .run(&tiled)
-                    .expect("decomposable rules always certify");
+                let report =
+                    deck_by_tile(&deck, &tiled).expect("decomposable rules always certify");
                 prop_assert_eq!(
                     &report,
                     &reference,
@@ -110,8 +149,7 @@ fn tiled_facing_pairs_match_flat_on_random_soups() {
                 };
                 for t in [tile, tile + 29] {
                     let tiled = shard(&flat, t, 0);
-                    let pairs =
-                        tiled_facing_pairs(&tiled, layers::METAL1, max_range, interior);
+                    let pairs = facing_pairs_by_tile(&tiled, layers::METAL1, max_range, interior);
                     prop_assert_eq!(
                         &pairs,
                         &reference,
@@ -171,7 +209,7 @@ fn four_tile_straddle_dedups_to_one_violation() {
     assert_eq!(reference.len(), 3, "plus and both anchors violate");
     for tile in [200, 137] {
         let tiled = shard(&flat, tile, 0);
-        let violations = check_rule_tiled(&rule, &tiled).expect("min-area certifies");
+        let violations = check_tiles(&rule, &tiled).expect("min-area certifies");
         assert_eq!(violations, reference, "tile {tile}");
     }
     // The same straddle for corner-to-corner spacing: a gap box whose
@@ -186,15 +224,16 @@ fn four_tile_straddle_dedups_to_one_violation() {
     assert!(!reference.is_empty(), "diagonal gap 10 must violate");
     for tile in [200, 151] {
         let tiled = shard(&flat, tile, 0);
-        let violations = check_rule_tiled(&rule, &tiled).expect("spacing certifies");
+        let violations = check_tiles(&rule, &tiled).expect("spacing certifies");
         assert_eq!(violations, reference, "tile {tile}");
     }
 }
 
-/// Thread-count sweep over one random deck run: the report is a pure
-/// function of the layout, not of the scheduling.
+/// Partials are pure functions of `(rule, layout, tile)`: computing
+/// them in reverse tile order and merging in tile order gives the flat
+/// report.
 #[test]
-fn tiled_report_is_thread_invariant() {
+fn tile_partials_merge_independently_of_compute_order() {
     let specs: Vec<(i64, i64, i64, i64)> = (0..12)
         .map(|i| (i % 5, (i * 7) % 11, i % 4, (i + 2) % 4))
         .collect();
@@ -205,14 +244,12 @@ fn tiled_report_is_thread_invariant() {
         .with(Rule::MinSpace { layer: layers::METAL1, value: 110 })
         .with(Rule::MinArea { layer: layers::METAL1, value: 25_000 });
     let tiled = shard(&flat, 310, 16);
-    let reference = dfm_par::with_threads(1, || {
-        TiledDrcEngine::new(&deck).run(&tiled).expect("certified")
-    });
-    for threads in [2, 4, 8] {
-        let report = dfm_par::with_threads(threads, || {
-            TiledDrcEngine::new(&deck).run(&tiled).expect("certified")
-        });
-        assert_eq!(report, reference, "threads {threads}");
+    assert!(tiled.tile_count() > 1);
+    let mut reversed = DrcReport::new();
+    for rule in deck.rules() {
+        let backwards = (0..tiled.tile_count()).rev();
+        reversed.extend(check_tiles_in(rule, &tiled, backwards).expect("certified"));
     }
-    assert_eq!(reference, DrcEngine::new(&deck).run(&flat));
+    assert_eq!(reversed, deck_by_tile(&deck, &tiled).expect("certified"));
+    assert_eq!(reversed, DrcEngine::new(&deck).run(&flat));
 }

@@ -411,23 +411,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full2d_matches_separable() {
-        let region = Region::from_rects([
-            Rect::new(100, 100, 260, 180),
-            Rect::new(300, 60, 380, 320),
-        ]);
-        let window = Rect::new(0, 0, 500, 400);
-        let mut a = Raster::rasterize(&region, window, 10);
+    /// The separable blur against its direct 2-D oracle on one input:
+    /// every pixel within 1e-9.
+    fn separable_matches_full2d(
+        region: &Region,
+        window: Rect,
+        pixel_nm: Coord,
+        sigma_nm: f64,
+    ) -> dfm_check::PropResult {
+        let mut a = Raster::rasterize(region, window, pixel_nm);
         let mut b = a.clone();
-        a.gaussian_blur(35.0);
-        b.gaussian_blur_full2d(35.0);
+        a.gaussian_blur(sigma_nm);
+        b.gaussian_blur_full2d(sigma_nm);
         for y in 0..a.height_px() as isize {
             for x in 0..a.width_px() as isize {
                 let (va, vb) = (a.get(x, y), b.get(x, y));
-                assert!((va - vb).abs() < 1e-9, "({x},{y}): {va} vs {vb}");
+                dfm_check::prop_assert!((va - vb).abs() < 1e-9, "({}, {}): {} vs {}", x, y, va, vb);
             }
         }
+        Ok(())
+    }
+
+    #[test]
+    fn full2d_matches_separable() {
+        let fixed = Region::from_rects([
+            Rect::new(100, 100, 260, 180),
+            Rect::new(300, 60, 380, 320),
+        ]);
+        separable_matches_full2d(&fixed, Rect::new(0, 0, 500, 400), 10, 35.0).unwrap();
+        // Random masks (empty included), windows that cut through them,
+        // pixel sizes that do not divide the window, and sigmas from
+        // sub-pixel to several pixels.
+        dfm_check::check(
+            "separable_blur_matches_full2d",
+            &dfm_check::Config::with_cases(32),
+            &(
+                dfm_check::vec((0i64..12, 0i64..12, 1i64..5, 1i64..5), 0..8),
+                (-100i64..100, -100i64..100, 80i64..600, 80i64..600),
+                6i64..21,
+                1.0f64..60.0,
+            ),
+            |(specs, (wx, wy, w, h), pixel, sigma)| {
+                let mask = Region::from_rects(specs.iter().map(|&(x, y, rw, rh)| {
+                    Rect::new(x * 50, y * 50, x * 50 + rw * 30, y * 50 + rh * 30)
+                }));
+                separable_matches_full2d(&mask, Rect::new(*wx, *wy, wx + w, wy + h), *pixel, *sigma)
+            },
+        );
     }
 
     #[test]

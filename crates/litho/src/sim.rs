@@ -151,46 +151,22 @@ impl LithoSimulator {
         Region::from_rects(pieces)
     }
 
-    /// The printed geometry of one layer of any [`LayoutView`] (whole
-    /// chip or a single tile view) under `cond`.
-    pub fn printed_layer(
-        &self,
-        view: &impl LayoutView,
-        layer: Layer,
-        cond: Condition,
-    ) -> Region {
-        self.printed(&view.region(layer), cond)
-    }
-
-    /// Tile-streamed printing of one layer of a [`TiledLayout`]: each
-    /// tile simulates its own window (materialising only O(tile + halo)
-    /// geometry) and the merged result is bit-identical to
+    /// One tile's share of the tile-streamed print of `layer`: the
+    /// printed rects of the tile's own print window, materialising only
+    /// O(tile + halo) geometry. A pure function of `(simulator, layout,
+    /// layer, condition, tile index)` — computable in any order, on any
+    /// thread or process. Merging every tile's piece in tile order with
+    /// [`merge_printed_pieces`] is bit-identical to
     /// [`printed`](LithoSimulator::printed) on the flat layer.
     ///
-    /// Per tile the print window is the ownership core, extended
-    /// outward by the PSF halo on sides that lie on the layout-extent
-    /// boundary — so the windows partition the same halo-expanded
-    /// extent the flat path prints into, and geometry that prints
-    /// slightly outside the drawn extent is not lost. The tile views
-    /// carry `2·halo + 2·pixel` of mask margin, which clears the
-    /// blur-kernel support of every pixel touching the print window;
-    /// the lattice-aligned simulation then guarantees each window
-    /// reproduces the flat intensities exactly.
-    pub fn printed_tiled(&self, layout: &TiledLayout, layer: Layer, cond: Condition) -> Region {
-        if layout.bbox().is_empty() {
-            return Region::new();
-        }
-        let pieces = dfm_par::par_map_range(layout.tile_count(), |i| {
-            self.printed_tile_piece(layout, layer, cond, i)
-        });
-        merge_printed_pieces(pieces)
-    }
-
-    /// One tile's contribution to [`printed_tiled`](LithoSimulator::printed_tiled):
-    /// the printed rects of the tile's own print window. A pure
-    /// function of `(simulator, layout, layer, condition, tile index)`
-    /// — computable in any order, on any thread or process, and merged
-    /// with [`merge_printed_pieces`].
+    /// The print window is the ownership core, extended outward by the
+    /// PSF halo on sides that lie on the layout-extent boundary — so the
+    /// windows partition the same halo-expanded extent the flat path
+    /// prints into, and geometry that prints slightly outside the drawn
+    /// extent is not lost. The tile view carries `2·halo + 2·pixel` of
+    /// mask margin, which clears the blur-kernel support of every pixel
+    /// touching the print window; the lattice-aligned simulation then
+    /// guarantees each window reproduces the flat intensities exactly.
     pub fn printed_tile_piece(
         &self,
         layout: &TiledLayout,
@@ -224,7 +200,7 @@ impl LithoSimulator {
 
 /// Merges per-tile printed pieces (given in tile order) into the
 /// canonical printed region — the merge half of
-/// [`LithoSimulator::printed_tiled`]. Because the print windows
+/// [`LithoSimulator::printed_tile_piece`]. Because the print windows
 /// partition the halo-expanded extent, canonicalisation through
 /// [`Region::from_rects`] reproduces the flat printed region exactly.
 pub fn merge_printed_pieces(pieces: impl IntoIterator<Item = Vec<Rect>>) -> Region {
@@ -377,8 +353,15 @@ mod tests {
         assert_eq!(reassembled.rects(), whole.rects());
     }
 
+    /// The service's per-tile halves in a plain loop over tiles.
+    fn print_tiles(sim: &LithoSimulator, layout: &TiledLayout, cond: Condition) -> Region {
+        merge_printed_pieces((0..layout.tile_count()).map(|i| {
+            sim.printed_tile_piece(layout, dfm_layout::layers::METAL1, cond, i)
+        }))
+    }
+
     #[test]
-    fn printed_tiled_is_bit_identical_to_flat() {
+    fn tile_pieces_merge_bit_identical_to_flat() {
         let sim = sim();
         let mask = Region::from_rects([
             Rect::new(0, 0, 1500, 90),
@@ -390,10 +373,6 @@ mod tests {
         flat.set_region(dfm_layout::layers::METAL1, mask.clone());
         for cond in [Condition::nominal(), Condition::with_dose(1.1)] {
             let reference = sim.printed(&mask, cond);
-            assert_eq!(
-                sim.printed_layer(&flat, dfm_layout::layers::METAL1, cond).rects(),
-                reference.rects()
-            );
             // Non-divisor tile sizes included: seams cross pixels.
             for tile in [700, 433] {
                 let cfg = dfm_layout::TilingConfig::builder()
@@ -402,22 +381,14 @@ mod tests {
                     .build()
                     .expect("config");
                 let tiled = TiledLayout::from_flat(flat.clone(), cfg);
-                for threads in [1, 2, 8] {
-                    let printed = dfm_par::with_threads(threads, || {
-                        sim.printed_tiled(&tiled, dfm_layout::layers::METAL1, cond)
-                    });
-                    assert_eq!(
-                        printed.rects(),
-                        reference.rects(),
-                        "tile {tile} threads {threads}"
-                    );
-                }
+                let printed = print_tiles(&sim, &tiled, cond);
+                assert_eq!(printed.rects(), reference.rects(), "tile {tile}");
             }
         }
     }
 
     #[test]
-    fn printed_tiled_hotspot_set_matches_flat() {
+    fn tiled_print_hotspot_set_matches_flat() {
         use crate::hotspots::{classify_deviations, find_hotspots, HotspotParams};
         let sim = sim();
         // A breaking neck and a bridging slot, placed so tile seams at
@@ -442,7 +413,7 @@ mod tests {
                 .build()
                 .expect("config");
             let tiled = TiledLayout::from_flat(flat.clone(), cfg);
-            let printed = sim.printed_tiled(&tiled, dfm_layout::layers::METAL1, cond);
+            let printed = print_tiles(&sim, &tiled, cond);
             let hotspots = classify_deviations(&mask, &printed, params);
             assert_eq!(hotspots, reference, "tile {tile}");
         }

@@ -1,22 +1,23 @@
-//! Property test: tile-streamed printing reproduces the flat printed
-//! geometry bit-for-bit on random masks and random (divisor and
-//! non-divisor) tile sizes. This is the litho face of the tiled-engine
-//! equivalence contract — the lattice-aligned simulation windows make
-//! every window extraction a pure function of the nearby mask point
-//! set.
+//! Property test: the per-tile print halves the signoff service runs
+//! (`printed_tile_piece` + `merge_printed_pieces`, here in a plain loop
+//! over tiles) reproduce the flat printed geometry bit-for-bit on
+//! random masks and random (divisor and non-divisor) tile sizes. This
+//! is the litho face of the tiled-engine equivalence contract — the
+//! lattice-aligned simulation windows make every window extraction a
+//! pure function of the nearby mask point set.
 
 use dfm_check::{check, prop_assert_eq, Config};
 use dfm_geom::{Rect, Region};
 use dfm_layout::{layers, FlatLayout, TiledLayout, TilingConfig};
-use dfm_litho::{Condition, LithoSimulator};
+use dfm_litho::{merge_printed_pieces, Condition, LithoSimulator};
 
 #[test]
-fn printed_tiled_matches_flat_on_random_masks() {
+fn tile_pieces_match_flat_on_random_masks() {
     let sim = LithoSimulator::for_feature_size(90);
     // Simulation is the expensive part: fewer cases, denser assertions.
     let cfg = Config::with_cases(10);
     check(
-        "printed_tiled_matches_flat_on_random_masks",
+        "tile_pieces_match_flat_on_random_masks",
         &cfg,
         &(
             dfm_check::vec((0i64..10, 0i64..10, 1i64..4, 1i64..4), 2..8),
@@ -38,7 +39,10 @@ fn printed_tiled_matches_flat_on_random_masks() {
                     .build()
                     .expect("valid tiling");
                 let tiled = TiledLayout::from_flat(flat.clone(), shard_cfg);
-                let printed = sim.printed_tiled(&tiled, layers::METAL1, cond);
+                let printed = merge_printed_pieces(
+                    (0..tiled.tile_count())
+                        .map(|i| sim.printed_tile_piece(&tiled, layers::METAL1, cond, i)),
+                );
                 prop_assert_eq!(
                     printed.rects(),
                     reference.rects(),

@@ -1,12 +1,15 @@
 //! # dfm-par — deterministic parallel execution substrate
 //!
-//! Every engine in this workspace (litho convolution, DRC sweeps,
-//! Monte-Carlo critical area, pattern scanning, timing extraction) is
-//! required to produce **bit-identical output at any thread count** —
-//! the determinism contract in `DESIGN.md`. This crate is the only
-//! place threads are created: a std-only scoped fork-join layer whose
-//! primitives guarantee *deterministic ordered reduction*: results are
-//! combined in input order regardless of completion order.
+//! Every engine in this workspace is required to produce
+//! **bit-identical output at any thread count** — the determinism
+//! contract in `DESIGN.md`. This crate is the only place threads are
+//! created: the [`WorkerPool`] that runs a signoff job's tiles, and two
+//! scoped fork-join primitives, [`par_map`] and [`par_chunks_mut`],
+//! whose results are combined in input order regardless of completion
+//! order. The fork-join regions left are the ones that pay on a 2-core
+//! host when a flat caller enters them at top level: the per-rule DRC
+//! map, the litho raster bands, the pattern anchor scan, post-litho
+//! timing extraction and the Monte-Carlo critical-area seed fan-outs.
 //!
 //! The contract has two halves, one provided here and one owed by the
 //! caller:
@@ -48,9 +51,8 @@
 //! assert_eq!(doubled, vec![2, 4, 6, 8]);
 //!
 //! // Identical output at any thread count, by construction:
-//! let at_one = dfm_par::with_threads(1, || dfm_par::par_map_range(10, |i| i * i));
-//! let at_eight = dfm_par::with_threads(8, || dfm_par::par_map_range(10, |i| i * i));
-//! assert_eq!(at_one, at_eight);
+//! let squares = |t| dfm_par::with_threads(t, || dfm_par::par_map(&[0, 1, 2, 3], |i, &x| i * x));
+//! assert_eq!(squares(1), squares(8));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -195,48 +197,19 @@ fn fork_join_indexed<R: Send>(
 }
 
 /// Maps `f(index, &item)` over `items`, returning results in input
-/// order. Sequential when the effective thread count is 1.
+/// order. Sequential when the effective thread count is 1. A caller
+/// that wants chunks maps over `items.chunks(n)`: the partition (and
+/// any per-chunk seed derived from its index) then depends only on
+/// `n`, never on the thread count.
 pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<R> {
-    par_map_range(items.len(), |i| f(i, &items[i]))
-}
-
-/// Maps `f(i)` over `0..n`, returning results in index order.
-pub fn par_map_range<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = thread_count();
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    fork_join_indexed(n, threads, &f)
-}
-
-/// Splits `items` into contiguous chunks of `chunk_len` and maps
-/// `f(chunk_index, chunk)` over them, returning per-chunk results in
-/// chunk order. Chunk boundaries depend only on `chunk_len`, never on
-/// the thread count — the partition a caller derives per-chunk seeds
-/// from is therefore stable.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`.
-pub fn par_chunks<T: Sync, R: Send>(
-    items: &[T],
-    chunk_len: usize,
-    f: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let threads = thread_count();
-    if threads <= 1 || items.len() <= chunk_len {
-        return items.chunks(chunk_len).enumerate().map(|(i, c)| f(i, c)).collect();
-    }
-    let n_chunks = items.len().div_ceil(chunk_len);
-    fork_join_indexed(n_chunks, threads, &|i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(items.len());
-        f(i, &items[start..end])
-    })
+    fork_join_indexed(items.len(), threads, &|i| f(i, &items[i]))
 }
 
 /// Runs `f(chunk_index, element_offset, chunk)` over disjoint mutable
@@ -666,6 +639,12 @@ mod tests {
     use super::*;
     use dfm_rand::{Rng, Seed};
 
+    /// `par_map` over the indices `0..n`.
+    fn map_range<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let idx: Vec<usize> = (0..n).collect();
+        par_map(&idx, |_, &i| f(i))
+    }
+
     /// Enqueues a task nobody cancels or watches.
     fn spawn(pool: &WorkerPool, task: impl FnOnce() + Send + 'static) {
         pool.submit_supervised(&CancelToken::new(), task, |_| ());
@@ -683,7 +662,7 @@ mod tests {
         // items.
         let seq: Vec<f64> = (0..37).map(|i| i as f64 / 3.0).collect();
         for t in [1, 2, 3, 8, 64] {
-            let out = with_threads(t, || par_map_range(37, |i| i as f64 / 3.0));
+            let out = with_threads(t, || map_range(37, |i| i as f64 / 3.0));
             assert_eq!(out, seq, "t={t}");
         }
     }
@@ -691,14 +670,14 @@ mod tests {
     #[test]
     fn sequential_path_stays_on_the_calling_thread() {
         // `threads <= 1` or `len <= 1` must not spawn: every item runs
-        // on the caller, for par_map and par_map_range alike (one path).
+        // on the caller.
         let me = std::thread::current().id();
-        let here = |_: usize| std::thread::current().id();
+        let here = |_: usize, _: &u8| std::thread::current().id();
         let items = [0u8; 10];
-        let at_one = with_threads(1, || (par_map(&items, |i, _| here(i)), par_map_range(10, here)));
-        assert!(at_one.0.iter().chain(&at_one.1).all(|&id| id == me));
-        let single = with_threads(8, || (par_map(&items[..1], |i, _| here(i)), par_map_range(1, here)));
-        assert_eq!((single.0, single.1), (vec![me], vec![me]));
+        let at_one = with_threads(1, || par_map(&items, here));
+        assert!(at_one.iter().all(|&id| id == me));
+        let single = with_threads(8, || par_map(&items[..1], here));
+        assert_eq!(single, vec![me]);
     }
 
     #[test]
@@ -706,7 +685,7 @@ mod tests {
         let items: Vec<i64> = (0..500).collect();
         let run = |t: usize| {
             with_threads(t, || {
-                par_chunks(&items, 16, |ci, chunk| {
+                par_map(&items.chunks(16).collect::<Vec<_>>(), |ci, chunk| {
                     // Chunk-seeded RNG: the caller half of the contract.
                     let mut rng = Rng::from_seed(Seed(99).derive(ci as u64));
                     chunk.iter().map(|&x| x + rng.range(0i64..10)).sum::<i64>()
@@ -740,8 +719,6 @@ mod tests {
     fn empty_inputs() {
         let none: Vec<u8> = Vec::new();
         assert!(par_map(&none, |_, &x| x).is_empty());
-        assert!(par_map_range(0, |i| i).is_empty());
-        assert!(par_chunks(&none, 4, |_, c| c.len()).is_empty());
         let mut empty: Vec<u8> = Vec::new();
         par_chunks_mut(&mut empty, 4, |_, _, _| panic!("no chunks expected"));
     }
@@ -763,9 +740,9 @@ mod tests {
     fn probe_nested_region() -> (usize, bool, usize, bool) {
         let me = std::thread::current().id();
         let here = |_: usize| std::thread::current().id();
-        let inline = par_map_range(8, here).iter().all(|&id| id == me);
+        let inline = map_range(8, here).iter().all(|&id| id == me);
         let (inner_count, inner_forked) = with_threads(3, || {
-            (thread_count(), par_map_range(8, here).iter().all(|&id| id != me))
+            (thread_count(), map_range(8, here).iter().all(|&id| id != me))
         });
         (thread_count(), inline, inner_count, inner_forked)
     }
@@ -774,7 +751,7 @@ mod tests {
     fn nested_regions_run_inline_on_the_worker() {
         let want = (1, true, 3, true);
         // Fork-join workers (dynamic cursor and static bands).
-        let probes = with_threads(4, || par_map_range(8, |_| probe_nested_region()));
+        let probes = with_threads(4, || map_range(8, |_| probe_nested_region()));
         assert!(probes.iter().all(|&p| p == want), "{probes:?}");
         let mut bands = vec![(0, false, 0, false); 8];
         with_threads(4, || {
@@ -911,7 +888,7 @@ mod tests {
     fn fork_join_propagates_worker_panic_cleanly() {
         let caught = std::panic::catch_unwind(|| {
             with_threads(4, || {
-                par_map_range(64, |i| {
+                map_range(64, |i| {
                     if i == 17 {
                         panic!("chunk 17 exploded");
                     }
@@ -937,7 +914,7 @@ mod tests {
             for bad in [0, n - 1] {
                 let caught = std::panic::catch_unwind(|| {
                     with_threads(t, || {
-                        par_map_range(n, |i| {
+                        map_range(n, |i| {
                             if i == bad {
                                 panic!("chunk exploded");
                             }

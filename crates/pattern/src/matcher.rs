@@ -109,9 +109,10 @@ impl<T> PatternLibrary<T> {
         T: Sync,
     {
         const ANCHOR_CHUNK: usize = 64;
-        let chunks = dfm_par::par_chunks(anchor_points, ANCHOR_CHUNK, |_, anchors| {
+        let chunks: Vec<&[Point]> = anchor_points.chunks(ANCHOR_CHUNK).collect();
+        let per_chunk = dfm_par::par_map(&chunks, |_, anchors| {
             let mut hits = Vec::new();
-            for &a in anchors {
+            for &a in *anchors {
                 let window = Rect::centered_at(a, 2 * self.radius, 2 * self.radius);
                 let pattern = TopoPattern::encode_quantized(layers, window, self.snap).canonical();
                 if let Some(bucket) = self.by_digest.get(&pattern.topology_digest()) {
@@ -124,7 +125,7 @@ impl<T> PatternLibrary<T> {
             }
             hits
         });
-        chunks.into_iter().flatten().collect()
+        per_chunk.into_iter().flatten().collect()
     }
 }
 

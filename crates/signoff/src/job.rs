@@ -352,6 +352,35 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_free_ca_layer_reports_positive_zero_flat_and_tiled() {
+        // Nothing is drawn on the CA layer, so it has no facing pairs:
+        // the flat run, the all-tile merge and the empty prefix merge
+        // all report +0, whatever the toolchain's empty f64 sum is.
+        let gds = small_gds();
+        let spec = JobSpec {
+            tile: 1700,
+            halo: 64,
+            drc: false,
+            ca_layer: Some(dfm_layout::layers::MARKER),
+            ..JobSpec::default()
+        };
+        let ctx = JobContext::build(&spec, &gds).expect("context");
+        let partials: Vec<TilePartial> =
+            (0..ctx.tile_count()).map(|i| ctx.compute_tile(i)).collect();
+        let lib = gds::from_bytes(&gds).expect("parse");
+        let flat = flat_report(&spec, &lib).expect("flat").render_text(&spec);
+        assert_eq!(ctx.merge(&partials).expect("merge").render_text(&spec), flat);
+        for zero in [
+            "ca.short: 0 nm2 [0x0000000000000000] over 0 pairs",
+            "ca.open: 0 nm2 [0x0000000000000000] over 0 pairs",
+        ] {
+            assert!(flat.contains(zero), "{flat}");
+            let prefix = ctx.merge(&[]).expect("empty prefix").render_text(&spec);
+            assert!(prefix.contains(zero), "{prefix}");
+        }
+    }
+
+    #[test]
     fn prefix_merge_gives_an_incremental_view() {
         let gds = small_gds();
         let spec = spec();

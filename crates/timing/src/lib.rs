@@ -510,20 +510,22 @@ pub mod extract {
 
     /// Independent Gaussian CD variation with relative sigma.
     ///
-    /// Gates are drawn in parallel over fixed 64-gate chunks, each
-    /// chunk on its own stream derived as `Seed(seed).derive(chunk)` —
-    /// so the draw for every gate depends only on `seed` and the gate's
-    /// position, never on the thread count.
+    /// Gates are drawn in fixed 64-gate chunks, each chunk on its own
+    /// stream derived as `Seed(seed).derive(chunk)` — so the draw for
+    /// every gate depends only on `seed` and the gate's position.
     pub fn monte_carlo(netlist: &Netlist, rel_sigma: f64, seed: u64) -> Vec<f64> {
         const GATE_CHUNK: usize = 64;
-        let chunks = dfm_par::par_chunks(netlist.gates(), GATE_CHUNK, |ci, gates| {
-            let mut rng = Rng::from_seed(Seed(seed).derive(ci as u64));
-            gates
-                .iter()
-                .map(|g| (g.drawn_l as f64 * (1.0 + rel_sigma * rng.standard_normal())).max(1.0))
-                .collect::<Vec<f64>>()
-        });
-        chunks.into_iter().flatten().collect()
+        netlist
+            .gates()
+            .chunks(GATE_CHUNK)
+            .enumerate()
+            .flat_map(|(ci, gates)| {
+                let mut rng = Rng::from_seed(Seed(seed).derive(ci as u64));
+                gates.iter().map(move |g| {
+                    (g.drawn_l as f64 * (1.0 + rel_sigma * rng.standard_normal())).max(1.0)
+                })
+            })
+            .collect()
     }
 
     /// Builds the synthetic poly layer of a netlist: one vertical poly
@@ -689,6 +691,21 @@ mod tests {
             .any(|(a, b)| (a - b).abs() >= 1.0));
         // All lengths physical.
         assert!(lengths.iter().all(|&l| l > 0.0));
+    }
+
+    #[test]
+    fn post_litho_is_bit_identical_at_any_thread_count() {
+        // The per-gate map is a kept fork region: at top level it fans
+        // out, so its output must not depend on the worker count.
+        let n = Netlist::random(4, 4, 11);
+        let sim = dfm_litho::LithoSimulator::for_feature_size(75);
+        let run = || extract::post_litho(&n, &sim, dfm_litho::Condition::nominal());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        let seq = bits(dfm_par::with_threads(1, run));
+        assert_eq!(seq.len(), n.len());
+        for threads in [2, 8] {
+            assert_eq!(bits(dfm_par::with_threads(threads, run)), seq, "threads {threads}");
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 use crate::DefectModel;
 use dfm_drc::{
     exterior_facing_pairs, facing_pair_partial, interior_facing_pairs, merge_facing_pair_partials,
-    tiled_facing_pairs, FacingPair, PairFragment,
+    FacingPair, PairFragment,
 };
 use dfm_geom::Region;
-use dfm_layout::{Layer, LayoutView, TiledLayout};
+use dfm_layout::{Layer, TiledLayout};
 
 /// The result of a critical-area analysis of one layer.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,32 +52,6 @@ pub fn analyze(region: &Region, defects: &DefectModel) -> CaResult {
 pub fn analyze_with_range(region: &Region, defects: &DefectModel, max_range: i64) -> CaResult {
     let short_pairs = exterior_facing_pairs(region, max_range);
     let open_pairs = interior_facing_pairs(region, max_range);
-    from_pairs(short_pairs, open_pairs, defects)
-}
-
-/// Analyses one layer of any [`LayoutView`] (whole chip or tile view)
-/// with the default extraction range.
-pub fn analyze_view(view: &impl LayoutView, layer: Layer, defects: &DefectModel) -> CaResult {
-    analyze(&view.region(layer), defects)
-}
-
-/// Tile-streamed analysis: pair extraction runs per tile through
-/// [`dfm_drc::tiled_facing_pairs`] without ever materialising the full
-/// layer region, and the merged pair list — hence every CA figure — is
-/// bit-identical to [`analyze`] on the flat layer.
-pub fn analyze_tiled(layout: &TiledLayout, layer: Layer, defects: &DefectModel) -> CaResult {
-    analyze_tiled_with_range(layout, layer, defects, 10 * defects.x0)
-}
-
-/// Tile-streamed analysis with an explicit extraction range.
-pub fn analyze_tiled_with_range(
-    layout: &TiledLayout,
-    layer: Layer,
-    defects: &DefectModel,
-    max_range: i64,
-) -> CaResult {
-    let short_pairs = tiled_facing_pairs(layout, layer, max_range, false);
-    let open_pairs = tiled_facing_pairs(layout, layer, max_range, true);
     from_pairs(short_pairs, open_pairs, defects)
 }
 
@@ -134,20 +108,27 @@ pub fn merge_ca_partials(
 /// Sums the closed-form contributions. Both extraction paths hand this
 /// the pairs in the same canonical (coalesced-fragment) order, so the
 /// f64 accumulation order — and therefore the sum's bits — match.
+///
+/// The sums fold from `+0.0`: `Iterator::sum::<f64>` of nothing is
+/// `-0.0` on current toolchains (and `+0.0` on older ones), which would
+/// make a pair-free layer's report bytes depend on the compiler.
 fn from_pairs(
     short_pairs: Vec<FacingPair>,
     open_pairs: Vec<FacingPair>,
     defects: &DefectModel,
 ) -> CaResult {
-    let short_ca_nm2 = short_pairs
-        .iter()
-        .map(|p| pair_average_ca(p.distance, p.length, defects.x0))
-        .sum();
-    let open_ca_nm2 = open_pairs
-        .iter()
-        .map(|p| pair_average_ca(p.distance, p.length, defects.x0))
-        .sum();
-    CaResult { short_ca_nm2, open_ca_nm2, short_pairs, open_pairs }
+    let total = |pairs: &[FacingPair]| {
+        pairs
+            .iter()
+            .map(|p| pair_average_ca(p.distance, p.length, defects.x0))
+            .fold(0.0, |acc, ca| acc + ca)
+    };
+    CaResult {
+        short_ca_nm2: total(&short_pairs),
+        open_ca_nm2: total(&open_pairs),
+        short_pairs,
+        open_pairs,
+    }
 }
 
 /// Critical area for a *specific* defect diameter `x` (not averaged):
@@ -157,7 +138,7 @@ pub fn ca_at_diameter(pairs: &[FacingPair], x: i64) -> f64 {
     pairs
         .iter()
         .map(|p| (p.length * (x - p.distance).max(0)) as f64)
-        .sum()
+        .fold(0.0, |acc, ca| acc + ca)
 }
 
 #[cfg(test)]
@@ -231,8 +212,12 @@ mod tests {
     fn empty_region_zero_ca() {
         let defects = DefectModel::new(50, 1.0);
         let ca = analyze(&Region::new(), &defects);
-        assert_eq!(ca.total_ca_nm2(), 0.0);
         assert!(ca.short_pairs.is_empty());
+        // Positive zero, bit for bit: the report prints the bits.
+        assert_eq!(ca.short_ca_nm2.to_bits(), 0);
+        assert_eq!(ca.open_ca_nm2.to_bits(), 0);
+        assert_eq!(merge_ca_partials([], &defects).short_ca_nm2.to_bits(), 0);
+        assert_eq!(ca_at_diameter(&[], 100).to_bits(), 0);
     }
 
     #[test]
@@ -255,11 +240,8 @@ mod tests {
         let mut flat_layout = dfm_layout::FlatLayout::default();
         flat_layout.set_region(dfm_layout::layers::METAL1, region.clone());
         let defects = DefectModel::new(50, 1.0);
+        let max_range = 10 * defects.x0;
         let reference = analyze(&region, &defects);
-        assert_eq!(
-            analyze_view(&flat_layout, dfm_layout::layers::METAL1, &defects),
-            reference
-        );
         for tile in [300, 177] {
             let cfg = dfm_layout::TilingConfig::builder()
                 .tile(tile)
@@ -267,7 +249,11 @@ mod tests {
                 .build()
                 .expect("config");
             let tiled = TiledLayout::from_flat(flat_layout.clone(), cfg);
-            let ca = analyze_tiled(&tiled, dfm_layout::layers::METAL1, &defects);
+            let ca = merge_ca_partials(
+                (0..tiled.tile_count())
+                    .map(|i| ca_tile_partial(&tiled, dfm_layout::layers::METAL1, max_range, i)),
+                &defects,
+            );
             assert_eq!(ca, reference, "tile {tile}");
             assert!(ca.short_ca_nm2 > 0.0 && ca.open_ca_nm2 > 0.0);
         }

@@ -1,6 +1,7 @@
-//! Property test: tile-streamed critical-area analysis is bit-identical
-//! to the flat analysis — same pairs, same order, same f64 bits — on
-//! random layouts and tile sizes.
+//! Property test: the per-tile critical-area halves the signoff service
+//! runs (`ca_tile_partial` + `merge_ca_partials`, here in a plain loop
+//! over tiles) are bit-identical to the flat analysis — same pairs,
+//! same order, same f64 bits — on random layouts and tile sizes.
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
 use dfm_geom::{Rect, Region};
@@ -8,10 +9,10 @@ use dfm_layout::{layers, FlatLayout, TiledLayout, TilingConfig};
 use dfm_yield::{critical_area, DefectModel};
 
 #[test]
-fn analyze_tiled_matches_flat_on_random_layouts() {
+fn ca_tile_partials_match_flat_on_random_layouts() {
     let cfg = Config::with_cases(48);
     check(
-        "analyze_tiled_matches_flat_on_random_layouts",
+        "ca_tile_partials_match_flat_on_random_layouts",
         &cfg,
         &(
             dfm_check::vec((0i64..14, 0i64..14, 0i64..5, 0i64..5), 2..16),
@@ -24,14 +25,10 @@ fn analyze_tiled_matches_flat_on_random_layouts() {
                 Rect::new(x * 60, y * 60, x * 60 + 40 + w * 55, y * 60 + 40 + h * 55)
             }));
             let defects = DefectModel::new(50, 1.0);
+            let max_range = 10 * defects.x0;
             let reference = critical_area::analyze(&region, &defects);
             let mut flat = FlatLayout::default();
             flat.set_region(layers::METAL1, region.clone());
-            prop_assert_eq!(
-                critical_area::analyze_view(&flat, layers::METAL1, &defects),
-                reference.clone(),
-                "flat view diverged"
-            );
             for t in [tile, tile + 31] {
                 let shard_cfg = TilingConfig::builder()
                     .tile(t)
@@ -39,7 +36,12 @@ fn analyze_tiled_matches_flat_on_random_layouts() {
                     .build()
                     .expect("valid tiling");
                 let tiled = TiledLayout::from_flat(flat.clone(), shard_cfg);
-                let ca = critical_area::analyze_tiled(&tiled, layers::METAL1, &defects);
+                let ca = critical_area::merge_ca_partials(
+                    (0..tiled.tile_count()).map(|i| {
+                        critical_area::ca_tile_partial(&tiled, layers::METAL1, max_range, i)
+                    }),
+                    &defects,
+                );
                 prop_assert_eq!(&ca, &reference, "tile {} halo {}", t, halo);
                 prop_assert!(
                     ca.short_ca_nm2.to_bits() == reference.short_ca_nm2.to_bits()

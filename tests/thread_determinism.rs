@@ -4,10 +4,20 @@
 //! {1, 2, 8}, enforced here via `dfm_par::with_threads` so all three
 //! settings run inside one test process.
 //!
-//! These experiments compose every parallelized engine: E1 exercises
-//! the critical-area pipeline over the grid index, E4 the litho
-//! raster/blur passes, hotspot detection, and the pattern-matcher scan,
-//! E12 the stratified Monte-Carlo estimators.
+//! Every kept fork region (see `dfm-par`) has a thread-count test:
+//!
+//! * the litho raster bands and the pattern anchor scan — E4 here
+//!   (raster/blur passes, hotspot detection, the matcher scan), plus
+//!   `dfm-litho`'s `rasterize_identical_across_thread_counts`;
+//! * the Monte-Carlo critical-area seed fan-outs — E12 here, plus
+//!   `dfm-yield`'s `estimate_identical_across_thread_counts`;
+//! * the per-rule map of the flat `DrcEngine::run` — `dfm-drc`'s
+//!   `engine_report_identical_across_thread_counts`;
+//! * the per-gate map of `timing::extract::post_litho` — `dfm-timing`'s
+//!   `post_litho_is_bit_identical_at_any_thread_count`.
+//!
+//! E1 (critical area over the grid index) and the golden GDS digest
+//! enter no fork region today; they stay as end-to-end guards.
 
 use dfm_check::fnv1a_64;
 use dfm_layout::generate::RoutedBlockParams;
