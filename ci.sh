@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, eight engine fork regions, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, eight engine fork regions, five tile-view sites, and the platform's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -104,6 +104,22 @@ echo "dfm_par::par_ fork regions in crates/{drc,litho,yieldsim,pattern,timing}/s
 if [[ $(grep -c . <<<"$forks") -ne 8 ]]; then
     echo "error: an engine fork region must pay on 2 cores; measure it and re-pin (8):" >&2
     echo "$forks" >&2
+    exit 1
+fi
+# One prepared tile: a job materialises each distinct tile window once
+# (JobContext::compute_tile) and every rule, CA and litho read their
+# layers, edges and facing sweeps off it. The other four sites are the
+# one-shot wrappers — `rule_tile_partial`, `facing_pair_partial`,
+# `ca_tile_partial`, `printed_tile_piece` — that build a consumer's own
+# view for tests and the benchmark's replay. A new per-rule view is
+# work the prepared tile already did; it arrives with its reason and a
+# new pin.
+views=$(find crates/drc/src crates/yieldsim/src crates/litho/src crates/signoff/src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /view_layers\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
+echo "view_layers( sites in crates/{drc,yieldsim,litho,signoff}/src: $(grep -c . <<<"$views")"
+if [[ $(grep -c . <<<"$views") -ne 5 ]]; then
+    echo "error: tile views are built once per window in JobContext::compute_tile; say why another is needed and re-pin (5):" >&2
+    echo "$views" >&2
     exit 1
 fi
 # The shard puller's figure (610 before the heartbeat frame and the

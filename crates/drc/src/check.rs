@@ -1,7 +1,7 @@
 //! The DRC checking engine.
 
 use crate::{DrcReport, Rule, RuleDeck, Violation};
-use dfm_geom::{GridIndex, Point, Rect, Region};
+use dfm_geom::{BoundaryEdges, GridIndex, Point, Rect, Region};
 use dfm_layout::LayoutView;
 
 /// Runs a [`RuleDeck`] against a layout view.
@@ -298,10 +298,36 @@ fn edge_pair_violations(region: &Region, value: i64, interior_between: bool) -> 
 ///
 /// Unlike a single midpoint probe, run detection is decidable from any
 /// window that contains the gap box plus one unit of margin — the
-/// property the tiled path relies on. Each directional sweep probes
-/// its [`GridIndex`]es through one [`dfm_geom::Searcher`] apiece.
+/// property the tiled path relies on.
 pub(crate) fn raw_pair_fragments(
     region: &Region,
+    value: i64,
+    interior_between: bool,
+) -> Vec<PairFragment> {
+    raw_pair_fragments_with(region, &region.boundary_edges(), value, interior_between)
+}
+
+/// [`raw_pair_fragments`] over the region's already-extracted
+/// `edges` (`region.boundary_edges()`), so one extraction serves every
+/// sweep and corner scan of a layer. Each directional sweep probes its
+/// [`GridIndex`]es through one [`dfm_geom::Searcher`] apiece.
+///
+/// # One sweep serves every smaller value
+///
+/// `value` enters the sweep only through the cutoff `b − a < value`:
+/// the edge order, the candidate test and the fragments a pair emits
+/// (its mid-column runs) do not depend on it. The query window of edge
+/// `a` grows with `value`, and the `GridIndex` cell size (`4·value`)
+/// changes which candidates a query scans, but a [`dfm_geom::Searcher`]
+/// returns its hits in insertion order whatever the cell size, and an
+/// edge within `v < value` of `a` touches both windows. So keeping the
+/// fragments with `gap_hi − gap_lo < v` of a sweep at `value` yields
+/// exactly the sequence a sweep at `v` emits, in the same order — what
+/// lets a prepared tile run one sweep per layer and sense at the
+/// largest value any consumer asks for.
+pub(crate) fn raw_pair_fragments_with(
+    region: &Region,
+    edges: &BoundaryEdges,
     value: i64,
     interior_between: bool,
 ) -> Vec<PairFragment> {
@@ -309,7 +335,6 @@ pub(crate) fn raw_pair_fragments(
     if region.is_empty() || value <= 0 {
         return out;
     }
-    let edges = region.boundary_edges();
     let rects = region.rects();
     let mut rect_index: GridIndex<usize> = GridIndex::new(value.max(1) * 4);
     for (i, r) in rects.iter().enumerate() {
@@ -471,6 +496,15 @@ pub(crate) fn raw_pair_fragments(
 /// decomposition — so the result is a function of the covered point set
 /// alone, and a tile window computes the same pairs as the flat region.
 pub(crate) fn corner_gap_pairs(region: &Region, value: i64) -> Vec<(Rect, i64)> {
+    corner_gap_pairs_with(region, &region.boundary_edges(), value)
+}
+
+/// [`corner_gap_pairs`] over the region's already-extracted `edges`.
+pub(crate) fn corner_gap_pairs_with(
+    region: &Region,
+    edges: &BoundaryEdges,
+    value: i64,
+) -> Vec<(Rect, i64)> {
     if region.is_empty() || value <= 1 {
         return Vec::new();
     }
@@ -479,7 +513,6 @@ pub(crate) fn corner_gap_pairs(region: &Region, value: i64) -> Vec<(Rect, i64)> 
     for (i, r) in rects.iter().enumerate() {
         rect_index.insert(*r, i);
     }
-    let edges = region.boundary_edges();
     let mut corners: Vec<Point> = Vec::with_capacity(edges.vertical.len() * 2);
     for e in &edges.vertical {
         corners.push(Point::new(e.x, e.y0));
@@ -1021,6 +1054,40 @@ mod tests {
         assert!(
             report.violation_count() == 0,
             "expected clean-by-construction block, got:\n{report}"
+        );
+    }
+
+    #[test]
+    fn one_sweep_at_the_widest_value_serves_every_smaller_one() {
+        // The prepared-tile contract: filtering a sweep at `widest` to
+        // gaps below `value` is the sweep at `value`, fragment for
+        // fragment and in order, in both modes.
+        use dfm_check::{check, prop_assert_eq, Config};
+        check(
+            "one_sweep_at_the_widest_value_serves_every_smaller_one",
+            &Config::with_cases(64),
+            &(
+                dfm_check::vec((0i64..40, 0i64..40, 1i64..16, 1i64..16), 1..14),
+                0i64..40,
+                0i64..60,
+            ),
+            |case| {
+                let (specs, value, widest) = (&case.0, case.1, case.1 + case.2);
+                let region = Region::from_rects(specs.iter().map(|&(x, y, w, h)| {
+                    Rect::new(x * 7, y * 7, x * 7 + w * 5, y * 7 + h * 5)
+                }));
+                let edges = region.boundary_edges();
+                for interior in [true, false] {
+                    let filtered: Vec<PairFragment> =
+                        raw_pair_fragments_with(&region, &edges, widest, interior)
+                            .into_iter()
+                            .filter(|f| f.gap_hi - f.gap_lo < value)
+                            .collect();
+                    let direct = raw_pair_fragments(&region, value, interior);
+                    prop_assert_eq!(&filtered, &direct, "interior {} {} < {}", interior, value, widest);
+                }
+                Ok(())
+            },
         );
     }
 }

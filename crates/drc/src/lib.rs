@@ -11,9 +11,11 @@
 //!   the tiny deck DSL ([`RuleDeck::parse`]),
 //! * [`DrcEngine`] — runs a deck against a [`FlatLayout`](dfm_layout::FlatLayout)
 //!   producing a [`DrcReport`] of located [`Violation`]s,
-//! * [`tiled`] — the per-tile half of every rule ([`rule_tile_partial`])
-//!   and its in-order merge ([`merge_rule_partials`]), bit-identical to
-//!   the flat engine; the signoff service runs the tiles,
+//! * [`tiled`] — the per-tile half of every rule ([`rule_view_partial`]
+//!   on a [`PreparedView`] shared by every rule with the same window, or
+//!   the one-shot [`rule_tile_partial`]) and its in-order merge
+//!   ([`merge_rule_partials`]), bit-identical to the flat engine; the
+//!   signoff service runs the tiles,
 //! * [`recommended`] — *recommended* (soft) rules with compliance scoring,
 //!   the substrate for experiment E10 (do recommended rules correlate
 //!   with yield?).
@@ -56,7 +58,8 @@ pub use check::{
 };
 pub use rule::{ParseDeckError, Rule, RuleDeck};
 pub use tiled::{
-    facing_pair_partial, merge_facing_pair_partials, merge_rule_partials, rule_tile_halo,
-    rule_tile_partial, AreaPiece, RulePartial, TiledDrcError,
+    facing_pair_partial, merge_facing_pair_partials, merge_rule_partials, rule_layers,
+    rule_sweeps, rule_tile_halo, rule_tile_partial, rule_view_partial, AreaPiece, PreparedView,
+    RulePartial, Sweep, TiledDrcError,
 };
 pub use violation::{DrcReport, Violation};

@@ -1,15 +1,18 @@
 //! Tile-streaming DRC: per-tile halves bit-identical to the flat engine.
 //!
-//! [`rule_tile_partial`] checks one rule on one tile of a
-//! [`TiledLayout`], materialising only that tile's window; it is a pure
+//! [`rule_view_partial`] checks one rule on a [`PreparedView`] — one
+//! tile window plus the per-layer boundary edges and facing-pair sweeps
+//! its consumers share — so a job that checks a whole deck on a tile
+//! materialises the window once, not once per rule. It is a pure
 //! function of its arguments, so a job scheduler runs it as an
 //! independent task (the signoff service's worker pool is the one
-//! thing that runs tiles). [`merge_rule_partials`] folds the partials,
-//! given in tile order, into exactly the violations the flat
-//! [`crate::DrcEngine`] produces — same violations, same order, same
-//! bits, at any tile size. [`facing_pair_partial`] and
-//! [`merge_facing_pair_partials`] are the same pair for the facing-pair
-//! lists critical area reads.
+//! thing that runs tiles). [`rule_tile_partial`] is the one-shot form:
+//! it prepares the rule's own view and calls the kernel.
+//! [`merge_rule_partials`] folds the partials, given in tile order,
+//! into exactly the violations the flat [`crate::DrcEngine`] produces —
+//! same violations, same order, same bits, at any tile size.
+//! [`facing_pair_partial`] and [`merge_facing_pair_partials`] are the
+//! same pair for the facing-pair lists critical area reads.
 //!
 //! # Seam dedup: the ownership rule
 //!
@@ -36,15 +39,16 @@
 //!   once, after the merge, exactly as in the flat path.
 //!
 //! The "tiled path never materialises a full-layer region" claim is
-//! observable: [`RulePartial::rect_count`] is each tile view's rect
-//! count, which the signoff job folds into `TilePartial::rects_peak`.
+//! observable: [`RulePartial::rect_count`] is the canonical rect count
+//! of the rule's own layers in the tile view, which the signoff job
+//! folds into `TilePartial::rects_peak`.
 
 use crate::check::{
-    coalesce_fragments, corner_gap_pairs, density_ppm, density_windows, enclosure_margin,
-    min_separation, raw_pair_fragments, sort_violations, PairFragment,
+    coalesce_fragments, corner_gap_pairs_with, density_ppm, density_windows, enclosure_margin,
+    min_separation, raw_pair_fragments_with, sort_violations, PairFragment,
 };
 use crate::{FacingPair, Rule, Violation};
-use dfm_geom::{Point, Rect, Region};
+use dfm_geom::{BoundaryEdges, Point, Rect, Region};
 use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,9 +142,9 @@ pub enum RulePartial {
 }
 
 impl RulePartial {
-    /// Canonical rect count of the tile view the partial came from —
-    /// the per-tile working-set proxy (the flat path would hold whole
-    /// layers instead).
+    /// Canonical rect count of the rule's own layers in the tile view
+    /// the partial came from — the per-tile working-set proxy (the flat
+    /// path would hold whole layers instead).
     pub fn rect_count(&self) -> usize {
         match self {
             RulePartial::Fragments { rects, .. }
@@ -167,11 +171,137 @@ pub fn rule_tile_halo(rule: &Rule) -> i64 {
     }
 }
 
+/// The layers `rule` reads, sorted and without repeats.
+pub fn rule_layers(rule: &Rule) -> Vec<Layer> {
+    let mut layers = match *rule {
+        Rule::MinWidth { layer, .. }
+        | Rule::MinSpace { layer, .. }
+        | Rule::MinArea { layer, .. }
+        | Rule::WideSpace { layer, .. }
+        | Rule::Density { layer, .. } => vec![layer],
+        Rule::MinSpaceTo { from, to, .. } => vec![from, to],
+        Rule::Enclosure { inner, outer, .. } => vec![inner, outer],
+    };
+    layers.sort();
+    layers.dedup();
+    layers
+}
+
+/// One facing-pair sweep a consumer reads off a [`PreparedView`]: the
+/// core-owned fragment strips of `layer` closer than `value`, interior
+/// runs (widths) or exterior gaps (spacings).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sweep {
+    /// Swept layer.
+    pub layer: Layer,
+    /// True for interior runs (widths), false for exterior gaps.
+    pub interior: bool,
+    /// Exclusive upper bound on the pair distance.
+    pub value: i64,
+}
+
+/// The sweeps [`rule_view_partial`] reads for `rule`: one for
+/// `MinWidth` and `MinSpace`, none for every other rule.
+pub fn rule_sweeps(rule: &Rule) -> Vec<Sweep> {
+    match *rule {
+        Rule::MinWidth { layer, value } => vec![Sweep { layer, interior: true, value }],
+        Rule::MinSpace { layer, value } => vec![Sweep { layer, interior: false, value }],
+        _ => Vec::new(),
+    }
+}
+
+/// One materialised tile window plus the facts its consumers share:
+/// each swept layer's boundary edges, extracted once, and one
+/// facing-pair sweep per `(layer, interior)` at the largest value any
+/// consumer asks for, already cut to the core's owned strips. A
+/// consumer with a smaller value keeps the strips closer than its own
+/// (exact: see `raw_pair_fragments_with`).
+#[derive(Clone, Debug)]
+pub struct PreparedView {
+    view: TileView,
+    edges: BTreeMap<Layer, BoundaryEdges>,
+    sweeps: BTreeMap<(Layer, bool), (i64, Vec<PairFragment>)>,
+}
+
+impl PreparedView {
+    /// Prepares `view` for consumers reading `sweeps` off it.
+    pub fn new(view: TileView, sweeps: &[Sweep]) -> PreparedView {
+        let mut widest: BTreeMap<(Layer, bool), i64> = BTreeMap::new();
+        for s in sweeps {
+            let value = widest.entry((s.layer, s.interior)).or_insert(s.value);
+            *value = (*value).max(s.value);
+        }
+        let mut edges = BTreeMap::new();
+        for &(layer, _) in widest.keys() {
+            edges.entry(layer).or_insert_with(|| layer_region(&view, layer).boundary_edges());
+        }
+        let sweeps = widest
+            .into_iter()
+            .map(|((layer, interior), value)| {
+                let region = layer_region(&view, layer);
+                let raw = raw_pair_fragments_with(region, &edges[&layer], value, interior);
+                ((layer, interior), (value, own_fragments(raw, view.core())))
+            })
+            .collect();
+        PreparedView { view, edges, sweeps }
+    }
+
+    /// The materialised tile view.
+    pub fn view(&self) -> &TileView {
+        &self.view
+    }
+
+    /// The owned fragment strips of `layer` closer than `value`, in the
+    /// order a direct sweep at `value` emits them.
+    ///
+    /// # Panics
+    ///
+    /// When the view was not prepared with a sweep of `(layer,
+    /// interior)` at `value` or more.
+    pub fn fragments(&self, layer: Layer, interior: bool, value: i64) -> Vec<PairFragment> {
+        let (widest, frags) = match self.sweeps.get(&(layer, interior)) {
+            Some((widest, frags)) if *widest >= value => (*widest, frags),
+            _ => panic!("no {layer} sweep (interior {interior}) prepared at {value} or more"),
+        };
+        if value == widest {
+            return frags.clone();
+        }
+        frags.iter().copied().filter(|f| f.gap_hi - f.gap_lo < value).collect()
+    }
+
+    /// Canonical rect count of `layers` in the view.
+    pub fn rect_count_of(&self, layers: &[Layer]) -> usize {
+        layers.iter().map(|&l| self.view.layer_rects(l).len()).sum()
+    }
+}
+
+/// A view's region of `layer`, borrowed (the empty region when the view
+/// carries none).
+fn layer_region(view: &TileView, layer: Layer) -> &Region {
+    static EMPTY: Region = Region::new();
+    view.region_ref(layer).unwrap_or(&EMPTY)
+}
+
 /// Computes one rule's partial result on one tile. Pure: the output
 /// depends only on the arguments, never on thread count or execution
 /// order — the property that lets a job scheduler recompute, reorder,
-/// or checkpoint tile tasks freely.
+/// or checkpoint tile tasks freely. The one-shot form of
+/// [`rule_view_partial`]: it materialises the rule's own view.
 pub fn rule_tile_partial(rule: &Rule, layout: &TiledLayout, tile: usize) -> RulePartial {
+    let view = layout.view_layers(tile, rule_tile_halo(rule), &rule_layers(rule));
+    rule_view_partial(rule, &PreparedView::new(view, &rule_sweeps(rule)), layout.bbox())
+}
+
+/// The kernel of [`rule_tile_partial`]: one rule's partial on a tile
+/// view already materialised at the rule's window (its halo
+/// [`rule_tile_halo`], floored by the tiling's) and prepared with its
+/// [`rule_sweeps`]. `extent` is the whole layout's bbox. Any number of
+/// rules with the same window can share one prepared view; each reads
+/// only its own layers, so the partial — `rects` included — is the one
+/// the rule's own view gives.
+pub fn rule_view_partial(rule: &Rule, prep: &PreparedView, extent: Rect) -> RulePartial {
+    let view = prep.view();
+    let rects = prep.rect_count_of(&rule_layers(rule));
     let id = rule.id();
     let make = |location: Rect, actual: i64, limit: i64| Violation {
         rule: id.clone(),
@@ -179,35 +309,36 @@ pub fn rule_tile_partial(rule: &Rule, layout: &TiledLayout, tile: usize) -> Rule
         actual,
         limit,
     };
+    let certified =
+        |(violations, refused)| RulePartial::Certified { violations, rects, refused };
     match rule {
         Rule::MinWidth { layer, value } => {
-            let (frags, rects) = facing_pair_partial(layout, *layer, *value, true, tile);
-            RulePartial::Fragments { frags, rects }
+            RulePartial::Fragments { frags: prep.fragments(*layer, true, *value), rects }
         }
         Rule::MinSpace { layer, value } => {
-            let view = layout.view_layers(tile, rule_tile_halo(rule), &[*layer]);
-            let region = view.region(*layer);
             let core = view.core();
-            let frags = own_fragments(raw_pair_fragments(&region, *value, false), core);
-            let corners: Vec<(Rect, i64)> = corner_gap_pairs(&region, *value)
-                .into_iter()
-                .filter(|(r, _)| owns(core, Point::new(r.x0, r.y0)))
-                .collect();
-            RulePartial::Spacing { frags, corners, rects: view.rect_count() }
+            let corners: Vec<(Rect, i64)> =
+                corner_gap_pairs_with(layer_region(view, *layer), &prep.edges[layer], *value)
+                    .into_iter()
+                    .filter(|(r, _)| owns(core, Point::new(r.x0, r.y0)))
+                    .collect();
+            RulePartial::Spacing { frags: prep.fragments(*layer, false, *value), corners, rects }
         }
-        Rule::MinArea { layer, .. } => min_area_tile(layout, *layer, tile),
-        Rule::Density { layer, window, .. } => density_tile(layout, *layer, *window, tile),
+        Rule::MinArea { layer, .. } => {
+            let (complete, pieces) = min_area_tile(view, extent, *layer);
+            RulePartial::Area { complete, pieces, rects }
+        }
+        Rule::Density { layer, window, .. } => {
+            RulePartial::Density { partials: density_tile(view, extent, *layer, *window), rects }
+        }
         Rule::MinSpaceTo { from, to, value } => {
-            let view = layout.view_layers(tile, rule_tile_halo(rule), &[*from, *to]);
-            min_space_to_tile(&view, *from, *to, *value, &make)
+            certified(min_space_to_tile(view, *from, *to, *value, &make))
         }
         Rule::Enclosure { inner, outer, value } => {
-            let view = layout.view_layers(tile, rule_tile_halo(rule), &[*inner, *outer]);
-            enclosure_tile(&view, *inner, *outer, *value, &make)
+            certified(enclosure_tile(view, *inner, *outer, *value, &make))
         }
         Rule::WideSpace { layer, wide_width, space } => {
-            let view = layout.view_layers(tile, rule_tile_halo(rule), &[*layer]);
-            wide_space_tile(&view, *layer, *wide_width, *space, &make)
+            certified(wide_space_tile(view, *layer, *wide_width, *space, &make))
         }
     }
 }
@@ -336,9 +467,9 @@ pub fn facing_pair_partial(
     tile: usize,
 ) -> (Vec<PairFragment>, usize) {
     let view = layout.view_layers(tile, max + 2, &[layer]);
-    let frags =
-        own_fragments(raw_pair_fragments(&view.region(layer), max, interior_between), view.core());
-    (frags, view.rect_count())
+    let sweep = Sweep { layer, interior: interior_between, value: max };
+    let prep = PreparedView::new(view, &[sweep]);
+    (prep.fragments(layer, interior_between, max), prep.rect_count_of(&[layer]))
 }
 
 /// Merges per-tile fragment strips (in tile order) into the exact flat
@@ -447,11 +578,13 @@ pub struct AreaPiece {
 /// Min-area per-tile half: judges nothing, just splits the tile-core
 /// components into complete ones and seam-touching pieces. Exact at
 /// any tile size — no halo and no certification needed.
-fn min_area_tile(layout: &TiledLayout, layer: Layer, tile: usize) -> RulePartial {
-    let extent = layout.bbox();
-    let view = layout.view_layers(tile, 0, &[layer]);
+fn min_area_tile(
+    view: &TileView,
+    extent: Rect,
+    layer: Layer,
+) -> (Vec<(Rect, i128)>, Vec<AreaPiece>) {
     let core = view.core();
-    let region = view.region(layer).clipped(core);
+    let region = layer_region(view, layer).clipped(core);
     // Seam sides: core edges strictly inside the extent. A
     // component piece whose closure reaches a seam may continue in
     // the neighbour tile; every other piece is a complete
@@ -480,7 +613,7 @@ fn min_area_tile(layout: &TiledLayout, layer: Layer, tile: usize) -> RulePartial
             pieces.push(AreaPiece { area: comp.area(), bbox: comp.bbox(), seam_rects });
         }
     }
-    RulePartial::Area { complete, pieces, rects: view.rect_count() }
+    (complete, pieces)
 }
 
 /// Min-area merge half: judges complete components directly, then
@@ -546,11 +679,10 @@ fn min_area_merge(
 /// covered area of `region ∩ core ∩ window` for every canonical
 /// density window the tile's core touches. Exact at any tile size, no
 /// halo needed.
-fn density_tile(layout: &TiledLayout, layer: Layer, window: i64, tile: usize) -> RulePartial {
-    let windows = density_windows(layout.bbox(), window);
-    let view = layout.view_layers(tile, 0, &[layer]);
+fn density_tile(view: &TileView, extent: Rect, layer: Layer, window: i64) -> Vec<(usize, i128)> {
+    let windows = density_windows(extent, window);
     let core = view.core();
-    let region = view.region(layer);
+    let region = layer_region(view, layer);
     let mut partials: Vec<(usize, i128)> = Vec::new();
     for (idx, w) in windows.iter().enumerate() {
         let Some(wc) = w.intersection(&core) else { continue };
@@ -559,7 +691,7 @@ fn density_tile(layout: &TiledLayout, layer: Layer, window: i64, tile: usize) ->
             partials.push((idx, covered));
         }
     }
-    RulePartial::Density { partials, rects: view.rect_count() }
+    partials
 }
 
 /// Density merge half: the one f64 division + ppm rounding per window
@@ -599,12 +731,12 @@ fn min_space_to_tile(
     to: Layer,
     value: i64,
     make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> RulePartial {
+) -> (Vec<Violation>, Option<usize>) {
     let core = view.core();
     let window = view.window();
-    let from_w = view.region(from);
-    let to_w = view.region(to);
-    let near = from_w.bloated(value).intersection(&to_w);
+    let from_w = layer_region(view, from);
+    let to_w = layer_region(view, to);
+    let near = from_w.bloated(value).intersection(to_w);
     let mut out = Vec::new();
     for c in near.connected_components() {
         let certified = window.contains_rect(&c.bbox().expanded(value + 2));
@@ -612,14 +744,10 @@ fn min_space_to_tile(
             let from_local = from_w.clipped(c.bbox().expanded(value + 1));
             out.push(make(c.bbox(), min_separation(&from_local, &c, value), value));
         } else if !certified && c.bbox().touches(&core) {
-            return RulePartial::Certified {
-                violations: out,
-                rects: view.rect_count(),
-                refused: Some(view.index()),
-            };
+            return (out, Some(view.index()));
         }
     }
-    RulePartial::Certified { violations: out, rects: view.rect_count(), refused: None }
+    (out, None)
 }
 
 /// Enclosure, certified per candidate: the owner tile proves both the
@@ -632,18 +760,14 @@ fn enclosure_tile(
     outer: Layer,
     value: i64,
     make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> RulePartial {
+) -> (Vec<Violation>, Option<usize>) {
     let core = view.core();
     let window = view.window();
-    let inner_w = view.region(inner);
-    let outer_w = view.region(outer);
+    let inner_w = layer_region(view, inner);
+    let outer_w = layer_region(view, outer);
     let mut out = Vec::new();
     if inner_w.is_empty() {
-        return RulePartial::Certified {
-            violations: out,
-            rects: view.rect_count(),
-            refused: None,
-        };
+        return (out, None);
     }
     let bad = inner_w.difference(&outer_w.shrunk(value));
     for c in bad.connected_components() {
@@ -654,14 +778,10 @@ fn enclosure_tile(
             let outer_local = outer_w.clipped(inner_local.bbox().expanded(value + 1));
             out.push(make(c.bbox(), enclosure_margin(&inner_local, &outer_local, value), value));
         } else if !certified && c.bbox().touches(&core) {
-            return RulePartial::Certified {
-                violations: out,
-                rects: view.rect_count(),
-                refused: Some(view.index()),
-            };
+            return (out, Some(view.index()));
         }
     }
-    RulePartial::Certified { violations: out, rects: view.rect_count(), refused: None }
+    (out, None)
 }
 
 /// Wide-class spacing, certified per tile *and* per candidate.
@@ -678,16 +798,12 @@ fn wide_space_tile(
     wide_width: i64,
     space: i64,
     make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> RulePartial {
+) -> (Vec<Violation>, Option<usize>) {
     let reach = wide_width + space + 4;
-    let refuse = |out: Vec<Violation>| RulePartial::Certified {
-        violations: out,
-        rects: view.rect_count(),
-        refused: Some(view.index()),
-    };
+    let refuse = |out: Vec<Violation>| (out, Some(view.index()));
     let core = view.core();
     let window = view.window();
-    let region = view.region(layer);
+    let region = layer_region(view, layer);
     let zone = core.expanded(reach);
     let comps = region.connected_components();
     for comp in &comps {
@@ -698,11 +814,7 @@ fn wide_space_tile(
     let wide = region.opened(wide_width / 2);
     let mut out = Vec::new();
     if wide.is_empty() {
-        return RulePartial::Certified {
-            violations: out,
-            rects: view.rect_count(),
-            refused: None,
-        };
+        return (out, None);
     }
     for comp in &comps {
         let wide_part = comp.intersection(&wide);
@@ -721,7 +833,7 @@ fn wide_space_tile(
             }
         }
     }
-    RulePartial::Certified { violations: out, rects: view.rect_count(), refused: None }
+    (out, None)
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! old proptest suite.
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
-use dfm_drc::{exterior_facing_pairs, spacing_violations, width_violations};
+use dfm_drc::{
+    exterior_facing_pairs, interior_facing_pairs, spacing_violations, width_violations,
+    FacingPair, PairFragment,
+};
 use dfm_geom::{Rect, Region};
 
 fn cfg() -> Config {
@@ -118,6 +121,101 @@ fn violations_are_localised() {
             for (loc, _) in width_violations(&region, 60) {
                 prop_assert!(bbox.contains_rect(&loc));
             }
+            Ok(())
+        },
+    );
+}
+
+/// The brute-force facing-pair oracle, on a unit grid with no spatial
+/// index and no boundary-edge extraction: in every row (column), every
+/// pair of opposite-facing unit boundary segments closer than `value`
+/// whose gap's middle cell is covered (`interior`, widths) or empty
+/// (spacings) contributes that one unit of span. Coalescing the units
+/// per gap gives the canonical pair list.
+fn brute_facing_pairs(region: &Region, value: i64, interior: bool) -> Vec<FacingPair> {
+    let b = region.bbox();
+    let (w, h) = (b.x1 - b.x0 + 2, b.y1 - b.y0 + 2);
+    let mut grid = vec![false; (w * h) as usize];
+    for r in region.rects() {
+        for y in r.y0..r.y1 {
+            for x in r.x0..r.x1 {
+                grid[((y - b.y0 + 1) * w + (x - b.x0 + 1)) as usize] = true;
+            }
+        }
+    }
+    let covered = |x: i64, y: i64| {
+        let (gx, gy) = (x - b.x0 + 1, y - b.y0 + 1);
+        (0..w).contains(&gx) && (0..h).contains(&gy) && grid[(gy * w + gx) as usize]
+    };
+    let mut units: Vec<PairFragment> = Vec::new();
+    for vertical in [true, false] {
+        // `across` runs along the gap, `along` along the span.
+        let (across, along) =
+            if vertical { (b.x0..=b.x1, b.y0..b.y1) } else { (b.y0..=b.y1, b.x0..b.x1) };
+        let cell = |a: i64, s: i64| if vertical { covered(a, s) } else { covered(s, a) };
+        for s in along {
+            // Boundary positions in this row, with "interior on the far
+            // side" (right, or up).
+            let bounds: Vec<(i64, bool)> = across
+                .clone()
+                .filter(|&a| cell(a - 1, s) != cell(a, s))
+                .map(|a| (a, cell(a, s)))
+                .collect();
+            for &(lo, lo_far) in &bounds {
+                for &(hi, hi_far) in &bounds {
+                    if lo_far != interior || hi_far == lo_far || hi <= lo || hi - lo >= value {
+                        continue;
+                    }
+                    if cell(lo + (hi - lo) / 2, s) == interior {
+                        let (gap_lo, gap_hi, span_lo, span_hi) = (lo, hi, s, s + 1);
+                        units.push(PairFragment { vertical, gap_lo, gap_hi, span_lo, span_hi });
+                    }
+                }
+            }
+        }
+    }
+    units.sort_unstable();
+    let mut runs: Vec<PairFragment> = Vec::new();
+    for u in units {
+        match runs.last_mut() {
+            Some(last)
+                if (last.vertical, last.gap_lo, last.gap_hi) == (u.vertical, u.gap_lo, u.gap_hi)
+                    && u.span_lo <= last.span_hi =>
+            {
+                last.span_hi = last.span_hi.max(u.span_hi);
+            }
+            _ => runs.push(u),
+        }
+    }
+    runs.into_iter().map(PairFragment::to_pair).collect()
+}
+
+/// The swept facing-pair extraction every width, spacing and CA
+/// consumer shares equals the brute-force oracle on random Manhattan
+/// soups, interior and exterior.
+#[test]
+fn facing_pairs_match_the_brute_force_oracle() {
+    check(
+        "facing_pairs_match_the_brute_force_oracle",
+        &cfg(),
+        &(dfm_check::vec((0i64..12, 0i64..12, 1i64..9, 1i64..9), 1..10), 1i64..30),
+        |case| {
+            let (specs, value) = (&case.0, case.1);
+            let region = Region::from_rects(specs.iter().map(|&(x, y, w, h)| {
+                Rect::new(x * 3, y * 3, x * 3 + w * 2, y * 3 + h * 2)
+            }));
+            prop_assert_eq!(
+                interior_facing_pairs(&region, value),
+                brute_facing_pairs(&region, value, true),
+                "interior, value {}",
+                value
+            );
+            prop_assert_eq!(
+                exterior_facing_pairs(&region, value),
+                brute_facing_pairs(&region, value, false),
+                "exterior, value {}",
+                value
+            );
             Ok(())
         },
     );

@@ -203,7 +203,7 @@ fn boolean_raw(a_rects: &[Rect], b_rects: &[Rect], op: BoolOp) -> Region {
 
 impl Region {
     /// Creates an empty region.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Region { rects: Vec::new() }
     }
 
@@ -525,16 +525,18 @@ impl Region {
                 }
             }
         }
-        let mut groups: std::collections::HashMap<usize, Vec<Rect>> =
-            std::collections::HashMap::new();
+        // Groups come out in first-rect order, so the stable sort below
+        // breaks bbox-corner ties the same way on every call.
+        let mut slot = vec![usize::MAX; n];
+        let mut comps: Vec<Region> = Vec::new();
         for i in 0..n {
             let root = find(&mut parent, i);
-            groups.entry(root).or_default().push(self.rects[i]);
+            if slot[root] == usize::MAX {
+                slot[root] = comps.len();
+                comps.push(Region::new());
+            }
+            comps[slot[root]].rects.push(self.rects[i]);
         }
-        let mut comps: Vec<Region> = groups
-            .into_values()
-            .map(|rects| Region { rects })
-            .collect();
         comps.sort_by_key(|c| c.bbox().lo());
         comps
     }
@@ -722,5 +724,26 @@ mod tests {
         assert_eq!(r.area(), 32 * 100);
         // 8-connectivity makes the whole checkerboard one component.
         assert_eq!(r.connected_components().len(), 1);
+    }
+
+    #[test]
+    fn components_sharing_a_bbox_corner_keep_one_order() {
+        // A hook and a corner, disjoint, both with bbox low corner (0, 0):
+        // the bbox sort alone cannot order them.
+        let r = Region::from_rects([
+            Rect::new(0, 10, 2, 20),
+            Rect::new(0, 18, 20, 20),
+            Rect::new(18, 0, 20, 20),
+            Rect::new(0, 0, 2, 8),
+            Rect::new(0, 0, 16, 2),
+        ]);
+        let order = |r: &Region| -> Vec<Vec<Rect>> {
+            r.connected_components().iter().map(|c| c.rects().to_vec()).collect()
+        };
+        let first = order(&r);
+        assert_eq!(first.len(), 2);
+        for _ in 0..32 {
+            assert_eq!(order(&r), first);
+        }
     }
 }

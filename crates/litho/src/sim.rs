@@ -2,7 +2,7 @@
 
 use crate::{Condition, OpticalModel, Raster};
 use dfm_geom::{Coord, Rect, Region};
-use dfm_layout::{Layer, LayoutView, TiledLayout};
+use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
 
 /// End-to-end aerial-image simulator with a constant-threshold resist.
 ///
@@ -167,6 +167,8 @@ impl LithoSimulator {
     /// mask margin, which clears the blur-kernel support of every pixel
     /// touching the print window; the lattice-aligned simulation then
     /// guarantees each window reproduces the flat intensities exactly.
+    /// The one-shot form of
+    /// [`printed_view_piece`](LithoSimulator::printed_view_piece).
     pub fn printed_tile_piece(
         &self,
         layout: &TiledLayout,
@@ -174,13 +176,32 @@ impl LithoSimulator {
         cond: Condition,
         tile: usize,
     ) -> Vec<Rect> {
-        let extent = layout.bbox();
+        let view = layout.view_layers(tile, self.tile_view_halo(cond), &[layer]);
+        self.printed_view_piece(&view, layout.bbox(), layer, cond)
+    }
+
+    /// The tile halo a printed tile piece reads at: `2·halo + 2·pixel`.
+    pub fn tile_view_halo(&self, cond: Condition) -> Coord {
+        2 * self.halo_nm(cond) + 2 * self.pixel_nm
+    }
+
+    /// The kernel of
+    /// [`printed_tile_piece`](LithoSimulator::printed_tile_piece): the
+    /// tile's printed piece read off a view materialised at
+    /// [`tile_view_halo`](LithoSimulator::tile_view_halo) (floored by
+    /// the tiling's halo), which may carry other consumers' layers too.
+    /// `extent` is the whole layout's bbox.
+    pub fn printed_view_piece(
+        &self,
+        view: &TileView,
+        extent: Rect,
+        layer: Layer,
+        cond: Condition,
+    ) -> Vec<Rect> {
         if extent.is_empty() {
             return Vec::new();
         }
         let halo = self.halo_nm(cond);
-        let view_halo = 2 * halo + 2 * self.pixel_nm;
-        let view = layout.view_layers(tile, view_halo, &[layer]);
         let core = view.core();
         let window = Rect::new(
             if core.x0 == extent.x0 { core.x0 - halo } else { core.x0 },

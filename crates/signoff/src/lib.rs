@@ -2,11 +2,12 @@
 //!
 //! The "always-on" delivery vehicle for the workspace's signoff
 //! engines: a long-running service that accepts GDS jobs, decomposes
-//! each into per-tile tasks (DRC via [`dfm_drc::rule_tile_partial`],
-//! litho print via [`dfm_litho::LithoSimulator::printed_tile_piece`],
-//! critical area via [`dfm_yield::critical_area::ca_tile_partial`]),
-//! schedules them across a persistent [`dfm_par::WorkerPool`], and
-//! merges the per-tile partials **in tile order** so the final report
+//! each into per-tile tasks (one prepared view per distinct window, read
+//! by DRC via [`dfm_drc::rule_view_partial`], litho print via
+//! [`dfm_litho::LithoSimulator::printed_view_piece`] and critical area
+//! via [`dfm_yield::critical_area::ca_view_partial`]), schedules them
+//! across a persistent [`dfm_par::WorkerPool`], and merges the per-tile
+//! partials **in tile order** so the final report
 //! is bit-identical to a flat single-shot run — at any worker count,
 //! and after any number of cancel/kill/resume cycles.
 //!

@@ -2,8 +2,8 @@
 
 use crate::DefectModel;
 use dfm_drc::{
-    exterior_facing_pairs, facing_pair_partial, interior_facing_pairs, merge_facing_pair_partials,
-    FacingPair, PairFragment,
+    exterior_facing_pairs, interior_facing_pairs, merge_facing_pair_partials, FacingPair,
+    PairFragment, PreparedView, Sweep,
 };
 use dfm_geom::Region;
 use dfm_layout::{Layer, TiledLayout};
@@ -72,16 +72,43 @@ pub struct CaTilePartial {
 /// `(layout, layer, max_range, tile index)` a job scheduler can run as
 /// an independent task and persist across restarts. Merging every
 /// tile's partial in tile order with [`merge_ca_partials`] reproduces
-/// [`analyze_with_range`] on the flat layer bit-for-bit.
+/// [`analyze_with_range`] on the flat layer bit-for-bit. The one-shot
+/// form of [`ca_view_partial`]: it materialises CA's own view.
 pub fn ca_tile_partial(
     layout: &TiledLayout,
     layer: Layer,
     max_range: i64,
     tile: usize,
 ) -> CaTilePartial {
-    let (short, rects) = facing_pair_partial(layout, layer, max_range, false, tile);
-    let (open, _) = facing_pair_partial(layout, layer, max_range, true, tile);
-    CaTilePartial { short, open, rects }
+    let view = layout.view_layers(tile, ca_tile_halo(max_range), &[layer]);
+    ca_view_partial(&PreparedView::new(view, &ca_sweeps(layer, max_range)), layer, max_range)
+}
+
+/// The tile halo CA reads at: the facing-pair window `max_range + 2`.
+pub fn ca_tile_halo(max_range: i64) -> i64 {
+    max_range + 2
+}
+
+/// The two sweeps [`ca_view_partial`] reads: exterior gaps (shorts) and
+/// interior runs (opens) of `layer`, both closer than `max_range`.
+pub fn ca_sweeps(layer: Layer, max_range: i64) -> [Sweep; 2] {
+    [
+        Sweep { layer, interior: false, value: max_range },
+        Sweep { layer, interior: true, value: max_range },
+    ]
+}
+
+/// The kernel of [`ca_tile_partial`]: the tile's CA partial read off a
+/// view materialised at [`ca_tile_halo`] (floored by the tiling's halo)
+/// and prepared with [`ca_sweeps`] — possibly shared with DRC rules of
+/// the same window, whose smaller width and spacing sweeps this one
+/// serves.
+pub fn ca_view_partial(prep: &PreparedView, layer: Layer, max_range: i64) -> CaTilePartial {
+    CaTilePartial {
+        short: prep.fragments(layer, false, max_range),
+        open: prep.fragments(layer, true, max_range),
+        rects: prep.rect_count_of(&[layer]),
+    }
 }
 
 /// Merges per-tile partials (given in tile order) into the exact flat
