@@ -194,6 +194,23 @@ wire=$(cargo run --release --offline --locked --quiet --manifest-path benchmark/
 grep -q '"correct":true' <<<"$wire"
 grep -o '"\(proto.submit_decode_ms\|codec.parse_json_mb_per_s\)":{[^}]*}' <<<"$wire" |
     sed 's/^/wire_warm (record, not gated): /' || true
+# `tenants_mixed` is the one workload with two tenants contending. A
+# plan without `global max_inflight` gets a grant window of the pool
+# width (`min(nproc, 4)` threads here), so the pool's queue can never
+# hold more than that: a hard bound, not a timing. The interactive
+# tenant's slowdown behind `bulk` is echoed as a record only.
+tenants=$(cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload tenants_mixed --seed 11 --seconds 1 --trace 1 | tail -n 1)
+grep -q '"correct":true' <<<"$tenants"
+width=$(( $(nproc) < 4 ? $(nproc) : 4 ))
+peak=$(grep -o '"par.queue_depth_peak":{"value":[0-9.]*' <<<"$tenants" | grep -o '[0-9.]*$')
+echo "tenants_mixed par.queue_depth_peak: $peak (bound: $width)"
+if ! awk -v p="$peak" -v w="$width" 'BEGIN{exit !(p != "" && p <= w)}'; then
+    echo "error: the pool queue outgrew the grant window (pool width $width)" >&2
+    exit 1
+fi
+grep -o '"sched.inter_slowdown_x":{[^}]*}' <<<"$tenants" |
+    sed 's/^/tenants_mixed (record, not gated): /' || true
 if [[ -n "$(git status --porcelain benchmark/ BENCHMARK.json)" ]]; then
     echo "error: benchmark/ or BENCHMARK.json changed:" >&2
     git status --porcelain benchmark/ BENCHMARK.json >&2

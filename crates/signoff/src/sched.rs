@@ -4,9 +4,13 @@
 //! pool. Each admitted job's cache-miss tiles enter a per-tenant,
 //! per-priority lane; a grant loop drains the lanes in weighted-fair
 //! order and feeds the pool through a bounded in-flight window. The
-//! scheduler is a pure state machine — no clocks, no threads — so the
-//! grant sequence is a function of the submission order alone, which is
-//! what keeps it byte-identical across `DFM_THREADS` counts.
+//! window is the plan's `global max_inflight`, or else the pool's
+//! worker count, so a grant is a worker slot: misses wait in their
+//! lanes, not in the pool's FIFO, and weights and priorities decide
+//! every grant. The scheduler is a pure state machine — no clocks, no
+//! threads — so the grant sequence is a function of the submission
+//! order and the window alone; under an explicit `max_inflight` that
+//! keeps it byte-identical across worker counts.
 //!
 //! ## Ordering
 //!
@@ -76,12 +80,12 @@ impl TenantPolicy {
 
 /// Scheduler + admission configuration.
 ///
-/// The parsed form of a tenant plan file. `Default` is the closed
-/// config (no tenants, no wildcard: every submission is rejected);
-/// [`SchedConfig::open`] is the permissive config used when a server
-/// runs without a tenant plan — any tenant name is admitted at weight
-/// 1 with no quotas and an unbounded grant window, which reproduces
-/// the pre-scheduler dispatch order exactly.
+/// The parsed form of a tenant plan file, exactly as written. `Default`
+/// is the closed config (no tenants, no wildcard: every submission is
+/// rejected); [`SchedConfig::open`] is the permissive config used when
+/// a server runs without a tenant plan — any tenant name is admitted at
+/// weight 1 with no quotas, and the grant window is the pool's worker
+/// count, so `--priority` still orders every grant.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SchedConfig {
     /// Explicitly configured tenants, in plan-file order.
@@ -90,15 +94,18 @@ pub struct SchedConfig {
     /// (`tenant * ...`). `None` rejects unlisted tenants.
     pub wildcard: Option<TenantPolicy>,
     /// Global grant window: granted-but-unresolved tile ceiling.
-    /// `None` is unbounded (grants issue immediately on admission).
+    /// `None` (no `global max_inflight` line) sizes the window to the
+    /// worker pool the scheduler feeds ([`Scheduler::with_workers`]).
     pub max_inflight: Option<u64>,
-    /// Global ceiling on admitted-but-ungranted tiles; beyond it
-    /// submissions are rejected `busy`. `None` is unbounded.
+    /// Global ceiling on admitted-but-ungranted tiles — tiles waiting
+    /// in lanes; beyond it submissions are rejected `busy`. `None` is
+    /// unbounded.
     pub max_pending_tiles: Option<u64>,
 }
 
 impl SchedConfig {
-    /// Permissive config: every tenant admitted, weight 1, no quotas.
+    /// Permissive config: every tenant admitted, weight 1, no quotas,
+    /// no explicit window (a service's window is its worker count).
     pub fn open() -> Self {
         SchedConfig {
             tenants: Vec::new(),
@@ -348,6 +355,8 @@ pub struct Scheduler<H> {
     /// Per-priority virtual floor as a rational (vnum, weight) of the
     /// largest virtual time ever granted in that class.
     floor: BTreeMap<u8, (u64, u64)>,
+    /// Window when the plan sets no `max_inflight`: the pool width.
+    workers: u64,
     inflight: u64,
     pending_total: u64,
     next_seq: u64,
@@ -355,19 +364,29 @@ pub struct Scheduler<H> {
 }
 
 impl<H: Clone> Scheduler<H> {
-    /// Fresh scheduler with empty lanes and an empty grant log.
-    pub fn new(cfg: SchedConfig) -> Self {
+    /// Fresh scheduler feeding a pool of `workers` threads, with empty
+    /// lanes and an empty grant log. The in-flight window is the plan's
+    /// `max_inflight`, or else `workers`: a grant is a worker slot.
+    pub fn with_workers(cfg: SchedConfig, workers: u64) -> Self {
         Scheduler {
             cfg,
             tenants: BTreeMap::new(),
             jobs: BTreeMap::new(),
             ready: BTreeMap::new(),
             floor: BTreeMap::new(),
+            workers: workers.max(1),
             inflight: 0,
             pending_total: 0,
             next_seq: 0,
             log: Vec::new(),
         }
+    }
+
+    /// A scheduler that feeds no pool: the window is the plan's
+    /// `max_inflight`, and without one every enqueued tile is granted
+    /// at once. For driving the state machine directly.
+    pub fn new(cfg: SchedConfig) -> Self {
+        Scheduler::with_workers(cfg, u64::MAX)
     }
 
     /// The configuration the scheduler was built with.
@@ -560,7 +579,7 @@ impl<H: Clone> Scheduler<H> {
     }
 
     fn window_open(&self) -> bool {
-        self.cfg.max_inflight.is_none_or(|w| self.inflight < w)
+        self.inflight < self.cfg.max_inflight.unwrap_or(self.workers)
     }
 
     fn pump(&mut self) -> Vec<GrantOut<H>> {
@@ -827,6 +846,74 @@ mod tests {
             "grant 0 tenant a job 7 tile 3 prio 2\n\
              grant 1 tenant a job 7 tile 9 prio 2\n"
         );
+    }
+
+    /// Admits and enqueues every job, then resolves in-flight tiles
+    /// until none are left — the lowest grant first, or a random one
+    /// drawn from `order` — and renders the grant log. The window comes
+    /// from the plan (`global max_inflight`) or from the pool width.
+    fn drain_grants(
+        jobs: &[(usize, u8, usize)],
+        weights: &[u64],
+        window: u64,
+        via_plan: bool,
+        order: Option<u64>,
+    ) -> String {
+        let mut plan: String =
+            weights.iter().enumerate().map(|(t, w)| format!("tenant t{t} weight {w}\n")).collect();
+        if via_plan {
+            plan.push_str(&format!("global max_inflight {window}\n"));
+        }
+        let cfg = SchedConfig::parse(&plan).unwrap();
+        let mut s = if via_plan { Scheduler::new(cfg) } else { Scheduler::with_workers(cfg, window) };
+        let mut inflight = Vec::new();
+        for (job, &(tenant, priority, tiles)) in jobs.iter().enumerate() {
+            s.admit(job as u64, &format!("t{tenant}"), priority, tiles as u64).unwrap();
+            inflight.extend(s.enqueue(job as u64, (), 0..tiles));
+        }
+        let mut rng = order.map(dfm_rand::Rng::seed_from_u64);
+        while !inflight.is_empty() {
+            let pick = rng.as_mut().map_or(0, |r| r.range(0..inflight.len()));
+            let g = inflight.remove(pick);
+            assert!(s.inflight() <= window, "window {window} overrun");
+            inflight.extend(s.resolved(g.job, g.tile));
+        }
+        assert_eq!(s.pending_tiles(), 0);
+        render_grant_log(s.grant_log())
+    }
+
+    #[test]
+    fn grant_log_depends_on_admission_order_and_window_not_on_resolution_order() {
+        use dfm_check::{bools, check, prop_assert_eq, vec, Config};
+        // Jobs as (tenant, priority, tiles); one weight per tenant.
+        let gen = (
+            vec((0usize..3, 0u8..3, 1usize..12), 1..6),
+            vec(1u64..4, 3..4),
+            1u64..9,
+            bools(),
+            0u64..u64::MAX,
+        );
+        check("sched_resolution_order", &Config::with_cases(128), &gen, |(jobs, weights, window, via_plan, seed)| {
+            let in_seq = drain_grants(jobs, weights, *window, *via_plan, None);
+            let tiles: usize = jobs.iter().map(|j| j.2).sum();
+            prop_assert_eq!(in_seq.lines().count(), tiles);
+            prop_assert_eq!(drain_grants(jobs, weights, *window, *via_plan, Some(*seed)), in_seq);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn plan_window_wins_over_the_pool_width() {
+        let cfg = SchedConfig::parse("tenant * weight 1\nglobal max_inflight 3\n").unwrap();
+        let mut s: Scheduler<()> = Scheduler::with_workers(cfg.clone(), 8);
+        s.admit(1, "a", 0, 10).unwrap();
+        assert_eq!(s.enqueue(1, (), 0..10).len(), 3);
+        assert_eq!(s.config(), &cfg, "the config is the plan as written");
+        let mut s: Scheduler<()> = Scheduler::with_workers(SchedConfig::open(), 2);
+        s.admit(1, "a", 0, 10).unwrap();
+        assert_eq!(s.enqueue(1, (), 0..10).len(), 2, "no plan window: the pool width");
+        assert_eq!(s.pending_tiles(), 8, "the rest wait in the lane");
+        assert_eq!(s.config().max_inflight, None);
     }
 
     #[test]

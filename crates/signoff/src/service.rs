@@ -113,8 +113,9 @@ pub struct ServiceConfig {
     pub cache: Option<Arc<TileCache>>,
     /// Multi-tenant scheduler + admission config. `None` (the
     /// default) is [`SchedConfig::open`]: every tenant admitted at
-    /// weight 1, no quotas, unbounded grant window — exactly the
-    /// pre-scheduler dispatch behaviour.
+    /// weight 1, no quotas. A plan without `global max_inflight` —
+    /// the open one included — gets a grant window of `threads`, so
+    /// tiles wait in their fair-share lanes, not in the pool's queue.
     pub sched: Option<SchedConfig>,
     /// Shard role: `Some((k, n))` makes this service shard `k` of `n` —
     /// a `shard.dispatch` frame without explicit ranges runs only the
@@ -291,7 +292,7 @@ impl SignoffService {
             max_attempts: cfg.max_attempts,
             tile_delay: cfg.tile_delay,
             cache: cfg.cache,
-            sched: Mutex::new(Scheduler::new(sched_cfg)),
+            sched: Mutex::new(Scheduler::with_workers(sched_cfg, pool.threads() as u64)),
         });
         let service = SignoffService {
             pool,
@@ -559,9 +560,13 @@ impl SignoffService {
 
     /// The scheduler's grant log so far: one entry per tile granted to
     /// the pool, in issue order. With a fixed submission order the log
-    /// is byte-identical (via [`crate::sched::render_grant_log`])
-    /// across worker counts — the observable artifact of the
-    /// determinism guarantee. Cache hits never appear here.
+    /// is a function of the grant window, so under a plan's explicit
+    /// `global max_inflight` it is byte-identical (via
+    /// [`crate::sched::render_grant_log`]) across worker counts; the
+    /// default window is the worker count, and then only the order
+    /// across jobs moves with it — reports and event streams are
+    /// identical at every worker count either way. Cache hits never
+    /// appear here.
     pub fn grant_log(&self) -> Vec<Grant> {
         self.shared.sched().grant_log().to_vec()
     }
@@ -900,15 +905,19 @@ impl SignoffService {
 
 impl Drop for SignoffService {
     fn drop(&mut self) {
-        // Cancel every job so queued tasks are skipped at dequeue, then
-        // wait the pool idle: no worker may still hold an upgraded Arc
-        // to the pool (for a retry resubmission) when we drop ours —
-        // the pool must be torn down from this thread, never from one
-        // of its own workers.
+        // Cancel every job so queued tasks are skipped at dequeue, and
+        // release each from the scheduler so a tile that finishes
+        // during teardown pumps no fresh grant; then wait the pool idle:
+        // no worker may still hold an upgraded Arc to the pool (for a
+        // retry resubmission) when we drop ours — the pool must be torn
+        // down from this thread, never from one of its own workers.
         let jobs: Vec<Arc<Job>> =
             self.jobs.lock().expect("jobs lock").values().cloned().collect();
-        for job in jobs {
+        for job in &jobs {
             job.m.lock().expect("job lock").cancel_queued();
+        }
+        for job in &jobs {
+            sched_remove_job(&self.shared, job.id);
         }
         self.pool.wait_idle();
     }
@@ -1020,6 +1029,51 @@ mod tests {
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
         let (_, report) = service.results(id, false).expect("results");
         assert_eq!(report.render_text(&spec), flat);
+    }
+
+    #[test]
+    fn drain_with_a_lane_backlog_computes_only_the_tiles_in_flight() {
+        // 100 tiles on 2 workers: the grant window is 2, so when the
+        // drain lands nearly all of the job still waits in its lane.
+        let gds = small_gds(36);
+        let spec = JobSpec { tile: 600, halo: 256, ..spec() };
+        let flat =
+            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let root = std::env::temp_dir()
+            .join(format!("dfm-signoff-drain-backlog-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = || ServiceConfig::builder().threads(2).ckpt_root(&root);
+        let slow = SignoffService::with_config(config().tile_delay(Duration::from_millis(20)).build());
+        let id = slow.submit(spec.clone(), gds).expect("submit");
+        let mut status = slow.status(id).expect("status");
+        assert_eq!(status.tiles_total, 100);
+        while status.tiles_done < 10 {
+            slow.events(id, status.next_seq).expect("events");
+            status = slow.status(id).expect("status");
+        }
+        let granted = slow.grant_log().len();
+        assert_eq!(slow.begin_drain(), 1);
+        // Only a tile that resolved between the read and the drain can
+        // have granted one more; the drain released the lane, so
+        // nothing is granted after it and no backlog reached the pool.
+        let pool = slow.pool_stats();
+        assert!(slow.grant_log().len() <= granted + 2, "granted past the drain");
+        assert!(pool.queue_depth_peak <= 2, "pool queue peaked at {}", pool.queue_depth_peak);
+        assert!(pool.completed as usize <= granted + 2, "{} tiles ran", pool.completed);
+        assert!(pool.skipped <= 2, "{} queued tiles were discarded", pool.skipped);
+        let durable = JobDir::new(&root, id).load_tiles(100).len();
+        assert!((10..100).contains(&durable), "{durable} tiles checkpointed");
+        drop(slow);
+        // Resume over the same root: exactly the missing tiles compute,
+        // and the report is the flat one.
+        let fresh = SignoffService::with_config(config().build());
+        fresh.resume(id).expect("resume");
+        let status = fresh.wait(id).expect("wait");
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        assert_eq!(fresh.grant_log().len(), 100 - durable);
+        assert_eq!(fresh.report_text(id, false).expect("report").1, flat);
+        drop(fresh);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! tags the job; on `status`/`results` the same flags act as ownership
 //! assertions (the command fails rather than report a job that belongs
 //! to a different tenant). Without `--tenants`, every tenant is
-//! accepted at weight 1 with no quotas — exactly the pre-scheduler
-//! behaviour.
+//! accepted at weight 1 with no quotas. Without a `max_inflight`, the
+//! grant window is `--threads`: tiles wait in their fair-share lanes,
+//! so weights and `--priority` decide every grant, plan or no plan.
 //!
 //! ## Scale-out (sharding)
 //!

@@ -1,11 +1,15 @@
 //! Multi-tenant scheduler determinism suite.
 //!
 //! Two tenants with 2:1 weights submit equal-size jobs concurrently;
-//! under any worker count (1, 2, 8) the grant sequence, every job's
-//! event stream, and every report must be byte-identical — warm and
-//! cold cache, with and without a fault plan. The scheduler's fairness
-//! must also be visible in the grant log itself: every prefix stays
-//! close to the 2:1 weighted share.
+//! under a plan's explicit `global max_inflight` window and any worker
+//! count (1, 2, 8) the grant sequence, every job's event stream, and
+//! every report must be byte-identical — warm and cold cache, with and
+//! without a fault plan. The scheduler's fairness must also be visible
+//! in the grant log itself: every prefix stays close to the 2:1
+//! weighted share. Without a plan window the window is the worker
+//! count: an interactive job is granted within one pool width of
+//! arriving behind a bulk backlog, and `--priority` orders grants with
+//! no tenant plan at all.
 
 use dfm_practice::cache::TileCache;
 use dfm_practice::fault::{FaultAction, FaultPlan, FaultPlane, FaultRule};
@@ -13,20 +17,26 @@ use dfm_practice::layout::{gds, generate, layers, Technology};
 use dfm_practice::signoff::sched::render_grant_log;
 use dfm_practice::signoff::service::{JobState, SITE_TILE_COMPUTE};
 use dfm_practice::signoff::{
-    ErrorCode, JobSpec, SchedConfig, ServiceConfig, ServiceConfigBuilder, SignoffService,
+    flat_report, ErrorCode, JobSpec, SchedConfig, ServiceConfig, ServiceConfigBuilder,
+    SignoffService,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn block_gds() -> Vec<u8> {
+    square_block(4_000, 31)
+}
+
+/// A routed block `side` nm square, generated from `seed`.
+fn square_block(side: i64, seed: u64) -> Vec<u8> {
     let tech = Technology::n65();
     let params = generate::RoutedBlockParams {
-        width: 4_000,
-        height: 4_000,
+        width: side,
+        height: side,
         ..Default::default()
     };
-    gds::to_bytes(&generate::routed_block(&tech, params, 31)).expect("serialise")
+    gds::to_bytes(&generate::routed_block(&tech, params, seed)).expect("serialise")
 }
 
 fn spec_for(tenant: &str, priority: u8) -> JobSpec {
@@ -246,4 +256,80 @@ fn priorities_jump_the_grant_queue() {
     assert!(first <= 2, "priority lane started at grant {first}\n{log}");
     let span = hi_lines[15] - hi_lines[0];
     assert_eq!(span, 15, "priority lane was interleaved\n{log}");
+}
+
+/// Grant-log line indices of job `id`.
+fn grant_indices(log: &str, id: u64) -> Vec<usize> {
+    let tag = format!(" job {id} ");
+    log.lines().enumerate().filter(|(_, l)| l.contains(&tag)).map(|(i, _)| i).collect()
+}
+
+#[test]
+fn interactive_tenant_is_granted_within_one_pool_width() {
+    // No `global` line: the grant window is the worker count, so bulk's
+    // 16-tile backlog waits in its lane, not in the pool's queue, and
+    // the weight-2 interactive job takes the next slots that free.
+    let plan = SchedConfig::parse("tenant bulk weight 1\ntenant inter weight 2\n").expect("plan");
+    let bulk_gds = block_gds();
+    let inter_gds = square_block(2_000, 32);
+    let flat = |tenant: &str, bytes: &[u8]| {
+        let spec = spec_for(tenant, 0);
+        let lib = gds::from_bytes(bytes).expect("lib");
+        flat_report(&spec, &lib).expect("flat").render_text(&spec)
+    };
+    let (bulk_flat, inter_flat) = (flat("bulk", &bulk_gds), flat("inter", &inter_gds));
+    for workers in [1usize, 2, 4] {
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(workers)
+                .sched(plan.clone())
+                .tile_delay(Duration::from_millis(60))
+                .build(),
+        );
+        let bulk = service.submit(spec_for("bulk", 0), bulk_gds.clone()).expect("bulk");
+        let inter = service.submit(spec_for("inter", 0), inter_gds.clone()).expect("inter");
+        for id in [bulk, inter] {
+            let status = service.wait(id).expect("wait");
+            assert_eq!(status.state, JobState::Done, "job {id}: {:?}", status.error);
+        }
+        let log = render_grant_log(&service.grant_log());
+        let granted = grant_indices(&log, inter);
+        assert_eq!(granted.len(), 4, "inter has 4 tiles\n{log}");
+        // The 2:1 share lets one bulk grant in between: vtimes W, W+½,
+        // then a tie at W+1 that "bulk" wins by name, then W+1, W+1½.
+        assert_eq!(
+            (granted[0], granted[3]),
+            (workers, workers + 4),
+            "inter's grants at {workers} workers\n{log}"
+        );
+        let peak = service.pool_stats().queue_depth_peak;
+        assert!(peak <= workers, "pool queue peaked at {peak} with {workers} workers");
+        assert_eq!(service.report_text(bulk, false).expect("report").1, bulk_flat);
+        assert_eq!(service.report_text(inter, false).expect("report").1, inter_flat);
+    }
+}
+
+#[test]
+fn priorities_jump_the_grant_queue_without_a_tenant_plan() {
+    // The open plan sets no window, so the pool width bounds it: the
+    // priority-7 job, submitted last, is granted as soon as a worker
+    // frees and keeps every grant until its lane is drained.
+    let gds_bytes = block_gds();
+    for workers in [1usize, 2, 4] {
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(workers)
+                .tile_delay(Duration::from_millis(60))
+                .build(),
+        );
+        service.submit(spec_for("a", 0), gds_bytes.clone()).expect("a");
+        service.submit(spec_for("b", 0), gds_bytes.clone()).expect("b");
+        let hi = service.submit(spec_for("b", 7), gds_bytes.clone()).expect("hi");
+        assert_eq!(service.wait(hi).expect("wait").state, JobState::Done);
+        let log = render_grant_log(&service.grant_log());
+        let granted = grant_indices(&log, hi);
+        assert_eq!(granted.len(), 16, "high-priority job fully granted\n{log}");
+        assert!(granted[0] <= workers, "priority lane started at grant {}\n{log}", granted[0]);
+        assert_eq!(granted[15] - granted[0], 15, "priority lane was interleaved\n{log}");
+    }
 }
