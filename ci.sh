@@ -211,6 +211,15 @@ if ! awk -v p="$peak" -v w="$width" 'BEGIN{exit !(p != "" && p <= w)}'; then
 fi
 grep -o '"sched.inter_slowdown_x":{[^}]*}' <<<"$tenants" |
     sed 's/^/tenants_mixed (record, not gated): /' || true
+# `cold_litho` is the one workload with litho on: its `correct` means
+# the tiled printed layer (rasterise, blur, threshold per tile) merged
+# to the flat path's bytes. The litho tile time and share are echoed as
+# a record only.
+litho=$(cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload cold_litho --seed 11 --seconds 1 --trace 1 | tail -n 1)
+grep -q '"correct":true' <<<"$litho"
+grep -o '"\(litho.tile_ms_p50\|attr.litho_share\)":{[^}]*}' <<<"$litho" |
+    sed 's/^/cold_litho (record, not gated): /' || true
 if [[ -n "$(git status --porcelain benchmark/ BENCHMARK.json)" ]]; then
     echo "error: benchmark/ or BENCHMARK.json changed:" >&2
     git status --porcelain benchmark/ BENCHMARK.json >&2

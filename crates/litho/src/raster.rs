@@ -133,49 +133,48 @@ impl Raster {
 
     /// Convolves in place with an isotropic Gaussian of standard
     /// deviation `sigma_nm`, using two separable 1-D passes.
+    ///
+    /// Summation order is part of the contract: every output pixel of
+    /// each pass is `((0 + k₀·s₀) + k₁·s₁) + …`, the kernel taps added
+    /// one at a time from tap 0 up, so the result is bit-identical to a
+    /// per-pixel dot product in tap order. The passes are *tap-major*:
+    /// each adds one tap across a whole contiguous row, a bounds-free
+    /// multiply-add the compiler vectorises.
+    ///
+    /// - The horizontal pass reads each source row from a copy padded
+    ///   with `radius` zeros on either side, so a tap that falls off the
+    ///   grid adds `k·(+0.0) = +0.0` (every `k ≥ 0`) where a per-pixel
+    ///   loop would skip it. That is exact: the running sum starts at
+    ///   `+0.0`, and under round-to-nearest a sum is `-0.0` only if both
+    ///   addends are, so it is never `-0.0` and `acc + (+0.0) == acc`
+    ///   bitwise for any finite input, negative samples (difference-of-
+    ///   Gaussian rasters) included.
+    /// - The vertical pass skips a tap whose source row is off the grid,
+    ///   as the per-pixel loop does.
     pub fn gaussian_blur(&mut self, sigma_nm: f64) {
-        if sigma_nm <= 0.0 {
+        let Some(kernel) = self.gaussian_kernel(sigma_nm) else {
             return;
-        }
-        let sigma_px = sigma_nm / self.pixel as f64;
-        let radius = (3.0 * sigma_px).ceil() as isize;
-        if radius == 0 {
-            return;
-        }
-        // Build the normalised kernel.
-        let mut kernel = Vec::with_capacity((2 * radius + 1) as usize);
-        let mut sum = 0.0;
-        for i in -radius..=radius {
-            let v = (-(i as f64) * (i as f64) / (2.0 * sigma_px * sigma_px)).exp();
-            kernel.push(v);
-            sum += v;
-        }
-        for v in &mut kernel {
-            *v /= sum;
-        }
-
+        };
+        let radius = kernel.len() / 2;
         let (nx, ny) = (self.nx, self.ny);
         let kernel = &kernel[..];
-        // Each output pixel is a fixed-order kernel dot product over the
-        // source grid, so row-band parallelism is bit-identical at any
-        // thread count. Horizontal pass reads `self.data`, writes `tmp`.
+        // Row bands own disjoint output rows and each pixel's sum order
+        // does not depend on the band, so row-band parallelism is
+        // bit-identical at any thread count. Horizontal pass reads
+        // `self.data`, writes `tmp`.
         let mut tmp = vec![0.0f64; nx * ny];
         {
             let src = &self.data;
             dfm_par::par_chunks_mut(&mut tmp, BAND_ROWS * nx, |_, offset, band| {
                 let band_y0 = offset / nx;
+                let mut padded = vec![0.0f64; nx + 2 * radius];
                 for (row_i, row) in band.chunks_mut(nx).enumerate() {
                     let iy = band_y0 + row_i;
-                    for (ix, out) in row.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for (k, kv) in kernel.iter().enumerate() {
-                            let sx = ix as isize + (k as isize - radius);
-                            if sx < 0 || sx as usize >= nx {
-                                continue;
-                            }
-                            acc += kv * src[iy * nx + sx as usize];
+                    padded[radius..radius + nx].copy_from_slice(&src[iy * nx..(iy + 1) * nx]);
+                    for (k, &kv) in kernel.iter().enumerate() {
+                        for (out, s) in row.iter_mut().zip(&padded[k..k + nx]) {
+                            *out += kv * s;
                         }
-                        *out = acc;
                     }
                 }
             });
@@ -186,63 +185,43 @@ impl Raster {
             let band_y0 = offset / nx;
             for (row_i, row) in band.chunks_mut(nx).enumerate() {
                 let iy = band_y0 + row_i;
-                for (ix, out) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (k, kv) in kernel.iter().enumerate() {
-                        let sy = iy as isize + (k as isize - radius);
-                        if sy < 0 || sy as usize >= ny {
-                            continue;
-                        }
-                        acc += kv * src[sy as usize * nx + ix];
+                row.fill(0.0);
+                for (k, &kv) in kernel.iter().enumerate() {
+                    let Some(sy) = (iy + k).checked_sub(radius).filter(|&sy| sy < ny) else {
+                        continue;
+                    };
+                    for (out, s) in row.iter_mut().zip(&src[sy * nx..(sy + 1) * nx]) {
+                        *out += kv * s;
                     }
-                    *out = acc;
                 }
             }
         });
     }
 
-
-    /// Reference implementation: direct (non-separable) 2-D Gaussian
-    /// convolution. Mathematically identical to
-    /// [`gaussian_blur`](Raster::gaussian_blur) but O(k²) per pixel
-    /// instead of O(k); kept as the oracle the separable form is
-    /// tested against.
-    pub fn gaussian_blur_full2d(&mut self, sigma_nm: f64) {
+    /// The normalised 1-D Gaussian kernel for `sigma_nm` at this
+    /// raster's pixel size, `2·radius + 1` taps with
+    /// `radius = ⌈3σ_px⌉`; `None` when the blur is the identity
+    /// (`sigma_nm ≤ 0` or a zero radius).
+    fn gaussian_kernel(&self, sigma_nm: f64) -> Option<Vec<f64>> {
         if sigma_nm <= 0.0 {
-            return;
+            return None;
         }
         let sigma_px = sigma_nm / self.pixel as f64;
         let radius = (3.0 * sigma_px).ceil() as isize;
         if radius == 0 {
-            return;
+            return None;
         }
-        let mut kernel = Vec::with_capacity(((2 * radius + 1) * (2 * radius + 1)) as usize);
+        let mut kernel = Vec::with_capacity((2 * radius + 1) as usize);
         let mut sum = 0.0;
-        for j in -radius..=radius {
-            for i in -radius..=radius {
-                let v = (-((i * i + j * j) as f64) / (2.0 * sigma_px * sigma_px)).exp();
-                kernel.push(v);
-                sum += v;
-            }
+        for i in -radius..=radius {
+            let v = (-(i as f64) * (i as f64) / (2.0 * sigma_px * sigma_px)).exp();
+            kernel.push(v);
+            sum += v;
         }
         for v in &mut kernel {
             *v /= sum;
         }
-        let (nx, ny) = (self.nx, self.ny);
-        let k = (2 * radius + 1) as usize;
-        let mut out = vec![0.0f64; nx * ny];
-        for y in 0..ny as isize {
-            for x in 0..nx as isize {
-                let mut acc = 0.0;
-                for (idx, kv) in kernel.iter().enumerate() {
-                    let dj = (idx / k) as isize - radius;
-                    let di = (idx % k) as isize - radius;
-                    acc += kv * self.get(x + di, y + dj);
-                }
-                out[y as usize * nx + x as usize] = acc;
-            }
-        }
-        self.data = out;
+        Some(kernel)
     }
 
     /// Subtracts `weight` times `other`'s samples (grids must match).
@@ -309,6 +288,92 @@ impl Raster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-only blurs: the oracles [`Raster::gaussian_blur`] is checked
+    /// against.
+    impl Raster {
+        /// The per-pixel form of [`gaussian_blur`](Raster::gaussian_blur):
+        /// each output pixel is one dot product over the in-grid taps, in
+        /// tap order, with an off-grid tap skipped. The tap-major passes
+        /// must equal it bit for bit.
+        fn gaussian_blur_per_pixel(&mut self, sigma_nm: f64) {
+            let Some(kernel) = self.gaussian_kernel(sigma_nm) else {
+                return;
+            };
+            let radius = (kernel.len() / 2) as isize;
+            let (nx, ny) = (self.nx, self.ny);
+            let mut tmp = vec![0.0f64; nx * ny];
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let mut acc = 0.0;
+                    for (k, kv) in kernel.iter().enumerate() {
+                        let sx = ix as isize + (k as isize - radius);
+                        if sx < 0 || sx as usize >= nx {
+                            continue;
+                        }
+                        acc += kv * self.data[iy * nx + sx as usize];
+                    }
+                    tmp[iy * nx + ix] = acc;
+                }
+            }
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let mut acc = 0.0;
+                    for (k, kv) in kernel.iter().enumerate() {
+                        let sy = iy as isize + (k as isize - radius);
+                        if sy < 0 || sy as usize >= ny {
+                            continue;
+                        }
+                        acc += kv * tmp[sy as usize * nx + ix];
+                    }
+                    self.data[iy * nx + ix] = acc;
+                }
+            }
+        }
+
+        /// Reference implementation: direct (non-separable) 2-D Gaussian
+        /// convolution. Mathematically identical to
+        /// [`gaussian_blur`](Raster::gaussian_blur) but O(k²) per pixel
+        /// instead of O(k); kept as the oracle the separable form is
+        /// tested against.
+        fn gaussian_blur_full2d(&mut self, sigma_nm: f64) {
+            if sigma_nm <= 0.0 {
+                return;
+            }
+            let sigma_px = sigma_nm / self.pixel as f64;
+            let radius = (3.0 * sigma_px).ceil() as isize;
+            if radius == 0 {
+                return;
+            }
+            let mut kernel = Vec::with_capacity(((2 * radius + 1) * (2 * radius + 1)) as usize);
+            let mut sum = 0.0;
+            for j in -radius..=radius {
+                for i in -radius..=radius {
+                    let v = (-((i * i + j * j) as f64) / (2.0 * sigma_px * sigma_px)).exp();
+                    kernel.push(v);
+                    sum += v;
+                }
+            }
+            for v in &mut kernel {
+                *v /= sum;
+            }
+            let (nx, ny) = (self.nx, self.ny);
+            let k = (2 * radius + 1) as usize;
+            let mut out = vec![0.0f64; nx * ny];
+            for y in 0..ny as isize {
+                for x in 0..nx as isize {
+                    let mut acc = 0.0;
+                    for (idx, kv) in kernel.iter().enumerate() {
+                        let dj = (idx / k) as isize - radius;
+                        let di = (idx % k) as isize - radius;
+                        acc += kv * self.get(x + di, y + dj);
+                    }
+                    out[y as usize * nx + x as usize] = acc;
+                }
+            }
+            self.data = out;
+        }
+    }
 
     #[test]
     fn rasterise_exact_pixel_alignment() {
@@ -456,6 +521,93 @@ mod tests {
                     Rect::new(x * 50, y * 50, x * 50 + rw * 30, y * 50 + rh * 30)
                 }));
                 separable_matches_full2d(&mask, Rect::new(*wx, *wy, wx + w, wy + h), *pixel, *sigma)
+            },
+        );
+    }
+
+    /// Every pixel of `a` and `b` equal by `f64::to_bits`.
+    fn same_bits(a: &Raster, b: &Raster, what: &str) -> dfm_check::PropResult {
+        dfm_check::prop_assert!(a.data.len() == b.data.len(), "{}: grid sizes differ", what);
+        for (i, (va, vb)) in a.data.iter().zip(&b.data).enumerate() {
+            dfm_check::prop_assert!(
+                va.to_bits() == vb.to_bits(),
+                "{}: pixel ({}, {}): {:e} vs {:e}",
+                what,
+                i % a.nx,
+                i / a.nx,
+                va,
+                vb
+            );
+        }
+        Ok(())
+    }
+
+    /// `gaussian_blur` at 1 and 8 threads against the per-pixel oracle,
+    /// on `raster` itself and on the difference-of-Gaussians raster the
+    /// ringed optical model builds from it (whose negative samples are
+    /// then blurred once more).
+    fn tap_major_matches_per_pixel(
+        raster: &Raster,
+        sigma_nm: f64,
+        ring_w: f64,
+    ) -> dfm_check::PropResult {
+        let blur = |r: &Raster, sigma: f64, threads: usize| {
+            let mut out = r.clone();
+            dfm_par::with_threads(threads, || out.gaussian_blur(sigma));
+            out
+        };
+        let mut oracle = raster.clone();
+        oracle.gaussian_blur_per_pixel(sigma_nm);
+        for threads in [1, 8] {
+            same_bits(&blur(raster, sigma_nm, threads), &oracle, "blur")?;
+        }
+        let ring_sigma = sigma_nm * 2.5;
+        let mut ring_oracle = raster.clone();
+        ring_oracle.gaussian_blur_per_pixel(ring_sigma);
+        oracle.subtract_scaled(&ring_oracle, ring_w);
+        oracle.rescale(1.0 - ring_w);
+        let mut dog = blur(raster, sigma_nm, 8);
+        dog.subtract_scaled(&blur(raster, ring_sigma, 1), ring_w);
+        dog.rescale(1.0 - ring_w);
+        same_bits(&dog, &oracle, "difference of Gaussians")?;
+        oracle.gaussian_blur_per_pixel(sigma_nm);
+        same_bits(
+            &blur(&dog, sigma_nm, 8),
+            &oracle,
+            "blurred difference of Gaussians",
+        )
+    }
+
+    #[test]
+    fn tap_major_blur_is_bit_identical_to_per_pixel() {
+        let one_px = Raster::rasterize(
+            &Region::from_rect(Rect::new(0, 0, 5, 5)),
+            Rect::new(0, 0, 7, 7),
+            7,
+        );
+        assert_eq!((one_px.width_px(), one_px.height_px()), (1, 1));
+        tap_major_matches_per_pixel(&one_px, 20.0, 0.3).unwrap();
+        // Random masks (empty included) under windows from 1 × 1 px up,
+        // some cut short of a whole last pixel; pixel sizes 2–21 and
+        // sigmas 0.3–60 nm, so the radius runs from 1 to past the grid.
+        dfm_check::check(
+            "tap_major_blur_matches_per_pixel",
+            &dfm_check::Config::with_cases(64),
+            &(
+                dfm_check::vec((0i64..12, 0i64..12, 1i64..5, 1i64..5), 0..8),
+                (-100i64..100, -100i64..100, 1i64..48, 1i64..48, 0i64..21),
+                2i64..22,
+                0.3f64..60.0,
+                0.1f64..0.4,
+            ),
+            |(specs, (wx, wy, cols, rows, trim), pixel, sigma, ring_w)| {
+                let mask = Region::from_rects(specs.iter().map(|&(x, y, rw, rh)| {
+                    Rect::new(x * 50, y * 50, x * 50 + rw * 30, y * 50 + rh * 30)
+                }));
+                let w = (cols * pixel - trim % pixel).max(1);
+                let h = (rows * pixel - trim % pixel).max(1);
+                let raster = Raster::rasterize(&mask, Rect::new(*wx, *wy, wx + w, wy + h), *pixel);
+                tap_major_matches_per_pixel(&raster, *sigma, *ring_w)
             },
         );
     }
