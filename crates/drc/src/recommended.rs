@@ -52,22 +52,36 @@ impl RecommendedDeck {
         for layer in tech.ruled_layers() {
             let r = tech.rules(layer);
             deck.push(
-                Rule::MinWidth { layer, value: r.min_width * 12 / 10 },
+                Rule::MinWidth {
+                    layer,
+                    value: r.min_width * 12 / 10,
+                },
                 1.0,
             );
             deck.push(
-                Rule::MinSpace { layer, value: r.min_space * 15 / 10 },
+                Rule::MinSpace {
+                    layer,
+                    value: r.min_space * 15 / 10,
+                },
                 2.0,
             );
         }
         for &via in dfm_layout::layers::VIAS {
             if let Some((below, above)) = dfm_layout::layers::via_connects(via) {
                 deck.push(
-                    Rule::Enclosure { inner: via, outer: below, value: tech.via_enclosure * 15 / 10 },
+                    Rule::Enclosure {
+                        inner: via,
+                        outer: below,
+                        value: tech.via_enclosure * 15 / 10,
+                    },
                     1.5,
                 );
                 deck.push(
-                    Rule::Enclosure { inner: via, outer: above, value: tech.via_enclosure * 15 / 10 },
+                    Rule::Enclosure {
+                        inner: via,
+                        outer: above,
+                        value: tech.via_enclosure * 15 / 10,
+                    },
                     1.5,
                 );
             }
@@ -101,9 +115,9 @@ impl RecommendedDeck {
 
 fn rule_sites(rule: &Rule, layout: &impl LayoutView) -> usize {
     match rule {
-        Rule::MinWidth { layer, .. } | Rule::MinSpace { layer, .. } | Rule::MinArea { layer, .. } => {
-            layout.layer_rects(*layer).len()
-        }
+        Rule::MinWidth { layer, .. }
+        | Rule::MinSpace { layer, .. }
+        | Rule::MinArea { layer, .. } => layout.layer_rects(*layer).len(),
         Rule::MinSpaceTo { from, .. } => layout.layer_rects(*from).len(),
         Rule::WideSpace { layer, .. } => layout.layer_rects(*layer).len(),
         Rule::Enclosure { inner, .. } => layout.layer_rects(*inner).len(),
@@ -178,7 +192,10 @@ mod tests {
         let mut lib = Library::new("t");
         let mut c = Cell::new("TOP");
         c.add_rect(layers::METAL1, Rect::new(0, 0, 4000, width));
-        c.add_rect(layers::METAL1, Rect::new(0, width + gap, 4000, 2 * width + gap));
+        c.add_rect(
+            layers::METAL1,
+            Rect::new(0, width + gap, 4000, 2 * width + gap),
+        );
         let id = lib.add_cell(c).expect("add");
         lib.flatten(id).expect("flatten")
     }

@@ -104,14 +104,27 @@ impl fmt::Display for Rule {
             Rule::MinWidth { layer, value } => write!(f, "min_width {layer} {value}"),
             Rule::MinSpace { layer, value } => write!(f, "min_space {layer} {value}"),
             Rule::MinSpaceTo { from, to, value } => write!(f, "space_to {from} {to} {value}"),
-            Rule::Enclosure { inner, outer, value } => {
+            Rule::Enclosure {
+                inner,
+                outer,
+                value,
+            } => {
                 write!(f, "enclosure {inner} {outer} {value}")
             }
             Rule::MinArea { layer, value } => write!(f, "min_area {layer} {value}"),
-            Rule::WideSpace { layer, wide_width, space } => {
+            Rule::WideSpace {
+                layer,
+                wide_width,
+                space,
+            } => {
                 write!(f, "wide_space {layer} {wide_width} {space}")
             }
-            Rule::Density { layer, window, min, max } => {
+            Rule::Density {
+                layer,
+                window,
+                min,
+                max,
+            } => {
                 write!(f, "density {layer} {window} {min} {max}")
             }
         }
@@ -129,7 +142,11 @@ pub struct ParseDeckError {
 
 impl fmt::Display for ParseDeckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "deck parse error on line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "deck parse error on line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -180,14 +197,31 @@ impl RuleDeck {
         let mut deck = RuleDeck::new();
         for layer in tech.ruled_layers() {
             let r = tech.rules(layer);
-            deck.push(Rule::MinWidth { layer, value: r.min_width });
-            deck.push(Rule::MinSpace { layer, value: r.min_space });
-            deck.push(Rule::MinArea { layer, value: r.min_area });
+            deck.push(Rule::MinWidth {
+                layer,
+                value: r.min_width,
+            });
+            deck.push(Rule::MinSpace {
+                layer,
+                value: r.min_space,
+            });
+            deck.push(Rule::MinArea {
+                layer,
+                value: r.min_area,
+            });
         }
         for &via in layers::VIAS {
             if let Some((below, above)) = layers::via_connects(via) {
-                deck.push(Rule::Enclosure { inner: via, outer: below, value: tech.via_enclosure });
-                deck.push(Rule::Enclosure { inner: via, outer: above, value: tech.via_enclosure });
+                deck.push(Rule::Enclosure {
+                    inner: via,
+                    outer: below,
+                    value: tech.via_enclosure,
+                });
+                deck.push(Rule::Enclosure {
+                    inner: via,
+                    outer: above,
+                    value: tech.via_enclosure,
+                });
             }
         }
         deck.push(Rule::Enclosure {
@@ -233,31 +267,46 @@ impl RuleDeck {
                 continue;
             }
             let tokens: Vec<&str> = line.split_whitespace().collect();
-            let err = |message: String| ParseDeckError { line: line_no, message };
+            let err = |message: String| ParseDeckError {
+                line: line_no,
+                message,
+            };
             let layer_of = |tok: &str| -> Result<Layer, ParseDeckError> {
                 parse_layer(tok).ok_or_else(|| err(format!("unknown layer {tok:?}")))
             };
             let int_of = |tok: &str| -> Result<i64, ParseDeckError> {
-                tok.parse::<i64>().map_err(|_| err(format!("bad integer {tok:?}")))
+                tok.parse::<i64>()
+                    .map_err(|_| err(format!("bad integer {tok:?}")))
             };
             let float_of = |tok: &str| -> Result<f64, ParseDeckError> {
-                tok.parse::<f64>().map_err(|_| err(format!("bad number {tok:?}")))
+                tok.parse::<f64>()
+                    .map_err(|_| err(format!("bad number {tok:?}")))
             };
             let need = |n: usize| -> Result<(), ParseDeckError> {
                 if tokens.len() == n {
                     Ok(())
                 } else {
-                    Err(err(format!("expected {} operands, got {}", n - 1, tokens.len() - 1)))
+                    Err(err(format!(
+                        "expected {} operands, got {}",
+                        n - 1,
+                        tokens.len() - 1
+                    )))
                 }
             };
             let rule = match tokens[0] {
                 "min_width" => {
                     need(3)?;
-                    Rule::MinWidth { layer: layer_of(tokens[1])?, value: int_of(tokens[2])? }
+                    Rule::MinWidth {
+                        layer: layer_of(tokens[1])?,
+                        value: int_of(tokens[2])?,
+                    }
                 }
                 "min_space" => {
                     need(3)?;
-                    Rule::MinSpace { layer: layer_of(tokens[1])?, value: int_of(tokens[2])? }
+                    Rule::MinSpace {
+                        layer: layer_of(tokens[1])?,
+                        value: int_of(tokens[2])?,
+                    }
                 }
                 "space_to" => {
                     need(4)?;
@@ -277,7 +326,10 @@ impl RuleDeck {
                 }
                 "min_area" => {
                     need(3)?;
-                    Rule::MinArea { layer: layer_of(tokens[1])?, value: int_of(tokens[2])? }
+                    Rule::MinArea {
+                        layer: layer_of(tokens[1])?,
+                        value: int_of(tokens[2])?,
+                    }
                 }
                 "wide_space" => {
                     need(4)?;
@@ -315,7 +367,9 @@ fn parse_layer(tok: &str) -> Option<Layer> {
 
 impl FromIterator<Rule> for RuleDeck {
     fn from_iter<I: IntoIterator<Item = Rule>>(iter: I) -> Self {
-        RuleDeck { rules: iter.into_iter().collect() }
+        RuleDeck {
+            rules: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -346,15 +400,25 @@ min_width 42/7 120
         assert_eq!(deck.len(), 8);
         assert_eq!(
             deck.rules()[0],
-            Rule::MinWidth { layer: layers::METAL1, value: 90 }
+            Rule::MinWidth {
+                layer: layers::METAL1,
+                value: 90
+            }
         );
         assert_eq!(
             deck.rules()[5],
-            Rule::WideSpace { layer: layers::METAL1, wide_width: 270, space: 135 }
+            Rule::WideSpace {
+                layer: layers::METAL1,
+                wide_width: 270,
+                space: 135
+            }
         );
         assert_eq!(
             deck.rules()[7],
-            Rule::MinWidth { layer: Layer::new(42, 7), value: 120 }
+            Rule::MinWidth {
+                layer: Layer::new(42, 7),
+                value: 120
+            }
         );
         // Re-parse the Display form.
         let text2: String = deck
@@ -401,11 +465,20 @@ min_width 42/7 120
     #[test]
     fn rule_ids_are_stable() {
         assert_eq!(
-            Rule::MinWidth { layer: layers::METAL1, value: 1 }.id(),
+            Rule::MinWidth {
+                layer: layers::METAL1,
+                value: 1
+            }
+            .id(),
             "METAL1.W"
         );
         assert_eq!(
-            Rule::Enclosure { inner: layers::VIA1, outer: layers::METAL2, value: 1 }.id(),
+            Rule::Enclosure {
+                inner: layers::VIA1,
+                outer: layers::METAL2,
+                value: 1
+            }
+            .id(),
             "VIA1.EN.METAL2"
         );
     }

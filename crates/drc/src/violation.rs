@@ -90,8 +90,7 @@ impl DrcReport {
     /// Clean rules emit no entry (the score spec's `drc.rule.*`
     /// wildcard governs whatever appears).
     pub fn score_metrics(&self) -> Vec<(String, f64)> {
-        let mut out =
-            vec![("drc.violations".to_string(), self.violation_count() as f64)];
+        let mut out = vec![("drc.violations".to_string(), self.violation_count() as f64)];
         for (rule, count) in self.counts() {
             out.push((format!("drc.rule.{rule}"), count as f64));
         }

@@ -7,14 +7,16 @@
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
 use dfm_drc::{
-    exterior_facing_pairs, interior_facing_pairs, spacing_violations, width_violations,
-    FacingPair, PairFragment,
+    exterior_facing_pairs, interior_facing_pairs, spacing_violations, width_violations, FacingPair,
+    PairFragment,
 };
 use dfm_geom::{Rect, Region};
 
 fn cfg() -> Config {
-    Config::with_cases(64)
-        .corpus(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/engine_properties.seeds"))
+    Config::with_cases(64).corpus(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/engine_properties.seeds"
+    ))
 }
 
 /// A lone rectangle's width violations fire exactly when either side
@@ -116,7 +118,12 @@ fn violations_are_localised() {
             let region = Region::from_rects(rects);
             let bbox = region.bbox();
             for (loc, _) in spacing_violations(&region, 60) {
-                prop_assert!(bbox.expanded(60).contains_rect(&loc), "{:?} outside {:?}", loc, bbox);
+                prop_assert!(
+                    bbox.expanded(60).contains_rect(&loc),
+                    "{:?} outside {:?}",
+                    loc,
+                    bbox
+                );
             }
             for (loc, _) in width_violations(&region, 60) {
                 prop_assert!(bbox.contains_rect(&loc));
@@ -150,9 +157,18 @@ fn brute_facing_pairs(region: &Region, value: i64, interior: bool) -> Vec<Facing
     let mut units: Vec<PairFragment> = Vec::new();
     for vertical in [true, false] {
         // `across` runs along the gap, `along` along the span.
-        let (across, along) =
-            if vertical { (b.x0..=b.x1, b.y0..b.y1) } else { (b.y0..=b.y1, b.x0..b.x1) };
-        let cell = |a: i64, s: i64| if vertical { covered(a, s) } else { covered(s, a) };
+        let (across, along) = if vertical {
+            (b.x0..=b.x1, b.y0..b.y1)
+        } else {
+            (b.y0..=b.y1, b.x0..b.x1)
+        };
+        let cell = |a: i64, s: i64| {
+            if vertical {
+                covered(a, s)
+            } else {
+                covered(s, a)
+            }
+        };
         for s in along {
             // Boundary positions in this row, with "interior on the far
             // side" (right, or up).
@@ -168,7 +184,13 @@ fn brute_facing_pairs(region: &Region, value: i64, interior: bool) -> Vec<Facing
                     }
                     if cell(lo + (hi - lo) / 2, s) == interior {
                         let (gap_lo, gap_hi, span_lo, span_hi) = (lo, hi, s, s + 1);
-                        units.push(PairFragment { vertical, gap_lo, gap_hi, span_lo, span_hi });
+                        units.push(PairFragment {
+                            vertical,
+                            gap_lo,
+                            gap_hi,
+                            span_lo,
+                            span_hi,
+                        });
                     }
                 }
             }
@@ -179,7 +201,8 @@ fn brute_facing_pairs(region: &Region, value: i64, interior: bool) -> Vec<Facing
     for u in units {
         match runs.last_mut() {
             Some(last)
-                if (last.vertical, last.gap_lo, last.gap_hi) == (u.vertical, u.gap_lo, u.gap_hi)
+                if (last.vertical, last.gap_lo, last.gap_hi)
+                    == (u.vertical, u.gap_lo, u.gap_hi)
                     && u.span_lo <= last.span_hi =>
             {
                 last.span_hi = last.span_hi.max(u.span_hi);
@@ -198,12 +221,17 @@ fn facing_pairs_match_the_brute_force_oracle() {
     check(
         "facing_pairs_match_the_brute_force_oracle",
         &cfg(),
-        &(dfm_check::vec((0i64..12, 0i64..12, 1i64..9, 1i64..9), 1..10), 1i64..30),
+        &(
+            dfm_check::vec((0i64..12, 0i64..12, 1i64..9, 1i64..9), 1..10),
+            1i64..30,
+        ),
         |case| {
             let (specs, value) = (&case.0, case.1);
-            let region = Region::from_rects(specs.iter().map(|&(x, y, w, h)| {
-                Rect::new(x * 3, y * 3, x * 3 + w * 2, y * 3 + h * 2)
-            }));
+            let region = Region::from_rects(
+                specs
+                    .iter()
+                    .map(|&(x, y, w, h)| Rect::new(x * 3, y * 3, x * 3 + w * 2, y * 3 + h * 2)),
+            );
             prop_assert_eq!(
                 interior_facing_pairs(&region, value),
                 brute_facing_pairs(&region, value, true),

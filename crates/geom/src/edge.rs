@@ -103,21 +103,41 @@ impl BoundaryEdges {
                 let yb = below_y1.expect("contiguous implies below exists");
                 // Top edges: covered below, uncovered above.
                 for iv in below.difference(above).iter() {
-                    horizontal.push(HEdge { y: yb, x0: iv.lo, x1: iv.hi, interior_up: false });
+                    horizontal.push(HEdge {
+                        y: yb,
+                        x0: iv.lo,
+                        x1: iv.hi,
+                        interior_up: false,
+                    });
                 }
                 // Bottom edges: covered above, uncovered below.
                 for iv in above.difference(below).iter() {
-                    horizontal.push(HEdge { y: yb, x0: iv.lo, x1: iv.hi, interior_up: true });
+                    horizontal.push(HEdge {
+                        y: yb,
+                        x0: iv.lo,
+                        x1: iv.hi,
+                        interior_up: true,
+                    });
                 }
             } else {
                 if let Some(yb) = below_y1 {
                     for iv in below.iter() {
-                        horizontal.push(HEdge { y: yb, x0: iv.lo, x1: iv.hi, interior_up: false });
+                        horizontal.push(HEdge {
+                            y: yb,
+                            x0: iv.lo,
+                            x1: iv.hi,
+                            interior_up: false,
+                        });
                     }
                 }
                 if let Some(ya) = y {
                     for iv in above.iter() {
-                        horizontal.push(HEdge { y: ya, x0: iv.lo, x1: iv.hi, interior_up: true });
+                        horizontal.push(HEdge {
+                            y: ya,
+                            x0: iv.lo,
+                            x1: iv.hi,
+                            interior_up: true,
+                        });
                     }
                 }
             }
@@ -126,14 +146,8 @@ impl BoundaryEdges {
             if i < n {
                 let s = &slabs[i];
                 for iv in s.xs.iter() {
-                    vfrag
-                        .entry((iv.lo, true))
-                        .or_default()
-                        .push((s.y0, s.y1));
-                    vfrag
-                        .entry((iv.hi, false))
-                        .or_default()
-                        .push((s.y0, s.y1));
+                    vfrag.entry((iv.lo, true)).or_default().push((s.y0, s.y1));
+                    vfrag.entry((iv.hi, false)).or_default().push((s.y0, s.y1));
                 }
             }
         }
@@ -148,20 +162,33 @@ impl BoundaryEdges {
                     Some(c) if c.1 == y0 => c.1 = y1,
                     _ => {
                         if let Some((a, b)) = cur.take() {
-                            vertical.push(VEdge { x, y0: a, y1: b, interior_right });
+                            vertical.push(VEdge {
+                                x,
+                                y0: a,
+                                y1: b,
+                                interior_right,
+                            });
                         }
                         cur = Some((y0, y1));
                     }
                 }
             }
             if let Some((a, b)) = cur {
-                vertical.push(VEdge { x, y0: a, y1: b, interior_right });
+                vertical.push(VEdge {
+                    x,
+                    y0: a,
+                    y1: b,
+                    interior_right,
+                });
             }
         }
 
         vertical.sort_unstable_by_key(|e| (e.x, e.y0, e.interior_right));
         horizontal.sort_unstable_by_key(|e| (e.y, e.x0, e.interior_up));
-        BoundaryEdges { vertical, horizontal }
+        BoundaryEdges {
+            vertical,
+            horizontal,
+        }
     }
 
     /// Total number of edges.

@@ -21,7 +21,10 @@ pub struct Interval {
 impl Interval {
     /// Creates an interval; operands may be given in either order.
     pub fn new(a: Coord, b: Coord) -> Self {
-        Interval { lo: a.min(b), hi: a.max(b) }
+        Interval {
+            lo: a.min(b),
+            hi: a.max(b),
+        }
     }
 
     /// Length of the interval (`hi - lo`, never negative).

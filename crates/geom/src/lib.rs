@@ -52,8 +52,8 @@ pub use interval::{Interval, IntervalSet};
 pub use point::{Point, Vector};
 pub use polygon::{Polygon, ValidatePolygonError};
 pub use rect::Rect;
-pub use tilegrid::TileGrid;
 pub use region::{BoolOp, Region};
+pub use tilegrid::TileGrid;
 pub use trace::boundary_loops;
 pub use transform::{Rotation, Transform};
 

@@ -60,7 +60,10 @@ impl Point {
 
     /// Returns this point as a vector from the origin.
     pub fn to_vector(self) -> Vector {
-        Vector { x: self.x, y: self.y }
+        Vector {
+            x: self.x,
+            y: self.y,
+        }
     }
 }
 

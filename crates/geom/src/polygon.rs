@@ -181,11 +181,15 @@ impl Polygon {
                 .map(|&(x, _, _)| x)
                 .collect();
             xs.sort_unstable();
-            let ivs = IntervalSet::from_intervals(
-                xs.chunks_exact(2).map(|c| Interval::new(c[0], c[1])),
-            );
+            let ivs =
+                IntervalSet::from_intervals(xs.chunks_exact(2).map(|c| Interval::new(c[0], c[1])));
             for iv in ivs.iter() {
-                rects.push(Rect { x0: iv.lo, y0: ylo, x1: iv.hi, y1: yhi });
+                rects.push(Rect {
+                    x0: iv.lo,
+                    y0: ylo,
+                    x1: iv.hi,
+                    y1: yhi,
+                });
             }
         }
         rects
@@ -275,7 +279,8 @@ mod tests {
                 Point::new(10, 10),
                 Point::new(0, 10),
             ]),
-            Err(ValidatePolygonError::NonManhattanEdge { .. } | ValidatePolygonError::CollinearVertex { .. })
+            Err(ValidatePolygonError::NonManhattanEdge { .. }
+                | ValidatePolygonError::CollinearVertex { .. })
         ));
     }
 

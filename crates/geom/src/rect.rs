@@ -55,9 +55,13 @@ impl Rect {
 
     /// The degenerate empty rectangle at the origin.
     pub const fn empty() -> Self {
-        Rect { x0: 0, y0: 0, x1: 0, y1: 0 }
+        Rect {
+            x0: 0,
+            y0: 0,
+            x1: 0,
+            y1: 0,
+        }
     }
-
 
     /// Width of the rectangle (`x1 - x0`).
     pub fn width(&self) -> Coord {

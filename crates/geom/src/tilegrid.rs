@@ -52,7 +52,13 @@ impl TileGrid {
                 (extent.height() + tile_h - 1) / tile_h,
             )
         };
-        TileGrid { extent, tile_w, tile_h, nx: nx as usize, ny: ny as usize }
+        TileGrid {
+            extent,
+            tile_w,
+            tile_h,
+            nx: nx as usize,
+            ny: ny as usize,
+        }
     }
 
     /// The partitioned extent.
@@ -137,7 +143,7 @@ impl TileGrid {
         if self.is_empty() || r.is_empty() {
             return Vec::new();
         }
-        let ix0 =(((r.x0 - self.extent.x0) / self.tile_w).max(0) as usize).min(self.nx - 1);
+        let ix0 = (((r.x0 - self.extent.x0) / self.tile_w).max(0) as usize).min(self.nx - 1);
         let ix1 = (((r.x1 - self.extent.x0) / self.tile_w).max(0) as usize).min(self.nx - 1);
         let iy0 = (((r.y0 - self.extent.y0) / self.tile_h).max(0) as usize).min(self.ny - 1);
         let iy1 = (((r.y1 - self.extent.y0) / self.tile_h).max(0) as usize).min(self.ny - 1);

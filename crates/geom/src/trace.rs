@@ -193,10 +193,7 @@ mod tests {
 
     #[test]
     fn separate_islands_trace_separately() {
-        let r = Region::from_rects([
-            Rect::new(0, 0, 10, 10),
-            Rect::new(100, 100, 120, 130),
-        ]);
+        let r = Region::from_rects([Rect::new(0, 0, 10, 10), Rect::new(100, 100, 120, 130)]);
         let loops = boundary_loops(&r);
         assert_eq!(loops.len(), 2);
         let total: i128 = loops.iter().map(signed_area).sum();
@@ -207,10 +204,7 @@ mod tests {
     fn corner_touching_squares_stay_simple() {
         // Two squares sharing only a corner: left-most-turn tracing must
         // produce two simple loops (not one figure-eight).
-        let r = Region::from_rects([
-            Rect::new(0, 0, 10, 10),
-            Rect::new(10, 10, 20, 20),
-        ]);
+        let r = Region::from_rects([Rect::new(0, 0, 10, 10), Rect::new(10, 10, 20, 20)]);
         let loops = boundary_loops(&r);
         assert_eq!(loops.len(), 2);
         for l in &loops {

@@ -85,7 +85,11 @@ pub struct Transform {
 impl Transform {
     /// Creates a transform from its parts.
     pub fn new(offset: Vector, rotation: Rotation, mirror_x: bool) -> Self {
-        Transform { offset, rotation, mirror_x }
+        Transform {
+            offset,
+            rotation,
+            mirror_x,
+        }
     }
 
     /// The identity transform.
@@ -95,7 +99,10 @@ impl Transform {
 
     /// A pure translation.
     pub fn translate(offset: Vector) -> Self {
-        Transform { offset, ..Default::default() }
+        Transform {
+            offset,
+            ..Default::default()
+        }
     }
 
     /// Applies the transform to a point.
@@ -141,24 +148,33 @@ impl Transform {
         } else {
             (inv_rot, false)
         };
-        let lin = Transform { offset: Vector::zero(), rotation, mirror_x };
+        let lin = Transform {
+            offset: Vector::zero(),
+            rotation,
+            mirror_x,
+        };
         let offset = -lin.linear_apply(self.offset);
-        Transform { offset, rotation, mirror_x }
+        Transform {
+            offset,
+            rotation,
+            mirror_x,
+        }
     }
 
     /// Applies only the linear (mirror+rotation) part to a vector.
     pub fn linear_apply(&self, v: Vector) -> Vector {
-        let v = if self.mirror_x { Vector::new(v.x, -v.y) } else { v };
+        let v = if self.mirror_x {
+            Vector::new(v.x, -v.y)
+        } else {
+            v
+        };
         self.rotation.apply(v)
     }
 }
 
 /// Composes two linear parts given as (rotation, mirror) pairs in
 /// mirror-first canonical form.
-fn compose_linear(
-    inner: (Rotation, bool),
-    outer: (Rotation, bool),
-) -> (Rotation, bool) {
+fn compose_linear(inner: (Rotation, bool), outer: (Rotation, bool)) -> (Rotation, bool) {
     let (r1, m1) = inner;
     let (r2, m2) = outer;
     // Group law in the dihedral group D4 with canonical form R^a M^b:
@@ -238,7 +254,11 @@ mod tests {
                         let t2 = Transform::new(Vector::new(-7, 3), r2, m2);
                         let c = t1.then(&t2);
                         for &p in &pts {
-                            assert_eq!(c.apply(p), t2.apply(t1.apply(p)), "m1={m1} m2={m2} r1={r1:?} r2={r2:?}");
+                            assert_eq!(
+                                c.apply(p),
+                                t2.apply(t1.apply(p)),
+                                "m1={m1} m2={m2} r1={r1:?} r2={r2:?}"
+                            );
                         }
                     }
                 }

@@ -10,9 +10,11 @@ fn cfg() -> Config {
 
 fn arb_region() -> impl Gen<Value = Region> {
     dfm_check::vec((-5i64..5, -5i64..5, 1i64..5, 1i64..5), 1..10).prop_map(|specs| {
-        Region::from_rects(specs.into_iter().map(|(x, y, w, h)| {
-            Rect::new(x * 40, y * 40, x * 40 + w * 40, y * 40 + h * 40)
-        }))
+        Region::from_rects(
+            specs
+                .into_iter()
+                .map(|(x, y, w, h)| Rect::new(x * 40, y * 40, x * 40 + w * 40, y * 40 + h * 40)),
+        )
     })
 }
 
@@ -20,12 +22,17 @@ fn arb_region() -> impl Gen<Value = Region> {
 /// (outer CCW loops positive, holes negative).
 #[test]
 fn loop_areas_reconstruct_region() {
-    check("loop_areas_reconstruct_region", &cfg(), &arb_region(), |r| {
-        let loops = boundary_loops(r);
-        let total: i128 = loops.iter().map(signed_area).sum();
-        prop_assert_eq!(total, r.area());
-        Ok(())
-    });
+    check(
+        "loop_areas_reconstruct_region",
+        &cfg(),
+        &arb_region(),
+        |r| {
+            let loops = boundary_loops(r);
+            let total: i128 = loops.iter().map(signed_area).sum();
+            prop_assert_eq!(total, r.area());
+            Ok(())
+        },
+    );
 }
 
 /// Loop perimeters sum to the region perimeter.

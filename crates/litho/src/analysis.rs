@@ -115,20 +115,40 @@ mod tests {
         let s = sim();
         let narrow = Region::from_rect(Rect::new(0, 0, 3000, 90));
         let wide = Region::from_rect(Rect::new(0, 0, 3000, 400));
-        let n_narrow = nils(&s, &narrow, Point::new(1500, 0), Vector::new(0, 1), 90, Condition::nominal())
-            .expect("narrow prints");
-        let n_wide = nils(&s, &wide, Point::new(1500, 0), Vector::new(0, 1), 400, Condition::nominal())
-            .expect("wide prints");
+        let n_narrow = nils(
+            &s,
+            &narrow,
+            Point::new(1500, 0),
+            Vector::new(0, 1),
+            90,
+            Condition::nominal(),
+        )
+        .expect("narrow prints");
+        let n_wide = nils(
+            &s,
+            &wide,
+            Point::new(1500, 0),
+            Vector::new(0, 1),
+            400,
+            Condition::nominal(),
+        )
+        .expect("wide prints");
         // Note both measure *their own* width; normalise per nm to compare
         // raw slopes instead.
-        assert!(n_narrow / 90.0 <= n_wide / 400.0 + 1e-3, "{n_narrow} vs {n_wide}");
+        assert!(
+            n_narrow / 90.0 <= n_wide / 400.0 + 1e-3,
+            "{n_narrow} vs {n_wide}"
+        );
     }
 
     #[test]
     fn meef_near_one_for_large_features() {
         let s = sim();
         let mask = Region::from_rect(Rect::new(0, 0, 3000, 400));
-        let cut = CutSpec { at: Point::new(1500, 200), axis: CutAxis::Vertical };
+        let cut = CutSpec {
+            at: Point::new(1500, 200),
+            axis: CutAxis::Vertical,
+        };
         let m = meef(&s, &mask, cut, 8, Condition::nominal()).expect("prints");
         assert!((0.5..1.6).contains(&m), "MEEF {m}");
     }
@@ -138,8 +158,14 @@ mod tests {
         let s = sim();
         let big = Region::from_rect(Rect::new(0, 0, 3000, 400));
         let small = Region::from_rect(Rect::new(0, 0, 3000, 80));
-        let cut_big = CutSpec { at: Point::new(1500, 200), axis: CutAxis::Vertical };
-        let cut_small = CutSpec { at: Point::new(1500, 40), axis: CutAxis::Vertical };
+        let cut_big = CutSpec {
+            at: Point::new(1500, 200),
+            axis: CutAxis::Vertical,
+        };
+        let cut_small = CutSpec {
+            at: Point::new(1500, 40),
+            axis: CutAxis::Vertical,
+        };
         let m_big = meef(&s, &big, cut_big, 8, Condition::nominal()).expect("big prints");
         let m_small = meef(&s, &small, cut_small, 8, Condition::nominal()).expect("small prints");
         assert!(

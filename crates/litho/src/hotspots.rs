@@ -132,11 +132,13 @@ mod tests {
     #[test]
     fn clean_wide_layout_has_no_hotspots() {
         let s = sim();
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 3000, 270),
-            Rect::new(0, 540, 3000, 810),
-        ]);
-        let hs = find_hotspots(&s, &drawn, Condition::nominal(), HotspotParams::for_min_width(90));
+        let drawn = Region::from_rects([Rect::new(0, 0, 3000, 270), Rect::new(0, 540, 3000, 810)]);
+        let hs = find_hotspots(
+            &s,
+            &drawn,
+            Condition::nominal(),
+            HotspotParams::for_min_width(90),
+        );
         assert!(hs.is_empty(), "unexpected hotspots: {hs:?}");
     }
 
@@ -149,7 +151,12 @@ mod tests {
             Rect::new(600, 280, 1400, 320),
             Rect::new(1400, 0, 2000, 600),
         ]);
-        let hs = find_hotspots(&s, &drawn, Condition::nominal(), HotspotParams::for_min_width(90));
+        let hs = find_hotspots(
+            &s,
+            &drawn,
+            Condition::nominal(),
+            HotspotParams::for_min_width(90),
+        );
         assert!(
             hs.iter().any(|h| h.kind == HotspotKind::Pinch
                 && h.location.overlaps(&Rect::new(600, 280, 1400, 320))),
@@ -161,14 +168,17 @@ mod tests {
     fn narrow_gap_reports_bridge() {
         let s = sim();
         // Two fat plates with a 35 nm slot between them.
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 2000, 500),
-            Rect::new(0, 535, 2000, 1000),
-        ]);
-        let hs = find_hotspots(&s, &drawn, Condition::nominal(), HotspotParams::for_min_width(90));
+        let drawn = Region::from_rects([Rect::new(0, 0, 2000, 500), Rect::new(0, 535, 2000, 1000)]);
+        let hs = find_hotspots(
+            &s,
+            &drawn,
+            Condition::nominal(),
+            HotspotParams::for_min_width(90),
+        );
         assert!(
-            hs.iter().any(|h| h.kind == HotspotKind::Bridge
-                && h.location.contains(Point::new(1000, 517))),
+            hs.iter().any(
+                |h| h.kind == HotspotKind::Bridge && h.location.contains(Point::new(1000, 517))
+            ),
             "expected a bridge in the slot, got {hs:?}"
         );
     }
@@ -182,7 +192,10 @@ mod tests {
         let p = HotspotParams::for_min_width(75);
         let nominal = find_hotspots(&s, &drawn, Condition::nominal(), p);
         let defocused = find_hotspots(&s, &drawn, Condition::with_defocus(200.0), p);
-        assert!(nominal.is_empty(), "unexpected nominal hotspots: {nominal:?}");
+        assert!(
+            nominal.is_empty(),
+            "unexpected nominal hotspots: {nominal:?}"
+        );
         assert!(
             defocused.iter().any(|h| h.kind == HotspotKind::Pinch),
             "expected the line to break under defocus, got {defocused:?}"
@@ -198,7 +211,12 @@ mod tests {
             Rect::new(1200, 0, 1800, 600),
             Rect::new(0, 700, 1800, 735), // long thin wire: huge pinch
         ]);
-        let hs = find_hotspots(&s, &drawn, Condition::nominal(), HotspotParams::for_min_width(90));
+        let hs = find_hotspots(
+            &s,
+            &drawn,
+            Condition::nominal(),
+            HotspotParams::for_min_width(90),
+        );
         for w in hs.windows(2) {
             assert!(w[0].severity >= w[1].severity);
         }

@@ -97,7 +97,11 @@ pub fn edge_placement_errors(
         let n = ((e.len() + spacing - 1) / spacing).max(1);
         for k in 0..n {
             let y = e.y0 + (2 * k + 1) * e.len() / (2 * n);
-            let inward = if e.interior_right { probe_depth } else { -probe_depth };
+            let inward = if e.interior_right {
+                probe_depth
+            } else {
+                -probe_depth
+            };
             let probe_x = e.x + inward;
             let ivs = x_intervals_at(printed, y);
             let epe = ivs.iter().find(|iv| iv.contains(probe_x)).map(|iv| {
@@ -109,14 +113,21 @@ pub fn edge_placement_errors(
                     printed_edge - e.x
                 }
             });
-            out.push(EpeSample { at: Point::new(e.x, y), epe });
+            out.push(EpeSample {
+                at: Point::new(e.x, y),
+                epe,
+            });
         }
     }
     for e in &edges.horizontal {
         let n = ((e.len() + spacing - 1) / spacing).max(1);
         for k in 0..n {
             let x = e.x0 + (2 * k + 1) * e.len() / (2 * n);
-            let inward = if e.interior_up { probe_depth } else { -probe_depth };
+            let inward = if e.interior_up {
+                probe_depth
+            } else {
+                -probe_depth
+            };
             let probe_y = e.y + inward;
             let ivs = y_intervals_at(printed, x);
             let epe = ivs.iter().find(|iv| iv.contains(probe_y)).map(|iv| {
@@ -127,7 +138,10 @@ pub fn edge_placement_errors(
                     printed_edge - e.y
                 }
             });
-            out.push(EpeSample { at: Point::new(x, e.y), epe });
+            out.push(EpeSample {
+                at: Point::new(x, e.y),
+                epe,
+            });
         }
     }
     out
@@ -150,7 +164,10 @@ pub struct EpeSummary {
 
 /// Aggregates EPE samples into summary statistics.
 pub fn summarize_epe(samples: &[EpeSample]) -> EpeSummary {
-    let mut s = EpeSummary { samples: samples.len(), ..Default::default() };
+    let mut s = EpeSummary {
+        samples: samples.len(),
+        ..Default::default()
+    };
     let mut sum = 0.0;
     let mut sum2 = 0.0;
     let mut n = 0usize;
@@ -179,10 +196,7 @@ mod tests {
 
     #[test]
     fn cd_measurements() {
-        let region = Region::from_rects([
-            Rect::new(0, 0, 100, 50),
-            Rect::new(200, 0, 260, 50),
-        ]);
+        let region = Region::from_rects([Rect::new(0, 0, 100, 50), Rect::new(200, 0, 260, 50)]);
         assert_eq!(cd_horizontal(&region, Point::new(50, 25)), Some(100));
         assert_eq!(cd_horizontal(&region, Point::new(220, 25)), Some(60));
         assert_eq!(cd_horizontal(&region, Point::new(150, 25)), None);
@@ -193,10 +207,7 @@ mod tests {
     fn x_intervals_merge_split_rects() {
         // Region normalisation may split one bar into several rects; the
         // cut must still see one interval.
-        let region = Region::from_rects([
-            Rect::new(0, 0, 100, 100),
-            Rect::new(100, 0, 200, 50),
-        ]);
+        let region = Region::from_rects([Rect::new(0, 0, 100, 100), Rect::new(100, 0, 200, 50)]);
         let ivs = x_intervals_at(&region, 25);
         assert_eq!(ivs.len(), 1);
         assert_eq!((ivs[0].lo, ivs[0].hi), (0, 200));
@@ -243,9 +254,18 @@ mod tests {
     #[test]
     fn summary_statistics() {
         let samples = vec![
-            EpeSample { at: Point::new(0, 0), epe: Some(3) },
-            EpeSample { at: Point::new(1, 0), epe: Some(-4) },
-            EpeSample { at: Point::new(2, 0), epe: None },
+            EpeSample {
+                at: Point::new(0, 0),
+                epe: Some(3),
+            },
+            EpeSample {
+                at: Point::new(1, 0),
+                epe: Some(-4),
+            },
+            EpeSample {
+                at: Point::new(2, 0),
+                epe: None,
+            },
         ];
         let s = summarize_epe(&samples);
         assert_eq!(s.samples, 3);

@@ -74,7 +74,10 @@ impl OpticalModel {
     /// Returns this model with a difference-of-Gaussians ring added
     /// (side-lobe physics; see [`OpticalModel::ring_weight`]).
     pub fn with_ring(mut self, weight: f64, sigma_factor: f64) -> Self {
-        assert!((0.0..0.5).contains(&weight), "ring weight must be in [0, 0.5)");
+        assert!(
+            (0.0..0.5).contains(&weight),
+            "ring weight must be in [0, 0.5)"
+        );
         assert!(sigma_factor > 1.0, "ring must be wider than the core");
         self.ring_weight = weight;
         self.ring_sigma_factor = sigma_factor;
@@ -107,17 +110,26 @@ pub struct Condition {
 impl Condition {
     /// Nominal exposure: dose 1.0, best focus.
     pub fn nominal() -> Self {
-        Condition { dose: 1.0, defocus_nm: 0.0 }
+        Condition {
+            dose: 1.0,
+            defocus_nm: 0.0,
+        }
     }
 
     /// A condition with the given dose at best focus.
     pub fn with_dose(dose: f64) -> Self {
-        Condition { dose, defocus_nm: 0.0 }
+        Condition {
+            dose,
+            defocus_nm: 0.0,
+        }
     }
 
     /// A condition with nominal dose at the given defocus.
     pub fn with_defocus(defocus_nm: f64) -> Self {
-        Condition { dose: 1.0, defocus_nm }
+        Condition {
+            dose: 1.0,
+            defocus_nm,
+        }
     }
 
     /// The standard process-corner set used for PV-bands: nominal, dose
@@ -126,11 +138,26 @@ impl Condition {
         let d = dose_pct;
         vec![
             Condition::nominal(),
-            Condition { dose: 1.0 + d, defocus_nm: 0.0 },
-            Condition { dose: 1.0 - d, defocus_nm: 0.0 },
-            Condition { dose: 1.0, defocus_nm },
-            Condition { dose: 1.0 + d, defocus_nm },
-            Condition { dose: 1.0 - d, defocus_nm },
+            Condition {
+                dose: 1.0 + d,
+                defocus_nm: 0.0,
+            },
+            Condition {
+                dose: 1.0 - d,
+                defocus_nm: 0.0,
+            },
+            Condition {
+                dose: 1.0,
+                defocus_nm,
+            },
+            Condition {
+                dose: 1.0 + d,
+                defocus_nm,
+            },
+            Condition {
+                dose: 1.0 - d,
+                defocus_nm,
+            },
         ]
     }
 }

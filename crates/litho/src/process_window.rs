@@ -59,7 +59,10 @@ pub fn bossung(
             let threshold = sim.resist_threshold / dose.max(1e-12);
             let printed = raster.threshold_region(threshold).clipped(window);
             out.push(BossungPoint {
-                condition: Condition { dose, defocus_nm: defocus },
+                condition: Condition {
+                    dose,
+                    defocus_nm: defocus,
+                },
                 cd: cut.measure(&printed),
             });
         }
@@ -78,8 +81,7 @@ pub fn process_window_fraction(points: &[BossungPoint], target: Coord, tol_frac:
     let ok = points
         .iter()
         .filter(|p| {
-            p.cd
-                .map(|cd| ((cd - target) as f64).abs() <= tol)
+            p.cd.map(|cd| ((cd - target) as f64).abs() <= tol)
                 .unwrap_or(false)
         })
         .count();
@@ -95,10 +97,9 @@ pub fn depth_of_focus(points: &[BossungPoint], target: Coord, tol_frac: f64) -> 
         .iter()
         .filter(|p| (p.condition.dose - 1.0).abs() < 1e-9)
         .map(|p| {
-            let ok = p
-                .cd
-                .map(|cd| ((cd - target) as f64).abs() <= tol)
-                .unwrap_or(false);
+            let ok =
+                p.cd.map(|cd| ((cd - target) as f64).abs() <= tol)
+                    .unwrap_or(false);
             (p.condition.defocus_nm, ok)
         })
         .collect();
@@ -159,7 +160,10 @@ mod tests {
     }
 
     fn cut() -> CutSpec {
-        CutSpec { at: Point::new(1000, 60), axis: CutAxis::Vertical }
+        CutSpec {
+            at: Point::new(1000, 60),
+            axis: CutAxis::Vertical,
+        }
     }
 
     #[test]

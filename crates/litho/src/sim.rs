@@ -24,7 +24,11 @@ pub struct LithoSimulator {
 impl LithoSimulator {
     /// Creates a simulator from explicit parts.
     pub fn new(optics: OpticalModel, resist_threshold: f64, pixel_nm: Coord) -> Self {
-        LithoSimulator { optics, resist_threshold, pixel_nm }
+        LithoSimulator {
+            optics,
+            resist_threshold,
+            pixel_nm,
+        }
     }
 
     /// A simulator tuned so that features of `min_feature_nm` are near the
@@ -139,10 +143,7 @@ impl LithoSimulator {
                 let window = Rect::new(x, y, x1, y1);
                 // Skip tiles with no geometry in reach.
                 if !mask.clipped(window.expanded(halo)).is_empty() {
-                    pieces.extend(
-                        self.printed_in_window(mask, window, cond)
-                            .into_rects(),
-                    );
+                    pieces.extend(self.printed_in_window(mask, window, cond).into_rects());
                 }
                 x = x1;
             }
@@ -204,10 +205,26 @@ impl LithoSimulator {
         let halo = self.halo_nm(cond);
         let core = view.core();
         let window = Rect::new(
-            if core.x0 == extent.x0 { core.x0 - halo } else { core.x0 },
-            if core.y0 == extent.y0 { core.y0 - halo } else { core.y0 },
-            if core.x1 == extent.x1 { core.x1 + halo } else { core.x1 },
-            if core.y1 == extent.y1 { core.y1 + halo } else { core.y1 },
+            if core.x0 == extent.x0 {
+                core.x0 - halo
+            } else {
+                core.x0
+            },
+            if core.y0 == extent.y0 {
+                core.y0 - halo
+            } else {
+                core.y0
+            },
+            if core.x1 == extent.x1 {
+                core.x1 + halo
+            } else {
+                core.x1
+            },
+            if core.y1 == extent.y1 {
+                core.y1 + halo
+            } else {
+                core.y1
+            },
         );
         let Some(mask) = view.region_ref(layer) else {
             return Vec::new();
@@ -274,10 +291,7 @@ mod tests {
     fn sub_resolution_gap_bridges() {
         let sim = sim();
         // Two wide pads separated by a 30 nm slot: the slot fills in.
-        let mask = Region::from_rects([
-            Rect::new(0, 0, 2000, 400),
-            Rect::new(0, 430, 2000, 830),
-        ]);
+        let mask = Region::from_rects([Rect::new(0, 0, 2000, 400), Rect::new(0, 430, 2000, 830)]);
         let printed = sim.printed(&mask, Condition::nominal());
         assert!(
             printed.contains_point(Point::new(1000, 415)),
@@ -309,10 +323,7 @@ mod tests {
     fn corner_rounding_cuts_outside_corner() {
         let sim = sim();
         // L-shape: the convex corner region prints rounded (missing).
-        let mask = Region::from_rects([
-            Rect::new(0, 0, 1000, 200),
-            Rect::new(0, 0, 200, 1000),
-        ]);
+        let mask = Region::from_rects([Rect::new(0, 0, 1000, 200), Rect::new(0, 0, 200, 1000)]);
         let printed = sim.printed(&mask, Condition::nominal());
         // Far interior prints.
         assert!(printed.contains_point(Point::new(500, 100)));
@@ -359,7 +370,10 @@ mod tests {
         let cond = Condition::nominal();
         let window = mask.bbox().expanded(sim.halo_nm(cond));
         let whole = sim.printed_in_window(&mask, window, cond);
-        let (sx, sy) = (window.x0 + 7 * window.width() / 16, window.y0 + window.height() / 3);
+        let (sx, sy) = (
+            window.x0 + 7 * window.width() / 16,
+            window.y0 + window.height() / 3,
+        );
         let quads = [
             Rect::new(window.x0, window.y0, sx, sy),
             Rect::new(sx, window.y0, window.x1, sy),
@@ -376,9 +390,10 @@ mod tests {
 
     /// The service's per-tile halves in a plain loop over tiles.
     fn print_tiles(sim: &LithoSimulator, layout: &TiledLayout, cond: Condition) -> Region {
-        merge_printed_pieces((0..layout.tile_count()).map(|i| {
-            sim.printed_tile_piece(layout, dfm_layout::layers::METAL1, cond, i)
-        }))
+        merge_printed_pieces(
+            (0..layout.tile_count())
+                .map(|i| sim.printed_tile_piece(layout, dfm_layout::layers::METAL1, cond, i)),
+        )
     }
 
     #[test]

@@ -11,9 +11,11 @@ fn cfg() -> Config {
 
 fn arb_mask() -> impl Gen<Value = Region> {
     dfm_check::vec((0i64..8, 0i64..8, 1i64..6, 1i64..6), 1..6).prop_map(|specs| {
-        Region::from_rects(specs.into_iter().map(|(x, y, w, h)| {
-            Rect::new(x * 200, y * 200, x * 200 + w * 80, y * 200 + h * 80)
-        }))
+        Region::from_rects(
+            specs.into_iter().map(|(x, y, w, h)| {
+                Rect::new(x * 200, y * 200, x * 200 + w * 80, y * 200 + h * 80)
+            }),
+        )
     })
 }
 
