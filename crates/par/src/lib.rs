@@ -8,8 +8,8 @@
 //! whose results are combined in input order regardless of completion
 //! order. The fork-join regions left are the ones that pay on a 2-core
 //! host when a flat caller enters them at top level: the per-rule DRC
-//! map, the litho raster bands, the pattern anchor scan, post-litho
-//! timing extraction and the Monte-Carlo critical-area seed fan-outs.
+//! map, the pattern anchor scan, post-litho timing extraction and the
+//! Monte-Carlo critical-area seed fan-outs.
 //!
 //! The contract has two halves, one provided here and one owed by the
 //! caller:

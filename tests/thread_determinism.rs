@@ -6,9 +6,10 @@
 //!
 //! Every kept fork region (see `dfm-par`) has a thread-count test:
 //!
-//! * the litho raster bands and the pattern anchor scan — E4 here
-//!   (raster/blur passes, hotspot detection, the matcher scan), plus
-//!   `dfm-litho`'s `rasterize_identical_across_thread_counts`;
+//! * the pattern anchor scan — E4 here (hotspot detection, the matcher
+//!   scan; E4's raster and blur passes are plain loops, and `dfm-litho`'s
+//!   `rasterize_identical_across_thread_counts` keeps them independent
+//!   of `DFM_THREADS`);
 //! * the Monte-Carlo critical-area seed fan-outs — E12 here, plus
 //!   `dfm-yield`'s `estimate_identical_across_thread_counts`;
 //! * the per-rule map of the flat `DrcEngine::run` — `dfm-drc`'s
