@@ -89,12 +89,20 @@ pub struct CellRef {
 impl CellRef {
     /// A single placement of `cell` under `transform`.
     pub fn new(cell: impl Into<String>, transform: Transform) -> Self {
-        CellRef { cell: cell.into(), transform, array: None }
+        CellRef {
+            cell: cell.into(),
+            transform,
+            array: None,
+        }
     }
 
     /// An arrayed placement.
     pub fn array(cell: impl Into<String>, transform: Transform, array: ArrayParams) -> Self {
-        CellRef { cell: cell.into(), transform, array: Some(array) }
+        CellRef {
+            cell: cell.into(),
+            transform,
+            array: Some(array),
+        }
     }
 
     /// Iterates over the effective transforms of every instance in the
@@ -166,7 +174,10 @@ pub struct Cell {
 impl Cell {
     /// Creates an empty cell with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        Cell { name: name.into(), ..Default::default() }
+        Cell {
+            name: name.into(),
+            ..Default::default()
+        }
     }
 
     /// Adds a shape on a layer.
@@ -290,7 +301,12 @@ mod tests {
         let r = CellRef::array(
             "A",
             Transform::translate(Vector::new(100, 200)),
-            ArrayParams { cols: 3, rows: 2, col_pitch: 10, row_pitch: 20 },
+            ArrayParams {
+                cols: 3,
+                rows: 2,
+                col_pitch: 10,
+                row_pitch: 20,
+            },
         );
         let ts = r.instance_transforms();
         assert_eq!(ts.len(), 6);
@@ -304,7 +320,12 @@ mod tests {
         let r = CellRef::array(
             "A",
             Transform::new(Vector::zero(), Rotation::R90, false),
-            ArrayParams { cols: 2, rows: 1, col_pitch: 10, row_pitch: 0 },
+            ArrayParams {
+                cols: 2,
+                rows: 1,
+                col_pitch: 10,
+                row_pitch: 0,
+            },
         );
         let ts = r.instance_transforms();
         // Column axis rotated 90°: step (10,0) becomes (0,10).

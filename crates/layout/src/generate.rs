@@ -127,22 +127,39 @@ pub fn routed_block(tech: &Technology, params: RoutedBlockParams, seed: u64) -> 
     for t in 0..n1 {
         let y = t * p1 + p1 / 2;
         for (lo, hi) in fill_track(&mut rng, x_slots, params.m1_fill, p2) {
-            let half = if rng.f64() < params.wide_prob { w1 } else { w1 / 2 };
-            let jog = rng.f64() < params.jog_prob
-                && hi - lo >= 4 * p2
-                && t + 1 < n1;
+            let half = if rng.f64() < params.wide_prob {
+                w1
+            } else {
+                w1 / 2
+            };
+            let jog = rng.f64() < params.jog_prob && hi - lo >= 4 * p2 && t + 1 < n1;
             if jog {
                 let mid = lo + ((hi - lo) / (2 * p2)) * p2;
                 let y2 = (t + 1) * p1 + p1 / 2;
-                m1_spans.push(Span { center: y, lo, hi: mid, half });
-                m1_spans.push(Span { center: y2, lo: mid, hi, half });
+                m1_spans.push(Span {
+                    center: y,
+                    lo,
+                    hi: mid,
+                    half,
+                });
+                m1_spans.push(Span {
+                    center: y2,
+                    lo: mid,
+                    hi,
+                    half,
+                });
                 // Vertical jog connector (drawn directly, not a via site).
                 cell.add_rect(
                     layers::METAL1,
                     Rect::new(mid - half, y - half, mid + half, y2 + half),
                 );
             } else {
-                m1_spans.push(Span { center: y, lo, hi, half });
+                m1_spans.push(Span {
+                    center: y,
+                    lo,
+                    hi,
+                    half,
+                });
             }
         }
     }
@@ -153,16 +170,31 @@ pub fn routed_block(tech: &Technology, params: RoutedBlockParams, seed: u64) -> 
     for t in 1..n2 {
         let x = t * p2;
         for (lo, hi) in fill_track(&mut rng, y_slots, params.m2_fill, p1) {
-            let half = if rng.f64() < params.wide_prob { w2 } else { w2 / 2 };
-            m2_spans.push(Span { center: x, lo, hi, half });
+            let half = if rng.f64() < params.wide_prob {
+                w2
+            } else {
+                w2 / 2
+            };
+            m2_spans.push(Span {
+                center: x,
+                lo,
+                hi,
+                half,
+            });
         }
     }
 
     for s in &m1_spans {
-        cell.add_rect(layers::METAL1, Rect::new(s.lo, s.center - s.half, s.hi, s.center + s.half));
+        cell.add_rect(
+            layers::METAL1,
+            Rect::new(s.lo, s.center - s.half, s.hi, s.center + s.half),
+        );
     }
     for s in &m2_spans {
-        cell.add_rect(layers::METAL2, Rect::new(s.center - s.half, s.lo, s.center + s.half, s.lo.max(s.hi)));
+        cell.add_rect(
+            layers::METAL2,
+            Rect::new(s.center - s.half, s.lo, s.center + s.half, s.lo.max(s.hi)),
+        );
     }
 
     // Vias at drawn-span crossings where the landing pad fits entirely
@@ -207,12 +239,21 @@ fn build_std_cells(tech: &Technology, lib: &mut Library) {
         c.add_rect(layers::METAL1, Rect::new(0, 0, w, m1w * 2));
         c.add_rect(layers::METAL1, Rect::new(0, h - m1w * 2, w, h));
         // Active regions (p over n).
-        c.add_rect(layers::ACTIVE, Rect::new(gp / 2, h / 8, w - gp / 2, h * 3 / 8));
-        c.add_rect(layers::ACTIVE, Rect::new(gp / 2, h * 5 / 8, w - gp / 2, h * 7 / 8));
+        c.add_rect(
+            layers::ACTIVE,
+            Rect::new(gp / 2, h / 8, w - gp / 2, h * 3 / 8),
+        );
+        c.add_rect(
+            layers::ACTIVE,
+            Rect::new(gp / 2, h * 5 / 8, w - gp / 2, h * 7 / 8),
+        );
         for g in 0..gates {
             let x = gp + g * gp;
             // Poly gate crossing both actives.
-            c.add_rect(layers::POLY, Rect::new(x - pw / 2, h / 16, x + pw / 2, h * 15 / 16));
+            c.add_rect(
+                layers::POLY,
+                Rect::new(x - pw / 2, h / 16, x + pw / 2, h * 15 / 16),
+            );
             // Gate contact landing.
             c.add_rect(
                 layers::POLY,
@@ -224,14 +265,21 @@ fn build_std_cells(tech: &Technology, lib: &mut Library) {
             );
             c.add_rect(
                 layers::METAL1,
-                Rect::centered_at(Point::new(x, h / 2), cs + 2 * tech.via_enclosure, cs + 2 * tech.via_enclosure),
+                Rect::centered_at(
+                    Point::new(x, h / 2),
+                    cs + 2 * tech.via_enclosure,
+                    cs + 2 * tech.via_enclosure,
+                ),
             );
         }
         // Source/drain contacts between gates.
         for g in 0..=gates {
             let x = gp / 2 + g * gp;
             for yc in [h / 4, h * 3 / 4] {
-                c.add_rect(layers::CONTACT, Rect::centered_at(Point::new(x, yc), cs, cs));
+                c.add_rect(
+                    layers::CONTACT,
+                    Rect::centered_at(Point::new(x, yc), cs, cs),
+                );
                 c.add_rect(
                     layers::METAL1,
                     Rect::centered_at(
@@ -303,7 +351,10 @@ pub fn standard_cell_block(tech: &Technology, rows: usize, row_width: i64, seed:
 pub fn via_chain(tech: &Technology, n: usize) -> Library {
     let mut cell = Cell::new("VIACHAIN");
     let step = tech.via_size + tech.via_space + 2 * tech.via_enclosure;
-    let m1w = tech.rules(layers::METAL1).min_width.max(tech.via_size + 2 * tech.via_enclosure);
+    let m1w = tech
+        .rules(layers::METAL1)
+        .min_width
+        .max(tech.via_size + 2 * tech.via_enclosure);
     for i in 0..n as i64 {
         let x = i * step * 2;
         let c1 = Point::new(x, 0);
@@ -343,13 +394,28 @@ pub fn sram_array(tech: &Technology, rows: u16, cols: u16) -> Library {
     let ch = tech.cell_height / 2; // bitcell height
 
     let mut bit = Cell::new("BITCELL");
-    bit.add_rect(layers::ACTIVE, Rect::new(cw / 8, ch / 8, cw * 3 / 8, ch * 7 / 8));
-    bit.add_rect(layers::ACTIVE, Rect::new(cw * 5 / 8, ch / 8, cw * 7 / 8, ch * 7 / 8));
+    bit.add_rect(
+        layers::ACTIVE,
+        Rect::new(cw / 8, ch / 8, cw * 3 / 8, ch * 7 / 8),
+    );
+    bit.add_rect(
+        layers::ACTIVE,
+        Rect::new(cw * 5 / 8, ch / 8, cw * 7 / 8, ch * 7 / 8),
+    );
     // Two horizontal poly wordline fingers.
-    bit.add_rect(layers::POLY, Rect::new(0, ch / 4 - pw / 2, cw, ch / 4 + pw / 2));
-    bit.add_rect(layers::POLY, Rect::new(0, ch * 3 / 4 - pw / 2, cw, ch * 3 / 4 + pw / 2));
+    bit.add_rect(
+        layers::POLY,
+        Rect::new(0, ch / 4 - pw / 2, cw, ch / 4 + pw / 2),
+    );
+    bit.add_rect(
+        layers::POLY,
+        Rect::new(0, ch * 3 / 4 - pw / 2, cw, ch * 3 / 4 + pw / 2),
+    );
     // Bitline metal.
-    bit.add_rect(layers::METAL1, Rect::new(cw / 4 - m1w / 2, 0, cw / 4 + m1w / 2, ch));
+    bit.add_rect(
+        layers::METAL1,
+        Rect::new(cw / 4 - m1w / 2, 0, cw / 4 + m1w / 2, ch),
+    );
     bit.add_rect(
         layers::METAL1,
         Rect::new(cw * 3 / 4 - m1w / 2, 0, cw * 3 / 4 + m1w / 2, ch),
@@ -398,7 +464,10 @@ pub fn litho_test_patterns(tech: &Technology) -> Library {
     for mult in 2..=5i64 {
         let pitch = w * mult;
         for i in 0..7i64 {
-            cell.add_rect(layers::METAL1, Rect::new(0, y + i * pitch, len, y + i * pitch + w));
+            cell.add_rect(
+                layers::METAL1,
+                Rect::new(0, y + i * pitch, len, y + i * pitch + w),
+            );
         }
         cell.add_label(Label {
             layer: layers::MARKER,
@@ -458,8 +527,14 @@ mod tests {
         let b = routed_block(&tech, RoutedBlockParams::default(), 7);
         let fa = a.flatten(a.top().expect("top")).expect("flatten");
         let fb = b.flatten(b.top().expect("top")).expect("flatten");
-        assert_eq!(fa.region(layers::METAL1).area(), fb.region(layers::METAL1).area());
-        assert_eq!(fa.region(layers::VIA1).rect_count(), fb.region(layers::VIA1).rect_count());
+        assert_eq!(
+            fa.region(layers::METAL1).area(),
+            fb.region(layers::METAL1).area()
+        );
+        assert_eq!(
+            fa.region(layers::VIA1).rect_count(),
+            fb.region(layers::VIA1).rect_count()
+        );
     }
 
     #[test]
@@ -469,7 +544,10 @@ mod tests {
         let b = routed_block(&tech, RoutedBlockParams::default(), 2);
         let fa = a.flatten(a.top().expect("top")).expect("flatten");
         let fb = b.flatten(b.top().expect("top")).expect("flatten");
-        assert_ne!(fa.region(layers::METAL1).area(), fb.region(layers::METAL1).area());
+        assert_ne!(
+            fa.region(layers::METAL1).area(),
+            fb.region(layers::METAL1).area()
+        );
     }
 
     #[test]
@@ -492,8 +570,14 @@ mod tests {
         for via in flat.region(layers::VIA1).rects() {
             let pad = via.expanded(tech.via_enclosure);
             let pad_region = dfm_geom::Region::from_rect(pad);
-            assert!(pad_region.difference(&m1).is_empty(), "via {via:?} not enclosed by M1");
-            assert!(pad_region.difference(&m2).is_empty(), "via {via:?} not enclosed by M2");
+            assert!(
+                pad_region.difference(&m1).is_empty(),
+                "via {via:?} not enclosed by M1"
+            );
+            assert!(
+                pad_region.difference(&m2).is_empty(),
+                "via {via:?} not enclosed by M2"
+            );
         }
     }
 

@@ -26,10 +26,7 @@ impl Layer {
     /// A human-readable name for the standard workspace layers, or `None`
     /// for non-standard layers.
     pub fn name(&self) -> Option<&'static str> {
-        layers::ALL
-            .iter()
-            .find(|(l, _)| l == self)
-            .map(|(_, n)| *n)
+        layers::ALL.iter().find(|(l, _)| l == self).map(|(_, n)| *n)
     }
 }
 

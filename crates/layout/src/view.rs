@@ -70,14 +70,8 @@ mod tests {
     #[test]
     fn flat_layout_implements_view() {
         let mut flat = FlatLayout::default();
-        flat.set_region(
-            layers::METAL1,
-            Region::from_rect(Rect::new(0, 0, 100, 10)),
-        );
-        flat.set_region(
-            layers::METAL2,
-            Region::from_rect(Rect::new(0, 0, 10, 100)),
-        );
+        flat.set_region(layers::METAL1, Region::from_rect(Rect::new(0, 0, 100, 10)));
+        flat.set_region(layers::METAL2, Region::from_rect(Rect::new(0, 0, 10, 100)));
         let (area, layers_n, rects) = generic_probe(&flat);
         assert_eq!(area, 1000);
         assert_eq!(layers_n, 2);

@@ -14,7 +14,12 @@ fn arb_layer() -> impl Gen<Value = Layer> {
 }
 
 fn arb_rect() -> impl Gen<Value = Rect> {
-    (-10_000i64..10_000, -10_000i64..10_000, 1i64..2_000, 1i64..2_000)
+    (
+        -10_000i64..10_000,
+        -10_000i64..10_000,
+        1i64..2_000,
+        1i64..2_000,
+    )
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
@@ -27,7 +32,10 @@ fn arb_transform() -> impl Gen<Value = Transform> {
 fn arb_leaf() -> impl Gen<Value = Cell> {
     (
         dfm_check::vec((arb_layer(), arb_rect()), 1..12),
-        dfm_check::vec((lowercase_string(1..9), -1000i64..1000, -1000i64..1000), 0..3),
+        dfm_check::vec(
+            (lowercase_string(1..9), -1000i64..1000, -1000i64..1000),
+            0..3,
+        ),
     )
         .prop_map(|(shapes, labels)| {
             let mut c = Cell::new("LEAF");
@@ -61,7 +69,12 @@ fn arb_library() -> impl Gen<Value = Library> {
             top.add_ref(CellRef::array(
                 "LEAF",
                 Transform::identity(),
-                ArrayParams { cols, rows, col_pitch: cp, row_pitch: rp },
+                ArrayParams {
+                    cols,
+                    rows,
+                    col_pitch: cp,
+                    row_pitch: rp,
+                },
             ));
             lib.add_cell(top).expect("top");
             lib
