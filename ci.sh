@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, five engine fork regions, five tile-view sites, and the platform's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, five engine fork regions, five tile-view sites, and the platform's and the layout crate's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -89,6 +89,11 @@ fi
 # ISSUE 13's figure: 824 before nested regions went inline and the
 # streaming/ordered reducers and unsupervised submits were deleted.
 awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' crates/par/src/lib.rs
+# The layout crate's figure: 2 704 (tile.rs 495), or 2 839 once
+# rustfmt-formatted, while a tiling could be sourced from a flat layout or
+# a library, with a layer filter, non-square tiles and a second hierarchy
+# walk in Library::flatten.
+awk "$non_test"'{n++} END{print "crates/layout/src non-test lines: " n}' crates/layout/src/*.rs
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
 # `dfm_par::par_*` fork region is kept only where a flat top-level
@@ -172,11 +177,11 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff.
-cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho
+cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout
 
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
