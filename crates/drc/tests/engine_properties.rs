@@ -248,3 +248,111 @@ fn facing_pairs_match_the_brute_force_oracle() {
         },
     );
 }
+
+/// The brute-force corner-gap oracle, on a unit grid with no spatial
+/// index and no boundary-edge extraction: a lattice point is a corner
+/// when one or three of its four adjacent unit cells are covered, or two
+/// diagonal ones. Every left-to-right pair of corners with `0 < dx <
+/// value`, `0 < |dy| < value` and `dx² + dy² < value²` whose corners
+/// open towards each other (empty on the facing side, covered behind)
+/// is one gap, measured as the floor of its Euclidean length.
+fn brute_corner_gaps(region: &Region, value: i64) -> Vec<(Rect, i64)> {
+    if region.is_empty() {
+        return Vec::new();
+    }
+    let b = region.bbox();
+    let covered = |x: i64, y: i64| {
+        region
+            .rects()
+            .iter()
+            .any(|r| r.x0 <= x && x < r.x1 && r.y0 <= y && y < r.y1)
+    };
+    // (point, [ne, nw, sw, se]) for every geometric corner.
+    let mut corners = Vec::new();
+    for x in b.x0..=b.x1 {
+        for y in b.y0..=b.y1 {
+            let c = [
+                covered(x, y),
+                covered(x - 1, y),
+                covered(x - 1, y - 1),
+                covered(x, y - 1),
+            ];
+            let n = c.iter().filter(|&&k| k).count();
+            if n == 1 || n == 3 || (n == 2 && c[0] == c[2]) {
+                corners.push((x, y, c));
+            }
+        }
+    }
+    let isqrt = |d2: i64| (0..).take_while(|k: &i64| k * k <= d2).last().unwrap_or(0);
+    let mut out = Vec::new();
+    for &(px, py, [p_ne, p_nw, p_sw, p_se]) in &corners {
+        for &(qx, qy, [q_ne, q_nw, q_sw, q_se]) in &corners {
+            let (dx, dy) = (qx - px, qy - py);
+            if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
+                continue;
+            }
+            let d2 = dx * dx + dy * dy;
+            if d2 >= value * value {
+                continue;
+            }
+            if dy > 0 && p_sw && !p_ne && q_ne && !q_sw {
+                out.push((Rect::new(px, py, qx, qy), isqrt(d2)));
+            }
+            if dy < 0 && p_nw && !p_se && q_se && !q_nw {
+                out.push((Rect::new(px, qy, qx, py), isqrt(d2)));
+            }
+        }
+    }
+    out.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
+    out
+}
+
+/// The corner part of `spacing_violations` — everything after its
+/// exterior facing pairs — equals the brute-force corner oracle as a
+/// sorted list, on soups with touching, diagonal and checkerboard
+/// placements.
+#[test]
+fn corner_gaps_match_the_brute_force_oracle() {
+    check(
+        "corner_gaps_match_the_brute_force_oracle",
+        &cfg(),
+        &(
+            dfm_check::vec((0i64..20, 0i64..20, 1i64..8, 1i64..8), 0..8),
+            dfm_check::vec((0i64..8, 0i64..8), 0..12),
+            1i64..4,
+            1i64..14,
+        ),
+        |case| {
+            let (soup, cells, side, value) = (&case.0, &case.1, case.2, case.3);
+            // Soup rects anywhere on the unit grid, plus cells of one
+            // lattice, which touch edge to edge or corner to corner.
+            let rects = soup
+                .iter()
+                .map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+                .chain(cells.iter().map(|&(i, j)| {
+                    Rect::new(
+                        3 + i * side,
+                        3 + j * side,
+                        3 + (i + 1) * side,
+                        3 + (j + 1) * side,
+                    )
+                }));
+            let region = Region::from_rects(rects);
+            let spacing = spacing_violations(&region, value);
+            let facing = exterior_facing_pairs(&region, value);
+            let (edges, corners) = spacing.split_at(facing.len());
+            let facing: Vec<(Rect, i64)> =
+                facing.iter().map(|p| (p.location, p.distance)).collect();
+            prop_assert_eq!(edges, &facing[..], "facing part, value {}", value);
+            let mut corners = corners.to_vec();
+            corners.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
+            prop_assert_eq!(
+                corners,
+                brute_corner_gaps(&region, value),
+                "value {}",
+                value
+            );
+            Ok(())
+        },
+    );
+}
