@@ -87,12 +87,15 @@ if [[ -n "$code_from_text" ]]; then
     exit 1
 fi
 # ISSUE 13's figure: 824 before nested regions went inline and the
-# streaming/ordered reducers and unsupervised submits were deleted.
+# streaming/ordered reducers and unsupervised submits were deleted; 636
+# (652 once rustfmt-formatted) before `par_chunks_mut`, which lost its
+# last caller when the raster bands became plain loops, was deleted.
 awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' crates/par/src/lib.rs
 # The layout crate's figure: 2 704 (tile.rs 495), or 2 839 once
 # rustfmt-formatted, while a tiling could be sourced from a flat layout or
 # a library, with a layer filter, non-square tiles and a second hierarchy
-# walk in Library::flatten.
+# walk in Library::flatten; 2 770 before `gds::to_text` and
+# `Library::instance_counts`, which had no caller, were deleted.
 awk "$non_test"'{n++} END{print "crates/layout/src non-test lines: " n}' crates/layout/src/*.rs
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
@@ -177,11 +180,11 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff.
-cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout
+cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par
 
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -228,20 +228,20 @@ pub struct FacingPair {
 /// All interior-facing edge pairs with distance below `max`: every local
 /// feature *width* measurement.
 pub fn interior_facing_pairs(region: &Region, max: i64) -> Vec<FacingPair> {
-    edge_pair_violations(region, max, true)
+    facing_pairs(PreparedLayer::new(region, max, max).fragments(max, true))
 }
 
 /// All exterior-facing edge pairs with distance below `max`: every local
 /// *spacing* measurement (notches included, corner-to-corner excluded).
 pub fn exterior_facing_pairs(region: &Region, max: i64) -> Vec<FacingPair> {
-    edge_pair_violations(region, max, false)
+    facing_pairs(PreparedLayer::new(region, max, max).fragments(max, false))
 }
 
 /// Facing-interior edge pairs closer than `value`: the min-width check.
 ///
 /// Returns `(violation_box, measured_width)` pairs.
 pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    edge_pair_violations(region, value, true)
+    interior_facing_pairs(region, value)
         .into_iter()
         .map(|p| (p.location, p.distance))
         .collect()
@@ -252,12 +252,21 @@ pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
 ///
 /// Returns `(violation_box, measured_spacing)` pairs.
 pub fn spacing_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    let mut out: Vec<(Rect, i64)> = edge_pair_violations(region, value, false)
+    let layer = PreparedLayer::new(region, value, value);
+    let mut out: Vec<(Rect, i64)> = facing_pairs(layer.fragments(value, false))
         .into_iter()
         .map(|p| (p.location, p.distance))
         .collect();
-    out.extend(corner_gap_pairs(region, value));
+    out.extend(layer.corner_gaps(value));
     out
+}
+
+/// The canonical pair list of raw fragments: coalesced, then measured.
+pub(crate) fn facing_pairs(frags: Vec<PairFragment>) -> Vec<FacingPair> {
+    coalesce_fragments(frags)
+        .into_iter()
+        .map(PairFragment::to_pair)
+        .collect()
 }
 
 /// A facing-run fragment: the exact, locally decidable unit of an
@@ -304,7 +313,7 @@ impl PairFragment {
 
 /// Canonicalises raw fragments: sorts, then merges fragments with equal
 /// orientation + gap coordinates whose span ranges overlap or touch.
-pub(crate) fn coalesce_fragments(mut frags: Vec<PairFragment>) -> Vec<PairFragment> {
+fn coalesce_fragments(mut frags: Vec<PairFragment>) -> Vec<PairFragment> {
     frags.sort_unstable();
     let mut out: Vec<PairFragment> = Vec::new();
     for f in frags {
@@ -323,184 +332,165 @@ pub(crate) fn coalesce_fragments(mut frags: Vec<PairFragment>) -> Vec<PairFragme
     out
 }
 
-/// Shared edge-pair sweep. `interior_between` selects width mode (the
-/// strip between the edges is interior) versus spacing mode (exterior).
-fn edge_pair_violations(region: &Region, value: i64, interior_between: bool) -> Vec<FacingPair> {
-    coalesce_fragments(raw_pair_fragments(region, value, interior_between))
-        .into_iter()
-        .map(PairFragment::to_pair)
-        .collect()
+/// One region's boundary edges and spatial indexes, built once and read
+/// by every facing-pair sweep and corner scan of the layer: the layer's
+/// two queries, [`fragments`](PreparedLayer::fragments) and
+/// [`corner_gaps`](PreparedLayer::corner_gaps).
+///
+/// The cell sizes come from the values the consumers ask for: the edge
+/// indexes' cell is `4·reach` (the largest value, the widest sweep
+/// window) and the rect index's cell `4·grain` (the smallest, the
+/// finest probe). A query at any other value gives the same output: a
+/// [`dfm_geom::Searcher`] returns its hits in insertion order whatever
+/// the cell size, coverage runs are sorted before use, and a corner's
+/// coverage is a yes-or-no. The cells only set the cost.
+#[derive(Clone, Debug)]
+pub(crate) struct PreparedLayer {
+    edges: BoundaryEdges,
+    rects: GridIndex<()>,
+    vertical: GridIndex<usize>,
+    horizontal: GridIndex<usize>,
 }
 
-/// Emits one raw [`PairFragment`] per maximal covered (width mode) or
-/// empty (spacing mode) run of the gap's middle column, for every pair
-/// of opposite-facing boundary edges closer than `value`.
-///
-/// Unlike a single midpoint probe, run detection is decidable from any
-/// window that contains the gap box plus one unit of margin — the
-/// property the tiled path relies on.
-pub(crate) fn raw_pair_fragments(
-    region: &Region,
-    value: i64,
-    interior_between: bool,
-) -> Vec<PairFragment> {
-    raw_pair_fragments_with(region, &region.boundary_edges(), value, interior_between)
-}
-
-/// [`raw_pair_fragments`] over the region's already-extracted
-/// `edges` (`region.boundary_edges()`), so one extraction serves every
-/// sweep and corner scan of a layer. Each directional sweep probes its
-/// [`GridIndex`]es through one [`dfm_geom::Searcher`] apiece.
-///
-/// # One sweep serves every smaller value
-///
-/// `value` enters the sweep only through the cutoff `b − a < value`:
-/// the edge order, the candidate test and the fragments a pair emits
-/// (its mid-column runs) do not depend on it. The query window of edge
-/// `a` grows with `value`, and the `GridIndex` cell size (`4·value`)
-/// changes which candidates a query scans, but a [`dfm_geom::Searcher`]
-/// returns its hits in insertion order whatever the cell size, and an
-/// edge within `v < value` of `a` touches both windows. So keeping the
-/// fragments with `gap_hi − gap_lo < v` of a sweep at `value` yields
-/// exactly the sequence a sweep at `v` emits, in the same order — what
-/// lets a prepared tile run one sweep per layer and sense at the
-/// largest value any consumer asks for.
-pub(crate) fn raw_pair_fragments_with(
-    region: &Region,
-    edges: &BoundaryEdges,
-    value: i64,
-    interior_between: bool,
-) -> Vec<PairFragment> {
-    let mut out = Vec::new();
-    if region.is_empty() || value <= 0 {
-        return out;
-    }
-    let rects = region.rects();
-    let mut rect_index: GridIndex<usize> = GridIndex::new(value.max(1) * 4);
-    for (i, r) in rects.iter().enumerate() {
-        rect_index.insert(*r, i);
+impl PreparedLayer {
+    /// Prepares `region` for queries at values in `[grain, reach]`.
+    pub(crate) fn new(region: &Region, reach: i64, grain: i64) -> PreparedLayer {
+        let edges = region.boundary_edges();
+        let mut rects = GridIndex::new(grain.max(1) * 4);
+        for r in region.rects() {
+            rects.insert(*r, ());
+        }
+        let mut vertical = GridIndex::new(reach.max(1) * 4);
+        for (i, e) in edges.vertical.iter().enumerate() {
+            vertical.insert(Rect::new(e.x, e.y0, e.x, e.y1), i);
+        }
+        let mut horizontal = GridIndex::new(reach.max(1) * 4);
+        for (i, e) in edges.horizontal.iter().enumerate() {
+            horizontal.insert(Rect::new(e.x0, e.y, e.x1, e.y), i);
+        }
+        PreparedLayer {
+            edges,
+            rects,
+            vertical,
+            horizontal,
+        }
     }
 
-    // Coverage runs of one unit column (`vertical`: x = coord) or row
-    // over the half-open span range, as maximal sorted intervals, into
-    // `runs` (one buffer reused by every probe of a sweep).
-    let covered_runs = |rsearch: &mut dfm_geom::Searcher<'_, usize>,
-                        runs: &mut Vec<(i64, i64)>,
-                        vertical: bool,
-                        coord: i64,
-                        lo: i64,
-                        hi: i64| {
-        let probe = if vertical {
-            Rect {
-                x0: coord,
-                y0: lo,
-                x1: coord + 1,
-                y1: hi,
-            }
-        } else {
-            Rect {
-                x0: lo,
-                y0: coord,
-                x1: hi,
-                y1: coord + 1,
-            }
-        };
-        runs.clear();
-        rsearch.for_each(probe, |r, _| {
-            let (c0, c1, s0, s1) = if vertical {
-                (r.x0, r.x1, r.y0, r.y1)
+    /// Emits one raw [`PairFragment`] per maximal covered (width mode,
+    /// `interior_between`) or empty (spacing mode) run of the gap's
+    /// middle column, for every pair of opposite-facing boundary edges
+    /// closer than `value`.
+    ///
+    /// Unlike a single midpoint probe, run detection is decidable from
+    /// any window that contains the gap box plus one unit of margin —
+    /// the property the tiled path relies on.
+    ///
+    /// # One sweep serves every smaller value
+    ///
+    /// `value` enters the sweep only through the cutoff `b − a < value`:
+    /// the edge order, the candidate test and the fragments a pair emits
+    /// (its mid-column runs) do not depend on it, and an edge within
+    /// `v < value` of `a` touches both query windows. So keeping the
+    /// fragments with `gap_hi − gap_lo < v` of a sweep at `value` yields
+    /// exactly the sequence a sweep at `v` emits, in the same order —
+    /// what lets a prepared tile run one sweep per layer and sense at the
+    /// largest value any consumer asks for.
+    pub(crate) fn fragments(&self, value: i64, interior_between: bool) -> Vec<PairFragment> {
+        let mut out = Vec::new();
+        // A gap is at least one unit wide, so `value <= 1` finds none.
+        if self.edges.vertical.is_empty() || value <= 1 {
+            return out;
+        }
+        let mut rsearch = self.rects.searcher();
+        let mut runs = Vec::new();
+        // Coverage runs of one unit column (`vertical`: x = coord) or row
+        // over the half-open span range, as maximal sorted intervals, into
+        // `runs` (one buffer reused by every probe of a sweep).
+        let covered_runs = |rsearch: &mut dfm_geom::Searcher<'_, ()>,
+                            runs: &mut Vec<(i64, i64)>,
+                            vertical: bool,
+                            coord: i64,
+                            lo: i64,
+                            hi: i64| {
+            let probe = if vertical {
+                Rect::new(coord, lo, coord + 1, hi)
             } else {
-                (r.y0, r.y1, r.x0, r.x1)
+                Rect::new(lo, coord, hi, coord + 1)
             };
-            if c0 <= coord && coord < c1 {
-                let (a, b) = (s0.max(lo), s1.min(hi));
-                if a < b {
-                    runs.push((a, b));
+            runs.clear();
+            rsearch.for_each(probe, |r, _| {
+                let (c0, c1, s0, s1) = if vertical {
+                    (r.x0, r.x1, r.y0, r.y1)
+                } else {
+                    (r.y0, r.y1, r.x0, r.x1)
+                };
+                if c0 <= coord && coord < c1 {
+                    let (a, b) = (s0.max(lo), s1.min(hi));
+                    if a < b {
+                        runs.push((a, b));
+                    }
+                }
+            });
+            runs.sort_unstable();
+            let mut merged = 0;
+            for i in 0..runs.len() {
+                let (a, b) = runs[i];
+                if merged > 0 && a <= runs[merged - 1].1 {
+                    runs[merged - 1].1 = runs[merged - 1].1.max(b);
+                } else {
+                    runs[merged] = (a, b);
+                    merged += 1;
                 }
             }
-        });
-        runs.sort_unstable();
-        let mut merged = 0;
-        for i in 0..runs.len() {
-            let (a, b) = runs[i];
-            if merged > 0 && a <= runs[merged - 1].1 {
-                runs[merged - 1].1 = runs[merged - 1].1.max(b);
-            } else {
-                runs[merged] = (a, b);
-                merged += 1;
-            }
-        }
-        runs.truncate(merged);
-    };
+            runs.truncate(merged);
+        };
 
-    // Turns covered runs into the mode's facing runs (covered for
-    // width, complement for spacing) and emits fragments.
-    let emit = |frags: &mut Vec<PairFragment>,
-                covered: &[(i64, i64)],
-                vertical: bool,
-                gap_lo: i64,
-                gap_hi: i64,
-                lo: i64,
-                hi: i64| {
-        let mut push = |a: i64, b: i64| {
-            if a < b {
-                frags.push(PairFragment {
-                    vertical,
-                    gap_lo,
-                    gap_hi,
-                    span_lo: a,
-                    span_hi: b,
-                });
+        // Turns covered runs into the mode's facing runs (covered for
+        // width, complement for spacing) and emits fragments.
+        let emit = |frags: &mut Vec<PairFragment>,
+                    covered: &[(i64, i64)],
+                    vertical: bool,
+                    gap_lo: i64,
+                    gap_hi: i64,
+                    lo: i64,
+                    hi: i64| {
+            let mut push = |a: i64, b: i64| {
+                if a < b {
+                    frags.push(PairFragment {
+                        vertical,
+                        gap_lo,
+                        gap_hi,
+                        span_lo: a,
+                        span_hi: b,
+                    });
+                }
+            };
+            if interior_between {
+                for &(a, b) in covered {
+                    push(a, b);
+                }
+            } else {
+                let mut cursor = lo;
+                for &(a, b) in covered {
+                    push(cursor, a);
+                    cursor = b;
+                }
+                push(cursor, hi);
             }
         };
-        if interior_between {
-            for &(a, b) in covered {
-                push(a, b);
-            }
-        } else {
-            let mut cursor = lo;
-            for &(a, b) in covered {
-                push(cursor, a);
-                cursor = b;
-            }
-            push(cursor, hi);
-        }
-    };
 
-    // Vertical edge pairs (gap along x).
-    {
-        let mut index: GridIndex<usize> = GridIndex::new(value.max(1) * 4);
-        for (i, e) in edges.vertical.iter().enumerate() {
-            index.insert(
-                Rect {
-                    x0: e.x,
-                    y0: e.y0,
-                    x1: e.x,
-                    y1: e.y1,
-                },
-                i,
-            );
-        }
-        let mut searcher = index.searcher();
-        let mut rsearch = rect_index.searcher();
-        let mut runs = Vec::new();
-        for a in &edges.vertical {
+        // Vertical edge pairs (gap along x).
+        let edges = &self.edges.vertical;
+        let mut searcher = self.vertical.searcher();
+        for a in edges {
             // Left edge of the pair: interior to the right for width,
             // interior to the left (exterior to the right) for spacing.
             if a.interior_right != interior_between {
                 continue;
             }
-            let window = Rect {
-                x0: a.x + 1,
-                y0: a.y0,
-                x1: a.x + value - 1,
-                y1: a.y1,
-            };
-            if window.x0 > window.x1 {
-                continue;
-            }
+            let window = Rect::new(a.x + 1, a.y0, a.x + value - 1, a.y1);
             searcher.for_each(window, |_, &bi| {
-                let b = edges.vertical[bi];
+                let b = edges[bi];
                 if b.interior_right == a.interior_right {
                     return;
                 }
@@ -517,40 +507,17 @@ pub(crate) fn raw_pair_fragments_with(
                 emit(&mut out, &runs, true, a.x, b.x, ylo, yhi);
             });
         }
-    }
 
-    // Horizontal edge pairs (gap along y).
-    {
-        let mut index: GridIndex<usize> = GridIndex::new(value.max(1) * 4);
-        for (i, e) in edges.horizontal.iter().enumerate() {
-            index.insert(
-                Rect {
-                    x0: e.x0,
-                    y0: e.y,
-                    x1: e.x1,
-                    y1: e.y,
-                },
-                i,
-            );
-        }
-        let mut searcher = index.searcher();
-        let mut rsearch = rect_index.searcher();
-        let mut runs = Vec::new();
-        for a in &edges.horizontal {
+        // Horizontal edge pairs (gap along y).
+        let edges = &self.edges.horizontal;
+        let mut searcher = self.horizontal.searcher();
+        for a in edges {
             if a.interior_up != interior_between {
                 continue;
             }
-            let window = Rect {
-                x0: a.x0,
-                y0: a.y + 1,
-                x1: a.x1,
-                y1: a.y + value - 1,
-            };
-            if window.y0 > window.y1 {
-                continue;
-            }
+            let window = Rect::new(a.x0, a.y + 1, a.x1, a.y + value - 1);
             searcher.for_each(window, |_, &bi| {
-                let b = edges.horizontal[bi];
+                let b = edges[bi];
                 if b.interior_up == a.interior_up {
                     return;
                 }
@@ -567,134 +534,108 @@ pub(crate) fn raw_pair_fragments_with(
                 emit(&mut out, &runs, false, a.y, b.y, xlo, xhi);
             });
         }
+        out
     }
-    out
-}
 
-/// Corner-to-corner (Euclidean) gaps between diagonally facing region
-/// corners closer than `value`, as `(gap_box, distance)` pairs.
-///
-/// Corners are *geometric*: a boundary vertex qualifies through the
-/// coverage pattern of its four adjacent unit cells (convex, concave or
-/// checkerboard), never through the region's internal rectangle
-/// decomposition — so the result is a function of the covered point set
-/// alone, and a tile window computes the same pairs as the flat region.
-pub(crate) fn corner_gap_pairs(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    corner_gap_pairs_with(region, &region.boundary_edges(), value)
-}
+    /// Corner-to-corner (Euclidean) gaps between diagonally facing
+    /// region corners closer than `value`, as `(gap_box, distance)`
+    /// pairs.
+    ///
+    /// Corners are *geometric*: a boundary vertex qualifies through the
+    /// coverage pattern of its four adjacent unit cells (convex, concave
+    /// or checkerboard), never through the region's internal rectangle
+    /// decomposition — so the result is a function of the covered point
+    /// set alone, and a tile window computes the same pairs as the flat
+    /// region.
+    pub(crate) fn corner_gaps(&self, value: i64) -> Vec<(Rect, i64)> {
+        let edges = &self.edges.vertical;
+        if edges.is_empty() || value <= 1 {
+            return Vec::new();
+        }
+        let mut corners: Vec<Point> = Vec::with_capacity(edges.len() * 2);
+        for e in edges {
+            corners.push(Point::new(e.x, e.y0));
+            corners.push(Point::new(e.x, e.y1));
+        }
+        corners.sort_unstable_by_key(|p| (p.x, p.y));
+        corners.dedup();
 
-/// [`corner_gap_pairs`] over the region's already-extracted `edges`.
-pub(crate) fn corner_gap_pairs_with(
-    region: &Region,
-    edges: &BoundaryEdges,
-    value: i64,
-) -> Vec<(Rect, i64)> {
-    if region.is_empty() || value <= 1 {
-        return Vec::new();
-    }
-    let rects = region.rects();
-    let mut rect_index: GridIndex<usize> = GridIndex::new(value.max(1) * 4);
-    for (i, r) in rects.iter().enumerate() {
-        rect_index.insert(*r, i);
-    }
-    let mut corners: Vec<Point> = Vec::with_capacity(edges.vertical.len() * 2);
-    for e in &edges.vertical {
-        corners.push(Point::new(e.x, e.y0));
-        corners.push(Point::new(e.x, e.y1));
-    }
-    corners.sort_unstable_by_key(|p| (p.x, p.y));
-    corners.dedup();
-
-    let covered = |s: &mut dfm_geom::Searcher<'_, usize>, x: i64, y: i64| -> bool {
-        let cell = Rect {
-            x0: x,
-            y0: y,
-            x1: x + 1,
-            y1: y + 1,
+        let mut rsearch = self.rects.searcher();
+        let mut covered = |x: i64, y: i64| -> bool {
+            let mut hit = false;
+            rsearch.for_each(Rect::new(x, y, x + 1, y + 1), |r, _| {
+                hit |= r.x0 <= x && x < r.x1 && r.y0 <= y && y < r.y1
+            });
+            hit
         };
-        let mut hit = false;
-        s.for_each(cell, |r, _| {
-            hit |= r.x0 <= x && x < r.x1 && r.y0 <= y && y < r.y1
-        });
-        hit
-    };
-    // The coverage pattern (NE, NW, SW, SE cells) around a vertex.
-    // True corners turn: one cell (convex), three (concave), or two
-    // diagonal (checkerboard). Two adjacent cells are a straight edge
-    // point (possible with a split edge list), zero/four no boundary.
-    let is_corner = |ne: bool, nw: bool, sw: bool, se: bool| -> bool {
-        match [ne, nw, sw, se].iter().filter(|&&b| b).count() {
-            1 | 3 => true,
-            2 => ne == sw, // diagonal pairs only
-            _ => false,
-        }
-    };
+        // The coverage pattern (NE, NW, SW, SE cells) around a vertex.
+        let mut pattern = |p: Point| {
+            [
+                covered(p.x, p.y),
+                covered(p.x - 1, p.y),
+                covered(p.x - 1, p.y - 1),
+                covered(p.x, p.y - 1),
+            ]
+        };
+        // True corners turn: one cell (convex), three (concave), or two
+        // diagonal (checkerboard). Two adjacent cells are a straight edge
+        // point (possible with a split edge list), zero/four no boundary.
+        let is_corner = |[ne, nw, sw, se]: [bool; 4]| -> bool {
+            match [ne, nw, sw, se].iter().filter(|&&b| b).count() {
+                1 | 3 => true,
+                2 => ne == sw, // diagonal pairs only
+                _ => false,
+            }
+        };
 
-    let mut index: GridIndex<usize> = GridIndex::new(value.max(1) * 8);
-    for (i, p) in corners.iter().enumerate() {
-        index.insert(
-            Rect {
-                x0: p.x,
-                y0: p.y,
-                x1: p.x,
-                y1: p.y,
-            },
-            i,
-        );
-    }
-    let v2 = value as i128 * value as i128;
-    let mut searcher = index.searcher();
-    let mut rsearch = rect_index.searcher();
-    let mut hits = Vec::new();
-    for (i, p) in corners.iter().enumerate() {
-        let (p_ne, p_nw, p_sw, p_se) = (
-            covered(&mut rsearch, p.x, p.y),
-            covered(&mut rsearch, p.x - 1, p.y),
-            covered(&mut rsearch, p.x - 1, p.y - 1),
-            covered(&mut rsearch, p.x, p.y - 1),
-        );
-        if !is_corner(p_ne, p_nw, p_sw, p_se) {
-            continue;
+        let mut index: GridIndex<usize> = GridIndex::new(value * 8);
+        for (i, p) in corners.iter().enumerate() {
+            index.insert(Rect::new(p.x, p.y, p.x, p.y), i);
         }
-        let reach = Rect::new(p.x, p.y, p.x, p.y).expanded(value);
-        searcher.for_each(reach, |_, &j| {
-            if j <= i {
-                return;
+        let v2 = value as i128 * value as i128;
+        let mut searcher = index.searcher();
+        let mut hits = Vec::new();
+        for (i, p) in corners.iter().enumerate() {
+            let [p_ne, p_nw, p_sw, p_se] = pattern(*p);
+            if !is_corner([p_ne, p_nw, p_sw, p_se]) {
+                continue;
             }
-            let q = corners[j];
-            let (dx, dy) = (q.x - p.x, q.y - p.y);
-            if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
-                return;
-            }
-            let d2 = dx as i128 * dx as i128 + dy as i128 * dy as i128;
-            if d2 >= v2 {
-                return;
-            }
-            let (q_ne, q_nw, q_sw, q_se) = (
-                covered(&mut rsearch, q.x, q.y),
-                covered(&mut rsearch, q.x - 1, q.y),
-                covered(&mut rsearch, q.x - 1, q.y - 1),
-                covered(&mut rsearch, q.x, q.y - 1),
-            );
-            if !is_corner(q_ne, q_nw, q_sw, q_se) {
-                return;
-            }
-            let dist = (d2 as f64).sqrt().floor() as i64;
-            if dy > 0 {
-                // q is up-right of p: p must open to the NE, q to
-                // the SW, with material behind each corner.
-                if p_sw && !p_ne && q_ne && !q_sw {
-                    hits.push((Rect::new(p.x, p.y, q.x, q.y), dist));
+            let reach = Rect::new(p.x, p.y, p.x, p.y).expanded(value);
+            searcher.for_each(reach, |_, &j| {
+                if j <= i {
+                    return;
                 }
-            } else {
-                // q is down-right of p: p opens SE, q opens NW.
-                if p_nw && !p_se && q_se && !q_nw {
-                    hits.push((Rect::new(p.x, q.y, q.x, p.y), dist));
+                let q = corners[j];
+                let (dx, dy) = (q.x - p.x, q.y - p.y);
+                if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
+                    return;
                 }
-            }
-        });
+                let d2 = dx as i128 * dx as i128 + dy as i128 * dy as i128;
+                if d2 >= v2 {
+                    return;
+                }
+                let q_cells = pattern(q);
+                if !is_corner(q_cells) {
+                    return;
+                }
+                let [q_ne, q_nw, q_sw, q_se] = q_cells;
+                let dist = (d2 as f64).sqrt().floor() as i64;
+                if dy > 0 {
+                    // q is up-right of p: p must open to the NE, q to
+                    // the SW, with material behind each corner.
+                    if p_sw && !p_ne && q_ne && !q_sw {
+                        hits.push((Rect::new(p.x, p.y, q.x, q.y), dist));
+                    }
+                } else {
+                    // q is down-right of p: p opens SE, q opens NW.
+                    if p_nw && !p_se && q_se && !q_nw {
+                        hits.push((Rect::new(p.x, q.y, q.x, p.y), dist));
+                    }
+                }
+            });
+        }
+        hits
     }
-    hits
 }
 
 /// Width-dependent ("fat wire") spacing: regions of the layer closer
@@ -1161,10 +1102,35 @@ mod tests {
     }
 
     #[test]
+    fn replacing_a_layer_with_a_smaller_region_shrinks_the_extent() {
+        // The flat Density check windows over `layout.bbox()`, so a
+        // replaced layer must not leave its old extent behind: the flat
+        // report equals the report on the same geometry written out and
+        // flattened again.
+        let mut flat = FlatLayout::default();
+        flat.set_region(
+            layers::METAL1,
+            Region::from_rect(Rect::new(0, 0, 40_000, 40_000)),
+        );
+        flat.set_region(
+            layers::METAL1,
+            Region::from_rect(Rect::new(0, 0, 10_000, 10_000)),
+        );
+        let back = flat.to_library("t", "TOP").flatten_top().expect("flatten");
+        assert_eq!(flat.bbox(), Rect::new(0, 0, 10_000, 10_000));
+        assert_eq!(flat.bbox(), back.bbox());
+        let deck = RuleDeck::for_technology(&Technology::n65());
+        let report = DrcEngine::new(&deck).run(&flat);
+        assert_eq!(report, DrcEngine::new(&deck).run(&back));
+    }
+
+    #[test]
     fn one_sweep_at_the_widest_value_serves_every_smaller_one() {
-        // The prepared-tile contract: filtering a sweep at `widest` to
-        // gaps below `value` is the sweep at `value`, fragment for
-        // fragment and in order, in both modes.
+        // The prepared-layer contract: a layer prepared at reach `R` and
+        // grain `g` answers every value in `[g, R]` exactly as a layer
+        // prepared at that value does (fragments in both modes, in
+        // order, and corner gaps), and filtering its sweep at `R` to gaps
+        // below a value is the sweep at that value.
         use dfm_check::{check, prop_assert_eq, Config};
         check(
             "one_sweep_at_the_widest_value_serves_every_smaller_one",
@@ -1175,26 +1141,46 @@ mod tests {
                 0i64..60,
             ),
             |case| {
-                let (specs, value, widest) = (&case.0, case.1, case.1 + case.2);
+                let (specs, grain, reach) = (&case.0, case.1, case.1 + case.2);
                 let region =
                     Region::from_rects(specs.iter().map(|&(x, y, w, h)| {
                         Rect::new(x * 7, y * 7, x * 7 + w * 5, y * 7 + h * 5)
                     }));
-                let edges = region.boundary_edges();
-                for interior in [true, false] {
-                    let filtered: Vec<PairFragment> =
-                        raw_pair_fragments_with(&region, &edges, widest, interior)
+                let prepared = PreparedLayer::new(&region, reach, grain);
+                for value in grain..=reach {
+                    let own = PreparedLayer::new(&region, value, value);
+                    for interior in [true, false] {
+                        let direct = own.fragments(value, interior);
+                        prop_assert_eq!(
+                            &prepared.fragments(value, interior),
+                            &direct,
+                            "interior {} at {} in [{}, {}]",
+                            interior,
+                            value,
+                            grain,
+                            reach
+                        );
+                        let filtered: Vec<PairFragment> = prepared
+                            .fragments(reach, interior)
                             .into_iter()
                             .filter(|f| f.gap_hi - f.gap_lo < value)
                             .collect();
-                    let direct = raw_pair_fragments(&region, value, interior);
+                        prop_assert_eq!(
+                            &filtered,
+                            &direct,
+                            "interior {} {} < {}",
+                            interior,
+                            value,
+                            reach
+                        );
+                    }
                     prop_assert_eq!(
-                        &filtered,
-                        &direct,
-                        "interior {} {} < {}",
-                        interior,
+                        prepared.corner_gaps(value),
+                        own.corner_gaps(value),
+                        "corners at {} in [{}, {}]",
                         value,
-                        widest
+                        grain,
+                        reach
                     );
                 }
                 Ok(())

@@ -677,58 +677,6 @@ fn parse_element(r: &mut Reader<'_>, kind: u8, start: usize) -> Result<Element, 
     }
 }
 
-/// Renders a library as a human-readable ASCII dump of its GDSII
-/// structure (in the spirit of `gds2txt`), for debugging and diffs.
-pub fn to_text(lib: &Library) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "LIB {} (dbu {} uu, {} m)",
-        lib.name, lib.dbu_in_user_units, lib.dbu_in_meters
-    );
-    for cell in lib.cells() {
-        let _ = writeln!(out, "STR {}", cell.name);
-        for (layer, shape) in cell.iter_shapes() {
-            match shape {
-                Shape::Rect(r) => {
-                    let _ = writeln!(out, "  BOUNDARY L{layer} RECT {r}");
-                }
-                Shape::Polygon(p) => {
-                    let _ = write!(out, "  BOUNDARY L{layer} POLY");
-                    for pt in p.points() {
-                        let _ = write!(out, " {pt}");
-                    }
-                    let _ = writeln!(out);
-                }
-            }
-        }
-        for label in &cell.labels {
-            let _ = writeln!(
-                out,
-                "  TEXT L{} {:?} at {}",
-                label.layer, label.text, label.position
-            );
-        }
-        for r in &cell.refs {
-            match r.array {
-                None => {
-                    let _ = writeln!(out, "  SREF {} {:?}", r.cell, r.transform);
-                }
-                Some(a) => {
-                    let _ = writeln!(
-                        out,
-                        "  AREF {} {:?} {}x{} pitch {}x{}",
-                        r.cell, r.transform, a.cols, a.rows, a.col_pitch, a.row_pitch
-                    );
-                }
-            }
-        }
-        let _ = writeln!(out, "ENDSTR");
-    }
-    out
-}
-
 /// Writes a library to a file.
 ///
 /// # Errors
@@ -1103,19 +1051,6 @@ mod tests {
             }
             other => panic!("wanted GdsParse, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn text_dump_mentions_everything() {
-        let lib = sample_library();
-        let text = to_text(&lib);
-        assert!(text.contains("LIB testlib"));
-        assert!(text.contains("STR LEAF"));
-        assert!(text.contains("STR TOP"));
-        assert!(text.contains("BOUNDARY"));
-        assert!(text.contains("SREF LEAF"));
-        assert!(text.contains("AREF LEAF"));
-        assert!(text.contains("net42"));
     }
 
     #[test]

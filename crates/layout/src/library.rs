@@ -41,10 +41,15 @@ impl FlatLayout {
         self.bbox
     }
 
-    /// Inserts or replaces a layer's geometry.
+    /// Inserts or replaces a layer's geometry. The bounding box is
+    /// derived from the layers again, so a replaced layer leaves no
+    /// trace of its old extent.
     pub fn set_region(&mut self, layer: Layer, region: Region) {
-        self.bbox = self.bbox.bounding_union(&region.bbox());
         self.layers.insert(layer, region);
+        self.bbox = self
+            .layers
+            .values()
+            .fold(Rect::empty(), |b, r| b.bounding_union(&r.bbox()));
     }
 
     /// Total shape count (canonical rectangles across layers).
@@ -279,23 +284,6 @@ impl Library {
     pub fn flatten_top(&self) -> Result<FlatLayout, LayoutError> {
         let top = self.top().ok_or(LayoutError::NoTopCell)?;
         self.flatten(top)
-    }
-
-    /// Counts the fully-expanded instances of each cell under `id`
-    /// (including `id` itself once). Useful for hierarchy statistics.
-    pub fn instance_counts(&self, id: CellId) -> HashMap<String, u64> {
-        let mut counts = HashMap::new();
-        fn walk(lib: &Library, id: CellId, mult: u64, counts: &mut HashMap<String, u64>) {
-            let cell = &lib.cells[id.0];
-            *counts.entry(cell.name.clone()).or_insert(0) += mult;
-            for r in &cell.refs {
-                if let Some(child) = lib.cell_id(&r.cell) {
-                    walk(lib, child, mult * r.instance_count() as u64, counts);
-                }
-            }
-        }
-        walk(self, id, 1, &mut counts);
-        counts
     }
 }
 
@@ -561,34 +549,5 @@ mod tests {
         // The L went out as one polygon shape, not two rects.
         let cell = back.cell(back.cell_id("FLAT").expect("cell"));
         assert_eq!(cell.shapes(layers::METAL1).len(), 1);
-    }
-
-    #[test]
-    fn instance_counts() {
-        let mut lib = Library::new("L");
-        lib.add_cell(unit_cell("LEAF")).expect("leaf");
-        let mut mid = Cell::new("MID");
-        mid.add_ref(CellRef::array(
-            "LEAF",
-            Transform::identity(),
-            ArrayParams {
-                cols: 2,
-                rows: 2,
-                col_pitch: 20,
-                row_pitch: 20,
-            },
-        ));
-        lib.add_cell(mid).expect("mid");
-        let mut top = Cell::new("TOP");
-        top.add_ref(CellRef::new("MID", Transform::identity()));
-        top.add_ref(CellRef::new(
-            "MID",
-            Transform::translate(Vector::new(100, 0)),
-        ));
-        let top_id = lib.add_cell(top).expect("top");
-        let counts = lib.instance_counts(top_id);
-        assert_eq!(counts["LEAF"], 8);
-        assert_eq!(counts["MID"], 2);
-        assert_eq!(counts["TOP"], 1);
     }
 }

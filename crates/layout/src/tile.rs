@@ -220,7 +220,7 @@ impl TiledLayout {
         let top = lib.top().ok_or(LayoutError::NoTopCell)?;
         let subtree_bboxes = compute_subtree_bboxes(&lib);
         let layers = collect_used_layers(&lib, top);
-        let grid = TileGrid::new(subtree_bboxes[top.index()], config.tile, config.tile);
+        let grid = TileGrid::new(subtree_bboxes[top.index()], config.tile);
         Ok(TiledLayout {
             config,
             grid,
