@@ -7,8 +7,8 @@
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
 use dfm_drc::{
-    exterior_facing_pairs, interior_facing_pairs, spacing_violations, width_violations, FacingPair,
-    PairFragment,
+    exterior_facing_pairs, interior_facing_pairs, min_space_to_violations, spacing_violations,
+    width_violations, FacingPair, PairFragment,
 };
 use dfm_geom::{Rect, Region};
 
@@ -349,6 +349,98 @@ fn corner_gaps_match_the_brute_force_oracle() {
             prop_assert_eq!(
                 corners,
                 brute_corner_gaps(&region, value),
+                "value {}",
+                value
+            );
+            Ok(())
+        },
+    );
+}
+
+/// The brute-force `MinSpaceTo` oracle, on unit cells with no `Region`
+/// operation: the near set is every `to` cell within Chebyshev cell
+/// distance `value` of some `from` cell; each 8-connected component of
+/// it reports its bbox and `max(d − 1, 0)`, where `d` is its least
+/// Chebyshev cell distance to `from`.
+fn brute_min_space_to(from: &[Rect], to: &[Rect], value: i64) -> Vec<(Rect, i64)> {
+    let cells = |rects: &[Rect]| {
+        let mut cells: Vec<(i64, i64)> = rects
+            .iter()
+            .flat_map(|r| (r.x0..r.x1).flat_map(move |x| (r.y0..r.y1).map(move |y| (x, y))))
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        cells
+    };
+    let (from, to) = (cells(from), cells(to));
+    let dist = |(x, y): (i64, i64)| {
+        from.iter()
+            .map(|&(fx, fy)| (x - fx).abs().max((y - fy).abs()))
+            .min()
+            .unwrap_or(i64::MAX)
+    };
+    let near: Vec<(i64, i64)> = to.into_iter().filter(|&c| dist(c) <= value).collect();
+    let mut seen = vec![false; near.len()];
+    let mut out = Vec::new();
+    for start in 0..near.len() {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        let mut stack = vec![start];
+        let (x, y) = near[start];
+        let (mut bbox, mut d) = (Rect::new(x, y, x + 1, y + 1), i64::MAX);
+        while let Some(i) = stack.pop() {
+            let (x, y) = near[i];
+            bbox = Rect::new(
+                bbox.x0.min(x),
+                bbox.y0.min(y),
+                bbox.x1.max(x + 1),
+                bbox.y1.max(y + 1),
+            );
+            d = d.min(dist((x, y)));
+            for (j, &(u, v)) in near.iter().enumerate() {
+                if !seen[j] && (u - x).abs() <= 1 && (v - y).abs() <= 1 {
+                    seen[j] = true;
+                    stack.push(j);
+                }
+            }
+        }
+        out.push((bbox, (d - 1).max(0)));
+    }
+    out.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
+    out
+}
+
+/// `min_space_to_violations` equals the brute-force near-set oracle as
+/// a sorted list, on small-grid `from`/`to` soups that overlap, touch
+/// and sit apart.
+#[test]
+fn min_space_to_matches_the_brute_force_oracle() {
+    check(
+        "min_space_to_matches_the_brute_force_oracle",
+        &cfg(),
+        &(
+            dfm_check::vec((0i64..16, 0i64..16, 1i64..6, 1i64..6), 0..6),
+            dfm_check::vec((0i64..16, 0i64..16, 1i64..6, 1i64..6), 0..6),
+            0i64..8,
+        ),
+        |case| {
+            let rects = |soup: &[(i64, i64, i64, i64)]| -> Vec<Rect> {
+                soup.iter()
+                    .map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+                    .collect()
+            };
+            let (from, to, value) = (rects(&case.0), rects(&case.1), case.2);
+            let mut got = min_space_to_violations(
+                &Region::from_rects(from.iter().copied()),
+                &Region::from_rects(to.iter().copied()),
+                value,
+            );
+            got.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
+            prop_assert_eq!(
+                got,
+                brute_min_space_to(&from, &to, value),
                 "value {}",
                 value
             );
