@@ -81,7 +81,11 @@ pub fn ca_tile_partial(
     tile: usize,
 ) -> CaTilePartial {
     let view = layout.view_layers(tile, ca_tile_halo(max_range), &[layer]);
-    ca_view_partial(&PreparedView::new(view, &ca_sweeps(layer, max_range)), layer, max_range)
+    ca_view_partial(
+        &PreparedView::new(view, &ca_sweeps(layer, max_range)),
+        layer,
+        max_range,
+    )
 }
 
 /// The tile halo CA reads at: the facing-pair window `max_range + 2`.
@@ -93,8 +97,16 @@ pub fn ca_tile_halo(max_range: i64) -> i64 {
 /// interior runs (opens) of `layer`, both closer than `max_range`.
 pub fn ca_sweeps(layer: Layer, max_range: i64) -> [Sweep; 2] {
     [
-        Sweep { layer, interior: false, value: max_range },
-        Sweep { layer, interior: true, value: max_range },
+        Sweep {
+            layer,
+            interior: false,
+            value: max_range,
+        },
+        Sweep {
+            layer,
+            interior: true,
+            value: max_range,
+        },
     ]
 }
 

@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn expected_defect_counts() {
         let m = DefectModel::new(50, 100.0); // 100 defects / cm²
-        // A 1 mm² block = 0.01 cm² → 1 defect expected.
+                                             // A 1 mm² block = 0.01 cm² → 1 defect expected.
         let area_nm2 = 1e6 * 1e6;
         assert!((m.expected_defects(area_nm2) - 1.0).abs() < 1e-9);
     }

@@ -127,7 +127,12 @@ pub fn estimate_short_ca(
 ) -> McResult {
     let bbox = metal.bbox();
     if bbox.is_empty() || samples == 0 {
-        return McResult { short_ca_nm2: 0.0, std_err_nm2: 0.0, samples, kills: 0 };
+        return McResult {
+            short_ca_nm2: 0.0,
+            std_err_nm2: 0.0,
+            samples,
+            kills: 0,
+        };
     }
     let mut rng = Rng::seed_from_u64(seed);
 
@@ -156,7 +161,6 @@ pub fn estimate_short_ca(
         kills: total_kills,
     }
 }
-
 
 /// Monte-Carlo estimate of the *open* critical area for one fixed defect
 /// diameter: a defect kills when it severs a connected component (the
@@ -215,7 +219,12 @@ pub fn estimate_open_ca(
 ) -> McResult {
     let bbox = metal.bbox();
     if bbox.is_empty() || samples == 0 {
-        return McResult { short_ca_nm2: 0.0, std_err_nm2: 0.0, samples, kills: 0 };
+        return McResult {
+            short_ca_nm2: 0.0,
+            std_err_nm2: 0.0,
+            samples,
+            kills: 0,
+        };
     }
     let mut rng = Rng::seed_from_u64(seed);
     let x0 = defects.x0 as f64;
@@ -259,12 +268,7 @@ pub fn estimate_open_ca(
 ///   and the variance `se[0]²`.
 /// * equal last two sizes — no slope is measurable; the tail falls
 ///   back to the same constant extrapolation as `n == 1`.
-pub fn integrate_size_distribution(
-    sizes: &[i64],
-    ca: &[f64],
-    se: &[f64],
-    x0: f64,
-) -> (f64, f64) {
+pub fn integrate_size_distribution(sizes: &[i64], ca: &[f64], se: &[f64], x0: f64) -> (f64, f64) {
     let survival = |x: f64| -> f64 {
         if x <= x0 {
             1.0
@@ -297,7 +301,11 @@ pub fn integrate_size_distribution(
     }
     let (d1, d2) = (sizes[n - 2] as f64, sizes[n - 1] as f64);
     // A repeated top size has no measurable slope: extrapolate flat.
-    let c1 = if d2 > d1 { (ca[n - 1] - ca[n - 2]) / (d2 - d1) } else { 0.0 };
+    let c1 = if d2 > d1 {
+        (ca[n - 1] - ca[n - 2]) / (d2 - d1)
+    } else {
+        0.0
+    };
     let c0 = ca[n - 1] - c1 * d2;
     let tail = c0 * survival(b_last) + c1 * 2.0 * x0 * x0 / b_last;
     mean += tail.max(0.0);
@@ -396,10 +404,8 @@ mod tests {
 
     #[test]
     fn estimate_identical_across_thread_counts() {
-        let metal = Region::from_rects([
-            Rect::new(0, 0, 10_000, 100),
-            Rect::new(0, 200, 10_000, 300),
-        ]);
+        let metal =
+            Region::from_rects([Rect::new(0, 0, 10_000, 100), Rect::new(0, 200, 10_000, 300)]);
         let defects = DefectModel::new(50, 1.0);
         let run = || estimate_short_ca(&metal, &defects, 20_000, 42);
         let seq = dfm_par::with_threads(1, run);
@@ -415,10 +421,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let metal = Region::from_rects([
-            Rect::new(0, 0, 10_000, 100),
-            Rect::new(0, 200, 10_000, 300),
-        ]);
+        let metal =
+            Region::from_rects([Rect::new(0, 0, 10_000, 100), Rect::new(0, 200, 10_000, 300)]);
         let defects = DefectModel::new(50, 1.0);
         let a = estimate_short_ca(&metal, &defects, 10_000, 42);
         let b = estimate_short_ca(&metal, &defects, 10_000, 42);

@@ -138,8 +138,14 @@ mod tests {
     #[test]
     fn redundancy_boosts_yield() {
         let p = 1e-3;
-        let all_single = ViaStats { single: 1000, redundant: 0 };
-        let all_double = ViaStats { single: 0, redundant: 1000 };
+        let all_single = ViaStats {
+            single: 1000,
+            redundant: 0,
+        };
+        let all_double = ViaStats {
+            single: 0,
+            redundant: 1000,
+        };
         let ys = via_yield(all_single, p);
         let yd = via_yield(all_double, p);
         assert!(yd > ys);
@@ -150,7 +156,10 @@ mod tests {
 
     #[test]
     fn expected_failures_linearity() {
-        let stats = ViaStats { single: 100, redundant: 50 };
+        let stats = ViaStats {
+            single: 100,
+            redundant: 50,
+        };
         let p = 1e-2;
         let lambda = expected_failures(stats, p);
         assert!((lambda - (1.0 + 50.0 * 1e-4)).abs() < 1e-12);
@@ -171,9 +180,15 @@ mod tests {
         // weighted mean of anything with NaN is NaN).
         let stats = classify(&Region::new(), 100);
         let rate = stats.redundancy_rate();
-        assert!(rate.is_finite(), "redundancy rate must be finite, got {rate}");
+        assert!(
+            rate.is_finite(),
+            "redundancy rate must be finite, got {rate}"
+        );
         assert_eq!(rate, 0.0);
-        let manual = ViaStats { single: 0, redundant: 0 };
+        let manual = ViaStats {
+            single: 0,
+            redundant: 0,
+        };
         assert_eq!(manual.redundancy_rate(), 0.0);
         // The neutral value must stay out of the way of an average.
         assert_eq!((rate + 1.0) / 2.0, 0.5);

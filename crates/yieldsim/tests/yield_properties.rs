@@ -87,8 +87,10 @@ fn via_yield_properties() {
             prop_assert!((0.0..=1.0).contains(&y));
             // Converting singles to redundant pairs never lowers yield.
             if single > 0 {
-                let improved =
-                    via_model::ViaStats { single: single - 1, redundant: redundant + 1 };
+                let improved = via_model::ViaStats {
+                    single: single - 1,
+                    redundant: redundant + 1,
+                };
                 prop_assert!(via_model::via_yield(improved, p) >= y - 1e-12);
             }
             // λ is consistent with the yield to first order at small p.
@@ -176,7 +178,10 @@ fn size_integration_matches_brute_force() {
     check(
         "size_integration_matches_brute_force",
         &cfg(),
-        &(dfm_check::vec((0i64..400, 0i64..1_000_000), 1..9), 10i64..200),
+        &(
+            dfm_check::vec((0i64..400, 0i64..1_000_000), 1..9),
+            10i64..200,
+        ),
         |v| {
             let (steps, x0_int) = v;
             let x0 = *x0_int as f64;
