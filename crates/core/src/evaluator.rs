@@ -54,9 +54,7 @@ impl EvaluationContext {
         }
         let metal_yield = match self.cluster_alpha {
             None => model::poisson_yield(metal_ca, self.defects.d0_per_cm2),
-            Some(alpha) => {
-                model::negative_binomial_yield(metal_ca, self.defects.d0_per_cm2, alpha)
-            }
+            Some(alpha) => model::negative_binomial_yield(metal_ca, self.defects.d0_per_cm2, alpha),
         };
         let stats = via_model::classify(&layout.region(layers::VIA1), self.via_pair_distance);
         let via_yield = via_model::via_yield(stats, self.via_fail_prob);
@@ -350,7 +348,10 @@ mod tests {
         let view = tiled.view(0, 0);
         let whole = ctx.predicted_yield(&view);
         let reference = ctx.predicted_yield(&flat);
-        assert_eq!(whole.metal_ca_nm2.to_bits(), reference.metal_ca_nm2.to_bits());
+        assert_eq!(
+            whole.metal_ca_nm2.to_bits(),
+            reference.metal_ca_nm2.to_bits()
+        );
         assert_eq!(whole.via_stats, reference.via_stats);
     }
 
@@ -372,7 +373,10 @@ mod tests {
         assert!(verdict.area_after > verdict.area_before);
         // Open CA falls; short CA may rise a little — net must not be
         // catastrophic.
-        assert!(verdict.yield_after > verdict.yield_before - 0.05, "{verdict}");
+        assert!(
+            verdict.yield_after > verdict.yield_before - 0.05,
+            "{verdict}"
+        );
     }
 
     #[test]
@@ -394,7 +398,10 @@ mod tests {
         assert!((v.roi() - 2.5).abs() < 1e-9);
         assert_eq!(v.hit_or_hype(), HitOrHype::Hit);
 
-        let hype = Verdict { yield_after: 0.90, ..v.clone() };
+        let hype = Verdict {
+            yield_after: 0.90,
+            ..v.clone()
+        };
         assert_eq!(hype.hit_or_hype(), HitOrHype::Hype);
     }
 

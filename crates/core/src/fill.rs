@@ -116,18 +116,17 @@ impl DfmTechnique for MetalFill {
         if edits == 0 {
             return AppliedResult::unchanged(out);
         }
-        AppliedResult { layout: out, notes, edits }
+        AppliedResult {
+            layout: out,
+            notes,
+            edits,
+        }
     }
 }
 
 /// Density statistics helper shared with experiment E9: the minimum and
 /// maximum window density of `metal ∪ fill`.
-pub fn density_extremes(
-    flat: &FlatLayout,
-    metal: Layer,
-    fill: Layer,
-    window: Coord,
-) -> (f64, f64) {
+pub fn density_extremes(flat: &FlatLayout, metal: Layer, fill: Layer, window: Coord) -> (f64, f64) {
     let combined = flat.region(metal).union(&flat.region(fill));
     let dmap = density_map(&combined, flat.bbox(), window);
     let min = dmap.iter().map(|&(_, d)| d).fold(1.0f64, f64::min);
@@ -168,9 +167,16 @@ mod tests {
         assert!(r.edits > 0, "{:?}", r.notes);
         let (min_before, _) =
             density_extremes(&flat, layers::METAL1, layers::FILL_M1, tech.density_window);
-        let (min_after, max_after) =
-            density_extremes(&r.layout, layers::METAL1, layers::FILL_M1, tech.density_window);
-        assert!(min_after > min_before, "min density {min_before} -> {min_after}");
+        let (min_after, max_after) = density_extremes(
+            &r.layout,
+            layers::METAL1,
+            layers::FILL_M1,
+            tech.density_window,
+        );
+        assert!(
+            min_after > min_before,
+            "min density {min_before} -> {min_after}"
+        );
         assert!(max_after <= 1.0);
     }
 
@@ -211,7 +217,10 @@ mod tests {
         let w = tech.rules(layers::METAL1).min_width;
         // Uniform 50% density everywhere.
         for i in 0..200 {
-            c.add_rect(layers::METAL1, Rect::new(0, i * 2 * w, 40_000, i * 2 * w + w));
+            c.add_rect(
+                layers::METAL1,
+                Rect::new(0, i * 2 * w, 40_000, i * 2 * w + w),
+            );
         }
         let id = lib.add_cell(c).expect("add");
         let flat = lib.flatten(id).expect("flatten");

@@ -170,8 +170,11 @@ mod tests {
         assert!(r.layout.region(layers::METAL1).contains_point(site));
         // The unrelated wire is untouched.
         assert_eq!(
-            r.layout.region(layers::METAL1).clipped(Rect::new(0, 19_000, 4000, 21_000)),
-            flat.region(layers::METAL1).clipped(Rect::new(0, 19_000, 4000, 21_000))
+            r.layout
+                .region(layers::METAL1)
+                .clipped(Rect::new(0, 19_000, 4000, 21_000)),
+            flat.region(layers::METAL1)
+                .clipped(Rect::new(0, 19_000, 4000, 21_000))
         );
     }
 
@@ -192,7 +195,12 @@ mod tests {
         let site = Point::new(10_000, 5_000);
         let mut rects = slot_at(site, 60);
         // Neighbour 95 above the upper plate's top edge (x-aligned).
-        rects.push(Rect::new(site.x - 400, site.y + 395, site.x + 400, site.y + 485));
+        rects.push(Rect::new(
+            site.x - 400,
+            site.y + 395,
+            site.x + 400,
+            site.y + 485,
+        ));
         let flat = flat_with(&rects);
         let fixer = PatternFixing {
             library,
@@ -204,9 +212,13 @@ mod tests {
         // fixer must not add any *new* violation.
         let min_space = tech.rules(layers::METAL1).min_space;
         let before = dfm_drc::spacing_violations(&flat.region(layers::METAL1), min_space);
-        let after =
-            dfm_drc::spacing_violations(&r.layout.region(layers::METAL1), min_space);
-        assert!(after.len() <= before.len(), "{} -> {} violations", before.len(), after.len());
+        let after = dfm_drc::spacing_violations(&r.layout.region(layers::METAL1), min_space);
+        assert!(
+            after.len() <= before.len(),
+            "{} -> {} violations",
+            before.len(),
+            after.len()
+        );
     }
 
     #[test]

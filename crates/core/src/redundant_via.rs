@@ -125,8 +125,8 @@ impl DfmTechnique for RedundantViaInsertion {
                     continue;
                 }
                 let pad_region = Region::from_rect(pad);
-                let free_fit = pad_region.difference(&m1).is_empty()
-                    && pad_region.difference(&m2).is_empty();
+                let free_fit =
+                    pad_region.difference(&m1).is_empty() && pad_region.difference(&m2).is_empty();
                 if free_fit {
                     new_cuts.push(cut);
                     cut_index.insert(cut, ());
@@ -147,14 +147,8 @@ impl DfmTechnique for RedundantViaInsertion {
                 }
                 let strap = tech.via_pad_at(c).bounding_union(&pad);
                 let danger = strap.expanded(metal_space);
-                let m1_ok = m1_s
-                    .query(danger)
-                    .iter()
-                    .all(|&&ci| Some(ci) == own1);
-                let m2_ok = m2_s
-                    .query(danger)
-                    .iter()
-                    .all(|&&ci| Some(ci) == own2);
+                let m1_ok = m1_s.query(danger).iter().all(|&&ci| Some(ci) == own1);
+                let m2_ok = m2_s.query(danger).iter().all(|&&ci| Some(ci) == own2);
                 let pads_ok = pad_index.query(danger).is_empty();
                 if m1_ok && m2_ok && pads_ok {
                     new_cuts.push(cut);
@@ -205,13 +199,16 @@ fn singles_of(vias: &Region, pair_distance: i64) -> Vec<Rect> {
         .iter()
         .enumerate()
         .filter(|(i, r)| {
-            !searcher.query_with_rects(r.expanded(pair_distance)).iter().any(|(o, &j)| {
-                if j == *i {
-                    return false;
-                }
-                let (dx, dy) = r.gap(o);
-                dx.max(dy) <= pair_distance
-            })
+            !searcher
+                .query_with_rects(r.expanded(pair_distance))
+                .iter()
+                .any(|(o, &j)| {
+                    if j == *i {
+                        return false;
+                    }
+                    let (dx, dy) = r.gap(o);
+                    dx.max(dy) <= pair_distance
+                })
         })
         .map(|(_, r)| *r)
         .collect()
@@ -275,7 +272,11 @@ mod tests {
         for layer in [layers::METAL1, layers::METAL2] {
             let region = result.layout.region(layer);
             let viols = dfm_drc::spacing_violations(&region, tech.rules(layer).min_space);
-            assert!(viols.is_empty(), "{layer} spacing violations: {}", viols.len());
+            assert!(
+                viols.is_empty(),
+                "{layer} spacing violations: {}",
+                viols.len()
+            );
         }
     }
 

@@ -46,8 +46,16 @@ impl fmt::Display for DfmScorecard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "DFM scorecard: {:.3}", self.composite())?;
         writeln!(f, "  hard-rule cleanliness   {:.3}", self.drc_cleanliness)?;
-        writeln!(f, "  recommended compliance  {:.3}", self.recommended_compliance)?;
-        writeln!(f, "  density uniformity      {:.3}", self.density_uniformity)?;
+        writeln!(
+            f,
+            "  recommended compliance  {:.3}",
+            self.recommended_compliance
+        )?;
+        writeln!(
+            f,
+            "  density uniformity      {:.3}",
+            self.density_uniformity
+        )?;
         writeln!(f, "  defect robustness       {:.3}", self.defect_robustness)?;
         write!(f, "  via redundancy          {:.3}", self.via_redundancy)
     }
@@ -81,8 +89,7 @@ pub fn scorecard(flat: &FlatLayout, ctx: &EvaluationContext) -> DfmScorecard {
         if flat.region(metal).is_empty() {
             continue;
         }
-        let (min, max) =
-            crate::fill_density_extremes(flat, metal, fill, tech.density_window);
+        let (min, max) = crate::fill_density_extremes(flat, metal, fill, tech.density_window);
         spread_sum += (max - min).clamp(0.0, 1.0);
         spread_n += 1;
     }

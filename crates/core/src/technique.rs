@@ -16,7 +16,11 @@ pub struct AppliedResult {
 impl AppliedResult {
     /// An unchanged result (technique found nothing to do).
     pub fn unchanged(layout: FlatLayout) -> Self {
-        AppliedResult { layout, notes: vec!["no applicable sites".into()], edits: 0 }
+        AppliedResult {
+            layout,
+            notes: vec!["no applicable sites".into()],
+            edits: 0,
+        }
     }
 }
 

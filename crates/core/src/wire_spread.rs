@@ -53,28 +53,28 @@ impl WireSpreading {
                     // vertical wire: move along x.
                     if positive {
                         Region::from_rects(
-                            comp.rects().iter().map(|r| {
-                                dfm_geom::Rect::new(r.x0, r.y0, r.x1 + mid, r.y1)
-                            }),
+                            comp.rects()
+                                .iter()
+                                .map(|r| dfm_geom::Rect::new(r.x0, r.y0, r.x1 + mid, r.y1)),
                         )
                     } else {
                         Region::from_rects(
-                            comp.rects().iter().map(|r| {
-                                dfm_geom::Rect::new(r.x0 - mid, r.y0, r.x1, r.y1)
-                            }),
+                            comp.rects()
+                                .iter()
+                                .map(|r| dfm_geom::Rect::new(r.x0 - mid, r.y0, r.x1, r.y1)),
                         )
                     }
                 } else if positive {
                     Region::from_rects(
-                        comp.rects().iter().map(|r| {
-                            dfm_geom::Rect::new(r.x0, r.y0, r.x1, r.y1 + mid)
-                        }),
+                        comp.rects()
+                            .iter()
+                            .map(|r| dfm_geom::Rect::new(r.x0, r.y0, r.x1, r.y1 + mid)),
                     )
                 } else {
                     Region::from_rects(
-                        comp.rects().iter().map(|r| {
-                            dfm_geom::Rect::new(r.x0, r.y0 - mid, r.x1, r.y1)
-                        }),
+                        comp.rects()
+                            .iter()
+                            .map(|r| dfm_geom::Rect::new(r.x0, r.y0 - mid, r.x1, r.y1)),
                     )
                 };
                 if grown.intersection(others).is_empty() {
@@ -100,7 +100,9 @@ impl DfmTechnique for WireSpreading {
         if layer_region.is_empty() {
             return AppliedResult::unchanged(flat.clone());
         }
-        let vias = flat.region(layers::VIA1).union(&flat.region(layers::CONTACT));
+        let vias = flat
+            .region(layers::VIA1)
+            .union(&flat.region(layers::CONTACT));
         let comps = layer_region.connected_components();
 
         let mut moved = 0usize;
@@ -196,7 +198,11 @@ mod tests {
     }
 
     fn spreader() -> WireSpreading {
-        WireSpreading { max_move: 135, search_range: 810, layer: layers::METAL1 }
+        WireSpreading {
+            max_move: 135,
+            search_range: 810,
+            layer: layers::METAL1,
+        }
     }
 
     #[test]
@@ -261,8 +267,7 @@ mod tests {
         let defects = dfm_yield::DefectModel::new(45, 1.0);
         let before = dfm_yield::critical_area::analyze(&flat.region(layers::METAL1), &defects);
         let r = spreader().apply(&flat, &tech);
-        let after =
-            dfm_yield::critical_area::analyze(&r.layout.region(layers::METAL1), &defects);
+        let after = dfm_yield::critical_area::analyze(&r.layout.region(layers::METAL1), &defects);
         assert!(
             after.short_ca_nm2 < before.short_ca_nm2,
             "short CA {} -> {}",

@@ -86,9 +86,8 @@ impl DfmTechnique for WireWidening {
                 if near_growth.is_empty() {
                     break;
                 }
-                let trim = dfm_geom::Region::from_rects(
-                    near_growth.iter().map(|b| b.expanded(min_space)),
-                );
+                let trim =
+                    dfm_geom::Region::from_rects(near_growth.iter().map(|b| b.expanded(min_space)));
                 growth = growth.difference(&trim);
                 widened = region.union(&growth);
             }
@@ -106,7 +105,11 @@ impl DfmTechnique for WireWidening {
         if edits == 0 {
             return AppliedResult::unchanged(out);
         }
-        AppliedResult { layout: out, notes, edits }
+        AppliedResult {
+            layout: out,
+            notes,
+            edits,
+        }
     }
 }
 
@@ -127,7 +130,10 @@ mod tests {
     }
 
     fn widener(delta: i64) -> WireWidening {
-        WireWidening { delta, metal_layers: [layers::METAL1, layers::METAL2] }
+        WireWidening {
+            delta,
+            metal_layers: [layers::METAL1, layers::METAL2],
+        }
     }
 
     #[test]
@@ -142,11 +148,8 @@ mod tests {
     #[test]
     fn tight_pair_does_not_widen_into_gap() {
         let tech = Technology::n65(); // min space 90
-        // Gap of exactly 90: no headroom at all.
-        let flat = flat_with_m1(&[
-            Rect::new(0, 0, 4000, 90),
-            Rect::new(0, 180, 4000, 270),
-        ]);
+                                      // Gap of exactly 90: no headroom at all.
+        let flat = flat_with_m1(&[Rect::new(0, 0, 4000, 90), Rect::new(0, 180, 4000, 270)]);
         let r = widener(20).apply(&flat, &tech);
         let widened = r.layout.region(layers::METAL1);
         // Outer edges grew, the 90 gap is untouched.
@@ -162,10 +165,7 @@ mod tests {
     fn roomy_pair_widens_down_to_min_space() {
         let tech = Technology::n65();
         // Gap of 131 > 90 + 2*20: widening by 20 leaves 91 ≥ min space.
-        let flat = flat_with_m1(&[
-            Rect::new(0, 0, 4000, 90),
-            Rect::new(0, 221, 4000, 311),
-        ]);
+        let flat = flat_with_m1(&[Rect::new(0, 0, 4000, 90), Rect::new(0, 221, 4000, 311)]);
         let r = widener(20).apply(&flat, &tech);
         let widened = r.layout.region(layers::METAL1);
         let viols = dfm_drc::spacing_violations(&widened, tech.rules(layers::METAL1).min_space);
@@ -192,8 +192,7 @@ mod tests {
             metal_layers: [layers::METAL1, layers::METAL2],
         };
         let r = w.apply(&flat, &tech);
-        let after =
-            dfm_yield::critical_area::analyze(&r.layout.region(layers::METAL1), &defects);
+        let after = dfm_yield::critical_area::analyze(&r.layout.region(layers::METAL1), &defects);
         assert!(
             after.open_ca_nm2 < before.open_ca_nm2,
             "open CA {} -> {}",
@@ -217,10 +216,8 @@ mod tests {
         };
         let r = w.apply(&flat, &tech);
         for layer in [layers::METAL1, layers::METAL2] {
-            let viols = dfm_drc::spacing_violations(
-                &r.layout.region(layer),
-                tech.rules(layer).min_space,
-            );
+            let viols =
+                dfm_drc::spacing_violations(&r.layout.region(layer), tech.rules(layer).min_space);
             assert!(viols.is_empty(), "{layer}: {} violations", viols.len());
         }
     }
@@ -241,7 +238,9 @@ mod tests {
         let r = w.apply(&flat, &tech);
         let before_m1 = flat.region(layers::METAL1);
         let after_m1 = r.layout.region(layers::METAL1);
-        assert!(before_m1.difference(&after_m1).is_empty(), "widening must be additive");
+        assert!(
+            before_m1.difference(&after_m1).is_empty(),
+            "widening must be additive"
+        );
     }
 }
-
