@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, five engine fork regions, five tile-view sites, and the platform's and the layout crate's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, five engine fork regions, four tile-view sites, and the platform's and the layout crate's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -118,17 +118,17 @@ if [[ $(grep -c . <<<"$forks") -ne 5 ]]; then
 fi
 # One prepared tile: a job materialises each distinct tile window once
 # (JobContext::compute_tile) and every rule, CA and litho read their
-# layers, edges and facing sweeps off it. The other four sites are the
-# one-shot wrappers — `rule_tile_partial`, `facing_pair_partial`,
-# `ca_tile_partial`, `printed_tile_piece` — that build a consumer's own
-# view for tests and the benchmark's replay. A new per-rule view is
-# work the prepared tile already did; it arrives with its reason and a
-# new pin.
+# layers, edges and facing sweeps off it. The other three sites are the
+# one-shot wrappers — `rule_tile_partial`, `ca_tile_partial`,
+# `printed_tile_piece` — that build a consumer's own view for tests and
+# the benchmark's replay (5 until `facing_pair_partial`, which had no
+# caller outside tests, was deleted). A new per-rule view is work the
+# prepared tile already did; it arrives with its reason and a new pin.
 views=$(find crates/drc/src crates/yieldsim/src crates/litho/src crates/signoff/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"' && /view_layers\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
 echo "view_layers( sites in crates/{drc,yieldsim,litho,signoff}/src: $(grep -c . <<<"$views")"
-if [[ $(grep -c . <<<"$views") -ne 5 ]]; then
-    echo "error: tile views are built once per window in JobContext::compute_tile; say why another is needed and re-pin (5):" >&2
+if [[ $(grep -c . <<<"$views") -ne 4 ]]; then
+    echo "error: tile views are built once per window in JobContext::compute_tile; say why another is needed and re-pin (4):" >&2
     echo "$views" >&2
     exit 1
 fi
@@ -180,11 +180,12 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff.
-cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par
+cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
+    -p dfm-core
 
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

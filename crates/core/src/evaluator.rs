@@ -1,7 +1,7 @@
 //! The hit-or-hype evaluator (experiment E8).
 
 use crate::DfmTechnique;
-use dfm_layout::{layers, FlatLayout, LayoutView, Technology};
+use dfm_layout::{layers, FlatLayout, Technology};
 use dfm_yield::{critical_area, model, via_model, DefectModel};
 use std::fmt;
 use std::time::Instant;
@@ -36,19 +36,18 @@ impl EvaluationContext {
     }
 
     /// Predicted functional yield of a layout: metal critical-area yield
-    /// (shorts + opens on M1/M2) times via-connection yield. Accepts any
-    /// [`LayoutView`] — the whole chip or a single tile view.
-    pub fn predicted_yield(&self, layout: &impl LayoutView) -> YieldBreakdown {
+    /// (shorts + opens on M1/M2) times via-connection yield.
+    pub fn predicted_yield(&self, layout: &FlatLayout) -> YieldBreakdown {
+        let empty = dfm_geom::Region::new();
+        let region = |layer| layout.region_ref(layer).unwrap_or(&empty);
         let mut metal_ca = 0.0;
-        for metal in [layers::METAL1, layers::METAL2] {
-            // Fill shapes count for shorts against functional metal, so
-            // include the fill datatype in the short analysis.
-            let fill = if metal == layers::METAL2 {
-                layers::FILL_M2
-            } else {
-                layers::FILL_M1
-            };
-            let combined = layout.region(metal).union(&layout.region(fill));
+        // Fill shapes count for shorts against functional metal, so
+        // include the fill datatype in the short analysis.
+        for (metal, fill) in [
+            (layers::METAL1, layers::FILL_M1),
+            (layers::METAL2, layers::FILL_M2),
+        ] {
+            let combined = region(metal).union(region(fill));
             let ca = critical_area::analyze(&combined, &self.defects);
             metal_ca += ca.total_ca_nm2();
         }
@@ -56,7 +55,7 @@ impl EvaluationContext {
             None => model::poisson_yield(metal_ca, self.defects.d0_per_cm2),
             Some(alpha) => model::negative_binomial_yield(metal_ca, self.defects.d0_per_cm2, alpha),
         };
-        let stats = via_model::classify(&layout.region(layers::VIA1), self.via_pair_distance);
+        let stats = via_model::classify(region(layers::VIA1), self.via_pair_distance);
         let via_yield = via_model::via_yield(stats, self.via_fail_prob);
         YieldBreakdown {
             metal_ca_nm2: metal_ca,
@@ -331,28 +330,6 @@ mod tests {
         assert_eq!(c.via_fail_prob, 1e-5);
         assert_eq!(c.cluster_alpha, Some(2.0));
         assert_eq!(c.via_pair_distance, 77);
-    }
-
-    #[test]
-    fn predicted_yield_accepts_tile_views() {
-        // A whole-layout tile view sees the same geometry as the flat
-        // layout, so the breakdown must be identical.
-        let (ctx, flat) = setup();
-        let cfg = dfm_layout::TilingConfig::builder()
-            .tile(10_000_000)
-            .halo(0)
-            .build()
-            .expect("config");
-        let tiled = dfm_layout::TiledLayout::from_flat(flat.clone(), cfg);
-        assert_eq!(tiled.tile_count(), 1);
-        let view = tiled.view(0, 0);
-        let whole = ctx.predicted_yield(&view);
-        let reference = ctx.predicted_yield(&flat);
-        assert_eq!(
-            whole.metal_ca_nm2.to_bits(),
-            reference.metal_ca_nm2.to_bits()
-        );
-        assert_eq!(whole.via_stats, reference.via_stats);
     }
 
     #[test]

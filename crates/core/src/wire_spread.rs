@@ -220,7 +220,8 @@ mod tests {
         // The middle wire moved up; the old position is vacated.
         assert!(!region.contains_point(Point::new(2000, 185)));
         // Minimum spacing increased beyond the original 90.
-        let min_gap = dfm_drc::exterior_facing_pairs(&region, 10_000)
+        let min_gap = dfm_drc::facing_pairs(&region, 10_000)
+            .0
             .iter()
             .map(|p| p.distance)
             .min()

@@ -77,13 +77,6 @@ pub struct Decomposition {
     pub conflicts: Vec<Rect>,
 }
 
-impl Decomposition {
-    /// Total feature pieces across both masks.
-    pub fn piece_count(&self) -> usize {
-        self.mask_a.rect_count() + self.mask_b.rect_count()
-    }
-}
-
 /// Builds the conflict graph over `components`: an edge joins two
 /// components whose separation is below `min_space` (Chebyshev).
 pub fn conflict_graph(components: &[Region], min_space: Coord) -> Vec<(usize, usize)> {
@@ -349,13 +342,6 @@ pub mod multi {
         pub masks: Vec<Region>,
         /// Features that could not be coloured with k masks.
         pub conflicts: Vec<Rect>,
-    }
-
-    impl MultiDecomposition {
-        /// Number of masks requested.
-        pub fn mask_count(&self) -> usize {
-            self.masks.len()
-        }
     }
 
     /// Greedy DSATUR k-colouring.

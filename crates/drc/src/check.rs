@@ -2,9 +2,9 @@
 
 use crate::{DrcReport, Rule, RuleDeck, Violation};
 use dfm_geom::{BoundaryEdges, GridIndex, Point, Rect, Region};
-use dfm_layout::LayoutView;
+use dfm_layout::{FlatLayout, Layer};
 
-/// Runs a [`RuleDeck`] against a layout view.
+/// Runs a [`RuleDeck`] against a flat layout.
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Clone, Copy, Debug)]
@@ -20,11 +20,10 @@ impl<'a> DrcEngine<'a> {
 
     /// Runs every rule in the deck, returning the combined report.
     ///
-    /// Accepts any [`LayoutView`] — a whole-chip `FlatLayout` or a
-    /// single tile view. Rules are checked in parallel (`DFM_THREADS`)
-    /// and the per-rule results merged in deck order, so the report is
-    /// bit-identical at any thread count.
-    pub fn run(&self, layout: &(impl LayoutView + Sync)) -> DrcReport {
+    /// Rules are checked in parallel (`DFM_THREADS`) and the per-rule
+    /// results merged in deck order, so the report is bit-identical at
+    /// any thread count.
+    pub fn run(&self, layout: &FlatLayout) -> DrcReport {
         let per_rule = dfm_par::par_map(self.deck.rules(), |_, rule| check_rule(rule, layout));
         let mut report = DrcReport::new();
         for violations in per_rule {
@@ -51,94 +50,69 @@ pub(crate) fn sort_violations(v: &mut [Violation]) {
     });
 }
 
-/// Checks a single rule against a layout view.
+/// A borrowed layer region, or the empty region when there is none.
+pub(crate) fn or_empty(region: Option<&Region>) -> &Region {
+    static EMPTY: Region = Region::new();
+    region.unwrap_or(&EMPTY)
+}
+
+/// Checks a single rule against a flat layout.
 ///
 /// The returned violations are in canonical (location-sorted) order.
-pub fn check_rule(rule: &Rule, layout: &impl LayoutView) -> Vec<Violation> {
+pub fn check_rule(rule: &Rule, layout: &FlatLayout) -> Vec<Violation> {
     let id = rule.id();
-    let mut out: Vec<Violation> = match rule {
-        Rule::MinWidth { layer, value } => width_violations(&layout.region(*layer), *value)
+    let region = |layer: &Layer| or_empty(layout.region_ref(*layer));
+    let against = |found: Vec<(Rect, i64)>, limit: i64| -> Vec<Violation> {
+        found
             .into_iter()
             .map(|(location, actual)| Violation {
                 rule: id.clone(),
                 location,
                 actual,
-                limit: *value,
+                limit,
             })
-            .collect(),
-        Rule::MinSpace { layer, value } => spacing_violations(&layout.region(*layer), *value)
-            .into_iter()
-            .map(|(location, actual)| Violation {
-                rule: id.clone(),
-                location,
-                actual,
-                limit: *value,
-            })
-            .collect(),
-        Rule::MinSpaceTo { from, to, value } => {
-            let from_r = layout.region(*from);
-            let to_r = layout.region(*to);
-            min_space_to_violations(&from_r, &to_r, *value)
-                .into_iter()
-                .map(|(location, actual)| Violation {
-                    rule: id.clone(),
-                    location,
-                    actual,
-                    limit: *value,
-                })
-                .collect()
+            .collect()
+    };
+    let mut out = match rule {
+        Rule::MinWidth { layer, value } => against(width_violations(region(layer), *value), *value),
+        Rule::MinSpace { layer, value } => {
+            against(spacing_violations(region(layer), *value), *value)
         }
+        Rule::MinSpaceTo { from, to, value } => against(
+            min_space_to_violations(region(from), region(to), *value),
+            *value,
+        ),
         Rule::Enclosure {
             inner,
             outer,
             value,
-        } => {
-            let inner_r = layout.region(*inner);
-            let outer_r = layout.region(*outer);
-            enclosure_violations(&inner_r, &outer_r, *value)
+        } => against(
+            enclosure_violations(region(inner), region(outer), *value),
+            *value,
+        ),
+        Rule::MinArea { layer, value } => against(
+            region(layer)
+                .connected_components()
                 .into_iter()
-                .map(|(location, actual)| Violation {
-                    rule: id.clone(),
-                    location,
-                    actual,
-                    limit: *value,
-                })
-                .collect()
-        }
-        Rule::MinArea { layer, value } => layout
-            .region(*layer)
-            .connected_components()
-            .into_iter()
-            .filter(|c| c.area() < *value as i128)
-            .map(|c| Violation {
-                rule: id.clone(),
-                location: c.bbox(),
-                actual: c.area() as i64,
-                limit: *value,
-            })
-            .collect(),
+                .filter(|c| c.area() < *value as i128)
+                .map(|c| (c.bbox(), c.area() as i64))
+                .collect(),
+            *value,
+        ),
         Rule::WideSpace {
             layer,
             wide_width,
             space,
-        } => {
-            let region = layout.region(*layer);
-            wide_space_violations(&region, *wide_width, *space)
-                .into_iter()
-                .map(|(location, actual)| Violation {
-                    rule: id.clone(),
-                    location,
-                    actual,
-                    limit: *space,
-                })
-                .collect()
-        }
+        } => against(
+            wide_space_violations(region(layer), *wide_width, *space),
+            *space,
+        ),
         Rule::Density {
             layer,
             window,
             min,
             max,
-        } => density_violations(&layout.region(*layer), layout.bbox(), *window, *min, *max)
+        } => density_violations(region(layer), layout.bbox(), *window, *min, *max)
             .into_iter()
             .map(|(location, density)| {
                 let limit = if density_ppm(density) < density_ppm(*min) {
@@ -212,9 +186,8 @@ pub(crate) fn min_separation(a: &Region, b: &Region, max: i64) -> i64 {
 /// A pair of facing boundary edges: the measured distance between them
 /// and the length over which they face each other.
 ///
-/// Produced by [`interior_facing_pairs`] (feature widths) and
-/// [`exterior_facing_pairs`] (spacings); this is also the raw input to
-/// critical-area analysis in `dfm-yield`.
+/// Produced by [`facing_pairs`] (spacings and feature widths); this is
+/// also the raw input to critical-area analysis in `dfm-yield`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FacingPair {
     /// Distance between the two edges.
@@ -225,23 +198,23 @@ pub struct FacingPair {
     pub location: Rect,
 }
 
-/// All interior-facing edge pairs with distance below `max`: every local
-/// feature *width* measurement.
-pub fn interior_facing_pairs(region: &Region, max: i64) -> Vec<FacingPair> {
-    facing_pairs(PreparedLayer::new(region, max, max).fragments(max, true))
-}
-
-/// All exterior-facing edge pairs with distance below `max`: every local
-/// *spacing* measurement (notches included, corner-to-corner excluded).
-pub fn exterior_facing_pairs(region: &Region, max: i64) -> Vec<FacingPair> {
-    facing_pairs(PreparedLayer::new(region, max, max).fragments(max, false))
+/// Every facing edge pair closer than `max`, both senses read off one
+/// preparation of the region: `(exterior, interior)`, the local
+/// *spacings* (notches included, corner-to-corner excluded) and the
+/// local feature *widths*.
+pub fn facing_pairs(region: &Region, max: i64) -> (Vec<FacingPair>, Vec<FacingPair>) {
+    let layer = PreparedLayer::new(region, max, max);
+    (
+        coalesced_pairs(layer.fragments(max, false)),
+        coalesced_pairs(layer.fragments(max, true)),
+    )
 }
 
 /// Facing-interior edge pairs closer than `value`: the min-width check.
 ///
 /// Returns `(violation_box, measured_width)` pairs.
 pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    interior_facing_pairs(region, value)
+    coalesced_pairs(PreparedLayer::new(region, value, value).fragments(value, true))
         .into_iter()
         .map(|p| (p.location, p.distance))
         .collect()
@@ -253,7 +226,7 @@ pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
 /// Returns `(violation_box, measured_spacing)` pairs.
 pub fn spacing_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
     let layer = PreparedLayer::new(region, value, value);
-    let mut out: Vec<(Rect, i64)> = facing_pairs(layer.fragments(value, false))
+    let mut out: Vec<(Rect, i64)> = coalesced_pairs(layer.fragments(value, false))
         .into_iter()
         .map(|p| (p.location, p.distance))
         .collect();
@@ -262,7 +235,7 @@ pub fn spacing_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
 }
 
 /// The canonical pair list of raw fragments: coalesced, then measured.
-pub(crate) fn facing_pairs(frags: Vec<PairFragment>) -> Vec<FacingPair> {
+pub(crate) fn coalesced_pairs(frags: Vec<PairFragment>) -> Vec<FacingPair> {
     coalesce_fragments(frags)
         .into_iter()
         .map(PairFragment::to_pair)

@@ -52,14 +52,14 @@ pub mod tiled;
 mod violation;
 
 pub use check::{
-    check_rule, density_map, density_ppm, density_windows, enclosure_violations,
-    exterior_facing_pairs, interior_facing_pairs, min_space_to_violations, spacing_violations,
-    wide_space_violations, width_violations, DrcEngine, FacingPair, PairFragment,
+    check_rule, density_map, density_ppm, density_windows, enclosure_violations, facing_pairs,
+    min_space_to_violations, spacing_violations, wide_space_violations, width_violations,
+    DrcEngine, FacingPair, PairFragment,
 };
 pub use rule::{ParseDeckError, Rule, RuleDeck};
 pub use tiled::{
-    facing_pair_partial, merge_facing_pair_partials, merge_rule_partials, rule_layers, rule_sweeps,
-    rule_tile_halo, rule_tile_partial, rule_view_partial, AreaPiece, PreparedView, RulePartial,
-    Sweep, TiledDrcError,
+    merge_facing_pair_partials, merge_rule_partials, rule_layers, rule_sweeps, rule_tile_halo,
+    rule_tile_partial, rule_view_partial, AreaPiece, PreparedView, RulePartial, Sweep,
+    TiledDrcError,
 };
 pub use violation::{DrcReport, Violation};

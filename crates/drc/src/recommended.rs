@@ -7,9 +7,9 @@
 //! with yield; experiment E10 answers that with this module plus the
 //! critical-area models of `dfm-yield`.
 
-use crate::check::check_rule;
+use crate::check::{check_rule, density_map, or_empty};
 use crate::Rule;
-use dfm_layout::{LayoutView, Technology};
+use dfm_layout::{FlatLayout, Layer, Technology};
 use std::fmt;
 
 /// A recommended rule: a [`Rule`] evaluated as guidance with a weight.
@@ -95,7 +95,7 @@ impl RecommendedDeck {
     /// `[0, 1]`, where `sites` is the number of primitive features the
     /// rule could fire on (canonical rectangles for width/space, connected
     /// components for enclosure). The composite is the weighted mean.
-    pub fn compliance(&self, layout: &impl LayoutView) -> ComplianceReport {
+    pub fn compliance(&self, layout: &FlatLayout) -> ComplianceReport {
         let mut per_rule = Vec::with_capacity(self.rules.len());
         for rr in &self.rules {
             let violations = check_rule(&rr.rule, layout).len();
@@ -113,16 +113,17 @@ impl RecommendedDeck {
     }
 }
 
-fn rule_sites(rule: &Rule, layout: &impl LayoutView) -> usize {
+fn rule_sites(rule: &Rule, layout: &FlatLayout) -> usize {
+    let region = |layer: &Layer| or_empty(layout.region_ref(*layer));
     match rule {
         Rule::MinWidth { layer, .. }
         | Rule::MinSpace { layer, .. }
-        | Rule::MinArea { layer, .. } => layout.layer_rects(*layer).len(),
-        Rule::MinSpaceTo { from, .. } => layout.layer_rects(*from).len(),
-        Rule::WideSpace { layer, .. } => layout.layer_rects(*layer).len(),
-        Rule::Enclosure { inner, .. } => layout.layer_rects(*inner).len(),
+        | Rule::MinArea { layer, .. }
+        | Rule::WideSpace { layer, .. }
+        | Rule::MinSpaceTo { from: layer, .. }
+        | Rule::Enclosure { inner: layer, .. } => region(layer).rects().len(),
         Rule::Density { layer, window, .. } => {
-            crate::check::density_map(&layout.region(*layer), layout.bbox(), *window).len()
+            density_map(region(layer), layout.bbox(), *window).len()
         }
     }
 }

@@ -11,8 +11,8 @@
 //! [`merge_rule_partials`] folds the partials, given in tile order,
 //! into exactly the violations the flat [`crate::DrcEngine`] produces —
 //! same violations, same order, same bits, at any tile size.
-//! [`facing_pair_partial`] and [`merge_facing_pair_partials`] are the
-//! same pair for the facing-pair lists critical area reads.
+//! [`merge_facing_pair_partials`] does the same for the facing-pair
+//! strips critical area reads off a prepared view.
 //!
 //! # Seam dedup: the ownership rule
 //!
@@ -44,12 +44,12 @@
 //! folds into `TilePartial::rects_peak`.
 
 use crate::check::{
-    density_ppm, density_windows, enclosure_margin, facing_pairs, min_separation, sort_violations,
-    PairFragment, PreparedLayer,
+    coalesced_pairs, density_ppm, density_windows, enclosure_margin, min_separation, or_empty,
+    sort_violations, PairFragment, PreparedLayer,
 };
 use crate::{FacingPair, Rule, Violation};
 use dfm_geom::{Point, Rect, Region};
-use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
+use dfm_layout::{Layer, TileView, TiledLayout};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -298,15 +298,17 @@ impl PreparedView {
 
     /// Canonical rect count of `layers` in the view.
     pub fn rect_count_of(&self, layers: &[Layer]) -> usize {
-        layers.iter().map(|&l| self.view.layer_rects(l).len()).sum()
+        layers
+            .iter()
+            .map(|&l| layer_region(&self.view, l).rects().len())
+            .sum()
     }
 }
 
 /// A view's region of `layer`, borrowed (the empty region when the view
 /// carries none).
 fn layer_region(view: &TileView, layer: Layer) -> &Region {
-    static EMPTY: Region = Region::new();
-    view.region_ref(layer).unwrap_or(&EMPTY)
+    or_empty(view.region_ref(layer))
 }
 
 /// Computes one rule's partial result on one tile. Pure: the output
@@ -428,7 +430,7 @@ pub fn merge_rule_partials(
                 };
                 frags.extend(f);
             }
-            facing_pairs(frags)
+            coalesced_pairs(frags)
                 .into_iter()
                 .map(|p| make(p.location, p.distance, *value))
                 .collect()
@@ -448,7 +450,7 @@ pub fn merge_rule_partials(
                 frags.extend(f);
                 corners.extend(c);
             }
-            let mut v: Vec<Violation> = facing_pairs(frags)
+            let mut v: Vec<Violation> = coalesced_pairs(frags)
                 .into_iter()
                 .map(|p| make(p.location, p.distance, *value))
                 .collect();
@@ -514,39 +516,13 @@ pub fn merge_rule_partials(
     Ok(out)
 }
 
-/// One tile's owned fragment strips for a facing-pair sweep of `layer`
-/// at interaction range `max`, computed as an independent task.
-/// Returns the strips and the tile's canonical rect count. Merging
-/// every tile's strips with [`merge_facing_pair_partials`] gives the
-/// exact pair list [`crate::interior_facing_pairs`] /
-/// [`crate::exterior_facing_pairs`] produce on the flat region, without
-/// ever materialising it.
-pub fn facing_pair_partial(
-    layout: &TiledLayout,
-    layer: Layer,
-    max: i64,
-    interior_between: bool,
-    tile: usize,
-) -> (Vec<PairFragment>, usize) {
-    let view = layout.view_layers(tile, max + 2, &[layer]);
-    let sweep = Sweep {
-        layer,
-        interior: interior_between,
-        value: max,
-    };
-    let prep = PreparedView::new(view, &[sweep]);
-    (
-        prep.fragments(layer, interior_between, max),
-        prep.rect_count_of(&[layer]),
-    )
-}
-
-/// Merges per-tile fragment strips (in tile order) into the exact flat
-/// facing-pair list — the merge half of [`facing_pair_partial`].
+/// Merges per-tile fragment strips (in tile order, each read off a
+/// [`PreparedView`] with [`PreparedView::fragments`]) into the exact
+/// flat facing-pair list of [`crate::facing_pairs`].
 pub fn merge_facing_pair_partials(
     partials: impl IntoIterator<Item = Vec<PairFragment>>,
 ) -> Vec<FacingPair> {
-    facing_pairs(partials.into_iter().flatten().collect())
+    coalesced_pairs(partials.into_iter().flatten().collect())
 }
 
 /// Collects a certified-rule fold: the first refusing tile (in tile
@@ -1003,7 +979,7 @@ mod tests {
         let flat = lib.flatten(lib.top().expect("top")).expect("flatten");
         let deck = RuleDeck::for_technology(&tech);
         let reference = DrcEngine::new(&deck).run(&flat);
-        let extent = dfm_layout::LayoutView::bbox(&flat);
+        let extent = flat.bbox();
         let side = ((extent.x1 - extent.x0) / 3).max(1);
         // One divisor-ish and one deliberately awkward tile size.
         for tile in [side, side * 2 / 3 + 7] {
@@ -1058,7 +1034,7 @@ mod tests {
             max: 0.65,
         };
         let reference = crate::check::check_rule(&rule, &flat);
-        let extent = dfm_layout::LayoutView::bbox(&flat);
+        let extent = flat.bbox();
         let side = ((extent.x1 - extent.x0) / 4).max(1) + 13;
         let tiled = TiledLayout::from_flat(flat, tiling(side, 4));
         let tiled_v = check_tiles(&rule, &tiled).expect("exact");
@@ -1119,16 +1095,20 @@ mod tests {
         let flat = lib.flatten(lib.top().expect("top")).expect("flatten");
         let max = tech.rules(layers::METAL2).min_space * 3;
         let region = flat.region(layers::METAL2);
-        let flat_int = crate::interior_facing_pairs(&region, max);
-        let flat_ext = crate::exterior_facing_pairs(&region, max);
-        let extent = dfm_layout::LayoutView::bbox(&flat);
+        let (flat_ext, flat_int) = crate::facing_pairs(&region, max);
+        let extent = flat.bbox();
         let side = ((extent.x1 - extent.x0) / 3).max(1) + 11;
         let tiled = TiledLayout::from_flat(flat, tiling(side, max + 2));
         let by_tile = |interior| {
-            merge_facing_pair_partials(
-                (0..tiled.tile_count())
-                    .map(|i| facing_pair_partial(&tiled, layers::METAL2, max, interior, i).0),
-            )
+            let sweep = Sweep {
+                layer: layers::METAL2,
+                interior,
+                value: max,
+            };
+            merge_facing_pair_partials((0..tiled.tile_count()).map(|i| {
+                let view = tiled.view_layers(i, max + 2, &[layers::METAL2]);
+                PreparedView::new(view, &[sweep]).fragments(layers::METAL2, interior, max)
+            }))
         };
         assert_eq!(by_tile(true), flat_int);
         assert_eq!(by_tile(false), flat_ext);

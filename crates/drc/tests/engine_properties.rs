@@ -7,8 +7,8 @@
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
 use dfm_drc::{
-    exterior_facing_pairs, interior_facing_pairs, min_space_to_violations, spacing_violations,
-    width_violations, FacingPair, PairFragment,
+    facing_pairs, min_space_to_violations, spacing_violations, width_violations, FacingPair,
+    PairFragment,
 };
 use dfm_geom::{Rect, Region};
 
@@ -84,7 +84,7 @@ fn facing_pairs_exact() {
             }
             rects.push(Rect::new(0, y, 2000, y + 100));
             let region = Region::from_rects(rects);
-            let pairs = exterior_facing_pairs(&region, 400);
+            let pairs = facing_pairs(&region, 400).0;
             // Every adjacent gap is reported with full overlap length. (The
             // midpoint heuristic may additionally report a "through" pair
             // when the midpoint between non-adjacent bars lands on empty
@@ -232,14 +232,15 @@ fn facing_pairs_match_the_brute_force_oracle() {
                     .iter()
                     .map(|&(x, y, w, h)| Rect::new(x * 3, y * 3, x * 3 + w * 2, y * 3 + h * 2)),
             );
+            let (exterior, interior) = facing_pairs(&region, value);
             prop_assert_eq!(
-                interior_facing_pairs(&region, value),
+                interior,
                 brute_facing_pairs(&region, value, true),
                 "interior, value {}",
                 value
             );
             prop_assert_eq!(
-                exterior_facing_pairs(&region, value),
+                exterior,
                 brute_facing_pairs(&region, value, false),
                 "exterior, value {}",
                 value
@@ -339,7 +340,7 @@ fn corner_gaps_match_the_brute_force_oracle() {
                 }));
             let region = Region::from_rects(rects);
             let spacing = spacing_violations(&region, value);
-            let facing = exterior_facing_pairs(&region, value);
+            let facing = facing_pairs(&region, value).0;
             let (edges, corners) = spacing.split_at(facing.len());
             let facing: Vec<(Rect, i64)> =
                 facing.iter().map(|p| (p.location, p.distance)).collect();

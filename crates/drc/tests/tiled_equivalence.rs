@@ -1,6 +1,6 @@
 //! Property tests: the per-tile DRC halves the signoff service runs
-//! (`rule_tile_partial` with `merge_rule_partials`, and
-//! `facing_pair_partial` with `merge_facing_pair_partials`), here in a
+//! (`rule_tile_partial` with `merge_rule_partials`, and a prepared
+//! view's fragments with `merge_facing_pair_partials`), here in a
 //! plain loop over tiles, are bit-identical to the flat engine on
 //! random layouts, at random tile sizes (divisor and non-divisor
 //! alike) and random halos — plus the pinned seam regressions the
@@ -10,8 +10,9 @@
 
 use dfm_check::{check, prop_assert_eq, Config};
 use dfm_drc::{
-    enclosure_violations, facing_pair_partial, merge_facing_pair_partials, merge_rule_partials,
-    rule_tile_partial, DrcEngine, DrcReport, FacingPair, Rule, RuleDeck, TiledDrcError, Violation,
+    enclosure_violations, merge_facing_pair_partials, merge_rule_partials, rule_tile_partial,
+    DrcEngine, DrcReport, FacingPair, PreparedView, Rule, RuleDeck, Sweep, TiledDrcError,
+    Violation,
 };
 use dfm_geom::{Rect, Region, Rotation, Transform, Vector};
 use dfm_layout::{
@@ -123,9 +124,15 @@ fn facing_pairs_by_tile(
     max: i64,
     interior: bool,
 ) -> Vec<FacingPair> {
-    merge_facing_pair_partials(
-        (0..layout.tile_count()).map(|i| facing_pair_partial(layout, layer, max, interior, i).0),
-    )
+    let sweep = Sweep {
+        layer,
+        interior,
+        value: max,
+    };
+    merge_facing_pair_partials((0..layout.tile_count()).map(|i| {
+        let view = layout.view_layers(i, max + 2, &[layer]);
+        PreparedView::new(view, &[sweep]).fragments(layer, interior, max)
+    }))
 }
 
 /// Full deck of every decomposable rule kind over random soups: the
@@ -220,16 +227,13 @@ fn tiled_facing_pairs_match_flat_on_random_soups() {
             let region = soup(specs);
             let flat = flat_of(&region);
             let max_range = 450;
+            let (exterior, interior_pairs) = dfm_drc::facing_pairs(&region, max_range);
             for interior in [false, true] {
-                let reference = if interior {
-                    dfm_drc::interior_facing_pairs(&region, max_range)
-                } else {
-                    dfm_drc::exterior_facing_pairs(&region, max_range)
-                };
+                let reference = if interior { &interior_pairs } else { &exterior };
                 for t in [tile, tile + 29] {
                     let tiled = shard(&flat, t, 0);
                     let pairs = facing_pairs_by_tile(&tiled, layers::METAL1, max_range, interior);
-                    prop_assert_eq!(&pairs, &reference, "interior={} tile {}", interior, t);
+                    prop_assert_eq!(&pairs, reference, "interior={} tile {}", interior, t);
                 }
             }
             Ok(())

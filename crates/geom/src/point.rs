@@ -78,11 +78,6 @@ impl Vector {
         Vector { x: 0, y: 0 }
     }
 
-    /// L1 norm of the vector.
-    pub fn manhattan_length(self) -> Coord {
-        self.x.abs() + self.y.abs()
-    }
-
     /// Cross product z-component (`self.x * other.y - self.y * other.x`).
     ///
     /// Positive when `other` is counter-clockwise from `self`.

@@ -170,21 +170,6 @@ impl Rect {
         }
     }
 
-    /// The rectangle grown by possibly different amounts per axis.
-    pub fn expanded_xy(&self, dx: Coord, dy: Coord) -> Rect {
-        let r = Rect {
-            x0: self.x0 - dx,
-            y0: self.y0 - dy,
-            x1: self.x1 + dx,
-            y1: self.y1 + dy,
-        };
-        if r.x0 > r.x1 || r.y0 > r.y1 {
-            Rect::empty()
-        } else {
-            r
-        }
-    }
-
     /// The rectangle translated by `v`.
     pub fn translated(&self, v: Vector) -> Rect {
         Rect {

@@ -386,15 +386,6 @@ impl Region {
         Region::from_rects(self.rects.iter().map(|r| r.expanded(d)))
     }
 
-    /// Anisotropic dilation by `dx` horizontally and `dy` vertically.
-    pub fn bloated_xy(&self, dx: Coord, dy: Coord) -> Region {
-        assert!(dx >= 0 && dy >= 0, "bloat distances must be non-negative");
-        if dx == 0 && dy == 0 {
-            return self.clone();
-        }
-        Region::from_rects(self.rects.iter().map(|r| r.expanded_xy(dx, dy)))
-    }
-
     /// Morphological erosion: every point within Chebyshev distance `d` of
     /// the complement is removed.
     ///

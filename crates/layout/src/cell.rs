@@ -129,14 +129,6 @@ impl CellRef {
             }
         }
     }
-
-    /// Number of instances this reference expands to.
-    pub fn instance_count(&self) -> usize {
-        match self.array {
-            None => 1,
-            Some(a) => a.cols as usize * a.rows as usize,
-        }
-    }
 }
 
 /// A text label (GDSII `TEXT`), used for net names and markers.
@@ -208,11 +200,6 @@ impl Cell {
     /// Shapes on a given layer (empty slice if none).
     pub fn shapes(&self, layer: Layer) -> &[Shape] {
         self.shapes.get(&layer).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Mutable access to the shapes on a layer, creating the layer entry.
-    pub fn shapes_mut(&mut self, layer: Layer) -> &mut Vec<Shape> {
-        self.shapes.entry(layer).or_default()
     }
 
     /// Iterates over `(layer, shape)` for all shapes.

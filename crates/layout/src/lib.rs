@@ -6,6 +6,10 @@
 //!   layer assignments ([`layers`]),
 //! * [`Cell`], [`CellRef`], [`Library`] — a hierarchical layout database
 //!   with exact flattening through GDS-style transforms,
+//! * [`FlatLayout`] — one merged region per layer, the input of every
+//!   engine's flat entry point, and [`TiledLayout`] — the same layout cut
+//!   into [`TileView`]s (core, halo'd window, clipped layers) for the
+//!   engines' tile kernels,
 //! * [`gds`] — a from-scratch reader/writer for **binary GDSII** stream
 //!   format (records, excess-64 reals, `BOUNDARY`/`SREF`/`AREF`/`PATH`),
 //! * [`Technology`] — ground-rule presets (65/45/28 nm-class) that drive
@@ -41,7 +45,6 @@ mod layer;
 mod library;
 mod tech;
 mod tile;
-mod view;
 
 pub use cell::{ArrayParams, Cell, CellRef, Label, Shape};
 pub use error::LayoutError;
@@ -49,4 +52,3 @@ pub use layer::{layers, Layer};
 pub use library::{CellId, FlatLayout, Library};
 pub use tech::Technology;
 pub use tile::{TileView, TiledLayout, TilingConfig, TilingConfigBuilder};
-pub use view::LayoutView;

@@ -142,11 +142,6 @@ impl Technology {
             .unwrap_or_else(|| panic!("no ground rules for layer {layer}"))
     }
 
-    /// Ground rules for a layer, if defined.
-    pub fn rules_opt(&self, layer: Layer) -> Option<LayerRules> {
-        self.rules.get(&layer).copied()
-    }
-
     /// Layers with ground rules defined.
     pub fn ruled_layers(&self) -> impl Iterator<Item = Layer> + '_ {
         self.rules.keys().copied()

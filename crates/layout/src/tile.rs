@@ -21,7 +21,6 @@
 //! the flat engine's.
 
 use crate::library::{collect_used_layers, collect_window_rects, compute_subtree_bboxes};
-use crate::view::LayoutView;
 use crate::{CellId, FlatLayout, Layer, LayoutError, Library};
 use dfm_geom::{Coord, Rect, Region, TileGrid, Transform};
 use std::collections::BTreeMap;
@@ -138,25 +137,13 @@ impl TileView {
     pub fn window(&self) -> Rect {
         self.window
     }
-}
 
-impl LayoutView for TileView {
-    /// The view's clip window (not the tight geometry bbox): engines
-    /// use it as the extent the view is authoritative for.
-    fn bbox(&self) -> Rect {
-        self.window
-    }
-
-    fn region_ref(&self, layer: Layer) -> Option<&Region> {
+    /// Borrows a layer's `layer ∩ window` geometry, if the view carries
+    /// the layer.
+    pub fn region_ref(&self, layer: Layer) -> Option<&Region> {
         self.layers.get(&layer)
     }
 
-    fn used_layers(&self) -> Vec<Layer> {
-        self.layers.keys().copied().collect()
-    }
-}
-
-impl TileView {
     /// FNV-1a 64 digest of the view's canonical content: core, window,
     /// and every carried layer's canonical rect decomposition (sorted
     /// layer order). Two views digest equal iff they clip the same
@@ -589,7 +576,8 @@ mod tests {
             let v = tiled.view(i, 40);
             for &l in tiled.used_layers() {
                 let direct = flat.region(l).clipped(v.window());
-                assert!(LayoutView::region(&v, l).xor(&direct).is_empty());
+                let got = v.region_ref(l).cloned().unwrap_or_default();
+                assert!(got.xor(&direct).is_empty());
             }
         }
     }

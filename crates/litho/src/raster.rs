@@ -249,11 +249,6 @@ impl Raster {
         }
         Region::from_rects(rects)
     }
-
-    /// Maximum sample value (0.0 for an empty raster).
-    pub fn max_value(&self) -> f64 {
-        self.data.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::{Condition, OpticalModel, Raster};
 use dfm_geom::{Coord, Rect, Region};
-use dfm_layout::{Layer, LayoutView, TileView, TiledLayout};
+use dfm_layout::{Layer, TileView, TiledLayout};
 
 /// End-to-end aerial-image simulator with a constant-threshold resist.
 ///

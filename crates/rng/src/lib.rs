@@ -126,11 +126,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 bits (upper half of [`Rng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with full 53-bit mantissa resolution.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -2,8 +2,7 @@
 
 use crate::DefectModel;
 use dfm_drc::{
-    exterior_facing_pairs, interior_facing_pairs, merge_facing_pair_partials, FacingPair,
-    PairFragment, PreparedView, Sweep,
+    facing_pairs, merge_facing_pair_partials, FacingPair, PairFragment, PreparedView, Sweep,
 };
 use dfm_geom::Region;
 use dfm_layout::{Layer, TiledLayout};
@@ -50,8 +49,7 @@ pub fn analyze(region: &Region, defects: &DefectModel) -> CaResult {
 
 /// Analyses a layer considering facing pairs up to `max_range` apart.
 pub fn analyze_with_range(region: &Region, defects: &DefectModel, max_range: i64) -> CaResult {
-    let short_pairs = exterior_facing_pairs(region, max_range);
-    let open_pairs = interior_facing_pairs(region, max_range);
+    let (short_pairs, open_pairs) = facing_pairs(region, max_range);
     from_pairs(short_pairs, open_pairs, defects)
 }
 
