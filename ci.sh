@@ -95,7 +95,8 @@ awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' cra
 # rustfmt-formatted, while a tiling could be sourced from a flat layout or
 # a library, with a layer filter, non-square tiles and a second hierarchy
 # walk in Library::flatten; 2 770 before `gds::to_text` and
-# `Library::instance_counts`, which had no caller, were deleted.
+# `Library::instance_counts`, which had no caller, were deleted; 2 706
+# before the `LayoutView` trait, which no tile caller used, went.
 awk "$non_test"'{n++} END{print "crates/layout/src non-test lines: " n}' crates/layout/src/*.rs
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
