@@ -61,9 +61,9 @@ pub(crate) fn crash_probe<'a>(
             Stage::Rename => Some(rename_site),
         };
         match (plane, site) {
-            (Some(plane), Some(site)) if plane.crash_point(site, key, attempt) => {
-                Err(io::Error::other(format!("injected crash at {site} (key {key})")))
-            }
+            (Some(plane), Some(site)) if plane.crash_point(site, key, attempt) => Err(
+                io::Error::other(format!("injected crash at {site} (key {key})")),
+            ),
             _ => Ok(()),
         }
     }
@@ -78,7 +78,9 @@ pub struct JobDir {
 impl JobDir {
     /// The directory for job `id` under `root` (not created yet).
     pub fn new(root: &Path, id: u64) -> JobDir {
-        JobDir { root: root.join(format!("job-{id}")) }
+        JobDir {
+            root: root.join(format!("job-{id}")),
+        }
     }
 
     /// The job directory path.
@@ -115,7 +117,11 @@ impl JobDir {
         fs::create_dir_all(&self.root).map_err(|e| format!("create {:?}: {e}", self.root))?;
         let spec_probe = crash_probe(plane, None, SITE_SUBMIT_SPEC, key, 0);
         self.write("spec.json", spec_json.as_bytes(), &spec_probe)?;
-        self.write("layout.gds", gds, &crash_probe(plane, None, SITE_SUBMIT_GDS, key, 0))
+        self.write(
+            "layout.gds",
+            gds,
+            &crash_probe(plane, None, SITE_SUBMIT_GDS, key, 0),
+        )
     }
 
     fn write(
@@ -137,8 +143,8 @@ impl JobDir {
     pub fn load_submission(&self) -> Result<(String, Vec<u8>), String> {
         let spec = fs::read_to_string(self.root.join("spec.json"))
             .map_err(|e| format!("read spec.json: {e}"))?;
-        let gds = fs::read(self.root.join("layout.gds"))
-            .map_err(|e| format!("read layout.gds: {e}"))?;
+        let gds =
+            fs::read(self.root.join("layout.gds")).map_err(|e| format!("read layout.gds: {e}"))?;
         Ok((spec, gds))
     }
 
@@ -167,9 +173,18 @@ impl JobDir {
         plane: Option<&FaultPlane>,
         attempt: u64,
     ) -> Result<(), String> {
-        let probe =
-            crash_probe(plane, Some(SITE_TILE_TMP), SITE_TILE_RENAME, partial.tile as u64, attempt);
-        self.write(&format!("tile-{}.bin", partial.tile), &encode_tile_partial(partial), &probe)
+        let probe = crash_probe(
+            plane,
+            Some(SITE_TILE_TMP),
+            SITE_TILE_RENAME,
+            partial.tile as u64,
+            attempt,
+        );
+        self.write(
+            &format!("tile-{}.bin", partial.tile),
+            &encode_tile_partial(partial),
+            &probe,
+        )
     }
 
     /// Removes orphaned `*.tmp` files a crash between tmp-write and
@@ -234,7 +249,9 @@ pub fn decode_tile_partial(bytes: &[u8], expect_tile: usize) -> Option<TileParti
 /// Lists job ids that have a checkpoint directory under `root`.
 pub fn list_job_dirs(root: &Path) -> Vec<u64> {
     let mut ids = Vec::new();
-    let Ok(entries) = fs::read_dir(root) else { return ids };
+    let Ok(entries) = fs::read_dir(root) else {
+        return ids;
+    };
     for entry in entries.flatten() {
         let name = entry.file_name();
         if let Some(id) = name.to_str().and_then(|n| n.strip_prefix("job-")) {
@@ -307,7 +324,13 @@ fn decode_partial(dec: &mut Dec<'_>, tile: usize) -> Option<TilePartial> {
         }
         _ => return None,
     };
-    Some(TilePartial { tile, drc, ca, litho, rects_peak })
+    Some(TilePartial {
+        tile,
+        drc,
+        ca,
+        litho,
+        rects_peak,
+    })
 }
 
 fn encode_rule_partial(enc: &mut Enc, rp: &RulePartial) {
@@ -317,7 +340,11 @@ fn encode_rule_partial(enc: &mut Enc, rp: &RulePartial) {
             encode_frags(enc, frags);
             enc.u64(*rects as u64);
         }
-        RulePartial::Spacing { frags, corners, rects } => {
+        RulePartial::Spacing {
+            frags,
+            corners,
+            rects,
+        } => {
             enc.u8(1);
             encode_frags(enc, frags);
             enc.u64(corners.len() as u64);
@@ -327,7 +354,11 @@ fn encode_rule_partial(enc: &mut Enc, rp: &RulePartial) {
             }
             enc.u64(*rects as u64);
         }
-        RulePartial::Area { complete, pieces, rects } => {
+        RulePartial::Area {
+            complete,
+            pieces,
+            rects,
+        } => {
             enc.u8(2);
             enc.u64(complete.len() as u64);
             for (bbox, area) in complete {
@@ -354,7 +385,11 @@ fn encode_rule_partial(enc: &mut Enc, rp: &RulePartial) {
             }
             enc.u64(*rects as u64);
         }
-        RulePartial::Certified { violations, rects, refused } => {
+        RulePartial::Certified {
+            violations,
+            rects,
+            refused,
+        } => {
             enc.u8(4);
             enc.u64(violations.len() as u64);
             for v in violations {
@@ -392,7 +427,11 @@ fn decode_rule_partial(dec: &mut Dec<'_>) -> Option<RulePartial> {
                 corners.push((r, d));
             }
             let rects = dec.u64()? as usize;
-            Some(RulePartial::Spacing { frags, corners, rects })
+            Some(RulePartial::Spacing {
+                frags,
+                corners,
+                rects,
+            })
         }
         2 => {
             let n = dec.len()?;
@@ -412,10 +451,18 @@ fn decode_rule_partial(dec: &mut Dec<'_>) -> Option<RulePartial> {
                 for _ in 0..m {
                     seam_rects.push(dec.rect()?);
                 }
-                pieces.push(AreaPiece { area, bbox, seam_rects });
+                pieces.push(AreaPiece {
+                    area,
+                    bbox,
+                    seam_rects,
+                });
             }
             let rects = dec.u64()? as usize;
-            Some(RulePartial::Area { complete, pieces, rects })
+            Some(RulePartial::Area {
+                complete,
+                pieces,
+                rects,
+            })
         }
         3 => {
             let n = dec.len()?;
@@ -436,7 +483,12 @@ fn decode_rule_partial(dec: &mut Dec<'_>) -> Option<RulePartial> {
                 let location = dec.rect()?;
                 let actual = dec.i64()?;
                 let limit = dec.i64()?;
-                violations.push(Violation { rule, location, actual, limit });
+                violations.push(Violation {
+                    rule,
+                    location,
+                    actual,
+                    limit,
+                });
             }
             let rects = dec.u64()? as usize;
             let refused = match dec.u8()? {
@@ -444,7 +496,11 @@ fn decode_rule_partial(dec: &mut Dec<'_>) -> Option<RulePartial> {
                 1 => Some(dec.u64()? as usize),
                 _ => return None,
             };
-            Some(RulePartial::Certified { violations, rects, refused })
+            Some(RulePartial::Certified {
+                violations,
+                rects,
+                refused,
+            })
         }
         _ => None,
     }
@@ -474,7 +530,13 @@ fn decode_frags(dec: &mut Dec<'_>) -> Option<Vec<PairFragment>> {
         let gap_hi = dec.i64()?;
         let span_lo = dec.i64()?;
         let span_hi = dec.i64()?;
-        out.push(PairFragment { vertical, gap_lo, gap_hi, span_lo, span_hi });
+        out.push(PairFragment {
+            vertical,
+            gap_lo,
+            gap_hi,
+            span_lo,
+            span_hi,
+        });
     }
     Some(out)
 }
@@ -613,13 +675,26 @@ mod tests {
         // taken before the stores moved onto the shared blob primitive,
         // so any drift in either format (field order, widths, seal,
         // header, file name) fails here.
-        let frag =
-            PairFragment { vertical: true, gap_lo: -5, gap_hi: 40, span_lo: 100, span_hi: 260 };
-        let r = Rect { x0: -10, y0: 0, x1: 90, y1: 45 };
+        let frag = PairFragment {
+            vertical: true,
+            gap_lo: -5,
+            gap_hi: 40,
+            span_lo: 100,
+            span_hi: 260,
+        };
+        let r = Rect {
+            x0: -10,
+            y0: 0,
+            x1: 90,
+            y1: 45,
+        };
         let partial = TilePartial {
             tile: 3,
             drc: vec![
-                RulePartial::Fragments { frags: vec![frag], rects: 7 },
+                RulePartial::Fragments {
+                    frags: vec![frag],
+                    rects: 7,
+                },
                 RulePartial::Certified {
                     violations: vec![Violation {
                         rule: "M1.W.1".to_string(),
@@ -631,7 +706,11 @@ mod tests {
                     refused: Some(1),
                 },
             ],
-            ca: Some(CaTilePartial { short: vec![frag], open: vec![], rects: 9 }),
+            ca: Some(CaTilePartial {
+                short: vec![frag],
+                open: vec![],
+                rects: 9,
+            }),
             litho: Some(vec![r]),
             rects_peak: 17,
         };
@@ -643,16 +722,26 @@ mod tests {
         job.write_tile(&partial).expect("write tile");
         let tile = std::fs::read(job.path().join("tile-3.bin")).expect("tile-3.bin");
         assert_eq!(tile, encode_tile_partial(&partial));
-        assert_eq!((tile.len(), dfm_cache::fnv1a_64(&tile)), (277, 0x99ae_e81f_125c_2cb1));
+        assert_eq!(
+            (tile.len(), dfm_cache::fnv1a_64(&tile)),
+            (277, 0x99ae_e81f_125c_2cb1)
+        );
 
         let cache = dfm_cache::TileCache::open(root.join("cache"), None).expect("cache");
-        let key = dfm_cache::CacheKey { spec: 0x51, deck: 0xDE, tile: 0x7 };
+        let key = dfm_cache::CacheKey {
+            spec: 0x51,
+            deck: 0xDE,
+            tile: 0x7,
+        };
         assert!(cache.store(key, &tile));
         let entry = std::fs::read(
             root.join("cache/e-0000000000000051-00000000000000de-0000000000000007.bin"),
         )
         .expect("cache entry");
-        assert_eq!((entry.len(), dfm_cache::fnv1a_64(&entry)), (333, 0xdc0e_534c_4b2f_c7a0));
+        assert_eq!(
+            (entry.len(), dfm_cache::fnv1a_64(&entry)),
+            (333, 0xdc0e_534c_4b2f_c7a0)
+        );
 
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -703,7 +792,9 @@ mod tests {
         let plane = FaultPlane::new(
             FaultPlan::seeded(1).with_rule(FaultRule::new(SITE_TILE_TMP, FaultAction::Crash)),
         );
-        let err = job.write_tile_probed(&partials[0], Some(&plane), 0).expect_err("crash");
+        let err = job
+            .write_tile_probed(&partials[0], Some(&plane), 0)
+            .expect_err("crash");
         assert!(err.contains(SITE_TILE_TMP), "{err}");
         assert!(!job.path().join("tile-0.bin").exists());
         assert!(job.path().join("tile-0.tmp").exists());
@@ -718,7 +809,9 @@ mod tests {
         let plane = FaultPlane::new(
             FaultPlan::seeded(1).with_rule(FaultRule::new(SITE_TILE_RENAME, FaultAction::Crash)),
         );
-        let err = job.write_tile_probed(&partials[0], Some(&plane), 0).expect_err("crash");
+        let err = job
+            .write_tile_probed(&partials[0], Some(&plane), 0)
+            .expect_err("crash");
         assert!(err.contains(SITE_TILE_RENAME), "{err}");
         let loaded = job.load_tiles(ctx.tile_count());
         assert_eq!(loaded, vec![partials[0].clone()]);
@@ -736,10 +829,14 @@ mod tests {
         let plane = FaultPlane::new(
             FaultPlan::seeded(1).with_rule(FaultRule::new(SITE_SUBMIT_SPEC, FaultAction::Crash)),
         );
-        job.persist_submission_probed("{}", b"gds", Some(&plane), 4).expect_err("crash");
+        job.persist_submission_probed("{}", b"gds", Some(&plane), 4)
+            .expect_err("crash");
         assert!(job.path().join("spec.json").exists());
         assert!(!job.path().join("layout.gds").exists());
-        assert!(job.load_submission().is_err(), "half a submission must not load");
+        assert!(
+            job.load_submission().is_err(),
+            "half a submission must not load"
+        );
 
         // Resubmission over the crashed dir succeeds and loads.
         job.persist_submission("{}", b"gds").expect("resubmit");
@@ -749,9 +846,13 @@ mod tests {
         let plane = FaultPlane::new(
             FaultPlan::seeded(1).with_rule(FaultRule::new(SITE_SUBMIT_GDS, FaultAction::Crash)),
         );
-        job.persist_submission_probed("{}", b"gds", Some(&plane), 5).expect_err("crash");
+        job.persist_submission_probed("{}", b"gds", Some(&plane), 5)
+            .expect_err("crash");
         // Everything durable; only the ack was lost.
-        assert_eq!(job.load_submission().expect("loads"), ("{}".to_string(), b"gds".to_vec()));
+        assert_eq!(
+            job.load_submission().expect("loads"),
+            ("{}".to_string(), b"gds".to_vec())
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -760,7 +861,9 @@ mod tests {
     fn job_dir_listing_finds_persisted_jobs() {
         let dir = std::env::temp_dir().join(format!("dfms-ckpt-list-{}", std::process::id()));
         for id in [3u64, 7, 5] {
-            JobDir::new(&dir, id).persist_submission("{}", b"g").expect("persist");
+            JobDir::new(&dir, id)
+                .persist_submission("{}", b"g")
+                .expect("persist");
         }
         std::fs::create_dir_all(dir.join("not-a-job")).expect("noise dir");
         assert_eq!(list_job_dirs(&dir), vec![3, 5, 7]);

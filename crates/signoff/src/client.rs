@@ -68,7 +68,12 @@ impl ClientBuilder {
     /// Socket diagnostics.
     pub fn connect(self, addr: &str) -> Result<Client, String> {
         let conn = Conn::open(addr, self.timeout)?;
-        Ok(Client { addr: addr.to_string(), timeout: self.timeout, conn: Some(conn), reconnects: 0 })
+        Ok(Client {
+            addr: addr.to_string(),
+            timeout: self.timeout,
+            conn: Some(conn),
+            reconnects: 0,
+        })
     }
 }
 
@@ -109,8 +114,13 @@ impl Conn {
                 .and_then(|()| stream.set_write_timeout(Some(timeout)))
                 .map_err(|e| format!("set timeout: {e}"))?;
         }
-        let writer = stream.try_clone().map_err(|e| format!("clone socket: {e}"))?;
-        Ok(Conn { writer, reader: BufReader::new(stream) })
+        let writer = stream
+            .try_clone()
+            .map_err(|e| format!("clone socket: {e}"))?;
+        Ok(Conn {
+            writer,
+            reader: BufReader::new(stream),
+        })
     }
 
     /// One request/response exchange on this socket.
@@ -120,7 +130,9 @@ impl Conn {
         self.writer
             .write_all(line.as_bytes())
             .map_err(|e| RequestError::Transport(format!("send: {e}")))?;
-        self.writer.flush().map_err(|e| RequestError::Transport(format!("flush: {e}")))?;
+        self.writer
+            .flush()
+            .map_err(|e| RequestError::Transport(format!("flush: {e}")))?;
         let reply = read_frame(&mut self.reader, MAX_LINE_BYTES)
             .map_err(RequestError::Transport)?
             .ok_or_else(|| RequestError::Transport("server closed the connection".to_string()))?;
@@ -194,7 +206,11 @@ impl Client {
     /// requests), [`RequestError::Server`] for a [`Response::Error`]
     /// answer — server refusals are never retried here.
     pub fn request(&mut self, request: &Request) -> Result<Response, RequestError> {
-        let budget = if retryable(request) { RECONNECT_ATTEMPTS } else { 0 };
+        let budget = if retryable(request) {
+            RECONNECT_ATTEMPTS
+        } else {
+            0
+        };
         let mut attempt = 0;
         loop {
             let result = match &mut self.conn {
@@ -268,7 +284,9 @@ impl Client {
         let idem = idem.map(str::to_string);
         match self.request(&Request::Submit { spec, gds, idem })? {
             Response::Submitted { job } => Ok(job),
-            other => Err(RequestError::Transport(format!("unexpected reply to submit: {other:?}"))),
+            other => Err(RequestError::Transport(format!(
+                "unexpected reply to submit: {other:?}"
+            ))),
         }
     }
 
@@ -342,7 +360,10 @@ impl Client {
     /// that have not finished.
     pub fn results(&mut self, job: u64, partial: bool) -> Result<(JobStatus, String), String> {
         match self.request(&Request::Results { job, partial })? {
-            Response::Results { status, report_text } => Ok((status, report_text)),
+            Response::Results {
+                status,
+                report_text,
+            } => Ok((status, report_text)),
             other => Err(format!("unexpected reply to results: {other:?}")),
         }
     }
@@ -443,7 +464,14 @@ impl Client {
         gds: Vec<u8>,
         ranges: Option<Vec<(usize, usize)>>,
     ) -> Result<ShardGrant, RequestError> {
-        let request = Request::ShardDispatch { coord, origin, gen, spec, gds, ranges };
+        let request = Request::ShardDispatch {
+            coord,
+            origin,
+            gen,
+            spec,
+            gds,
+            ranges,
+        };
         match self.request(&request)? {
             Response::ShardDispatched { grant } => Ok(grant),
             other => Err(RequestError::Transport(format!(
@@ -488,9 +516,12 @@ impl Client {
         since: u64,
     ) -> Result<(Vec<TileOutcome>, u64, bool, bool), String> {
         match self.request(&Request::ShardPull { job, since })? {
-            Response::ShardOutcomes { outcomes, next, settled, draining } => {
-                Ok((outcomes, next, settled, draining))
-            }
+            Response::ShardOutcomes {
+                outcomes,
+                next,
+                settled,
+                draining,
+            } => Ok((outcomes, next, settled, draining)),
             other => Err(format!("unexpected reply to shard.pull: {other:?}")),
         }
     }
@@ -508,7 +539,10 @@ impl Client {
         while !status.state.is_settled() {
             let (delta, next) = self.events(job, cursor)?;
             cursor = next;
-            if delta.iter().any(|e| matches!(e.kind, JobEventKind::State(s) if s.is_settled())) {
+            if delta
+                .iter()
+                .any(|e| matches!(e.kind, JobEventKind::State(s) if s.is_settled()))
+            {
                 status = self.status(job)?;
             }
         }

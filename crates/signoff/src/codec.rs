@@ -42,7 +42,11 @@ const MAX_DEPTH: usize = 64;
 /// input.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
-    let mut p = Parser { src: s, bytes, pos: 0 };
+    let mut p = Parser {
+        src: s,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -86,7 +90,10 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
         }
         self.skip_ws();
         match self.peek() {
@@ -114,7 +121,10 @@ impl<'a> Parser<'a> {
     /// Consumes one or more ASCII digits; `start` names the number in
     /// the diagnostic.
     fn digits(&mut self, start: usize) -> Result<(), String> {
-        let n = self.bytes[self.pos..].iter().take_while(|b| b.is_ascii_digit()).count();
+        let n = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
         if n == 0 {
             return Err(format!("bad number at offset {start}"));
         }
@@ -159,7 +169,9 @@ impl<'a> Parser<'a> {
             // control byte. Every such byte is ASCII, so the run ends on
             // a char boundary of `src` and is copied whole.
             let start = self.pos;
-            let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
             self.pos = run.map_or(self.bytes.len(), |n| start + n);
             out.push_str(&self.src[start..self.pos]);
             match self.peek() {
@@ -200,7 +212,8 @@ impl<'a> Parser<'a> {
         self.pos += 5;
         if (0xd800..0xdc00).contains(&u1) {
             // High surrogate: require a following \uXXXX low surrogate.
-            if self.bytes.get(self.pos) == Some(&b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u')
+            if self.bytes.get(self.pos) == Some(&b'\\')
+                && self.bytes.get(self.pos + 1) == Some(&b'u')
             {
                 let u2 = self.hex4(self.pos + 2)?;
                 if (0xdc00..0xe000).contains(&u2) {
@@ -425,7 +438,11 @@ impl<'a> Field<'a> for (usize, usize) {
 /// The wire name of `v` in an enum ↔ name table; [`by_name`] reads the
 /// same table the other way, so each name is written once.
 pub(crate) fn name_of<T: PartialEq>(table: &[(T, &'static str)], v: &T) -> &'static str {
-    table.iter().find(|(t, _)| t == v).expect("every variant is in its wire-name table").1
+    table
+        .iter()
+        .find(|(t, _)| t == v)
+        .expect("every variant is in its wire-name table")
+        .1
 }
 
 /// The variant a wire name stands for in an enum ↔ name table.
@@ -556,20 +573,58 @@ mod tests {
     #[test]
     fn rejects_garbage_with_errors_not_panics() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\"", "{\"a\":}", "tru", "nul", "1e999", "\"\\q\"",
-            "\"unterminated", "{\"a\":1}x", "\"\\ud800\"", "01e", "--3",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\"",
+            "{\"a\":}",
+            "tru",
+            "nul",
+            "1e999",
+            "\"\\q\"",
+            "\"unterminated",
+            "{\"a\":1}x",
+            "\"\\ud800\"",
+            "01e",
+            "--3",
             // A \u escape is exactly four hex digits: no sign, no fewer.
-            "\"\\u+041\"", "\"\\u-041\"", "\"\\u004\"", "\"\\u00\"", "\"\\ud800\\u+c00\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u004\"",
+            "\"\\u00\"",
+            "\"\\ud800\\u+c00\"",
             // Surrogates that do not pair up.
-            "\"\\ud800\\u0041\"", "\"\\ud800x\"", "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800x\"",
+            "\"\\udc00\"",
             // Numbers outside -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-            "01", "-01", "00.5", "1.", "-.5", "1.e3", ".5", "+1", "-", "1e", "1e+", "0x10",
-            "[01]", "{\"a\":-01}", "1.5.2", "1e3e3",
+            "01",
+            "-01",
+            "00.5",
+            "1.",
+            "-.5",
+            "1.e3",
+            ".5",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            "0x10",
+            "[01]",
+            "{\"a\":-01}",
+            "1.5.2",
+            "1e3e3",
             // Raw control bytes inside a string.
-            "\"a\nb\"", "\"\u{1}\"", "\"\u{1f}\"",
+            "\"a\nb\"",
+            "\"\u{1}\"",
+            "\"\u{1f}\"",
         ] {
             let e = parse_json(bad).expect_err(bad);
-            assert!(e.contains("offset "), "{bad:?}: diagnostic {e:?} has no offset");
+            assert!(
+                e.contains("offset "),
+                "{bad:?}: diagnostic {e:?} has no offset"
+            );
         }
         for (bad, diagnostic) in [
             ("[\"abc", "unterminated string from offset 1"),
@@ -585,8 +640,14 @@ mod tests {
 
     #[test]
     fn numbers_in_the_rfc_8259_grammar_parse_exactly() {
-        for ok in ["0", "-0", "7", "10", "-12", "0.5", "-0.125", "1e3", "1E+3", "2.5e-3", "0e0"] {
-            assert_eq!(parse_json(ok), Ok(JsonValue::Num(ok.parse().unwrap())), "{ok:?}");
+        for ok in [
+            "0", "-0", "7", "10", "-12", "0.5", "-0.125", "1e3", "1E+3", "2.5e-3", "0e0",
+        ] {
+            assert_eq!(
+                parse_json(ok),
+                Ok(JsonValue::Num(ok.parse().unwrap())),
+                "{ok:?}"
+            );
         }
     }
 
@@ -626,8 +687,25 @@ mod tests {
     /// Every escape class, raw control bytes, DEL, and 1- to 4-byte
     /// UTF-8 scalars (including the largest of each width).
     const PALETTE: &[&str] = &[
-        "\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{0}", "\u{1f}", "\u{7f}", " ",
-        "a", "é", "\u{7ff}", "€", "\u{ffff}", "😀", "\u{10ffff}",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r",
+        "\t",
+        "\u{8}",
+        "\u{c}",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        " ",
+        "a",
+        "é",
+        "\u{7ff}",
+        "€",
+        "\u{ffff}",
+        "😀",
+        "\u{10ffff}",
     ];
 
     #[test]
@@ -642,19 +720,31 @@ mod tests {
             0usize..3072,
             0usize..24,
         );
-        check("codec_string_round_trip", &Config::with_cases(64), &gen, |(pieces, atom, run, at)| {
-            let mut parts: Vec<String> = pieces.iter().map(|&(p, n)| PALETTE[p].repeat(n)).collect();
-            let long = PALETTE[*atom];
-            parts.insert((*at).min(parts.len()), long.repeat(run.div_ceil(long.len())));
-            let s = parts.concat();
-            let text = escape(&s);
-            prop_assert_eq!(text, reference_escape(&s));
-            prop_assert_eq!(parse_json(&text), Ok(JsonValue::Str(s.clone())));
-            for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
-                prop_assert!(parse_json(&text[..cut]).is_err(), "prefix of {cut} bytes parsed");
-            }
-            Ok(())
-        });
+        check(
+            "codec_string_round_trip",
+            &Config::with_cases(64),
+            &gen,
+            |(pieces, atom, run, at)| {
+                let mut parts: Vec<String> =
+                    pieces.iter().map(|&(p, n)| PALETTE[p].repeat(n)).collect();
+                let long = PALETTE[*atom];
+                parts.insert(
+                    (*at).min(parts.len()),
+                    long.repeat(run.div_ceil(long.len())),
+                );
+                let s = parts.concat();
+                let text = escape(&s);
+                prop_assert_eq!(text, reference_escape(&s));
+                prop_assert_eq!(parse_json(&text), Ok(JsonValue::Str(s.clone())));
+                for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                    prop_assert!(
+                        parse_json(&text[..cut]).is_err(),
+                        "prefix of {cut} bytes parsed"
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -118,16 +118,17 @@ impl JobContext {
         // Scoring needs flat-layout statistics (via census, pattern
         // catalog, drawn area). Parse the GDS once and take both the
         // flat view (scoring only) and the tiled layout from it.
-        let lib = dfm_layout::gds::from_bytes(gds)
-            .map_err(|e| format!("layout rejected: {e}"))?;
+        let lib = dfm_layout::gds::from_bytes(gds).map_err(|e| format!("layout rejected: {e}"))?;
         let layout_metrics = if score_spec.is_some() {
-            let flat = lib.flatten_top().map_err(|e| format!("layout rejected: {e}"))?;
+            let flat = lib
+                .flatten_top()
+                .map_err(|e| format!("layout rejected: {e}"))?;
             crate::scoring::layout_metrics(&flat, &tech, spec)
         } else {
             Vec::new()
         };
-        let layout = TiledLayout::from_library(lib, config)
-            .map_err(|e| format!("layout rejected: {e}"))?;
+        let layout =
+            TiledLayout::from_library(lib, config).map_err(|e| format!("layout rejected: {e}"))?;
         let deck = if spec.drc {
             RuleDeck::for_technology(&tech)
         } else {
@@ -252,16 +253,27 @@ impl JobContext {
                 ca = Some(ca_view_partial(&prep, layer, self.spec.ca_range()));
             }
             if let Some(layer) = plan.litho {
-                litho = Some(self.sim.printed_view_piece(prep.view(), extent, layer, self.cond));
+                litho = Some(
+                    self.sim
+                        .printed_view_piece(prep.view(), extent, layer, self.cond),
+                );
             }
         }
-        let drc: Vec<RulePartial> =
-            drc.into_iter().map(|p| p.expect("every rule is planned")).collect();
+        let drc: Vec<RulePartial> = drc
+            .into_iter()
+            .map(|p| p.expect("every rule is planned"))
+            .collect();
         let mut rects_peak = drc.iter().map(RulePartial::rect_count).max().unwrap_or(0);
         if let Some(ca) = &ca {
             rects_peak = rects_peak.max(ca.rects);
         }
-        TilePartial { tile, drc, ca, litho, rects_peak }
+        TilePartial {
+            tile,
+            drc,
+            ca,
+            litho,
+            rects_peak,
+        }
     }
 
     /// Merges tile partials — **which must be sorted by tile index** —
@@ -281,13 +293,14 @@ impl JobContext {
                 let per_rule: Vec<RulePartial> = partials
                     .iter()
                     .map(|p| {
-                        p.drc.get(r).cloned().ok_or_else(|| {
-                            format!("tile {} partial is missing rule #{r}", p.tile)
-                        })
+                        p.drc
+                            .get(r)
+                            .cloned()
+                            .ok_or_else(|| format!("tile {} partial is missing rule #{r}", p.tile))
                     })
                     .collect::<Result<_, String>>()?;
-                let violations = merge_rule_partials(rule, &self.layout, per_rule)
-                    .map_err(|e| e.to_string())?;
+                let violations =
+                    merge_rule_partials(rule, &self.layout, per_rule).map_err(|e| e.to_string())?;
                 drc.extend(violations);
             }
             report.drc = Some(drc);
@@ -336,7 +349,10 @@ fn plan_views(
         layers: &[Layer],
         sweeps: &[Sweep],
     ) -> &'a mut ViewPlan {
-        let p = plans.entry(halo).or_insert_with(|| ViewPlan { halo, ..ViewPlan::default() });
+        let p = plans.entry(halo).or_insert_with(|| ViewPlan {
+            halo,
+            ..ViewPlan::default()
+        });
         p.layers.extend_from_slice(layers);
         p.layers.sort();
         p.layers.dedup();
@@ -347,7 +363,9 @@ fn plan_views(
     let window = |halo: i64| halo.max(tiling_halo);
     for (r, rule) in deck.rules().iter().enumerate() {
         let halo = window(rule_tile_halo(rule));
-        plan(&mut plans, halo, &rule_layers(rule), &rule_sweeps(rule)).rules.push(r);
+        plan(&mut plans, halo, &rule_layers(rule), &rule_sweeps(rule))
+            .rules
+            .push(r);
     }
     if let Some(layer) = spec.ca_layer {
         let range = spec.ca_range();
@@ -425,8 +443,10 @@ mod tests {
         let ctx = JobContext::build(&spec, &gds).expect("context");
         assert!(ctx.tile_count() >= 9, "want a 3x3 grid or finer");
         // Compute in reverse order to prove order independence.
-        let mut partials: Vec<TilePartial> =
-            (0..ctx.tile_count()).rev().map(|i| ctx.compute_tile(i)).collect();
+        let mut partials: Vec<TilePartial> = (0..ctx.tile_count())
+            .rev()
+            .map(|i| ctx.compute_tile(i))
+            .collect();
         partials.sort_by_key(|p| p.tile);
         let merged = ctx.merge(&partials).expect("merge");
         let lib = gds::from_bytes(&gds).expect("parse");
@@ -443,9 +463,18 @@ mod tests {
             read.extend(dfm_drc::rule_layers(rule));
         }
         let layout = lib.flatten_top().expect("flatten");
-        let densest = read.iter().map(|&l| layout.region(l).rect_count()).max().expect("layers");
+        let densest = read
+            .iter()
+            .map(|&l| layout.region(l).rect_count())
+            .max()
+            .expect("layers");
         for p in &partials {
-            assert!(p.rects_peak < densest, "tile {}: {} rects of {densest}", p.tile, p.rects_peak);
+            assert!(
+                p.rects_peak < densest,
+                "tile {}: {} rects of {densest}",
+                p.tile,
+                p.rects_peak
+            );
         }
     }
 
@@ -467,7 +496,10 @@ mod tests {
             (0..ctx.tile_count()).map(|i| ctx.compute_tile(i)).collect();
         let lib = gds::from_bytes(&gds).expect("parse");
         let flat = flat_report(&spec, &lib).expect("flat").render_text(&spec);
-        assert_eq!(ctx.merge(&partials).expect("merge").render_text(&spec), flat);
+        assert_eq!(
+            ctx.merge(&partials).expect("merge").render_text(&spec),
+            flat
+        );
         for zero in [
             "ca.short: 0 nm2 [0x0000000000000000] over 0 pairs",
             "ca.open: 0 nm2 [0x0000000000000000] over 0 pairs",
@@ -483,8 +515,9 @@ mod tests {
         let gds = small_gds();
         let spec = spec();
         let ctx = JobContext::build(&spec, &gds).expect("context");
-        let partials: Vec<TilePartial> =
-            (0..2.min(ctx.tile_count())).map(|i| ctx.compute_tile(i)).collect();
+        let partials: Vec<TilePartial> = (0..2.min(ctx.tile_count()))
+            .map(|i| ctx.compute_tile(i))
+            .collect();
         let partial_report = ctx.merge(&partials).expect("merge prefix");
         assert!(partial_report.ca.is_some());
     }
@@ -495,7 +528,10 @@ mod tests {
         let spec = spec();
         let ctx = JobContext::build(&spec, &gds).expect("context");
         let renamed = JobContext::build(
-            &JobSpec { name: "renamed".to_string(), ..spec.clone() },
+            &JobSpec {
+                name: "renamed".to_string(),
+                ..spec.clone()
+            },
             &gds,
         )
         .expect("context");
@@ -504,11 +540,23 @@ mod tests {
             renamed.cache_key(0),
             "the client label must not poison the cache key"
         );
-        let retiled =
-            JobContext::build(&JobSpec { tile: 2000, ..spec.clone() }, &gds).expect("context");
+        let retiled = JobContext::build(
+            &JobSpec {
+                tile: 2000,
+                ..spec.clone()
+            },
+            &gds,
+        )
+        .expect("context");
         assert_ne!(ctx.cache_spec_digest(), retiled.cache_spec_digest());
-        let no_drc =
-            JobContext::build(&JobSpec { drc: false, ..spec.clone() }, &gds).expect("context");
+        let no_drc = JobContext::build(
+            &JobSpec {
+                drc: false,
+                ..spec.clone()
+            },
+            &gds,
+        )
+        .expect("context");
         assert_ne!(ctx.cache_deck_digest(), no_drc.cache_deck_digest());
         // The content halo must cover every engine's read range; for
         // this spec the CA extraction range dominates.
@@ -525,7 +573,10 @@ mod tests {
         let spec = spec();
         let ctx = JobContext::build(&spec, &gds).expect("context");
         let scored = JobContext::build(
-            &JobSpec { score: Some("default".to_string()), ..spec.clone() },
+            &JobSpec {
+                score: Some("default".to_string()),
+                ..spec.clone()
+            },
             &gds,
         )
         .expect("context");
@@ -569,15 +620,21 @@ mod tests {
         let ca = ctx.spec.ca_layer.map(|layer| {
             dfm_yield::critical_area::ca_tile_partial(&ctx.layout, layer, ctx.spec.ca_range(), tile)
         });
-        let litho = ctx
-            .spec
-            .litho_layer
-            .map(|layer| ctx.sim.printed_tile_piece(&ctx.layout, layer, ctx.cond, tile));
+        let litho = ctx.spec.litho_layer.map(|layer| {
+            ctx.sim
+                .printed_tile_piece(&ctx.layout, layer, ctx.cond, tile)
+        });
         let mut rects_peak = drc.iter().map(RulePartial::rect_count).max().unwrap_or(0);
         if let Some(ca) = &ca {
             rects_peak = rects_peak.max(ca.rects);
         }
-        TilePartial { tile, drc, ca, litho, rects_peak }
+        TilePartial {
+            tile,
+            drc,
+            ca,
+            litho,
+            rects_peak,
+        }
     }
 
     fn assert_matches_oracle(ctx: &JobContext, case: &str) {
@@ -595,15 +652,21 @@ mod tests {
     }
 
     fn block_gds(side: i64, seed: u64) -> Vec<u8> {
-        let params =
-            generate::RoutedBlockParams { width: side, height: side, ..Default::default() };
+        let params = generate::RoutedBlockParams {
+            width: side,
+            height: side,
+            ..Default::default()
+        };
         gds::to_bytes(&generate::routed_block(&Technology::n65(), params, seed)).expect("serialise")
     }
 
     #[test]
     fn prepared_tiles_equal_the_per_rule_oracle() {
         // The default spec: deck and CA share one 512 nm window.
-        let default = JobSpec { tile: 4096, ..JobSpec::default() };
+        let default = JobSpec {
+            tile: 4096,
+            ..JobSpec::default()
+        };
         let ctx = JobContext::build(&default, &block_gds(12_000, 11)).expect("context");
         assert_eq!(ctx.views.len(), 1, "default spec: one view per tile");
         assert_matches_oracle(&ctx, "default spec");
@@ -613,14 +676,28 @@ mod tests {
         assert!(ctx.views.len() > 2, "{} views", ctx.views.len());
         assert_matches_oracle(&ctx, "tile 1700 / halo 64, litho on");
         // Litho on under the default halo.
-        let litho = JobSpec { litho_layer: Some(dfm_layout::layers::METAL1), ..default.clone() };
+        let litho = JobSpec {
+            litho_layer: Some(dfm_layout::layers::METAL1),
+            ..default.clone()
+        };
         let ctx = JobContext::build(&litho, &block_gds(8_000, 5)).expect("context");
-        assert_eq!(ctx.views.len(), 1, "litho's window floors to the tiling halo too");
+        assert_eq!(
+            ctx.views.len(),
+            1,
+            "litho's window floors to the tiling halo too"
+        );
         assert_matches_oracle(&ctx, "litho, halo 512");
         // The hierarchical SRAM array the sharded workload submits.
         let sram = generate::sram_array(&Technology::n65(), 12, 12);
         let sram = gds::to_bytes(&sram).expect("serialise");
-        let ctx = JobContext::build(&JobSpec { tile: 2048, ..default }, &sram).expect("context");
+        let ctx = JobContext::build(
+            &JobSpec {
+                tile: 2048,
+                ..default
+            },
+            &sram,
+        )
+        .expect("context");
         assert_matches_oracle(&ctx, "sram 12x12");
     }
 
@@ -643,9 +720,20 @@ mod tests {
         let partials: Vec<TilePartial> =
             (0..ctx.tile_count()).map(|t| ctx.compute_tile(t)).collect();
         let refused = partials.iter().any(|p| {
-            p.drc.iter().any(|r| matches!(r, RulePartial::Certified { refused: Some(_), .. }))
+            p.drc.iter().any(|r| {
+                matches!(
+                    r,
+                    RulePartial::Certified {
+                        refused: Some(_),
+                        ..
+                    }
+                )
+            })
         });
-        assert!(refused, "a long METAL1 wire cannot be certified enclosed at this tile size");
+        assert!(
+            refused,
+            "a long METAL1 wire cannot be certified enclosed at this tile size"
+        );
         let err = ctx.merge(&partials).expect_err("refusal reaches the merge");
         assert!(err.contains("cannot certify"), "{err}");
     }
@@ -656,12 +744,19 @@ mod tests {
         // `connected_components` in hash order, so min-area pieces and
         // certified-rule violations changed order between calls.
         use crate::checkpoint::encode_tile_partial;
-        let spec = JobSpec { tile: 4096, ..JobSpec::default() };
+        let spec = JobSpec {
+            tile: 4096,
+            ..JobSpec::default()
+        };
         let ctx = JobContext::build(&spec, &block_gds(40_000, 11)).expect("context");
         assert_eq!(ctx.tile_count(), 100);
         for tile in 0..ctx.tile_count() {
             let first = encode_tile_partial(&ctx.compute_tile(tile));
-            assert_eq!(encode_tile_partial(&ctx.compute_tile(tile)), first, "tile {tile}");
+            assert_eq!(
+                encode_tile_partial(&ctx.compute_tile(tile)),
+                first,
+                "tile {tile}"
+            );
         }
     }
 
@@ -676,7 +771,10 @@ mod tests {
             assert_eq!(&ctx.cache_key(tile), key);
             let fresh = JobContext::build(&spec(), &gds).expect("context");
             assert_eq!(&fresh.cache_key(tile), key, "tile {tile}");
-            assert_eq!(key.tile, ctx.layout.tile_content_digest(tile, ctx.content_halo()));
+            assert_eq!(
+                key.tile,
+                ctx.layout.tile_content_digest(tile, ctx.content_halo())
+            );
         }
     }
 }

@@ -75,11 +75,11 @@ pub mod spec;
 pub use autofix::{auto_fix, FixOutcome};
 pub use checkpoint::{decode_tile_partial, encode_tile_partial};
 pub use client::{Client, ClientBuilder, RequestError};
-pub use scoring::flat_score;
 pub use job::{JobContext, TilePartial, CACHE_KEY_VERSION};
+pub use proto::{ErrorCode, ErrorObj, PROTO_VERSION};
 pub use report::{flat_report, CaSummary, LithoSummary, QuarantinedTile, SignoffReport};
 pub use sched::{Grant, SchedConfig, TenantPolicy};
-pub use proto::{ErrorCode, ErrorObj, PROTO_VERSION};
+pub use scoring::flat_score;
 pub use server::Server;
 pub use service::{
     JobEvent, JobEventKind, JobState, JobStatus, ServiceConfig, ServiceConfigBuilder,

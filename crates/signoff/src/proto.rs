@@ -129,7 +129,11 @@ pub struct ErrorObj {
 impl ErrorObj {
     /// An error with the given code and no retry hint.
     pub(crate) fn coded(code: ErrorCode, message: impl Into<String>) -> ErrorObj {
-        ErrorObj { code, message: message.into(), retry_after_vms: None }
+        ErrorObj {
+            code,
+            message: message.into(),
+            retry_after_vms: None,
+        }
     }
 
     /// Renders the `error` payload (`retry_after_vms` is omitted when
@@ -139,7 +143,9 @@ impl ErrorObj {
             ("code", JsonValue::str(self.code.name())),
             ("message", JsonValue::str(&self.message)),
         ];
-        let hint = self.retry_after_vms.map(|vms| ("retry_after_vms", num!(vms)));
+        let hint = self
+            .retry_after_vms
+            .map(|vms| ("retry_after_vms", num!(vms)));
         JsonValue::obj(head.into_iter().chain(hint))
     }
 
@@ -289,8 +295,10 @@ impl Request {
         let (cmd, body) = match self {
             Request::Ping => ("ping", vec![]),
             Request::Submit { spec, gds, idem } => {
-                let mut body =
-                    vec![("spec", spec.to_json()), ("gds_hex", JsonValue::str(to_hex(gds)))];
+                let mut body = vec![
+                    ("spec", spec.to_json()),
+                    ("gds_hex", JsonValue::str(to_hex(gds))),
+                ];
                 body.extend(idem.iter().map(|key| ("idem", JsonValue::str(key))));
                 ("submit", body)
             }
@@ -298,9 +306,10 @@ impl Request {
             Request::Events { job, since } => {
                 ("events", vec![("job", num!(*job)), ("since", num!(*since))])
             }
-            Request::Results { job, partial } => {
-                ("results", vec![("job", num!(*job)), ("partial", JsonValue::Bool(*partial))])
-            }
+            Request::Results { job, partial } => (
+                "results",
+                vec![("job", num!(*job)), ("partial", JsonValue::Bool(*partial))],
+            ),
             Request::Score { job } => job_only("score", job),
             Request::Cancel { job } => job_only("cancel", job),
             Request::Resume { job } => job_only("resume", job),
@@ -309,7 +318,14 @@ impl Request {
             Request::Shutdown { drain: true } => {
                 ("shutdown", vec![("drain", JsonValue::Bool(true))])
             }
-            Request::ShardDispatch { coord, origin, gen, spec, gds, ranges } => {
+            Request::ShardDispatch {
+                coord,
+                origin,
+                gen,
+                spec,
+                gds,
+                ranges,
+            } => {
                 let mut body = vec![
                     ("coord", num!(*coord)),
                     ("origin", num!(*origin)),
@@ -322,11 +338,16 @@ impl Request {
             }
             Request::ShardAttach { coord, origin, gen } => (
                 "shard.attach",
-                vec![("coord", num!(*coord)), ("origin", num!(*origin)), ("gen", num!(*gen))],
+                vec![
+                    ("coord", num!(*coord)),
+                    ("origin", num!(*origin)),
+                    ("gen", num!(*gen)),
+                ],
             ),
-            Request::ShardPull { job, since } => {
-                ("shard.pull", vec![("job", num!(*job)), ("since", num!(*since))])
-            }
+            Request::ShardPull { job, since } => (
+                "shard.pull",
+                vec![("job", num!(*job)), ("since", num!(*since))],
+            ),
         };
         let head = [("v", num!(PROTO_VERSION)), ("cmd", JsonValue::str(cmd))];
         JsonValue::obj(head.into_iter().chain(body))
@@ -366,9 +387,10 @@ impl Request {
                 idem: f.opt("idem")?,
             },
             "status" => Request::Status { job: f.req("job")? },
-            "events" => {
-                Request::Events { job: f.req("job")?, since: f.opt("since")?.unwrap_or(0) }
-            }
+            "events" => Request::Events {
+                job: f.req("job")?,
+                since: f.opt("since")?.unwrap_or(0),
+            },
             "results" => Request::Results {
                 job: f.req("job")?,
                 partial: f.opt("partial")?.unwrap_or(false),
@@ -377,7 +399,9 @@ impl Request {
             "cancel" => Request::Cancel { job: f.req("job")? },
             "resume" => Request::Resume { job: f.req("job")? },
             "list" => Request::List,
-            "shutdown" => Request::Shutdown { drain: f.opt("drain")?.unwrap_or(false) },
+            "shutdown" => Request::Shutdown {
+                drain: f.opt("drain")?.unwrap_or(false),
+            },
             "shard.dispatch" => Request::ShardDispatch {
                 coord: f.req("coord")?,
                 origin: f.req("origin")?,
@@ -391,9 +415,10 @@ impl Request {
                 origin: f.req("origin")?,
                 gen: f.req("gen")?,
             },
-            "shard.pull" => {
-                Request::ShardPull { job: f.req("job")?, since: f.opt("since")?.unwrap_or(0) }
-            }
+            "shard.pull" => Request::ShardPull {
+                job: f.req("job")?,
+                since: f.opt("since")?.unwrap_or(0),
+            },
             other => return Err(format!("unknown cmd '{other}'")),
         })
     }
@@ -476,10 +501,16 @@ impl Response {
             Response::Submitted { job } => vec![("job", num!(*job))],
             Response::Status(status) => vec![("status", status_to_json(status))],
             Response::Events { events, next_seq } => vec![
-                ("events", JsonValue::Arr(events.iter().map(event_to_json).collect())),
+                (
+                    "events",
+                    JsonValue::Arr(events.iter().map(event_to_json).collect()),
+                ),
                 ("next_seq", num!(*next_seq)),
             ],
-            Response::Results { status, report_text } => vec![
+            Response::Results {
+                status,
+                report_text,
+            } => vec![
                 ("status", status_to_json(status)),
                 ("report_text", JsonValue::str(report_text)),
             ],
@@ -488,7 +519,10 @@ impl Response {
                 ("score_json", JsonValue::str(score_json)),
             ],
             Response::List { jobs } => {
-                vec![("jobs", JsonValue::Arr(jobs.iter().map(status_to_json).collect()))]
+                vec![(
+                    "jobs",
+                    JsonValue::Arr(jobs.iter().map(status_to_json).collect()),
+                )]
             }
             Response::ShuttingDown => vec![("shutting_down", JsonValue::Bool(true))],
             Response::ShardDispatched { grant } => vec![
@@ -497,8 +531,16 @@ impl Response {
                 ("ranges", ranges_to_json(&grant.ranges)),
                 ("attached", JsonValue::Bool(grant.attached)),
             ],
-            Response::ShardOutcomes { outcomes, next, settled, draining } => vec![
-                ("outcomes", JsonValue::Arr(outcomes.iter().map(outcome_to_json).collect())),
+            Response::ShardOutcomes {
+                outcomes,
+                next,
+                settled,
+                draining,
+            } => vec![
+                (
+                    "outcomes",
+                    JsonValue::Arr(outcomes.iter().map(outcome_to_json).collect()),
+                ),
                 ("next", num!(*next)),
                 ("settled", JsonValue::Bool(*settled)),
                 ("draining", JsonValue::Bool(*draining)),
@@ -520,7 +562,9 @@ impl Response {
         let v = parse_json(line)?;
         let f = Fields::of(&v, "response")?;
         if !f.req::<bool>("ok")? {
-            return Ok(Response::Error { error: ErrorObj::from_json(f.req("error")?)? });
+            return Ok(Response::Error {
+                error: ErrorObj::from_json(f.req("error")?)?,
+            });
         }
         // A success frame is recognised by the first payload key it
         // carries. Shard frames are keyed on fields no other frame has
@@ -552,13 +596,21 @@ impl Response {
                 next_seq: f.opt("next_seq")?.unwrap_or(0),
             }
         } else if let Some(report_text) = f.opt("report_text")? {
-            Response::Results { status: status_from_json(f.req("status")?)?, report_text }
+            Response::Results {
+                status: status_from_json(f.req("status")?)?,
+                report_text,
+            }
         } else if let Some(score_json) = f.opt("score_json")? {
-            Response::Score { status: status_from_json(f.req("status")?)?, score_json }
+            Response::Score {
+                status: status_from_json(f.req("status")?)?,
+                score_json,
+            }
         } else if let Some(status) = f.opt("status")? {
             Response::Status(status_from_json(status)?)
         } else if let Some(jobs) = f.opt("jobs")? {
-            Response::List { jobs: each(jobs, status_from_json)? }
+            Response::List {
+                jobs: each(jobs, status_from_json)?,
+            }
         } else if let Some(job) = f.opt("job")? {
             Response::Submitted { job }
         } else {
@@ -620,7 +672,11 @@ fn retry_from_json(v: &JsonValue) -> Result<TileRetry, String> {
 
 fn outcome_to_json(o: &TileOutcome) -> JsonValue {
     let verdict = match &o.kind {
-        TileOutcomeKind::Done { data, ckpt_degraded, cache } => (
+        TileOutcomeKind::Done {
+            data,
+            ckpt_degraded,
+            cache,
+        } => (
             "done",
             JsonValue::obj([
                 ("data", JsonValue::str(to_hex(data))),
@@ -630,7 +686,10 @@ fn outcome_to_json(o: &TileOutcome) -> JsonValue {
         ),
         TileOutcomeKind::Quarantined { attempts, reason } => (
             "quarantined",
-            JsonValue::obj([("attempts", num!(*attempts)), ("reason", JsonValue::str(reason))]),
+            JsonValue::obj([
+                ("attempts", num!(*attempts)),
+                ("reason", JsonValue::str(reason)),
+            ]),
         ),
     };
     let retries = JsonValue::Arr(o.retries.iter().map(retry_to_json).collect());
@@ -648,7 +707,10 @@ fn outcome_from_json(v: &JsonValue) -> Result<TileOutcome, String> {
         }
     } else if let Some(q) = f.opt("quarantined")? {
         let q = Fields::of(q, "quarantined outcome")?;
-        TileOutcomeKind::Quarantined { attempts: q.req("attempts")?, reason: q.req("reason")? }
+        TileOutcomeKind::Quarantined {
+            attempts: q.req("attempts")?,
+            reason: q.req("reason")?,
+        }
     } else {
         return Err("outcome needs a \"done\" or \"quarantined\" verdict".to_string());
     };
@@ -676,9 +738,18 @@ fn status_to_json(s: &JobStatus) -> JsonValue {
         // The score travels as its IEEE-754 bit pattern in a string: a
         // JSON Num would round-trip through f64 text formatting, and
         // byte-exactness is the whole point.
-        ("score_bits", s.score_bits.map_or(JsonValue::Null, JsonValue::u64_str)),
-        ("score_pass", s.score_pass.map_or(JsonValue::Null, JsonValue::Bool)),
-        ("error", s.error.as_ref().map_or(JsonValue::Null, JsonValue::str)),
+        (
+            "score_bits",
+            s.score_bits.map_or(JsonValue::Null, JsonValue::u64_str),
+        ),
+        (
+            "score_pass",
+            s.score_pass.map_or(JsonValue::Null, JsonValue::Bool),
+        ),
+        (
+            "error",
+            s.error.as_ref().map_or(JsonValue::Null, JsonValue::str),
+        ),
     ])
 }
 
@@ -687,7 +758,9 @@ fn status_from_json(v: &JsonValue) -> Result<JobStatus, String> {
     Ok(JobStatus {
         id: f.req("id")?,
         name: f.req("name")?,
-        tenant: f.opt("tenant")?.unwrap_or_else(|| DEFAULT_TENANT.to_string()),
+        tenant: f
+            .opt("tenant")?
+            .unwrap_or_else(|| DEFAULT_TENANT.to_string()),
         priority: f.opt("priority")?.unwrap_or(0),
         state: f.req("state")?,
         tiles_total: f.req("tiles_total")?,
@@ -717,11 +790,24 @@ fn event_to_json(e: &JobEvent) -> JsonValue {
     let tile_only = |kind, tile: &usize| (kind, vec![("tile", num!(*tile))]);
     let (kind, body) = match &e.kind {
         JobEventKind::State(state) => (kind::STATE, vec![("state", JsonValue::str(state.name()))]),
-        JobEventKind::TileDone { tile, completed, total } => (
+        JobEventKind::TileDone {
+            tile,
+            completed,
+            total,
+        } => (
             kind::TILE,
-            vec![("tile", num!(*tile)), ("completed", num!(*completed)), ("total", num!(*total))],
+            vec![
+                ("tile", num!(*tile)),
+                ("completed", num!(*completed)),
+                ("total", num!(*total)),
+            ],
         ),
-        JobEventKind::TileRetry { tile, attempt, backoff_vms, reason } => (
+        JobEventKind::TileRetry {
+            tile,
+            attempt,
+            backoff_vms,
+            reason,
+        } => (
             kind::RETRY,
             vec![
                 ("tile", num!(*tile)),
@@ -730,7 +816,11 @@ fn event_to_json(e: &JobEvent) -> JsonValue {
                 ("reason", JsonValue::str(reason)),
             ],
         ),
-        JobEventKind::TileQuarantined { tile, attempts, reason } => (
+        JobEventKind::TileQuarantined {
+            tile,
+            attempts,
+            reason,
+        } => (
             kind::QUARANTINE,
             vec![
                 ("tile", num!(*tile)),
@@ -743,7 +833,10 @@ fn event_to_json(e: &JobEvent) -> JsonValue {
         JobEventKind::TileCacheStore { tile } => tile_only(kind::CACHE_STORE, tile),
         JobEventKind::Score { bits, pass } => (
             kind::SCORE,
-            vec![("bits", JsonValue::u64_str(*bits)), ("pass", JsonValue::Bool(*pass))],
+            vec![
+                ("bits", JsonValue::u64_str(*bits)),
+                ("pass", JsonValue::Bool(*pass)),
+            ],
         ),
     };
     let head = [("seq", num!(e.seq)), ("kind", JsonValue::str(kind))];
@@ -770,16 +863,28 @@ fn event_from_json(v: &JsonValue) -> Result<JobEvent, String> {
             attempts: f.req("attempts")?,
             reason: f.req("reason")?,
         },
-        kind::CKPT => JobEventKind::CkptDegraded { tile: f.req("tile")? },
-        kind::CACHE_HIT => JobEventKind::TileCacheHit { tile: f.req("tile")? },
-        kind::CACHE_STORE => JobEventKind::TileCacheStore { tile: f.req("tile")? },
+        kind::CKPT => JobEventKind::CkptDegraded {
+            tile: f.req("tile")?,
+        },
+        kind::CACHE_HIT => JobEventKind::TileCacheHit {
+            tile: f.req("tile")?,
+        },
+        kind::CACHE_STORE => JobEventKind::TileCacheStore {
+            tile: f.req("tile")?,
+        },
         kind::SCORE => {
             let U64Str(bits) = f.req("bits")?;
-            JobEventKind::Score { bits, pass: f.req("pass")? }
+            JobEventKind::Score {
+                bits,
+                pass: f.req("pass")?,
+            }
         }
         other => return Err(format!("unknown event kind '{other}'")),
     };
-    Ok(JobEvent { seq: f.req("seq")?, kind })
+    Ok(JobEvent {
+        seq: f.req("seq")?,
+        kind,
+    })
 }
 
 #[cfg(test)]
@@ -807,7 +912,11 @@ mod tests {
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::Submit { spec: JobSpec::default(), gds: vec![0, 1, 254, 255], idem: None },
+            Request::Submit {
+                spec: JobSpec::default(),
+                gds: vec![0, 1, 254, 255],
+                idem: None,
+            },
             Request::Submit {
                 spec: JobSpec::default(),
                 gds: vec![0, 1],
@@ -815,7 +924,10 @@ mod tests {
             },
             Request::Status { job: 3 },
             Request::Events { job: 3, since: 17 },
-            Request::Results { job: 3, partial: true },
+            Request::Results {
+                job: 3,
+                partial: true,
+            },
             Request::Score { job: 3 },
             Request::Cancel { job: 3 },
             Request::Resume { job: 3 },
@@ -838,7 +950,11 @@ mod tests {
                 gds: vec![],
                 ranges: None,
             },
-            Request::ShardAttach { coord: 17, origin: 5, gen: 2 },
+            Request::ShardAttach {
+                coord: 17,
+                origin: 5,
+                gen: 2,
+            },
             Request::ShardPull { job: 11, since: 4 },
         ]
     }
@@ -865,10 +981,17 @@ mod tests {
             }),
             Response::Events {
                 events: vec![
-                    JobEvent { seq: 0, kind: JobEventKind::State(JobState::Queued) },
+                    JobEvent {
+                        seq: 0,
+                        kind: JobEventKind::State(JobState::Queued),
+                    },
                     JobEvent {
                         seq: 1,
-                        kind: JobEventKind::TileDone { tile: 0, completed: 1, total: 9 },
+                        kind: JobEventKind::TileDone {
+                            tile: 0,
+                            completed: 1,
+                            total: 9,
+                        },
                     },
                     JobEvent {
                         seq: 2,
@@ -887,12 +1010,24 @@ mod tests {
                             reason: "tile 3 panicked: injected".to_string(),
                         },
                     },
-                    JobEvent { seq: 4, kind: JobEventKind::CkptDegraded { tile: 5 } },
-                    JobEvent { seq: 5, kind: JobEventKind::TileCacheHit { tile: 6 } },
-                    JobEvent { seq: 6, kind: JobEventKind::TileCacheStore { tile: 7 } },
+                    JobEvent {
+                        seq: 4,
+                        kind: JobEventKind::CkptDegraded { tile: 5 },
+                    },
+                    JobEvent {
+                        seq: 5,
+                        kind: JobEventKind::TileCacheHit { tile: 6 },
+                    },
+                    JobEvent {
+                        seq: 6,
+                        kind: JobEventKind::TileCacheStore { tile: 7 },
+                    },
                     JobEvent {
                         seq: 7,
-                        kind: JobEventKind::Score { bits: 0.85f64.to_bits(), pass: true },
+                        kind: JobEventKind::Score {
+                            bits: 0.85f64.to_bits(),
+                            pass: true,
+                        },
                     },
                 ],
                 next_seq: 8,
@@ -910,7 +1045,9 @@ mod tests {
                 },
                 score_json: r#"{"score":0.75,"pass":true}"#.to_string(),
             },
-            Response::List { jobs: vec![sample_status()] },
+            Response::List {
+                jobs: vec![sample_status()],
+            },
             Response::ShuttingDown,
             Response::ShardDispatched {
                 grant: ShardGrant {
@@ -963,7 +1100,9 @@ mod tests {
                 settled: true,
                 draining: true,
             },
-            Response::Error { error: ErrorObj::coded(ErrorCode::NotFound, "no such job: 4") },
+            Response::Error {
+                error: ErrorObj::coded(ErrorCode::NotFound, "no such job: 4"),
+            },
             Response::Error {
                 error: ErrorObj {
                     code: ErrorCode::QuotaExceeded,
@@ -979,7 +1118,10 @@ mod tests {
         for resp in sample_responses() {
             let line = resp.to_json().render();
             assert!(!line.contains('\n'), "frames are single lines: {line}");
-            assert!(line.contains("\"v\":2"), "v2 frames carry the version: {line}");
+            assert!(
+                line.contains("\"v\":2"),
+                "v2 frames carry the version: {line}"
+            );
             let back = Response::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, resp, "{line}");
         }
@@ -987,7 +1129,9 @@ mod tests {
 
     fn sample_lines() -> Vec<String> {
         let requests = sample_requests().into_iter().map(|r| r.to_json().render());
-        requests.chain(sample_responses().into_iter().map(|r| r.to_json().render())).collect()
+        requests
+            .chain(sample_responses().into_iter().map(|r| r.to_json().render()))
+            .collect()
     }
 
     #[test]
@@ -998,7 +1142,11 @@ mod tests {
         // byte of any frame kind fails here, without waiting for the
         // golden report digests.
         let text = sample_lines().join("\n");
-        assert_eq!(crate::codec::fnv1a_64(text.as_bytes()), 0x729e_3d57_30d4_261f, "{text}");
+        assert_eq!(
+            crate::codec::fnv1a_64(text.as_bytes()),
+            0x729e_3d57_30d4_261f,
+            "{text}"
+        );
     }
 
     /// Keys (by path, `[]` for an array step) whose removal, `null`, or
@@ -1006,17 +1154,48 @@ mod tests {
     /// the frame kind (`attached`, `report_text`, …), optional keys and
     /// keys whose requiredness depends on the frame are left out.
     const REQUIRED: &[&str] = &[
-        "cmd", "job", "spec", "gds_hex", "coord", "origin", "gen",
-        "ok", "error", "error.code", "error.message", "total", "settled",
-        "status", "status.id", "status.name", "status.state", "status.tiles_total",
-        "status.tiles_done", "jobs[].id", "jobs[].state",
-        "events[].seq", "events[].kind", "events[].tile", "events[].state",
-        "events[].completed", "events[].total", "events[].attempt", "events[].attempts",
-        "events[].backoff_vms", "events[].reason", "events[].bits", "events[].pass",
-        "outcomes[].tile", "outcomes[].done.data", "outcomes[].done.ckpt_degraded",
-        "outcomes[].done.cache", "outcomes[].quarantined.attempts",
-        "outcomes[].quarantined.reason", "outcomes[].retries[].attempt",
-        "outcomes[].retries[].backoff_vms", "outcomes[].retries[].reason",
+        "cmd",
+        "job",
+        "spec",
+        "gds_hex",
+        "coord",
+        "origin",
+        "gen",
+        "ok",
+        "error",
+        "error.code",
+        "error.message",
+        "total",
+        "settled",
+        "status",
+        "status.id",
+        "status.name",
+        "status.state",
+        "status.tiles_total",
+        "status.tiles_done",
+        "jobs[].id",
+        "jobs[].state",
+        "events[].seq",
+        "events[].kind",
+        "events[].tile",
+        "events[].state",
+        "events[].completed",
+        "events[].total",
+        "events[].attempt",
+        "events[].attempts",
+        "events[].backoff_vms",
+        "events[].reason",
+        "events[].bits",
+        "events[].pass",
+        "outcomes[].tile",
+        "outcomes[].done.data",
+        "outcomes[].done.ckpt_degraded",
+        "outcomes[].done.cache",
+        "outcomes[].quarantined.attempts",
+        "outcomes[].quarantined.reason",
+        "outcomes[].retries[].attempt",
+        "outcomes[].retries[].backoff_vms",
+        "outcomes[].retries[].reason",
     ];
 
     /// Every single-key mutation of the object `v` and of the objects
@@ -1029,7 +1208,11 @@ mod tests {
     ) {
         let JsonValue::Obj(pairs) = v else { return };
         for (i, (key, child)) in pairs.iter().enumerate() {
-            let path = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+            let path = if path.is_empty() {
+                key.clone()
+            } else {
+                format!("{path}.{key}")
+            };
             let with = |new: JsonValue| {
                 let mut pairs = pairs.clone();
                 pairs[i].1 = new;
@@ -1081,7 +1264,9 @@ mod tests {
             for (path, must_fail, mutant) in all {
                 let text = mutant.render();
                 let reparsed = if line.contains("\"cmd\"") {
-                    Request::parse(&text).map(|r| r.to_json()).map_err(|e| e.to_string())
+                    Request::parse(&text)
+                        .map(|r| r.to_json())
+                        .map_err(|e| e.to_string())
                 } else {
                     Response::parse(&text).map(|r| r.to_json())
                 };
@@ -1108,7 +1293,11 @@ mod tests {
         // integers an f64 carries exactly, not a rounder number below it.
         let coord = (1u64 << 53) - 1;
         for req in [
-            Request::ShardAttach { coord, origin: 5, gen: 2 },
+            Request::ShardAttach {
+                coord,
+                origin: 5,
+                gen: 2,
+            },
             Request::ShardDispatch {
                 coord,
                 origin: 5,
@@ -1121,8 +1310,14 @@ mod tests {
             let line = req.to_json().render();
             assert_eq!(Request::parse(&line), Ok(req), "{line}");
         }
-        let beyond = format!(r#"{{"v":2,"cmd":"shard.attach","coord":{},"origin":5,"gen":2}}"#, 1u64 << 54);
-        assert_eq!(Request::parse(&beyond).expect_err(&beyond).code, ErrorCode::BadRequest);
+        let beyond = format!(
+            r#"{{"v":2,"cmd":"shard.attach","coord":{},"origin":5,"gen":2}}"#,
+            1u64 << 54
+        );
+        assert_eq!(
+            Request::parse(&beyond).expect_err(&beyond).code,
+            ErrorCode::BadRequest
+        );
     }
 
     #[test]
@@ -1142,12 +1337,19 @@ mod tests {
             assert_eq!(err.retry_after_vms, None);
         }
         let err = Request::parse(r#"{"v":3,"cmd":"ping"}"#).expect_err("v3");
-        assert!(err.message.contains("version 3") && err.message.contains("\"v\":2"), "{err}");
+        assert!(
+            err.message.contains("version 3") && err.message.contains("\"v\":2"),
+            "{err}"
+        );
         // The version gate runs before the body is looked at; a v2
         // frame with a bad body is the client's fault instead.
         assert_eq!(Request::parse(r#"{"v":2,"cmd":"ping"}"#), Ok(Request::Ping));
         for line in ["{", r#"{"v":2,"cmd":"warp"}"#, r#"{"v":2,"cmd":"status"}"#] {
-            assert_eq!(Request::parse(line).expect_err(line).code, ErrorCode::BadRequest, "{line}");
+            assert_eq!(
+                Request::parse(line).expect_err(line).code,
+                ErrorCode::BadRequest,
+                "{line}"
+            );
         }
         // The refusal itself is an ordinary v2 error frame.
         let frame = Response::Error { error: err.clone() }.to_json().render();
@@ -1172,7 +1374,11 @@ mod tests {
         let spec = r#"{"v":2,"cmd":"submit","spec":{"name":null,"score":null},"gds_hex":""}"#;
         assert_eq!(
             Request::parse(spec),
-            Ok(Request::Submit { spec: JobSpec::default(), gds: vec![], idem: None })
+            Ok(Request::Submit {
+                spec: JobSpec::default(),
+                gds: vec![],
+                idem: None
+            })
         );
     }
 
@@ -1215,7 +1421,11 @@ mod tests {
             assert_eq!(code.name(), name);
             assert_eq!(ErrorCode::from_name(name), code);
             let error = ErrorObj::coded(code, "m");
-            let frame = Response::Error { error: error.clone() }.to_json().render();
+            let frame = Response::Error {
+                error: error.clone(),
+            }
+            .to_json()
+            .render();
             assert!(frame.contains(&format!(r#""code":"{name}","#)), "{frame}");
             assert_eq!(Response::parse(&frame), Ok(Response::Error { error }));
         }
@@ -1325,9 +1535,16 @@ mod tests {
             // the field check under test; everything else must fail as
             // a response (and, having no "cmd", as a request too).
             if line.contains("\"cmd\"") {
-                assert_eq!(Request::parse(line).expect_err(line).code, ErrorCode::BadRequest, "{line}");
+                assert_eq!(
+                    Request::parse(line).expect_err(line).code,
+                    ErrorCode::BadRequest,
+                    "{line}"
+                );
             } else {
-                assert!(Request::parse(line).is_err() && Response::parse(line).is_err(), "{line}");
+                assert!(
+                    Request::parse(line).is_err() && Response::parse(line).is_err(),
+                    "{line}"
+                );
             }
         }
     }
@@ -1352,9 +1569,13 @@ mod tests {
         // minutes here (about 150 ms for a 100 KB frame, quadratic), so
         // this is not meant to be run against that code.
         let gds = vec![0xa5u8; 2 << 20];
-        let line = Request::Submit { spec: JobSpec::default(), gds: gds.clone(), idem: None }
-            .to_json()
-            .render();
+        let line = Request::Submit {
+            spec: JobSpec::default(),
+            gds: gds.clone(),
+            idem: None,
+        }
+        .to_json()
+        .render();
         assert!(line.len() > 4 << 20);
         let t = std::time::Instant::now();
         match Request::parse(&line) {
@@ -1362,7 +1583,11 @@ mod tests {
             Ok(Request::Submit { gds: back, .. }) => assert!(back == gds),
             other => panic!("unexpected parse: {:?}", other.err()),
         }
-        assert!(t.elapsed().as_secs() < 30, "4 MiB frame took {:?}", t.elapsed());
+        assert!(
+            t.elapsed().as_secs() < 30,
+            "4 MiB frame took {:?}",
+            t.elapsed()
+        );
     }
 
     #[test]
@@ -1390,7 +1615,10 @@ mod tests {
             JobState::Cancelled,
         ] {
             assert_eq!(JobState::from_name(state.name()), Some(state));
-            let resp = Response::Status(JobStatus { state, ..sample_status() });
+            let resp = Response::Status(JobStatus {
+                state,
+                ..sample_status()
+            });
             assert_eq!(Response::parse(&resp.to_json().render()), Ok(resp));
         }
     }

@@ -74,7 +74,12 @@ pub struct TenantPolicy {
 
 impl TenantPolicy {
     fn unit(name: &str) -> Self {
-        TenantPolicy { name: name.to_string(), weight: 1, max_jobs: None, max_tiles: None }
+        TenantPolicy {
+            name: name.to_string(),
+            weight: 1,
+            max_jobs: None,
+            max_tiles: None,
+        }
     }
 }
 
@@ -138,7 +143,9 @@ impl SchedConfig {
                     let mut saw_weight = false;
                     while let Some(key) = words.next() {
                         let value = words.next().ok_or_else(|| err("missing value"))?;
-                        let n: u64 = value.parse().map_err(|_| err("value must be a non-negative integer"))?;
+                        let n: u64 = value
+                            .parse()
+                            .map_err(|_| err("value must be a non-negative integer"))?;
                         match key {
                             "weight" => {
                                 if n == 0 {
@@ -170,7 +177,9 @@ impl SchedConfig {
                 Some("global") => {
                     while let Some(key) = words.next() {
                         let value = words.next().ok_or_else(|| err("missing value"))?;
-                        let n: u64 = value.parse().map_err(|_| err("value must be a non-negative integer"))?;
+                        let n: u64 = value
+                            .parse()
+                            .map_err(|_| err("value must be a non-negative integer"))?;
                         match key {
                             "max_inflight" => {
                                 if n == 0 {
@@ -225,7 +234,10 @@ impl SchedConfig {
         if let Some(p) = self.tenants.iter().find(|t| t.name == name) {
             return Some(p.clone());
         }
-        self.wildcard.as_ref().map(|w| TenantPolicy { name: name.to_string(), ..w.clone() })
+        self.wildcard.as_ref().map(|w| TenantPolicy {
+            name: name.to_string(),
+            ..w.clone()
+        })
     }
 }
 
@@ -429,7 +441,9 @@ impl<H: Clone> Scheduler<H> {
             if active_jobs >= cap {
                 return Err(ErrorObj {
                     code: ErrorCode::QuotaExceeded,
-                    message: format!("tenant '{tenant}' has {active_jobs} active jobs (max_jobs {cap})"),
+                    message: format!(
+                        "tenant '{tenant}' has {active_jobs} active jobs (max_jobs {cap})"
+                    ),
                     retry_after_vms: Some(retry_hint(queued + self.inflight)),
                 });
             }
@@ -457,12 +471,15 @@ impl<H: Clone> Scheduler<H> {
                 });
             }
         }
-        let state = self.tenants.entry(tenant.to_string()).or_insert_with(|| TenantState {
-            policy,
-            lanes: BTreeMap::new(),
-            active_jobs: 0,
-            queued_tiles: 0,
-        });
+        let state = self
+            .tenants
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantState {
+                policy,
+                lanes: BTreeMap::new(),
+                active_jobs: 0,
+                queued_tiles: 0,
+            });
         state.active_jobs += 1;
         state.queued_tiles += tiles;
         self.pending_total += tiles;
@@ -608,7 +625,12 @@ impl<H: Clone> Scheduler<H> {
                 tile: key.tile,
                 priority: key.priority,
             });
-            out.push(GrantOut { seq, job, tile: key.tile, handle });
+            out.push(GrantOut {
+                seq,
+                job,
+                tile: key.tile,
+                handle,
+            });
         }
         out
     }
@@ -646,7 +668,10 @@ mod tests {
         Scheduler::new(SchedConfig::parse(text).unwrap())
     }
 
-    fn grant_tenants(grants: &[GrantOut<&'static str>], s: &Scheduler<&'static str>) -> Vec<String> {
+    fn grant_tenants(
+        grants: &[GrantOut<&'static str>],
+        s: &Scheduler<&'static str>,
+    ) -> Vec<String> {
         let log = s.grant_log();
         grants
             .iter()
@@ -825,8 +850,8 @@ mod tests {
         let grants = s.enqueue(1, "ja", 0..4);
         assert_eq!(grants.len(), 2);
         assert!(s.enqueue(2, "jb", 0..1).is_empty()); // window full
-        // Cancelling job 1 frees both slots and its queued tiles;
-        // job 2's tile is granted by the same call.
+                                                      // Cancelling job 1 frees both slots and its queued tiles;
+                                                      // job 2's tile is granted by the same call.
         let freed = s.remove_job(1);
         assert_eq!(freed.len(), 1);
         assert_eq!(freed[0].job, 2);
@@ -859,16 +884,24 @@ mod tests {
         via_plan: bool,
         order: Option<u64>,
     ) -> String {
-        let mut plan: String =
-            weights.iter().enumerate().map(|(t, w)| format!("tenant t{t} weight {w}\n")).collect();
+        let mut plan: String = weights
+            .iter()
+            .enumerate()
+            .map(|(t, w)| format!("tenant t{t} weight {w}\n"))
+            .collect();
         if via_plan {
             plan.push_str(&format!("global max_inflight {window}\n"));
         }
         let cfg = SchedConfig::parse(&plan).unwrap();
-        let mut s = if via_plan { Scheduler::new(cfg) } else { Scheduler::with_workers(cfg, window) };
+        let mut s = if via_plan {
+            Scheduler::new(cfg)
+        } else {
+            Scheduler::with_workers(cfg, window)
+        };
         let mut inflight = Vec::new();
         for (job, &(tenant, priority, tiles)) in jobs.iter().enumerate() {
-            s.admit(job as u64, &format!("t{tenant}"), priority, tiles as u64).unwrap();
+            s.admit(job as u64, &format!("t{tenant}"), priority, tiles as u64)
+                .unwrap();
             inflight.extend(s.enqueue(job as u64, (), 0..tiles));
         }
         let mut rng = order.map(dfm_rand::Rng::seed_from_u64);
@@ -893,13 +926,21 @@ mod tests {
             bools(),
             0u64..u64::MAX,
         );
-        check("sched_resolution_order", &Config::with_cases(128), &gen, |(jobs, weights, window, via_plan, seed)| {
-            let in_seq = drain_grants(jobs, weights, *window, *via_plan, None);
-            let tiles: usize = jobs.iter().map(|j| j.2).sum();
-            prop_assert_eq!(in_seq.lines().count(), tiles);
-            prop_assert_eq!(drain_grants(jobs, weights, *window, *via_plan, Some(*seed)), in_seq);
-            Ok(())
-        });
+        check(
+            "sched_resolution_order",
+            &Config::with_cases(128),
+            &gen,
+            |(jobs, weights, window, via_plan, seed)| {
+                let in_seq = drain_grants(jobs, weights, *window, *via_plan, None);
+                let tiles: usize = jobs.iter().map(|j| j.2).sum();
+                prop_assert_eq!(in_seq.lines().count(), tiles);
+                prop_assert_eq!(
+                    drain_grants(jobs, weights, *window, *via_plan, Some(*seed)),
+                    in_seq
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -911,7 +952,11 @@ mod tests {
         assert_eq!(s.config(), &cfg, "the config is the plan as written");
         let mut s: Scheduler<()> = Scheduler::with_workers(SchedConfig::open(), 2);
         s.admit(1, "a", 0, 10).unwrap();
-        assert_eq!(s.enqueue(1, (), 0..10).len(), 2, "no plan window: the pool width");
+        assert_eq!(
+            s.enqueue(1, (), 0..10).len(),
+            2,
+            "no plan window: the pool width"
+        );
         assert_eq!(s.pending_tiles(), 8, "the rest wait in the lane");
         assert_eq!(s.config().max_inflight, None);
     }

@@ -63,17 +63,17 @@ pub fn layout_metrics(flat: &FlatLayout, tech: &Technology, spec: &JobSpec) -> V
     let catalog = Catalog::build(&[&m1], &anchors::corners(&m1), tech.m1_pitch, PATTERN_SNAP);
     out.extend(catalog.score_metrics());
     if let Some(layer) = spec.litho_layer {
-        out.push(("litho.drawn_nm2".to_string(), flat.region(layer).area() as f64));
+        out.push((
+            "litho.drawn_nm2".to_string(),
+            flat.region(layer).area() as f64,
+        ));
     }
     out
 }
 
 /// The full metric set for a job: report metrics, layout metrics, and
 /// the derived print-fidelity ratio where both sides are present.
-pub fn job_metrics(
-    report: &SignoffReport,
-    layout_metrics: &[(String, f64)],
-) -> Vec<(String, f64)> {
+pub fn job_metrics(report: &SignoffReport, layout_metrics: &[(String, f64)]) -> Vec<(String, f64)> {
     let mut out = report_metrics(report);
     out.extend_from_slice(layout_metrics);
     if let Some(litho) = &report.litho {
@@ -99,10 +99,7 @@ pub fn job_metrics(
 /// # Errors
 ///
 /// Spec validation, flattening, and engine diagnostics.
-pub fn flat_score(
-    spec: &JobSpec,
-    lib: &Library,
-) -> Result<(SignoffReport, ScoreReport), String> {
+pub fn flat_score(spec: &JobSpec, lib: &Library) -> Result<(SignoffReport, ScoreReport), String> {
     let flat = lib.flatten_top().map_err(|e| format!("flatten: {e}"))?;
     let report = flat_layout_report(spec, &flat)?;
     let score = score_flat_layout(spec, &flat, &report)?;
@@ -199,7 +196,10 @@ mod tests {
         c.add_rect(layers::METAL1, dfm_geom::Rect::new(0, 300, 4000, 390));
         let _ = tech;
         lib.add_cell(c).expect("add");
-        let spec = JobSpec { score: Some("default".to_string()), ..JobSpec::default() };
+        let spec = JobSpec {
+            score: Some("default".to_string()),
+            ..JobSpec::default()
+        };
         let (_, score) = flat_score(&spec, &lib).expect("score");
         assert!(score.score.is_finite(), "score {}", score.score);
         assert_eq!(score.metric("via.redundancy").expect("metric").value, 0.0);

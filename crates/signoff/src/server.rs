@@ -37,7 +37,11 @@ impl Server {
     pub fn bind(service: Arc<SignoffService>, port: u16) -> Result<Server, String> {
         let listener = TcpListener::bind(("127.0.0.1", port))
             .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
-        Ok(Server { listener, service, shutdown: Arc::new(AtomicBool::new(false)) })
+        Ok(Server {
+            listener,
+            service,
+            shutdown: Arc::new(AtomicBool::new(false)),
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -47,7 +51,9 @@ impl Server {
     /// Panics if the socket has no local address (cannot happen after
     /// a successful bind).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has an address")
+        self.listener
+            .local_addr()
+            .expect("bound listener has an address")
     }
 
     /// Accepts and serves connections until a `shutdown` frame
@@ -135,23 +141,30 @@ fn handle_connection(
 fn handle_request(service: &SignoffService, request: Request) -> Response {
     let result = match request {
         Request::Ping => Ok(Response::Pong),
-        Request::Submit { spec, gds, idem } => {
-            service.submit_job(spec, gds, idem.as_deref()).map(|job| Response::Submitted { job })
-        }
+        Request::Submit { spec, gds, idem } => service
+            .submit_job(spec, gds, idem.as_deref())
+            .map(|job| Response::Submitted { job }),
         Request::Status { job } => service.status(job).map(Response::Status),
         Request::Events { job, since } => service.events(job, since).map(|events| {
             let next_seq = events.last().map_or(since, |e| e.seq + 1);
             Response::Events { events, next_seq }
         }),
-        Request::Results { job, partial } => service
-            .results_text(job, partial)
-            .map(|(status, report_text)| Response::Results { status, report_text }),
+        Request::Results { job, partial } => {
+            service
+                .results_text(job, partial)
+                .map(|(status, report_text)| Response::Results {
+                    status,
+                    report_text,
+                })
+        }
         Request::Score { job } => service
             .score_json(job)
             .map(|(status, score_json)| Response::Score { status, score_json }),
         Request::Cancel { job } => service.cancel(job).map(Response::Status),
         Request::Resume { job } => service.resume(job).map(Response::Status),
-        Request::List => Ok(Response::List { jobs: service.list() }),
+        Request::List => Ok(Response::List {
+            jobs: service.list(),
+        }),
         Request::Shutdown { drain } => {
             if drain {
                 // Stop admitting, finish/checkpoint in-flight tiles,
@@ -161,20 +174,31 @@ fn handle_request(service: &SignoffService, request: Request) -> Response {
             }
             Ok(Response::ShuttingDown)
         }
-        Request::ShardDispatch { coord, origin, gen, spec, gds, ranges } => service
+        Request::ShardDispatch {
+            coord,
+            origin,
+            gen,
+            spec,
+            gds,
+            ranges,
+        } => service
             .shard_dispatch(coord, origin, gen, spec, gds, ranges)
             .map(|grant| Response::ShardDispatched { grant }),
         Request::ShardAttach { coord, origin, gen } => service
             .shard_attach(coord, origin, gen)
             .map(|grant| Response::ShardDispatched { grant }),
-        Request::ShardPull { job, since } => service.shard_outcomes(job, since).map(
-            |(outcomes, next, settled, draining)| Response::ShardOutcomes {
-                outcomes,
-                next,
-                settled,
-                draining,
-            },
-        ),
+        Request::ShardPull { job, since } => {
+            service
+                .shard_outcomes(job, since)
+                .map(
+                    |(outcomes, next, settled, draining)| Response::ShardOutcomes {
+                        outcomes,
+                        next,
+                        settled,
+                        draining,
+                    },
+                )
+        }
     };
     result.unwrap_or_else(|error| Response::Error { error })
 }

@@ -51,20 +51,20 @@
 mod attempt;
 mod commit;
 
+pub(crate) use attempt::RunShared;
 pub use attempt::{
     SITE_CACHE_READ, SITE_CACHE_STORE_RENAME, SITE_CACHE_STORE_TMP, SITE_CACHE_WRITE,
     SITE_CKPT_READ, SITE_CKPT_WRITE, SITE_TILE_COMPUTE, SITE_TILE_DELAY, TILE_DELAY_ENV,
 };
-pub(crate) use attempt::RunShared;
-pub use commit::{JobEvent, JobEventKind, JobState, JobStatus};
 pub(crate) use commit::{
     ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live, Job,
 };
+pub use commit::{JobEvent, JobEventKind, JobState, JobStatus};
 
 use crate::checkpoint::{list_job_dirs, JobDir};
 use crate::job::JobContext;
-use crate::report::SignoffReport;
 use crate::proto::{ErrorCode, ErrorObj};
+use crate::report::SignoffReport;
 use crate::sched::{Grant, SchedConfig, Scheduler};
 use crate::shard::{self, ShardGrant, ShardSet, ShardStats, TileOutcome};
 use crate::spec::JobSpec;
@@ -86,7 +86,10 @@ use std::time::Duration;
 fn long_poll(job: &Job, at_head: impl Fn(&JobMut) -> bool) -> MutexGuard<'_, JobMut> {
     let m = job.m.lock().expect("job lock");
     let still = |m: &mut JobMut| !m.state.is_settled() && at_head(m);
-    job.cv.wait_timeout_while(m, Duration::from_millis(1000), still).expect("job wait").0
+    job.cv
+        .wait_timeout_while(m, Duration::from_millis(1000), still)
+        .expect("job wait")
+        .0
 }
 
 /// Full construction-time configuration of a [`SignoffService`].
@@ -264,7 +267,10 @@ impl SignoffService {
     /// back in state [`JobState::Partial`] with their surviving tile
     /// set, ready for [`SignoffService::resume`].
     pub fn with_config(cfg: ServiceConfig) -> SignoffService {
-        let pool = Arc::new(WorkerPool::with_fault_plane(cfg.threads, cfg.fault_plane.clone()));
+        let pool = Arc::new(WorkerPool::with_fault_plane(
+            cfg.threads,
+            cfg.fault_plane.clone(),
+        ));
         let sched_cfg = cfg.sched.unwrap_or_else(SchedConfig::open);
         // The coordinator identity on shard frames. A checkpointed
         // coordinator derives it from the checkpoint root, so a restart
@@ -311,8 +317,16 @@ impl SignoffService {
             idem_map: Mutex::new(BTreeMap::new()),
         };
         service.load_persisted_jobs();
-        let last = service.jobs.lock().expect("jobs lock").keys().next_back().copied();
-        service.next_id.store(last.map_or(1, |id| id + 1), Ordering::SeqCst);
+        let last = service
+            .jobs
+            .lock()
+            .expect("jobs lock")
+            .keys()
+            .next_back()
+            .copied();
+        service
+            .next_id
+            .store(last.map_or(1, |id| id + 1), Ordering::SeqCst);
         service
     }
 
@@ -331,8 +345,12 @@ impl SignoffService {
         let mut jobs = self.jobs.lock().expect("jobs lock");
         for id in list_job_dirs(root) {
             let dir = JobDir::new(root, id);
-            let Ok((spec_json, gds)) = dir.load_submission() else { continue };
-            let Ok(spec) = JobSpec::from_json_text(&spec_json) else { continue };
+            let Ok((spec_json, gds)) = dir.load_submission() else {
+                continue;
+            };
+            let Ok(spec) = JobSpec::from_json_text(&spec_json) else {
+                continue;
+            };
             // The tile set is loaded lazily at resume/results time
             // (it needs the context for the tile count); record the
             // job as Partial so it is visible and resumable.
@@ -428,7 +446,11 @@ impl SignoffService {
             if let Err(e) = dir.persist_submission_probed(&spec.to_json().render(), &gds, plane, id)
             {
                 sched_remove_job(&self.shared, id);
-                let code = if shard_job { ErrorCode::Error } else { ErrorCode::BadRequest };
+                let code = if shard_job {
+                    ErrorCode::Error
+                } else {
+                    ErrorCode::BadRequest
+                };
                 return Err(ErrorObj::coded(code, e));
             }
         }
@@ -437,7 +459,10 @@ impl SignoffService {
             m.outcomes = Some(Vec::new());
         }
         let job = Job::new(id, dir, m);
-        self.jobs.lock().expect("jobs lock").insert(id, Arc::clone(&job));
+        self.jobs
+            .lock()
+            .expect("jobs lock")
+            .insert(id, Arc::clone(&job));
         Ok(job)
     }
 
@@ -450,7 +475,9 @@ impl SignoffService {
             let message = "service is draining; no new work is admitted";
             return Err(ErrorObj::coded(ErrorCode::Draining, message));
         }
-        self.shared.sched().admit(id, tenant, priority, tiles as u64)
+        self.shared
+            .sched()
+            .admit(id, tenant, priority, tiles as u64)
     }
 
     /// Whether [`SignoffService::begin_drain`] has run.
@@ -469,8 +496,13 @@ impl SignoffService {
     /// Returns the number of jobs parked.
     pub fn begin_drain(&self) -> usize {
         self.draining.store(true, Ordering::SeqCst);
-        let jobs: Vec<Arc<Job>> =
-            self.jobs.lock().expect("jobs lock").values().cloned().collect();
+        let jobs: Vec<Arc<Job>> = self
+            .jobs
+            .lock()
+            .expect("jobs lock")
+            .values()
+            .cloned()
+            .collect();
         let mut parked = 0;
         for job in jobs {
             {
@@ -573,8 +605,13 @@ impl SignoffService {
 
     /// Statuses of every job, by id.
     pub fn list(&self) -> Vec<JobStatus> {
-        let jobs: Vec<Arc<Job>> =
-            self.jobs.lock().expect("jobs lock").values().cloned().collect();
+        let jobs: Vec<Arc<Job>> = self
+            .jobs
+            .lock()
+            .expect("jobs lock")
+            .values()
+            .cloned()
+            .collect();
         jobs.iter().map(|j| j.status()).collect()
     }
 
@@ -618,7 +655,9 @@ impl SignoffService {
         }
         if !partial {
             let state = m.state;
-            return Err(format!("job {id} is {state}; pass partial=true for a prefix merge").into());
+            return Err(
+                format!("job {id} is {state}; pass partial=true for a prefix merge").into(),
+            );
         }
         let report = m.ctx()?.merge(&m.prefix())?;
         let status = status_of(&job, &m);
@@ -668,7 +707,10 @@ impl SignoffService {
         } else if m.report.is_some() || m.state.is_terminal() {
             format!("job {id} was submitted without scoring (no `score` in spec)")
         } else {
-            format!("job {id} is {}; the score is computed when the job settles", m.state)
+            format!(
+                "job {id} is {}; the score is computed when the job settles",
+                m.state
+            )
         };
         Err(why.into())
     }
@@ -748,7 +790,10 @@ impl SignoffService {
     pub fn wait(&self, id: u64) -> Result<JobStatus, String> {
         let job = self.job(id)?;
         let m = job.m.lock().expect("job lock");
-        let m = job.cv.wait_while(m, |m| !m.state.is_settled()).expect("job wait");
+        let m = job
+            .cv
+            .wait_while(m, |m| !m.state.is_settled())
+            .expect("job wait");
         Ok(status_of(&job, &m))
     }
 
@@ -760,7 +805,9 @@ impl SignoffService {
         let mut m = job.m.lock().expect("job lock");
         // A finished job answers from its report; one already loaded
         // has nothing to rebuild.
-        let Some(run) = m.run.as_ref().filter(|run| run.ctx.is_none()) else { return Ok(()) };
+        let Some(run) = m.run.as_ref().filter(|run| run.ctx.is_none()) else {
+            return Ok(());
+        };
         let ctx = Arc::new(JobContext::build(&m.spec, &run.gds)?);
         let mut tiles = Vec::new();
         if let Some(dir) = &job.dir {
@@ -828,10 +875,18 @@ impl SignoffService {
         // job.
         let mut map = self.origin_map.lock().expect("origin map lock");
         if let Some(grant) = map.get(&(coord, origin, gen)) {
-            return Ok(ShardGrant { attached: true, ..grant.clone() });
+            return Ok(ShardGrant {
+                attached: true,
+                ..grant.clone()
+            });
         }
         let job = self.mint_job(spec, gds, &ctx, tiles.len(), true)?;
-        let grant = ShardGrant { job: job.id, total, ranges, attached: false };
+        let grant = ShardGrant {
+            job: job.id,
+            total,
+            ranges,
+            attached: false,
+        };
         map.insert((coord, origin, gen), grant.clone());
         drop(map);
         self.dispatch(&job, &ctx, tiles);
@@ -878,7 +933,9 @@ impl SignoffService {
         since: u64,
     ) -> Result<(Vec<TileOutcome>, u64, bool, bool), ErrorObj> {
         let job = self.job(id)?;
-        let m = long_poll(&job, |m| m.outcomes.as_ref().is_some_and(|o| o.len() as u64 <= since));
+        let m = long_poll(&job, |m| {
+            m.outcomes.as_ref().is_some_and(|o| o.len() as u64 <= since)
+        });
         let Some(outcomes) = &m.outcomes else {
             return Err(format!("job {id} is not a shard-dispatched job").into());
         };
@@ -911,8 +968,13 @@ impl Drop for SignoffService {
         // no worker may still hold an upgraded Arc to the pool (for a
         // retry resubmission) when we drop ours — the pool must be torn
         // down from this thread, never from one of its own workers.
-        let jobs: Vec<Arc<Job>> =
-            self.jobs.lock().expect("jobs lock").values().cloned().collect();
+        let jobs: Vec<Arc<Job>> = self
+            .jobs
+            .lock()
+            .expect("jobs lock")
+            .values()
+            .cloned()
+            .collect();
         for job in &jobs {
             job.m.lock().expect("job lock").cancel_queued();
         }
@@ -967,13 +1029,19 @@ mod tests {
     fn submitted_job_finishes_with_flat_bytes_at_several_worker_counts() {
         let gds = small_gds(31);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
         for threads in [1usize, 2, 8] {
             let service = service(threads);
             let id = service.submit(spec.clone(), gds.clone()).expect("submit");
             let status = service.wait(id).expect("wait");
-            assert_eq!(status.state, JobState::Done, "threads={threads}: {:?}", status.error);
+            assert_eq!(
+                status.state,
+                JobState::Done,
+                "threads={threads}: {:?}",
+                status.error
+            );
             assert_eq!(status.tiles_done, status.tiles_total);
             let (_, report) = service.results(id, false).expect("results");
             assert_eq!(report.render_text(&spec), flat, "threads={threads}");
@@ -989,8 +1057,14 @@ mod tests {
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "gapless sequence");
         }
-        assert!(matches!(events.first().map(|e| &e.kind), Some(JobEventKind::State(JobState::Queued))));
-        assert!(matches!(events.last().map(|e| &e.kind), Some(JobEventKind::State(JobState::Done))));
+        assert!(matches!(
+            events.first().map(|e| &e.kind),
+            Some(JobEventKind::State(JobState::Queued))
+        ));
+        assert!(matches!(
+            events.last().map(|e| &e.kind),
+            Some(JobEventKind::State(JobState::Done))
+        ));
         // Delta poll: everything from the midpoint on, nothing more.
         let mid = events.len() as u64 / 2;
         let tail = service.events(id, mid).expect("tail");
@@ -1000,10 +1074,18 @@ mod tests {
     #[test]
     fn bad_submissions_are_rejected_with_diagnostics() {
         let service = service(1);
-        let err = service.submit(spec(), b"garbage".to_vec()).expect_err("bad gds");
+        let err = service
+            .submit(spec(), b"garbage".to_vec())
+            .expect_err("bad gds");
         assert!(err.contains("layout rejected"), "{err}");
         let err = service
-            .submit(JobSpec { tech: "n3".into(), ..spec() }, small_gds(33))
+            .submit(
+                JobSpec {
+                    tech: "n3".into(),
+                    ..spec()
+                },
+                small_gds(33),
+            )
             .expect_err("bad tech");
         assert!(err.contains("unknown technology"), "{err}");
         assert!(service.status(99).is_err());
@@ -1013,16 +1095,26 @@ mod tests {
     fn cancel_keeps_partials_and_resume_completes_identically() {
         let gds = small_gds(34);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
         let service = SignoffService::with_config(
-            ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(30)).build(),
+            ServiceConfig::builder()
+                .threads(2)
+                .tile_delay(Duration::from_millis(30))
+                .build(),
         );
         let id = service.submit(spec.clone(), gds).expect("submit");
         let status = service.cancel(id).expect("cancel");
         assert_eq!(status.state, JobState::Cancelled);
-        assert!(status.tiles_done < status.tiles_total, "cancel landed mid-run");
-        assert!(service.results(id, false).is_err(), "no final results while cancelled");
+        assert!(
+            status.tiles_done < status.tiles_total,
+            "cancel landed mid-run"
+        );
+        assert!(
+            service.results(id, false).is_err(),
+            "no final results while cancelled"
+        );
         let status = service.resume(id).expect("resume");
         assert_eq!(status.state, JobState::Running);
         let status = service.wait(id).expect("wait");
@@ -1036,14 +1128,20 @@ mod tests {
         // 100 tiles on 2 workers: the grant window is 2, so when the
         // drain lands nearly all of the job still waits in its lane.
         let gds = small_gds(36);
-        let spec = JobSpec { tile: 600, halo: 256, ..spec() };
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
-        let root = std::env::temp_dir()
-            .join(format!("dfm-signoff-drain-backlog-{}", std::process::id()));
+        let spec = JobSpec {
+            tile: 600,
+            halo: 256,
+            ..spec()
+        };
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
+        let root =
+            std::env::temp_dir().join(format!("dfm-signoff-drain-backlog-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let config = || ServiceConfig::builder().threads(2).ckpt_root(&root);
-        let slow = SignoffService::with_config(config().tile_delay(Duration::from_millis(20)).build());
+        let slow =
+            SignoffService::with_config(config().tile_delay(Duration::from_millis(20)).build());
         let id = slow.submit(spec.clone(), gds).expect("submit");
         let mut status = slow.status(id).expect("status");
         assert_eq!(status.tiles_total, 100);
@@ -1057,10 +1155,25 @@ mod tests {
         // have granted one more; the drain released the lane, so
         // nothing is granted after it and no backlog reached the pool.
         let pool = slow.pool_stats();
-        assert!(slow.grant_log().len() <= granted + 2, "granted past the drain");
-        assert!(pool.queue_depth_peak <= 2, "pool queue peaked at {}", pool.queue_depth_peak);
-        assert!(pool.completed as usize <= granted + 2, "{} tiles ran", pool.completed);
-        assert!(pool.skipped <= 2, "{} queued tiles were discarded", pool.skipped);
+        assert!(
+            slow.grant_log().len() <= granted + 2,
+            "granted past the drain"
+        );
+        assert!(
+            pool.queue_depth_peak <= 2,
+            "pool queue peaked at {}",
+            pool.queue_depth_peak
+        );
+        assert!(
+            pool.completed as usize <= granted + 2,
+            "{} tiles ran",
+            pool.completed
+        );
+        assert!(
+            pool.skipped <= 2,
+            "{} queued tiles were discarded",
+            pool.skipped
+        );
         let durable = JobDir::new(&root, id).load_tiles(100).len();
         assert!((10..100).contains(&durable), "{durable} tiles checkpointed");
         drop(slow);
@@ -1091,12 +1204,15 @@ mod tests {
     fn retries_below_threshold_finish_done_with_clean_bytes() {
         let gds = small_gds(36);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
         // Tile 1 panics on its first two attempts; budget is 3, so the
         // third succeeds and the job must be byte-identical to clean.
         let plan = FaultPlan::seeded(5).with_rule(
-            FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic).key(1).first_attempts(2),
+            FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic)
+                .key(1)
+                .first_attempts(2),
         );
         let service = faulty_service(4, plan);
         let id = service.submit(spec.clone(), gds).expect("submit");
@@ -1109,13 +1225,21 @@ mod tests {
         let retries: Vec<u64> = events
             .iter()
             .filter_map(|e| match &e.kind {
-                JobEventKind::TileRetry { tile: 1, attempt, .. } => Some(*attempt),
+                JobEventKind::TileRetry {
+                    tile: 1, attempt, ..
+                } => Some(*attempt),
                 _ => None,
             })
             .collect();
-        assert_eq!(retries, vec![0, 1], "both failed attempts recorded in order");
+        assert_eq!(
+            retries,
+            vec![0, 1],
+            "both failed attempts recorded in order"
+        );
         assert!(
-            events.iter().all(|e| !matches!(e.kind, JobEventKind::TileQuarantined { .. })),
+            events
+                .iter()
+                .all(|e| !matches!(e.kind, JobEventKind::TileQuarantined { .. })),
             "nothing quarantined below threshold"
         );
     }
@@ -1134,10 +1258,15 @@ mod tests {
         assert_eq!(status.state, JobState::Partial, "{:?}", status.error);
         assert_eq!(status.tiles_quarantined, 1);
         assert!(status.error.is_none(), "quarantine is not a failure");
-        let (_, report) = service.results(id, false).expect("settled partial has results");
+        let (_, report) = service
+            .results(id, false)
+            .expect("settled partial has results");
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].tile, 0);
-        assert_eq!(report.quarantined[0].attempts, ServiceConfig::builder().build().max_attempts);
+        assert_eq!(
+            report.quarantined[0].attempts,
+            ServiceConfig::builder().build().max_attempts
+        );
         // The report equals the offline merge of the surviving tiles.
         let ctx = JobContext::build(&spec, &gds).expect("ctx");
         let surviving: Vec<TilePartial> =
@@ -1169,7 +1298,10 @@ mod tests {
         let mut m = JobMut::fresh(spec, gds, Some(Arc::clone(&ctx)), JobState::Queued);
         m.begin(&tiles).expect("run");
         let job = Job::new(77, None, m);
-        let verdict = TileResolution::Quarantined { attempts: 3, reason: "boom".to_string() };
+        let verdict = TileResolution::Quarantined {
+            attempts: 3,
+            reason: "boom".to_string(),
+        };
         resolve_tile(&service.shared, &job, &ctx, 0, Vec::new(), verdict);
         let snapshot = || {
             let events = job.m.lock().expect("job lock").events.clone();
@@ -1178,47 +1310,93 @@ mod tests {
         let quarantined = snapshot();
         assert!(matches!(
             quarantined.0.last().map(|e| &e.kind),
-            Some(JobEventKind::TileQuarantined { tile: 0, attempts: 3, .. })
+            Some(JobEventKind::TileQuarantined {
+                tile: 0,
+                attempts: 3,
+                ..
+            })
         ));
 
         let partial = ctx.compute_tile(0);
         let data = crate::checkpoint::encode_tile_partial(&partial);
-        let late =
-            TileResolution::Done { partial, ckpt_degraded: false, cache: TileCacheMark::None };
+        let late = TileResolution::Done {
+            partial,
+            ckpt_degraded: false,
+            cache: TileCacheMark::None,
+        };
         resolve_tile(&service.shared, &job, &ctx, 0, Vec::new(), late);
         let duplicate = TileOutcome {
             tile: 0,
-            retries: vec![TileRetry { attempt: 0, backoff_vms: 8, reason: "r".to_string() }],
-            kind: TileOutcomeKind::Done { data, ckpt_degraded: false, cache: TileCacheMark::Hit },
+            retries: vec![TileRetry {
+                attempt: 0,
+                backoff_vms: 8,
+                reason: "r".to_string(),
+            }],
+            kind: TileOutcomeKind::Done {
+                data,
+                ckpt_degraded: false,
+                cache: TileCacheMark::Hit,
+            },
         };
         ingest_shard_outcome(&service.shared, &job, &ctx, &duplicate);
-        assert_eq!(snapshot(), quarantined, "a quarantined tile takes no further verdict");
+        assert_eq!(
+            snapshot(),
+            quarantined,
+            "a quarantined tile takes no further verdict"
+        );
         // Nor was either verdict parked behind the manifest entry: with
         // every other tile in, the job settles without tile 0.
         for &tile in &tiles[1..] {
             let partial = ctx.compute_tile(tile);
-            let done =
-                TileResolution::Done { partial, ckpt_degraded: false, cache: TileCacheMark::None };
+            let done = TileResolution::Done {
+                partial,
+                ckpt_degraded: false,
+                cache: TileCacheMark::None,
+            };
             resolve_tile(&service.shared, &job, &ctx, tile, Vec::new(), done);
         }
         let status = job.status();
         assert_eq!(status.state, JobState::Partial, "{:?}", status.error);
-        assert_eq!((status.tiles_done, status.tiles_quarantined), (tiles.len() - 1, 1));
+        assert_eq!(
+            (status.tiles_done, status.tiles_quarantined),
+            (tiles.len() - 1, 1)
+        );
         let m = job.m.lock().expect("job lock");
-        let manifest = &m.report.as_ref().expect("settled partial has a report").quarantined;
+        let manifest = &m
+            .report
+            .as_ref()
+            .expect("settled partial has a report")
+            .quarantined;
         assert_eq!(manifest.len(), 1);
-        assert_eq!((manifest[0].tile, manifest[0].attempts, manifest[0].reason.as_str()), (0, 3, "boom"));
+        assert_eq!(
+            (
+                manifest[0].tile,
+                manifest[0].attempts,
+                manifest[0].reason.as_str()
+            ),
+            (0, 3, "boom")
+        );
     }
 
     #[test]
     fn a_job_keeps_its_run_exactly_while_it_can_still_run() {
         let gds = small_gds(45);
-        let spec = JobSpec { score: Some("default".to_string()), ..spec() };
+        let spec = JobSpec {
+            score: Some("default".to_string()),
+            ..spec()
+        };
         let lib = gds::from_bytes(&gds).expect("lib");
         let flat = flat_report(&spec, &lib).expect("flat").render_text(&spec);
         let (_, flat_score) = crate::scoring::flat_score(&spec, &lib).expect("flat score");
         let holds_run = |service: &SignoffService, id| {
-            service.job(id).expect("job").m.lock().expect("job lock").run.is_some()
+            service
+                .job(id)
+                .expect("job")
+                .m
+                .lock()
+                .expect("job lock")
+                .run
+                .is_some()
         };
 
         // Done: the run is gone, and every question about the job is
@@ -1227,22 +1405,44 @@ mod tests {
         let id = service.submit(spec.clone(), gds.clone()).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
-        assert!(!holds_run(&service, id), "a Done job holds no GDS, context or partials");
+        assert!(
+            !holds_run(&service, id),
+            "a Done job holds no GDS, context or partials"
+        );
         assert_eq!(service.status(id).expect("status"), status);
-        assert_eq!((status.tiles_done, status.tiles_quarantined), (status.tiles_total, 0));
+        assert_eq!(
+            (status.tiles_done, status.tiles_quarantined),
+            (status.tiles_total, 0)
+        );
         let events = service.events(id, 0).expect("events");
         assert_eq!(events.len() as u64, status.next_seq);
-        assert_eq!(events.len(), status.tiles_total + 4, "queued, running, tiles, score, done");
+        assert_eq!(
+            events.len(),
+            status.tiles_total + 4,
+            "queued, running, tiles, score, done"
+        );
         assert_eq!(service.report_text(id, false).expect("report").1, flat);
         let (final_status, report) = service.results(id, false).expect("results");
-        assert_eq!(service.results(id, true).expect("partial results"), (final_status, report));
-        assert_eq!(service.score_json(id).expect("score").1, flat_score.render());
-        assert!(service.resume(id).is_err(), "Done is a state resume refuses");
+        assert_eq!(
+            service.results(id, true).expect("partial results"),
+            (final_status, report)
+        );
+        assert_eq!(
+            service.score_json(id).expect("score").1,
+            flat_score.render()
+        );
+        assert!(
+            service.resume(id).is_err(),
+            "Done is a state resume refuses"
+        );
 
         // Cancelled: the run — committed tiles included — is held, and
         // resume finishes on it to the flat bytes.
         let slow = SignoffService::with_config(
-            ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(30)).build(),
+            ServiceConfig::builder()
+                .threads(2)
+                .tile_delay(Duration::from_millis(30))
+                .build(),
         );
         let id = slow.submit(spec.clone(), gds.clone()).expect("submit");
         assert_eq!(slow.cancel(id).expect("cancel").state, JobState::Cancelled);
@@ -1265,12 +1465,20 @@ mod tests {
         let (_, first) = faulty.report_text(id, false).expect("partial report");
         faulty.resume(id).expect("resume");
         let again = faulty.wait(id).expect("wait again");
-        assert_eq!((again.state, again.tiles_done), (JobState::Partial, status.tiles_done));
+        assert_eq!(
+            (again.state, again.tiles_done),
+            (JobState::Partial, status.tiles_done)
+        );
         assert!(holds_run(&faulty, id));
-        assert_eq!(faulty.report_text(id, false).expect("partial report").1, first);
+        assert_eq!(
+            faulty.report_text(id, false).expect("partial report").1,
+            first
+        );
         let redone = faulty.events(id, status.next_seq).expect("events");
         assert!(
-            redone.iter().all(|e| !matches!(e.kind, JobEventKind::TileDone { .. })),
+            redone
+                .iter()
+                .all(|e| !matches!(e.kind, JobEventKind::TileDone { .. })),
             "kept partials are not recomputed: {redone:?}"
         );
     }
@@ -1279,9 +1487,11 @@ mod tests {
     fn ckpt_write_faults_degrade_without_discarding_results() {
         let gds = small_gds(38);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
-        let root = std::env::temp_dir().join(format!("dfm-signoff-ckpt-fault-{}", std::process::id()));
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
+        let root =
+            std::env::temp_dir().join(format!("dfm-signoff-ckpt-fault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         // Every checkpoint write for tile 2 fails on every retry — the
         // tile must still complete from memory and the job finish Done.
@@ -1317,14 +1527,18 @@ mod tests {
     fn warm_cache_serves_every_tile_without_computing() {
         let gds = small_gds(40);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
         let root = std::env::temp_dir().join(format!("dfm-signoff-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         let with_cache = |threads| {
             SignoffService::with_config(
-                ServiceConfig::builder().threads(threads).cache(Arc::clone(&cache)).build(),
+                ServiceConfig::builder()
+                    .threads(threads)
+                    .cache(Arc::clone(&cache))
+                    .build(),
             )
         };
         // Cold: every tile computes and stores; nothing hits.
@@ -1349,7 +1563,11 @@ mod tests {
         let status = warm.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
         assert_eq!(status.tiles_cached, status.tiles_total, "fully warm");
-        assert_eq!(warm.pool_stats().completed, 0, "no tile ever reached the pool");
+        assert_eq!(
+            warm.pool_stats().completed,
+            0,
+            "no tile ever reached the pool"
+        );
         let events = warm.events(id, 0).expect("events");
         let hits = events
             .iter()
@@ -1357,7 +1575,9 @@ mod tests {
             .count();
         assert_eq!(hits, status.tiles_total);
         assert!(
-            events.iter().all(|e| !matches!(e.kind, JobEventKind::TileCacheStore { .. })),
+            events
+                .iter()
+                .all(|e| !matches!(e.kind, JobEventKind::TileCacheStore { .. })),
             "a hit is never re-stored"
         );
         let (_, report) = warm.results(id, false).expect("results");
@@ -1370,15 +1590,19 @@ mod tests {
     fn cache_read_faults_degrade_to_recompute_with_identical_bytes() {
         let gds = small_gds(41);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
-        let root = std::env::temp_dir()
-            .join(format!("dfm-signoff-cache-fault-{}", std::process::id()));
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
+        let root =
+            std::env::temp_dir().join(format!("dfm-signoff-cache-fault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         // Prime the cache cleanly.
         let cold = SignoffService::with_config(
-            ServiceConfig::builder().threads(2).cache(Arc::clone(&cache)).build(),
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .build(),
         );
         let id = cold.submit(spec.clone(), gds.clone()).expect("submit");
         cold.wait(id).expect("wait");
@@ -1406,7 +1630,11 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(stored, vec![1], "only the faulted read recomputes and re-stores");
+        assert_eq!(
+            stored,
+            vec![1],
+            "only the faulted read recomputes and re-stores"
+        );
         let (_, report) = warm.results(id, false).expect("results");
         assert_eq!(report.render_text(&spec), flat);
         drop(warm);
@@ -1417,14 +1645,16 @@ mod tests {
     fn retried_tiles_are_never_cached() {
         let gds = small_gds(42);
         let spec = spec();
-        let root = std::env::temp_dir()
-            .join(format!("dfm-signoff-cache-retry-{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("dfm-signoff-cache-retry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
         // Tile 2 panics once, then succeeds on attempt 1 — which must
         // NOT be stored; every other tile stores normally.
         let plan = FaultPlan::seeded(7).with_rule(
-            FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic).key(2).first_attempts(1),
+            FaultRule::new(SITE_TILE_COMPUTE, FaultAction::Panic)
+                .key(2)
+                .first_attempts(1),
         );
         let service = SignoffService::with_config(
             ServiceConfig::builder()
@@ -1436,9 +1666,16 @@ mod tests {
         let id = service.submit(spec.clone(), gds.clone()).expect("submit");
         let status = service.wait(id).expect("wait");
         assert_eq!(status.state, JobState::Done, "{:?}", status.error);
-        assert_eq!(cache.len(), status.tiles_total - 1, "the retried tile is absent");
+        assert_eq!(
+            cache.len(),
+            status.tiles_total - 1,
+            "the retried tile is absent"
+        );
         let ctx = JobContext::build(&spec, &gds).expect("ctx");
-        assert!(!cache.contains(ctx.cache_key(2)), "retried tile never cached");
+        assert!(
+            !cache.contains(ctx.cache_key(2)),
+            "retried tile never cached"
+        );
         drop(service);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1446,7 +1683,10 @@ mod tests {
     #[test]
     fn scored_job_reports_the_flat_score_with_event_before_done() {
         let gds = small_gds(43);
-        let spec = JobSpec { score: Some("default".to_string()), ..spec() };
+        let spec = JobSpec {
+            score: Some("default".to_string()),
+            ..spec()
+        };
         let (_, flat) =
             crate::scoring::flat_score(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat");
         let service = service(2);
@@ -1456,7 +1696,11 @@ mod tests {
         assert_eq!(status.score(), Some(flat.score));
         assert_eq!(status.score_pass, Some(flat.pass));
         let (_, json) = service.score_json(id).expect("score json");
-        assert_eq!(json, flat.render(), "service score == flat score, byte for byte");
+        assert_eq!(
+            json,
+            flat.render(),
+            "service score == flat score, byte for byte"
+        );
         // The score event lands between the last commit and Done.
         let events = service.events(id, 0).expect("events");
         let score_pos = events
@@ -1467,7 +1711,11 @@ mod tests {
             events.last().map(|e| &e.kind),
             Some(JobEventKind::State(JobState::Done))
         ));
-        assert_eq!(score_pos, events.len() - 2, "score immediately precedes Done");
+        assert_eq!(
+            score_pos,
+            events.len() - 2,
+            "score immediately precedes Done"
+        );
         match events[score_pos].kind {
             JobEventKind::Score { bits, pass } => {
                 assert_eq!(f64::from_bits(bits), flat.score);
@@ -1488,7 +1736,9 @@ mod tests {
         assert!(err.message.contains("without scoring"), "{err}");
         let events = service.events(id, 0).expect("events");
         assert!(
-            events.iter().all(|e| !matches!(e.kind, JobEventKind::Score { .. })),
+            events
+                .iter()
+                .all(|e| !matches!(e.kind, JobEventKind::Score { .. })),
             "no score event without a score spec"
         );
     }
@@ -1497,8 +1747,9 @@ mod tests {
     fn watchdog_timeout_retries_and_completes() {
         let gds = small_gds(39);
         let spec = spec();
-        let flat =
-            flat_report(&spec, &gds::from_bytes(&gds).expect("lib")).expect("flat").render_text(&spec);
+        let flat = flat_report(&spec, &gds::from_bytes(&gds).expect("lib"))
+            .expect("flat")
+            .render_text(&spec);
         // Tile 1's first attempt is stuck past the watchdog budget; the
         // retry is clean (attempt filter) and the job finishes Done.
         let plan = FaultPlan::seeded(4).with_rule(
@@ -1520,4 +1771,3 @@ mod tests {
         assert_eq!(report.render_text(&spec), flat);
     }
 }
-

@@ -99,12 +99,16 @@ impl RunShared {
 
     /// True when the fault plane injects an I/O error at this visit.
     pub(super) fn io_fault(&self, site: &str, key: u64, attempt: u64) -> bool {
-        self.plane.as_ref().is_some_and(|p| p.maybe_error(site, key, attempt).is_err())
+        self.plane
+            .as_ref()
+            .is_some_and(|p| p.maybe_error(site, key, attempt).is_err())
     }
 
     /// True when the fault plane models a full disk at this site.
     fn nospace(&self, site: &str, key: u64) -> bool {
-        self.plane.as_ref().is_some_and(|p| p.maybe_nospace(site, key, 0))
+        self.plane
+            .as_ref()
+            .is_some_and(|p| p.maybe_nospace(site, key, 0))
     }
 }
 
@@ -155,7 +159,9 @@ fn submit_tile(
     attempt: u64,
     seq: Option<u64>,
 ) {
-    let Some(pool) = shared.pool.upgrade() else { return };
+    let Some(pool) = shared.pool.upgrade() else {
+        return;
+    };
     let task = {
         let (shared, job, ctx) = (Arc::clone(shared), Arc::clone(job), Arc::clone(ctx));
         move || run_tile_attempt(&shared, &job, &ctx, tile, attempt)
@@ -185,7 +191,12 @@ fn run_tile_attempt(
     tile: usize,
     attempt: u64,
 ) {
-    if !job.m.lock().expect("job lock").attempt_is_live(tile, attempt) {
+    if !job
+        .m
+        .lock()
+        .expect("job lock")
+        .attempt_is_live(tile, attempt)
+    {
         return;
     }
     if !shared.tile_delay.is_zero() {
@@ -211,7 +222,14 @@ fn run_tile_attempt(
         Ok(p) => p,
         Err(panic) => {
             let msg = panic_payload_message(panic.as_ref());
-            attempt_failed(shared, job, ctx, tile, attempt, format!("tile {tile} panicked: {msg}"));
+            attempt_failed(
+                shared,
+                job,
+                ctx,
+                tile,
+                attempt,
+                format!("tile {tile} panicked: {msg}"),
+            );
             return;
         }
     };
@@ -222,7 +240,11 @@ fn run_tile_attempt(
     // computed result is NEVER discarded over a checkpoint error.
     let ckpt_degraded = !checkpoint_with_retry(shared, job, &partial);
     let cache = cache_store(shared, ctx, tile, attempt, &partial);
-    let done = TileResolution::Done { partial, ckpt_degraded, cache };
+    let done = TileResolution::Done {
+        partial,
+        ckpt_degraded,
+        cache,
+    };
     resolve_tile(shared, job, ctx, tile, Vec::new(), done);
 }
 
@@ -238,14 +260,24 @@ pub(super) fn cache_serve(
     ctx: &Arc<JobContext>,
     tile: usize,
 ) -> bool {
-    let Some(cache) = &shared.cache else { return false };
+    let Some(cache) = &shared.cache else {
+        return false;
+    };
     if shared.io_fault(SITE_CACHE_READ, tile as u64, 0) {
         return false;
     }
-    let Some(bytes) = cache.lookup(ctx.cache_key(tile)) else { return false };
-    let Some(partial) = decode_tile_partial(&bytes, tile) else { return false };
+    let Some(bytes) = cache.lookup(ctx.cache_key(tile)) else {
+        return false;
+    };
+    let Some(partial) = decode_tile_partial(&bytes, tile) else {
+        return false;
+    };
     let ckpt_degraded = !checkpoint_with_retry(shared, job, &partial);
-    let hit = TileResolution::Done { partial, ckpt_degraded, cache: TileCacheMark::Hit };
+    let hit = TileResolution::Done {
+        partial,
+        ckpt_degraded,
+        cache: TileCacheMark::Hit,
+    };
     resolve_tile(shared, job, ctx, tile, Vec::new(), hit);
     true
 }
@@ -262,7 +294,9 @@ fn cache_store(
     attempt: u64,
     partial: &TilePartial,
 ) -> TileCacheMark {
-    let Some(cache) = &shared.cache else { return TileCacheMark::None };
+    let Some(cache) = &shared.cache else {
+        return TileCacheMark::None;
+    };
     if attempt != 0 {
         return TileCacheMark::None;
     }
@@ -301,7 +335,9 @@ fn checkpoint_with_retry(shared: &RunShared, job: &Job, partial: &TilePartial) -
     }
     (0..CKPT_WRITE_ATTEMPTS).any(|write_attempt| {
         !shared.io_fault(SITE_CKPT_WRITE, tile, write_attempt)
-            && dir.write_tile_probed(partial, shared.plane.as_deref(), write_attempt).is_ok()
+            && dir
+                .write_tile_probed(partial, shared.plane.as_deref(), write_attempt)
+                .is_ok()
     })
 }
 
@@ -323,11 +359,19 @@ fn attempt_failed(
         backoff_vms: BACKOFF_BASE_VMS << attempt,
         reason: reason.clone(),
     });
-    let Some(token) = job.m.lock().expect("job lock").record_retry(tile, attempt, retry) else {
+    let Some(token) = job
+        .m
+        .lock()
+        .expect("job lock")
+        .record_retry(tile, attempt, retry)
+    else {
         return; // settled, resolved, or already adjudicated
     };
     if exhausted {
-        let verdict = TileResolution::Quarantined { attempts: failed, reason };
+        let verdict = TileResolution::Quarantined {
+            attempts: failed,
+            reason,
+        };
         resolve_tile(shared, job, ctx, tile, Vec::new(), verdict);
     } else {
         // The scheduler slot stays held across retries: the tile is

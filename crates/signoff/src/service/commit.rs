@@ -46,7 +46,10 @@ pub enum JobState {
 impl JobState {
     /// True for states no event can follow (except via `resume`).
     pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Done | JobState::Failed | JobState::Cancelled)
+        matches!(
+            self,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        )
     }
 
     /// True once the job has stopped making progress on its own —
@@ -207,8 +210,15 @@ impl JobStatus {
 
 /// A tile's final outcome, handed to [`resolve_tile`].
 pub(super) enum TileResolution {
-    Done { partial: TilePartial, ckpt_degraded: bool, cache: TileCacheMark },
-    Quarantined { attempts: u64, reason: String },
+    Done {
+        partial: TilePartial,
+        ckpt_degraded: bool,
+        cache: TileCacheMark,
+    },
+    Quarantined {
+        attempts: u64,
+        reason: String,
+    },
 }
 
 /// Where one tile stands. No other module names a variant, so the
@@ -217,9 +227,15 @@ pub(super) enum TileResolution {
 enum Slot {
     /// Dispatched by the current run and unresolved: `attempt` is the
     /// one the job is waiting on, `retries` the failures before it.
-    Dispatched { attempt: u64, retries: Vec<TileRetry> },
+    Dispatched {
+        attempt: u64,
+        retries: Vec<TileRetry>,
+    },
     /// Resolved; its events wait for every lower dispatched tile.
-    Resolved { retries: Vec<TileRetry>, resolution: TileResolution },
+    Resolved {
+        retries: Vec<TileRetry>,
+        resolution: TileResolution,
+    },
     /// Committed with its partial (`cached`: served from the cache).
     Done { partial: TilePartial, cached: bool },
     /// Committed as excluded, as the report's manifest lists it.
@@ -254,7 +270,6 @@ impl Run {
             _ => None,
         })
     }
-
 }
 
 /// The tile counters `status` reports: part of the answer, so they
@@ -298,18 +313,31 @@ impl JobMut {
         JobMut {
             spec,
             state,
-            events: vec![JobEvent { seq: 0, kind: JobEventKind::State(state) }],
+            events: vec![JobEvent {
+                seq: 0,
+                kind: JobEventKind::State(state),
+            }],
             error: None,
             report: None,
             score: None,
-            tiles: TileCounts { total, ..TileCounts::default() },
+            tiles: TileCounts {
+                total,
+                ..TileCounts::default()
+            },
             outcomes: None,
-            run: Some(Run { gds, ctx, ..Run::default() }),
+            run: Some(Run {
+                gds,
+                ctx,
+                ..Run::default()
+            }),
         }
     }
 
     pub(super) fn emit(&mut self, kind: JobEventKind) {
-        self.events.push(JobEvent { seq: self.events.len() as u64, kind });
+        self.events.push(JobEvent {
+            seq: self.events.len() as u64,
+            kind,
+        });
     }
 
     /// Enters `state`. `Done` and `Failed` are the states `resume`
@@ -331,7 +359,10 @@ impl JobMut {
     /// The partials of the contiguous committed prefix `[0..k)`.
     pub(super) fn prefix(&self) -> Vec<TilePartial> {
         let done = self.run.iter().flat_map(Run::partials);
-        done.enumerate().take_while(|(i, p)| p.tile == *i).map(|(_, p)| p.clone()).collect()
+        done.enumerate()
+            .take_while(|(i, p)| p.tile == *i)
+            .map(|(_, p)| p.clone())
+            .collect()
     }
 
     /// The checkpoint loader's entry: the rebuilt context and surviving
@@ -341,7 +372,15 @@ impl JobMut {
         self.tiles.total = ctx.tile_count();
         self.tiles.done += partials.len();
         run.ctx = Some(ctx);
-        let done = partials.into_iter().map(|p| (p.tile, Slot::Done { partial: p, cached: false }));
+        let done = partials.into_iter().map(|p| {
+            (
+                p.tile,
+                Slot::Done {
+                    partial: p,
+                    cached: false,
+                },
+            )
+        });
         run.slots.extend(done);
     }
 
@@ -349,9 +388,13 @@ impl JobMut {
     /// one may be cancelled) and the tiles of `0..total` without a
     /// committed partial — quarantined ones included.
     pub(super) fn rearm(&mut self, total: usize) -> Vec<usize> {
-        let Some(run) = &mut self.run else { return Vec::new() };
+        let Some(run) = &mut self.run else {
+            return Vec::new();
+        };
         run.cancel = CancelToken::new();
-        (0..total).filter(|t| !matches!(run.slots.get(t), Some(Slot::Done { .. }))).collect()
+        (0..total)
+            .filter(|t| !matches!(run.slots.get(t), Some(Slot::Done { .. })))
+            .collect()
     }
 
     /// Cancels the run's token: tiles still queued are skipped at
@@ -369,9 +412,16 @@ impl JobMut {
     pub(super) fn begin(&mut self, tiles: &[usize]) -> Option<CancelToken> {
         let run = self.run.as_mut()?;
         (self.report, self.score, self.error) = (None, None, None);
-        run.slots.retain(|_, slot| matches!(slot, Slot::Done { .. } | Slot::Quarantined(_)));
+        run.slots
+            .retain(|_, slot| matches!(slot, Slot::Done { .. } | Slot::Quarantined(_)));
         for &tile in tiles {
-            match run.slots.insert(tile, Slot::Dispatched { attempt: 0, retries: Vec::new() }) {
+            match run.slots.insert(
+                tile,
+                Slot::Dispatched {
+                    attempt: 0,
+                    retries: Vec::new(),
+                },
+            ) {
                 Some(Slot::Done { cached, .. }) => {
                     self.tiles.done -= 1;
                     self.tiles.cached -= usize::from(cached);
@@ -391,7 +441,11 @@ impl JobMut {
     /// tile is unresolved (e.g. no overlapping resume got there
     /// first), and no newer attempt has taken the tile over.
     pub(super) fn attempt_is_live(&self, tile: usize, attempt: u64) -> bool {
-        let Some(run) = self.run.as_ref().filter(|_| self.state == JobState::Running) else {
+        let Some(run) = self
+            .run
+            .as_ref()
+            .filter(|_| self.state == JobState::Running)
+        else {
             return false;
         };
         !run.cancel.is_cancelled()
@@ -424,35 +478,78 @@ impl JobMut {
     /// heads the commit order. `false`, and no change, when the job is
     /// not running or the tile is not waiting for a verdict: never
     /// dispatched, already resolved, already committed.
-    fn resolve(&mut self, tile: usize, retries: Vec<TileRetry>, resolution: TileResolution) -> bool {
-        let JobMut { state: JobState::Running, run: Some(run), events, outcomes, tiles, .. } = self
+    fn resolve(
+        &mut self,
+        tile: usize,
+        retries: Vec<TileRetry>,
+        resolution: TileResolution,
+    ) -> bool {
+        let JobMut {
+            state: JobState::Running,
+            run: Some(run),
+            events,
+            outcomes,
+            tiles,
+            ..
+        } = self
         else {
             return false;
         };
-        let Some(Slot::Dispatched { retries: logged, .. }) = run.slots.get_mut(&tile) else {
+        let Some(Slot::Dispatched {
+            retries: logged, ..
+        }) = run.slots.get_mut(&tile)
+        else {
             return false;
         };
-        let retries = if retries.is_empty() { std::mem::take(logged) } else { retries };
-        run.slots.insert(tile, Slot::Resolved { retries, resolution });
+        let retries = if retries.is_empty() {
+            std::mem::take(logged)
+        } else {
+            retries
+        };
+        run.slots.insert(
+            tile,
+            Slot::Resolved {
+                retries,
+                resolution,
+            },
+        );
         // Commit strictly in ascending tile order — the head tile's
         // retries, then its terminal event — so every event a fixed
         // fault plan produces lands in the same order at any worker
         // count. Shard-dispatched jobs append every commit, retries and
         // all, to the outcome log a coordinator replays byte-identically.
-        let mut emit = |kind| events.push(JobEvent { seq: events.len() as u64, kind });
+        let mut emit = |kind| {
+            events.push(JobEvent {
+                seq: events.len() as u64,
+                kind,
+            })
+        };
         while let Some(tile) = run.head {
             if !matches!(run.slots.get(&tile), Some(Slot::Resolved { .. })) {
                 break; // the head is still computing; everything above it waits
             }
-            let Some(Slot::Resolved { retries, resolution }) = run.slots.remove(&tile) else {
+            let Some(Slot::Resolved {
+                retries,
+                resolution,
+            }) = run.slots.remove(&tile)
+            else {
                 unreachable!("matched above")
             };
             for r in &retries {
                 let (attempt, backoff_vms, reason) = (r.attempt, r.backoff_vms, r.reason.clone());
-                emit(JobEventKind::TileRetry { tile, attempt, backoff_vms, reason });
+                emit(JobEventKind::TileRetry {
+                    tile,
+                    attempt,
+                    backoff_vms,
+                    reason,
+                });
             }
             let committed = match resolution {
-                TileResolution::Done { partial, ckpt_degraded, cache } => {
+                TileResolution::Done {
+                    partial,
+                    ckpt_degraded,
+                    cache,
+                } => {
                     if ckpt_degraded {
                         emit(JobEventKind::CkptDegraded { tile });
                     }
@@ -463,29 +560,61 @@ impl JobMut {
                     }
                     if let Some(outcomes) = outcomes {
                         let data = encode_tile_partial(&partial);
-                        let kind = TileOutcomeKind::Done { data, ckpt_degraded, cache };
-                        outcomes.push(TileOutcome { tile, retries, kind });
+                        let kind = TileOutcomeKind::Done {
+                            data,
+                            ckpt_degraded,
+                            cache,
+                        };
+                        outcomes.push(TileOutcome {
+                            tile,
+                            retries,
+                            kind,
+                        });
                     }
                     let cached = cache == TileCacheMark::Hit;
                     tiles.done += 1;
                     tiles.cached += usize::from(cached);
-                    emit(JobEventKind::TileDone { tile, completed: tiles.done, total: tiles.total });
+                    emit(JobEventKind::TileDone {
+                        tile,
+                        completed: tiles.done,
+                        total: tiles.total,
+                    });
                     Slot::Done { partial, cached }
                 }
                 TileResolution::Quarantined { attempts, reason } => {
                     if let Some(outcomes) = outcomes {
-                        let kind = TileOutcomeKind::Quarantined { attempts, reason: reason.clone() };
-                        outcomes.push(TileOutcome { tile, retries, kind });
+                        let kind = TileOutcomeKind::Quarantined {
+                            attempts,
+                            reason: reason.clone(),
+                        };
+                        outcomes.push(TileOutcome {
+                            tile,
+                            retries,
+                            kind,
+                        });
                     }
                     tiles.quarantined += 1;
-                    let entry = QuarantinedTile { tile, attempts, reason: reason.clone() };
-                    emit(JobEventKind::TileQuarantined { tile, attempts, reason });
+                    let entry = QuarantinedTile {
+                        tile,
+                        attempts,
+                        reason: reason.clone(),
+                    };
+                    emit(JobEventKind::TileQuarantined {
+                        tile,
+                        attempts,
+                        reason,
+                    });
                     Slot::Quarantined(entry)
                 }
             };
             run.slots.insert(tile, committed);
-            let pending = |slot: &Slot| matches!(slot, Slot::Dispatched { .. } | Slot::Resolved { .. });
-            run.head = run.slots.range(tile + 1..).find(|(_, s)| pending(s)).map(|(&t, _)| t);
+            let pending =
+                |slot: &Slot| matches!(slot, Slot::Dispatched { .. } | Slot::Resolved { .. });
+            run.head = run
+                .slots
+                .range(tile + 1..)
+                .find(|(_, s)| pending(s))
+                .map(|(&t, _)| t);
         }
         true
     }
@@ -500,7 +629,12 @@ pub(crate) struct Job {
 
 impl Job {
     pub(super) fn new(id: u64, dir: Option<JobDir>, m: JobMut) -> Arc<Job> {
-        Arc::new(Job { id, dir, m: Mutex::new(m), cv: Condvar::new() })
+        Arc::new(Job {
+            id,
+            dir,
+            m: Mutex::new(m),
+            cv: Condvar::new(),
+        })
     }
 
     pub(super) fn status(&self) -> JobStatus {
@@ -534,7 +668,9 @@ pub(super) fn status_of(job: &Job, m: &JobMut) -> JobStatus {
 pub(super) fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<JobContext>) {
     // The run of a running job whose every dispatched tile has committed.
     fn drained(m: &JobMut) -> Option<&Run> {
-        m.run.as_ref().filter(|run| m.state == JobState::Running && run.head.is_none())
+        m.run
+            .as_ref()
+            .filter(|run| m.state == JobState::Running && run.head.is_none())
     }
     let surviving: Vec<TilePartial> = match drained(&job.m.lock().expect("job lock")) {
         Some(run) => run.partials().cloned().collect(),
@@ -562,7 +698,11 @@ pub(super) fn try_finalize(shared: &Arc<RunShared>, job: &Arc<Job>, ctx: &Arc<Jo
                 m.score = Some(score);
             }
             m.report = Some(report);
-            m.set_state(if clean { JobState::Done } else { JobState::Partial });
+            m.set_state(if clean {
+                JobState::Done
+            } else {
+                JobState::Partial
+            });
         }
         Err(e) => {
             m.error = Some(format!("merge failed: {e}"));
@@ -623,23 +763,30 @@ pub(crate) fn ingest_shard_outcome(
     // durable transitions, though — a crash there loses only this
     // best-effort persist, which resume recomputes.
     let resolution = match &outcome.kind {
-        TileOutcomeKind::Done { data, ckpt_degraded, cache } => {
-            match decode_tile_partial(data, tile) {
-                Some(partial) => {
-                    if let Some(dir) = &job.dir {
-                        let _ = dir.write_tile_probed(&partial, shared.plane.as_deref(), 0);
-                    }
-                    TileResolution::Done { partial, ckpt_degraded: *ckpt_degraded, cache: *cache }
+        TileOutcomeKind::Done {
+            data,
+            ckpt_degraded,
+            cache,
+        } => match decode_tile_partial(data, tile) {
+            Some(partial) => {
+                if let Some(dir) = &job.dir {
+                    let _ = dir.write_tile_probed(&partial, shared.plane.as_deref(), 0);
                 }
-                None => TileResolution::Quarantined {
-                    attempts: 0,
-                    reason: format!("tile {tile}: undecodable shard result"),
-                },
+                TileResolution::Done {
+                    partial,
+                    ckpt_degraded: *ckpt_degraded,
+                    cache: *cache,
+                }
             }
-        }
-        TileOutcomeKind::Quarantined { attempts, reason } => {
-            TileResolution::Quarantined { attempts: *attempts, reason: reason.clone() }
-        }
+            None => TileResolution::Quarantined {
+                attempts: 0,
+                reason: format!("tile {tile}: undecodable shard result"),
+            },
+        },
+        TileOutcomeKind::Quarantined { attempts, reason } => TileResolution::Quarantined {
+            attempts: *attempts,
+            reason: reason.clone(),
+        },
     };
     resolve_tile(shared, job, ctx, tile, outcome.retries.clone(), resolution);
 }
@@ -657,7 +804,10 @@ pub(crate) fn quarantine_lost_tiles(
 ) {
     for &tile in lost {
         let reason = format!("shard {shard_idx} lost: {err}");
-        let verdict = TileResolution::Quarantined { attempts: 0, reason };
+        let verdict = TileResolution::Quarantined {
+            attempts: 0,
+            reason,
+        };
         resolve_tile(shared, job, ctx, tile, Vec::new(), verdict);
     }
 }
@@ -680,7 +830,12 @@ pub(super) fn resolve_tile(
     retries: Vec<TileRetry>,
     resolution: TileResolution,
 ) {
-    if !job.m.lock().expect("job lock").resolve(tile, retries, resolution) {
+    if !job
+        .m
+        .lock()
+        .expect("job lock")
+        .resolve(tile, retries, resolution)
+    {
         return;
     }
     job.cv.notify_all();
@@ -699,19 +854,36 @@ mod tests {
     use super::*;
 
     fn partial(tile: usize) -> TilePartial {
-        TilePartial { tile, drc: Vec::new(), ca: None, litho: None, rects_peak: 0 }
+        TilePartial {
+            tile,
+            drc: Vec::new(),
+            ca: None,
+            litho: None,
+            rects_peak: 0,
+        }
     }
 
     fn done(tile: usize, cache: TileCacheMark) -> TileResolution {
-        TileResolution::Done { partial: partial(tile), ckpt_degraded: false, cache }
+        TileResolution::Done {
+            partial: partial(tile),
+            ckpt_degraded: false,
+            cache,
+        }
     }
 
     fn boom() -> TileResolution {
-        TileResolution::Quarantined { attempts: 3, reason: "boom".to_string() }
+        TileResolution::Quarantined {
+            attempts: 3,
+            reason: "boom".to_string(),
+        }
     }
 
     fn retry(attempt: u64) -> TileRetry {
-        TileRetry { attempt, backoff_vms: 8 << attempt, reason: format!("r{attempt}") }
+        TileRetry {
+            attempt,
+            backoff_vms: 8 << attempt,
+            reason: format!("r{attempt}"),
+        }
     }
 
     fn running(tiles: &[usize]) -> JobMut {
@@ -723,8 +895,12 @@ mod tests {
     /// The tile events so far, one word each.
     fn committed(m: &JobMut) -> Vec<String> {
         let word = |e: &JobEvent| match &e.kind {
-            JobEventKind::TileRetry { tile, attempt, .. } => Some(format!("retry {tile}/{attempt}")),
-            JobEventKind::TileDone { tile, completed, .. } => Some(format!("done {tile} #{completed}")),
+            JobEventKind::TileRetry { tile, attempt, .. } => {
+                Some(format!("retry {tile}/{attempt}"))
+            }
+            JobEventKind::TileDone {
+                tile, completed, ..
+            } => Some(format!("done {tile} #{completed}")),
             JobEventKind::TileQuarantined { tile, .. } => Some(format!("quarantined {tile}")),
             JobEventKind::TileCacheHit { tile } => Some(format!("hit {tile}")),
             _ => None,
@@ -741,20 +917,33 @@ mod tests {
     }
 
     fn manifest(run: &Run) -> Vec<usize> {
-        let quarantined = run.slots.iter().filter(|(_, slot)| matches!(slot, Slot::Quarantined(_)));
+        let quarantined = run
+            .slots
+            .iter()
+            .filter(|(_, slot)| matches!(slot, Slot::Quarantined(_)));
         quarantined.map(|(&tile, _)| tile).collect()
     }
 
     #[test]
     fn resolutions_in_any_order_commit_ascending_with_retries_first() {
-        let expect =
-            ["done 0 #1", "retry 1/0", "retry 1/1", "done 1 #2", "retry 2/0", "quarantined 2", "done 3 #3"];
+        let expect = [
+            "done 0 #1",
+            "retry 1/0",
+            "retry 1/1",
+            "done 1 #2",
+            "retry 2/0",
+            "quarantined 2",
+            "done 3 #3",
+        ];
         let mut orders = vec![vec![]];
         for _ in 0..4 {
             orders = orders
                 .into_iter()
                 .flat_map(|o: Vec<usize>| {
-                    (0..4).filter(|t| !o.contains(t)).map(|t| [o.clone(), vec![t]].concat()).collect::<Vec<_>>()
+                    (0..4)
+                        .filter(|t| !o.contains(t))
+                        .map(|t| [o.clone(), vec![t]].concat())
+                        .collect::<Vec<_>>()
                 })
                 .collect();
         }
@@ -772,14 +961,25 @@ mod tests {
                 };
                 assert!(m.resolve(tile, reported, verdict), "{order:?}: tile {tile}");
                 let so_far = committed(&m);
-                assert_eq!(so_far[..], expect[..so_far.len()], "{order:?}: a prefix, in order");
+                assert_eq!(
+                    so_far[..],
+                    expect[..so_far.len()],
+                    "{order:?}: a prefix, in order"
+                );
                 let prefix = m.prefix();
-                assert!(tiles_of(&prefix).into_iter().eq(0..prefix.len()), "{order:?}");
+                assert!(
+                    tiles_of(&prefix).into_iter().eq(0..prefix.len()),
+                    "{order:?}"
+                );
             }
             assert_eq!(committed(&m), expect, "{order:?}");
             let run = m.run.as_ref().expect("run");
             assert_eq!(run.head, None, "{order:?}: nothing left to commit");
-            assert_eq!(tiles_of(&m.prefix()), [0, 1], "the prefix stops at the quarantined tile");
+            assert_eq!(
+                tiles_of(&m.prefix()),
+                [0, 1],
+                "the prefix stops at the quarantined tile"
+            );
             assert_eq!(tiles_of(run.partials()), [0, 1, 3]);
             assert_eq!(manifest(run), [2]);
             assert_eq!(counts(&m), (3, 1, 0));
@@ -790,7 +990,10 @@ mod tests {
     fn stale_attempts_duplicate_verdicts_and_verdicts_after_quarantine_are_no_ops() {
         let mut m = running(&[0, 1, 2]);
         assert!(m.record_retry(1, 0, Some(retry(0))).is_some());
-        assert!(m.attempt_is_live(1, 1) && !m.attempt_is_live(1, 0), "attempt 1 took tile 1 over");
+        assert!(
+            m.attempt_is_live(1, 1) && !m.attempt_is_live(1, 0),
+            "attempt 1 took tile 1 over"
+        );
         assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::None)));
         assert!(m.resolve(1, Vec::new(), boom()));
         let settled = (committed(&m), counts(&m));
@@ -808,7 +1011,11 @@ mod tests {
         // A tile this run never dispatched.
         assert!(!m.resolve(7, Vec::new(), done(7, TileCacheMark::None)));
         assert_eq!((committed(&m), counts(&m)), settled);
-        assert_eq!(m.run.as_ref().expect("run").head, Some(2), "tile 2 is still the one awaited");
+        assert_eq!(
+            m.run.as_ref().expect("run").head,
+            Some(2),
+            "tile 2 is still the one awaited"
+        );
 
         // A verdict parked behind the head is taken once, too.
         let mut m = running(&[0, 1]);
@@ -843,7 +1050,10 @@ mod tests {
         assert_eq!(tiles_of(run.partials()), [0, 3]);
         assert!(manifest(run).is_empty());
         assert_eq!(run.head, Some(1));
-        assert!(m.attempt_is_live(1, 0) && m.attempt_is_live(2, 0), "fresh attempt budgets");
+        assert!(
+            m.attempt_is_live(1, 0) && m.attempt_is_live(2, 0),
+            "fresh attempt budgets"
+        );
         assert!(!m.attempt_is_live(0, 0) && !m.attempt_is_live(3, 0));
         let before = committed(&m).len();
         assert!(m.resolve(2, Vec::new(), done(2, TileCacheMark::None)));
@@ -862,7 +1072,11 @@ mod tests {
         assert!(m.attempt_is_live(0, 0) && m.attempt_is_live(2, 0));
         assert!(m.resolve(0, Vec::new(), done(0, TileCacheMark::None)));
         assert!(m.resolve(1, Vec::new(), done(1, TileCacheMark::None)));
-        assert_eq!(committed(&m), ["done 0 #1", "done 1 #2"], "no old retry, no old verdict");
+        assert_eq!(
+            committed(&m),
+            ["done 0 #1", "done 1 #2"],
+            "no old retry, no old verdict"
+        );
         assert_eq!(m.run.as_ref().expect("run").head, Some(2));
     }
 

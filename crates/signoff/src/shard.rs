@@ -63,8 +63,8 @@ use crate::client::{Client, RequestError};
 use crate::job::JobContext;
 use crate::proto::{ErrorCode, ErrorObj};
 use crate::service::{
-    ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live,
-    Job, RunShared,
+    ingest_shard_outcome, quarantine_lost_tiles, set_shard_run, shard_payload, shard_run_live, Job,
+    RunShared,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,7 +135,9 @@ pub fn expand_ranges(ranges: &[(usize, usize)], total: usize) -> Result<Vec<usiz
             return Err(format!("empty tile range [{lo}, {hi})"));
         }
         if lo < floor {
-            return Err(format!("tile range [{lo}, {hi}) overlaps or is out of order"));
+            return Err(format!(
+                "tile range [{lo}, {hi}) overlaps or is out of order"
+            ));
         }
         if hi > total {
             return Err(format!("tile range [{lo}, {hi}) exceeds {total} tiles"));
@@ -298,7 +300,11 @@ pub(crate) fn dispatch_to_shards(
         owned[owner_of(total, n as u64, t) as usize].insert(t);
     }
     let run = Arc::new(ShardRun {
-        state: Mutex::new(RunState { gen: 0, alive: vec![true; n], outstanding: owned.clone() }),
+        state: Mutex::new(RunState {
+            gen: 0,
+            alive: vec![true; n],
+            outstanding: owned.clone(),
+        }),
     });
     set_shard_run(job, Arc::clone(&run));
     for (k, mine) in owned.into_iter().enumerate() {
@@ -396,19 +402,22 @@ fn puller_loop(
         Ok(grant) => grant,
         Err(_) => {
             // A finished job has let its GDS go: this puller is stale.
-            let Some((spec, gds)) = shard_payload(job) else { return Ok(()) };
+            let Some((spec, gds)) = shard_payload(job) else {
+                return Ok(());
+            };
             let ranges = compress_ranges(mine.iter().copied());
             // A drain is the shard's typed refusal code, never a word
             // in its diagnostic (a tenant may well be named `draining`).
             // The manifest carries the bare message, as it always has.
-            client.shard_dispatch(coord, origin, gen, spec, gds, Some(ranges)).map_err(|e| {
-                match e {
-                    RequestError::Server(ErrorObj { code: ErrorCode::Draining, .. }) => {
-                        PullerEnd::Drained
-                    }
+            client
+                .shard_dispatch(coord, origin, gen, spec, gds, Some(ranges))
+                .map_err(|e| match e {
+                    RequestError::Server(ErrorObj {
+                        code: ErrorCode::Draining,
+                        ..
+                    }) => PullerEnd::Drained,
                     e => PullerEnd::Loss(format!("dispatch to shard {shard}: {}", String::from(e))),
-                }
-            })?
+                })?
         }
     };
     if grant.total != ctx.tile_count() {
@@ -499,8 +508,14 @@ fn handle_shard_end(
     // the lock empties the set, so a racing second puller failure on
     // the same shard finds nothing and returns.
     enum Takeover {
-        Redispatch { target: usize, gen: u64, lost: BTreeSet<usize> },
-        Quarantine { lost: BTreeSet<usize> },
+        Redispatch {
+            target: usize,
+            gen: u64,
+            lost: BTreeSet<usize>,
+        },
+        Quarantine {
+            lost: BTreeSet<usize>,
+        },
     }
     let takeover = {
         let mut st = run.state.lock().expect("shard run lock");
@@ -513,7 +528,11 @@ fn handle_shard_end(
             Some(target) => {
                 st.gen += 1;
                 st.outstanding[target].extend(lost.iter().copied());
-                Takeover::Redispatch { target, gen: st.gen, lost }
+                Takeover::Redispatch {
+                    target,
+                    gen: st.gen,
+                    lost,
+                }
             }
             None => Takeover::Quarantine { lost },
         }
@@ -530,7 +549,8 @@ fn handle_shard_end(
                     lost.len()
                 );
             } else {
-                set.redispatched.fetch_add(lost.len() as u64, Ordering::SeqCst);
+                set.redispatched
+                    .fetch_add(lost.len() as u64, Ordering::SeqCst);
                 eprintln!(
                     "coordinator: shard {shard} lost ({err}); re-dispatching {} tiles to shard {target} (gen {gen})",
                     lost.len()
@@ -561,9 +581,11 @@ mod tests {
                     sizes.push(hi - lo);
                 }
                 assert_eq!(seen, (0..total).collect::<Vec<_>>(), "t={total} n={n}");
-                let (min, max) =
-                    (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "balanced split: t={total} n={n} sizes {sizes:?}");
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(
+                    max - min <= 1,
+                    "balanced split: t={total} n={n} sizes {sizes:?}"
+                );
             }
         }
     }
@@ -575,7 +597,10 @@ mod tests {
                 for tile in 0..total {
                     let k = owner_of(total, n, tile);
                     let (lo, hi) = partition_range(total, n, k);
-                    assert!((lo..hi).contains(&tile), "t={total} n={n} tile={tile} -> {k}");
+                    assert!(
+                        (lo..hi).contains(&tile),
+                        "t={total} n={n} tile={tile} -> {k}"
+                    );
                 }
             }
         }

@@ -115,14 +115,16 @@ impl JobSpec {
             return Err(format!("ca_x0 must be positive, got {}", self.ca_x0));
         }
         if self.litho_layer.is_some() && self.litho_feature <= 0 {
-            return Err(format!("litho_feature must be positive, got {}", self.litho_feature));
+            return Err(format!(
+                "litho_feature must be positive, got {}",
+                self.litho_feature
+            ));
         }
         if !self.drc && self.ca_layer.is_none() && self.litho_layer.is_none() {
             return Err("spec enables no analysis (drc, ca, litho all off)".to_string());
         }
         if let Some(text) = &self.score {
-            dfm_score::ScoreSpec::resolve(Some(text))
-                .map_err(|e| format!("spec.score: {e}"))?;
+            dfm_score::ScoreSpec::resolve(Some(text)).map_err(|e| format!("spec.score: {e}"))?;
         }
         if !crate::sched::is_tenant_name(&self.tenant) {
             return Err(format!(
@@ -269,8 +271,18 @@ mod tests {
 
     #[test]
     fn bad_specs_are_diagnosed() {
-        assert!(JobSpec { tech: "n14".into(), ..JobSpec::default() }.validate().is_err());
-        assert!(JobSpec { tile: 0, ..JobSpec::default() }.validate().is_err());
+        assert!(JobSpec {
+            tech: "n14".into(),
+            ..JobSpec::default()
+        }
+        .validate()
+        .is_err());
+        assert!(JobSpec {
+            tile: 0,
+            ..JobSpec::default()
+        }
+        .validate()
+        .is_err());
         assert!(JobSpec {
             drc: false,
             ca_layer: None,
@@ -282,9 +294,12 @@ mod tests {
         assert!(JobSpec::from_json_text(r#"{"ca_layer":"x"}"#).is_err());
         assert!(JobSpec::from_json_text(r#"{"tile":1.5}"#).is_err());
         assert!(JobSpec::from_json_text("[1]").is_err());
-        assert!(JobSpec { score: Some("not a spec".into()), ..JobSpec::default() }
-            .validate()
-            .is_err());
+        assert!(JobSpec {
+            score: Some("not a spec".into()),
+            ..JobSpec::default()
+        }
+        .validate()
+        .is_err());
         assert!(JobSpec::from_json_text(r#"{"score":7}"#).is_err());
     }
 
@@ -294,7 +309,10 @@ mod tests {
         // spec line is embedded in report text and golden-pinned.
         let off = JobSpec::default();
         assert!(!off.to_json().render().contains("score"));
-        assert_eq!(JobSpec::from_json_text(&off.to_json().render()).expect("parse"), off);
+        assert_eq!(
+            JobSpec::from_json_text(&off.to_json().render()).expect("parse"),
+            off
+        );
         // On: round-trips, including multi-line spec text.
         let on = JobSpec {
             score: Some("pass 0.7\nmetric drc.violations weight 1 scorer step 0\n".into()),
@@ -304,7 +322,10 @@ mod tests {
         let back = JobSpec::from_json_text(&on.to_json().render()).expect("parse");
         assert_eq!(back, on);
         // "default" selects the built-in spec.
-        let dflt = JobSpec { score: Some("default".into()), ..JobSpec::default() };
+        let dflt = JobSpec {
+            score: Some("default".into()),
+            ..JobSpec::default()
+        };
         dflt.validate().expect("valid");
         assert_eq!(
             dflt.score_spec().expect("ok"),
@@ -330,10 +351,18 @@ mod tests {
         let back = JobSpec::from_json_text(&spec.to_json().render()).expect("parse");
         assert_eq!(back, spec);
         // Out-of-range or malformed values are diagnosed.
-        assert!(JobSpec { tenant: "has space".into(), ..JobSpec::default() }
-            .validate()
-            .is_err());
-        assert!(JobSpec { priority: 10, ..JobSpec::default() }.validate().is_err());
+        assert!(JobSpec {
+            tenant: "has space".into(),
+            ..JobSpec::default()
+        }
+        .validate()
+        .is_err());
+        assert!(JobSpec {
+            priority: 10,
+            ..JobSpec::default()
+        }
+        .validate()
+        .is_err());
         assert!(JobSpec::from_json_text(r#"{"priority":11}"#).is_err());
         assert!(JobSpec::from_json_text(r#"{"priority":-1}"#).is_err());
         assert!(JobSpec::from_json_text(r#"{"tenant":3}"#).is_err());

@@ -47,7 +47,10 @@ fn crash_littered_directory_resumes_byte_identically() {
     // exists on disk.
     let job = {
         let service = SignoffService::with_config(
-            ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+            ServiceConfig::builder()
+                .threads(4)
+                .ckpt_root(root.clone())
+                .build(),
         );
         let job = service.submit(spec.clone(), gds_bytes).expect("submit");
         let status = service.wait(job).expect("wait");
@@ -65,7 +68,10 @@ fn crash_littered_directory_resumes_byte_identically() {
     // Second life: the littered directory loads, the sweep removes the
     // debris, and resume settles to the byte-identical report.
     let service = SignoffService::with_config(
-        ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+        ServiceConfig::builder()
+            .threads(4)
+            .ckpt_root(root.clone())
+            .build(),
     );
     let status = service.status(job).expect("persisted job is visible");
     assert_eq!(status.state, JobState::Partial);
@@ -73,14 +79,20 @@ fn crash_littered_directory_resumes_byte_identically() {
     let status = service.wait(job).expect("wait");
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
     let (_, text) = service.report_text(job, false).expect("report");
-    assert_eq!(text, flat, "littered resume must be bit-identical to the flat run");
+    assert_eq!(
+        text, flat,
+        "littered resume must be bit-identical to the flat run"
+    );
     let leftovers: Vec<String> = std::fs::read_dir(&job_dir)
         .expect("job dir")
         .filter_map(Result::ok)
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| n.ends_with(".tmp"))
         .collect();
-    assert!(leftovers.is_empty(), "tmp debris survived the sweep: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "tmp debris survived the sweep: {leftovers:?}"
+    );
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -120,14 +132,19 @@ fn rejected_submission_is_admitted_on_hinted_resubmit() {
     let handle = std::thread::spawn(move || server.serve().expect("serve"));
 
     let mut client = Client::connect(&addr).expect("connect");
-    let first = client.submit(spec(), gds_bytes.clone()).expect("first submit");
+    let first = client
+        .submit(spec(), gds_bytes.clone())
+        .expect("first submit");
 
     // A bare resubmit while the slot is held is a structured refusal
     // carrying the retry hint…
     match client.submit_idem(spec(), gds_bytes.clone(), None) {
         Err(RequestError::Server(err)) => {
             assert_eq!(err.code, ErrorCode::Busy);
-            assert!(err.retry_after_vms.is_some(), "backpressure carries a hint: {err:?}");
+            assert!(
+                err.retry_after_vms.is_some(),
+                "backpressure carries a hint: {err:?}"
+            );
         }
         other => panic!("expected busy rejection, got {other:?}"),
     }

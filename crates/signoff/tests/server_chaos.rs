@@ -44,7 +44,10 @@ fn with_retry<T>(addr: SocketAddr, mut f: impl FnMut(&mut Client) -> Result<T, S
                 return v;
             }
         }
-        assert!(Instant::now() < deadline, "server unreachable through the chaos");
+        assert!(
+            Instant::now() < deadline,
+            "server unreachable through the chaos"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -55,8 +58,9 @@ fn with_retry<T>(addr: SocketAddr, mut f: impl FnMut(&mut Client) -> Result<T, S
 /// frame to borrow a dialect from, and no other dialect to borrow.
 #[test]
 fn a_failing_first_frame_is_answered_in_v2_shape() {
-    let service =
-        Arc::new(SignoffService::with_config(ServiceConfig::builder().threads(1).build()));
+    let service = Arc::new(SignoffService::with_config(
+        ServiceConfig::builder().threads(1).build(),
+    ));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
     std::thread::spawn(move || {
@@ -65,7 +69,9 @@ fn a_failing_first_frame_is_answered_in_v2_shape() {
     let first_reply = |bytes: &[u8]| -> String {
         let stream = TcpStream::connect(addr).expect("connect");
         (&stream).write_all(bytes).expect("write");
-        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
         let mut reply = String::new();
         BufReader::new(stream).read_line(&mut reply).expect("read");
         reply.trim_end().to_string()
@@ -121,7 +127,9 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut ask = |frame: String| -> String {
-        (&stream).write_all(format!("{frame}\n").as_bytes()).expect("send");
+        (&stream)
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("send");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
         reply.trim_end().to_string()
@@ -134,14 +142,35 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     };
     let (end, hint) = (r#""}}"#, r#"","retry_after_vms":"#);
     let submit = |tenant: &str, gds: &[u8]| {
-        let spec = JobSpec { tenant: tenant.to_string(), ..spec() };
-        Request::Submit { spec, gds: gds.to_vec(), idem: None }.to_json().render()
+        let spec = JobSpec {
+            tenant: tenant.to_string(),
+            ..spec()
+        };
+        Request::Submit {
+            spec,
+            gds: gds.to_vec(),
+            idem: None,
+        }
+        .to_json()
+        .render()
     };
 
     // not_found: every id-taking command on an id nobody minted.
-    for cmd in ["status", "events", "results", "score", "cancel", "resume", "shard.pull"] {
+    for cmd in [
+        "status",
+        "events",
+        "results",
+        "score",
+        "cancel",
+        "resume",
+        "shard.pull",
+    ] {
         let reply = ask(format!(r#"{{"v":2,"cmd":"{cmd}","job":999}}"#));
-        assert_eq!(reply, refused("not_found", "no such job: 999") + end, "{cmd}");
+        assert_eq!(
+            reply,
+            refused("not_found", "no such job: 999") + end,
+            "{cmd}"
+        );
     }
     // A retired command is an unknown one: refused as the client's
     // fault, and the connection goes on serving the next ask.
@@ -158,7 +187,10 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     // plain failure on `shard.dispatch`.
     let garbage = b"garbage".to_vec();
     let layout_rejected = "layout rejected: malformed GDSII at byte 0: bad record length 26465";
-    assert_eq!(ask(submit("acme", &garbage)), refused("bad_request", layout_rejected) + end);
+    assert_eq!(
+        ask(submit("acme", &garbage)),
+        refused("bad_request", layout_rejected) + end
+    );
     let dispatch = Request::ShardDispatch {
         coord: 7,
         origin: 1,
@@ -167,11 +199,17 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
         gds: garbage,
         ranges: Some(vec![(0, 1)]),
     };
-    assert_eq!(ask(dispatch.to_json().render()), refused("error", layout_rejected) + end);
+    assert_eq!(
+        ask(dispatch.to_json().render()),
+        refused("error", layout_rejected) + end
+    );
 
     // The admission codes, while job 1 holds the quota — `busy` first,
     // while most of its tiles are still pending (how many is timing).
-    assert_eq!(ask(submit("acme", &gds_bytes)), r#"{"v":2,"ok":true,"job":1}"#);
+    assert_eq!(
+        ask(submit("acme", &gds_bytes)),
+        r#"{"v":2,"ok":true,"job":1}"#
+    );
     let reply = ask(submit("wide", &gds_bytes));
     let (busy, ceiling) = reply.split_once(" tiles already pending; ").expect(&reply);
     let pending = busy.strip_prefix(&refused("busy", "")).expect(&reply);
@@ -179,9 +217,15 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     let over = format!("16 more would exceed max_pending_tiles 20{hint}");
     assert!(ceiling.starts_with(&over), "{reply}");
     let reply = ask(submit("ghost", &gds_bytes));
-    assert_eq!(reply, refused("unknown_tenant", "tenant 'ghost' is not in the tenant plan") + end);
+    assert_eq!(
+        reply,
+        refused("unknown_tenant", "tenant 'ghost' is not in the tenant plan") + end
+    );
     let reply = ask(submit("acme", &gds_bytes));
-    let at_quota = refused("quota_exceeded", "tenant 'acme' has 1 active jobs (max_jobs 1)");
+    let at_quota = refused(
+        "quota_exceeded",
+        "tenant 'acme' has 1 active jobs (max_jobs 1)",
+    );
     assert!(reply.starts_with(&(at_quota + hint)), "{reply}");
 
     // error: a command the job's state refuses.
@@ -198,7 +242,10 @@ fn every_error_code_a_live_server_answers_is_pinned_on_the_raw_reply_line() {
     client.shutdown_mode(true).expect("drain");
     handle.join().expect("server thread");
     let draining = "service is draining; no new work is admitted";
-    assert_eq!(ask(submit("acme", &gds_bytes)), refused("draining", draining) + end);
+    assert_eq!(
+        ask(submit("acme", &gds_bytes)),
+        refused("draining", draining) + end
+    );
 }
 
 #[test]
@@ -217,7 +264,10 @@ fn server_survives_injected_drops_and_vanishing_clients() {
     let plan = FaultPlan::seeded(17)
         .with_rule(FaultRule::new(SITE_SERVER_WRITE, FaultAction::Drop).prob(0.4));
     let service = Arc::new(SignoffService::with_config(
-        ServiceConfig::builder().threads(2).fault_plane(Arc::new(FaultPlane::new(plan))).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .fault_plane(Arc::new(FaultPlane::new(plan)))
+            .build(),
     ));
     let server = Server::bind(Arc::clone(&service), 0).expect("bind");
     let addr = server.local_addr();
@@ -233,7 +283,9 @@ fn server_survives_injected_drops_and_vanishing_clients() {
         Ok(job) => job,
         Err(_) => with_retry(addr, |c| {
             let jobs = c.list()?;
-            jobs.first().map(|s| s.id).ok_or_else(|| "no job yet".to_string())
+            jobs.first()
+                .map(|s| s.id)
+                .ok_or_else(|| "no job yet".to_string())
         }),
     };
 
@@ -252,8 +304,7 @@ fn server_survives_injected_drops_and_vanishing_clients() {
     let mut cursor = 0u64;
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let (events, next) =
-            with_retry(addr, |c| c.events(job, cursor));
+        let (events, next) = with_retry(addr, |c| c.events(job, cursor));
         seqs.extend(events.iter().map(|e| e.seq));
         cursor = next;
         let status = with_retry(addr, |c| c.status(job));
@@ -269,7 +320,10 @@ fn server_survives_injected_drops_and_vanishing_clients() {
 
     // The report still comes through — byte-identical to the flat run.
     let (_, report_text) = with_retry(addr, |c| c.results(job, false));
-    assert_eq!(report_text, flat, "chaos on the wire must not touch the bytes");
+    assert_eq!(
+        report_text, flat,
+        "chaos on the wire must not touch the bytes"
+    );
 
     // More vanishing clients, then prove the server still answers.
     for _ in 0..4 {

@@ -73,7 +73,10 @@ fn wire_round_trip_matches_the_flat_report() {
     assert_eq!(seqs, expect, "gapless event stream over the wire");
 
     let (_, report_text) = client.results(job, false).expect("results");
-    assert_eq!(report_text, flat, "wire report must be bit-identical to the flat run");
+    assert_eq!(
+        report_text, flat,
+        "wire report must be bit-identical to the flat run"
+    );
 
     let jobs = client.list().expect("list");
     assert_eq!(jobs.len(), 1);
@@ -90,7 +93,10 @@ fn cancel_then_resume_over_the_wire_is_byte_identical() {
     let flat = flat_text(&spec, &gds_bytes);
 
     let service = SignoffService::with_config(
-        ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(25)).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .tile_delay(Duration::from_millis(25))
+            .build(),
     );
     let (addr, handle) = start_server(service);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
@@ -98,7 +104,10 @@ fn cancel_then_resume_over_the_wire_is_byte_identical() {
     let job = client.submit(spec, gds_bytes).expect("submit");
     let status = client.cancel(job).expect("cancel");
     assert_eq!(status.state, JobState::Cancelled);
-    assert!(client.results(job, false).is_err(), "no final report while cancelled");
+    assert!(
+        client.results(job, false).is_err(),
+        "no final report while cancelled"
+    );
 
     client.resume(job).expect("resume");
     let status = client.wait(job).expect("wait");
@@ -120,14 +129,13 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
 
     // First life: slow tiles, stopped after at least one checkpoint.
     let job = {
-        let service =
-            SignoffService::with_config(
-                ServiceConfig::builder()
-                    .threads(2)
-                    .ckpt_root(root.clone())
-                    .tile_delay(Duration::from_millis(10))
-                    .build(),
-            );
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .ckpt_root(root.clone())
+                .tile_delay(Duration::from_millis(10))
+                .build(),
+        );
         let job = service.submit(spec.clone(), gds_bytes).expect("submit");
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         loop {
@@ -135,7 +143,10 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
             if status.tiles_done >= 1 || status.state.is_terminal() {
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "no tile completed in time");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no tile completed in time"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
         service.cancel(job).ok(); // stop scheduling; drop drains the pool
@@ -146,12 +157,18 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
         .filter_map(Result::ok)
         .filter(|e| e.file_name().to_string_lossy().starts_with("tile-"))
         .count();
-    assert!(ckpt_files >= 1, "at least one tile checkpointed before the stop");
+    assert!(
+        ckpt_files >= 1,
+        "at least one tile checkpointed before the stop"
+    );
 
     // Second life: a fresh process loads the job from disk as Partial
     // and resume() recomputes exactly the missing tiles.
     let service = SignoffService::with_config(
-        ServiceConfig::builder().threads(4).ckpt_root(root.clone()).build(),
+        ServiceConfig::builder()
+            .threads(4)
+            .ckpt_root(root.clone())
+            .build(),
     );
     let status = service.status(job).expect("persisted job is visible");
     assert_eq!(status.state, JobState::Partial);
@@ -159,7 +176,10 @@ fn service_restart_resumes_from_checkpoints_to_identical_bytes() {
     let status = service.wait(job).expect("wait");
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
     let (_, text) = service.report_text(job, false).expect("report");
-    assert_eq!(text, flat, "resumed report must be bit-identical to the flat run");
+    assert_eq!(
+        text, flat,
+        "resumed report must be bit-identical to the flat run"
+    );
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -203,12 +223,24 @@ fn foreign_versions_are_refused_in_v2_shape_and_rejections_are_structured() {
             "{frame} got {reply}"
         );
     }
-    assert_eq!(ask(r#"{"v":2,"cmd":"ping"}"#), r#"{"v":2,"ok":true,"pong":true}"#);
-    let spec_acme = JobSpec { tenant: "acme".to_string(), ..spec() };
-    let submit =
-        dfm_signoff::proto::Request::Submit { spec: spec_acme, gds: gds_bytes.clone(), idem: None };
+    assert_eq!(
+        ask(r#"{"v":2,"cmd":"ping"}"#),
+        r#"{"v":2,"ok":true,"pong":true}"#
+    );
+    let spec_acme = JobSpec {
+        tenant: "acme".to_string(),
+        ..spec()
+    };
+    let submit = dfm_signoff::proto::Request::Submit {
+        spec: spec_acme,
+        gds: gds_bytes.clone(),
+        idem: None,
+    };
     let reply = ask(&submit.to_json().render());
-    assert!(reply.starts_with(r#"{"v":2,"ok":true,"job":"#), "submit accepted: {reply}");
+    assert!(
+        reply.starts_with(r#"{"v":2,"ok":true,"job":"#),
+        "submit accepted: {reply}"
+    );
 
     // While acme's job is active, a second acme submission over a v2
     // client is refused with the typed code and a retry hint…
@@ -217,22 +249,34 @@ fn foreign_versions_are_refused_in_v2_shape_and_rejections_are_structured() {
         .connect(&addr.to_string())
         .expect("connect");
     let first = client.list().expect("list")[0].id;
-    let acme = JobSpec { tenant: "acme".to_string(), ..spec() };
+    let acme = JobSpec {
+        tenant: "acme".to_string(),
+        ..spec()
+    };
     match client.submit_idem(acme, gds_bytes.clone(), None) {
         Err(RequestError::Server(err)) => {
             assert_eq!(err.code, ErrorCode::QuotaExceeded);
-            assert!(err.retry_after_vms.is_some(), "backpressure carries a hint: {err:?}");
+            assert!(
+                err.retry_after_vms.is_some(),
+                "backpressure carries a hint: {err:?}"
+            );
         }
         other => panic!("expected structured rejection, got {other:?}"),
     }
     // …and an unknown tenant gets its own code (no retry hint helps).
-    let ghost = JobSpec { tenant: "ghost".to_string(), ..spec() };
+    let ghost = JobSpec {
+        tenant: "ghost".to_string(),
+        ..spec()
+    };
     match client.submit_idem(ghost, gds_bytes.clone(), None) {
         Err(RequestError::Server(err)) => assert_eq!(err.code, ErrorCode::UnknownTenant),
         other => panic!("expected unknown_tenant, got {other:?}"),
     }
     // beta is under no quota.
-    let beta = JobSpec { tenant: "beta".to_string(), ..spec() };
+    let beta = JobSpec {
+        tenant: "beta".to_string(),
+        ..spec()
+    };
     let beta_job = client.submit(beta, gds_bytes).expect("beta submit");
     let status = client.wait(beta_job).expect("wait beta");
     assert_eq!(status.tenant, "beta", "tenant travels the wire");
@@ -271,7 +315,10 @@ fn hostile_bytes_on_the_socket_never_kill_the_server() {
         writer.flush().expect("flush");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
-        assert!(reply.contains("\"ok\":false"), "frame {frame:?} got {reply:?}");
+        assert!(
+            reply.contains("\"ok\":false"),
+            "frame {frame:?} got {reply:?}"
+        );
     }
     drop(writer);
     drop(reader);
@@ -279,7 +326,9 @@ fn hostile_bytes_on_the_socket_never_kill_the_server() {
     // And raw binary garbage on a second connection: the server may
     // close that connection, but must keep serving a third one.
     let mut garbage = std::net::TcpStream::connect(addr).expect("connect 2");
-    garbage.write_all(&[0u8, 159, 146, 150, 255, 254, 0, 7, b'\n']).expect("send garbage");
+    garbage
+        .write_all(&[0u8, 159, 146, 150, 255, 254, 0, 7, b'\n'])
+        .expect("send garbage");
     drop(garbage);
 
     let mut client = Client::connect(&addr.to_string()).expect("connect 3");
@@ -300,13 +349,20 @@ fn every_drain_refusal_answers_code_draining() {
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let job = client.submit(spec(), gds_bytes.clone()).expect("submit");
     client.cancel(job).expect("cancel");
-    Client::connect(&addr.to_string()).expect("connect").shutdown_mode(true).expect("drain");
+    Client::connect(&addr.to_string())
+        .expect("connect")
+        .shutdown_mode(true)
+        .expect("drain");
     handle.join().expect("server thread");
 
     let refusals = [
-        client.submit_idem(spec(), gds_bytes.clone(), None).map(|_| ()),
+        client
+            .submit_idem(spec(), gds_bytes.clone(), None)
+            .map(|_| ()),
         client.request(&Request::Resume { job }).map(|_| ()),
-        client.shard_dispatch(7, 1, 0, spec(), gds_bytes, Some(vec![(0, 1)])).map(|_| ()),
+        client
+            .shard_dispatch(7, 1, 0, spec(), gds_bytes, Some(vec![(0, 1)]))
+            .map(|_| ()),
     ];
     for refusal in refusals {
         match refusal {
@@ -323,7 +379,14 @@ fn every_drain_refusal_answers_code_draining() {
     // A refusal that is not admission's leaves the exit code at 3.
     for (request, code) in [
         (Request::Status { job: 999 }, ErrorCode::NotFound),
-        (Request::Submit { spec: spec(), gds: b"garbage".to_vec(), idem: None }, ErrorCode::BadRequest),
+        (
+            Request::Submit {
+                spec: spec(),
+                gds: b"garbage".to_vec(),
+                idem: None,
+            },
+            ErrorCode::BadRequest,
+        ),
     ] {
         match client.request(&request) {
             Err(RequestError::Server(err)) => {
@@ -345,7 +408,10 @@ fn events_and_shard_pull_at_the_head_answer_with_the_next_entry() {
 
     let gds_bytes = small_gds(43);
     let service = SignoffService::with_config(
-        ServiceConfig::builder().threads(2).tile_delay(Duration::from_millis(30)).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .tile_delay(Duration::from_millis(30))
+            .build(),
     );
     let (addr, handle) = start_server(service);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
@@ -359,7 +425,10 @@ fn events_and_shard_pull_at_the_head_answer_with_the_next_entry() {
             break status;
         }
         let (events, next) = client.events(job, status.next_seq).expect("events");
-        assert!(!events.is_empty(), "events at the head of a running job answered []");
+        assert!(
+            !events.is_empty(),
+            "events at the head of a running job answered []"
+        );
         assert_eq!(events[0].seq, status.next_seq);
         assert_eq!(next, events.last().expect("non-empty").seq + 1);
         heads += 1;
@@ -379,7 +448,10 @@ fn events_and_shard_pull_at_the_head_answer_with_the_next_entry() {
     let mut pulled = 0;
     loop {
         let (outcomes, next, settled, _) = client.shard_pull(grant.job, since).expect("pull");
-        assert!(settled || !outcomes.is_empty(), "a pull at the head of a running job answered []");
+        assert!(
+            settled || !outcomes.is_empty(),
+            "a pull at the head of a running job answered []"
+        );
         pulled += outcomes.len();
         since = next;
         if settled && pulled == total {

@@ -105,7 +105,9 @@ fn dead_shard_redispatches_to_survivor_byte_identically() {
     // Shard 0's dispatch connection errors at generation 0 only: the
     // takeover re-dispatch (generation 1) goes through.
     let plan = FaultPlan::seeded(5).with_rule(
-        FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error).key(0).first_attempts(1),
+        FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error)
+            .key(0)
+            .first_attempts(1),
     );
     let addrs: Vec<String> = (0..2).map(|k| spawn_shard(k, 2, None)).collect();
     let coord = coordinator(&addrs, Some(plan));
@@ -113,11 +115,18 @@ fn dead_shard_redispatches_to_survivor_byte_identically() {
     let stats = coord.shard_stats().expect("coordinator has shard stats");
     shutdown_all(&addrs);
 
-    assert_eq!(state, JobState::Done, "survivor must absorb the dead shard's range");
+    assert_eq!(
+        state,
+        JobState::Done,
+        "survivor must absorb the dead shard's range"
+    );
     assert_eq!(events, base_events, "takeover changed the event stream");
     assert_eq!(text, flat, "takeover changed report bytes");
     assert_eq!(stats.shards, 2);
-    assert!(stats.tiles_redispatched > 0, "the lost range must be re-dispatched");
+    assert!(
+        stats.tiles_redispatched > 0,
+        "the lost range must be re-dispatched"
+    );
 }
 
 /// With no surviving shard the job settles `Partial`, and the
@@ -127,7 +136,9 @@ fn dead_shard_redispatches_to_survivor_byte_identically() {
 fn no_survivor_degrades_to_deterministic_partial() {
     let run = || {
         let plan = FaultPlan::seeded(5).with_rule(
-            FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error).key(0).first_attempts(1),
+            FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error)
+                .key(0)
+                .first_attempts(1),
         );
         let addrs = vec![spawn_shard(0, 1, None)];
         let coord = coordinator(&addrs, Some(plan));
@@ -137,7 +148,11 @@ fn no_survivor_degrades_to_deterministic_partial() {
     };
     let (state_a, events_a, text_a) = run();
     let (state_b, events_b, text_b) = run();
-    assert_eq!(state_a, JobState::Partial, "lone dead shard must degrade, not hang");
+    assert_eq!(
+        state_a,
+        JobState::Partial,
+        "lone dead shard must degrade, not hang"
+    );
     assert_eq!(state_b, JobState::Partial);
     assert_eq!(events_a, events_b, "degradation must be deterministic");
     assert_eq!(text_a, text_b, "partial report must be deterministic");
@@ -155,7 +170,10 @@ fn no_survivor_degrades_to_deterministic_partial() {
             );
         }
     }
-    assert!(text_a.contains("quarantine:"), "report must carry the quarantine manifest");
+    assert!(
+        text_a.contains("quarantine:"),
+        "report must carry the quarantine manifest"
+    );
 }
 
 /// Every dispatch and re-dispatch failing (both shards dead, takeover
@@ -163,8 +181,8 @@ fn no_survivor_degrades_to_deterministic_partial() {
 /// never a hang, never a crash.
 #[test]
 fn all_shards_dead_still_settles_partial() {
-    let plan = FaultPlan::seeded(5)
-        .with_rule(FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error));
+    let plan =
+        FaultPlan::seeded(5).with_rule(FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error));
     let addrs: Vec<String> = (0..2).map(|k| spawn_shard(k, 2, None)).collect();
     let coord = coordinator(&addrs, Some(plan));
     let (state, events, text) = run_job(&coord);
@@ -174,7 +192,10 @@ fn all_shards_dead_still_settles_partial() {
         .iter()
         .filter(|e| matches!(e.kind, JobEventKind::TileQuarantined { .. }))
         .count();
-    assert!(quarantined > 0, "all tiles lost must mean a quarantine manifest");
+    assert!(
+        quarantined > 0,
+        "all tiles lost must mean a quarantine manifest"
+    );
     assert!(text.contains("quarantine:"));
 }
 
@@ -223,10 +244,18 @@ fn restarted_coordinator_reattaches_and_replays_from_merged_prefix() {
     // shards' retained jobs and merge the missing tiles from their
     // outcome logs.
     let coord = SignoffService::with_config(
-        ServiceConfig::builder().threads(2).shards(addrs.clone()).ckpt_root(root.clone()).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .shards(addrs.clone())
+            .ckpt_root(root.clone())
+            .build(),
     );
     let status = coord.status(id).expect("status");
-    assert_eq!(status.state, JobState::Partial, "loaded prefix must read as partial");
+    assert_eq!(
+        status.state,
+        JobState::Partial,
+        "loaded prefix must read as partial"
+    );
     coord.resume(id).expect("resume");
     let status = coord.wait(id).expect("wait");
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
@@ -248,7 +277,10 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
     // Warm single-process baseline: cold run stores, warm run hits.
     let base_cache = Arc::new(TileCache::open(&base_dir, None).expect("open cache"));
     let baseline = SignoffService::with_config(
-        ServiceConfig::builder().threads(2).cache(base_cache).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .cache(base_cache)
+            .build(),
     );
     let (state, _, _) = run_job(&baseline);
     assert_eq!(state, JobState::Done);
@@ -257,8 +289,9 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
 
     // Warm the shard cluster's shared cache with a faultless run.
     let shard_cache = Arc::new(TileCache::open(&shard_dir, None).expect("open cache"));
-    let addrs: Vec<String> =
-        (0..2).map(|k| spawn_shard(k, 2, Some(Arc::clone(&shard_cache)))).collect();
+    let addrs: Vec<String> = (0..2)
+        .map(|k| spawn_shard(k, 2, Some(Arc::clone(&shard_cache))))
+        .collect();
     let warmup = coordinator(&addrs, None);
     let (state, _, _) = run_job(&warmup);
     assert_eq!(state, JobState::Done);
@@ -266,7 +299,9 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
     // Now kill shard 0's dispatch leg: the survivor absorbs the lost
     // range straight from the warm cache.
     let plan = FaultPlan::seeded(5).with_rule(
-        FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error).key(0).first_attempts(1),
+        FaultRule::new(SITE_SHARD_DISPATCH, FaultAction::Error)
+            .key(0)
+            .first_attempts(1),
     );
     let coord = coordinator(&addrs, Some(plan));
     let (state, events, text) = run_job(&coord);
@@ -274,11 +309,19 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
     shutdown_all(&addrs);
 
     assert_eq!(state, JobState::Done);
-    assert!(stats.tiles_redispatched > 0, "the lost range must be re-dispatched");
-    assert_eq!(events, warm_events, "warm takeover must replay cache hits byte-identically");
+    assert!(
+        stats.tiles_redispatched > 0,
+        "the lost range must be re-dispatched"
+    );
+    assert_eq!(
+        events, warm_events,
+        "warm takeover must replay cache hits byte-identically"
+    );
     assert_eq!(text, flat);
     assert!(
-        events.iter().any(|e| matches!(e.kind, JobEventKind::TileCacheHit { .. })),
+        events
+            .iter()
+            .any(|e| matches!(e.kind, JobEventKind::TileCacheHit { .. })),
         "recovered tiles must be served from the cache"
     );
     let _ = std::fs::remove_dir_all(&base_dir);
@@ -293,13 +336,21 @@ fn warm_cache_takeover_recovers_lost_range_from_cache() {
 #[test]
 fn a_refusal_that_mentions_draining_is_a_loss_not_a_drain() {
     let closed_shard = |k| {
-        let cfg = ServiceConfig::builder().threads(1).shard_of(k, 2).sched(SchedConfig::default());
+        let cfg = ServiceConfig::builder()
+            .threads(1)
+            .shard_of(k, 2)
+            .sched(SchedConfig::default());
         serve(cfg.build())
     };
     let addrs: Vec<String> = (0..2).map(closed_shard).collect();
     let coord = coordinator(&addrs, None);
-    let spec = JobSpec { tenant: "draining".to_string(), ..spec() };
-    let id = coord.submit(spec, block_gds()).expect("the coordinator's open plan admits it");
+    let spec = JobSpec {
+        tenant: "draining".to_string(),
+        ..spec()
+    };
+    let id = coord
+        .submit(spec, block_gds())
+        .expect("the coordinator's open plan admits it");
     let status = coord.wait(id).expect("wait");
     let events = coord.events(id, 0).expect("events");
     let stats = coord.shard_stats().expect("shard stats");
@@ -308,7 +359,10 @@ fn a_refusal_that_mentions_draining_is_a_loss_not_a_drain() {
     assert_eq!(status.state, JobState::Partial);
     assert_eq!(status.tiles_quarantined, status.tiles_total);
     assert_eq!(stats.tiles_drained, 0, "nothing was draining");
-    assert!(stats.tiles_redispatched > 0, "the first refusal is a loss: its range moves on");
+    assert!(
+        stats.tiles_redispatched > 0,
+        "the first refusal is a loss: its range moves on"
+    );
     for e in &events {
         if let JobEventKind::TileQuarantined { reason, .. } = &e.kind {
             assert!(
@@ -333,31 +387,57 @@ fn coordinated_cancel_then_resume_matches_a_single_process_one() {
     let cancel_resume = |service: &SignoffService, running: &dyn Fn() -> bool| {
         let id = service.submit(spec(), block_gds()).expect("submit");
         while !running() {}
-        assert_eq!(service.cancel(id).expect("cancel").state, JobState::Cancelled);
+        assert_eq!(
+            service.cancel(id).expect("cancel").state,
+            JobState::Cancelled
+        );
         service.resume(id).expect("resume");
         let status = service.wait(id).expect("wait");
         let (_, text) = service.report_text(id, false).expect("report");
         (status.state, service.events(id, 0).expect("events"), text)
     };
     let single = SignoffService::with_config(
-        ServiceConfig::builder().threads(2).tile_delay(delay).build(),
+        ServiceConfig::builder()
+            .threads(2)
+            .tile_delay(delay)
+            .build(),
     );
     let (state, base_events, base_text) = cancel_resume(&single, &|| true);
     assert_eq!(state, JobState::Done);
 
-    let slow_shard =
-        |k| serve(ServiceConfig::builder().threads(2).shard_of(k, 2).tile_delay(delay).build());
+    let slow_shard = |k| {
+        serve(
+            ServiceConfig::builder()
+                .threads(2)
+                .shard_of(k, 2)
+                .tile_delay(delay)
+                .build(),
+        )
+    };
     let addrs: Vec<String> = (0..2).map(slow_shard).collect();
     let coord = coordinator(&addrs, None);
     // Both shards hold their job: the pullers are past dispatch.
     let dispatched = || {
-        addrs.iter().all(|a| !Client::connect(a).expect("connect").list().expect("list").is_empty())
+        addrs.iter().all(|a| {
+            !Client::connect(a)
+                .expect("connect")
+                .list()
+                .expect("list")
+                .is_empty()
+        })
     };
     let (state, events, text) = cancel_resume(&coord, &dispatched);
     shutdown_all(&addrs);
 
-    assert_eq!(state, JobState::Done, "the resumed epoch must finish the job");
+    assert_eq!(
+        state,
+        JobState::Done,
+        "the resumed epoch must finish the job"
+    );
     assert_eq!(text, flat_text(), "stale pullers changed the report bytes");
     assert_eq!(text, base_text);
-    assert_eq!(events, base_events, "stale pullers changed the event stream");
+    assert_eq!(
+        events, base_events,
+        "stale pullers changed the event stream"
+    );
 }
