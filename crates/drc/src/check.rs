@@ -142,45 +142,33 @@ pub fn min_space_to_violations(from: &Region, to: &Region, value: i64) -> Vec<(R
     near.connected_components()
         .into_iter()
         .map(|c| {
-            // Clip (not `interacting`) keeps the measurement local: the
-            // bloat probe in `min_separation` only reaches `value`, so
-            // geometry beyond `value + 1` of the candidate's bbox can
-            // never change the answer — and a clip window is something
-            // a tile halo can reproduce exactly.
+            // Clip (not `interacting`) keeps the measurement local:
+            // `min_separation` is capped at `value`, and a rect beyond
+            // `value + 1` of the candidate's bbox is more than `value`
+            // away, so it can never change the answer — and a clip
+            // window is something a tile halo can reproduce exactly.
             let from_local = from.clipped(c.bbox().expanded(value + 1));
             (c.bbox(), min_separation(&from_local, &c, value))
         })
         .collect()
 }
 
-/// Smallest Chebyshev (per-axis) separation between `a` and `b`, given
-/// that they are known to come within `max` of each other. Returns 0
-/// when the regions overlap or touch.
+/// Smallest Chebyshev (per-axis) separation between `a` and `b`, capped
+/// at `cap`: 0 when the regions overlap or touch, `cap` when either is
+/// empty or they are at least `cap` apart.
 ///
-/// Binary search on the bloat radius: `a.bloated(k)` gains area overlap
-/// with `b` exactly when `k` exceeds the true gap, so the smallest such
-/// `k` minus one is the separation.
-pub(crate) fn min_separation(a: &Region, b: &Region, max: i64) -> i64 {
-    if a.is_empty() || b.is_empty() {
-        return max;
-    }
-    if !a.intersection(b).is_empty() {
-        return 0;
-    }
-    // Invariant: a.bloated(hi) overlaps b, a.bloated(lo) does not.
-    let (mut lo, mut hi) = (0i64, max);
-    if a.bloated(hi).intersection(b).is_empty() {
-        return max;
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if a.bloated(mid).intersection(b).is_empty() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi - 1
+/// For `k ≥ 1`, `a.bloated(k)` overlaps `b` exactly when some rect pair
+/// has `k > max(dx, dy)`, its larger per-axis gap ([`Rect::gap`], 0 when
+/// the pair touches or overlaps), so the separation is the least such
+/// gap over all rect pairs.
+pub(crate) fn min_separation(a: &Region, b: &Region, cap: i64) -> i64 {
+    let gaps = a.rects().iter().flat_map(|ra| {
+        b.rects().iter().map(|rb| {
+            let (dx, dy) = ra.gap(rb);
+            dx.max(dy)
+        })
+    });
+    gaps.fold(cap, i64::min).max(0)
 }
 
 /// A pair of facing boundary edges: the measured distance between them
@@ -673,26 +661,16 @@ pub fn enclosure_violations(inner: &Region, outer: &Region, value: i64) -> Vec<(
 }
 
 /// Largest margin `k < value` such that `inner` stays inside
-/// `outer.shrunk(k)` — the measured enclosure at a violation site.
+/// `outer.shrunk(k)` — the measured enclosure at a violation site, 0
+/// when `inner` pokes out of `outer`.
+///
+/// `shrunk(k)` removes every point within `k` of the complement, so the
+/// margin is `inner`'s separation from the complement of `outer`. Only
+/// complement within `value + 1` of `inner` can come within `value` of
+/// it, so a frame of that size bounds the complement exactly.
 pub(crate) fn enclosure_margin(inner: &Region, outer: &Region, value: i64) -> i64 {
-    if inner.is_empty() {
-        return value;
-    }
-    if !inner.difference(outer).is_empty() {
-        return 0;
-    }
-    // Invariant: margin lo holds, margin hi does not (the caller only
-    // asks at violation sites, where `value` fails).
-    let (mut lo, mut hi) = (0i64, value);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if inner.difference(&outer.shrunk(mid)).is_empty() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    let frame = Region::from_rect(inner.bbox().expanded(value + 1));
+    min_separation(inner, &frame.difference(outer), value - 1)
 }
 
 /// Rounds a density fraction to parts-per-million, half to even.

@@ -274,9 +274,16 @@ impl RuleDeck {
             let layer_of = |tok: &str| -> Result<Layer, ParseDeckError> {
                 parse_layer(tok).ok_or_else(|| err(format!("unknown layer {tok:?}")))
             };
-            let int_of = |tok: &str| -> Result<i64, ParseDeckError> {
-                tok.parse::<i64>()
-                    .map_err(|_| err(format!("bad integer {tok:?}")))
+            // Every integer operand is a distance or an area: a negative
+            // one is refused here rather than left to panic in the
+            // engine's bloat or shrink, and a density window must be
+            // positive to cover anything.
+            let int_of = |tok: &str, min: i64| -> Result<i64, ParseDeckError> {
+                match tok.parse::<i64>() {
+                    Ok(v) if v >= min => Ok(v),
+                    Ok(v) => Err(err(format!("operand {v} must be at least {min}"))),
+                    Err(_) => Err(err(format!("bad integer {tok:?}"))),
+                }
             };
             let float_of = |tok: &str| -> Result<f64, ParseDeckError> {
                 tok.parse::<f64>()
@@ -298,14 +305,14 @@ impl RuleDeck {
                     need(3)?;
                     Rule::MinWidth {
                         layer: layer_of(tokens[1])?,
-                        value: int_of(tokens[2])?,
+                        value: int_of(tokens[2], 0)?,
                     }
                 }
                 "min_space" => {
                     need(3)?;
                     Rule::MinSpace {
                         layer: layer_of(tokens[1])?,
-                        value: int_of(tokens[2])?,
+                        value: int_of(tokens[2], 0)?,
                     }
                 }
                 "space_to" => {
@@ -313,7 +320,7 @@ impl RuleDeck {
                     Rule::MinSpaceTo {
                         from: layer_of(tokens[1])?,
                         to: layer_of(tokens[2])?,
-                        value: int_of(tokens[3])?,
+                        value: int_of(tokens[3], 0)?,
                     }
                 }
                 "enclosure" => {
@@ -321,29 +328,29 @@ impl RuleDeck {
                     Rule::Enclosure {
                         inner: layer_of(tokens[1])?,
                         outer: layer_of(tokens[2])?,
-                        value: int_of(tokens[3])?,
+                        value: int_of(tokens[3], 0)?,
                     }
                 }
                 "min_area" => {
                     need(3)?;
                     Rule::MinArea {
                         layer: layer_of(tokens[1])?,
-                        value: int_of(tokens[2])?,
+                        value: int_of(tokens[2], 0)?,
                     }
                 }
                 "wide_space" => {
                     need(4)?;
                     Rule::WideSpace {
                         layer: layer_of(tokens[1])?,
-                        wide_width: int_of(tokens[2])?,
-                        space: int_of(tokens[3])?,
+                        wide_width: int_of(tokens[2], 0)?,
+                        space: int_of(tokens[3], 0)?,
                     }
                 }
                 "density" => {
                     need(5)?;
                     Rule::Density {
                         layer: layer_of(tokens[1])?,
-                        window: int_of(tokens[2])?,
+                        window: int_of(tokens[2], 1)?,
                         min: float_of(tokens[3])?,
                         max: float_of(tokens[4])?,
                     }
@@ -447,6 +454,24 @@ min_width 42/7 120
 
         let err = RuleDeck::parse("min_width METAL1\n").expect_err("must fail");
         assert!(err.message.contains("operands"));
+
+        // Negative distances and empty density windows are refused at
+        // parse time, not left to panic (or check nothing) in the engine.
+        for bad in [
+            "min_width METAL1 -1",
+            "min_space METAL1 -90",
+            "space_to METAL1 POLY -5",
+            "enclosure VIA1 METAL1 -3",
+            "min_area METAL1 -100",
+            "wide_space METAL1 -10 20",
+            "wide_space METAL1 270 -1",
+            "density METAL1 0 0.2 0.8",
+            "density METAL1 -5 0.2 0.8",
+        ] {
+            let err = RuleDeck::parse(&format!("min_width METAL1 90\n{bad}\n")).expect_err(bad);
+            assert_eq!(err.line, 2, "{bad}");
+            assert!(err.message.contains("at least"), "{bad}: {err}");
+        }
     }
 
     #[test]

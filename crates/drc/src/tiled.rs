@@ -780,7 +780,7 @@ fn density_merge(
 
 /// Cross-layer spacing, certified per candidate: the tile that owns a
 /// near-component's anchor re-runs the flat measurement (same clip
-/// window, same binary search) after proving the candidate plus its
+/// window, same gap) after proving the candidate plus its
 /// interaction margin sit strictly inside the tile window.
 fn min_space_to_tile(
     view: &TileView,
