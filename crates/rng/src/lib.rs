@@ -43,7 +43,8 @@ impl Seed {
         // Jump the SplitMix64 stream by `index` golden-ratio steps: the
         // state map is injective in `index`, so children never collide.
         let mut s = SplitMix64::new(
-            self.0.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index)),
+            self.0
+                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index)),
         );
         s.next();
         Seed(s.next())
@@ -112,10 +113,7 @@ impl Rng {
     /// Next raw 64-bit output (the xoshiro256++ scrambler).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
