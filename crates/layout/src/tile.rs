@@ -708,6 +708,53 @@ mod tests {
         check_digest_tracks_window_content(lib, cfg, 512, edit);
     }
 
+    /// FNV-1a 64 over every [`TiledLayout::tile_content_digest`] of
+    /// `lib` tiled at `tile` with the job default halo of 512, in tile
+    /// order.
+    fn digest_of_all_tiles(lib: Library, tile: Coord) -> u64 {
+        let cfg = TilingConfig::builder()
+            .tile(tile)
+            .halo(512)
+            .build()
+            .expect("cfg");
+        let tiled = TiledLayout::from_library(lib, cfg).expect("hier");
+        (0..tiled.tile_count()).fold(FNV_OFFSET, |h, i| {
+            fnv_u64(h, tiled.tile_content_digest(i, 512))
+        })
+    }
+
+    /// The cache keys' content digests, pinned: every tile of the 40 µm
+    /// routed block (tile 4096, seeds 11–13) and of the 12 × 12 SRAM
+    /// array (tile 2048). However the walk finds a window's shapes, these
+    /// values may not move.
+    #[test]
+    fn tile_content_digests_are_pinned() {
+        let tech = Technology::n65();
+        let params = RoutedBlockParams {
+            width: 40_000,
+            height: 40_000,
+            ..Default::default()
+        };
+        let got: Vec<u64> = [11, 12, 13]
+            .into_iter()
+            .map(|seed| digest_of_all_tiles(routed_block(&tech, params, seed), 4096))
+            .chain([digest_of_all_tiles(
+                crate::generate::sram_array(&tech, 12, 12),
+                2048,
+            )])
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x2dd4_8e5b_879f_2b19,
+                0xcbe4_b2ef_b98b_9eda,
+                0xb451_f697_8b69_31e0,
+                0xd0cd_70a5_6239_6409
+            ],
+            "{got:#018x?}"
+        );
+    }
+
     #[test]
     fn from_library_requires_top() {
         let mut lib = Library::new("L");
