@@ -181,7 +181,7 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff. Formatting dfm-signoff moved the platform
@@ -189,7 +189,13 @@ echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-
 # service trio 1 957 → 2 218, client/server/service/sched 2 290 → 2 432,
 # shard.rs 546 → 566.
 cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
-    -p dfm-core -p dfm-signoff
+    -p dfm-core -p dfm-signoff -p dfm-rand
+
+echo "== doc (rustdoc, -D warnings) =="
+# Every library's docs build without a broken or private intra-doc
+# link. `--lib` skips the `dfm-signoff` binary, whose doc output would
+# share a file name with the library's.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 echo "== lint (clippy, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -5,8 +5,8 @@
 //!
 //! * [`Gen`] — a generator trait (`generate` + optional `shrink`),
 //!   implemented for integer/float ranges, booleans, tuples of
-//!   generators, [`vec`] collections and [`lowercase_string`]s, with a
-//!   [`Gen::map`] combinator for building domain values;
+//!   generators, [`vec()`] collections and [`lowercase_string`]s, with a
+//!   [`Gen::prop_map`] combinator for building domain values;
 //! * [`check`] — the runner: a fixed iteration budget of seeded cases,
 //!   automatic failure shrinking for scalars and vectors, and a
 //!   panic message that names the reproducing seed;

@@ -239,7 +239,7 @@ pub(crate) fn coalesced_pairs(frags: Vec<PairFragment>) -> Vec<FacingPair> {
 /// range, measured at the gap's middle column, is covered (width mode)
 /// or empty (spacing mode). Fragments with the same orientation and gap
 /// coordinates whose spans touch coalesce into one measurement — that
-/// coalescing (see [`coalesce_fragments`]) is the canonical form shared
+/// coalescing (see `coalesce_fragments`) is the canonical form shared
 /// by the flat sweep and the tiled merge, which is what makes the two
 /// paths bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

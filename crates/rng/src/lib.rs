@@ -155,7 +155,7 @@ impl Rng {
         }
     }
 
-    /// Bernoulli trial: `true` with probability `p` (clamped to [0,1]).
+    /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.f64() < p
     }

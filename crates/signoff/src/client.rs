@@ -197,7 +197,7 @@ impl Client {
     /// failures machine-readable. Retryable requests (see the module
     /// docs) transparently reconnect and resend on transport failure,
     /// with deterministic backoff (`8 << n` virtual ms before attempt
-    /// `n`, [`RECONNECT_ATTEMPTS`] attempts).
+    /// `n`, `RECONNECT_ATTEMPTS` attempts).
     ///
     /// # Errors
     ///

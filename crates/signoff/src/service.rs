@@ -4,7 +4,7 @@
 //!
 //! One [`SignoffService`] owns one persistent [`WorkerPool`]. A
 //! submitted job decomposes into `tile_count` independent attempts;
-//! each attempt computes its [`TilePartial`] (pure), checkpoints it
+//! each attempt computes its [`TilePartial`](crate::TilePartial) (pure), checkpoints it
 //! (when a checkpoint root is configured), and hands the outcome to
 //! the supervisor. A failed attempt (panic, injected fault, virtual
 //! watchdog timeout) is retried up to [`ServiceConfig::max_attempts`]
