@@ -566,6 +566,14 @@ fn parse_element(r: &mut Reader<'_>, kind: u8, start: usize) -> Result<Element, 
                         message: format!("COLROW record with {} values, want 2", v.len()),
                     });
                 }
+                // GDSII counts run 1..=32767; a cast would read -1 as
+                // 65 535 instances.
+                if v[0] <= 0 || v[1] <= 0 {
+                    return Err(LayoutError::GdsParse {
+                        offset: rec.offset,
+                        message: format!("COLROW ({}, {}) must be positive", v[0], v[1]),
+                    });
+                }
                 colrow = Some((v[0], v[1]));
             }
             ENDEL => break,
@@ -1008,14 +1016,18 @@ mod tests {
 
     #[test]
     fn malformed_colrow_is_diagnosed() {
-        let bytes = element_stream(|w| {
-            w.rec_none(AREF);
-            w.rec_string(SNAME, "LEAF");
-            w.rec_i16(COLROW, &[3]); // one value, want two
-            w.xy(&[Point::new(0, 0), Point::new(600, 0), Point::new(0, 200)]);
-            w.rec_none(ENDEL);
-        });
-        expect_parse_error(&bytes, "COLROW");
+        // One value where two are wanted, then counts that are not
+        // positive: a zero, and negatives a cast would wrap to 65 535.
+        for colrow in [&[3][..], &[0, 3], &[-1, 1], &[-1, -1]] {
+            let bytes = element_stream(|w| {
+                w.rec_none(AREF);
+                w.rec_string(SNAME, "LEAF");
+                w.rec_i16(COLROW, colrow);
+                w.xy(&[Point::new(0, 0), Point::new(600, 0), Point::new(0, 200)]);
+                w.rec_none(ENDEL);
+            });
+            expect_parse_error(&bytes, "COLROW");
+        }
     }
 
     #[test]
