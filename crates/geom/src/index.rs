@@ -101,6 +101,32 @@ impl<T> GridIndex<T> {
         }
     }
 
+    /// Calls `f` with the rect and payload of every item touching
+    /// `window`, each once, in no particular order — the query for a
+    /// walk that revisits the index window after window and needs no
+    /// order. It allocates nothing: an item spanning several buckets is
+    /// reported only from the bucket holding the low corner of its
+    /// overlap with `window`, so no visited set is kept.
+    pub fn for_each_touching(&self, window: Rect, mut f: impl FnMut(Rect, &T)) {
+        let (cx0, cy0, cx1, cy1) = self.cell_range(window);
+        for cx in cx0..=cx1 {
+            for cy in cy0..=cy1 {
+                let Some(bucket) = self.buckets.get(&(cx, cy)) else {
+                    continue;
+                };
+                for &id in bucket {
+                    let (r, v) = &self.items[id];
+                    if r.touches(&window)
+                        && r.x0.max(window.x0).div_euclid(self.cell) == cx
+                        && r.y0.max(window.y0).div_euclid(self.cell) == cy
+                    {
+                        f(*r, v);
+                    }
+                }
+            }
+        }
+    }
+
     /// Iterates over all `(rect, value)` items in insertion order.
     pub fn iter(&self) -> std::slice::Iter<'_, (Rect, T)> {
         self.items.iter()
@@ -220,6 +246,34 @@ mod tests {
         ix.insert(Rect::new(-25, -25, -15, -15), "neg");
         assert_eq!(ix.query(Rect::new(-20, -20, -18, -18)).len(), 1);
         assert!(ix.query(Rect::new(0, 0, 5, 5)).is_empty());
+    }
+
+    /// `for_each_touching` reports what `query` does, each item once,
+    /// for items spanning many buckets and windows at every offset.
+    #[test]
+    fn for_each_touching_matches_query() {
+        let mut ix = GridIndex::new(10);
+        let rects = [
+            Rect::new(-35, -5, 42, 3),
+            Rect::new(0, 0, 10, 10),
+            Rect::new(7, -28, 9, 61),
+            Rect::new(20, 20, 20, 20),
+            Rect::new(-100, -100, 100, 100),
+        ];
+        for (k, &r) in rects.iter().enumerate() {
+            ix.insert(r, k);
+        }
+        for x in -50..50 {
+            for (w, h) in [(0, 0), (3, 17), (25, 4), (40, 40)] {
+                let y = (x * 7) % 45;
+                let window = Rect::new(x, y, x + w, y + h);
+                let mut got = Vec::new();
+                ix.for_each_touching(window, |_, &k| got.push(k));
+                got.sort_unstable();
+                let want: Vec<usize> = ix.query(window).into_iter().copied().collect();
+                assert_eq!(got, want, "window {window:?}");
+            }
+        }
     }
 
     #[test]

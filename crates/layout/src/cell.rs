@@ -1,9 +1,11 @@
 //! Cells: named containers of shapes, labels and hierarchical references.
 
 use crate::{Layer, LayoutError};
-use dfm_geom::{Point, Polygon, Rect, Region, Transform};
+use dfm_geom::{Coord, Point, Polygon, Rect, Region, Transform, Vector};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A geometric shape on a layer: either a rectangle (the common case,
 /// stored compactly) or a general rectilinear polygon.
@@ -106,29 +108,109 @@ impl CellRef {
     }
 
     /// Iterates over the effective transforms of every instance in the
-    /// (possibly arrayed) reference.
-    pub fn instance_transforms(&self) -> Vec<Transform> {
-        match self.array {
-            None => vec![self.transform],
-            Some(a) => {
-                let mut out = Vec::with_capacity(a.cols as usize * a.rows as usize);
-                for row in 0..a.rows as i64 {
-                    for col in 0..a.cols as i64 {
-                        // Array displacement happens in the parent frame
-                        // along the transformed axes (GDSII semantics).
-                        let step = self.transform.linear_apply(dfm_geom::Vector::new(
-                            col * a.col_pitch,
-                            row * a.row_pitch,
-                        ));
-                        let mut t = self.transform;
-                        t.offset = t.offset + step;
-                        out.push(t);
-                    }
-                }
-                out
-            }
-        }
+    /// (possibly arrayed) reference, row by row. Lazy: nothing is
+    /// allocated, however many instances the array holds.
+    pub fn instance_transforms(&self) -> impl Iterator<Item = Transform> {
+        let (cols, rows, ..) = self.lattice();
+        self.lattice_instances(0..cols, 0..rows)
     }
+
+    /// Bounding box, in the parent frame, of every instance of a child
+    /// whose local bounding box is `child`. Each lattice step moves
+    /// instances along one axis, so the first and the last instance
+    /// reach every extreme the four corner instances do.
+    pub(crate) fn placed_bbox(&self, child: Rect) -> Rect {
+        let (cols, rows, col_step, row_step) = self.lattice();
+        if cols == 0 || rows == 0 || child.is_empty() {
+            return Rect::empty();
+        }
+        let first = self.transform.apply_rect(child);
+        first.bounding_union(&first.translated(col_step * (cols - 1) + row_step * (rows - 1)))
+    }
+
+    /// The instances, row by row, whose placement of a child with local
+    /// bounding box `child` overlaps `window` (both in the parent frame).
+    /// A Manhattan transform maps the column axis to ±x or ±y and the
+    /// row axis to the other one, so the columns that reach the window
+    /// are one index range along one axis, the rows one along the other:
+    /// two integer divisions each, whatever the pitch's sign. At pitch 0
+    /// an axis takes all of its instances or none.
+    pub(crate) fn instances_meeting(
+        &self,
+        child: Rect,
+        window: Rect,
+    ) -> impl Iterator<Item = Transform> {
+        let (cols, rows, col_step, row_step) = self.lattice();
+        let first = self.transform.apply_rect(child);
+        let x_axis = |step: Vector, n| {
+            steps_meeting((first.x0, first.x1), step.x, (window.x0, window.x1), n)
+        };
+        let y_axis = |step: Vector, n| {
+            steps_meeting((first.y0, first.y1), step.y, (window.y0, window.y1), n)
+        };
+        let (col_range, row_range) = if self.transform.linear_apply(Vector::new(1, 0)).x != 0 {
+            (x_axis(col_step, cols), y_axis(row_step, rows))
+        } else {
+            (y_axis(col_step, cols), x_axis(row_step, rows))
+        };
+        self.lattice_instances(col_range, row_range)
+    }
+
+    /// Column count, row count and the parent-frame steps between
+    /// columns and between rows. A plain reference is a 1 × 1 array.
+    fn lattice(&self) -> (i64, i64, Vector, Vector) {
+        let a = self.array.unwrap_or(ArrayParams {
+            cols: 1,
+            rows: 1,
+            col_pitch: 0,
+            row_pitch: 0,
+        });
+        // Array displacement happens in the parent frame along the
+        // transformed axes (GDSII semantics).
+        (
+            a.cols as i64,
+            a.rows as i64,
+            self.transform.linear_apply(Vector::new(a.col_pitch, 0)),
+            self.transform.linear_apply(Vector::new(0, a.row_pitch)),
+        )
+    }
+
+    /// The instances in `cols` × `rows` of the lattice, row by row.
+    fn lattice_instances(
+        &self,
+        cols: Range<i64>,
+        rows: Range<i64>,
+    ) -> impl Iterator<Item = Transform> {
+        let (_, _, col_step, row_step) = self.lattice();
+        let first = self.transform;
+        rows.flat_map(move |row| {
+            cols.clone().map(move |col| {
+                let mut t = first;
+                t.offset = t.offset + col_step * col + row_step * row;
+                t
+            })
+        })
+    }
+}
+
+/// The indices `k` in `0..n` for which the interval `first` moved by
+/// `k · step` overlaps `window` with positive length.
+fn steps_meeting(first: (Coord, Coord), step: Coord, window: (Coord, Coord), n: i64) -> Range<i64> {
+    let ((a0, a1), (w0, w1)) = (first, window);
+    // a0 + k·step < w1 and a1 + k·step > w0, solved for k.
+    let (lo, hi) = match step.cmp(&0) {
+        Ordering::Equal if a0 < w1 && a1 > w0 => (0, n),
+        Ordering::Equal => (0, 0),
+        Ordering::Greater => ((w0 - a1).div_euclid(step) + 1, ceil_div(w1 - a0, step)),
+        Ordering::Less => ((a0 - w1).div_euclid(-step) + 1, ceil_div(a1 - w0, -step)),
+    };
+    let lo = lo.max(0);
+    lo..hi.min(n).max(lo)
+}
+
+/// `⌈a / b⌉` for `b > 0`.
+fn ceil_div(a: Coord, b: Coord) -> Coord {
+    -(-a).div_euclid(b)
 }
 
 /// A text label (GDSII `TEXT`), used for net names and markers.
@@ -295,7 +377,7 @@ mod tests {
                 row_pitch: 20,
             },
         );
-        let ts = r.instance_transforms();
+        let ts: Vec<Transform> = r.instance_transforms().collect();
         assert_eq!(ts.len(), 6);
         assert_eq!(ts[0].offset, Vector::new(100, 200));
         assert_eq!(ts[1].offset, Vector::new(110, 200));
@@ -314,7 +396,7 @@ mod tests {
                 row_pitch: 0,
             },
         );
-        let ts = r.instance_transforms();
+        let ts: Vec<Transform> = r.instance_transforms().collect();
         // Column axis rotated 90°: step (10,0) becomes (0,10).
         assert_eq!(ts[1].offset, Vector::new(0, 10));
     }

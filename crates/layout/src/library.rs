@@ -1,8 +1,8 @@
 //! Libraries: collections of cells with hierarchy flattening.
 
 use crate::cell::check_refs;
-use crate::{Cell, Layer, LayoutError};
-use dfm_geom::{Rect, Region, Transform};
+use crate::{Cell, Layer, LayoutError, Shape};
+use dfm_geom::{Coord, GridIndex, Rect, Region, Transform};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -259,15 +259,14 @@ impl Library {
         let subtree_bboxes = compute_subtree_bboxes(self);
         let layers = collect_used_layers(self, id);
         let mut rects = vec![Vec::new(); layers.len()];
-        collect_window_rects(
-            self,
-            id,
-            &Transform::identity(),
-            &layers,
-            subtree_bboxes[id.0],
-            &subtree_bboxes,
-            &mut rects,
-        );
+        WindowWalk {
+            lib: self,
+            subtree_bboxes: &subtree_bboxes,
+            shape_index: None,
+            layers: &layers,
+            window: subtree_bboxes[id.0],
+        }
+        .collect(id, &Transform::identity(), &mut rects);
         let mut flat = FlatLayout::default();
         for (layer, rects) in layers.into_iter().zip(rects) {
             flat.set_region(layer, Region::from_rects(rects));
@@ -306,12 +305,7 @@ pub(crate) fn compute_subtree_bboxes(lib: &Library) -> Vec<Rect> {
         for r in &cell.refs {
             if let Some(child) = lib.cell_id(&r.cell) {
                 let cb = bbox_of(lib, child, memo);
-                if cb.is_empty() {
-                    continue;
-                }
-                for t in r.instance_transforms() {
-                    b = b.bounding_union(&t.apply_rect(cb));
-                }
+                b = b.bounding_union(&r.placed_bbox(cb));
             }
         }
         memo[id.0] = Some(b);
@@ -349,51 +343,120 @@ pub(crate) fn collect_used_layers(lib: &Library, top: CellId) -> Vec<Layer> {
     out
 }
 
-/// Streams the geometry of each of `layers` in the subtree at `id`
-/// (placed by `t`) into the matching `out` list, clipped to `window`,
-/// pruning subtrees whose transformed bbox misses the window. One
-/// traversal serves every layer. The one hierarchy expansion:
-/// [`Library::flatten`] calls it with the cell's whole subtree bbox, a
-/// tile view with its window.
-pub(crate) fn collect_window_rects(
-    lib: &Library,
-    id: CellId,
-    t: &Transform,
-    layers: &[Layer],
-    window: Rect,
-    subtree_bboxes: &[Rect],
-    out: &mut [Vec<Rect>],
-) {
-    let sub = subtree_bboxes[id.0];
-    let placed = t.apply_rect(sub);
-    if sub.is_empty() || placed.intersection(&window).is_none() {
-        return;
+/// One spatial index per cell and per drawn layer over the local
+/// bounding boxes of the cell's shapes, each shape keyed by its position
+/// in [`Cell::shapes`]. Built once per tiling; its grid cell is the tile
+/// side, so a window meets a handful of buckets.
+pub(crate) struct ShapeIndex(Vec<Vec<(Layer, GridIndex<usize>)>>);
+
+impl ShapeIndex {
+    pub(crate) fn new(lib: &Library, grid: Coord) -> ShapeIndex {
+        ShapeIndex(
+            lib.cells()
+                .iter()
+                .map(|cell| {
+                    cell.used_layers()
+                        .map(|layer| {
+                            let mut index = GridIndex::new(grid);
+                            for (k, shape) in cell.shapes(layer).iter().enumerate() {
+                                index.insert(shape.bbox(), k);
+                            }
+                            (layer, index)
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
     }
-    // A subtree inside the window needs no clipping.
-    let inside = window.contains_rect(&placed);
-    let cell = lib.cell(id);
-    for (&layer, out) in layers.iter().zip(out.iter_mut()) {
-        for shape in cell.shapes(layer) {
-            let moved = shape.transformed(t);
+
+    fn layer(&self, id: CellId, layer: Layer) -> Option<&GridIndex<usize>> {
+        let cell = &self.0[id.0];
+        cell.binary_search_by_key(&layer, |(l, _)| *l)
+            .ok()
+            .map(|k| &cell[k].1)
+    }
+}
+
+/// Work a [`WindowWalk`] did: shapes it moved into the window's frame
+/// and array or plain instances it entered.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Visits {
+    pub(crate) shapes: u64,
+    pub(crate) instances: u64,
+}
+
+/// The one hierarchy expansion: streams the geometry of each of
+/// `layers` in a subtree into the matching output list, clipped to
+/// `window`. One traversal serves every layer. [`Library::flatten`]
+/// walks with the cell's whole subtree bbox as the window and no shape
+/// index; a tile view walks with its window and the tiling's index.
+///
+/// At each cell the window is mapped into the cell's frame. A subtree
+/// that misses it is pruned, one inside it is copied unclipped, and
+/// otherwise only the shapes the index returns and the array columns
+/// and rows whose placements overlap the window are visited.
+pub(crate) struct WindowWalk<'a> {
+    pub(crate) lib: &'a Library,
+    pub(crate) subtree_bboxes: &'a [Rect],
+    pub(crate) shape_index: Option<&'a ShapeIndex>,
+    pub(crate) layers: &'a [Layer],
+    pub(crate) window: Rect,
+}
+
+impl WindowWalk<'_> {
+    /// Walks the subtree at `id`, placed by `t`, into `out` (one list
+    /// per layer).
+    pub(crate) fn collect(&self, id: CellId, t: &Transform, out: &mut [Vec<Rect>]) -> Visits {
+        let mut visits = Visits::default();
+        self.walk(id, t, out, &mut visits);
+        visits
+    }
+
+    fn walk(&self, id: CellId, t: &Transform, out: &mut [Vec<Rect>], visits: &mut Visits) {
+        let sub = self.subtree_bboxes[id.0];
+        let local = t.inverse().apply_rect(self.window);
+        if sub.is_empty() || sub.intersection(&local).is_none() {
+            return;
+        }
+        // A subtree inside the window needs no clipping.
+        let inside = local.contains_rect(&sub);
+        let cell = self.lib.cell(id);
+        for (&layer, out) in self.layers.iter().zip(out.iter_mut()) {
+            let shapes = cell.shapes(layer);
             if inside {
-                out.extend(moved.to_rects());
-                continue;
-            }
-            if moved.bbox().intersection(&window).is_none() {
-                continue;
-            }
-            for r in moved.to_rects() {
-                if let Some(clipped) = r.intersection(&window) {
-                    out.push(clipped);
+                visits.shapes += shapes.len() as u64;
+                for shape in shapes {
+                    out.extend(shape.transformed(t).to_rects());
                 }
+                continue;
+            }
+            let mut clip = |bbox: Rect, shape: &Shape| {
+                visits.shapes += 1;
+                if !bbox.overlaps(&local) {
+                    return;
+                }
+                for r in shape.transformed(t).to_rects() {
+                    if let Some(clipped) = r.intersection(&self.window) {
+                        out.push(clipped);
+                    }
+                }
+            };
+            match self.shape_index.and_then(|ix| ix.layer(id, layer)) {
+                Some(index) => index.for_each_touching(local, |bbox, &k| clip(bbox, &shapes[k])),
+                None => shapes.iter().for_each(|s| clip(s.bbox(), s)),
             }
         }
-    }
-    for r in &cell.refs {
-        if let Some(child) = lib.cell_id(&r.cell) {
-            for inst in r.instance_transforms() {
-                let combined = inst.then(t);
-                collect_window_rects(lib, child, &combined, layers, window, subtree_bboxes, out);
+        for r in &cell.refs {
+            let Some(child) = self.lib.cell_id(&r.cell) else {
+                continue;
+            };
+            let child_bbox = self.subtree_bboxes[child.0];
+            if child_bbox.is_empty() {
+                continue;
+            }
+            for inst in r.instances_meeting(child_bbox, local) {
+                visits.instances += 1;
+                self.walk(child, &inst.then(t), out, visits);
             }
         }
     }

@@ -20,7 +20,7 @@
 //! `tests/tiled_print_properties.rs`) compare every merged result with
 //! the flat engine's.
 
-use crate::library::{collect_used_layers, collect_window_rects, compute_subtree_bboxes};
+use crate::library::{collect_used_layers, compute_subtree_bboxes, ShapeIndex, Visits, WindowWalk};
 use crate::{CellId, FlatLayout, Layer, LayoutError, Library};
 use dfm_geom::{Coord, Rect, Region, TileGrid, Transform};
 use std::collections::BTreeMap;
@@ -182,6 +182,10 @@ pub struct TiledLayout {
     /// Local-frame bbox of every cell's full subtree, indexed by
     /// `CellId`; used to prune the hierarchy walk per window.
     subtree_bboxes: Vec<Rect>,
+    /// Every cell's shapes, indexed per layer over their local bboxes
+    /// with a grid of the tile side; a window visits only the shapes
+    /// the index returns for it.
+    shape_index: ShapeIndex,
 }
 
 impl TiledLayout {
@@ -208,6 +212,7 @@ impl TiledLayout {
         let subtree_bboxes = compute_subtree_bboxes(&lib);
         let layers = collect_used_layers(&lib, top);
         let grid = TileGrid::new(subtree_bboxes[top.index()], config.tile);
+        let shape_index = ShapeIndex::new(&lib, config.tile);
         Ok(TiledLayout {
             config,
             grid,
@@ -215,6 +220,7 @@ impl TiledLayout {
             lib,
             top,
             subtree_bboxes,
+            shape_index,
         })
     }
 
@@ -260,16 +266,7 @@ impl TiledLayout {
             .copied()
             .filter(|l| self.layers.contains(l))
             .collect();
-        let mut rects = vec![Vec::new(); layers.len()];
-        collect_window_rects(
-            &self.lib,
-            self.top,
-            &Transform::identity(),
-            &layers,
-            window,
-            &self.subtree_bboxes,
-            &mut rects,
-        );
+        let (rects, _) = self.walk_window(window, &layers);
         let out: BTreeMap<Layer, Region> = layers
             .into_iter()
             .zip(rects.into_iter().map(Region::from_rects))
@@ -280,6 +277,22 @@ impl TiledLayout {
             window,
             layers: out,
         }
+    }
+
+    /// The rects of each of `layers` clipped to `window`, one list per
+    /// layer in no particular order, and the work the walk did to find
+    /// them.
+    pub(crate) fn walk_window(&self, window: Rect, layers: &[Layer]) -> (Vec<Vec<Rect>>, Visits) {
+        let mut rects = vec![Vec::new(); layers.len()];
+        let visits = WindowWalk {
+            lib: &self.lib,
+            subtree_bboxes: &self.subtree_bboxes,
+            shape_index: Some(&self.shape_index),
+            layers,
+            window,
+        }
+        .collect(self.top, &Transform::identity(), &mut rects);
+        (rects, visits)
     }
 
     /// Canonical content digest of tile `i` at the given halo —
@@ -560,6 +573,372 @@ mod tests {
                 check_sources_agree(&lib, &cfg, *halo)
             },
         );
+    }
+
+    /// GDSII array semantics written out, independent of the walker's
+    /// lattice: instance (c, r) is the reference's transform moved by its
+    /// linear part applied to (c · column pitch, r · row pitch).
+    fn brute_instances(r: &CellRef) -> Vec<Transform> {
+        let a = r.array.unwrap_or(ArrayParams {
+            cols: 1,
+            rows: 1,
+            col_pitch: 0,
+            row_pitch: 0,
+        });
+        let mut out = Vec::new();
+        for row in 0..a.rows as i64 {
+            for col in 0..a.cols as i64 {
+                let mut t = r.transform;
+                t.offset = t.offset
+                    + r.transform
+                        .linear_apply(Vector::new(col * a.col_pitch, row * a.row_pitch));
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    /// Bounding box of every shape under `id`, every instance expanded.
+    fn brute_bbox(lib: &Library, id: CellId) -> Rect {
+        let cell = lib.cell(id);
+        let mut b = cell.local_bbox();
+        for r in &cell.refs {
+            let child = brute_bbox(lib, lib.cell_id(&r.cell).expect("reference resolves"));
+            for t in brute_instances(r) {
+                b = b.bounding_union(&t.apply_rect(child));
+            }
+        }
+        b
+    }
+
+    /// `layer ∩ window` for every layer of `lib`'s top cell, by brute
+    /// force: every instance of every reference is tried, one whose
+    /// placed subtree bbox misses the window is skipped, and every shape
+    /// of the rest is moved and clipped. Also returns how many instances
+    /// were entered, which is what the windowed walk must enter too.
+    fn brute_window(lib: &Library, window: Rect) -> (BTreeMap<Layer, Region>, u64) {
+        fn walk(
+            lib: &Library,
+            bboxes: &BTreeMap<CellId, Rect>,
+            id: CellId,
+            t: Transform,
+            window: Rect,
+            acc: &mut BTreeMap<Layer, Vec<Rect>>,
+            entered: &mut u64,
+        ) {
+            let cell = lib.cell(id);
+            for (layer, shape) in cell.iter_shapes() {
+                let clipped = shape
+                    .transformed(&t)
+                    .to_rects()
+                    .into_iter()
+                    .filter_map(|r| r.intersection(&window));
+                acc.entry(layer).or_default().extend(clipped);
+            }
+            for r in &cell.refs {
+                let child = lib.cell_id(&r.cell).expect("reference resolves");
+                for inst in brute_instances(r) {
+                    let placed = inst.then(&t);
+                    if placed.apply_rect(bboxes[&child]).overlaps(&window) {
+                        *entered += 1;
+                        walk(lib, bboxes, child, placed, window, acc, entered);
+                    }
+                }
+            }
+        }
+        let bboxes = (0..lib.cell_count())
+            .map(|i| {
+                let id = lib.cell_id(&lib.cells()[i].name).expect("cell");
+                (id, brute_bbox(lib, id))
+            })
+            .collect();
+        let (mut acc, mut entered) = (BTreeMap::new(), 0);
+        let top = lib.top().expect("top");
+        walk(
+            lib,
+            &bboxes,
+            top,
+            Transform::identity(),
+            window,
+            &mut acc,
+            &mut entered,
+        );
+        let regions = acc
+            .into_iter()
+            .map(|(l, rects)| (l, Region::from_rects(rects)))
+            .collect();
+        (regions, entered)
+    }
+
+    /// A soup leaf arrayed `cols × rows` at the given pitches under any
+    /// rotation and mirror, next to a stack of `stack` instances at
+    /// pitch 0 in both axes, all inside `MID`, which `TOP` places
+    /// rotated, mirrored and moved when `nest` holds.
+    fn array_library(
+        leaf: &[(i64, i64, i64, i64)],
+        (cols, rows, col_pitch, row_pitch): (u16, u16, i64, i64),
+        (x, y, quarter_turns, mirror): (i64, i64, u8, bool),
+        (stack_cols, stack_rows): (u16, u16),
+        nest: bool,
+    ) -> Library {
+        let mut lib = Library::new("ARRAYS");
+        lib.add_cell(soup_cell("LEAF", leaf)).expect("leaf");
+        let mut mid = Cell::new("MID");
+        let placement = |offset: Vector| {
+            Transform::new(offset, Rotation::from_quarter_turns(quarter_turns), mirror)
+        };
+        mid.add_ref(CellRef::array(
+            "LEAF",
+            placement(Vector::new(x, y)),
+            ArrayParams {
+                cols,
+                rows,
+                col_pitch,
+                row_pitch,
+            },
+        ));
+        mid.add_ref(CellRef::array(
+            "LEAF",
+            placement(Vector::new(-x / 3, y / 2)),
+            ArrayParams {
+                cols: stack_cols,
+                rows: stack_rows,
+                col_pitch: 0,
+                row_pitch: 0,
+            },
+        ));
+        lib.add_cell(mid).expect("mid");
+        let mut top = Cell::new("TOP");
+        top.add_ref(CellRef::new(
+            "MID",
+            if nest {
+                Transform::new(
+                    Vector::new(y / 2 + 1, 7 - x),
+                    Rotation::from_quarter_turns(quarter_turns + 1),
+                    !mirror,
+                )
+            } else {
+                Transform::identity()
+            },
+        ));
+        let id = lib.add_cell(top).expect("top");
+        lib.set_top(id).expect("top id");
+        lib
+    }
+
+    /// The windowed walk against [`brute_window`] on large arrays at odd
+    /// offsets, under every rotation and mirror, with negative and zero
+    /// pitches and a stack of instances at pitch 0: random windows that
+    /// cut the lattice anywhere, and every tile view of a tiling, carry
+    /// the brute-force point sets, and each walk enters exactly the
+    /// instances whose placement overlaps its window, no column or row
+    /// more or less.
+    #[test]
+    fn windowed_walks_match_the_brute_force_expansion() {
+        let spec = (0i64..8, 0i64..8, 0i64..4, 0i64..4);
+        check(
+            "windowed_walks_match_the_brute_force_expansion",
+            &Config::with_cases(48),
+            &(
+                dfm_check::vec(spec, 1..5),
+                (1u16..90, 1u16..90, -700i64..700, -700i64..700, 0u8..6),
+                (-3001i64..3001, -3001i64..3001, 0u8..4, dfm_check::bools()),
+                (1u16..4, 1u16..4, dfm_check::bools()),
+                dfm_check::vec((0i64..1000, 0i64..1000, 1i64..400, 1i64..400), 1..6),
+                (1i64..6, 0i64..300),
+            ),
+            |(leaf, (cols, rows, cp, rp, zero), placement, (sc, sr, nest), windows, tiling)| {
+                // Pitch 0 on one axis, the other, or both, in half the cases.
+                let cp = if zero % 2 == 1 { 0 } else { *cp };
+                let rp = if matches!(zero, 2 | 3) { 0 } else { *rp };
+                let lib =
+                    array_library(leaf, (*cols, *rows, cp, rp), *placement, (*sc, *sr), *nest);
+                let (across, halo) = *tiling;
+                let bbox = TiledLayout::from_library(lib.clone(), TilingConfig::default())
+                    .expect("library")
+                    .bbox();
+                let side = bbox.width().max(bbox.height()) / across + 1;
+                let cfg = TilingConfig::builder()
+                    .tile(side)
+                    .halo(0)
+                    .build()
+                    .expect("cfg");
+                let tiled = TiledLayout::from_library(lib.clone(), cfg).expect("library");
+                let per_mille = |v: i64, span: i64| v * span / 1000;
+                let random = windows.iter().map(|&(x, y, w, h)| {
+                    let (x0, y0) = (
+                        bbox.x0 + per_mille(x, bbox.width()),
+                        bbox.y0 + per_mille(y, bbox.height()),
+                    );
+                    Rect::new(
+                        x0,
+                        y0,
+                        x0 + 1 + per_mille(w, bbox.width()),
+                        y0 + 1 + per_mille(h, bbox.height()),
+                    )
+                });
+                // Windows that only abut the first instance of each array
+                // on one side: such an instance is not entered.
+                let leaf_bbox = lib.cell(lib.cell_id("LEAF").expect("leaf")).local_bbox();
+                let mid_ref = &lib.cell(lib.top().expect("top")).refs[0];
+                let mid = lib.cell(lib.cell_id("MID").expect("mid"));
+                let abutting = mid.refs.iter().flat_map(|r| {
+                    let b = brute_instances(r)[0]
+                        .then(&mid_ref.transform)
+                        .apply_rect(leaf_bbox);
+                    [
+                        Rect::new(b.x1, b.y0, b.x1 + 40, b.y1),
+                        Rect::new(b.x0 - 40, b.y0, b.x0, b.y1),
+                        Rect::new(b.x0, b.y1, b.x1, b.y1 + 40),
+                        Rect::new(b.x0, b.y0 - 40, b.x1, b.y0),
+                    ]
+                });
+                let views = (0..tiled.tile_count()).map(|i| tiled.grid().window(i, halo));
+                for window in random.chain(abutting).chain(views) {
+                    let (rects, visits) = tiled.walk_window(window, tiled.used_layers());
+                    let (want, entered) = brute_window(&lib, window);
+                    for (&l, rects) in tiled.used_layers().iter().zip(rects) {
+                        let got = Region::from_rects(rects);
+                        prop_assert_eq!(
+                            got.rects(),
+                            want.get(&l).map_or(&[][..], Region::rects),
+                            "window {:?} layer {}",
+                            window,
+                            l
+                        );
+                    }
+                    prop_assert_eq!(visits.instances, entered, "window {:?}", window);
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Exact work of the 100-window pass over the 40 µm seed-11 block,
+    /// one cell of 9 149 shapes, at tile 4096 and halo 512: the walk
+    /// visits the 16 563 shapes whose bbox meets a window, where a walk
+    /// through every shape of the cell visited 914 900.
+    #[test]
+    fn a_window_visits_only_the_shapes_that_reach_it() {
+        let params = RoutedBlockParams {
+            width: 40_000,
+            height: 40_000,
+            ..Default::default()
+        };
+        let lib = routed_block(&Technology::n65(), params, 11);
+        let cell = lib.cell(lib.top().expect("top"));
+        assert_eq!((lib.cell_count(), cell.shape_count()), (1, 9_149));
+        let cfg = TilingConfig::builder()
+            .tile(4096)
+            .halo(512)
+            .build()
+            .expect("cfg");
+        let tiled = TiledLayout::from_library(lib.clone(), cfg).expect("hier");
+        assert_eq!(tiled.tile_count(), 100);
+        let (mut visited, mut meeting) = (0, 0);
+        for i in 0..tiled.tile_count() {
+            let window = tiled.grid().window(i, 512);
+            visited += tiled.walk_window(window, tiled.used_layers()).1.shapes;
+            meeting += cell
+                .iter_shapes()
+                .filter(|(_, s)| s.bbox().overlaps(&window))
+                .count();
+        }
+        assert_eq!((visited, meeting), (16_563, 16_563));
+    }
+
+    /// A window of a 256 × 256 SRAM array (tile 2048, halo 512) enters
+    /// exactly the bitcells whose placement overlaps it, where the array
+    /// walk entered all 65 536; and a window inside a 16 × 16 array does
+    /// the same work as the same window of the 256 × 256 one.
+    #[test]
+    fn a_window_enters_only_the_array_instances_that_reach_it() {
+        let tech = Technology::n65();
+        let cfg = TilingConfig::builder()
+            .tile(2048)
+            .halo(512)
+            .build()
+            .expect("cfg");
+        let big = crate::generate::sram_array(&tech, 256, 256);
+        let aref = big.cell(big.top().expect("top")).refs[0].clone();
+        let bitcell = big
+            .cell(big.cell_id(&aref.cell).expect("bitcell"))
+            .local_bbox();
+        let big = TiledLayout::from_library(big, cfg.clone()).expect("hier");
+        let small = TiledLayout::from_library(crate::generate::sram_array(&tech, 16, 16), cfg)
+            .expect("hier");
+        let placed: Vec<Rect> = aref
+            .instance_transforms()
+            .map(|t| t.apply_rect(bitcell))
+            .collect();
+        assert_eq!(placed.len(), 65_536);
+        for i in (0..big.tile_count()).step_by(97) {
+            let window = big.grid().window(i, 512);
+            let meeting = placed.iter().filter(|b| b.overlaps(&window)).count() as u64;
+            let visits = big.walk_window(window, big.used_layers()).1;
+            assert_eq!(visits.instances, meeting, "tile {i}");
+            assert!((1..=36).contains(&meeting), "tile {i}: {meeting}");
+        }
+        let inside = small.bbox().expanded(-1024);
+        for i in 0..small.tile_count() {
+            let window = small.grid().window(i, 512);
+            if inside.contains_rect(&window) {
+                assert_eq!(
+                    small.walk_window(window, small.used_layers()).1,
+                    big.walk_window(window, big.used_layers()).1,
+                    "window {window:?}"
+                );
+            }
+        }
+    }
+
+    /// A 32 767 × 32 767 AREF, the GDSII maximum of 1.07e9 instances, is
+    /// tiled and walked in bounded memory: its bbox comes from two corner
+    /// instances, a window far from it enters none, and a window on its
+    /// corner enters only the instances there.
+    #[test]
+    fn a_maximal_array_is_walked_by_its_lattice_ranges() {
+        let mut lib = Library::new("HUGE");
+        let mut leaf = Cell::new("LEAF");
+        leaf.add_rect(layers::METAL1, Rect::new(0, 0, 60, 60));
+        lib.add_cell(leaf).expect("leaf");
+        let mut top = Cell::new("TOP");
+        top.add_ref(CellRef::array(
+            "LEAF",
+            Transform::new(Vector::new(-5, 3), Rotation::R90, true),
+            ArrayParams {
+                cols: 32_767,
+                rows: 32_767,
+                col_pitch: 100,
+                row_pitch: -100,
+            },
+        ));
+        top.add_rect(
+            layers::METAL2,
+            Rect::new(-9_000_000, -9_000_000, -8_999_000, -8_999_000),
+        );
+        let id = lib.add_cell(top).expect("top");
+        lib.set_top(id).expect("top id");
+        let cfg = TilingConfig::builder().tile(4096).build().expect("cfg");
+        let tiled = TiledLayout::from_library(lib, cfg).expect("hier");
+        // The mirror and R90 swap the axes: column k sits 100·k above,
+        // row k 100·k left of the first instance, (-5, 3, 55, 63).
+        assert_eq!(
+            tiled.bbox(),
+            Rect::new(-9_000_000, -9_000_000, 55, 3_276_663)
+        );
+        let far = Rect::new(-9_000_500, -9_000_500, -8_990_000, -8_990_000);
+        let (rects, visits) = tiled.walk_window(far, tiled.used_layers());
+        assert_eq!(visits.instances, 0);
+        assert_eq!(
+            rects[1],
+            [Rect::new(-9_000_000, -9_000_000, -8_999_000, -8_999_000)]
+        );
+        let corner = Rect::new(-1_000, -1_000, 1_000, 1_000);
+        let (rects, visits) = tiled.walk_window(corner, tiled.used_layers());
+        // Columns 0..=9 and rows 0..=10 reach it.
+        assert_eq!(visits.instances, 110);
+        assert_eq!(rects[0].len(), 110);
     }
 
     #[test]
