@@ -346,8 +346,13 @@ pub(crate) fn collect_used_layers(lib: &Library, top: CellId) -> Vec<Layer> {
 /// One spatial index per cell and per drawn layer over the local
 /// bounding boxes of the cell's shapes, each shape keyed by its position
 /// in [`Cell::shapes`]. Built once per tiling; its grid cell is the tile
-/// side, so a window meets a handful of buckets.
+/// side, so a window meets a handful of buckets. A layer with fewer than
+/// [`SCAN_BELOW`] shapes, such as a bitcell's, has no index: scanning it
+/// costs less than the bucket lookups.
 pub(crate) struct ShapeIndex(Vec<Vec<(Layer, GridIndex<usize>)>>);
+
+/// The shape count from which a cell's layer is indexed.
+const SCAN_BELOW: usize = 32;
 
 impl ShapeIndex {
     pub(crate) fn new(lib: &Library, grid: Coord) -> ShapeIndex {
@@ -356,6 +361,7 @@ impl ShapeIndex {
                 .iter()
                 .map(|cell| {
                     cell.used_layers()
+                        .filter(|&layer| cell.shapes(layer).len() >= SCAN_BELOW)
                         .map(|layer| {
                             let mut index = GridIndex::new(grid);
                             for (k, shape) in cell.shapes(layer).iter().enumerate() {

@@ -6,7 +6,16 @@
 //! design while holding only O(tile + halo) geometry in memory. Each
 //! view is collected *directly from the hierarchy* (transform-pruned by
 //! memoized cell bounding boxes) and normalised with
-//! [`Region::from_rects`]; a full-chip flat region is never built. An
+//! [`Region::from_rects`]; a full-chip flat region is never built.
+//!
+//! A window visits only the shapes and instances that reach it. The
+//! tiling holds one [`dfm_geom::GridIndex`] per cell and drawn layer
+//! over the shapes' local bboxes, its grid cell the tile side; the walk
+//! maps the window into each cell's frame and visits what the index
+//! returns. An array reference is entered only at the column and row
+//! ranges whose placements overlap the window: a Manhattan transform
+//! maps the lattice axes to ±x and ±y, so each range is an integer
+//! division per axis. An
 //! already-flat layout is tiled as its one-cell library, so every view
 //! is streamed and normalised the same way
 //! (`tests::flat_and_hier_views_carry_identical_point_sets`).
@@ -670,12 +679,16 @@ mod tests {
         (regions, entered)
     }
 
+    /// One rect of [`soup_cell`]: lattice position and size steps.
+    type SoupSpec = (i64, i64, i64, i64);
+
     /// A soup leaf arrayed `cols × rows` at the given pitches under any
     /// rotation and mirror, next to a stack of `stack` instances at
     /// pitch 0 in both axes, all inside `MID`, which `TOP` places
-    /// rotated, mirrored and moved when `nest` holds.
+    /// rotated, mirrored and moved when `nest` holds. `TOP` holds a soup
+    /// of its own, large enough in some cases to be indexed.
     fn array_library(
-        leaf: &[(i64, i64, i64, i64)],
+        (leaf, top_soup): (&[SoupSpec], &[SoupSpec]),
         (cols, rows, col_pitch, row_pitch): (u16, u16, i64, i64),
         (x, y, quarter_turns, mirror): (i64, i64, u8, bool),
         (stack_cols, stack_rows): (u16, u16),
@@ -708,7 +721,7 @@ mod tests {
             },
         ));
         lib.add_cell(mid).expect("mid");
-        let mut top = Cell::new("TOP");
+        let mut top = soup_cell("TOP", top_soup);
         top.add_ref(CellRef::new(
             "MID",
             if nest {
@@ -740,19 +753,34 @@ mod tests {
             "windowed_walks_match_the_brute_force_expansion",
             &Config::with_cases(48),
             &(
-                dfm_check::vec(spec, 1..5),
+                (
+                    dfm_check::vec(spec, 1..5),
+                    dfm_check::vec((0i64..40, 0i64..40, 0i64..6, 0i64..6), 0..70),
+                ),
                 (1u16..90, 1u16..90, -700i64..700, -700i64..700, 0u8..6),
                 (-3001i64..3001, -3001i64..3001, 0u8..4, dfm_check::bools()),
                 (1u16..4, 1u16..4, dfm_check::bools()),
                 dfm_check::vec((0i64..1000, 0i64..1000, 1i64..400, 1i64..400), 1..6),
                 (1i64..6, 0i64..300),
             ),
-            |(leaf, (cols, rows, cp, rp, zero), placement, (sc, sr, nest), windows, tiling)| {
+            |(
+                (leaf, top),
+                (cols, rows, cp, rp, zero),
+                placement,
+                (sc, sr, nest),
+                windows,
+                tiling,
+            )| {
                 // Pitch 0 on one axis, the other, or both, in half the cases.
                 let cp = if zero % 2 == 1 { 0 } else { *cp };
                 let rp = if matches!(zero, 2 | 3) { 0 } else { *rp };
-                let lib =
-                    array_library(leaf, (*cols, *rows, cp, rp), *placement, (*sc, *sr), *nest);
+                let lib = array_library(
+                    (leaf, top),
+                    (*cols, *rows, cp, rp),
+                    *placement,
+                    (*sc, *sr),
+                    *nest,
+                );
                 let (across, halo) = *tiling;
                 let bbox = TiledLayout::from_library(lib.clone(), TilingConfig::default())
                     .expect("library")
