@@ -6,7 +6,10 @@
 //! design while holding only O(tile + halo) geometry in memory. Each
 //! view is collected *directly from the hierarchy* (transform-pruned by
 //! memoized cell bounding boxes) and normalised with
-//! [`Region::from_rects`]; a full-chip flat region is never built.
+//! [`Region::from_rects`]; a full-chip flat region is never built. An
+//! already-flat layout is tiled as its one-cell library, so every view
+//! is streamed and normalised the same way
+//! (`tests::flat_and_hier_views_carry_identical_point_sets`).
 //!
 //! A window visits only the shapes and instances that reach it. The
 //! tiling holds one [`dfm_geom::GridIndex`] per cell and drawn layer
@@ -15,10 +18,7 @@
 //! returns. An array reference is entered only at the column and row
 //! ranges whose placements overlap the window: a Manhattan transform
 //! maps the lattice axes to ±x and ±y, so each range is an integer
-//! division per axis. An
-//! already-flat layout is tiled as its one-cell library, so every view
-//! is streamed and normalised the same way
-//! (`tests::flat_and_hier_views_carry_identical_point_sets`).
+//! division per axis.
 //!
 //! Each view carries, per layer, a region whose point set is exactly
 //! `layer ∩ window`. Engines that only depend on the covered point set
@@ -782,9 +782,7 @@ mod tests {
                     *nest,
                 );
                 let (across, halo) = *tiling;
-                let bbox = TiledLayout::from_library(lib.clone(), TilingConfig::default())
-                    .expect("library")
-                    .bbox();
+                let bbox = brute_bbox(&lib, lib.top().expect("top"));
                 let side = bbox.width().max(bbox.height()) / across + 1;
                 let cfg = TilingConfig::builder()
                     .tile(side)
