@@ -96,7 +96,8 @@ awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' cra
 # a library, with a layer filter, non-square tiles and a second hierarchy
 # walk in Library::flatten; 2 770 before `gds::to_text` and
 # `Library::instance_counts`, which had no caller, were deleted; 2 706
-# before the `LayoutView` trait, which no tile caller used, went.
+# before the `LayoutView` trait, which no tile caller used, went; 2 621
+# before the windowed walk's shape index and lattice ranges (2 802).
 awk "$non_test"'{n++} END{print "crates/layout/src non-test lines: " n}' crates/layout/src/*.rs
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
