@@ -383,8 +383,9 @@ impl ShapeIndex {
     }
 }
 
-/// Work a [`WindowWalk`] did: shapes it moved into the window's frame
-/// and array or plain instances it entered.
+/// Work a [`WindowWalk`] did: shapes it tested against the window (all
+/// of a subtree that lies inside it) and array or plain instances it
+/// entered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub(crate) struct Visits {
     pub(crate) shapes: u64,
