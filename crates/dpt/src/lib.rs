@@ -49,7 +49,10 @@ pub struct DptParams {
 
 impl Default for DptParams {
     fn default() -> Self {
-        DptParams { min_same_mask_space: 130, stitch_overlap: 40 }
+        DptParams {
+            min_same_mask_space: 130,
+            stitch_overlap: 40,
+        }
     }
 }
 
@@ -92,7 +95,9 @@ pub fn conflict_graph(components: &[Region], min_space: Coord) -> Vec<(usize, us
             // Exact: does bloating one by `min_space` reach the other?
             // (Half-open semantics make "overlap after bloat s" ⇔
             // separation < s.)
-            let near = components[i].bloated(min_space).intersection(&components[j]);
+            let near = components[i]
+                .bloated(min_space)
+                .intersection(&components[j]);
             if !near.is_empty() {
                 edges.push((i, j));
             }
@@ -297,7 +302,11 @@ pub mod score {
     pub fn evaluate(decomp: &Decomposition, layer: &Region, params: DptParams) -> DptScore {
         let a = decomp.mask_a.area() as f64;
         let b = decomp.mask_b.area() as f64;
-        let density_balance = if a + b > 0.0 { 1.0 - (a - b).abs() / (a + b) } else { 1.0 };
+        let density_balance = if a + b > 0.0 {
+            1.0 - (a - b).abs() / (a + b)
+        } else {
+            1.0
+        };
 
         let features = layer.connected_components().len().max(1) as f64;
         let stitch_density = decomp.stitches.len() as f64 / features;
@@ -324,7 +333,6 @@ pub mod score {
         }
     }
 }
-
 
 /// Multi-patterning (k ≥ 2 masks) via greedy DSATUR colouring.
 ///
@@ -462,9 +470,8 @@ pub mod multi {
 
         #[test]
         fn masks_are_mutually_clear() {
-            let layer = Region::from_rects(
-                (0..9).map(|i| Rect::new(0, i * 180, 4000, i * 180 + 90)),
-            );
+            let layer =
+                Region::from_rects((0..9).map(|i| Rect::new(0, i * 180, 4000, i * 180 + 90)));
             let d = decompose_k(&layer, DptParams::default(), 3);
             assert!(d.conflicts.is_empty());
             // Within each mask, separation is at least the same-mask rule.
