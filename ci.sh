@@ -99,6 +99,17 @@ awk "$non_test"'{n++} END{print "crates/par/src/lib.rs non-test lines: " n}' cra
 # before the `LayoutView` trait, which no tile caller used, went; 2 621
 # before the windowed walk's shape index and lattice ranges (2 802).
 awk "$non_test"'{n++} END{print "crates/layout/src non-test lines: " n}' crates/layout/src/*.rs
+# One grid index: `GridIndex` is built once from its items into a dense
+# bucket array and answers one query, so its non-test code names no
+# hash map and no reusable searcher. The figure: 220 lines when it grew
+# bucket by bucket into a HashMap and deduplicated through a Searcher.
+awk "$non_test"'{n++} END{print "crates/geom/src/index.rs non-test lines: " n}' crates/geom/src/index.rs
+second_index=$(awk "$non_test"' && /HashMap|Searcher/{print FILENAME":"FNR": "$0}' crates/geom/src/index.rs)
+if [[ -n "$second_index" ]]; then
+    echo "error: GridIndex is one dense index with one query; no HashMap buckets, no Searcher:" >&2
+    echo "$second_index" >&2
+    exit 1
+fi
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
 # `dfm_par::par_*` fork region is kept only where a flat top-level
@@ -182,7 +193,7 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff. Formatting dfm-signoff moved the platform
@@ -190,7 +201,7 @@ echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-
 # service trio 1 957 → 2 218, client/server/service/sched 2 290 → 2 432,
 # shard.rs 546 → 566.
 cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
-    -p dfm-core -p dfm-signoff -p dfm-rand
+    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt
 
 echo "== doc (rustdoc, -D warnings) =="
 # Every library's docs build without a broken or private intra-doc

@@ -17,7 +17,8 @@
 //!   Minkowski bloat/shrink, area, and boundary-edge extraction,
 //! * [`Transform`] — GDSII-style placement transforms (translate, rotate by
 //!   multiples of 90°, mirror),
-//! * [`GridIndex`] — a uniform-grid spatial index for neighbour queries.
+//! * [`GridIndex`] — an immutable uniform-grid spatial index for neighbour
+//!   queries, built once from its items into one dense bucket array.
 //!
 //! # Example
 //!
@@ -47,7 +48,7 @@ pub mod trace;
 mod transform;
 
 pub use edge::{BoundaryEdges, HEdge, VEdge};
-pub use index::{GridIndex, Searcher};
+pub use index::GridIndex;
 pub use interval::{Interval, IntervalSet};
 pub use point::{Point, Vector};
 pub use polygon::{Polygon, ValidatePolygonError};

@@ -425,22 +425,17 @@ impl Region {
         }
         let bbox = other.bbox();
         let cell = ((bbox.width().max(bbox.height()) / 64).max(64)) as Coord;
-        let mut index = crate::GridIndex::new(cell);
-        for (i, r) in other.rects().iter().enumerate() {
-            index.insert(*r, i);
-        }
+        let index = crate::GridIndex::new(cell, other.rects().iter().map(|r| (*r, ())));
         // Select whole connected components, not individual rects: a
         // component counts as interacting when any of its rects touches
         // `other`.
         let comps = self.connected_components();
         let mut keep: Vec<Rect> = Vec::new();
-        let mut searcher = index.searcher();
         for comp in comps {
             let hits = comp.rects().iter().any(|r| {
-                searcher
-                    .query_with_rects(*r)
-                    .iter()
-                    .any(|(o, _)| o.touches(r))
+                let mut hit = false;
+                index.for_each_touching(*r, |_, _| hit = true);
+                hit
             });
             if hits {
                 keep.extend(comp.rects().iter().copied());

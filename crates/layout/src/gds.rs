@@ -644,18 +644,24 @@ fn parse_element(r: &mut Reader<'_>, kind: u8, start: usize) -> Result<Element, 
             let origin = pts[0];
             let t = Transform::new(origin.to_vector(), rotation, mirror);
             let inv = Transform::new(Vector::zero(), rotation, mirror).inverse();
+            // In the reference's frame the column vector must be
+            // `(k·cols, 0)` and the row vector `(0, k·rows)`: a lattice
+            // this workspace can place, with no pitch truncated.
             let col_total = inv.linear_apply(pts[1] - origin);
             let row_total = inv.linear_apply(pts[2] - origin);
-            let col_pitch = if cols > 0 {
-                col_total.x / cols as i64
-            } else {
-                0
-            };
-            let row_pitch = if rows > 0 {
-                row_total.y / rows as i64
-            } else {
-                0
-            };
+            let (n_cols, n_rows) = (i64::from(cols), i64::from(rows));
+            if col_total.y != 0
+                || col_total.x % n_cols != 0
+                || row_total.x != 0
+                || row_total.y % n_rows != 0
+            {
+                return Err(LayoutError::GdsUnsupported(format!(
+                    "aref at byte {start} is not a {cols} x {rows} lattice along its reference's axes: \
+                     column vector ({}, {}), row vector ({}, {})",
+                    col_total.x, col_total.y, row_total.x, row_total.y
+                )));
+            }
+            let (col_pitch, row_pitch) = (col_total.x / n_cols, row_total.y / n_rows);
             Ok(Element::Ref(CellRef::array(
                 sname,
                 t,
@@ -1028,6 +1034,68 @@ mod tests {
             });
             expect_parse_error(&bytes, "COLROW");
         }
+    }
+
+    /// A column vector that is not a multiple of the column count, one
+    /// off the reference's x axis, and a skewed row vector are each
+    /// refused at the element's offset, not truncated or dropped.
+    #[test]
+    fn uneven_or_skewed_aref_is_refused() {
+        let mut offset = 0;
+        for (col, row) in [
+            ((601, 0), (0, 200)),
+            ((600, 7), (0, 200)),
+            ((600, 0), (30, 200)),
+        ] {
+            let bytes = element_stream(|w| {
+                offset = w.buf.len();
+                w.rec_none(AREF);
+                w.rec_string(SNAME, "LEAF");
+                w.rec_i16(COLROW, &[3, 2]);
+                w.xy(&[
+                    Point::new(0, 0),
+                    Point::new(col.0, col.1),
+                    Point::new(row.0, row.1),
+                ]);
+                w.rec_none(ENDEL);
+            });
+            match from_bytes(&bytes) {
+                Err(LayoutError::GdsUnsupported(message)) => {
+                    assert!(
+                        message.contains(&format!("aref at byte {offset} ")),
+                        "{message}"
+                    )
+                }
+                other => panic!("{col:?} / {row:?}: wanted GdsUnsupported, got {other:?}"),
+            }
+        }
+    }
+
+    /// An array under a rotated, mirrored transform with negative pitches
+    /// is written and read back as the same reference.
+    #[test]
+    fn rotated_mirrored_aref_round_trips() {
+        let mut lib = Library::new("arr");
+        let mut leaf = Cell::new("LEAF");
+        leaf.add_rect(layers::METAL1, Rect::new(0, 0, 50, 20));
+        lib.add_cell(leaf).expect("add leaf");
+        let mut top = Cell::new("TOP");
+        for rotation in [Rotation::R90, Rotation::R180, Rotation::R270] {
+            top.add_ref(CellRef::array(
+                "LEAF",
+                Transform::new(Vector::new(-70, 130), rotation, true),
+                ArrayParams {
+                    cols: 4,
+                    rows: 3,
+                    col_pitch: -810,
+                    row_pitch: 720,
+                },
+            ));
+        }
+        lib.add_cell(top).expect("add top");
+        let back = from_bytes(&to_bytes(&lib).expect("serialise")).expect("parse");
+        let refs = |lib: &Library| lib.cell(lib.cell_id("TOP").expect("top")).refs.clone();
+        assert_eq!(refs(&back), refs(&lib));
     }
 
     #[test]

@@ -363,11 +363,8 @@ impl ShapeIndex {
                     cell.used_layers()
                         .filter(|&layer| cell.shapes(layer).len() >= SCAN_BELOW)
                         .map(|layer| {
-                            let mut index = GridIndex::new(grid);
-                            for (k, shape) in cell.shapes(layer).iter().enumerate() {
-                                index.insert(shape.bbox(), k);
-                            }
-                            (layer, index)
+                            let shapes = cell.shapes(layer).iter().map(|s| s.bbox());
+                            (layer, GridIndex::new(grid, shapes.zip(0..)))
                         })
                         .collect()
                 })

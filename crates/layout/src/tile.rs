@@ -12,10 +12,12 @@
 //! (`tests::flat_and_hier_views_carry_identical_point_sets`).
 //!
 //! A window visits only the shapes and instances that reach it. The
-//! tiling holds one [`dfm_geom::GridIndex`] per cell and drawn layer
-//! over the shapes' local bboxes, its grid cell the tile side; the walk
-//! maps the window into each cell's frame and visits what the index
-//! returns. An array reference is entered only at the column and row
+//! tiling holds one [`dfm_geom::GridIndex`] per cell and drawn layer of
+//! 32 shapes or more over the shapes' local bboxes, its grid cell the
+//! tile side (or coarser, when the shapes lie far apart: an index's
+//! buckets are bounded by its entries); the walk maps the window into
+//! each cell's frame and visits what the index returns, in no order,
+//! since a view is normalised. An array reference is entered only at the column and row
 //! ranges whose placements overlap the window: a Manhattan transform
 //! maps the lattice axes to ±x and ±y, so each range is an integer
 //! division per axis.

@@ -398,6 +398,65 @@ fn every_drain_refusal_answers_code_draining() {
     }
 }
 
+/// An AREF whose column or row vector is not a whole lattice along its
+/// reference's axes is refused at submit as `bad_request`, where it was
+/// truncated or its skew dropped.
+#[test]
+fn an_uneven_or_skewed_aref_is_refused_as_bad_request() {
+    use dfm_geom::{Rect, Transform, Vector};
+    use dfm_layout::{ArrayParams, Cell, CellRef, Library};
+    use dfm_signoff::ErrorCode;
+
+    let mut lib = Library::new("arr");
+    let mut leaf = Cell::new("LEAF");
+    leaf.add_rect(layers::METAL1, Rect::new(0, 0, 100, 90));
+    lib.add_cell(leaf).expect("leaf");
+    let mut top = Cell::new("TOP");
+    let array = ArrayParams {
+        cols: 3,
+        rows: 2,
+        col_pitch: 200,
+        row_pitch: 300,
+    };
+    let (ox, oy) = (1_234_567, 7_654_321);
+    let origin = Vector::new(i64::from(ox), i64::from(oy));
+    top.add_ref(CellRef::array("LEAF", Transform::translate(origin), array));
+    lib.add_cell(top).expect("top");
+    let bytes = gds::to_bytes(&lib).expect("gds");
+    // The AREF's XY record: origin, origin + (600, 0), origin + (0, 600).
+    let xy = |pts: [(i32, i32); 3]| -> Vec<u8> {
+        let mut rec = vec![0, 28, 0x10, 0x03];
+        for (x, y) in pts {
+            rec.extend(x.to_be_bytes());
+            rec.extend(y.to_be_bytes());
+        }
+        rec
+    };
+    let lattice = xy([(ox, oy), (ox + 600, oy), (ox, oy + 600)]);
+    let at = bytes
+        .windows(lattice.len())
+        .position(|w| w == lattice)
+        .expect("aref xy");
+    let service = service(1);
+    assert!(service.submit_job(spec(), bytes.clone(), None).is_ok());
+    for (col, row) in [
+        ((601, 0), (0, 600)),
+        ((600, 7), (0, 600)),
+        ((600, 0), (30, 600)),
+    ] {
+        let mut bad = bytes.clone();
+        let pts = [(ox, oy), (ox + col.0, oy + col.1), (ox + row.0, oy + row.1)];
+        bad[at..at + lattice.len()].copy_from_slice(&xy(pts));
+        match service.submit_job(spec(), bad, None) {
+            Err(err) => {
+                assert_eq!(err.code, ErrorCode::BadRequest, "{err:?}");
+                assert!(err.message.contains("aref at byte"), "{}", err.message);
+            }
+            Ok(job) => panic!("{col:?} / {row:?} was admitted as job {job}"),
+        }
+    }
+}
+
 /// `events` and `shard.pull` long-poll: at the head of a running job
 /// the server answers with the next entry (or the settle), never with
 /// an empty delta; at the head of a settled job it answers empty at

@@ -56,23 +56,17 @@ pub fn classify(vias: &Region, pair_distance: i64) -> ViaStats {
         root
     }
     let cell = (pair_distance.max(1)) * 4;
-    let mut index = GridIndex::new(cell);
+    let index = GridIndex::new(cell, rects.iter().copied().zip(0..));
     for (i, r) in rects.iter().enumerate() {
-        index.insert(*r, i);
-    }
-    let mut searcher = index.searcher();
-    for (i, r) in rects.iter().enumerate() {
-        for &&j in searcher.query(r.expanded(pair_distance)).iter() {
-            if j > i {
-                let (dx, dy) = r.gap(&rects[j]);
-                if dx.max(dy) <= pair_distance {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                    if a != b {
-                        parent[a] = b;
-                    }
+        index.for_each_touching(r.expanded(pair_distance), |o, &j| {
+            let (dx, dy) = r.gap(&o);
+            if j > i && dx.max(dy) <= pair_distance {
+                let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                if a != b {
+                    parent[a] = b;
                 }
             }
-        }
+        });
     }
     let mut sizes = std::collections::HashMap::new();
     for i in 0..n {
