@@ -284,3 +284,30 @@ fn components_match_the_pairwise_union_find() {
         },
     );
 }
+
+/// `boundary_edges` lists vertical edges in ascending `(x, y0)` and
+/// horizontal edges in ascending `(y, x0)`, as `BoundaryEdges`
+/// documents: the DRC facing sweep reads an edge's partners as one run
+/// of that order. Shapes sit on a 5-unit lattice, so rects overlap,
+/// meet edge to edge and meet corner to corner often.
+#[test]
+fn boundary_edges_come_sorted_along_their_axis() {
+    let lattice = (0i64..10, 0i64..10, 1i64..4, 1i64..4)
+        .prop_map(|(x, y, w, h)| Rect::new(x * 5, y * 5, (x + w) * 5, (y + h) * 5));
+    let gen = dfm_check::vec(lattice, 0..16).prop_map(Region::from_rects);
+    check(
+        "boundary_edges_come_sorted_along_their_axis",
+        &cfg(),
+        &gen,
+        |region| {
+            let edges = region.boundary_edges();
+            let vertical: Vec<(i64, i64)> = edges.vertical.iter().map(|e| (e.x, e.y0)).collect();
+            let horizontal: Vec<(i64, i64)> =
+                edges.horizontal.iter().map(|e| (e.y, e.x0)).collect();
+            for keys in [&vertical, &horizontal] {
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+            }
+            Ok(())
+        },
+    );
+}

@@ -761,6 +761,42 @@ mod tests {
     }
 
     #[test]
+    fn computed_partial_bytes_are_pinned() {
+        // FNV-1a (`dfm_cache`'s) over every tile's `encode_tile_partial`
+        // bytes in tile order, then over the merged report text: the
+        // 12 µm seed-11 block under the default spec (one window per
+        // tile; EXPERIMENTS.md's byte-identity tables hold the same
+        // pair), and the 6 µm block at tile 1700, halo 64 with litho on
+        // (several windows per tile).
+        use crate::checkpoint::encode_tile_partial;
+        use dfm_cache::fnv1a_64;
+        let pins = |spec: &JobSpec, gds: &[u8]| {
+            let ctx = JobContext::build(spec, gds).expect("context");
+            let partials: Vec<TilePartial> =
+                (0..ctx.tile_count()).map(|t| ctx.compute_tile(t)).collect();
+            let bytes: Vec<u8> = partials.iter().flat_map(encode_tile_partial).collect();
+            let report = ctx.merge(&partials).expect("merge").render_text(spec);
+            (fnv1a_64(&bytes), fnv1a_64(report.as_bytes()))
+        };
+        let default = JobSpec {
+            tile: 2048,
+            ..JobSpec::default()
+        };
+        let got = [
+            pins(&default, &block_gds(12_000, 11)),
+            pins(&spec(), &small_gds()),
+        ];
+        assert_eq!(
+            got,
+            [
+                (0xa07f_8a02_b000_feea, 0xccf1_d568_f22b_8546),
+                (0x1412_6721_565d_37c4, 0xb56a_95bd_98ef_d781)
+            ],
+            "{got:#018x?}"
+        );
+    }
+
+    #[test]
     fn memoised_cache_keys_equal_a_fresh_contexts() {
         let gds = small_gds();
         let ctx = JobContext::build(&spec(), &gds).expect("context");
