@@ -260,7 +260,9 @@ impl Gen for LowercaseStringGen {
 
     fn generate(&self, rng: &mut Rng) -> String {
         let n = rng.range(self.len.clone());
-        (0..n).map(|_| (b'a' + rng.range(0u8..26)) as char).collect()
+        (0..n)
+            .map(|_| (b'a' + rng.range(0u8..26)) as char)
+            .collect()
     }
 
     fn shrink(&self, v: &String) -> Vec<String> {
@@ -334,7 +336,10 @@ impl Default for Config {
 impl Config {
     /// Default configuration with the given case budget.
     pub fn with_cases(cases: u32) -> Config {
-        Config { cases, ..Config::default() }
+        Config {
+            cases,
+            ..Config::default()
+        }
     }
 
     /// Sets the run seed.
@@ -389,12 +394,7 @@ fn case_seed(run_seed: u64, name: &str, index: u64) -> u64 {
 /// `cfg.cases` random cases. On failure the counterexample is shrunk
 /// and — when a corpus file is configured and the failure came from a
 /// random case — its seed is appended to the corpus.
-pub fn check<G: Gen>(
-    name: &str,
-    cfg: &Config,
-    gen: &G,
-    prop: impl Fn(&G::Value) -> PropResult,
-) {
+pub fn check<G: Gen>(name: &str, cfg: &Config, gen: &G, prop: impl Fn(&G::Value) -> PropResult) {
     if let Some(failure) = check_outcome(name, cfg, gen, &prop) {
         if failure.case.is_some() {
             if let Some(path) = &cfg.corpus {
@@ -502,7 +502,14 @@ fn shrink_failure<G: Gen>(
         }
         break; // no candidate failed: local minimum
     }
-    FailureInfo { seed, case, original, shrunk, shrink_steps: steps, message }
+    FailureInfo {
+        seed,
+        case,
+        original,
+        shrunk,
+        shrink_steps: steps,
+        message,
+    }
 }
 
 /// Parses a corpus file into `(optional property tag, seed)` entries.
@@ -525,7 +532,11 @@ pub fn read_corpus(path: &Path) -> Vec<(Option<String>, u64)> {
         let first = tokens.next().unwrap_or("");
         let (tag, seed_tok) = match tokens.next() {
             Some(second) => (
-                if first == "*" { None } else { Some(first.to_string()) },
+                if first == "*" {
+                    None
+                } else {
+                    Some(first.to_string())
+                },
                 second,
             ),
             None => (None, first),
@@ -610,7 +621,11 @@ macro_rules! prop_assert_ne {
         if left == right {
             return Err(format!(
                 "assertion failed: {} != {} (both {:?}) at {}:{}",
-                stringify!($a), stringify!($b), left, file!(), line!()
+                stringify!($a),
+                stringify!($b),
+                left,
+                file!(),
+                line!()
             ));
         }
     }};
@@ -669,7 +684,12 @@ mod tests {
             Ok(())
         })
         .expect("must fail");
-        assert_eq!(out.shrunk.len(), 1, "one offending element: {:?}", out.shrunk);
+        assert_eq!(
+            out.shrunk.len(),
+            1,
+            "one offending element: {:?}",
+            out.shrunk
+        );
         assert_eq!(out.shrunk[0], 101, "minimal offender: {:?}", out.shrunk);
     }
 
@@ -761,10 +781,8 @@ mod tests {
 
     #[test]
     fn corpus_parser_accepts_comments_and_bare_seeds() {
-        let path = std::env::temp_dir().join(format!(
-            "dfm-check-parse-{}.seeds",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("dfm-check-parse-{}.seeds", std::process::id()));
         fs::write(
             &path,
             "# header comment\n\n\
