@@ -110,6 +110,21 @@ if [[ -n "$second_index" ]]; then
     echo "$second_index" >&2
     exit 1
 fi
+# One index per prepared layer: boundary edges come sorted along the axis
+# a facing sweep or corner scan walks, so an edge's or a corner's
+# partners are one run of its own list, and `dfm-drc` indexes only a
+# layer's rects (`PreparedLayer::new`). The figure: `check.rs` was 764
+# lines when a prepared layer also indexed its vertical and horizontal
+# edges and each corner scan indexed its corners.
+awk "$non_test"'{n++} END{print "crates/drc/src/check.rs non-test lines: " n}' crates/drc/src/check.rs
+drc_indexes=$(find crates/drc/src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /GridIndex::new\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
+echo "GridIndex::new( sites in crates/drc/src: $(grep -c . <<<"$drc_indexes")"
+if [[ $(grep -c . <<<"$drc_indexes") -ne 1 ]]; then
+    echo "error: dfm-drc builds one index, a prepared layer's rects; partners are runs of the sorted edge and corner lists:" >&2
+    echo "$drc_indexes" >&2
+    exit 1
+fi
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
 # `dfm_par::par_*` fork region is kept only where a flat top-level
@@ -201,7 +216,7 @@ echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-
 # service trio 1 957 → 2 218, client/server/service/sched 2 290 → 2 432,
 # shard.rs 546 → 566.
 cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
-    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt
+    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt -p dfm-check
 
 echo "== doc (rustdoc, -D warnings) =="
 # Every library's docs build without a broken or private intra-doc

@@ -191,7 +191,7 @@ pub struct FacingPair {
 /// *spacings* (notches included, corner-to-corner excluded) and the
 /// local feature *widths*.
 pub fn facing_pairs(region: &Region, max: i64) -> (Vec<FacingPair>, Vec<FacingPair>) {
-    let layer = PreparedLayer::new(region, max, max);
+    let layer = PreparedLayer::new(region);
     (
         coalesced_pairs(layer.fragments(max, false)),
         coalesced_pairs(layer.fragments(max, true)),
@@ -202,7 +202,7 @@ pub fn facing_pairs(region: &Region, max: i64) -> (Vec<FacingPair>, Vec<FacingPa
 ///
 /// Returns `(violation_box, measured_width)` pairs.
 pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    coalesced_pairs(PreparedLayer::new(region, value, value).fragments(value, true))
+    coalesced_pairs(PreparedLayer::new(region).fragments(value, true))
         .into_iter()
         .map(|p| (p.location, p.distance))
         .collect()
@@ -213,7 +213,7 @@ pub fn width_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
 ///
 /// Returns `(violation_box, measured_spacing)` pairs.
 pub fn spacing_violations(region: &Region, value: i64) -> Vec<(Rect, i64)> {
-    let layer = PreparedLayer::new(region, value, value);
+    let layer = PreparedLayer::new(region);
     let mut out: Vec<(Rect, i64)> = coalesced_pairs(layer.fragments(value, false))
         .into_iter()
         .map(|p| (p.location, p.distance))
@@ -293,47 +293,30 @@ fn coalesce_fragments(mut frags: Vec<PairFragment>) -> Vec<PairFragment> {
     out
 }
 
-/// One region's boundary edges and spatial indexes, built once and read
-/// by every facing-pair sweep and corner scan of the layer: the layer's
-/// two queries, [`fragments`](PreparedLayer::fragments) and
-/// [`corner_gaps`](PreparedLayer::corner_gaps). An index reports its
-/// hits in no promised order, so both sort the ids they collect before
-/// they emit anything.
+/// One region's boundary edges and rect index, built once and read by
+/// every facing-pair sweep and corner scan of the layer: the layer's two
+/// queries, [`fragments`](PreparedLayer::fragments) and
+/// [`corner_gaps`](PreparedLayer::corner_gaps), at any value.
 ///
-/// The cell sizes come from the values the consumers ask for: the edge
-/// indexes' cell is `4·reach` (the largest value, the widest sweep
-/// window) and the rect index's cell `4·grain` (the smallest, the
-/// finest probe). A query at any other value gives the same output: the
-/// sweep visits partners in index order (it sorts the ids the edge index
-/// returns), coverage runs are sorted before use, and a corner's coverage
-/// is a yes-or-no. The cells only set the cost.
+/// The edge lists come sorted along the axis a sweep walks (vertical
+/// edges by `(x, y0)`, horizontal ones by `(y, x0)`), so the partners of
+/// an edge are one run of its own list, in list order, and no edge is
+/// indexed. The rect index answers coverage probes only: coverage runs
+/// are sorted before use and a cell's coverage is a yes-or-no, so the
+/// index's cell sets the cost and never the output.
 #[derive(Clone, Debug)]
 pub(crate) struct PreparedLayer {
     edges: BoundaryEdges,
     rects: GridIndex<()>,
-    vertical: GridIndex<usize>,
-    horizontal: GridIndex<usize>,
 }
 
 impl PreparedLayer {
-    /// Prepares `region` for queries at values in `[grain, reach]`.
-    pub(crate) fn new(region: &Region, reach: i64, grain: i64) -> PreparedLayer {
-        let edges = region.boundary_edges();
-        let rects = GridIndex::new(grain.max(1) * 4, region.rects().iter().map(|r| (*r, ())));
-        let vertical = GridIndex::new(
-            reach.max(1) * 4,
-            (edges.vertical.iter().enumerate()).map(|(i, e)| (Rect::new(e.x, e.y0, e.x, e.y1), i)),
-        );
-        let horizontal = GridIndex::new(
-            reach.max(1) * 4,
-            (edges.horizontal.iter().enumerate())
-                .map(|(i, e)| (Rect::new(e.x0, e.y, e.x1, e.y), i)),
-        );
+    /// Prepares `region`: its boundary edges, and its rects indexed on
+    /// the finest grid the index's bucket bound allows.
+    pub(crate) fn new(region: &Region) -> PreparedLayer {
         PreparedLayer {
-            edges,
-            rects,
-            vertical,
-            horizontal,
+            edges: region.boundary_edges(),
+            rects: GridIndex::new(1, region.rects().iter().map(|r| (*r, ()))),
         }
     }
 
@@ -350,8 +333,9 @@ impl PreparedLayer {
     ///
     /// `value` enters the sweep only through the cutoff `b − a < value`:
     /// the edge order, the candidate test and the fragments a pair emits
-    /// (its mid-column runs) do not depend on it, and an edge within
-    /// `v < value` of `a` touches both query windows. So keeping the
+    /// (its mid-column runs) do not depend on it, and the run of partners
+    /// within `v < value` of `a` is a prefix of the run within `value`.
+    /// So keeping the
     /// fragments with `gap_hi − gap_lo < v` of a sweep at `value` yields
     /// exactly the sequence a sweep at `v` emits, in the same order —
     /// what lets a prepared tile run one sweep per layer and sense at the
@@ -435,17 +419,9 @@ impl PreparedLayer {
             }
         };
 
-        // The partners of one edge in index order, into `partners` (one
-        // buffer for the sweep): the index promises no order, and the
+        // Vertical edge pairs (gap along x). The partners of `a` are the
+        // run of edges with `a.x < b.x < a.x + value`, in list order: the
         // fragments' order reaches the tile partials' bytes.
-        let mut partners = Vec::new();
-        let partners_in = |index: &GridIndex<usize>, window: Rect, partners: &mut Vec<usize>| {
-            partners.clear();
-            index.for_each_touching(window, |_, &i| partners.push(i));
-            partners.sort_unstable();
-        };
-
-        // Vertical edge pairs (gap along x).
         let edges = &self.edges.vertical;
         for a in edges {
             // Left edge of the pair: interior to the right for width,
@@ -453,14 +429,9 @@ impl PreparedLayer {
             if a.interior_right != interior_between {
                 continue;
             }
-            let window = Rect::new(a.x + 1, a.y0, a.x + value - 1, a.y1);
-            partners_in(&self.vertical, window, &mut partners);
-            for &bi in &partners {
-                let b = edges[bi];
+            let run = &edges[edges.partition_point(|b| b.x <= a.x)..];
+            for b in run.iter().take_while(|b| b.x < a.x + value) {
                 if b.interior_right == a.interior_right {
-                    continue;
-                }
-                if b.x <= a.x || b.x - a.x >= value {
                     continue;
                 }
                 let ylo = a.y0.max(b.y0);
@@ -474,20 +445,15 @@ impl PreparedLayer {
             }
         }
 
-        // Horizontal edge pairs (gap along y).
+        // Horizontal edge pairs (gap along y), the same run along y.
         let edges = &self.edges.horizontal;
         for a in edges {
             if a.interior_up != interior_between {
                 continue;
             }
-            let window = Rect::new(a.x0, a.y + 1, a.x1, a.y + value - 1);
-            partners_in(&self.horizontal, window, &mut partners);
-            for &bi in &partners {
-                let b = edges[bi];
+            let run = &edges[edges.partition_point(|b| b.y <= a.y)..];
+            for b in run.iter().take_while(|b| b.y < a.y + value) {
                 if b.interior_up == a.interior_up {
-                    continue;
-                }
-                if b.y <= a.y || b.y - a.y >= value {
                     continue;
                 }
                 let xlo = a.x0.max(b.x0);
@@ -518,13 +484,13 @@ impl PreparedLayer {
         if edges.is_empty() || value <= 1 {
             return Vec::new();
         }
-        let mut corners: Vec<Point> = Vec::with_capacity(edges.len() * 2);
+        let mut vertices: Vec<Point> = Vec::with_capacity(edges.len() * 2);
         for e in edges {
-            corners.push(Point::new(e.x, e.y0));
-            corners.push(Point::new(e.x, e.y1));
+            vertices.push(Point::new(e.x, e.y0));
+            vertices.push(Point::new(e.x, e.y1));
         }
-        corners.sort_unstable_by_key(|p| (p.x, p.y));
-        corners.dedup();
+        vertices.sort_unstable_by_key(|p| (p.x, p.y));
+        vertices.dedup();
 
         let covered = |x: i64, y: i64| -> bool {
             let mut hit = false;
@@ -553,44 +519,27 @@ impl PreparedLayer {
                 _ => false,
             }
         };
+        // The true corners in corner order, each with its pattern.
+        let corners: Vec<(Point, [bool; 4])> = vertices
+            .into_iter()
+            .map(|p| (p, pattern(p)))
+            .filter(|&(_, cells)| is_corner(cells))
+            .collect();
 
-        let index = GridIndex::new(
-            value * 8,
-            (corners.iter().enumerate()).map(|(i, p)| (Rect::new(p.x, p.y, p.x, p.y), i)),
-        );
         let v2 = value as i128 * value as i128;
         let mut hits = Vec::new();
-        // The later corners near one corner, in corner order (the index
-        // promises none, and the hits' order reaches the bytes).
-        let mut partners = Vec::new();
-        for (i, p) in corners.iter().enumerate() {
-            let [p_ne, p_nw, p_sw, p_se] = pattern(*p);
-            if !is_corner([p_ne, p_nw, p_sw, p_se]) {
-                continue;
-            }
-            let reach = Rect::new(p.x, p.y, p.x, p.y).expanded(value);
-            partners.clear();
-            index.for_each_touching(reach, |_, &j| {
-                if j > i {
-                    partners.push(j);
-                }
-            });
-            partners.sort_unstable();
-            for &j in &partners {
-                let q = corners[j];
+        for (i, &(p, [p_ne, p_nw, p_sw, p_se])) in corners.iter().enumerate() {
+            // The partners of `p`: the later corners with `q.x < p.x +
+            // value`, in corner order (the hits' order reaches the bytes).
+            let run = corners[i + 1..]
+                .iter()
+                .take_while(|(q, _)| q.x < p.x + value);
+            for &(q, [q_ne, q_nw, q_sw, q_se]) in run {
                 let (dx, dy) = (q.x - p.x, q.y - p.y);
-                if dx <= 0 || dy == 0 || dx >= value || dy.abs() >= value {
-                    continue;
-                }
                 let d2 = dx as i128 * dx as i128 + dy as i128 * dy as i128;
-                if d2 >= v2 {
+                if dx == 0 || dy == 0 || d2 >= v2 {
                     continue;
                 }
-                let q_cells = pattern(q);
-                if !is_corner(q_cells) {
-                    continue;
-                }
-                let [q_ne, q_nw, q_sw, q_se] = q_cells;
                 let dist = (d2 as f64).sqrt().floor() as i64;
                 if dy > 0 {
                     // q is up-right of p: p must open to the NE, q to
@@ -1087,8 +1036,8 @@ mod tests {
     }
 
     /// A corner's gaps come in corner order, as the tile partials store
-    /// them: here the later partner `(1050, 1560)` sits in an earlier
-    /// bucket row of the corner index (cell 1 600) than `(1030, 1650)`.
+    /// them: the partner `(1050, 1560)` lies below `(1030, 1650)` but
+    /// comes later in corner order, so its gap comes later.
     #[test]
     fn corner_gaps_come_in_corner_order() {
         let region = Region::from_rects([
@@ -1096,7 +1045,7 @@ mod tests {
             Rect::new(1030, 1650, 1130, 1750),
             Rect::new(1050, 1560, 1150, 1600),
         ]);
-        let from_p: Vec<Rect> = PreparedLayer::new(&region, 200, 200)
+        let from_p: Vec<Rect> = PreparedLayer::new(&region)
             .corner_gaps(200)
             .into_iter()
             .map(|(r, _)| r)
@@ -1113,60 +1062,51 @@ mod tests {
 
     #[test]
     fn one_sweep_at_the_widest_value_serves_every_smaller_one() {
-        // The prepared-layer contract: a layer prepared at reach `R` and
-        // grain `g` answers every value in `[g, R]` exactly as a layer
-        // prepared at that value does (fragments in both modes, in
-        // order, and corner gaps), and filtering its sweep at `R` to gaps
-        // below a value is the sweep at that value.
+        // The prepared-layer contract: filtering a layer's sweep at `R`
+        // to gaps below a value is its sweep at that value (fragments in
+        // both modes, in order), and filtering its corner scan at `R` to
+        // distances below a value is its corner scan at that value.
         use dfm_check::{check, prop_assert_eq, Config};
         check(
             "one_sweep_at_the_widest_value_serves_every_smaller_one",
             &Config::with_cases(64),
             &(
                 dfm_check::vec((0i64..40, 0i64..40, 1i64..16, 1i64..16), 1..14),
-                0i64..40,
-                0i64..60,
+                0i64..100,
             ),
             |case| {
-                let (specs, grain, reach) = (&case.0, case.1, case.1 + case.2);
+                let (specs, reach) = (&case.0, case.1);
                 let region =
                     Region::from_rects(specs.iter().map(|&(x, y, w, h)| {
                         Rect::new(x * 7, y * 7, x * 7 + w * 5, y * 7 + h * 5)
                     }));
-                let prepared = PreparedLayer::new(&region, reach, grain);
-                for value in grain..=reach {
-                    let own = PreparedLayer::new(&region, value, value);
+                let layer = PreparedLayer::new(&region);
+                for value in 0..=reach {
                     for interior in [true, false] {
-                        let direct = own.fragments(value, interior);
-                        prop_assert_eq!(
-                            &prepared.fragments(value, interior),
-                            &direct,
-                            "interior {} at {} in [{}, {}]",
-                            interior,
-                            value,
-                            grain,
-                            reach
-                        );
-                        let filtered: Vec<PairFragment> = prepared
+                        let filtered: Vec<PairFragment> = layer
                             .fragments(reach, interior)
                             .into_iter()
                             .filter(|f| f.gap_hi - f.gap_lo < value)
                             .collect();
                         prop_assert_eq!(
                             &filtered,
-                            &direct,
+                            &layer.fragments(value, interior),
                             "interior {} {} < {}",
                             interior,
                             value,
                             reach
                         );
                     }
+                    let filtered: Vec<(Rect, i64)> = layer
+                        .corner_gaps(reach)
+                        .into_iter()
+                        .filter(|&(_, d)| d < value)
+                        .collect();
                     prop_assert_eq!(
-                        prepared.corner_gaps(value),
-                        own.corner_gaps(value),
-                        "corners at {} in [{}, {}]",
+                        filtered,
+                        layer.corner_gaps(value),
+                        "corners {} < {}",
                         value,
-                        grain,
                         reach
                     );
                 }

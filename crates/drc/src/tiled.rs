@@ -1,7 +1,7 @@
 //! Tile-streaming DRC: per-tile halves bit-identical to the flat engine.
 //!
 //! [`rule_view_partial`] checks one rule on a [`PreparedView`] — one
-//! tile window plus the per-layer boundary edges, spatial indexes and
+//! tile window plus the per-layer boundary edges, rect indexes and
 //! facing-pair sweeps its consumers share — so a job that checks a
 //! whole deck on a tile materialises the window once, not once per
 //! rule. It is a pure function of its arguments, so a job scheduler
@@ -221,12 +221,12 @@ pub fn rule_sweeps(rule: &Rule) -> Vec<Sweep> {
 }
 
 /// One materialised tile window plus the facts its consumers share:
-/// each non-empty swept layer prepared once (its boundary edges and
-/// spatial indexes, sized by the smallest and largest value any consumer
-/// asks of it), and one facing-pair sweep per `(layer, interior)` at the
-/// largest value any consumer asks for, already cut to the core's owned
-/// strips. A consumer with a smaller value keeps the strips closer than
-/// its own (exact: see `PreparedLayer::fragments`).
+/// each non-empty swept layer prepared once (its boundary edges and one
+/// rect index, whatever values its consumers ask for), and one
+/// facing-pair sweep per `(layer, interior)` at the largest value any
+/// consumer asks for, already cut to the core's owned strips. A consumer
+/// with a smaller value keeps the strips closer than its own (exact: see
+/// `PreparedLayer::fragments`).
 #[derive(Clone, Debug)]
 pub struct PreparedView {
     view: TileView,
@@ -238,19 +238,17 @@ impl PreparedView {
     /// Prepares `view` for consumers reading `sweeps` off it.
     pub fn new(view: TileView, sweeps: &[Sweep]) -> PreparedView {
         let mut widest: BTreeMap<(Layer, bool), i64> = BTreeMap::new();
-        let mut bounds: BTreeMap<Layer, (i64, i64)> = BTreeMap::new();
         for s in sweeps {
             let value = widest.entry((s.layer, s.interior)).or_insert(s.value);
             *value = (*value).max(s.value);
-            let (grain, reach) = bounds.entry(s.layer).or_insert((s.value, s.value));
-            *grain = (*grain).min(s.value);
-            *reach = (*reach).max(s.value);
         }
-        let layers: BTreeMap<Layer, PreparedLayer> = bounds
+        let mut swept: Vec<Layer> = widest.keys().map(|&(layer, _)| layer).collect();
+        swept.dedup();
+        let layers: BTreeMap<Layer, PreparedLayer> = swept
             .into_iter()
-            .filter_map(|(layer, (grain, reach))| {
+            .filter_map(|layer| {
                 let region = layer_region(&view, layer);
-                (!region.is_empty()).then(|| (layer, PreparedLayer::new(region, reach, grain)))
+                (!region.is_empty()).then(|| (layer, PreparedLayer::new(region)))
             })
             .collect();
         let sweeps = widest
