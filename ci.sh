@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, five engine fork regions, four tile-view sites, and the platform's and the layout crate's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, one DRC index, five engine fork regions, four tile-view sites, and the platform's and the layout crate's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -130,11 +130,14 @@ fi
 # `dfm_par::par_*` fork region is kept only where a flat top-level
 # caller measured a gain on 2 cores (EXPERIMENTS.md, fork-region
 # table): the per-rule DRC map, the anchor scan, post-litho extraction
-# and two Monte-Carlo seed fan-outs. The three raster bands went back to
-# plain loops when the tap-major blur left each band a few hundred µs
-# of work (EXPERIMENTS.md, "a blur that vectorises"). A new one
-# arrives with its measurement and a new pin; a `use dfm_par` import
-# counts as one more site, so the count cannot be dodged.
+# and two Monte-Carlo seed fan-outs. The anchor scan and the fan-outs
+# were judged again against a region known to pay and one that forks
+# nothing, and kept for good (EXPERIMENTS.md, "fork regions, judged for
+# good"). The three raster bands went back to plain loops when the
+# tap-major blur left each band a few hundred µs of work
+# (EXPERIMENTS.md, "a blur that vectorises"). A new one arrives with
+# its measurement and a new pin; a `use dfm_par` import counts as one
+# more site, so the count cannot be dodged.
 forks=$(find crates/drc/src crates/litho/src crates/yieldsim/src crates/pattern/src \
     crates/timing/src -name '*.rs' -print0 |
     xargs -0 awk "$non_test"' && /dfm_par::par_|use dfm_par/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
@@ -208,7 +211,7 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt, dfm-check) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff. Formatting dfm-signoff moved the platform
