@@ -1,6 +1,6 @@
 //! Property-based tests for the yield models (dfm-check harness).
 
-use dfm_check::{check, prop_assert, prop_assume, Config};
+use dfm_check::{check, prop_assert, prop_assert_eq, prop_assume, Config, Gen};
 use dfm_geom::{Rect, Region};
 use dfm_yield::{critical_area, model, via_model, DefectModel};
 
@@ -98,6 +98,54 @@ fn via_yield_properties() {
             if lambda < 0.01 {
                 prop_assert!((y - (-lambda).exp()).abs() < 1e-3);
             }
+            Ok(())
+        },
+    );
+}
+
+/// `classify` equals an O(n²) union-find over the via rects: two cuts
+/// share a connection when their Chebyshev gap `max(dx, dy)` is at most
+/// `pair_distance`, transitively; a group of two or more cuts is one
+/// redundant connection. Cuts are 90 wide on a 30-unit lattice, so they
+/// overlap, abut and sit 60 or 180 apart often.
+#[test]
+fn classify_matches_the_pairwise_grouping() {
+    let cut =
+        (0i64..40, 0i64..12).prop_map(|(x, y)| Rect::new(x * 30, y * 30, x * 30 + 90, y * 30 + 90));
+    check(
+        "classify_matches_the_pairwise_grouping",
+        &cfg(),
+        &(dfm_check::vec(cut, 0..24), 0usize..3),
+        |v| {
+            let (cuts, pick) = v;
+            let pair_distance = [0, 60, 180][*pick];
+            let vias = Region::from_rects(cuts.iter().copied());
+            let rects = vias.rects();
+            let mut parent: Vec<usize> = (0..rects.len()).collect();
+            fn find(parent: &[usize], mut i: usize) -> usize {
+                while parent[i] != i {
+                    i = parent[i];
+                }
+                i
+            }
+            for i in 0..rects.len() {
+                for j in (i + 1)..rects.len() {
+                    let (dx, dy) = rects[i].gap(&rects[j]);
+                    if dx.max(dy) <= pair_distance {
+                        let (a, b) = (find(&parent, i), find(&parent, j));
+                        parent[a] = b;
+                    }
+                }
+            }
+            let mut sizes = vec![0usize; rects.len()];
+            for i in 0..rects.len() {
+                sizes[find(&parent, i)] += 1;
+            }
+            let want = via_model::ViaStats {
+                single: sizes.iter().filter(|&&s| s == 1).count(),
+                redundant: sizes.iter().filter(|&&s| s >= 2).count(),
+            };
+            prop_assert_eq!(via_model::classify(&vias, pair_distance), want);
             Ok(())
         },
     );
