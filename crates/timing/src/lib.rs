@@ -162,7 +162,11 @@ impl Netlist {
                 fanouts[i.0].push(GateId(g));
             }
         }
-        Netlist { gates, fanins, fanouts }
+        Netlist {
+            gates,
+            fanins,
+            fanouts,
+        }
     }
 
     /// The gates.
@@ -314,12 +318,7 @@ pub mod sta {
     /// # Panics
     ///
     /// Panics if `l_nm.len() != netlist.len()`.
-    pub fn run(
-        netlist: &Netlist,
-        l_nm: &[f64],
-        model: &DelayModel,
-        clock_ps: f64,
-    ) -> StaResult {
+    pub fn run(netlist: &Netlist, l_nm: &[f64], model: &DelayModel, clock_ps: f64) -> StaResult {
         assert_eq!(l_nm.len(), netlist.len(), "one length per gate");
         let n = netlist.len();
         let mut arrival = vec![0.0f64; n];
@@ -360,10 +359,7 @@ pub mod sta {
             .map(|o| (o, clock_ps - arrival[o.0]))
             .collect();
         output_slack.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let worst_slack = output_slack
-            .first()
-            .map(|&(_, s)| s)
-            .unwrap_or(clock_ps);
+        let worst_slack = output_slack.first().map(|&(_, s)| s).unwrap_or(clock_ps);
 
         // Trace the critical path back from the worst output.
         let mut critical_path = Vec::new();
@@ -392,9 +388,7 @@ pub mod sta {
         v.sort_by_key(|&(o, _)| o);
         v.into_iter().map(|(_, s)| s).collect()
     }
-
 }
-
 
 /// Timing ECO: greedy gate upsizing on the critical path.
 ///
@@ -458,8 +452,7 @@ pub mod eco {
                 .filter_map(|w| {
                     let g = w[1];
                     let gate = netlist.gates()[g.0];
-                    if matches!(gate.kind, GateKind::Input | GateKind::Output)
-                        || gate.drive >= 4.0
+                    if matches!(gate.kind, GateKind::Input | GateKind::Output) || gate.drive >= 4.0
                     {
                         return None;
                     }
@@ -482,7 +475,12 @@ pub mod eco {
             }
             break; // no candidate improved the worst slack
         }
-        EcoReport { slack_trace, upsized, leakage_before_na, leakage_after_na }
+        EcoReport {
+            slack_trace,
+            upsized,
+            leakage_before_na,
+            leakage_after_na,
+        }
     }
 }
 
@@ -559,17 +557,16 @@ pub mod extract {
     /// resolved) and measures the as-printed CD at mid-height. Gates
     /// whose image vanished are floored at 40% of drawn (a broken, fast
     /// and leaky device).
-    pub fn post_litho(
-        netlist: &Netlist,
-        sim: &LithoSimulator,
-        cond: Condition,
-    ) -> Vec<f64> {
+    pub fn post_litho(netlist: &Netlist, sim: &LithoSimulator, cond: Condition) -> Vec<f64> {
         let poly = poly_layer(netlist);
         // Per-gate fine simulation: override the pixel to 2 nm so CD
         // bias of a few nm survives quantisation. Each gate's window is
         // simulated independently, so the per-gate map runs in parallel
         // (`DFM_THREADS`) with results in gate order.
-        let fine = LithoSimulator { pixel_nm: 2, ..sim.clone() };
+        let fine = LithoSimulator {
+            pixel_nm: 2,
+            ..sim.clone()
+        };
         dfm_par::par_map(netlist.gates(), |_, g| {
             if matches!(g.kind, GateKind::Input | GateKind::Output) {
                 return g.drawn_l as f64;
@@ -604,11 +601,7 @@ pub fn spearman_rank_correlation(a: &[f64], b: &[f64]) -> f64 {
     };
     let ra = rank(a);
     let rb = rank(b);
-    let d2: f64 = ra
-        .iter()
-        .zip(&rb)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum();
+    let d2: f64 = ra.iter().zip(&rb).map(|(x, y)| (x - y) * (x - y)).sum();
     1.0 - 6.0 * d2 / (n as f64 * ((n * n - 1) as f64))
 }
 
@@ -704,7 +697,11 @@ mod tests {
         let seq = bits(dfm_par::with_threads(1, run));
         assert_eq!(seq.len(), n.len());
         for threads in [2, 8] {
-            assert_eq!(bits(dfm_par::with_threads(threads, run)), seq, "threads {threads}");
+            assert_eq!(
+                bits(dfm_par::with_threads(threads, run)),
+                seq,
+                "threads {threads}"
+            );
         }
     }
 

@@ -13,7 +13,13 @@ fn slack_linear_in_clock() {
     check(
         "slack_linear_in_clock",
         &cfg(),
-        &(2usize..8, 2usize..8, 0u64..100, 100.0f64..1000.0, 1.0f64..500.0),
+        &(
+            2usize..8,
+            2usize..8,
+            0u64..100,
+            100.0f64..1000.0,
+            1.0f64..500.0,
+        ),
         |v| {
             let (levels, width, seed, clock, extra) = *v;
             let n = Netlist::random(levels, width, seed);
