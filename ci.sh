@@ -22,7 +22,7 @@ if [[ -n "$non_path" ]]; then
 fi
 echo "ok"
 
-echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, one DRC index, five engine fork regions, four tile-view sites, and the platform's and the layout crate's non-test size =="
+echo "== guard: one atomic-write site, one wire-field reader, one per-tile slot map, one error vocabulary, one liveness signal, one way to wait, one test harness, one DRC index, one grouping sweep, five grid indexes, five engine fork regions, four tile-view sites, and the platform's and the layout crate's non-test size =="
 # Every durable file goes through dfm_cache::blob::write_atomic. A
 # second tmp+rename writer anywhere else is the duplication PR 12
 # removed; fail before it can grow its own corruption paths. "Non-test"
@@ -125,6 +125,31 @@ if [[ $(grep -c . <<<"$drc_indexes") -ne 1 ]]; then
     echo "$drc_indexes" >&2
     exit 1
 fi
+# One grouping sweep: "which rects lie within d of each other" is
+# `dfm_geom::group_within` in `region.rs` — connected components,
+# `interacting`, the via census, the redundant-via singles and the
+# min-area merge all call it — so no other non-test file keeps a
+# union-find. The workspace builds five grid indexes (the shape index,
+# a prepared layer's rects, the Monte-Carlo components, the
+# redundant-via components and cuts); it built 8 when `interacting`,
+# `classify` and `singles_of` each indexed their own rects. The figure:
+# `region.rs` was 557 lines before the sweep became `group_within`.
+awk "$non_test"'{n++} END{print "crates/geom/src/region.rs non-test lines: " n}' crates/geom/src/region.rs
+finds=$(find crates/*/src src -name '*.rs' ! -path crates/geom/src/region.rs -print0 |
+    xargs -0 awk "$non_test"' && /fn find\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
+if [[ -n "$finds" ]]; then
+    echo "error: rects within d of each other are grouped by dfm_geom::group_within; no second union-find:" >&2
+    echo "$finds" >&2
+    exit 1
+fi
+indexes=$(find crates/*/src src -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' && /GridIndex::new\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
+echo "GridIndex::new( sites in crates/*/src and src: $(grep -c . <<<"$indexes")"
+if [[ $(grep -c . <<<"$indexes") -ne 5 ]]; then
+    echo "error: a grouping question goes through group_within, not a new index; say why another is needed and re-pin (5):" >&2
+    echo "$indexes" >&2
+    exit 1
+fi
 # Tiles are the parallel unit: the service's WorkerPool runs them, and
 # a region entered on a pool worker runs inline. Inside the engines a
 # `dfm_par::par_*` fork region is kept only where a flat top-level
@@ -219,7 +244,7 @@ echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-
 # service trio 1 957 → 2 218, client/server/service/sched 2 290 → 2 432,
 # shard.rs 546 → 566.
 cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
-    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt -p dfm-check
+    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt -p dfm-check -p dfm-timing
 
 echo "== doc (rustdoc, -D warnings) =="
 # Every library's docs build without a broken or private intra-doc

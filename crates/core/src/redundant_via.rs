@@ -1,7 +1,7 @@
 //! Redundant-via insertion (experiment E2).
 
 use crate::{AppliedResult, DfmTechnique};
-use dfm_geom::{GridIndex, Rect, Region, Vector};
+use dfm_geom::{group_within, GridIndex, Rect, Region, Vector};
 use dfm_layout::{layers, FlatLayout, Technology};
 
 /// Doubles single vias where a second cut fits.
@@ -177,20 +177,16 @@ impl DfmTechnique for RedundantViaInsertion {
 
 /// The via cuts that have no partner within `pair_distance`.
 fn singles_of(vias: &Region, pair_distance: i64) -> Vec<Rect> {
-    let rects = vias.rects();
-    let ix = GridIndex::new(4 * pair_distance.max(64), rects.iter().copied().zip(0..));
+    let rects: Vec<(Rect, usize)> = vias.rects().iter().copied().zip(0..).collect();
+    let group = group_within(rects.len(), &rects, pair_distance);
+    let mut sizes = vec![0usize; rects.len()];
+    for &g in &group {
+        sizes[g] += 1;
+    }
     rects
         .iter()
-        .enumerate()
-        .filter(|&(i, r)| {
-            let mut single = true;
-            ix.for_each_touching(r.expanded(pair_distance), |o, &j| {
-                let (dx, dy) = r.gap(&o);
-                single &= j == i || dx.max(dy) > pair_distance;
-            });
-            single
-        })
-        .map(|(_, r)| *r)
+        .filter(|&&(_, i)| sizes[group[i]] == 1)
+        .map(|&(r, _)| r)
         .collect()
 }
 

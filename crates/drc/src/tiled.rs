@@ -48,7 +48,7 @@ use crate::check::{
     sort_violations, PairFragment, PreparedLayer,
 };
 use crate::{FacingPair, Rule, Violation};
-use dfm_geom::{Point, Rect, Region};
+use dfm_geom::{group_within, Point, Rect, Region};
 use dfm_layout::{Layer, TileView, TiledLayout};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -116,7 +116,7 @@ pub enum RulePartial {
     Area {
         /// Components wholly inside this tile's core.
         complete: Vec<(Rect, i128)>,
-        /// Seam-touching component pieces shipped to the union-find.
+        /// Seam-touching component pieces shipped to the merge, which groups them.
         pieces: Vec<AreaPiece>,
         /// Canonical rect count of the materialised tile view.
         rects: usize,
@@ -620,7 +620,7 @@ pub struct AreaPiece {
     /// Bounding box of the piece.
     pub bbox: Rect,
     /// The piece's rects flush against a core seam — the touch
-    /// candidates the cross-tile union-find connects on.
+    /// candidates the cross-tile grouping connects on.
     pub seam_rects: Vec<Rect>,
 }
 
@@ -670,9 +670,9 @@ fn min_area_tile(
 }
 
 /// Min-area merge half: judges complete components directly, then
-/// reassembles seam-crossing components with a union-find over closed
-/// seam-rect touches (the same 8-connectivity the flat component pass
-/// uses) and judges the unions.
+/// reassembles seam-crossing components as one grouping of the pieces
+/// by touching seam rects ([`group_within`] at `d = 0`, the same
+/// 8-connectivity the flat component pass uses) and judges the unions.
 fn min_area_merge(
     complete: Vec<(Rect, i128)>,
     pieces: Vec<AreaPiece>,
@@ -686,42 +686,22 @@ fn min_area_merge(
         }
     }
 
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let mut parent: Vec<usize> = (0..pieces.len()).collect();
-    for i in 0..pieces.len() {
-        for j in (i + 1)..pieces.len() {
-            if !pieces[i].bbox.touches(&pieces[j].bbox) {
-                continue;
-            }
-            let touch = pieces[i]
-                .seam_rects
-                .iter()
-                .any(|a| pieces[j].seam_rects.iter().any(|b| a.touches(b)));
-            if touch {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                parent[ri] = rj;
-            }
-        }
-    }
-    let mut groups: BTreeMap<usize, (Rect, i128)> = BTreeMap::new();
+    let seams: Vec<(Rect, usize)> = pieces
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| p.seam_rects.iter().map(move |r| (*r, i)))
+        .collect();
+    let group = group_within(pieces.len(), &seams, 0);
+    let mut merged: Vec<(Rect, i128)> = pieces.iter().map(|p| (p.bbox, p.area)).collect();
     for (i, piece) in pieces.iter().enumerate() {
-        let root = find(&mut parent, i);
-        groups
-            .entry(root)
-            .and_modify(|(bbox, area)| {
-                *bbox = bbox.bounding_union(&piece.bbox);
-                *area += piece.area;
-            })
-            .or_insert((piece.bbox, piece.area));
+        let g = group[i];
+        if g != i {
+            merged[g].0 = merged[g].0.bounding_union(&piece.bbox);
+            merged[g].1 += piece.area;
+        }
     }
-    for (bbox, area) in groups.into_values() {
-        if area < value as i128 {
+    for (i, (bbox, area)) in merged.into_iter().enumerate() {
+        if group[i] == i && area < value as i128 {
             violations.push(make(bbox, area as i64, value));
         }
     }

@@ -53,7 +53,7 @@ pub use interval::{Interval, IntervalSet};
 pub use point::{Point, Vector};
 pub use polygon::{Polygon, ValidatePolygonError};
 pub use rect::Rect;
-pub use region::{BoolOp, Region};
+pub use region::{group_within, BoolOp, Region};
 pub use tilegrid::TileGrid;
 pub use trace::boundary_loops;
 pub use transform::{Rotation, Transform};

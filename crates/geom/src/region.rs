@@ -423,21 +423,23 @@ impl Region {
         if other.is_empty() || self.is_empty() {
             return Region::new();
         }
-        let bbox = other.bbox();
-        let cell = ((bbox.width().max(bbox.height()) / 64).max(64)) as Coord;
-        let index = crate::GridIndex::new(cell, other.rects().iter().map(|r| (*r, ())));
         // Select whole connected components, not individual rects: a
         // component counts as interacting when any of its rects touches
-        // `other`.
+        // `other`. Components are items `0..k` and `other` is item `k`;
+        // components never touch each other, so a component shares a
+        // group with item `k` exactly when it touches `other`.
         let comps = self.connected_components();
+        let k = comps.len();
+        let mut rects: Vec<(Rect, usize)> =
+            Vec::with_capacity(self.rects.len() + other.rects.len());
+        for (c, comp) in comps.iter().enumerate() {
+            rects.extend(comp.rects().iter().map(|r| (*r, c)));
+        }
+        rects.extend(other.rects().iter().map(|r| (*r, k)));
+        let group = group_within(k + 1, &rects, 0);
         let mut keep: Vec<Rect> = Vec::new();
-        for comp in comps {
-            let hits = comp.rects().iter().any(|r| {
-                let mut hit = false;
-                index.for_each_touching(*r, |_, _| hit = true);
-                hit
-            });
-            if hits {
+        for (c, comp) in comps.iter().enumerate() {
+            if group[c] == group[k] {
                 keep.extend(comp.rects().iter().copied());
             }
         }
@@ -482,60 +484,84 @@ impl Region {
     /// Splits the region into its connected components (8-connectivity on
     /// touching rects: rects sharing an edge *or a corner* are connected).
     pub fn connected_components(&self) -> Vec<Region> {
-        let n = self.rects.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Union-find over rect indices. Touching pairs come from a sweep
-        // in `x0` order: a rect stays active until the sweep passes its
-        // `x1`, so every active rect already touches the next one in x,
-        // and only the y ranges remain to compare.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], i: usize) -> usize {
-            let mut root = i;
-            while parent[root] != root {
-                root = parent[root];
-            }
-            let mut cur = i;
-            while parent[cur] != root {
-                let next = parent[cur];
-                parent[cur] = root;
-                cur = next;
-            }
-            root
-        }
-        let rects = &self.rects;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| rects[i].x0);
-        let mut active: Vec<usize> = Vec::new();
-        for &i in &order {
-            let r = rects[i];
-            active.retain(|&j| rects[j].x1 >= r.x0);
-            for &j in &active {
-                if rects[j].y0 <= r.y1 && r.y0 <= rects[j].y1 {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-            }
-            active.push(i);
-        }
+        let rects: Vec<(Rect, usize)> = self.rects.iter().copied().zip(0..).collect();
+        let group = group_within(rects.len(), &rects, 0);
         // Groups come out in first-rect order, so the stable sort below
         // breaks bbox-corner ties the same way on every call.
-        let mut slot = vec![usize::MAX; n];
+        let mut slot = vec![usize::MAX; rects.len()];
         let mut comps: Vec<Region> = Vec::new();
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            if slot[root] == usize::MAX {
-                slot[root] = comps.len();
+        for (i, r) in self.rects.iter().enumerate() {
+            if group[i] == i {
+                slot[i] = comps.len();
                 comps.push(Region::new());
             }
-            comps[slot[root]].rects.push(self.rects[i]);
+            comps[slot[group[i]]].rects.push(*r);
         }
         comps.sort_by_key(|c| c.bbox().lo());
         comps
     }
+}
+
+/// Groups items whose rects lie within `d` of each other: item `a` joins
+/// item `b`, transitively, when a rect of `a` and a rect of `b` are at
+/// most `d` apart in Chebyshev gap, `max(dx, dy) <= d` (see
+/// [`Rect::gap`]). At `d = 0` that is [`Rect::touches`]: a shared edge or
+/// corner joins. `rects` pairs each rect with its item, `0..items`; an
+/// item may own any number of rects, none included. Returns each item's
+/// group, numbered by the group's first (lowest) item, so `group[i] ==
+/// i` marks the first item of each group.
+///
+/// The rects are swept in `x0` order: a rect stays active while the
+/// sweep is within `d` of its `x1`, so only the active rects can be
+/// within `d` in x of the next one, and a path-compressing union-find
+/// whose root is always the group's lowest item joins the pairs.
+///
+/// ```
+/// use dfm_geom::{group_within, Rect};
+/// let rects = [
+///     (Rect::new(0, 0, 10, 10), 0),
+///     (Rect::new(100, 0, 110, 10), 1),
+///     (Rect::new(14, 0, 20, 10), 2),
+/// ];
+/// assert_eq!(group_within(3, &rects, 0), [0, 1, 2]);
+/// assert_eq!(group_within(3, &rects, 4), [0, 1, 0]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if a rect's item is not below `items`.
+pub fn group_within(items: usize, rects: &[(Rect, usize)], d: Coord) -> Vec<usize> {
+    let mut parent: Vec<usize> = (0..items).collect();
+    fn find(parent: &mut [usize], i: usize) -> usize {
+        let mut root = i;
+        while parent[root] != root {
+            root = parent[root];
+        }
+        let mut cur = i;
+        while parent[cur] != root {
+            let next = parent[cur];
+            parent[cur] = root;
+            cur = next;
+        }
+        root
+    }
+    let mut order: Vec<usize> = (0..rects.len()).collect();
+    order.sort_unstable_by_key(|&i| rects[i].0.x0);
+    let mut active: Vec<usize> = Vec::new();
+    for &i in &order {
+        let (r, a) = rects[i];
+        active.retain(|&j| rects[j].0.x1 + d >= r.x0);
+        for &j in &active {
+            let (o, b) = rects[j];
+            let (dx, dy) = r.gap(&o);
+            if dx.max(dy) <= d {
+                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+                parent[ra.max(rb)] = ra.min(rb);
+            }
+        }
+        active.push(i);
+    }
+    (0..items).map(|i| find(&mut parent, i)).collect()
 }
 
 impl fmt::Debug for Region {

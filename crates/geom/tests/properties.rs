@@ -2,7 +2,7 @@
 //! (dfm-check harness; hermetic, seed-deterministic).
 
 use dfm_check::{bools, check, prop_assert, prop_assert_eq, Config, Gen};
-use dfm_geom::{Point, Rect, Region, Rotation, Transform, Vector};
+use dfm_geom::{group_within, Point, Rect, Region, Rotation, Transform, Vector};
 
 fn cfg() -> Config {
     Config::with_cases(256)
@@ -233,46 +233,78 @@ fn union_perimeter_subadditive() {
     );
 }
 
-/// `connected_components` equals an O(n²) union-find over
-/// `Rect::touches` on the region's own rects — group for group, rect
-/// for rect, in the same order (groups in first-rect order, then a
-/// stable sort by bbox low corner). Shapes sit on a 5-unit lattice, so
-/// rects meet edge to edge and corner to corner often.
+/// The O(n²) reference for item grouping: items `a` and `b` share a
+/// group when a rect of `a` and a rect of `b` have Chebyshev gap at
+/// most `d`, transitively. Each item's group is numbered by the group's
+/// first item.
+fn pairwise_groups(items: usize, rects: &[(Rect, usize)], d: i64) -> Vec<usize> {
+    let mut parent: Vec<usize> = (0..items).collect();
+    fn find(parent: &[usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            i = parent[i];
+        }
+        i
+    }
+    for i in 0..rects.len() {
+        for j in (i + 1)..rects.len() {
+            let (dx, dy) = rects[i].0.gap(&rects[j].0);
+            if dx.max(dy) <= d {
+                let (a, b) = (find(&parent, rects[i].1), find(&parent, rects[j].1));
+                parent[a] = b;
+            }
+        }
+    }
+    let mut first = vec![usize::MAX; items];
+    (0..items)
+        .map(|i| {
+            let root = find(&parent, i);
+            if first[root] == usize::MAX {
+                first[root] = i;
+            }
+            first[root]
+        })
+        .collect()
+}
+
+/// `group_within` equals the pairwise reference on items owning one to
+/// three rects at `d` ∈ {0, 1, 5, 12}, and `connected_components`
+/// equals it on the region's own rects at `d = 0` (`Rect::touches`) —
+/// group for group, rect for rect, in the same order (groups in
+/// first-rect order, then a stable sort by bbox low corner). Shapes sit
+/// on a 5-unit lattice, so rects meet edge to edge and corner to corner
+/// often, and gaps of 5 and 10 fall either side of `d`.
 #[test]
 fn components_match_the_pairwise_union_find() {
     let lattice = (0i64..10, 0i64..10, 1i64..4, 1i64..4)
         .prop_map(|(x, y, w, h)| Rect::new(x * 5, y * 5, (x + w) * 5, (y + h) * 5));
-    let gen = dfm_check::vec(lattice, 0..16).prop_map(Region::from_rects);
+    let items = dfm_check::vec(dfm_check::vec(lattice, 1..4), 0..8);
     check(
         "components_match_the_pairwise_union_find",
         &cfg(),
-        &gen,
-        |region| {
-            let rects = region.rects();
-            let mut parent: Vec<usize> = (0..rects.len()).collect();
-            fn find(parent: &[usize], mut i: usize) -> usize {
-                while parent[i] != i {
-                    i = parent[i];
+        &(items, 0usize..4),
+        |v| {
+            let (items, pick) = v;
+            let d = [0, 1, 5, 12][*pick];
+            let owned: Vec<(Rect, usize)> = (0..items.len())
+                .flat_map(|i| items[i].iter().map(move |r| (*r, i)))
+                .collect();
+            prop_assert_eq!(
+                group_within(items.len(), &owned, d),
+                pairwise_groups(items.len(), &owned, d)
+            );
+
+            let region = Region::from_rects(owned.iter().map(|(r, _)| *r));
+            let rects: Vec<(Rect, usize)> = region.rects().iter().copied().zip(0..).collect();
+            let group = pairwise_groups(rects.len(), &rects, 0);
+            let mut want: Vec<Vec<Rect>> = Vec::new();
+            let mut slot = vec![0; rects.len()];
+            for &(r, i) in &rects {
+                if group[i] == i {
+                    slot[i] = want.len();
+                    want.push(Vec::new());
                 }
-                i
+                want[slot[group[i]]].push(r);
             }
-            for i in 0..rects.len() {
-                for j in (i + 1)..rects.len() {
-                    if rects[i].touches(&rects[j]) {
-                        let (a, b) = (find(&parent, i), find(&parent, j));
-                        parent[a] = b;
-                    }
-                }
-            }
-            let mut groups: Vec<(usize, Vec<Rect>)> = Vec::new();
-            for (i, r) in rects.iter().enumerate() {
-                let root = find(&parent, i);
-                match groups.iter_mut().find(|(g, _)| *g == root) {
-                    Some((_, members)) => members.push(*r),
-                    None => groups.push((root, vec![*r])),
-                }
-            }
-            let mut want: Vec<Vec<Rect>> = groups.into_iter().map(|(_, members)| members).collect();
             want.sort_by_key(|g| g.iter().fold(g[0], |b, r| b.bounding_union(r)).lo());
             let got: Vec<Vec<Rect>> = region
                 .connected_components()

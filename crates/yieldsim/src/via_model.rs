@@ -6,7 +6,7 @@
 //! evaluates the resulting connection yield — the quantitative core of
 //! experiment E2 ("redundant vias: hit or hype?").
 
-use dfm_geom::{GridIndex, Region};
+use dfm_geom::{group_within, Rect, Region};
 
 /// Redundancy census of a via layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,49 +36,19 @@ impl ViaStats {
 /// `pair_distance` of each other (edge-to-edge, Chebyshev) are assumed to
 /// serve the same connection redundantly.
 pub fn classify(vias: &Region, pair_distance: i64) -> ViaStats {
-    let rects = vias.rects();
-    let n = rects.len();
-    if n == 0 {
-        return ViaStats::default();
+    let rects: Vec<(Rect, usize)> = vias.rects().iter().copied().zip(0..).collect();
+    let group = group_within(rects.len(), &rects, pair_distance);
+    let mut sizes = vec![0usize; rects.len()];
+    for &g in &group {
+        sizes[g] += 1;
     }
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut root = i;
-        while parent[root] != root {
-            root = parent[root];
-        }
-        let mut cur = i;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-    let cell = (pair_distance.max(1)) * 4;
-    let index = GridIndex::new(cell, rects.iter().copied().zip(0..));
-    for (i, r) in rects.iter().enumerate() {
-        index.for_each_touching(r.expanded(pair_distance), |o, &j| {
-            let (dx, dy) = r.gap(&o);
-            if j > i && dx.max(dy) <= pair_distance {
-                let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                if a != b {
-                    parent[a] = b;
-                }
-            }
-        });
-    }
-    let mut sizes = std::collections::HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        *sizes.entry(root).or_insert(0usize) += 1;
-    }
+    // Only a group's first item counts its members.
     let mut stats = ViaStats::default();
-    for (_, size) in sizes {
-        if size >= 2 {
-            stats.redundant += 1;
-        } else {
-            stats.single += 1;
+    for size in sizes {
+        match size {
+            0 => {}
+            1 => stats.single += 1,
+            _ => stats.redundant += 1,
         }
     }
     stats
@@ -100,7 +70,6 @@ pub fn expected_failures(stats: ViaStats, p_fail: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfm_geom::Rect;
 
     fn via(cx: i64, cy: i64) -> Rect {
         Rect::new(cx - 45, cy - 45, cx + 45, cy + 45)
