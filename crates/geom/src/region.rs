@@ -427,13 +427,16 @@ impl Region {
         // component counts as interacting when any of its rects touches
         // `other`. Components are items `0..k` and `other` is item `k`;
         // components never touch each other, so a component shares a
-        // group with item `k` exactly when it touches `other`.
+        // group with item `k` exactly when it touches `other`. A rect
+        // clear of `other`'s bbox touches none of its rects, so it is
+        // left out of the sweep.
         let comps = self.connected_components();
         let k = comps.len();
-        let mut rects: Vec<(Rect, usize)> =
-            Vec::with_capacity(self.rects.len() + other.rects.len());
+        let reach = other.bbox();
+        let mut rects: Vec<(Rect, usize)> = Vec::new();
         for (c, comp) in comps.iter().enumerate() {
-            rects.extend(comp.rects().iter().map(|r| (*r, c)));
+            let near = comp.rects().iter().filter(|r| r.touches(&reach));
+            rects.extend(near.map(|r| (*r, c)));
         }
         rects.extend(other.rects().iter().map(|r| (*r, k)));
         let group = group_within(k + 1, &rects, 0);
