@@ -236,7 +236,7 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt, dfm-check) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt, dfm-check, dfm-timing) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff. Formatting dfm-signoff moved the platform
