@@ -7,16 +7,88 @@
 
 use dfm_check::{check, prop_assert, prop_assert_eq, Config};
 use dfm_drc::{
-    facing_pairs, min_space_to_violations, spacing_violations, width_violations, FacingPair,
-    PairFragment,
+    facing_pairs, merge_rule_partials, min_space_to_violations, rule_tile_partial,
+    spacing_violations, wide_space_violations, width_violations, FacingPair, PairFragment, Rule,
+    TiledDrcError, Violation,
 };
 use dfm_geom::{Rect, Region};
+use dfm_layout::{layers, FlatLayout, TiledLayout, TilingConfig};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cfg() -> Config {
     Config::with_cases(64).corpus(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/engine_properties.seeds"
     ))
+}
+
+/// One rule over every tile of `flat` cut at `tile` with `halo`: each
+/// tile's partial, then the merge in tile order.
+fn check_tiles(
+    rule: &Rule,
+    flat: &FlatLayout,
+    tile: i64,
+    halo: i64,
+) -> Result<Vec<(Rect, i64)>, TiledDrcError> {
+    let config = TilingConfig::builder()
+        .tile(tile)
+        .halo(halo)
+        .build()
+        .expect("valid tiling");
+    let layout = TiledLayout::from_flat(flat.clone(), config);
+    let partials = (0..layout.tile_count())
+        .map(|i| rule_tile_partial(rule, &layout, i))
+        .collect();
+    let merged: Vec<Violation> = merge_rule_partials(rule, &layout, partials)?;
+    Ok(merged.iter().map(|v| (v.location, v.actual)).collect())
+}
+
+/// Sorts `(location, measure)` pairs as reports are sorted.
+fn sorted(mut v: Vec<(Rect, i64)>) -> Vec<(Rect, i64)> {
+    v.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
+    v
+}
+
+/// The unit cells `rects` cover, sorted and without repeats.
+fn cells_of(rects: &[Rect]) -> Vec<(i64, i64)> {
+    let mut cells: Vec<(i64, i64)> = rects
+        .iter()
+        .flat_map(|r| (r.x0..r.x1).flat_map(move |x| (r.y0..r.y1).map(move |y| (x, y))))
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
+
+/// Groups `cells` by 8-connectivity: one list of cell indices per
+/// group.
+fn cell_groups(cells: &[(i64, i64)]) -> Vec<Vec<usize>> {
+    let index: HashMap<(i64, i64), usize> =
+        cells.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    let mut seen = vec![false; cells.len()];
+    let mut groups = Vec::new();
+    for start in 0..cells.len() {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        let (mut stack, mut group) = (vec![start], Vec::new());
+        while let Some(i) = stack.pop() {
+            group.push(i);
+            let (x, y) = cells[i];
+            for (u, v) in (x - 1..=x + 1).flat_map(|u| (y - 1..=y + 1).map(move |v| (u, v))) {
+                if let Some(&j) = index.get(&(u, v)) {
+                    if !seen[j] {
+                        seen[j] = true;
+                        stack.push(j);
+                    }
+                }
+            }
+        }
+        groups.push(group);
+    }
+    groups
 }
 
 /// A lone rectangle's width violations fire exactly when either side
@@ -364,16 +436,7 @@ fn corner_gaps_match_the_brute_force_oracle() {
 /// it reports its bbox and `max(d − 1, 0)`, where `d` is its least
 /// Chebyshev cell distance to `from`.
 fn brute_min_space_to(from: &[Rect], to: &[Rect], value: i64) -> Vec<(Rect, i64)> {
-    let cells = |rects: &[Rect]| {
-        let mut cells: Vec<(i64, i64)> = rects
-            .iter()
-            .flat_map(|r| (r.x0..r.x1).flat_map(move |x| (r.y0..r.y1).map(move |y| (x, y))))
-            .collect();
-        cells.sort_unstable();
-        cells.dedup();
-        cells
-    };
-    let (from, to) = (cells(from), cells(to));
+    let (from, to) = (cells_of(from), cells_of(to));
     let dist = |(x, y): (i64, i64)| {
         from.iter()
             .map(|&(fx, fy)| (x - fx).abs().max((y - fy).abs()))
@@ -413,11 +476,14 @@ fn brute_min_space_to(from: &[Rect], to: &[Rect], value: i64) -> Vec<(Rect, i64)
     out
 }
 
-/// `min_space_to_violations` equals the brute-force near-set oracle as
-/// a sorted list, on small-grid `from`/`to` soups that overlap, touch
-/// and sit apart.
+/// `min_space_to_violations` and a tiled run (every tile's partial,
+/// then the merge) both equal the brute-force near-set oracle as a
+/// sorted list, on small-grid `from`/`to` soups that overlap, touch and
+/// sit apart. The tiled run may refuse a tile it cannot certify; at
+/// least half the runs must certify, or the comparison proves nothing.
 #[test]
 fn min_space_to_matches_the_brute_force_oracle() {
+    let (certified, runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
     check(
         "min_space_to_matches_the_brute_force_oracle",
         &cfg(),
@@ -425,6 +491,8 @@ fn min_space_to_matches_the_brute_force_oracle() {
             dfm_check::vec((0i64..16, 0i64..16, 1i64..6, 1i64..6), 0..6),
             dfm_check::vec((0i64..16, 0i64..16, 1i64..6, 1i64..6), 0..6),
             0i64..8,
+            3i64..16,
+            0i64..12,
         ),
         |case| {
             let rects = |soup: &[(i64, i64, i64, i64)]| -> Vec<Rect> {
@@ -433,19 +501,147 @@ fn min_space_to_matches_the_brute_force_oracle() {
                     .collect()
             };
             let (from, to, value) = (rects(&case.0), rects(&case.1), case.2);
-            let mut got = min_space_to_violations(
-                &Region::from_rects(from.iter().copied()),
-                &Region::from_rects(to.iter().copied()),
+            let (tile, halo) = (case.3, case.4);
+            let want = brute_min_space_to(&from, &to, value);
+            let from = Region::from_rects(from.iter().copied());
+            let to = Region::from_rects(to.iter().copied());
+            let got = sorted(min_space_to_violations(&from, &to, value));
+            prop_assert_eq!(&got, &want, "value {}", value);
+
+            let mut flat = FlatLayout::default();
+            flat.set_region(layers::METAL1, from);
+            flat.set_region(layers::METAL2, to);
+            let rule = Rule::MinSpaceTo {
+                from: layers::METAL1,
+                to: layers::METAL2,
                 value,
-            );
-            got.sort_unstable_by_key(|&(r, d)| (r.x0, r.y0, r.x1, r.y1, d));
-            prop_assert_eq!(
-                got,
-                brute_min_space_to(&from, &to, value),
-                "value {}",
-                value
-            );
+            };
+            runs.fetch_add(1, Ordering::Relaxed);
+            if let Ok(got) = check_tiles(&rule, &flat, tile, halo) {
+                certified.fetch_add(1, Ordering::Relaxed);
+                prop_assert_eq!(&got, &want, "tile {} halo {} value {}", tile, halo, value);
+            }
             Ok(())
         },
+    );
+    let (certified, runs) = (certified.into_inner(), runs.into_inner());
+    assert!(
+        2 * certified >= runs,
+        "only {certified} of {runs} tiled runs certified"
+    );
+}
+
+/// The brute-force `WideSpace` oracle, on unit cells with no `Region`
+/// operation: a cell is wide when it lies in a fully covered
+/// `(2⌊w/2⌋ + 1)²` block of cells, and components are the 8-connected
+/// covered cells. For each component with wide cells, the cells of the
+/// other components within Chebyshev cell distance `space` of those
+/// wide cells are near; each 8-connected group of near cells reports
+/// its bbox and `max(d − 1, 0)`, where `d` is its least cell distance
+/// to them (below `space`, so the cap never binds).
+fn brute_wide_space(rects: &[Rect], wide_width: i64, space: i64) -> Vec<(Rect, i64)> {
+    let cells = cells_of(rects);
+    let covered: HashSet<(i64, i64)> = cells.iter().copied().collect();
+    let side = 2 * (wide_width / 2) + 1;
+    // Blocks by their low corner: fully covered or not.
+    let full = |(bx, by): (i64, i64)| {
+        (bx..bx + side).all(|x| (by..by + side).all(|y| covered.contains(&(x, y))))
+    };
+    let wide = |(x, y): (i64, i64)| {
+        (x - side + 1..=x).any(|bx| (y - side + 1..=y).any(|by| full((bx, by))))
+    };
+    let mut out = Vec::new();
+    for comp in cell_groups(&cells) {
+        let own: HashSet<(i64, i64)> = comp.iter().map(|&i| cells[i]).collect();
+        let wide_cells: HashSet<(i64, i64)> = own.iter().copied().filter(|&c| wide(c)).collect();
+        if wide_cells.is_empty() {
+            continue;
+        }
+        // Least Chebyshev cell distance to a wide cell, if within `space`.
+        let dist = |(x, y): (i64, i64)| {
+            (0..=space).find(|&d| {
+                (x - d..=x + d).any(|u| (y - d..=y + d).any(|v| wide_cells.contains(&(u, v))))
+            })
+        };
+        let near: Vec<((i64, i64), i64)> = cells
+            .iter()
+            .filter(|c| !own.contains(c))
+            .filter_map(|&c| dist(c).map(|d| (c, d)))
+            .collect();
+        let near_cells: Vec<(i64, i64)> = near.iter().map(|&(c, _)| c).collect();
+        for group in cell_groups(&near_cells) {
+            let (x, y) = near[group[0]].0;
+            let (mut bbox, mut d) = (Rect::new(x, y, x + 1, y + 1), i64::MAX);
+            for &i in &group {
+                let ((x, y), di) = near[i];
+                bbox = bbox.bounding_union(&Rect::new(x, y, x + 1, y + 1));
+                d = d.min(di);
+            }
+            out.push((bbox, (d - 1).max(0)));
+        }
+    }
+    sorted(out)
+}
+
+/// `wide_space_violations` and a tiled run both equal the brute-force
+/// unit-cell oracle as a sorted list, on small random soups whose
+/// overlapping rects make blocks wide enough to be wide. The tiled run
+/// may refuse a tile it cannot certify; at least half the runs must
+/// certify, or the comparison proves nothing.
+#[test]
+fn wide_space_matches_the_unit_cell_oracle() {
+    let (certified, runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    check(
+        "wide_space_matches_the_unit_cell_oracle",
+        &Config::with_cases(256).corpus(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/engine_properties.seeds"
+        )),
+        &(
+            dfm_check::vec((0i64..10, 0i64..10, 1i64..10, 1i64..10), 2..14),
+            1i64..8,
+            1i64..6,
+            4i64..40,
+            0i64..40,
+        ),
+        |case| {
+            let (soup, wide_width, space) = (&case.0, case.1, case.2);
+            let (tile, halo) = (case.3, case.4);
+            let rects: Vec<Rect> = soup
+                .iter()
+                .map(|&(x, y, w, h)| Rect::new(x * 5, y * 5, x * 5 + w, y * 5 + h))
+                .collect();
+            let want = brute_wide_space(&rects, wide_width, space);
+            let region = Region::from_rects(rects.iter().copied());
+            let got = sorted(wide_space_violations(&region, wide_width, space));
+            prop_assert_eq!(&got, &want, "wide {} space {}", wide_width, space);
+
+            let mut flat = FlatLayout::default();
+            flat.set_region(layers::METAL1, region);
+            let rule = Rule::WideSpace {
+                layer: layers::METAL1,
+                wide_width,
+                space,
+            };
+            runs.fetch_add(1, Ordering::Relaxed);
+            if let Ok(got) = check_tiles(&rule, &flat, tile, halo) {
+                certified.fetch_add(1, Ordering::Relaxed);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "tile {} halo {} wide {} space {}",
+                    tile,
+                    halo,
+                    wide_width,
+                    space
+                );
+            }
+            Ok(())
+        },
+    );
+    let (certified, runs) = (certified.into_inner(), runs.into_inner());
+    assert!(
+        2 * certified >= runs,
+        "only {certified} of {runs} tiled runs certified"
     );
 }
