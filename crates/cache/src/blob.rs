@@ -81,7 +81,9 @@ pub fn write_atomic(
 /// many were removed. Call at open/resume, never while writers into
 /// `dir` are active.
 pub fn sweep_tmp(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else { return 0 };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return 0;
+    };
     entries
         .flatten()
         .map(|entry| entry.path())
@@ -116,7 +118,10 @@ mod tests {
     fn unseal_accepts_only_exactly_what_seal_produced() {
         let sealed = seal(b"payload bytes".to_vec(), fnv1a_64);
         assert_eq!(unseal(&sealed, fnv1a_64), Some(&b"payload bytes"[..]));
-        assert_eq!(unseal(&seal(Vec::new(), fnv1a_64), fnv1a_64), Some(&b""[..]));
+        assert_eq!(
+            unseal(&seal(Vec::new(), fnv1a_64), fnv1a_64),
+            Some(&b""[..])
+        );
         // Empty and shorter-than-a-checksum inputs.
         assert_eq!(unseal(b"", fnv1a_64), None);
         assert_eq!(unseal(&sealed[..7], fnv1a_64), None);
@@ -143,7 +148,13 @@ mod tests {
         let dir = fresh_dir("probe");
         let path = dir.join("entry.bin");
         let die_at = |at: Stage| {
-            move |s: Stage| if s == at { Err(io::Error::other("died")) } else { Ok(()) }
+            move |s: Stage| {
+                if s == at {
+                    Err(io::Error::other("died"))
+                } else {
+                    Ok(())
+                }
+            }
         };
         write_atomic(&path, b"new", &die_at(Stage::Tmp)).expect_err("killed at tmp");
         assert_eq!(listing(&dir), ["entry.tmp"], "exactly the orphan");
@@ -165,7 +176,11 @@ mod tests {
         let target = dir.join("victim.bin");
         fs::create_dir_all(target.join("occupied")).expect("blocker");
         write_atomic(&target, b"bytes", &|_| Ok(())).expect_err("rename must fail");
-        assert_eq!(listing(&dir), ["victim.bin"], "no tmp debris after an I/O error");
+        assert_eq!(
+            listing(&dir),
+            ["victim.bin"],
+            "no tmp debris after an I/O error"
+        );
         // Create fails outright under a missing parent.
         write_atomic(&dir.join("absent/x.bin"), b"bytes", &|_| Ok(())).expect_err("no parent");
         let _ = fs::remove_dir_all(&dir);

@@ -86,7 +86,10 @@ pub struct CacheKey {
 
 impl CacheKey {
     fn file_name(&self) -> String {
-        format!("e-{:016x}-{:016x}-{:016x}.bin", self.spec, self.deck, self.tile)
+        format!(
+            "e-{:016x}-{:016x}-{:016x}.bin",
+            self.spec, self.deck, self.tile
+        )
     }
 }
 
@@ -205,7 +208,11 @@ impl TileCache {
             }
         }
         index.next_seq = max_seq + 1;
-        Ok(TileCache { root, max_bytes, index: Mutex::new(index) })
+        Ok(TileCache {
+            root,
+            max_bytes,
+            index: Mutex::new(index),
+        })
     }
 
     /// The store's root directory.
@@ -291,7 +298,11 @@ impl TileCache {
     /// Current counters and sizes.
     pub fn stats(&self) -> CacheStats {
         let index = self.index.lock().expect("cache lock");
-        CacheStats { entries: index.entries.len(), bytes: index.total_bytes, ..index.counters }
+        CacheStats {
+            entries: index.entries.len(),
+            bytes: index.total_bytes,
+            ..index.counters
+        }
     }
 
     /// Live entry count.
@@ -307,7 +318,11 @@ impl TileCache {
     /// True when the store currently holds an entry for `key` (no
     /// bytes are read and no counters move).
     pub fn contains(&self, key: CacheKey) -> bool {
-        self.index.lock().expect("cache lock").entries.contains_key(&key)
+        self.index
+            .lock()
+            .expect("cache lock")
+            .entries
+            .contains_key(&key)
     }
 
     /// Re-validates every entry's bytes against its checksum and key,
@@ -368,12 +383,20 @@ fn decode_entry(bytes: &[u8]) -> Option<(CacheKey, u64, Vec<u8>, u64)> {
     if body.get(..4)? != MAGIC {
         return None;
     }
-    let u32_at = |at: usize| -> Option<u32> { Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?)) };
-    let u64_at = |at: usize| -> Option<u64> { Some(u64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?)) };
+    let u32_at = |at: usize| -> Option<u32> {
+        Some(u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?))
+    };
+    let u64_at = |at: usize| -> Option<u64> {
+        Some(u64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?))
+    };
     if u32_at(4)? != VERSION {
         return None;
     }
-    let key = CacheKey { spec: u64_at(8)?, deck: u64_at(16)?, tile: u64_at(24)? };
+    let key = CacheKey {
+        spec: u64_at(8)?,
+        deck: u64_at(16)?,
+        tile: u64_at(24)?,
+    };
     let seq = u64_at(32)?;
     let payload_len = u64_at(40)? as usize;
     let payload = body.get(48..)?;
@@ -395,7 +418,11 @@ mod tests {
     }
 
     fn key(tile: u64) -> CacheKey {
-        CacheKey { spec: 0x51, deck: 0xDE, tile }
+        CacheKey {
+            spec: 0x51,
+            deck: 0xDE,
+            tile,
+        }
     }
 
     #[test]
@@ -409,7 +436,10 @@ mod tests {
         assert_eq!(cache.lookup(key(1)).as_deref(), Some(&b"tile one"[..]));
         assert_eq!(cache.lookup(key(2)).as_deref(), Some(&b""[..]));
         let stats = cache.stats();
-        assert_eq!((stats.entries, stats.hits, stats.misses, stats.stores), (2, 2, 1, 2));
+        assert_eq!(
+            (stats.entries, stats.hits, stats.misses, stats.stores),
+            (2, 2, 1, 2)
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -430,7 +460,10 @@ mod tests {
         // newest entry only, by the >1 floor).
         assert!(cache.store(key(9), b"newest"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.contains(key(9)), "insertion-order eviction keeps the newest");
+        assert!(
+            cache.contains(key(9)),
+            "insertion-order eviction keeps the newest"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -477,7 +510,10 @@ mod tests {
         // Zero-length.
         fs::write(path_of(2), b"").expect("write");
         for t in 0..3 {
-            assert!(cache.lookup(key(t)).is_none(), "entry {t} must miss, not err");
+            assert!(
+                cache.lookup(key(t)).is_none(),
+                "entry {t} must miss, not err"
+            );
             assert!(!path_of(t).exists(), "entry {t} removed after detection");
         }
         let stats = cache.stats();
@@ -522,7 +558,13 @@ mod tests {
             let cache = TileCache::open(&root, None).expect("open");
             // Crash after the tmp write: no entry, an orphan tmp file.
             let die_at = |at: Stage| {
-                move |s: Stage| if s == at { Err(io::Error::other("died")) } else { Ok(()) }
+                move |s: Stage| {
+                    if s == at {
+                        Err(io::Error::other("died"))
+                    } else {
+                        Ok(())
+                    }
+                }
             };
             assert!(!cache.store_staged(key(1), b"one", &die_at(Stage::Tmp)));
             assert!(cache.lookup(key(1)).is_none());
@@ -531,7 +573,10 @@ mod tests {
             // Crash after the rename: durable but unacknowledged — this
             // process keeps treating it as absent.
             assert!(!cache.store_staged(key(2), b"two", &die_at(Stage::Rename)));
-            assert!(cache.lookup(key(2)).is_none(), "index died with the process");
+            assert!(
+                cache.lookup(key(2)).is_none(),
+                "index died with the process"
+            );
             assert_eq!(cache.stats().stores, 0);
         }
         // The restarted process sweeps the orphan and finds the
@@ -553,7 +598,10 @@ mod tests {
         assert!(cache.store(key(1), b"one"));
         assert!(cache.store(key(2), b"two"));
         fs::copy(root.join(key(1).file_name()), root.join(key(2).file_name())).expect("copy");
-        assert!(cache.lookup(key(2)).is_none(), "embedded key wins over file name");
+        assert!(
+            cache.lookup(key(2)).is_none(),
+            "embedded key wins over file name"
+        );
         assert_eq!(cache.lookup(key(1)).as_deref(), Some(&b"one"[..]));
         let _ = fs::remove_dir_all(&root);
     }
