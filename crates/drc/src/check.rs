@@ -1,5 +1,8 @@
 //! The DRC checking engine.
 
+use crate::tiled::{
+    density_merge, density_tile, enclosure_tile, min_space_to_tile, rule_tile_halo, wide_space_tile,
+};
 use crate::{DrcReport, Rule, RuleDeck, Violation};
 use dfm_geom::{BoundaryEdges, GridIndex, Point, Rect, Region};
 use dfm_layout::{FlatLayout, Layer};
@@ -62,15 +65,16 @@ pub(crate) fn or_empty(region: Option<&Region>) -> &Region {
 pub fn check_rule(rule: &Rule, layout: &FlatLayout) -> Vec<Violation> {
     let id = rule.id();
     let region = |layer: &Layer| or_empty(layout.region_ref(*layer));
+    let make = |location: Rect, actual: i64, limit: i64| Violation {
+        rule: id.clone(),
+        location,
+        actual,
+        limit,
+    };
     let against = |found: Vec<(Rect, i64)>, limit: i64| -> Vec<Violation> {
         found
             .into_iter()
-            .map(|(location, actual)| Violation {
-                rule: id.clone(),
-                location,
-                actual,
-                limit,
-            })
+            .map(|(location, actual)| make(location, actual, limit))
             .collect()
     };
     let mut out = match rule {
@@ -112,45 +116,58 @@ pub fn check_rule(rule: &Rule, layout: &FlatLayout) -> Vec<Violation> {
             window,
             min,
             max,
-        } => density_violations(region(layer), layout.bbox(), *window, *min, *max)
-            .into_iter()
-            .map(|(location, density)| {
-                let limit = if density_ppm(density) < density_ppm(*min) {
-                    *min
-                } else {
-                    *max
-                };
-                Violation {
-                    rule: id.clone(),
-                    location,
-                    actual: density_ppm(density),
-                    limit: density_ppm(limit),
-                }
-            })
-            .collect(),
+        } => {
+            // The whole layout is one tile: its core is the extent.
+            let extent = layout.bbox();
+            let windows = density_windows(extent, *window);
+            let mut totals = vec![0i128; windows.len()];
+            for (idx, area) in density_tile(region(layer), extent, extent, *window) {
+                totals[idx] += area;
+            }
+            density_merge(&windows, &totals, *min, *max, &make)
+        }
     };
     sort_violations(&mut out);
     out
 }
 
+/// A placeholder layer for the rules the region-level checks build: a
+/// rule's tile halo reads its values, never its layers.
+const ANY: Layer = Layer::new(0, 0);
+
+/// Runs a certified rule's tile kernel over the one-tile frame of
+/// `inputs`: the core is their bbox and the window is that core expanded
+/// by `rule`'s tile halo, which is what a one-tile grid gives. Every
+/// candidate's anchor lies in that core and every certification margin
+/// inside that window, so the kernel owns and certifies them all, and a
+/// refusal here is a bug.
+fn one_tile(
+    rule: &Rule,
+    inputs: &[&Region],
+    kernel: impl FnOnce(Rect, Rect) -> (Vec<(Rect, i64)>, bool),
+) -> Vec<(Rect, i64)> {
+    let core = inputs
+        .iter()
+        .fold(Rect::empty(), |b, r| b.bounding_union(&r.bbox()));
+    let (found, refused) = kernel(core, core.expanded(rule_tile_halo(rule)));
+    assert!(!refused, "the one-tile frame refused a {rule:?} candidate");
+    found
+}
+
 /// Cross-layer spacing: components of `to` closer than `value` to
-/// `from`, with the measured worst separation.
+/// `from`, with the measured worst separation — the tile kernel over
+/// the one-tile frame.
 ///
 /// Returns `(violation_box, measured_separation)` pairs.
 pub fn min_space_to_violations(from: &Region, to: &Region, value: i64) -> Vec<(Rect, i64)> {
-    let near = from.bloated(value).intersection(to);
-    near.connected_components()
-        .into_iter()
-        .map(|c| {
-            // Clip (not `interacting`) keeps the measurement local:
-            // `min_separation` is capped at `value`, and a rect beyond
-            // `value + 1` of the candidate's bbox is more than `value`
-            // away, so it can never change the answer — and a clip
-            // window is something a tile halo can reproduce exactly.
-            let from_local = from.clipped(c.bbox().expanded(value + 1));
-            (c.bbox(), min_separation(&from_local, &c, value))
-        })
-        .collect()
+    let rule = Rule::MinSpaceTo {
+        from: ANY,
+        to: ANY,
+        value,
+    };
+    one_tile(&rule, &[from, to], |core, window| {
+        min_space_to_tile(from, to, value, core, window)
+    })
 }
 
 /// Smallest Chebyshev (per-axis) separation between `a` and `b`, capped
@@ -561,63 +578,37 @@ impl PreparedLayer {
 
 /// Width-dependent ("fat wire") spacing: regions of the layer closer
 /// than `space` to a feature that is at least `wide_width` across in
-/// both axes (excluding the wide feature's own connected component).
+/// both axes (excluding the wide feature's own connected component) —
+/// the tile kernel over the one-tile frame.
 ///
 /// Returns `(violation_box, measured_separation)` pairs: the real worst
 /// separation between the wide feature and the offending neighbour.
 pub fn wide_space_violations(region: &Region, wide_width: i64, space: i64) -> Vec<(Rect, i64)> {
-    let wide = region.opened(wide_width / 2);
-    if wide.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for comp in region.connected_components() {
-        let wide_part = comp.intersection(&wide);
-        if wide_part.is_empty() {
-            continue;
-        }
-        let others = region.difference(&comp);
-        let near = wide_part.bloated(space).intersection(&others);
-        out.extend(near.connected_components().into_iter().map(|c| {
-            // Clip, not `interacting`: the measurement only sees wide
-            // material within `space` of the candidate, so the clip
-            // window bounds it exactly (and a tile halo can reproduce
-            // the same window).
-            let wide_local = wide_part.clipped(c.bbox().expanded(space + 1));
-            (c.bbox(), min_separation(&wide_local, &c, space))
-        }));
-    }
-    out
+    let rule = Rule::WideSpace {
+        layer: ANY,
+        wide_width,
+        space,
+    };
+    one_tile(&rule, &[region], |core, window| {
+        wide_space_tile(region, wide_width, space, core, window)
+    })
 }
 
-/// Regions where `inner` is not enclosed by `outer` with margin `value`.
+/// Regions where `inner` is not enclosed by `outer` with margin `value`
+/// — the tile kernel over the one-tile frame.
 ///
 /// Returns `(violation_box, measured_margin)` pairs: the real worst
 /// enclosure margin of the offending inner shapes (0 when the inner
 /// shape pokes out of `outer` entirely).
 pub fn enclosure_violations(inner: &Region, outer: &Region, value: i64) -> Vec<(Rect, i64)> {
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    let safe = outer.shrunk(value);
-    inner
-        .difference(&safe)
-        .connected_components()
-        .into_iter()
-        .map(|c| {
-            let inner_local = inner.interacting(&c);
-            // Clip, not `interacting`: a point is enclosed with margin
-            // `k ≤ value` iff its `k`-ball lies in `outer`, so outer
-            // material beyond `value + 1` of the inner bbox can never
-            // change the measured margin. A clip window is what a tile
-            // halo reproduces exactly; whole-component selection is not.
-            let outer_local = outer.clipped(inner_local.bbox().expanded(value + 1));
-            (
-                c.bbox(),
-                enclosure_margin(&inner_local, &outer_local, value),
-            )
-        })
-        .collect()
+    let rule = Rule::Enclosure {
+        inner: ANY,
+        outer: ANY,
+        value,
+    };
+    one_tile(&rule, &[inner, outer], |core, window| {
+        enclosure_tile(inner, outer, value, core, window)
+    })
 }
 
 /// Largest margin `k < value` such that `inner` stays inside
@@ -640,26 +631,6 @@ pub(crate) fn enclosure_margin(inner: &Region, outer: &Region, value: i64) -> i6
 /// tiled runs can never disagree by an ulp at a threshold.
 pub fn density_ppm(d: f64) -> i64 {
     (d * 1e6).round_ties_even() as i64
-}
-
-/// Stepped-window density analysis: windows whose metal density falls
-/// outside `[min, max]` after ppm rounding ([`density_ppm`]), with the
-/// measured density.
-pub fn density_violations(
-    region: &Region,
-    extent: Rect,
-    window: i64,
-    min: f64,
-    max: f64,
-) -> Vec<(Rect, f64)> {
-    let (min_ppm, max_ppm) = (density_ppm(min), density_ppm(max));
-    density_map(region, extent, window)
-        .into_iter()
-        .filter(|&(_, d)| {
-            let ppm = density_ppm(d);
-            ppm < min_ppm || ppm > max_ppm
-        })
-        .collect()
 }
 
 /// The canonical density-window enumeration: `window`-sized rects
@@ -915,10 +886,19 @@ mod tests {
         let map = density_map(&region, extent, 1000);
         assert_eq!(map.len(), 1);
         assert!((map[0].1 - 0.5).abs() < 1e-9);
-        let v = density_violations(&region, extent, 1000, 0.6, 0.9);
-        assert_eq!(v.len(), 1);
-        let v = density_violations(&region, extent, 1000, 0.2, 0.9);
-        assert!(v.is_empty());
+        // The far sliver stretches the extent to the whole window.
+        let flat = flat_with(
+            layers::METAL1,
+            &[Rect::new(0, 0, 500, 1000), Rect::new(999, 999, 1000, 1000)],
+        );
+        let density = |min: f64| Rule::Density {
+            layer: layers::METAL1,
+            window: 1000,
+            min,
+            max: 0.9,
+        };
+        assert_eq!(check_rule(&density(0.6), &flat).len(), 1);
+        assert!(check_rule(&density(0.2), &flat).is_empty());
     }
 
     #[test]

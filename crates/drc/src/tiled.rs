@@ -14,6 +14,16 @@
 //! [`merge_facing_pair_partials`] does the same for the facing-pair
 //! strips critical area reads off a prepared view.
 //!
+//! # One kernel per rule
+//!
+//! The certified rules and density have one kernel each, which takes
+//! regions, a core and a window, never a view. The flat engine runs the
+//! same kernels over the one-tile frame: the core is the inputs' bbox
+//! (the layout's, for density) and the window is that core expanded by
+//! [`rule_tile_halo`], exactly what a one-tile grid gives. There every
+//! candidate is owned and certified, so the flat check and a tile agree
+//! by construction, not by keeping two copies in step.
+//!
 //! # Seam dedup: the ownership rule
 //!
 //! Tile *cores* partition the layout extent (half-open), so every
@@ -340,18 +350,23 @@ pub fn rule_view_partial(rule: &Rule, prep: &PreparedView, extent: Rect) -> Rule
         actual,
         limit,
     };
-    let certified = |(violations, refused)| RulePartial::Certified {
-        violations,
-        rects,
-        refused,
-    };
+    let (core, window) = (view.core(), view.window());
+    let region = |layer: &Layer| layer_region(view, *layer);
+    let certified =
+        |(found, refused): (Vec<(Rect, i64)>, bool), limit: i64| RulePartial::Certified {
+            violations: found
+                .into_iter()
+                .map(|(location, actual)| make(location, actual, limit))
+                .collect(),
+            rects,
+            refused: refused.then(|| view.index()),
+        };
     match rule {
         Rule::MinWidth { layer, value } => RulePartial::Fragments {
             frags: prep.fragments(*layer, true, *value),
             rects,
         },
         Rule::MinSpace { layer, value } => {
-            let core = view.core();
             let corners: Vec<(Rect, i64)> = prep
                 .layers
                 .get(layer)
@@ -373,23 +388,34 @@ pub fn rule_view_partial(rule: &Rule, prep: &PreparedView, extent: Rect) -> Rule
                 rects,
             }
         }
-        Rule::Density { layer, window, .. } => RulePartial::Density {
-            partials: density_tile(view, extent, *layer, *window),
+        Rule::Density {
+            layer,
+            window: density_window,
+            ..
+        } => RulePartial::Density {
+            partials: density_tile(region(layer), core, extent, *density_window),
             rects,
         },
-        Rule::MinSpaceTo { from, to, value } => {
-            certified(min_space_to_tile(view, *from, *to, *value, &make))
-        }
+        Rule::MinSpaceTo { from, to, value } => certified(
+            min_space_to_tile(region(from), region(to), *value, core, window),
+            *value,
+        ),
         Rule::Enclosure {
             inner,
             outer,
             value,
-        } => certified(enclosure_tile(view, *inner, *outer, *value, &make)),
+        } => certified(
+            enclosure_tile(region(inner), region(outer), *value, core, window),
+            *value,
+        ),
         Rule::WideSpace {
             layer,
             wide_width,
             space,
-        } => certified(wide_space_tile(view, *layer, *wide_width, *space, &make)),
+        } => certified(
+            wide_space_tile(region(layer), *wide_width, *space, core, window),
+            *space,
+        ),
     }
 }
 
@@ -710,12 +736,15 @@ fn min_area_merge(
 
 /// Density per-tile half: exact distributed partial sums — the i128
 /// covered area of `region ∩ core ∩ window` for every canonical
-/// density window the tile's core touches. Exact at any tile size, no
-/// halo needed.
-fn density_tile(view: &TileView, extent: Rect, layer: Layer, window: i64) -> Vec<(usize, i128)> {
+/// density window of `extent` the core touches. Exact at any tile
+/// size, no halo needed.
+pub(crate) fn density_tile(
+    region: &Region,
+    core: Rect,
+    extent: Rect,
+    window: i64,
+) -> Vec<(usize, i128)> {
     let windows = density_windows(extent, window);
-    let core = view.core();
-    let region = layer_region(view, layer);
     let mut partials: Vec<(usize, i128)> = Vec::new();
     for (idx, w) in windows.iter().enumerate() {
         let Some(wc) = w.intersection(&core) else {
@@ -730,9 +759,9 @@ fn density_tile(view: &TileView, extent: Rect, layer: Layer, window: i64) -> Vec
 }
 
 /// Density merge half: the one f64 division + ppm rounding per window
-/// happens here, after the exact integer sums — identical arithmetic
-/// to the flat path.
-fn density_merge(
+/// happens here, after the exact integer sums. The flat check runs it
+/// too, over its one whole-layout partial.
+pub(crate) fn density_merge(
     windows: &[Rect],
     totals: &[i128],
     min: f64,
@@ -757,76 +786,69 @@ fn density_merge(
 }
 
 /// Cross-layer spacing, certified per candidate: the tile that owns a
-/// near-component's anchor re-runs the flat measurement (same clip
-/// window, same gap) after proving the candidate plus its
-/// interaction margin sit strictly inside the tile window.
-fn min_space_to_tile(
-    view: &TileView,
-    from: Layer,
-    to: Layer,
+/// near-component's anchor measures it (the `from` material clipped to
+/// the candidate's bbox plus `value + 1`, which bounds every gap below
+/// `value`) after proving the candidate plus its interaction margin sit
+/// strictly inside the window. Returns the owned candidates and whether
+/// the tile refused.
+pub(crate) fn min_space_to_tile(
+    from: &Region,
+    to: &Region,
     value: i64,
-    make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> (Vec<Violation>, Option<usize>) {
-    let core = view.core();
-    let window = view.window();
-    let from_w = layer_region(view, from);
-    let to_w = layer_region(view, to);
-    let near = from_w.bloated(value).intersection(to_w);
+    core: Rect,
+    window: Rect,
+) -> (Vec<(Rect, i64)>, bool) {
+    let near = from.bloated(value).intersection(to);
     let mut out = Vec::new();
     for c in near.connected_components() {
         let certified = window.contains_rect(&c.bbox().expanded(value + 2));
         if owns(core, region_anchor(&c)) && certified {
-            let from_local = from_w.clipped(c.bbox().expanded(value + 1));
-            out.push(make(
-                c.bbox(),
-                min_separation(&from_local, &c, value),
-                value,
-            ));
+            let from_local = from.clipped(c.bbox().expanded(value + 1));
+            out.push((c.bbox(), min_separation(&from_local, &c, value)));
         } else if !certified && c.bbox().touches(&core) {
-            return (out, Some(view.index()));
+            return (out, true);
         }
     }
-    (out, None)
+    (out, false)
 }
 
 /// Enclosure, certified per candidate: the owner tile proves both the
 /// under-enclosed candidate and every inner component it touches sit
 /// strictly inside the window (with the measurement margin to spare),
-/// then re-runs the flat measurement verbatim.
+/// then measures the margin of those inner components against the outer
+/// material clipped to their bbox plus `value + 1`. Returns the owned
+/// candidates and whether the tile refused.
 ///
-/// The candidates are the flat engine's `inner \ outer.shrunk(value)`,
-/// found one inner rect `r` at a time: only the outer material clipped
-/// to `r.expanded(value + 1)` is eroded. A cell of `r` survives erosion
-/// by `value` iff the `value`-square around it lies in `outer`, and
-/// that square lies inside `r.expanded(value)`, so the clipped erosion
-/// decides every cell of `r` exactly as the whole window's does — and
-/// the work is per via, not per window.
-fn enclosure_tile(
-    view: &TileView,
-    inner: Layer,
-    outer: Layer,
+/// The candidates are `inner \ outer.shrunk(value)`, found one inner
+/// rect `r` at a time: only the outer material clipped to
+/// `r.expanded(value + 1)` is eroded. A cell of `r` survives erosion by
+/// `value` iff the `value`-square around it lies in `outer`, and that
+/// square lies inside `r.expanded(value)`, so the clipped erosion
+/// decides every cell of `r` exactly as the whole layer's does — and
+/// the work is per via, not per layer.
+pub(crate) fn enclosure_tile(
+    inner: &Region,
+    outer: &Region,
     value: i64,
-    make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> (Vec<Violation>, Option<usize>) {
-    let core = view.core();
-    let window = view.window();
-    let inner_w = layer_region(view, inner);
-    let outer_w = layer_region(view, outer);
+    core: Rect,
+    window: Rect,
+) -> (Vec<(Rect, i64)>, bool) {
     let mut out = Vec::new();
-    if inner_w.is_empty() {
-        return (out, None);
+    if inner.is_empty() {
+        return (out, false);
     }
     let mut bad = Vec::new();
-    for r in inner_w.rects() {
-        let safe = outer_w.clipped(r.expanded(value + 1)).shrunk(value);
+    for r in inner.rects() {
+        let safe = outer.clipped(r.expanded(value + 1)).shrunk(value);
         bad.extend(Region::from_rect(*r).difference(&safe).into_rects());
     }
     let bad = Region::from_rects(bad);
     if bad.is_empty() {
-        return (out, None);
+        return (out, false);
     }
-    // `inner_w.interacting(&c)`, selected from one component list.
-    let inner_comps = inner_w.connected_components();
+    // `inner.interacting(&c)`, selected from one component list: a bad
+    // component lies in exactly one inner component.
+    let inner_comps = inner.connected_components();
     for c in bad.connected_components() {
         let cb = c.bbox();
         let touches_c = |k: &&Region| {
@@ -844,20 +866,20 @@ fn enclosure_tile(
         let certified = window.contains_rect(&cb.expanded(value + 2))
             && window.contains_rect(&inner_local.bbox().expanded(value + 2));
         if owns(core, region_anchor(&c)) && certified {
-            let outer_local = outer_w.clipped(inner_local.bbox().expanded(value + 1));
-            out.push(make(
-                cb,
-                enclosure_margin(&inner_local, &outer_local, value),
-                value,
-            ));
+            let outer_local = outer.clipped(inner_local.bbox().expanded(value + 1));
+            out.push((cb, enclosure_margin(&inner_local, &outer_local, value)));
         } else if !certified && cb.touches(&core) {
-            return (out, Some(view.index()));
+            return (out, true);
         }
     }
-    (out, None)
+    (out, false)
 }
 
-/// Wide-class spacing, certified per tile *and* per candidate.
+/// Wide-class spacing, certified per tile *and* per candidate: each
+/// component's wide part is `region.opened(wide_width / 2)`, and the
+/// other components' material within `space` of it is measured against
+/// the wide part clipped to the candidate's bbox plus `space + 1`.
+/// Returns the owned candidates and whether the tile refused.
 ///
 /// Wide-space is the one rule whose verdict depends on whole-component
 /// identity (the wide feature's own component is exempt from the
@@ -865,29 +887,25 @@ fn enclosure_tile(
 /// component near its core is complete — strictly inside the window.
 /// A long wire crossing the window refuses the run rather than risk a
 /// wrong wide mask or exemption.
-fn wide_space_tile(
-    view: &TileView,
-    layer: Layer,
+pub(crate) fn wide_space_tile(
+    region: &Region,
     wide_width: i64,
     space: i64,
-    make: &impl Fn(Rect, i64, i64) -> Violation,
-) -> (Vec<Violation>, Option<usize>) {
+    core: Rect,
+    window: Rect,
+) -> (Vec<(Rect, i64)>, bool) {
     let reach = wide_width + space + 4;
-    let refuse = |out: Vec<Violation>| (out, Some(view.index()));
-    let core = view.core();
-    let window = view.window();
-    let region = layer_region(view, layer);
     let zone = core.expanded(reach);
     let comps = region.connected_components();
     for comp in &comps {
         if comp.bbox().touches(&zone) && !window.contains_rect(&comp.bbox().expanded(1)) {
-            return refuse(Vec::new());
+            return (Vec::new(), true);
         }
     }
     let wide = region.opened(wide_width / 2);
     let mut out = Vec::new();
     if wide.is_empty() {
-        return (out, None);
+        return (out, false);
     }
     for comp in &comps {
         let wide_part = comp.intersection(&wide);
@@ -900,17 +918,13 @@ fn wide_space_tile(
             let certified = window.contains_rect(&c.bbox().expanded(reach));
             if owns(core, region_anchor(&c)) && certified {
                 let wide_local = wide_part.clipped(c.bbox().expanded(space + 1));
-                out.push(make(
-                    c.bbox(),
-                    min_separation(&wide_local, &c, space),
-                    space,
-                ));
+                out.push((c.bbox(), min_separation(&wide_local, &c, space)));
             } else if !certified && c.bbox().touches(&core) {
-                return refuse(out);
+                return (out, true);
             }
         }
     }
-    (out, None)
+    (out, false)
 }
 
 #[cfg(test)]
