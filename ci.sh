@@ -253,7 +253,7 @@ if [[ "$test_sleeps" -ne 0 || "$ci_sleeps" -ne 0 || "$ci_spawns" -ne 0 ]]; then
     echo "error: the CLI contract lives in tests/cli_contract.rs and waits on events, never a sleep" >&2
     exit 1
 fi
-echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt, dfm-check, dfm-timing, dfm-cache) =="
+echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-par, dfm-yield, dfm-core, dfm-signoff, dfm-rand, dfm-dpt, dfm-check, dfm-timing, dfm-cache, dfm-score) =="
 # These crates are rustfmt-clean; another crate joins the list in the
 # change that formats it, so a formatting pass never lands as unrelated
 # hunks in someone else's diff. Formatting dfm-signoff moved the platform
@@ -262,7 +262,8 @@ echo "== format (rustfmt ratchet: dfm-geom, dfm-drc, dfm-litho, dfm-layout, dfm-
 # shard.rs 546 → 566; formatting dfm-cache moved signoff+cache 8 040 →
 # 8 065.
 cargo fmt --check -p dfm-geom -p dfm-drc -p dfm-litho -p dfm-layout -p dfm-par -p dfm-yield \
-    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt -p dfm-check -p dfm-timing -p dfm-cache
+    -p dfm-core -p dfm-signoff -p dfm-rand -p dfm-dpt -p dfm-check -p dfm-timing -p dfm-cache \
+    -p dfm-score
 
 echo "== doc (rustdoc, -D warnings) =="
 # Every library's docs build without a broken or private intra-doc

@@ -137,29 +137,37 @@ impl Scorer {
 
     fn parse(kind: &str, param: Option<&str>, line_no: usize) -> Result<Scorer, String> {
         let need = |what: &str| -> Result<f64, String> {
-            let raw = param
-                .ok_or_else(|| format!("line {line_no}: scorer `{kind}` needs a {what}"))?;
+            let raw =
+                param.ok_or_else(|| format!("line {line_no}: scorer `{kind}` needs a {what}"))?;
             let v: f64 = raw
                 .parse()
                 .map_err(|_| format!("line {line_no}: bad scorer parameter `{raw}`"))?;
             if !v.is_finite() || v <= 0.0 {
-                return Err(format!("line {line_no}: scorer parameter must be > 0, got `{raw}`"));
+                return Err(format!(
+                    "line {line_no}: scorer parameter must be > 0, got `{raw}`"
+                ));
             }
             Ok(v)
         };
         match kind {
             "identity" => {
                 if param.is_some() {
-                    return Err(format!("line {line_no}: scorer `identity` takes no parameter"));
+                    return Err(format!(
+                        "line {line_no}: scorer `identity` takes no parameter"
+                    ));
                 }
                 Ok(Scorer::Identity)
             }
-            "inverse" => Ok(Scorer::Inverse { scale: need("scale")? }),
-            "linear" => Ok(Scorer::Linear { limit: need("limit")? }),
+            "inverse" => Ok(Scorer::Inverse {
+                scale: need("scale")?,
+            }),
+            "linear" => Ok(Scorer::Linear {
+                limit: need("limit")?,
+            }),
             "step" => {
                 // A step limit of 0 ("any violation fails") is legitimate.
-                let raw = param
-                    .ok_or_else(|| format!("line {line_no}: scorer `step` needs a limit"))?;
+                let raw =
+                    param.ok_or_else(|| format!("line {line_no}: scorer `step` needs a limit"))?;
                 let limit: f64 = raw
                     .parse()
                     .map_err(|_| format!("line {line_no}: bad scorer parameter `{raw}`"))?;
@@ -168,7 +176,9 @@ impl Scorer {
                 }
                 Ok(Scorer::Step { limit })
             }
-            "yield" => Ok(Scorer::PoissonYield { d0_per_cm2: need("defect density")? }),
+            "yield" => Ok(Scorer::PoissonYield {
+                d0_per_cm2: need("defect density")?,
+            }),
             other => Err(format!("line {line_no}: unknown scorer `{other}`")),
         }
     }
@@ -294,7 +304,10 @@ impl ScoreSpec {
         if rules.is_empty() {
             return Err("score spec has no `metric` lines".to_string());
         }
-        Ok(ScoreSpec { rules, pass_threshold: pass_threshold.unwrap_or(0.5) })
+        Ok(ScoreSpec {
+            rules,
+            pass_threshold: pass_threshold.unwrap_or(0.5),
+        })
     }
 
     /// Resolves CLI-style spec input: `None` or `"default"` gives the
@@ -318,8 +331,10 @@ impl ScoreSpec {
     /// ties), else `None` (the metric is ignored).
     #[must_use]
     pub fn rule_for(&self, key: &str) -> Option<&MetricRule> {
-        if let Some(exact) =
-            self.rules.iter().find(|r| !r.pattern.ends_with('*') && r.pattern == key)
+        if let Some(exact) = self
+            .rules
+            .iter()
+            .find(|r| !r.pattern.ends_with('*') && r.pattern == key)
         {
             return Some(exact);
         }
@@ -340,7 +355,9 @@ fn parse_metric_line<'a>(
         .to_string();
     if let Some(star) = pattern.find('*') {
         if star != pattern.len() - 1 {
-            return Err(format!("line {line_no}: `*` is only allowed at the end of a key"));
+            return Err(format!(
+                "line {line_no}: `*` is only allowed at the end of a key"
+            ));
         }
     }
     let mut weight: Option<f64> = None;
@@ -369,9 +386,7 @@ fn parse_metric_line<'a>(
                 // The parameter is the next word unless it is another
                 // clause keyword (identity takes none).
                 let param = match pending.last() {
-                    Some(&w) if w != "min" && w != "weight" && w != "scorer" => {
-                        pending.pop()
-                    }
+                    Some(&w) if w != "min" && w != "weight" && w != "scorer" => pending.pop(),
                     _ => None,
                 };
                 scorer = Some(Scorer::parse(kind, param, line_no)?);
@@ -501,7 +516,9 @@ pub fn score(metrics: &[(String, f64)], spec: &ScoreSpec) -> ScoreReport {
     let mut weight_sum = 0.0;
     let mut any_below = false;
     for (key, value) in by_key {
-        let Some(rule) = spec.rule_for(key) else { continue };
+        let Some(rule) = spec.rule_for(key) else {
+            continue;
+        };
         let s = rule.scorer.apply(value);
         let below = rule.min_score.is_some_and(|floor| s < floor);
         any_below |= below;
@@ -515,7 +532,11 @@ pub fn score(metrics: &[(String, f64)], spec: &ScoreSpec) -> ScoreReport {
             below_floor: below,
         });
     }
-    let aggregate = if weight_sum > 0.0 { weighted_sum / weight_sum } else { 1.0 };
+    let aggregate = if weight_sum > 0.0 {
+        weighted_sum / weight_sum
+    } else {
+        1.0
+    };
     ScoreReport {
         score: aggregate,
         pass: aggregate >= spec.pass_threshold && !any_below,
@@ -570,7 +591,10 @@ mod tests {
             (Scorer::PoissonYield { d0_per_cm2: 1000.0 }, 0.0, 1.0),
         ] {
             let got = scorer.apply(v);
-            assert!((got - want).abs() < 1e-12, "{scorer:?}({v}) = {got}, want {want}");
+            assert!(
+                (got - want).abs() < 1e-12,
+                "{scorer:?}({v}) = {got}, want {want}"
+            );
         }
         // Poisson yield is monotone decreasing in critical area.
         let y = Scorer::PoissonYield { d0_per_cm2: 1000.0 };
@@ -633,8 +657,14 @@ mod tests {
              metric info weight 0 scorer identity\n",
         );
         let r = score(&[("good".to_string(), 0.9), ("info".to_string(), 0.0)], &s);
-        assert!((r.score - 0.9).abs() < 1e-12, "info must not drag the aggregate");
-        assert!(r.metric("info").is_some(), "info still appears in the breakdown");
+        assert!(
+            (r.score - 0.9).abs() < 1e-12,
+            "info must not drag the aggregate"
+        );
+        assert!(
+            r.metric("info").is_some(),
+            "info still appears in the breakdown"
+        );
     }
 
     #[test]
@@ -675,24 +705,36 @@ mod tests {
     fn spec_parse_diagnostics_name_the_line() {
         for (text, needle) in [
             ("pass 2.0\nmetric a weight 1 scorer identity\n", "line 1"),
-            ("metric a weight -1 scorer identity\n", "weight must be >= 0"),
+            (
+                "metric a weight -1 scorer identity\n",
+                "weight must be >= 0",
+            ),
             ("metric a weight 1 scorer bogus\n", "unknown scorer"),
             ("metric a weight 1\n", "needs `scorer KIND`"),
             ("metric a scorer identity\n", "needs `weight W`"),
             ("metric a* b weight 1 scorer identity\n", "unexpected word"),
-            ("metric a*b weight 1 scorer identity\n", "only allowed at the end"),
+            (
+                "metric a*b weight 1 scorer identity\n",
+                "only allowed at the end",
+            ),
             ("frobnicate 3\n", "unknown directive"),
             ("pass 0.5\n", "no `metric` lines"),
             ("metric a weight 1 scorer inverse 0\n", "must be > 0"),
         ] {
             let err = ScoreSpec::parse(text).expect_err(text);
-            assert!(err.contains(needle), "`{text}` gave `{err}`, wanted `{needle}`");
+            assert!(
+                err.contains(needle),
+                "`{text}` gave `{err}`, wanted `{needle}`"
+            );
         }
     }
 
     #[test]
     fn resolve_accepts_default_keyword() {
-        assert_eq!(ScoreSpec::resolve(None).expect("ok"), ScoreSpec::default_spec());
+        assert_eq!(
+            ScoreSpec::resolve(None).expect("ok"),
+            ScoreSpec::default_spec()
+        );
         assert_eq!(
             ScoreSpec::resolve(Some("default")).expect("ok"),
             ScoreSpec::default_spec()
