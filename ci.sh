@@ -143,14 +143,16 @@ if [[ $(grep -c . <<<"$separations") -ne 3 ]]; then
     exit 1
 fi
 # One grouping sweep: "which rects lie within d of each other" is
-# `dfm_geom::group_within` in `region.rs` — connected components,
-# `interacting`, the via census, the redundant-via singles and the
-# min-area merge all call it — so no other non-test file keeps a
-# union-find. The workspace builds five grid indexes (the shape index,
-# a prepared layer's rects, the Monte-Carlo components, the
-# redundant-via components and cuts); it built 8 when `interacting`,
-# `classify` and `singles_of` each indexed their own rects. The figure:
-# `region.rs` was 557 lines before the sweep became `group_within`.
+# `dfm_geom::group_within` in `region.rs` — connected components, the
+# via census, the redundant-via singles and the min-area merge all call
+# it — so no other non-test file keeps a union-find. The workspace
+# builds five grid indexes (the shape index, a prepared layer's rects,
+# the Monte-Carlo components, the redundant-via components and cuts);
+# it built 8 when `Region::interacting`, `classify` and `singles_of`
+# each indexed their own rects. The figure: `region.rs` was 557 lines
+# before the sweep became `group_within` and 586 after; deleting
+# `interacting` and `not_interacting`, which nothing called, took it
+# to 544.
 awk "$non_test"'{n++} END{print "crates/geom/src/region.rs non-test lines: " n}' crates/geom/src/region.rs
 finds=$(find crates/*/src src -name '*.rs' ! -path crates/geom/src/region.rs -print0 |
     xargs -0 awk "$non_test"' && /fn find\(/ && !/^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}')
@@ -286,6 +288,13 @@ echo "== benchmark package builds against the workspace API (offline, locked) ==
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload shard_2x1 --seed 11 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+# `edit_resubmit` is the one workload whose jobs are warm but not whole:
+# each one-square edit must hit 96-99 of 100 tiles through the
+# service's raw-key memo and recompute the 1-4 it dirtied, and every
+# 20th edit's report is compared with the flat path's, so a memo that
+# answered with a wrong digest shows here as `"correct":false`.
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload edit_resubmit --seed 11 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 # `wire_warm` is the one workload that is all wire (proto, codec,
 # server, client), so a traced second of it also proves the JSON reader
 # and writer round-trip real frames. Its two codec figures are echoed

@@ -846,8 +846,8 @@ pub(crate) fn enclosure_tile(
     if bad.is_empty() {
         return (out, false);
     }
-    // `inner.interacting(&c)`, selected from one component list: a bad
-    // component lies in exactly one inner component.
+    // The inner components that touch `c`, selected from one component
+    // list: a bad component lies in exactly one inner component.
     let inner_comps = inner.connected_components();
     for c in bad.connected_components() {
         let cb = c.bbox();

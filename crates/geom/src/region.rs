@@ -416,48 +416,6 @@ impl Region {
         self.bloated(d).shrunk(d)
     }
 
-    /// The rectangles of `self` whose shapes touch `other` (KLayout's
-    /// "interacting" selection). Returns them as a region without
-    /// re-normalisation.
-    pub fn interacting(&self, other: &Region) -> Region {
-        if other.is_empty() || self.is_empty() {
-            return Region::new();
-        }
-        // Select whole connected components, not individual rects: a
-        // component counts as interacting when any of its rects touches
-        // `other`. Components are items `0..k` and `other` is item `k`;
-        // components never touch each other, so a component shares a
-        // group with item `k` exactly when it touches `other`. A rect
-        // clear of `other`'s bbox touches none of its rects, so it is
-        // left out of the sweep.
-        let comps = self.connected_components();
-        let k = comps.len();
-        let reach = other.bbox();
-        let mut rects: Vec<(Rect, usize)> = Vec::new();
-        for (c, comp) in comps.iter().enumerate() {
-            let near = comp.rects().iter().filter(|r| r.touches(&reach));
-            rects.extend(near.map(|r| (*r, c)));
-        }
-        rects.extend(other.rects().iter().map(|r| (*r, k)));
-        let group = group_within(k + 1, &rects, 0);
-        let mut keep: Vec<Rect> = Vec::new();
-        for (c, comp) in comps.iter().enumerate() {
-            if group[c] == group[k] {
-                keep.extend(comp.rects().iter().copied());
-            }
-        }
-        Region { rects: keep }
-    }
-
-    /// The connected components of `self` that do **not** touch `other`.
-    pub fn not_interacting(&self, other: &Region) -> Region {
-        let touching = self.interacting(other);
-        if touching.is_empty() {
-            return self.clone();
-        }
-        self.difference(&touching)
-    }
-
     /// The connected components of `self` lying entirely inside `other`.
     pub fn inside(&self, other: &Region) -> Region {
         let mut keep: Vec<Rect> = Vec::new();
@@ -709,12 +667,6 @@ mod tests {
             Rect::new(0, 50, 100, 60),
             Rect::new(0, 100, 100, 110),
         ]);
-        let marker = Region::from_rect(Rect::new(40, 45, 60, 65)); // touches middle wire
-        let hit = wires.interacting(&marker);
-        assert_eq!(hit.area(), 100 * 10);
-        assert!(hit.contains_point(Point::new(50, 55)));
-        let miss = wires.not_interacting(&marker);
-        assert_eq!(miss.area(), 2 * 100 * 10);
         // inside: only components fully covered.
         let cover = Region::from_rect(Rect::new(-5, 40, 105, 70));
         let inside = wires.inside(&cover);

@@ -317,40 +317,6 @@ fn components_match_the_pairwise_union_find() {
     );
 }
 
-/// `a.interacting(&b)` selects exactly `a`'s components that have a
-/// rect touching a rect of `b` (corners included), component for
-/// component in `connected_components` order and rect for rect. Shapes
-/// sit on a 5-unit lattice, so components and `b` meet edge to edge
-/// and corner to corner often.
-#[test]
-fn interacting_matches_the_brute_force_selection() {
-    let region = || {
-        let lattice = (0i64..10, 0i64..10, 1i64..4, 1i64..4)
-            .prop_map(|(x, y, w, h)| Rect::new(x * 5, y * 5, (x + w) * 5, (y + h) * 5));
-        dfm_check::vec(lattice, 0..12).prop_map(Region::from_rects)
-    };
-    check(
-        "interacting_matches_the_brute_force_selection",
-        &cfg(),
-        &(region(), region()),
-        |v| {
-            let (a, b) = v;
-            let want: Vec<Rect> = a
-                .connected_components()
-                .iter()
-                .filter(|c| {
-                    c.rects()
-                        .iter()
-                        .any(|r| b.rects().iter().any(|o| r.touches(o)))
-                })
-                .flat_map(|c| c.rects().to_vec())
-                .collect();
-            prop_assert_eq!(a.interacting(b).rects().to_vec(), want);
-            Ok(())
-        },
-    );
-}
-
 /// `boundary_edges` lists vertical edges in ascending `(x, y0)` and
 /// horizontal edges in ascending `(y, x0)`, as `BoundaryEdges`
 /// documents: the DRC facing sweep reads an edge's partners as one run

@@ -51,4 +51,4 @@ pub use error::LayoutError;
 pub use layer::{layers, Layer};
 pub use library::{CellId, FlatLayout, Library};
 pub use tech::Technology;
-pub use tile::{TileView, TiledLayout, TilingConfig, TilingConfigBuilder};
+pub use tile::{DigestMemo, TileView, TiledLayout, TilingConfig, TilingConfigBuilder};

@@ -22,6 +22,12 @@
 //! maps the lattice axes to ±x and ±y, so each range is an integer
 //! division per axis.
 //!
+//! A window's canonical digest ([`TiledLayout::tile_content_digest`])
+//! normalises the window; its raw key (`TiledLayout::tile_raw_key`)
+//! hashes the same walk's rects sorted, without normalising, and a
+//! [`DigestMemo`] maps raw keys to digests, so a window seen before is
+//! not normalised again.
+//!
 //! Each view carries, per layer, a region whose point set is exactly
 //! `layer ∩ window`. Engines that only depend on the covered point set
 //! (all of ours, by construction) therefore merge to results
@@ -34,7 +40,9 @@
 use crate::library::{collect_used_layers, compute_subtree_bboxes, ShapeIndex, Visits, WindowWalk};
 use crate::{CellId, FlatLayout, Layer, LayoutError, Library};
 use dfm_geom::{Coord, Rect, Region, TileGrid, Transform};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a tile shard: square tile side and halo margin.
 ///
@@ -270,8 +278,7 @@ impl TiledLayout {
     /// Materialises the view of tile `i` restricted to `layers`
     /// (layers the layout does not use are skipped).
     pub fn view_layers(&self, i: usize, halo: Coord, layers: &[Layer]) -> TileView {
-        let core = self.grid.core(i);
-        let window = self.grid.window(i, halo.max(self.config.halo));
+        let (core, window) = self.frame(i, halo);
         let layers: Vec<Layer> = layers
             .iter()
             .copied()
@@ -288,6 +295,13 @@ impl TiledLayout {
             window,
             layers: out,
         }
+    }
+
+    /// Tile `i`'s core and its window at the given halo (floored by the
+    /// tiling's halo).
+    fn frame(&self, i: usize, halo: Coord) -> (Rect, Rect) {
+        let window = self.grid.window(i, halo.max(self.config.halo));
+        (self.grid.core(i), window)
     }
 
     /// The rects of each of `layers` clipped to `window`, one list per
@@ -317,6 +331,32 @@ impl TiledLayout {
         self.view(i, halo).content_digest()
     }
 
+    /// Raw pre-key of tile `i` at the given halo: FNV-1a 64 over the
+    /// core, the window and, for every used layer (one with no rects
+    /// in the window too), its id, its rect count and the windowed
+    /// walk's clipped rects, sorted. It reads what
+    /// [`TiledLayout::tile_content_digest`] normalises, without
+    /// normalising it, so two windows with equal raw keys have equal
+    /// digests (up to a 64-bit collision): the key a [`DigestMemo`]
+    /// keeps digests under. Sorting makes it independent of the order
+    /// the shape index visits a window in, which an edit anywhere in
+    /// the cell can change.
+    pub(crate) fn tile_raw_key(&self, i: usize, halo: Coord) -> u64 {
+        let (core, window) = self.frame(i, halo);
+        let (mut walked, _) = self.walk_window(window, &self.layers);
+        let mut h = fnv_rect(fnv_rect(FNV_OFFSET, core), window);
+        for (layer, rects) in self.layers.iter().zip(&mut walked) {
+            rects.sort_unstable();
+            h = fnv_u64(h, layer.layer as u64);
+            h = fnv_u64(h, layer.datatype as u64);
+            h = fnv_u64(h, rects.len() as u64);
+            for &r in rects.iter() {
+                h = fnv_rect(h, r);
+            }
+        }
+        h
+    }
+
     /// Total drawn area across all layers, accumulated tile-by-tile
     /// over the (disjoint) cores. Because cores partition the extent
     /// exactly, this equals [`FlatLayout::total_area`] of the flattened
@@ -332,6 +372,71 @@ impl TiledLayout {
             }
         }
         sum
+    }
+}
+
+/// Entries a [`DigestMemo`] holds: a full memo is cleared before its
+/// next insert. At 16 bytes of key and value an entry, about 1 MB of
+/// map plus the table's overhead.
+const DIGEST_MEMO_ENTRIES: usize = 65_536;
+
+/// A bounded memo from a window's raw key (`TiledLayout::tile_raw_key`:
+/// the windowed walk's rects, sorted and hashed without normalising) to
+/// [`TiledLayout::tile_content_digest`]. One memo serves any number of
+/// layouts and halos, since the raw key covers the core, the window,
+/// the used layers and the clipped rects the digest is a function of.
+/// A hit skips normalising the window; a miss normalises once and
+/// inserts. Its keys are digests of submitted geometry, so the map
+/// keeps std's keyed SipHash.
+#[derive(Debug)]
+pub struct DigestMemo {
+    cap: usize,
+    map: Mutex<HashMap<u64, u64>>,
+    misses: AtomicU64,
+}
+
+impl Default for DigestMemo {
+    fn default() -> Self {
+        DigestMemo::bounded(DIGEST_MEMO_ENTRIES)
+    }
+}
+
+impl DigestMemo {
+    fn bounded(cap: usize) -> DigestMemo {
+        DigestMemo {
+            cap,
+            map: Mutex::new(HashMap::new()),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// [`TiledLayout::tile_content_digest`] of tile `i` at `halo`,
+    /// looked up by its raw key.
+    pub fn tile_content_digest(&self, layout: &TiledLayout, i: usize, halo: Coord) -> u64 {
+        let raw = layout.tile_raw_key(i, halo);
+        if let Some(&digest) = self.map().get(&raw) {
+            return digest;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let digest = layout.tile_content_digest(i, halo);
+        let mut map = self.map();
+        if map.len() >= self.cap {
+            map.clear();
+        }
+        map.insert(raw, digest);
+        digest
+    }
+
+    /// Lookups that normalised a window: one per miss since the memo
+    /// was made.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// The map, also after a panic elsewhere: no insert is left half
+    /// done under the lock.
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -1113,6 +1218,222 @@ mod tests {
             .build()
             .expect("cfg");
         check_digest_tracks_window_content(lib, cfg, 512, edit);
+    }
+
+    /// Every tile of `lib` tiled by `cfg`, at each of `halos`, through
+    /// `memo`: each memoised digest equals a fresh
+    /// [`TiledLayout::tile_content_digest`].
+    fn check_memo_sound(
+        memo: &DigestMemo,
+        lib: &Library,
+        cfg: &TilingConfig,
+        halos: &[Coord],
+    ) -> Result<(), String> {
+        let tiled = TiledLayout::from_library(lib.clone(), cfg.clone()).expect("library");
+        for &halo in halos {
+            for i in 0..tiled.tile_count() {
+                prop_assert_eq!(
+                    memo.tile_content_digest(&tiled, i, halo),
+                    tiled.tile_content_digest(i, halo),
+                    "tile {} halo {}",
+                    i,
+                    halo
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// `lib` with `rect` added to its top cell on `layer`.
+    fn with_rect(lib: &Library, layer: Layer, rect: Rect) -> Library {
+        let mut lib = lib.clone();
+        let top = lib.top().expect("top");
+        lib.cell_mut(top).add_rect(layer, rect);
+        lib
+    }
+
+    /// One memo answers for many layouts, halos and edits at once, and
+    /// never with another window's digest: SREF/AREF soups (rotated and
+    /// mirrored) before and after a single-rect edit, at three halos, and
+    /// a family of one-tile layouts with equal extents whose windows
+    /// differ only in the halo, in which layers are used, or in a used
+    /// layer with nothing in the window.
+    #[test]
+    fn memoised_digests_equal_fresh_ones() {
+        let memo = DigestMemo::default();
+        let mut near = Cell::new("TOP");
+        for k in 0..4 {
+            near.add_rect(layers::METAL1, Rect::new(k * 90, 0, k * 90 + 60, 200));
+        }
+        let mut family = Library::new("FAMILY");
+        let id = family.add_cell(near).expect("top");
+        family.set_top(id).expect("top id");
+        // The far marker fixes the extent; its layer sets the used layers
+        // ({M1}, {M1, M2}, {M1, VIA1}, {M1, M2, VIA1}) while every tile's
+        // window near the origin carries the same METAL1 rects.
+        let far = Rect::new(2_000, 2_000, 2_040, 2_040);
+        let marked = |layers: &[Layer]| {
+            layers
+                .iter()
+                .fold(family.clone(), |lib, &l| with_rect(&lib, l, far))
+        };
+        let one_tile = TilingConfig::builder()
+            .tile(4_000)
+            .halo(0)
+            .build()
+            .expect("cfg");
+        let split = TilingConfig::builder()
+            .tile(1_000)
+            .halo(0)
+            .build()
+            .expect("cfg");
+        for lib in [
+            marked(&[layers::METAL1]),
+            marked(&[layers::METAL2]),
+            marked(&[layers::VIA1]),
+            marked(&[layers::METAL2, layers::VIA1]),
+        ] {
+            for cfg in [&one_tile, &split] {
+                check_memo_sound(&memo, &lib, cfg, &[0, 100, 2_500]).expect("family");
+            }
+        }
+        let spec = (0i64..16, 0i64..16, 0i64..6, 0i64..6);
+        check(
+            "memoised_digests_equal_fresh_ones",
+            &Config::with_cases(48),
+            &(
+                dfm_check::vec(spec.clone(), 1..14),
+                dfm_check::vec(spec, 1..8),
+                dfm_check::vec((-8i64..8, -8i64..8, 0u8..4, dfm_check::bools()), 0..4),
+                (0u16..3, 0u16..3, 0u8..4),
+                (60i64..700, 0i64..80, 0i64..120),
+                (0i64..1000, 0i64..1000, 1i64..80),
+            ),
+            |(top, leaf, srefs, aref, (tile, cfg_halo, halo), (x, y, side))| {
+                let lib = soup_library(top, leaf, srefs, *aref);
+                let cfg = TilingConfig::builder()
+                    .tile(*tile)
+                    .halo(*cfg_halo)
+                    .build()
+                    .expect("cfg");
+                let halos = [*halo, halo + 1, 2 * halo + 7];
+                check_memo_sound(&memo, &lib, &cfg, &halos)?;
+                // A square inside the extent, so the grid stays put and
+                // only the windows it reaches change.
+                let bbox = lib.flatten_top().expect("flatten").bbox();
+                let (x0, y0) = (
+                    bbox.x0 + x * (bbox.width() - side).max(0) / 1000,
+                    bbox.y0 + y * (bbox.height() - side).max(0) / 1000,
+                );
+                let edit = Rect::new(x0, y0, x0 + side, y0 + side).intersection(&bbox);
+                let edited = with_rect(&lib, layers::METAL1, edit.unwrap_or(bbox));
+                check_memo_sound(&memo, &edited, &cfg, &halos)
+            },
+        );
+    }
+
+    /// An edit away from a window can change the order the walk visits
+    /// the window's shapes in (here the 32nd METAL1 shape of the cell
+    /// builds its shape index, which visits bucket by bucket, not in list
+    /// order), and the window's raw key and digest stay equal. On the
+    /// 12 µm routed block, a square added anywhere leaves the raw key of
+    /// every window it does not reach unchanged.
+    #[test]
+    fn raw_keys_ignore_the_walk_order() {
+        let mut top = Cell::new("TOP");
+        // Listed by descending x: five shapes meet tile 0's window on
+        // both sides of the index's bucket edge at x = 1000.
+        let mut xs: Vec<i64> = [200, 500, 800, 1_100, 1_400]
+            .into_iter()
+            .chain((0..26).map(|k| 3_000 + 200 * k))
+            .collect();
+        xs.sort_unstable_by(|a, b| b.cmp(a));
+        for x in xs {
+            top.add_rect(layers::METAL1, Rect::new(x, 100, x + 120, 700));
+        }
+        top.add_rect(layers::METAL2, Rect::new(0, 0, 10, 10));
+        top.add_rect(layers::METAL2, Rect::new(9_990, 9_990, 10_000, 10_000));
+        let mut lib = Library::new("ORDER");
+        let id = lib.add_cell(top).expect("top");
+        lib.set_top(id).expect("top id");
+        let edited = with_rect(&lib, layers::METAL1, Rect::new(9_000, 9_000, 9_100, 9_100));
+        let cfg = TilingConfig::builder()
+            .tile(1_000)
+            .halo(512)
+            .build()
+            .expect("cfg");
+        let before = TiledLayout::from_library(lib, cfg.clone()).expect("library");
+        let after = TiledLayout::from_library(edited, cfg).expect("library");
+        let window = before.grid().window(0, 512);
+        let walk = |t: &TiledLayout| t.walk_window(window, &[layers::METAL1]).0;
+        let (a, b) = (walk(&before), walk(&after));
+        assert_ne!(
+            a, b,
+            "the index must visit tile 0's shapes in another order"
+        );
+        let sorted = |mut v: Vec<Rect>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(a[0].clone()), sorted(b[0].clone()));
+        assert_eq!(before.tile_raw_key(0, 512), after.tile_raw_key(0, 512));
+        assert_eq!(
+            before.tile_content_digest(0, 512),
+            after.tile_content_digest(0, 512)
+        );
+
+        let lib = routed_library();
+        let cfg = TilingConfig::builder()
+            .tile(2_048)
+            .halo(512)
+            .build()
+            .expect("cfg");
+        let base = TiledLayout::from_library(lib.clone(), cfg.clone()).expect("library");
+        let keys: Vec<u64> = (0..base.tile_count())
+            .map(|i| base.tile_raw_key(i, 512))
+            .collect();
+        for k in 0..6 {
+            let (x, y) = (1_000 + 1_700 * k, 10_500 - 1_500 * k);
+            let edit = Rect::new(x, y, x + 150, y + 150);
+            let edited =
+                TiledLayout::from_library(with_rect(&lib, layers::METAL1, edit), cfg.clone())
+                    .expect("library");
+            assert_eq!(edited.bbox(), base.bbox(), "edit {k} moved the grid");
+            for (i, &key) in keys.iter().enumerate() {
+                if base.grid().window(i, 512).intersection(&edit).is_none() {
+                    assert_eq!(edited.tile_raw_key(i, 512), key, "edit {k}, tile {i}");
+                }
+            }
+        }
+    }
+
+    /// A full memo is cleared before its next insert and keeps answering
+    /// right; every lookup of a new raw key counts one miss.
+    #[test]
+    fn a_full_memo_is_cleared_and_still_answers_right() {
+        let memo = DigestMemo::bounded(3);
+        let cfg = TilingConfig::builder()
+            .tile(150)
+            .halo(25)
+            .build()
+            .expect("cfg");
+        let tiled = TiledLayout::from_library(sample_library(), cfg).expect("library");
+        assert!(tiled.tile_count() > 3);
+        for round in 0..2 {
+            for i in 0..tiled.tile_count() {
+                assert_eq!(
+                    memo.tile_content_digest(&tiled, i, 30),
+                    tiled.tile_content_digest(i, 30),
+                    "round {round}, tile {i}"
+                );
+                assert!(memo.map().len() <= 3);
+            }
+        }
+        assert_eq!(memo.misses(), 2 * tiled.tile_count() as u64);
+        // Re-asked at once, the last window hits.
+        let last = tiled.tile_count() - 1;
+        memo.tile_content_digest(&tiled, last, 30);
+        assert_eq!(memo.misses(), 2 * tiled.tile_count() as u64);
     }
 
     /// FNV-1a 64 over every [`TiledLayout::tile_content_digest`] of

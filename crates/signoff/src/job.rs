@@ -14,14 +14,13 @@ use dfm_drc::{
     PreparedView, RuleDeck, RulePartial, Sweep,
 };
 use dfm_geom::{Rect, Region};
-use dfm_layout::{Layer, Technology, TiledLayout, TilingConfig};
+use dfm_layout::{DigestMemo, Layer, Technology, TiledLayout, TilingConfig};
 use dfm_litho::{merge_printed_pieces, Condition, LithoSimulator};
 use dfm_yield::critical_area::{
     ca_sweeps, ca_tile_halo, ca_view_partial, merge_ca_partials, CaTilePartial,
 };
 use dfm_yield::DefectModel;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// Version salt folded into every cache key. Bump on any change to the
 /// digest inputs, the tile-partial codec, or engine semantics that is
@@ -95,8 +94,6 @@ pub struct JobContext {
     views: Vec<ViewPlan>,
     spec_digest: u64,
     deck_digest: u64,
-    /// Memoised [`JobContext::tile_content_digest`], one slot per tile.
-    tile_digests: Vec<OnceLock<u64>>,
 }
 
 impl JobContext {
@@ -137,7 +134,6 @@ impl JobContext {
         let sim = LithoSimulator::for_feature_size(spec.litho_feature);
         let cond = Condition::nominal();
         let views = plan_views(spec, &deck, &sim, cond, layout.config().halo());
-        let tile_digests = (0..layout.tile_count()).map(|_| OnceLock::new()).collect();
         Ok(JobContext {
             defects: DefectModel::new(spec.ca_x0.max(1), CA_D0_PER_CM2),
             spec_digest: spec_digest(spec),
@@ -151,7 +147,6 @@ impl JobContext {
             score_spec,
             layout_metrics,
             views,
-            tile_digests,
         })
     }
 
@@ -210,22 +205,33 @@ impl JobContext {
     }
 
     /// Canonical content digest of one tile at [`content_halo`] — the
-    /// third component of the tile's cache key. Memoised: a tile's
-    /// window is digested once per context, so a miss that probes and
-    /// then stores pays for one digest.
+    /// third component of the tile's cache key, normalised afresh on
+    /// every call.
     ///
     /// [`content_halo`]: JobContext::content_halo
     pub fn tile_content_digest(&self, tile: usize) -> u64 {
-        *self.tile_digests[tile]
-            .get_or_init(|| self.layout.tile_content_digest(tile, self.content_halo()))
+        self.layout.tile_content_digest(tile, self.content_halo())
     }
 
     /// The full content address of one tile's result.
     pub fn cache_key(&self, tile: usize) -> dfm_cache::CacheKey {
+        self.key_of(self.tile_content_digest(tile))
+    }
+
+    /// [`JobContext::cache_key`], its tile component read through
+    /// `memo`: the same value, but a window whose raw key the memo
+    /// holds is not normalised again. The service keeps one memo for
+    /// every job, so a miss that probes and then stores normalises
+    /// once, and an edited layout normalises only its dirty tiles.
+    pub(crate) fn memoised_cache_key(&self, tile: usize, memo: &DigestMemo) -> dfm_cache::CacheKey {
+        self.key_of(memo.tile_content_digest(&self.layout, tile, self.content_halo()))
+    }
+
+    fn key_of(&self, tile: u64) -> dfm_cache::CacheKey {
         dfm_cache::CacheKey {
             spec: self.cache_spec_digest(),
             deck: self.cache_deck_digest(),
-            tile: self.tile_content_digest(tile),
+            tile,
         }
     }
 
@@ -800,11 +806,13 @@ mod tests {
     fn memoised_cache_keys_equal_a_fresh_contexts() {
         let gds = small_gds();
         let ctx = JobContext::build(&spec(), &gds).expect("context");
-        let keys: Vec<dfm_cache::CacheKey> =
-            (0..ctx.tile_count()).map(|t| ctx.cache_key(t)).collect();
+        let memo = DigestMemo::default();
+        let keys: Vec<dfm_cache::CacheKey> = (0..ctx.tile_count())
+            .map(|t| ctx.memoised_cache_key(t, &memo))
+            .collect();
         for (tile, key) in keys.iter().enumerate() {
             // The second call reads the memo; a fresh context digests anew.
-            assert_eq!(&ctx.cache_key(tile), key);
+            assert_eq!(&ctx.memoised_cache_key(tile, &memo), key);
             let fresh = JobContext::build(&spec(), &gds).expect("context");
             assert_eq!(&fresh.cache_key(tile), key, "tile {tile}");
             assert_eq!(
@@ -812,5 +820,6 @@ mod tests {
                 ctx.layout.tile_content_digest(tile, ctx.content_halo())
             );
         }
+        assert_eq!(memo.misses(), ctx.tile_count() as u64, "one per window");
     }
 }

@@ -72,6 +72,7 @@ use attempt::{cache_serve, dispatch_grants, sched_remove_job, TileHandle};
 use commit::{status_of, try_finalize, JobMut};
 use dfm_cache::TileCache;
 use dfm_fault::FaultPlane;
+use dfm_layout::DigestMemo;
 use dfm_par::{PoolStats, WorkerPool};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -298,6 +299,7 @@ impl SignoffService {
             max_attempts: cfg.max_attempts,
             tile_delay: cfg.tile_delay,
             cache: cfg.cache,
+            memo: DigestMemo::default(),
             sched: Mutex::new(Scheduler::with_workers(sched_cfg, pool.threads() as u64)),
         });
         let service = SignoffService {
@@ -1584,6 +1586,97 @@ mod tests {
         assert_eq!(report.render_text(&spec), flat);
         drop(warm);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Normalisations per warm job are the dirty-tile count: the
+    /// service's raw-key memo answers every window an earlier job saw.
+    /// A cold job of the 20 µm block at tile 2048 normalises each of its
+    /// 100 windows once (its store reads the probe's entry), a
+    /// resubmission of the same bytes none, and a one-square edit exactly
+    /// the windows whose digest it changed.
+    #[test]
+    fn warm_jobs_normalise_only_their_dirty_tiles() {
+        let tech = Technology::n65();
+        let params = generate::RoutedBlockParams {
+            width: 20_000,
+            height: 20_000,
+            ..Default::default()
+        };
+        let lib = generate::routed_block(&tech, params, 11);
+        let gds = gds::to_bytes(&lib).expect("gds");
+        let m1 = lib.flatten_top().expect("flatten").region(layers::METAL1);
+        let edit = (0..)
+            .map(|k| {
+                let (x, y) = (6_000 + 97 * k, 9_000 + 61 * k);
+                dfm_geom::Rect::new(x, y, x + 150, y + 150)
+            })
+            .find(|&r| m1.clipped(r).area() < r.area())
+            .expect("open metal");
+        let mut edited = lib.clone();
+        let top = edited.top().expect("top");
+        edited.cell_mut(top).add_rect(layers::METAL1, edit);
+        let edited = gds::to_bytes(&edited).expect("gds");
+        let spec = JobSpec {
+            tile: 2048,
+            ..JobSpec::default()
+        };
+        let dirty = {
+            let (a, b) = (
+                JobContext::build(&spec, &gds).expect("context"),
+                JobContext::build(&spec, &edited).expect("context"),
+            );
+            assert_eq!(a.tile_count(), 100);
+            (0..a.tile_count())
+                .filter(|&t| a.tile_content_digest(t) != b.tile_content_digest(t))
+                .count()
+        };
+        assert!((1..=4).contains(&dirty), "{dirty} dirty tiles");
+        let root = std::env::temp_dir().join(format!("dfm-signoff-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = Arc::new(TileCache::open(&root, None).expect("cache"));
+        let service = SignoffService::with_config(
+            ServiceConfig::builder()
+                .threads(2)
+                .cache(Arc::clone(&cache))
+                .build(),
+        );
+        let normalised = |gds: &[u8]| {
+            let before = service.shared.memo.misses();
+            let id = service.submit(spec.clone(), gds.to_vec()).expect("submit");
+            let status = service.wait(id).expect("wait");
+            assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+            (service.shared.memo.misses() - before, status.tiles_cached)
+        };
+        assert_eq!(normalised(&gds), (100, 0), "cold");
+        assert_eq!(normalised(&gds), (0, 100), "same bytes");
+        assert_eq!(normalised(&edited), (dirty as u64, 100 - dirty), "edit");
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Building a job's context allocates nothing per tile, so a spec
+    /// that tiles a 2 µm block at `tile: 1` (4 M tiles) reaches admission
+    /// and is refused there by a `max_tiles 1000` plan.
+    #[test]
+    fn a_four_million_tile_job_is_refused_by_its_quota() {
+        let mut top = dfm_layout::Cell::new("TOP");
+        top.add_rect(layers::METAL1, dfm_geom::Rect::new(0, 0, 2_000, 100));
+        top.add_rect(layers::METAL1, dfm_geom::Rect::new(0, 1_900, 2_000, 2_000));
+        let mut lib = dfm_layout::Library::new("TINY");
+        let id = lib.add_cell(top).expect("top");
+        lib.set_top(id).expect("top id");
+        let spec = JobSpec {
+            tile: 1,
+            tenant: "acme".to_string(),
+            ..JobSpec::default()
+        };
+        let plan = SchedConfig::parse("tenant acme weight 1 max_tiles 1000\n").expect("plan");
+        let service =
+            SignoffService::with_config(ServiceConfig::builder().threads(1).sched(plan).build());
+        let gds = gds::to_bytes(&lib).expect("gds");
+        let err = service.submit_job(spec, gds, None).expect_err("over quota");
+        assert_eq!(err.code, ErrorCode::QuotaExceeded, "{err:?}");
+        assert!(err.message.contains("4000000 more"), "{}", err.message);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::sched::{GrantOut, Scheduler};
 use crate::shard::{TileCacheMark, TileRetry};
 use dfm_cache::TileCache;
 use dfm_fault::FaultPlane;
+use dfm_layout::DigestMemo;
 use dfm_par::{panic_payload_message, CancelToken, TaskOutcome, WorkerPool};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Duration;
@@ -80,7 +81,8 @@ pub(super) struct TileHandle {
 
 /// The state tile tasks share: a weak pool handle for resubmission
 /// (weak, so queued retry closures never keep the pool — and thus
-/// themselves — alive), the fault plane, the attempt budget, and the
+/// themselves — alive), the fault plane, the attempt budget, the result
+/// cache with the raw-key memo its keys are read through, and the
 /// fair-share scheduler (its lock is always taken *after* any job
 /// lock is released, never while one is held).
 pub(crate) struct RunShared {
@@ -89,6 +91,9 @@ pub(crate) struct RunShared {
     pub(super) max_attempts: u64,
     pub(super) tile_delay: Duration,
     pub(super) cache: Option<Arc<TileCache>>,
+    /// Raw key → tile digest for every job's cache keys; only the
+    /// cache's probe and store read it.
+    pub(super) memo: DigestMemo,
     pub(super) sched: Mutex<Scheduler<TileHandle>>,
 }
 
@@ -266,7 +271,7 @@ pub(super) fn cache_serve(
     if shared.io_fault(SITE_CACHE_READ, tile as u64, 0) {
         return false;
     }
-    let Some(bytes) = cache.lookup(ctx.cache_key(tile)) else {
+    let Some(bytes) = cache.lookup(ctx.memoised_cache_key(tile, &shared.memo)) else {
         return false;
     };
     let Some(partial) = decode_tile_partial(&bytes, tile) else {
@@ -314,7 +319,8 @@ fn cache_store(
         tile as u64,
         0,
     );
-    if cache.store_staged(ctx.cache_key(tile), &encode_tile_partial(partial), &probe) {
+    let key = ctx.memoised_cache_key(tile, &shared.memo);
+    if cache.store_staged(key, &encode_tile_partial(partial), &probe) {
         TileCacheMark::Stored
     } else {
         TileCacheMark::None
