@@ -1255,9 +1255,9 @@ mod tests {
     /// One memo answers for many layouts, halos and edits at once, and
     /// never with another window's digest: SREF/AREF soups (rotated and
     /// mirrored) before and after a single-rect edit, at three halos, and
-    /// a family of one-tile layouts with equal extents whose windows
-    /// differ only in the halo, in which layers are used, or in a used
-    /// layer with nothing in the window.
+    /// a family of layouts with equal extents, tiled whole and split,
+    /// whose windows differ only in the halo, in which layers are used,
+    /// or in a used layer with nothing in the window.
     #[test]
     fn memoised_digests_equal_fresh_ones() {
         let memo = DigestMemo::default();
