@@ -22,17 +22,18 @@ pub struct EvaluationContext {
 }
 
 impl EvaluationContext {
-    /// Starts a builder seeded with the defaults for a technology (see
-    /// [`EvaluationContextBuilder`]).
-    pub fn builder(tech: Technology) -> EvaluationContextBuilder {
-        EvaluationContextBuilder::new(tech)
-    }
-
     /// Defaults for a technology: defects at half the minimum width with
     /// a production-like density, 0.1 ppm via failures, Poisson yield.
-    /// Equivalent to `EvaluationContext::builder(tech).build()`.
+    /// Every field is public, so a caller overrides what it needs.
     pub fn for_technology(tech: Technology) -> Self {
-        EvaluationContextBuilder::new(tech).build()
+        let x0 = tech.rules(layers::METAL1).min_width / 2;
+        EvaluationContext {
+            via_pair_distance: tech.via_space * 2,
+            tech,
+            defects: DefectModel::new(x0, 2000.0),
+            via_fail_prob: 1e-7,
+            cluster_alpha: None,
+        }
     }
 
     /// Predicted functional yield of a layout: metal critical-area yield
@@ -63,68 +64,6 @@ impl EvaluationContext {
             via_stats: stats,
             via_yield,
         }
-    }
-}
-
-/// Builder for [`EvaluationContext`]: starts from the technology
-/// defaults and overrides piecemeal.
-///
-/// ```
-/// use dfm_core::EvaluationContext;
-/// use dfm_layout::Technology;
-/// let ctx = EvaluationContext::builder(Technology::n65())
-///     .via_fail_prob(1e-5)
-///     .cluster_alpha(2.0)
-///     .build();
-/// assert_eq!(ctx.cluster_alpha, Some(2.0));
-/// ```
-#[derive(Clone, Debug)]
-pub struct EvaluationContextBuilder {
-    ctx: EvaluationContext,
-}
-
-impl EvaluationContextBuilder {
-    fn new(tech: Technology) -> Self {
-        let x0 = tech.rules(layers::METAL1).min_width / 2;
-        EvaluationContextBuilder {
-            ctx: EvaluationContext {
-                via_pair_distance: tech.via_space * 2,
-                tech,
-                defects: DefectModel::new(x0, 2000.0),
-                via_fail_prob: 1e-7,
-                cluster_alpha: None,
-            },
-        }
-    }
-
-    /// Replaces the random-defect model.
-    pub fn defects(mut self, defects: DefectModel) -> Self {
-        self.ctx.defects = defects;
-        self
-    }
-
-    /// Sets the per-cut via failure probability.
-    pub fn via_fail_prob(mut self, p: f64) -> Self {
-        self.ctx.via_fail_prob = p;
-        self
-    }
-
-    /// Switches the metal yield model to negative-binomial clustering.
-    pub fn cluster_alpha(mut self, alpha: f64) -> Self {
-        self.ctx.cluster_alpha = Some(alpha);
-        self
-    }
-
-    /// Sets the distance below which via cuts count as redundant
-    /// partners.
-    pub fn via_pair_distance(mut self, d: i64) -> Self {
-        self.ctx.via_pair_distance = d;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> EvaluationContext {
-        self.ctx
     }
 }
 
@@ -309,27 +248,6 @@ mod tests {
         assert!(y.total() > 0.0 && y.total() < 1.0);
         assert!(y.metal_ca_nm2 > 0.0);
         assert!(y.via_stats.connections() > 0);
-    }
-
-    #[test]
-    fn builder_matches_for_technology_and_overrides() {
-        let tech = Technology::n65();
-        let a = EvaluationContext::for_technology(tech.clone());
-        let b = EvaluationContext::builder(tech.clone()).build();
-        assert_eq!(a.defects, b.defects);
-        assert_eq!(a.via_fail_prob, b.via_fail_prob);
-        assert_eq!(a.cluster_alpha, b.cluster_alpha);
-        assert_eq!(a.via_pair_distance, b.via_pair_distance);
-        let c = EvaluationContext::builder(tech)
-            .defects(DefectModel::new(40, 9000.0))
-            .via_fail_prob(1e-5)
-            .cluster_alpha(2.0)
-            .via_pair_distance(77)
-            .build();
-        assert_eq!(c.defects, DefectModel::new(40, 9000.0));
-        assert_eq!(c.via_fail_prob, 1e-5);
-        assert_eq!(c.cluster_alpha, Some(2.0));
-        assert_eq!(c.via_pair_distance, 77);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod technique;
 mod wire_spread;
 mod wire_widen;
 
-pub use evaluator::{evaluate, EvaluationContext, EvaluationContextBuilder, HitOrHype, Verdict};
+pub use evaluator::{evaluate, EvaluationContext, HitOrHype, Verdict};
 pub use fill::{density_extremes as fill_density_extremes, MetalFill};
 pub use pattern_fix::{FixAction, PatternFixing};
 pub use redundant_via::RedundantViaInsertion;

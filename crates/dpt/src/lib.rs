@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dfm_geom::{Coord, Rect, Region};
+use dfm_geom::{near_pairs, Coord, Rect, Region};
 
 /// Decomposition parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,28 +81,27 @@ pub struct Decomposition {
 }
 
 /// Builds the conflict graph over `components`: an edge joins two
-/// components whose separation is below `min_space` (Chebyshev).
+/// components whose separation is below `min_space` (Chebyshev), that
+/// is, a rect of one and a rect of the other at most `min_space - 1`
+/// apart ([`near_pairs`] over every component's rects). Edges come
+/// sorted, `(i, j)` with `i < j`, each once. Overlapping components are
+/// 0 apart, so they conflict at any `min_space >= 1`; at `min_space <= 0`
+/// nothing does.
 pub fn conflict_graph(components: &[Region], min_space: Coord) -> Vec<(usize, usize)> {
+    let (rects, owner): (Vec<Rect>, Vec<usize>) = components
+        .iter()
+        .enumerate()
+        .flat_map(|(i, c)| c.rects().iter().map(move |r| (*r, i)))
+        .unzip();
     let mut edges = Vec::new();
-    let bboxes: Vec<Rect> = components.iter().map(|c| c.bbox()).collect();
-    for i in 0..components.len() {
-        for j in (i + 1)..components.len() {
-            // Bounding-box prefilter.
-            let (dx, dy) = bboxes[i].gap(&bboxes[j]);
-            if dx.max(dy) >= min_space {
-                continue;
-            }
-            // Exact: does bloating one by `min_space` reach the other?
-            // (Half-open semantics make "overlap after bloat s" ⇔
-            // separation < s.)
-            let near = components[i]
-                .bloated(min_space)
-                .intersection(&components[j]);
-            if !near.is_empty() {
-                edges.push((i, j));
-            }
+    near_pairs(&rects, None, min_space - 1, |a, b, _| {
+        let (i, j) = (owner[a], owner[b]);
+        if i != j {
+            edges.push((i.min(j), i.max(j)));
         }
-    }
+    });
+    edges.sort_unstable();
+    edges.dedup();
     edges
 }
 
@@ -420,80 +419,6 @@ pub mod multi {
             conflicts,
         }
     }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use dfm_geom::Rect;
-
-        #[test]
-        fn triangle_needs_three_masks() {
-            let edges = [(0, 1), (1, 2), (2, 0)];
-            let two = color_k(3, &edges, 2);
-            assert!(two.iter().any(|c| c.is_none()));
-            let three = color_k(3, &edges, 3);
-            assert!(three.iter().all(|c| c.is_some()));
-            // Proper colouring.
-            for &(a, b) in &edges {
-                assert_ne!(three[a], three[b]);
-            }
-        }
-
-        #[test]
-        fn k4_defeats_three_masks() {
-            let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
-            let three = color_k(4, &edges, 3);
-            assert_eq!(three.iter().filter(|c| c.is_none()).count(), 1);
-            let four = color_k(4, &edges, 4);
-            assert!(four.iter().all(|c| c.is_some()));
-        }
-
-        #[test]
-        fn native_dpt_conflict_resolves_with_triple() {
-            // The compact triangle that double patterning cannot fix.
-            let layer = Region::from_rects([
-                Rect::new(0, 0, 2000, 90),
-                Rect::new(0, 180, 2000, 270),
-                Rect::new(2090, -200, 2180, 500),
-            ]);
-            let params = DptParams::default();
-            let double = super::super::decompose(&layer, params);
-            assert!(!double.conflicts.is_empty(), "DPT must fail on this");
-            let triple = decompose_k(&layer, params, 3);
-            assert!(triple.conflicts.is_empty(), "TPT must succeed");
-            let union = triple
-                .masks
-                .iter()
-                .fold(Region::new(), |acc, m| acc.union(m));
-            assert_eq!(union, layer);
-        }
-
-        #[test]
-        fn masks_are_mutually_clear() {
-            let layer =
-                Region::from_rects((0..9).map(|i| Rect::new(0, i * 180, 4000, i * 180 + 90)));
-            let d = decompose_k(&layer, DptParams::default(), 3);
-            assert!(d.conflicts.is_empty());
-            // Within each mask, separation is at least the same-mask rule.
-            for m in &d.masks {
-                for pair in dfm_drc_probe(m) {
-                    assert!(pair >= DptParams::default().min_same_mask_space);
-                }
-            }
-        }
-
-        fn dfm_drc_probe(mask: &Region) -> Vec<i64> {
-            let rects = mask.rects();
-            let mut gaps = Vec::new();
-            for i in 0..rects.len() {
-                for j in (i + 1)..rects.len() {
-                    let (dx, dy) = rects[i].gap(&rects[j]);
-                    gaps.push(dx.max(dy));
-                }
-            }
-            gaps
-        }
-    }
 }
 
 #[cfg(test)]
@@ -626,11 +551,142 @@ mod tests {
         }
     }
 
+    /// The all-pairs body `conflict_graph` had before it read its pairs
+    /// off the sweep: a bbox prefilter, then "does bloating one by
+    /// `min_space` reach the other".
+    fn conflict_graph_all_pairs(components: &[Region], min_space: Coord) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        let bboxes: Vec<Rect> = components.iter().map(|c| c.bbox()).collect();
+        for i in 0..components.len() {
+            for j in (i + 1)..components.len() {
+                let (dx, dy) = bboxes[i].gap(&bboxes[j]);
+                if dx.max(dy) >= min_space {
+                    continue;
+                }
+                let near = components[i]
+                    .bloated(min_space)
+                    .intersection(&components[j]);
+                if !near.is_empty() {
+                    edges.push((i, j));
+                }
+            }
+        }
+        edges
+    }
+
+    /// `conflict_graph` equals its old all-pairs body on seeded soups:
+    /// the connected components of a lattice layer, some of them split
+    /// into two overlapping stitch pieces as `decompose` does, at
+    /// spacings from 1 to past the lattice pitch.
+    #[test]
+    fn conflict_graph_matches_the_all_pairs_body() {
+        use dfm_check::{check, prop_assert_eq, Config, Gen};
+        let lattice = (0i64..12, 0i64..12, 1i64..5, 1i64..5)
+            .prop_map(|(x, y, w, h)| Rect::new(x * 30, y * 30, (x + w) * 30, (y + h) * 30));
+        check(
+            "conflict_graph_matches_the_all_pairs_body",
+            &Config::with_cases(256),
+            &(dfm_check::vec(lattice, 0..14), 0usize..4, 1i64..80),
+            |v| {
+                let (soup, splits, min_space) = (&v.0, v.1, v.2);
+                let mut pieces = Region::from_rects(soup.iter().copied()).connected_components();
+                for k in 0..splits.min(pieces.len()) {
+                    if let Some((low, high, _)) = split_component(&pieces[k], 20) {
+                        pieces[k] = low;
+                        pieces.push(high);
+                    }
+                }
+                prop_assert_eq!(
+                    conflict_graph(&pieces, min_space),
+                    conflict_graph_all_pairs(&pieces, min_space),
+                    "min_space {}",
+                    min_space
+                );
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn decomposition_preserves_geometry() {
         let layer = grating(8, 180, 90);
         let d = decompose(&layer, DptParams::default());
         assert_eq!(d.mask_a.union(&d.mask_b), layer);
         assert!(d.mask_a.intersection(&d.mask_b).is_empty());
+    }
+
+    /// Multi-patterning: k-colouring and `decompose_k`.
+    mod multi {
+        use crate::multi::*;
+        use crate::DptParams;
+        use dfm_geom::{Rect, Region};
+
+        #[test]
+        fn triangle_needs_three_masks() {
+            let edges = [(0, 1), (1, 2), (2, 0)];
+            let two = color_k(3, &edges, 2);
+            assert!(two.iter().any(|c| c.is_none()));
+            let three = color_k(3, &edges, 3);
+            assert!(three.iter().all(|c| c.is_some()));
+            // Proper colouring.
+            for &(a, b) in &edges {
+                assert_ne!(three[a], three[b]);
+            }
+        }
+
+        #[test]
+        fn k4_defeats_three_masks() {
+            let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+            let three = color_k(4, &edges, 3);
+            assert_eq!(three.iter().filter(|c| c.is_none()).count(), 1);
+            let four = color_k(4, &edges, 4);
+            assert!(four.iter().all(|c| c.is_some()));
+        }
+
+        #[test]
+        fn native_dpt_conflict_resolves_with_triple() {
+            // The compact triangle that double patterning cannot fix.
+            let layer = Region::from_rects([
+                Rect::new(0, 0, 2000, 90),
+                Rect::new(0, 180, 2000, 270),
+                Rect::new(2090, -200, 2180, 500),
+            ]);
+            let params = DptParams::default();
+            let double = crate::decompose(&layer, params);
+            assert!(!double.conflicts.is_empty(), "DPT must fail on this");
+            let triple = decompose_k(&layer, params, 3);
+            assert!(triple.conflicts.is_empty(), "TPT must succeed");
+            let union = triple
+                .masks
+                .iter()
+                .fold(Region::new(), |acc, m| acc.union(m));
+            assert_eq!(union, layer);
+        }
+
+        #[test]
+        fn masks_are_mutually_clear() {
+            let layer =
+                Region::from_rects((0..9).map(|i| Rect::new(0, i * 180, 4000, i * 180 + 90)));
+            let d = decompose_k(&layer, DptParams::default(), 3);
+            assert!(d.conflicts.is_empty());
+            // Within each mask, separation is at least the same-mask rule.
+            for m in &d.masks {
+                for pair in dfm_drc_probe(m) {
+                    assert!(pair >= DptParams::default().min_same_mask_space);
+                }
+            }
+        }
+
+        fn dfm_drc_probe(mask: &Region) -> Vec<i64> {
+            let rects = mask.rects();
+            let mut gaps = Vec::new();
+            for i in 0..rects.len() {
+                for j in (i + 1)..rects.len() {
+                    let (dx, dy) = rects[i].gap(&rects[j]);
+                    gaps.push(dx.max(dy));
+                }
+            }
+            gaps
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::tiled::{
     density_merge, density_tile, enclosure_tile, min_space_to_tile, rule_tile_halo, wide_space_tile,
 };
 use crate::{DrcReport, Rule, RuleDeck, Violation};
-use dfm_geom::{BoundaryEdges, GridIndex, Point, Rect, Region};
+use dfm_geom::{near_pairs, BoundaryEdges, GridIndex, Point, Rect, Region};
 use dfm_layout::{FlatLayout, Layer};
 
 /// Runs a [`RuleDeck`] against a flat layout.
@@ -177,15 +177,13 @@ pub fn min_space_to_violations(from: &Region, to: &Region, value: i64) -> Vec<(R
 /// For `k ≥ 1`, `a.bloated(k)` overlaps `b` exactly when some rect pair
 /// has `k > max(dx, dy)`, its larger per-axis gap ([`Rect::gap`], 0 when
 /// the pair touches or overlaps), so the separation is the least such
-/// gap over all rect pairs.
+/// gap over the cross pairs within `cap - 1` ([`near_pairs`]).
 pub(crate) fn min_separation(a: &Region, b: &Region, cap: i64) -> i64 {
-    let gaps = a.rects().iter().flat_map(|ra| {
-        b.rects().iter().map(|rb| {
-            let (dx, dy) = ra.gap(rb);
-            dx.max(dy)
-        })
+    let mut least = cap;
+    near_pairs(a.rects(), Some(b.rects()), cap - 1, |_, _, gap| {
+        least = least.min(gap)
     });
-    gaps.fold(cap, i64::min).max(0)
+    least.max(0)
 }
 
 /// A pair of facing boundary edges: the measured distance between them
@@ -816,6 +814,17 @@ mod tests {
         let v = enclosure_violations(&outside, &metal_bad, 40);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].1, 0);
+    }
+
+    /// At `value = 0` a via cell is bad iff no outer rect covers it: a
+    /// via flush with its metal's corner is clean, and the part of a via
+    /// that hangs off the metal's notch is the one candidate.
+    #[test]
+    fn enclosure_at_value_zero_flags_only_uncovered_cells() {
+        let metal = Region::from_rects([Rect::new(0, 0, 100, 100), Rect::new(100, 0, 200, 50)]);
+        let vias = Region::from_rects([Rect::new(0, 0, 10, 10), Rect::new(90, 40, 110, 60)]);
+        let v = enclosure_violations(&vias, &metal, 0);
+        assert_eq!(v, [(Rect::new(100, 50, 110, 60), 0)]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::check::{
     sort_violations, PairFragment, PreparedLayer,
 };
 use crate::{FacingPair, Rule, Violation};
-use dfm_geom::{group_within, Point, Rect, Region};
+use dfm_geom::{group_within, near_pairs, Point, Rect, Region};
 use dfm_layout::{Layer, TileView, TiledLayout};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -813,19 +813,19 @@ pub(crate) fn min_space_to_tile(
 }
 
 /// Enclosure, certified per candidate: the owner tile proves both the
-/// under-enclosed candidate and every inner component it touches sit
+/// under-enclosed candidate and the inner component it lies in sit
 /// strictly inside the window (with the measurement margin to spare),
-/// then measures the margin of those inner components against the outer
-/// material clipped to their bbox plus `value + 1`. Returns the owned
+/// then measures the margin of that inner component. Returns the owned
 /// candidates and whether the tile refused.
 ///
-/// The candidates are `inner \ outer.shrunk(value)`, found one inner
-/// rect `r` at a time: only the outer material clipped to
-/// `r.expanded(value + 1)` is eroded. A cell of `r` survives erosion by
-/// `value` iff the `value`-square around it lies in `outer`, and that
-/// square lies inside `r.expanded(value)`, so the clipped erosion
-/// decides every cell of `r` exactly as the whole layer's does — and
-/// the work is per via, not per layer.
+/// The candidates are `inner \ outer.shrunk(value)`, one inner rect `r`
+/// at a time: a cell of `r` is bad iff its `value`-square, which lies in
+/// `f = r.expanded(value)`, leaves `outer`, so `bad(r) = r ∩ (f \
+/// near(r)).bloated(value)` with `near(r) = outer ∩ f` read off `r`'s
+/// cross pairs in one [`near_pairs`] sweep. A bad component lies in one
+/// inner component (its anchor's via's), measured against its vias'
+/// `near` rects: farther outer material cannot lower a margin capped
+/// below `value`.
 pub(crate) fn enclosure_tile(
     inner: &Region,
     outer: &Region,
@@ -834,39 +834,42 @@ pub(crate) fn enclosure_tile(
     window: Rect,
 ) -> (Vec<(Rect, i64)>, bool) {
     let mut out = Vec::new();
-    if inner.is_empty() {
+    let (vias, metal) = (inner.rects(), outer.rects());
+    let mut near: Vec<Vec<Rect>> = vec![Vec::new(); vias.len()];
+    near_pairs(vias, Some(metal), value, |i, j, _| {
+        near[i].extend(metal[j].intersection(&vias[i].expanded(value)))
+    });
+    let mut pieces: Vec<(Rect, usize)> = Vec::new();
+    for (i, r) in vias.iter().enumerate() {
+        let f = Region::from_rect(r.expanded(value));
+        let uncovered = f.difference(&Region::from_disjoint_rects(near[i].clone()));
+        let bad = uncovered.bloated(value).clipped(*r);
+        pieces.extend(bad.into_rects().into_iter().map(|p| (p, i)));
+    }
+    if pieces.is_empty() {
         return (out, false);
     }
-    let mut bad = Vec::new();
-    for r in inner.rects() {
-        let safe = outer.clipped(r.expanded(value + 1)).shrunk(value);
-        bad.extend(Region::from_rect(*r).difference(&safe).into_rects());
+    let bad = Region::from_rects(pieces.iter().map(|&(p, _)| p));
+    let owned: Vec<(Rect, usize)> = vias.iter().copied().zip(0..).collect();
+    let group = group_within(vias.len(), &owned, 0);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); vias.len()];
+    for (i, &g) in group.iter().enumerate() {
+        members[g].push(i);
     }
-    let bad = Region::from_rects(bad);
-    if bad.is_empty() {
-        return (out, false);
-    }
-    // The inner components that touch `c`, selected from one component
-    // list: a bad component lies in exactly one inner component.
-    let inner_comps = inner.connected_components();
     for c in bad.connected_components() {
-        let cb = c.bbox();
-        let touches_c = |k: &&Region| {
-            k.bbox().touches(&cb)
-                && k.rects()
-                    .iter()
-                    .any(|a| c.rects().iter().any(|b| a.touches(b)))
-        };
-        let inner_local = Region::from_rects(
-            inner_comps
-                .iter()
-                .filter(touches_c)
-                .flat_map(|k| k.rects().iter().copied()),
-        );
+        let (cb, anchor) = (c.bbox(), region_anchor(&c));
+        let via = pieces
+            .iter()
+            .find(|&&(p, _)| owns(p, anchor))
+            .expect("a bad component's anchor is a bad cell")
+            .1;
+        let component = &members[group[via]];
+        let inner_local = Region::from_disjoint_rects(component.iter().map(|&k| vias[k]).collect());
         let certified = window.contains_rect(&cb.expanded(value + 2))
             && window.contains_rect(&inner_local.bbox().expanded(value + 2));
-        if owns(core, region_anchor(&c)) && certified {
-            let outer_local = outer.clipped(inner_local.bbox().expanded(value + 1));
+        if owns(core, anchor) && certified {
+            let outer_local =
+                Region::from_rects(component.iter().flat_map(|&k| near[k].iter().copied()));
             out.push((cb, enclosure_margin(&inner_local, &outer_local, value)));
         } else if !certified && cb.touches(&core) {
             return (out, true);

@@ -12,9 +12,11 @@
 //! * [`Point`] / [`Vector`] — positions and displacements,
 //! * [`Rect`] — axis-aligned rectangles (the workhorse),
 //! * [`Polygon`] — rectilinear polygons with slab decomposition into rects,
-//! * [`Region`] — a canonical set of disjoint rectangles supporting exact
+//! * [`Region`] — a set of disjoint rectangles supporting exact
 //!   boolean operations (union / intersection / difference / xor),
 //!   Minkowski bloat/shrink, area, and boundary-edge extraction,
+//! * [`near_pairs`] — the one sweep for "which rects lie within `d`",
+//!   within one set or across two, and [`group_within`] built on it,
 //! * [`Transform`] — GDSII-style placement transforms (translate, rotate by
 //!   multiples of 90°, mirror),
 //! * [`GridIndex`] — an immutable uniform-grid spatial index for neighbour
@@ -53,7 +55,7 @@ pub use interval::{Interval, IntervalSet};
 pub use point::{Point, Vector};
 pub use polygon::{Polygon, ValidatePolygonError};
 pub use rect::Rect;
-pub use region::{group_within, BoolOp, Region};
+pub use region::{group_within, near_pairs, BoolOp, Region};
 pub use tilegrid::TileGrid;
 pub use trace::boundary_loops;
 pub use transform::{Rotation, Transform};

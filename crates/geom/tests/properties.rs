@@ -2,7 +2,7 @@
 //! (dfm-check harness; hermetic, seed-deterministic).
 
 use dfm_check::{bools, check, prop_assert, prop_assert_eq, Config, Gen};
-use dfm_geom::{group_within, Point, Rect, Region, Rotation, Transform, Vector};
+use dfm_geom::{group_within, near_pairs, Point, Rect, Region, Rotation, Transform, Vector};
 
 fn cfg() -> Config {
     Config::with_cases(256)
@@ -23,11 +23,14 @@ fn arb_transform() -> impl Gen<Value = Transform> {
     })
 }
 
-/// Canonical regions consist of pairwise non-overlapping rectangles.
+/// Every region's rects are pairwise non-overlapping: the canonical
+/// output of `from_rects`, and the decompositions that are disjoint
+/// without being canonical — `clipped`, `difference` (whose rects outside
+/// the other operand's bbox pass through), `inside` and each of
+/// `connected_components`.
 #[test]
 fn region_rects_are_disjoint() {
-    check("region_rects_are_disjoint", &cfg(), &arb_region(), |r| {
-        let rects = r.rects();
+    fn disjoint(rects: &[Rect]) -> Result<(), String> {
         for i in 0..rects.len() {
             for j in (i + 1)..rects.len() {
                 prop_assert!(
@@ -39,7 +42,24 @@ fn region_rects_are_disjoint() {
             }
         }
         Ok(())
-    });
+    }
+    check(
+        "region_rects_are_disjoint",
+        &cfg(),
+        &(arb_region(), arb_region(), arb_rect()),
+        |v| {
+            let (a, b, w) = v;
+            disjoint(a.rects())?;
+            disjoint(a.clipped(*w).rects())?;
+            disjoint(a.difference(b).rects())?;
+            disjoint(a.inside(b).rects())?;
+            disjoint(a.inside(&b.union(a)).rects())?;
+            for c in a.connected_components() {
+                disjoint(c.rects())?;
+            }
+            Ok(())
+        },
+    );
 }
 
 /// Inclusion–exclusion: |A ∪ B| = |A| + |B| − |A ∩ B|.
@@ -312,6 +332,70 @@ fn components_match_the_pairwise_union_find() {
                 .map(|c| c.rects().to_vec())
                 .collect();
             prop_assert_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+/// Every pair at most `d` apart, brute force: `(i, j, gap)` sorted, within
+/// `a` (each unordered pair once, `i < j`) or across `a` and `b`.
+fn all_near_pairs(a: &[Rect], b: Option<&[Rect]>, d: i64) -> Vec<(usize, usize, i64)> {
+    let mut out = Vec::new();
+    for (i, ra) in a.iter().enumerate() {
+        let others = b.unwrap_or(a);
+        for (j, rb) in others.iter().enumerate() {
+            let (dx, dy) = ra.gap(rb);
+            if (b.is_some() || i < j) && dx.max(dy) <= d {
+                out.push((i, j, dx.max(dy)));
+            }
+        }
+    }
+    out
+}
+
+/// `near_pairs` visits exactly the brute-force pairs, each once, within
+/// one set and across two, at `d` ∈ {−1, 0, 1, 5, 12}. Shapes sit on a
+/// 5-unit lattice, and a soup may stack many rects at one `x0` (the
+/// seam case: many pieces start at one tile edge), so ties in the sweep
+/// order, touching pairs and gaps either side of `d` all occur.
+#[test]
+fn near_pairs_match_all_pairs() {
+    let lattice = (0i64..10, 0i64..10, 1i64..4, 1i64..4)
+        .prop_map(|(x, y, w, h)| Rect::new(x * 5, y * 5, (x + w) * 5, (y + h) * 5));
+    let stack = (0i64..10, 0i64..20, 1i64..6)
+        .prop_map(|(x, y, w)| Rect::new(x * 5, y * 5, (x + w) * 5, y * 5 + 5));
+    let soup = (
+        dfm_check::vec(lattice, 0..12),
+        dfm_check::vec(stack, 0..12),
+        bools(),
+    )
+        .prop_map(|(mut rects, stacked, at_one_x)| {
+            rects.extend(stacked.into_iter().map(|r| {
+                if at_one_x {
+                    Rect::new(20, r.y0, 20 + r.width(), r.y1)
+                } else {
+                    r
+                }
+            }));
+            rects
+        });
+    check(
+        "near_pairs_match_all_pairs",
+        &cfg(),
+        &(soup.clone(), soup, 0usize..5),
+        |v| {
+            let (a, b, pick) = v;
+            let d = [-1, 0, 1, 5, 12][*pick];
+            let mut within = Vec::new();
+            near_pairs(a, None, d, |i, j, gap| {
+                within.push((i.min(j), i.max(j), gap))
+            });
+            within.sort_unstable();
+            prop_assert_eq!(within, all_near_pairs(a, None, d), "within, d {}", d);
+            let mut across = Vec::new();
+            near_pairs(a, Some(b), d, |i, j, gap| across.push((i, j, gap)));
+            across.sort_unstable();
+            prop_assert_eq!(across, all_near_pairs(a, Some(b), d), "across, d {}", d);
             Ok(())
         },
     );

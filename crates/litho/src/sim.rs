@@ -1,7 +1,7 @@
 //! The lithography simulator: rasterise → blur → threshold → extract.
 
 use crate::{Condition, OpticalModel, Raster};
-use dfm_geom::{Coord, Rect, Region};
+use dfm_geom::{Coord, Rect, Region, TileGrid};
 use dfm_layout::{Layer, TileView, TiledLayout};
 
 /// End-to-end aerial-image simulator with a constant-threshold resist.
@@ -133,21 +133,13 @@ impl LithoSimulator {
         let halo = self.halo_nm(cond);
         let full = bbox.expanded(halo);
         let tile: Coord = (self.pixel_nm * 384).max(2 * halo);
+        let grid = TileGrid::new(full, tile);
         let mut pieces: Vec<Rect> = Vec::new();
-        let mut y = full.y0;
-        while y < full.y1 {
-            let y1 = (y + tile).min(full.y1);
-            let mut x = full.x0;
-            while x < full.x1 {
-                let x1 = (x + tile).min(full.x1);
-                let window = Rect::new(x, y, x1, y1);
-                // Skip tiles with no geometry in reach.
-                if !mask.clipped(window.expanded(halo)).is_empty() {
-                    pieces.extend(self.printed_in_window(mask, window, cond).into_rects());
-                }
-                x = x1;
+        for window in (0..grid.len()).map(|i| grid.core(i)) {
+            // Skip tiles with no geometry in reach.
+            if !mask.clipped(window.expanded(halo)).is_empty() {
+                pieces.extend(self.printed_in_window(mask, window, cond).into_rects());
             }
-            y = y1;
         }
         Region::from_rects(pieces)
     }
