@@ -64,7 +64,11 @@ impl ModelOpc {
                 let cp = f.control_point();
                 if f.vertical {
                     let ivs = x_intervals_at(printed, cp.y);
-                    let inside_x = if f.outward_positive { cp.x - probe_depth } else { cp.x + probe_depth };
+                    let inside_x = if f.outward_positive {
+                        cp.x - probe_depth
+                    } else {
+                        cp.x + probe_depth
+                    };
                     match ivs.iter().find(|iv| iv.contains(inside_x)) {
                         None => -self.max_move,
                         Some(iv) => {
@@ -77,7 +81,11 @@ impl ModelOpc {
                     }
                 } else {
                     let ivs = y_intervals_at(printed, cp.x);
-                    let inside_y = if f.outward_positive { cp.y - probe_depth } else { cp.y + probe_depth };
+                    let inside_y = if f.outward_positive {
+                        cp.y - probe_depth
+                    } else {
+                        cp.y + probe_depth
+                    };
                     match ivs.iter().find(|iv| iv.contains(inside_y)) {
                         None => -self.max_move,
                         Some(iv) => {
@@ -118,7 +126,12 @@ impl ModelOpc {
 
         let mask = apply_offsets(drawn, &fragments, &offsets);
         let epe_after = self.verify(drawn, &mask);
-        OpcResult { mask, epe_before, epe_after, convergence }
+        OpcResult {
+            mask,
+            epe_before,
+            epe_after,
+            convergence,
+        }
     }
 
     /// Simulates `mask` and summarises EPE against the drawn target.
@@ -167,10 +180,7 @@ mod tests {
 
     #[test]
     fn convergence_trace_decreases_overall() {
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 1500, 90),
-            Rect::new(0, 270, 1500, 360),
-        ]);
+        let drawn = Region::from_rects([Rect::new(0, 0, 1500, 90), Rect::new(0, 270, 1500, 360)]);
         let result = engine().correct(&drawn);
         let first = result.convergence.first().copied().expect("has iterations");
         let last = result.convergence.last().copied().expect("has iterations");

@@ -95,7 +95,11 @@ impl fmt::Display for OrcReport {
             writeln!(
                 f,
                 "  {}: rms {:.1} max {} missing {} hotspots {}",
-                c.condition, c.epe.rms, c.epe.max_abs, c.epe.missing, c.hotspots.len()
+                c.condition,
+                c.epe.rms,
+                c.epe.max_abs,
+                c.epe.missing,
+                c.hotspots.len()
             )?;
         }
         Ok(())
@@ -114,12 +118,8 @@ pub fn verify(
         .iter()
         .map(|&condition| {
             let printed = sim.printed(mask, condition);
-            let samples = edge_placement_errors(
-                target,
-                &printed,
-                params.sample_spacing,
-                params.probe_depth,
-            );
+            let samples =
+                edge_placement_errors(target, &printed, params.sample_spacing, params.probe_depth);
             let epe = summarize_epe(&samples);
             let epe_violations = samples
                 .iter()
@@ -129,7 +129,12 @@ pub fn verify(
                 })
                 .count();
             let hotspots = classify_deviations(target, &printed, params.hotspot);
-            OrcConditionResult { condition, epe, epe_violations, hotspots }
+            OrcConditionResult {
+                condition,
+                epe,
+                epe_violations,
+                hotspots,
+            }
         })
         .collect();
     OrcReport { per_condition }

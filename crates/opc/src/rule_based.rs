@@ -177,10 +177,7 @@ mod tests {
     fn bias_never_bridges_gap() {
         // Two narrow lines separated by a minimum gap: biases must not
         // make them touch.
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 2000, 90),
-            Rect::new(0, 180, 2000, 270),
-        ]);
+        let drawn = Region::from_rects([Rect::new(0, 0, 2000, 90), Rect::new(0, 180, 2000, 270)]);
         let corrected = opc().correct(&drawn);
         assert_eq!(corrected.connected_components().len(), 2);
         // Gap midline stays clear.
@@ -190,10 +187,7 @@ mod tests {
     #[test]
     fn isolated_edge_biased_more_than_dense() {
         // A narrow line with a neighbour below but nothing above.
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 2000, 90),
-            Rect::new(0, 180, 2000, 270),
-        ]);
+        let drawn = Region::from_rects([Rect::new(0, 0, 2000, 90), Rect::new(0, 180, 2000, 270)]);
         let corrected = opc().correct(&drawn);
         // The outer (isolated) top edge of the upper line moved out more
         // than the inner (dense) edges: probe above the upper line.
@@ -203,10 +197,7 @@ mod tests {
 
     #[test]
     fn correction_is_deterministic() {
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 1000, 90),
-            Rect::new(0, 400, 600, 490),
-        ]);
+        let drawn = Region::from_rects([Rect::new(0, 0, 1000, 90), Rect::new(0, 400, 600, 490)]);
         assert_eq!(opc().correct(&drawn), opc().correct(&drawn));
     }
 }

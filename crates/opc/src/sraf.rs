@@ -122,10 +122,7 @@ mod tests {
         let p = params();
         // Gap of 180 < bar_distance-driven requirement: the keepout
         // swallows between-bars.
-        let drawn = Region::from_rects([
-            Rect::new(0, 0, 2000, 90),
-            Rect::new(0, 270, 2000, 360),
-        ]);
+        let drawn = Region::from_rects([Rect::new(0, 0, 2000, 90), Rect::new(0, 270, 2000, 360)]);
         let bars = insert_srafs(&drawn, p);
         for b in bars.rects() {
             let in_gap = b.y0 >= 90 && b.y1 <= 270;
@@ -165,7 +162,10 @@ mod tests {
         use dfm_litho::process_window::{bossung, depth_of_focus, CutAxis, CutSpec};
         let sim = LithoSimulator::for_feature_size(90);
         let drawn = Region::from_rect(Rect::new(0, 0, 2000, 120));
-        let cut = CutSpec { at: dfm_geom::Point::new(1000, 60), axis: CutAxis::Vertical };
+        let cut = CutSpec {
+            at: dfm_geom::Point::new(1000, 60),
+            axis: CutAxis::Vertical,
+        };
         let defoci: Vec<f64> = (0..8).map(|i| i as f64 * 30.0).collect();
         let raw_points = bossung(&sim, &drawn, cut, &[1.0], &defoci);
         let target = raw_points[0].cd.expect("prints at focus");

@@ -33,9 +33,15 @@ fn offset_direction_containment() {
             let (region, d) = v;
             let frags = Fragmenter::new(120).fragment(region);
             let grown = apply_offsets(region, &frags, &vec![*d; frags.len()]);
-            prop_assert!(region.difference(&grown).is_empty(), "outward must contain drawn");
+            prop_assert!(
+                region.difference(&grown).is_empty(),
+                "outward must contain drawn"
+            );
             let shrunk = apply_offsets(region, &frags, &vec![-*d; frags.len()]);
-            prop_assert!(shrunk.difference(region).is_empty(), "inward must stay inside drawn");
+            prop_assert!(
+                shrunk.difference(region).is_empty(),
+                "inward must stay inside drawn"
+            );
             Ok(())
         },
     );
@@ -67,7 +73,10 @@ fn rule_opc_is_safe() {
     check("rule_opc_is_safe", &cfg(), &arb_wires(), |region| {
         let opc = RuleOpc::new(RuleOpcParams::for_feature_size(90));
         let corrected = opc.correct(region);
-        prop_assert!(region.difference(&corrected).is_empty(), "bias is outward-only");
+        prop_assert!(
+            region.difference(&corrected).is_empty(),
+            "bias is outward-only"
+        );
         prop_assert_eq!(
             corrected.connected_components().len(),
             region.connected_components().len(),
