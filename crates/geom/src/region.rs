@@ -418,17 +418,6 @@ impl Region {
         self.bloated(d).shrunk(d)
     }
 
-    /// The connected components of `self` lying entirely inside `other`.
-    pub fn inside(&self, other: &Region) -> Region {
-        let mut keep: Vec<Rect> = Vec::new();
-        for comp in self.connected_components() {
-            if comp.difference(other).is_empty() {
-                keep.extend(comp.rects().iter().copied());
-            }
-        }
-        Region { rects: keep }
-    }
-
     /// Extracts the boundary edges of the region.
     ///
     /// See [`BoundaryEdges`] for the result structure; edges carry which
@@ -691,20 +680,6 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0].area(), 200);
         assert_eq!(comps[1].area(), 100);
-    }
-
-    #[test]
-    fn selection_operations() {
-        let wires = Region::from_rects([
-            Rect::new(0, 0, 100, 10),
-            Rect::new(0, 50, 100, 60),
-            Rect::new(0, 100, 100, 110),
-        ]);
-        // inside: only components fully covered.
-        let cover = Region::from_rect(Rect::new(-5, 40, 105, 70));
-        let inside = wires.inside(&cover);
-        assert_eq!(inside.area(), 100 * 10);
-        assert!(wires.inside(&Region::new()).is_empty());
     }
 
     #[test]

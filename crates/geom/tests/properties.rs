@@ -26,7 +26,7 @@ fn arb_transform() -> impl Gen<Value = Transform> {
 /// Every region's rects are pairwise non-overlapping: the canonical
 /// output of `from_rects`, and the decompositions that are disjoint
 /// without being canonical — `clipped`, `difference` (whose rects outside
-/// the other operand's bbox pass through), `inside` and each of
+/// the other operand's bbox pass through) and each of
 /// `connected_components`.
 #[test]
 fn region_rects_are_disjoint() {
@@ -52,8 +52,6 @@ fn region_rects_are_disjoint() {
             disjoint(a.rects())?;
             disjoint(a.clipped(*w).rects())?;
             disjoint(a.difference(b).rects())?;
-            disjoint(a.inside(b).rects())?;
-            disjoint(a.inside(&b.union(a)).rects())?;
             for c in a.connected_components() {
                 disjoint(c.rects())?;
             }

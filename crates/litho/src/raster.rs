@@ -1,6 +1,7 @@
 //! Pixel rasters: mask rasterisation and Gaussian convolution.
 
 use dfm_geom::{Coord, Rect, Region};
+use std::ops::Range;
 
 /// A rectangular grid of intensity samples over a layout window.
 ///
@@ -121,22 +122,26 @@ impl Raster {
     /// deviation `sigma_nm`, using two separable 1-D passes.
     ///
     /// Summation order is part of the contract: every output pixel of
-    /// each pass is `((0 + k₀·s₀) + k₁·s₁) + …`, the kernel taps added
-    /// one at a time from tap 0 up, so the result is bit-identical to a
-    /// per-pixel dot product in tap order. The passes are *tap-major*:
-    /// each adds one tap across a whole contiguous row, a bounds-free
-    /// multiply-add the compiler vectorises.
+    /// each pass is `((0 + k₀·s₀) + k₁·s₁) + …` over the in-grid taps,
+    /// added one at a time from tap 0 up, so the result is bit-identical
+    /// to a per-pixel dot product in tap order. The passes are
+    /// *tap-major*: each adds one tap across a contiguous run of a row,
+    /// a bounds-free multiply-add the compiler vectorises. Two kinds of
+    /// work are skipped because they cannot change a bit:
     ///
-    /// - The horizontal pass reads each source row from a copy padded
-    ///   with `radius` zeros on either side, so a tap that falls off the
-    ///   grid adds `k·(+0.0) = +0.0` (every `k ≥ 0`) where a per-pixel
-    ///   loop would skip it. That is exact: the running sum starts at
+    /// - **`+0.0` sources.** A tap runs only over its source row's
+    ///   nonzero spans (runs of samples whose bits are not `+0.0`;
+    ///   `-0.0` counts as nonzero). A skipped tap would add
+    ///   `k·(+0.0) = +0.0` (every `k ≥ 0`). The running sum starts at
     ///   `+0.0`, and under round-to-nearest a sum is `-0.0` only if both
     ///   addends are, so it is never `-0.0` and `acc + (+0.0) == acc`
     ///   bitwise for any finite input, negative samples (difference-of-
-    ///   Gaussian rasters) included.
-    /// - The vertical pass skips a tap whose source row is off the grid,
-    ///   as the per-pixel loop does.
+    ///   Gaussian rasters) included. An off-grid tap is skipped on the
+    ///   same grounds, as the per-pixel loop does.
+    /// - **Repeated rows.** A horizontal output row is a function of its
+    ///   source row's bits alone, so where a source row equals the one
+    ///   before it bit for bit, the previous output row and its spans
+    ///   are copied. Manhattan rasters repeat most rows.
     pub fn gaussian_blur(&mut self, sigma_nm: f64) {
         let Some(kernel) = self.gaussian_kernel(sigma_nm) else {
             return;
@@ -144,16 +149,48 @@ impl Raster {
         let radius = kernel.len() / 2;
         let (nx, ny) = (self.nx, self.ny);
         let kernel = &kernel[..];
-        // Horizontal pass reads `self.data`, writes `tmp`.
-        let mut tmp = vec![0.0f64; nx * ny];
-        let mut padded = vec![0.0f64; nx + 2 * radius];
-        for (iy, row) in tmp.chunks_mut(nx).enumerate() {
-            padded[radius..radius + nx].copy_from_slice(&self.data[iy * nx..(iy + 1) * nx]);
+        // Horizontal pass reads `self.data`, writes one `tmp` row per
+        // distinct source row: source row `iy`'s output is `tmp` row
+        // `out_row[iy]`, whose nonzero spans are
+        // `spans[starts[d]..starts[d + 1]]` for `d = out_row[iy]`.
+        let mut tmp: Vec<f64> = Vec::with_capacity(nx * ny);
+        let mut out_row = Vec::with_capacity(ny);
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let mut starts = vec![0];
+        let mut src_spans = Vec::new();
+        for iy in 0..ny {
+            let src = &self.data[iy * nx..(iy + 1) * nx];
+            let repeat = iy > 0
+                && src
+                    .iter()
+                    .zip(&self.data[(iy - 1) * nx..iy * nx])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if repeat {
+                out_row.push(out_row[iy - 1]);
+                continue;
+            }
+            src_spans.clear();
+            push_nonzero_spans(src, &mut src_spans);
+            let d = starts.len() - 1;
+            tmp.resize((d + 1) * nx, 0.0);
+            let row = &mut tmp[d * nx..];
+            // Tap `k` adds `kv · src[ix + k − radius]` to `row[ix]`.
             for (k, &kv) in kernel.iter().enumerate() {
-                for (out, s) in row.iter_mut().zip(&padded[k..k + nx]) {
-                    *out += kv * s;
+                for s in &src_spans {
+                    let lo = (s.start + radius).saturating_sub(k).min(nx);
+                    let hi = (s.end + radius).saturating_sub(k).min(nx);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let from = lo + k - radius;
+                    for (out, v) in row[lo..hi].iter_mut().zip(&src[from..]) {
+                        *out += kv * v;
+                    }
                 }
             }
+            push_nonzero_spans(row, &mut spans);
+            starts.push(spans.len());
+            out_row.push(d);
         }
         // Vertical pass reads `tmp`, writes `self.data`.
         for (iy, row) in self.data.chunks_mut(nx).enumerate() {
@@ -162,8 +199,12 @@ impl Raster {
                 let Some(sy) = (iy + k).checked_sub(radius).filter(|&sy| sy < ny) else {
                     continue;
                 };
-                for (out, s) in row.iter_mut().zip(&tmp[sy * nx..(sy + 1) * nx]) {
-                    *out += kv * s;
+                let d = out_row[sy];
+                let src = &tmp[d * nx..(d + 1) * nx];
+                for s in &spans[starts[d]..starts[d + 1]] {
+                    for (out, v) in row[s.clone()].iter_mut().zip(&src[s.clone()]) {
+                        *out += kv * v;
+                    }
                 }
             }
         }
@@ -248,6 +289,23 @@ impl Raster {
             }
         }
         Region::from_rects(rects)
+    }
+}
+
+/// Appends the runs of `row` whose samples are not `+0.0` by bits
+/// (`-0.0` included) to `spans`, in order.
+fn push_nonzero_spans(row: &[f64], spans: &mut Vec<Range<usize>>) {
+    let mut ix = 0;
+    while ix < row.len() {
+        if row[ix].to_bits() == 0 {
+            ix += 1;
+            continue;
+        }
+        let start = ix;
+        while ix < row.len() && row[ix].to_bits() != 0 {
+            ix += 1;
+        }
+        spans.push(start..ix);
     }
 }
 
@@ -582,6 +640,72 @@ mod tests {
                 tap_major_matches_per_pixel(&raster, *sigma, *ring_w)
             },
         );
+    }
+
+    /// A `nx × ny` raster at 10 nm pixels holding `data` row by row.
+    fn from_samples(nx: usize, ny: usize, data: Vec<f64>) -> Raster {
+        assert_eq!(data.len(), nx * ny);
+        Raster {
+            origin_x: 0,
+            origin_y: 0,
+            limit_x: 10 * nx as Coord,
+            limit_y: 10 * ny as Coord,
+            pixel: 10,
+            nx,
+            ny,
+            data,
+        }
+    }
+
+    /// `gaussian_blur` against the per-pixel oracle, by bits, at a sigma
+    /// of one pixel (radius 3) and of four (radius 12).
+    fn blur_matches_per_pixel(raster: &Raster, what: &str) {
+        for sigma in [10.0, 40.0] {
+            let mut fast = raster.clone();
+            fast.gaussian_blur(sigma);
+            let mut oracle = raster.clone();
+            oracle.gaussian_blur_per_pixel(sigma);
+            same_bits(&fast, &oracle, &format!("{what}, sigma {sigma}")).unwrap();
+        }
+    }
+
+    #[test]
+    fn blur_edge_cases_are_bit_identical_to_per_pixel() {
+        let (nx, ny) = (9, 7);
+        for (ix, iy) in [(0, 0), (nx - 1, 0), (0, ny - 1), (nx - 1, ny - 1)] {
+            let mut data = vec![0.0; nx * ny];
+            data[iy * nx + ix] = 0.75;
+            blur_matches_per_pixel(&from_samples(nx, ny, data), "corner pixel");
+        }
+        blur_matches_per_pixel(&from_samples(nx, ny, vec![0.0; nx * ny]), "all zero");
+        // `-0.0` lies in a span, next to `+0.0`, positive and negative
+        // samples; one row is all `-0.0`.
+        let signed: Vec<f64> = (0..nx * ny)
+            .map(|i| match (i / nx, i % 4) {
+                (2, _) => -0.0,
+                (_, 0) => -0.0,
+                (_, 1) => 0.0,
+                (_, 2) => -0.25,
+                _ => 0.5,
+            })
+            .collect();
+        blur_matches_per_pixel(&from_samples(nx, ny, signed), "negative zeros");
+        // Rows 0–3 equal, row 4 differs in one sample, rows 5–9 equal
+        // rows 0–3 again; rows 10–11 are all zero.
+        let row = [0.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.25, 1.0];
+        let mut runs = Vec::new();
+        for iy in 0..12 {
+            let mut r = if iy < 10 { row } else { [0.0; 9] };
+            if iy == 4 {
+                r[5] = 0.125;
+            }
+            runs.extend(r);
+        }
+        blur_matches_per_pixel(&from_samples(nx, 12, runs), "repeated rows");
+        // Radius 12 against a 3 × 2 grid: every tap but the middle ones
+        // falls off it.
+        let tiny = from_samples(3, 2, vec![1.0, 0.0, 0.5, 0.0, 0.0, 1.0]);
+        blur_matches_per_pixel(&tiny, "kernel wider than the grid");
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl LithoSimulator {
         let mut pieces: Vec<Rect> = Vec::new();
         for window in (0..grid.len()).map(|i| grid.core(i)) {
             // Skip tiles with no geometry in reach.
-            if !mask.clipped(window.expanded(halo)).is_empty() {
+            if reaches(mask, window.expanded(halo)) {
                 pieces.extend(self.printed_in_window(mask, window, cond).into_rects());
             }
         }
@@ -221,11 +221,19 @@ impl LithoSimulator {
         let Some(mask) = view.region_ref(layer) else {
             return Vec::new();
         };
-        if mask.clipped(window.expanded(halo)).is_empty() {
+        if !reaches(mask, window.expanded(halo)) {
             return Vec::new();
         }
         self.printed_in_window(mask, window, cond).into_rects()
     }
+}
+
+/// True if some rect of `mask` shares area with `window`: the test
+/// `!mask.clipped(window).is_empty()`, without building the clip.
+fn reaches(mask: &Region, window: Rect) -> bool {
+    mask.rects()
+        .iter()
+        .any(|r| r.intersection(&window).is_some())
 }
 
 /// Merges per-tile printed pieces (given in tile order) into the

@@ -772,8 +772,10 @@ mod tests {
         // bytes in tile order, then over the merged report text: the
         // 12 µm seed-11 block under the default spec (one window per
         // tile; EXPERIMENTS.md's byte-identity tables hold the same
-        // pair), and the 6 µm block at tile 1700, halo 64 with litho on
-        // (several windows per tile).
+        // pair), the 6 µm block at tile 1700, halo 64 with litho on
+        // (several windows per tile), and the 20 µm seed-11 block at
+        // tile 2048 with METAL1 litho on (the `cold_litho` job's scale:
+        // 100 tiles, each blurred over a full print window).
         use crate::checkpoint::encode_tile_partial;
         use dfm_cache::fnv1a_64;
         let pins = |spec: &JobSpec, gds: &[u8]| {
@@ -788,15 +790,21 @@ mod tests {
             tile: 2048,
             ..JobSpec::default()
         };
+        let litho = JobSpec {
+            litho_layer: Some(dfm_layout::layers::METAL1),
+            ..default.clone()
+        };
         let got = [
             pins(&default, &block_gds(12_000, 11)),
             pins(&spec(), &small_gds()),
+            pins(&litho, &block_gds(20_000, 11)),
         ];
         assert_eq!(
             got,
             [
                 (0xa07f_8a02_b000_feea, 0xccf1_d568_f22b_8546),
-                (0x1412_6721_565d_37c4, 0xb56a_95bd_98ef_d781)
+                (0x1412_6721_565d_37c4, 0xb56a_95bd_98ef_d781),
+                (0xc6ca_cef1_1116_e7bb, 0x016f_21ea_01cc_d9b0)
             ],
             "{got:#018x?}"
         );
