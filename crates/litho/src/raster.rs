@@ -139,9 +139,10 @@ impl Raster {
     ///   Gaussian rasters) included. An off-grid tap is skipped on the
     ///   same grounds, as the per-pixel loop does.
     /// - **Repeated rows.** A horizontal output row is a function of its
-    ///   source row's bits alone, so where a source row equals the one
-    ///   before it bit for bit, the previous output row and its spans
-    ///   are copied. Manhattan rasters repeat most rows.
+    ///   source row's bits alone, so a source row equal to the one
+    ///   before it bit for bit shares that row's output and spans
+    ///   instead of recomputing them. Manhattan rasters repeat most
+    ///   rows.
     pub fn gaussian_blur(&mut self, sigma_nm: f64) {
         let Some(kernel) = self.gaussian_kernel(sigma_nm) else {
             return;
